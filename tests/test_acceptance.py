@@ -32,8 +32,12 @@ def test_criterion_1_golden_fixture_exact():
     print("ACCEPT-1 PASS: golden fixture exact at all four parameter pairs")
 
 
+#: one fixed seed per duality kind (string hashes vary between processes)
+DUALITY_SEEDS = {"dual_algebra": 901, "dual_nijenhuis": 902, "dual_differential": 903, "dual_rep": 904}
+
+
 def _duality_corpus(kind):
-    r = support.rng(900 + hash(kind) % 100)
+    r = support.rng(DUALITY_SEEDS[kind])
     if kind == "dual_rep":
         base = [support.adjoint_rep(bundles.aff2()), support.adjoint_rep(bundles.sl2()),
                 support.adjoint_rep(bundles.abelian(3)),

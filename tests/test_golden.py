@@ -1,0 +1,361 @@
+"""Golden bytes: the ``--out`` files of a fixed CLI command set and the
+rendered reports of the equivalence harnesses on fixed-seed instances.
+
+Both are compared byte for byte with files under ``tests/golden/``, so a
+refactor that keeps every verdict, residual, note and report byte passes and
+any other change fails.  Inputs are written straight from the data model
+(twists by the diagonal formula, duals by index transposition, coadjoint
+pairs from the pairing), never by the constructions under test.
+
+To regenerate after a deliberate behaviour change, call ``write_cli_golden``
+and ``write_harness_golden`` and review the diff.
+"""
+
+import dataclasses
+import json
+import os
+from pathlib import Path
+
+import naive
+import support
+from bihomlie import bundles
+from bihomlie.bundles import (
+    AlgebraBundle,
+    BialgebraBundle,
+    CoalgebraBundle,
+    Differential,
+    FormBundle,
+    MatchedPairBundle,
+)
+from bihomlie.checks import IDENTITY_FORMULAS
+from bihomlie.cli import _report_document, main
+from bihomlie.equivalence import iff_harness, triad_differential, triad_nijenhuis_bihom
+from bihomlie.exact import Matrix, Tensor3, scalar
+
+GOLDEN = Path(__file__).parent / "golden"
+CLI_GOLDEN = GOLDEN / "cli"
+HARNESS_GOLDEN = GOLDEN / "harness.jsonl"
+
+
+# -- inputs, written from the data model ---------------------------------------------
+
+
+def twisted(a: AlgebraBundle, alpha, beta) -> AlgebraBundle:
+    """Yau twist by diagonal maps: {e_i, e_j} = alpha_i beta_j [e_i, e_j]."""
+    alpha, beta = [scalar(x) for x in alpha], [scalar(x) for x in beta]
+    n = a.dim
+    cells = [[[alpha[i] * beta[j] * x for x in a.bracket.entries[i][j]] for j in range(n)] for i in range(n)]
+    return dataclasses.replace(a, bracket=Tensor3.from_entries(cells), alpha=Matrix.diagonal(alpha),
+                               beta=Matrix.diagonal(beta), kind="bihom-lie")
+
+
+def coalgebra_of(a: AlgebraBundle) -> CoalgebraBundle:
+    """The coalgebra on the dual space: Delta(f_k)[i][j] = c[i][j][k], maps transposed."""
+    n = a.dim
+    comul = [[[a.bracket.entries[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
+    conij = a.nijenhuis.transpose() if a.nijenhuis is not None else None
+    codiff = Differential(a.differential.matrix.transpose(), a.differential.weight) if a.differential else None
+    return CoalgebraBundle(n, Tensor3.from_entries(comul), a.alpha.transpose(), a.beta.transpose(),
+                           conijenhuis=conij, codiff=codiff)
+
+
+def coadjoint_pair(left: AlgebraBundle, right: AlgebraBundle) -> MatchedPairBundle:
+    """Both coadjoint actions from the pairing, representation sign."""
+    n = left.dim
+    rho = tuple(Matrix.from_rows([[-left.bracket.entries[i][k][j] for j in range(n)] for k in range(n)])
+                for i in range(n))
+    h = tuple(Matrix.from_rows([[-right.bracket.entries[i][k][j] for j in range(n)] for k in range(n)])
+              for i in range(n))
+    return MatchedPairBundle(left, right, rho, h)
+
+
+def reproducer_pair(c) -> MatchedPairBundle:
+    """Twisted non-involutive sl2 acting by ad on an abelian V with p = alpha,
+    q = beta and h = 0: a valid matched pair whose bicrossed product fails."""
+    left = twisted(support.scalar_op(bundles.sl2(), c), [1, 2, "1/2"], [1, 3, "1/3"])
+    right = dataclasses.replace(support.scalar_op(bundles.abelian(3), c), alpha=left.alpha, beta=left.beta,
+                                kind="bihom-lie")
+    zero = tuple(Matrix.zeros(3, 3) for _ in range(3))
+    return MatchedPairBundle(left, right, support.adjoint_rep(left).rho, zero)
+
+
+DERIVATION = support.aff2_derivation(1, "1/2")
+I2, I3 = Matrix.identity(2), Matrix.identity(3)
+
+
+def cli_inputs() -> dict:
+    aff2n = support.scalar_op(bundles.aff2(), 1)
+    ab2n = support.scalar_op(bundles.abelian(2), 1)
+    aff2d0 = support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), "1/2")
+    ab2d = support.with_diff(bundles.abelian(2), I2, "1/2")
+    sl2t = twisted(support.scalar_op(bundles.sl2(), 1), [1, 2, "1/2"], [1, 3, "1/3"])
+    bad_cells = [[list(row) for row in plane] for plane in bundles.aff2().bracket.entries]
+    bad_cells[0][0][1] += 1
+    gram = Matrix.from_rows(naive.killing_gram(naive.as_cells(bundles.sl2().bracket)))
+    return {
+        "aff2.json": bundles.aff2(),
+        "aff2n.json": aff2n,
+        "ab2n.json": ab2n,
+        "aff2d.json": support.with_diff(bundles.aff2(), DERIVATION, "1/2"),
+        "aff2d0.json": aff2d0,
+        "ab2d.json": ab2d,
+        "sl2.json": bundles.sl2(),
+        "sl2n.json": dataclasses.replace(bundles.sl2(), nijenhuis=Matrix.diagonal([2, 2, 2])),
+        "sl2t.json": sl2t,
+        "aff2t.json": twisted(aff2n, [1, 2], [1, 3]),
+        "ab2t.json": twisted(support.scalar_op(bundles.abelian(2), 2), [1, 2], [1, 3]),
+        "bad.json": dataclasses.replace(bundles.aff2(), bracket=Tensor3.from_entries(bad_cells), kind="bihom-lie"),
+        "badn.json": dataclasses.replace(bundles.aff2(), bracket=Tensor3.from_entries(bad_cells), nijenhuis=I2,
+                                         kind="bihom-lie"),
+        "co.json": coalgebra_of(support.scalar_op(support.antisym_dual2(1, -1), 2)),
+        "coplain.json": coalgebra_of(bundles.aff2()),
+        "cod.json": coalgebra_of(support.with_diff(bundles.aff2(), DERIVATION, 0)),
+        "bi.json": BialgebraBundle(aff2n, coalgebra_of(ab2n)),
+        "biplain.json": BialgebraBundle(bundles.aff2(), coalgebra_of(bundles.abelian(2))),
+        "bid.json": BialgebraBundle(aff2d0, coalgebra_of(ab2d)),
+        "rep.json": support.adjoint_rep(support.scalar_op(bundles.aff2(), 2), eta=I2.scale(2)),
+        "repd.json": support.adjoint_rep(support.with_diff(bundles.aff2(), DERIVATION, 0), xi=DERIVATION),
+        "rept.json": support.adjoint_rep(sl2t, eta=I3),
+        "mp.json": coadjoint_pair(aff2n, support.scalar_op(support.antisym_dual2(0, 1), 1)),
+        "mpd.json": coadjoint_pair(aff2d0, ab2d),
+        "mpt.json": reproducer_pair(1),
+        "killing.json": FormBundle(gram),
+        "degenerate.json": FormBundle(Matrix.diagonal([1, 0, 1])),
+    }
+
+
+CLI_FILES = {
+    "maps_aff2.json": {"alpha": [["1", "0"], ["0", "2"]]},
+    "maps_bi.json": {"alpha": [["1", "0"], ["0", "2"]], "beta": [["1", "0"], ["0", "3"]]},
+    "maps_sl2.json": {"alpha": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1/2"]],
+                      "beta": [["1", "0", "0"], ["0", "3", "0"], ["0", "0", "1/3"]]},
+    "pattern.json": [["1", None], [None, "1"]],
+}
+
+
+def _check(name, files, *opts):
+    return name, ["check", *files, *opts]
+
+
+CLI_COMMANDS = [
+    # check: every bundle kind, every suite that applies (and some that do not)
+    *[_check(f"check_alg_{s}", ["aff2n.json"], "--suite", s)
+      for s in ("auto", "lie", "bihom", "nijenhuis", "involution", "differential", "form")],
+    _check("check_alg_diff_auto", ["aff2d.json"]),
+    _check("check_alg_diff", ["aff2d.json"], "--suite", "differential"),
+    _check("check_alg_diff_weight", ["aff2d.json"], "--suite", "differential", "--weight", "2"),
+    _check("check_alg_diff_auto_weight", ["aff2d.json"], "--weight", "2"),
+    _check("check_bihom2", ["fixture:bihom2(2,3)"]),
+    _check("check_twisted", ["sl2t.json"]),
+    _check("check_twisted_involution", ["sl2t.json"], "--suite", "involution"),
+    _check("check_bad", ["bad.json"]),
+    _check("check_two_files", ["aff2n.json", "fixture:sl2"], "--suite", "bihom"),
+    *[_check(f"check_co_{s}", ["co.json"], "--suite", s)
+      for s in ("auto", "lie", "bihom", "coalgebra", "nijenhuis", "differential", "involution")],
+    _check("check_co_diff_auto", ["cod.json"]),
+    _check("check_co_diff", ["cod.json"], "--suite", "differential"),
+    _check("check_co_diff_weight", ["cod.json"], "--suite", "differential", "--weight", "3"),
+    *[_check(f"check_bi_{s}", ["bi.json"], "--suite", s) for s in ("auto", "bialgebra", "nijenhuis")],
+    _check("check_bi_diff", ["bid.json"]),
+    *[_check(f"check_rep_{s}", ["rep.json"], "--suite", s)
+      for s in ("auto", "nijenhuis", "representation", "differential")],
+    _check("check_rep_diff", ["repd.json"]),
+    _check("check_rep_diff_weight", ["repd.json"], "--suite", "differential", "--weight", "1"),
+    _check("check_rep_twisted", ["rept.json"]),
+    _check("check_mp", ["mp.json"]),
+    _check("check_mp_bihom", ["mp.json"], "--flavor", "bihom"),
+    _check("check_mp_diff", ["mpd.json"]),
+    _check("check_mp_diff_as_printed", ["mpd.json"], "--no-symmetrized-mp-right"),
+    _check("check_mp_twisted", ["mpt.json"]),
+    _check("check_form", ["killing.json"]),
+    _check("check_form_against", ["killing.json"], "--against", "sl2.json"),
+    _check("check_form_degenerate", ["degenerate.json"]),
+    # construct
+    ("dual_alg", ["construct", "dual", "aff2n.json"]),
+    ("dual_diff", ["construct", "dual", "aff2d.json"]),
+    ("dual_co", ["construct", "dual", "co.json"]),
+    ("twist_alg", ["construct", "twist", "aff2.json", "--maps", "maps_aff2.json"]),
+    ("twist_sl2", ["construct", "twist", "sl2.json", "--maps", "maps_sl2.json"]),
+    ("twist_co", ["construct", "twist", "coplain.json", "--maps", "maps_aff2.json"]),
+    ("twist_bi", ["construct", "twist", "biplain.json", "--maps", "maps_bi.json"]),
+    ("untwist", ["construct", "untwist", "sl2t.json"]),
+    ("hom", ["construct", "hom", "biplain.json", "--maps", "maps_aff2.json"]),
+    ("semidirect", ["construct", "semidirect", "rep.json", "--flavor", "nijenhuis"]),
+    ("semidirect_diff", ["construct", "semidirect", "repd.json", "--flavor", "differential"]),
+    ("semidirect_twisted", ["construct", "semidirect", "rept.json", "--flavor", "nijenhuis"]),
+    ("double", ["construct", "double", "aff2n.json", "ab2n.json", "--flavor", "nijenhuis"]),
+    ("double_bihom", ["construct", "double", "aff2n.json", "ab2n.json", "--flavor", "bihom"]),
+    ("double_diff", ["construct", "double", "aff2d0.json", "ab2d.json", "--flavor", "differential"]),
+    ("double_twisted", ["construct", "double", "aff2t.json", "ab2t.json", "--flavor", "nijenhuis"]),
+    ("double_twisted_bihom", ["construct", "double", "aff2t.json", "ab2t.json", "--flavor", "bihom"]),
+    ("bicrossed", ["construct", "bicrossed", "mp.json", "--flavor", "nijenhuis"]),
+    ("bicrossed_diff", ["construct", "bicrossed", "mpd.json", "--flavor", "differential"]),
+    ("bicrossed_diff_as_printed", ["construct", "bicrossed", "mpd.json", "--flavor", "differential",
+                                   "--no-symmetrized-mp-right"]),
+    ("bicrossed_twisted", ["construct", "bicrossed", "mpt.json", "--flavor", "nijenhuis"]),
+    ("adjoint_form", ["construct", "adjoint-form", "sl2n.json", "killing.json"]),
+    # triad
+    ("triad", ["triad", "aff2n.json", "ab2n.json"]),
+    ("triad_false", ["triad", "aff2n.json", "bad.json"]),
+    ("triad_false_operator", ["triad", "aff2n.json", "badn.json"]),
+    ("triad_twisted", ["triad", "aff2t.json", "ab2t.json"]),
+    ("triad_diff", ["triad", "aff2d0.json", "ab2d.json", "--flavor", "differential"]),
+    ("triad_diff_as_printed", ["triad", "aff2d0.json", "ab2d.json", "--flavor", "differential",
+                               "--no-symmetrized-mp-right"]),
+    # search
+    ("search_derivations", ["search", "sl2.json", "--mode", "derivations"]),
+    ("search_conijenhuis", ["search", "bi.json", "--mode", "conijenhuis"]),
+    ("search_pi", ["search", "aff2d.json", "--mode", "pi"]),
+    ("search_zeta", ["search", "repd.json", "--mode", "zeta"]),
+    ("search_grid", ["search", "fixture:bihom2(2,3)", "--mode", "nijenhuis-grid", "--grid", "1,0,-3/2,2"]),
+    ("search_grid_pattern", ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1",
+                             "--pattern", "pattern.json"]),
+]
+
+
+def run_cli_commands(workdir: Path) -> dict[str, int]:
+    """Write the inputs into workdir, run every command there with --out NAME,
+    and return the exit codes; the --out files are left in workdir/out."""
+    for name, bundle in cli_inputs().items():
+        bundles.save_path(bundle, str(workdir / name))
+    for name, doc in CLI_FILES.items():
+        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+    (workdir / "out").mkdir()
+    codes = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)  # report documents name their sources by the relative paths given
+    try:
+        for name, argv in CLI_COMMANDS:
+            codes[name] = main(argv + ["--out", f"out/{name}.json"])
+    finally:
+        os.chdir(cwd)
+    return codes
+
+
+def write_cli_golden(workdir: Path) -> None:
+    codes = run_cli_commands(workdir)
+    CLI_GOLDEN.mkdir(parents=True, exist_ok=True)
+    for old in CLI_GOLDEN.iterdir():
+        old.unlink()
+    for path in sorted((workdir / "out").iterdir()):
+        (CLI_GOLDEN / path.name).write_bytes(path.read_bytes())
+    (CLI_GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")
+
+
+def test_cli_out_files_match_golden_bytes(tmp_path):
+    codes = run_cli_commands(tmp_path)
+    assert codes == json.loads((CLI_GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    produced = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    golden = {p.name: p.read_bytes() for p in CLI_GOLDEN.iterdir() if p.name != "exit_codes.json"}
+    assert sorted(produced) == sorted(golden)
+    for name, data in golden.items():
+        assert produced[name] == data, f"--out bytes differ: {name}"
+
+
+# -- harness reports ------------------------------------------------------------------------
+
+
+def _perturbed(items, seed, perturb):
+    r = support.rng(seed)
+    return [perturb(x, r) for x in items]
+
+
+def _perturb_rep_rho(rep, r):
+    return support._perturb_rep(rep, r, ["rho", "p"])
+
+
+def harness_instances() -> dict[str, list[dict]]:
+    sl2t = twisted(support.scalar_op(bundles.sl2(), 1), [1, 2, "1/2"], [1, 3, "1/3"])
+    aff2t = twisted(support.scalar_op(bundles.aff2(), 2), [1, 2], [1, 3])
+    algebras = [bundles.aff2(), bundles.sl2(), bundles.abelian(3), bundles.bihom2(2, 3),
+                dataclasses.replace(sl2t, nijenhuis=None), dataclasses.replace(aff2t, nijenhuis=None)]
+    operators = [bundles.bihom2(2, 3), support.scalar_op(bundles.aff2(), 2),
+                 support.scalar_op(bundles.sl2(), "1/2"), sl2t, aff2t]
+    differentials = [support.with_diff(bundles.aff2(), DERIVATION, 0),
+                     support.with_diff(bundles.sl2(), Matrix.zeros(3, 3), 1),
+                     support.with_diff(bundles.abelian(3), Matrix.from_rows([[1, 2, 0], [0, "1/2", 1], [3, 0, -1]]), 2),
+                     support.with_diff(dataclasses.replace(aff2t, nijenhuis=None), Matrix.zeros(2, 2), "1/2"),
+                     support.with_diff(dataclasses.replace(sl2t, nijenhuis=None), Matrix.zeros(3, 3), 0)]
+    reps = [support.adjoint_rep(bundles.aff2()), support.adjoint_rep(bundles.sl2()),
+            support.adjoint_rep(dataclasses.replace(sl2t, nijenhuis=None)),
+            support.zero_rep(bundles.aff2(), 2, p=Matrix.diagonal([1, -1]), q=Matrix.diagonal([-1, -1])),
+            support.adjoint_rep(dataclasses.replace(aff2t, nijenhuis=None))]
+    twisted_reps = [(sl2t, support.adjoint_rep(sl2t, eta=I3)), (aff2t, support.adjoint_rep(aff2t, eta=I2.scale(2)))]
+    twisted_pairs = [reproducer_pair(1), reproducer_pair(2)]
+    out = {
+        "dual_algebra": [{"algebra": a} for a in algebras + _perturbed(algebras, 301, support.perturb_algebra)],
+        "dual_nijenhuis": [{"algebra": a} for a in operators + _perturbed(operators, 302, support.perturb_algebra)],
+        "dual_differential": [{"algebra": a}
+                              for a in differentials + _perturbed(differentials, 303, support.perturb_algebra)],
+        "dual_rep": [{"rep": x} for x in reps + _perturbed(reps, 304, _perturb_rep_rho)],
+        "semidirect": [{"algebra": a, "rep": x} for a, x in
+                       support.semidirect_valid(5) + support.semidirect_broken(5) + twisted_reps
+                       + [(a, support._perturb_rep(x, support.rng(305), ["rho"])) for a, x in twisted_reps]],
+        "semidirect_diff": [{"algebra": a, "rep": x} for a, x in
+                            support.semidirect_diff_valid(6) + support.semidirect_diff_broken(5)]
+                           + [{"algebra": (d := support.with_diff(sl2t, Matrix.zeros(3, 3), 0)),
+                               "rep": support.adjoint_rep(d, xi=I3)}],
+        "bicrossed": [{"mp": mp} for mp in support.bicrossed_valid(5) + support.bicrossed_broken(5) + twisted_pairs
+                      + [support._perturb_mp(mp, support.rng(306), allow_algebras=True) for mp in twisted_pairs]],
+        "bicrossed_diff": [{"mp": mp} for mp in support.bicrossed_diff_valid(6) + support.bicrossed_diff_broken(5)]
+                          + [{"mp": mp, "symmetrized": False} for mp in support.bicrossed_diff_valid(3)],
+    }
+    return out
+
+
+def _error(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _render_iff(kind: str, data: dict) -> dict:
+    try:
+        rep = iff_harness(kind, **data)
+    except ValueError as exc:
+        return _error(exc)
+    return {
+        "first_label": rep.first_label, "first_ok": rep.first_ok,
+        "first": _report_document(rep.first_label, rep.first_report),
+        "second_label": rep.second_label, "second_ok": rep.second_ok,
+        "second": _report_document(rep.second_label, rep.second_report),
+        "agree": rep.agree,
+    }
+
+
+def _render_triad(run, left, right) -> dict:
+    try:
+        t = run(left, right)
+    except ValueError as exc:
+        return _error(exc)
+    return {
+        "verdicts": [t.manin_ok, t.bialgebra_ok, t.matched_pair_ok], "agree": t.agree, "all_ok": t.all_ok,
+        "notes": list(t.notes),
+        "manin": _report_document("manin", t.manin_report),
+        "bialgebra": _report_document("bialgebra", t.bialgebra_report),
+        "matched_pair": _report_document("matched_pair", t.matched_pair_report),
+    }
+
+
+def render_harness() -> list[str]:
+    """One JSON line per rendered item: the identity formula table, then each
+    harness instance labelled by its kind and position."""
+    items = [("identity_formulas", IDENTITY_FORMULAS)]
+    for kind, instances in harness_instances().items():
+        items += [(f"{kind}/{i}", _render_iff(kind, data)) for i, data in enumerate(instances)]
+    for flavor, run, family in (("nijenhuis", triad_nijenhuis_bihom, support.nijenhuis_triad_family()),
+                                ("differential", triad_differential, support.differential_triad_family())):
+        items += [(f"triad_{flavor}/{i}", _render_triad(run, l, r)) for i, (l, r) in enumerate(family)]
+    return [json.dumps({"item": label, "value": value}, separators=(",", ":"), sort_keys=True) + "\n"
+            for label, value in items]
+
+
+def write_harness_golden() -> None:
+    HARNESS_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    HARNESS_GOLDEN.write_text("".join(render_harness()), encoding="utf-8")
+
+
+def test_harness_reports_match_golden():
+    golden = HARNESS_GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    rendered = render_harness()
+    assert len(rendered) == len(golden)
+    for got, want in zip(rendered, golden):
+        assert got == want, f"rendered report differs: {json.loads(want)['item']}"
