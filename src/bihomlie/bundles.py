@@ -9,10 +9,11 @@ transpose.  Optional fields (nijenhuis, differential, ...) absent mean
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .exact import (
     DimensionMismatch,
@@ -160,14 +161,6 @@ class RepresentationBundle:
             if m is not None and (m.rows, m.cols) != (v, v):
                 raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, expected {v}x{v}")
 
-    def act(self, x: Vector) -> Matrix:
-        """rho(x) for a coordinate vector x, by linearity."""
-        out = Matrix.zeros(self.vdim, self.vdim)
-        for i, c in enumerate(x):
-            if c != 0:
-                out = out.add(self.rho[i].scale(c))
-        return out
-
     def require_eta(self) -> Matrix:
         if self.eta is None:
             raise MissingField("representation bundle has no eta operator")
@@ -198,20 +191,6 @@ class MatchedPairBundle:
         for m in self.h:
             if (m.rows, m.cols) != (self.left.dim, self.left.dim):
                 raise DimensionMismatch("h matrices must act on the left space")
-
-    def act_left(self, x: Vector) -> Matrix:
-        out = Matrix.zeros(self.right.dim, self.right.dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                out = out.add(self.rho[i].scale(c))
-        return out
-
-    def act_right(self, a: Vector) -> Matrix:
-        out = Matrix.zeros(self.left.dim, self.left.dim)
-        for i, c in enumerate(a):
-            if c != 0:
-                out = out.add(self.h[i].scale(c))
-        return out
 
 
 @dataclass(frozen=True)
@@ -245,19 +224,53 @@ class Residual:
         return Residual(shape, nz)
 
     @staticmethod
-    def from_matrix(m: Matrix) -> "Residual":
-        cells = (((i, j), m.entries[i][j]) for i in range(m.rows) for j in range(m.cols))
-        return Residual.collect((m.rows, m.cols), cells)
+    def tabulate(ranges: tuple[int, ...], value: Callable[..., Any]) -> "Residual":
+        """Residual of value(*idx) over every index tuple idx in the ranges.
+
+        A Vector, Matrix or nested-list value spreads over trailing axes whose
+        extents come from the first value (none when the ranges are empty, as
+        for the kernel basis of an injective map).
+        """
+        cells: list[tuple[tuple[int, ...], Fraction]] = []
+        tail: tuple[int, ...] = ()
+        for n, idx in enumerate(itertools.product(*map(range, ranges))):
+            v = value(*idx)
+            if n == 0:
+                tail = _extents(v)
+            _spread(idx, v, cells)
+        return Residual.collect(ranges + tail, cells)
 
     @staticmethod
-    def from_tensor3(t: Tensor3) -> "Residual":
-        d1, d2, d3 = t.shape
-        cells = (((i, j, k), t.entries[i][j][k]) for i in range(d1) for j in range(d2) for k in range(d3))
-        return Residual.collect(t.shape, cells)
+    def from_matrix(m: Matrix) -> "Residual":
+        return Residual.tabulate((), lambda: m)
 
     @property
     def is_zero(self) -> bool:
         return not self.nonzeros
+
+
+def _extents(v: Any) -> tuple[int, ...]:
+    if isinstance(v, Matrix):
+        return (v.rows, v.cols)
+    out = []
+    while isinstance(v, (tuple, list)):
+        out.append(len(v))
+        v = v[0] if v else None
+    return tuple(out)
+
+
+def _spread(idx: tuple[int, ...], v: Any, cells: list) -> None:
+    """Append the nonzero scalars of v, indexed by idx extended with their position."""
+    if isinstance(v, Matrix):
+        v = v.entries
+    if not isinstance(v, (tuple, list)):
+        if v:
+            cells.append((idx, v))
+    elif v and isinstance(v[0], (tuple, list)):
+        for k, x in enumerate(v):
+            _spread(idx + (k,), x, cells)
+    else:
+        cells.extend((idx + (k,), x) for k, x in enumerate(v) if x)
 
 
 @dataclass(frozen=True)
@@ -424,25 +437,9 @@ def document(bundle: Any) -> dict[str, Any]:
     if isinstance(bundle, CoalgebraBundle):
         return _coalgebra_document(bundle)
     if isinstance(bundle, BialgebraBundle):
-        a, c = bundle.algebra, bundle.coalgebra
-        doc: dict[str, Any] = {
-            "kind": "bialgebra",
-            "dim": a.dim,
-            "variant": a.kind,
-            "bracket": _fmt_bracket(a.bracket),
-            "comul": _fmt_comul(c.comul),
-            "alpha": _fmt_matrix(a.alpha),
-            "beta": _fmt_matrix(a.beta),
-        }
-        if a.nijenhuis is not None:
-            doc["nijenhuis"] = _fmt_matrix(a.nijenhuis)
-        if c.conijenhuis is not None:
-            doc["conijenhuis"] = _fmt_matrix(c.conijenhuis)
-        if a.differential is not None:
-            doc["differential"] = {"matrix": _fmt_matrix(a.differential.matrix), "weight": format_scalar(a.differential.weight)}
-        if c.codiff is not None:
-            doc["codiff"] = {"matrix": _fmt_matrix(c.codiff.matrix), "weight": format_scalar(c.codiff.weight)}
-        return doc
+        both = {**_coalgebra_document(bundle.coalgebra), **_algebra_document(bundle.algebra)}
+        keys = ("dim", "variant", "bracket", "comul", "alpha", "beta", "nijenhuis", "conijenhuis", "differential", "codiff")
+        return {"kind": "bialgebra", **{k: both[k] for k in keys if k in both}}
     if isinstance(bundle, RepresentationBundle):
         doc = {
             "kind": "representation",
@@ -516,15 +513,7 @@ def from_document(doc: dict[str, Any]) -> Any:
     if kind == "coalgebra":
         return _coalgebra_from_document(doc)
     if kind == "bialgebra":
-        n = _read_dim(doc)
-        algebra = _algebra_from_document({**doc, "kind": "algebra"})
-        codoc = {"kind": "coalgebra", "dim": n, "comul": doc.get("comul"), "alpha": doc.get("alpha"), "beta": doc.get("beta")}
-        if "conijenhuis" in doc:
-            codoc["conijenhuis"] = doc["conijenhuis"]
-        if "codiff" in doc:
-            codoc["codiff"] = doc["codiff"]
-        codoc = {k: v for k, v in codoc.items() if v is not None}
-        return BialgebraBundle(algebra, _coalgebra_from_document(codoc))
+        return BialgebraBundle(_algebra_from_document(doc), _coalgebra_from_document(doc))
     if kind == "representation":
         n = _read_dim(doc)
         try:
@@ -580,16 +569,6 @@ def save_path(bundle: Any, path: str) -> None:
         fh.write(dumps(bundle))
 
 
-# -- dual-basis convention -------------------------------------------------------
-
-
-def dual_basis_transpose(m: Matrix) -> Matrix:
-    """Matrix of the dual map f* in the canonical dual basis: the transpose."""
-    if not m.is_square():
-        raise DimensionMismatch("dual map of a non-square matrix is not defined here")
-    return m.transpose()
-
-
 # -- canonical fixtures -----------------------------------------------------------
 
 
@@ -632,14 +611,6 @@ def aff2() -> AlgebraBundle:
 def abelian(n: int) -> AlgebraBundle:
     """Abelian algebra of dimension n with identity structure maps."""
     return AlgebraBundle(n, Tensor3.zeros((n, n, n)), Matrix.identity(n), Matrix.identity(n), kind="lie")
-
-
-def with_nijenhuis(b: AlgebraBundle, op: Matrix) -> AlgebraBundle:
-    return replace(b, nijenhuis=op)
-
-
-def with_differential(b: AlgebraBundle, op: Matrix, weight: int | str | Fraction) -> AlgebraBundle:
-    return replace(b, differential=Differential(op, scalar(weight)))
 
 
 def canonical_fixtures() -> dict[str, Any]:

@@ -112,73 +112,32 @@ def _print_report_lines(source: str, report: Report) -> None:
 # -- check ------------------------------------------------------------------------
 
 
+#: bundle types whose --suite selects an entry of checks.SUITES
+_SUITE_KINDS = ((AlgebraBundle, "algebra"), (CoalgebraBundle, "coalgebra"),
+                (BialgebraBundle, "bialgebra"), (RepresentationBundle, "representation"))
+
+
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
                   flavor: str | None, symmetrized: bool, against: Any | None) -> Report:
-    if isinstance(bundle, AlgebraBundle):
-        if suite in ("auto",):
-            return checks.full_algebra_suite(bundle)
-        if suite in ("lie", "bihom"):
-            return checks.check_bihom_lie(bundle)
-        if suite == "nijenhuis":
-            return checks.check_bihom_lie(bundle).merged(checks.check_nijenhuis_operator(bundle))
-        if suite == "differential":
-            return checks.check_bihom_lie(bundle).merged(checks.check_diff_leibniz(bundle, weight=weight))
-        if suite == "involution":
-            return checks.check_involution(bundle)
-        raise ParseError(f"suite {suite!r} does not apply to an algebra bundle")
-    if isinstance(bundle, CoalgebraBundle):
-        if suite == "auto":
-            return checks.full_coalgebra_suite(bundle)
-        if suite in ("lie", "bihom", "coalgebra"):
-            return checks.check_bihom_coalgebra(bundle)
-        if suite == "nijenhuis":
-            return checks.check_bihom_coalgebra(bundle).merged(checks.check_nijenhuis_coalgebra(bundle))
-        if suite == "differential":
-            return checks.check_bihom_coalgebra(bundle).merged(checks.check_diff_coalgebra(bundle, weight=weight))
-        raise ParseError(f"suite {suite!r} does not apply to a coalgebra bundle")
-    if isinstance(bundle, BialgebraBundle):
-        rep = checks.full_algebra_suite(bundle.algebra).merged(
-            checks.full_coalgebra_suite(bundle.coalgebra),
-            checks.check_bialgebra_cocycle(bundle),
-        )
-        alg, co = bundle.algebra, bundle.coalgebra
-        if alg.nijenhuis is not None and co.conijenhuis is not None:
-            rep = rep.merged(
-                checks.check_adjoint_admissible(alg, co.conijenhuis),
-                checks.check_dual_admissible(co.comul, alg.nijenhuis, co.conijenhuis),
-            )
-        if alg.differential is not None and co.codiff is not None:
-            rep = rep.merged(
-                checks.check_diff_pi(alg, co.codiff.matrix),
-                checks.check_diff_dual_admissible(co, alg.differential.matrix),
-            )
-        return rep
-    if isinstance(bundle, RepresentationBundle):
-        rep = checks.check_representation(bundle)
-        if suite in ("auto", "nijenhuis") and bundle.eta is not None and bundle.algebra.nijenhuis is not None:
-            rep = rep.merged(checks.check_nijenhuis_representation(bundle))
-        if suite in ("auto", "differential") and bundle.xi is not None and bundle.algebra.differential is not None:
-            rep = rep.merged(checks.check_diff_rep(bundle, weight=weight))
-        return rep
     if isinstance(bundle, MatchedPairBundle):
         mp_flavor = flavor or ("nijenhuis" if bundle.left.nijenhuis is not None and bundle.right.nijenhuis is not None
                                else "differential" if bundle.left.differential is not None and bundle.right.differential is not None
                                else "bihom")
         return checks.check_matched_pair(bundle, mp_flavor, symmetrized)
     if isinstance(bundle, FormBundle):
-        if against is not None:
-            return checks.check_form(against, bundle)
-        g = bundle.gram
-        from .bundles import Residual, entry
-        from .exact import nullspace
-        kernel = nullspace(g)
-        return Report((
-            entry("form_symmetric", "", Residual.from_matrix(g.sub(g.transpose()))),
-            entry("form_nondegenerate", "", Residual.collect(
-                (bundle.dim, len(kernel)),
-                (((i, j), kernel[j][i]) for j in range(len(kernel)) for i in range(bundle.dim)))),
-        ))
-    raise ParseError(f"cannot check a {type(bundle).__name__}")
+        return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
+    kind = next((name for cls, name in _SUITE_KINDS if isinstance(bundle, cls)), None)
+    if kind is None:
+        raise ParseError(f"cannot check a {type(bundle).__name__}")
+    if kind == "bialgebra":
+        suite = "auto"  # one suite, whatever --suite says
+    elif kind == "representation" and suite not in ("auto", "nijenhuis", "differential"):
+        suite = "bihom"
+    elif suite == "lie" or (kind, suite) == ("coalgebra", "coalgebra"):
+        suite = "bihom"
+    if (kind, suite) not in checks.SUITES:
+        raise ParseError(f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle")
+    return checks.SUITES[kind, suite].run(bundle, weight)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

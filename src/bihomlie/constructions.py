@@ -11,7 +11,7 @@ the ``convention`` argument for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import (
@@ -26,16 +26,31 @@ from .bundles import (
     Residual,
     entry,
 )
-from .checks import WeightMismatch, check_matched_pair, check_representation, check_nijenhuis_representation
+from .checks import (
+    _SQUARES,
+    WeightMismatch,
+    _comultiplicativity,
+    _commutator,
+    _involution_note,
+    _kernel_residual,
+    _multiplicativity,
+    check_diff_rep,
+    check_matched_pair,
+    check_nijenhuis_representation,
+    check_representation,
+    declares,
+)
 from .exact import (
     DimensionMismatch,
     Matrix,
     Tensor3,
     Vector,
     ZERO,
-    apply_bilinear,
     block_diag,
+    contract,
     invert,
+    lincomb,
+    vec_sub,
 )
 
 
@@ -145,51 +160,19 @@ def dual_action_on_primal(dual_algebra: AlgebraBundle, convention: str = "repres
     return tuple(out)
 
 
-def coadjoint_action(a: AlgebraBundle, dual_algebra: AlgebraBundle | None = None,
-                     convention: str = "representation") -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Both coadjoint actions for a base algebra and an algebra on its dual.
-
-    Returns (action of a on the dual space, action of the dual algebra on the
-    primal space); a missing dual algebra means the abelian one.
-    """
-    if dual_algebra is None:
-        dual_algebra = replace(a, bracket=Tensor3.zeros((a.dim, a.dim, a.dim)),
-                               alpha=a.alpha.transpose(), beta=a.beta.transpose(),
-                               nijenhuis=None, differential=None, kind="bihom-lie")
-    if dual_algebra.dim != a.dim:
-        raise DimensionMismatch("dual-side algebra must live on a space of the same dimension")
-    return coadjoint_rep(a), dual_action_on_primal(dual_algebra, convention)
-
-
 # -- twists --------------------------------------------------------------------
 
 
 def _endomorphism_report(bracket: Tensor3 | None, comul: Tensor3 | None,
                          alpha: Matrix, beta: Matrix) -> Report:
-    n = alpha.rows
-    entries = [entry("bihom_multiplicativity", "alpha-beta-commute",
-                     Residual.from_matrix((alpha @ beta).sub(beta @ alpha)))]
+    maps = (("alpha", alpha), ("beta", beta))
+    entries = [entry("bihom_multiplicativity", "alpha-beta-commute", Residual.from_matrix(_commutator(alpha, beta)))]
     if bracket is not None:
-        for label, m in (("alpha", alpha), ("beta", beta)):
-            cells = []
-            for i in range(n):
-                for j in range(n):
-                    lhs = m.apply(bracket.entries[i][j])
-                    rhs = apply_bilinear(bracket, m.column(i), m.column(j))
-                    cells.extend((((i, j, k), lhs[k] - rhs[k]) for k in range(n)))
-            entries.append(entry("bihom_multiplicativity", f"{label}-endomorphism", Residual.collect((n, n, n), cells)))
+        entries += [entry("bihom_multiplicativity", f"{label}-endomorphism", _multiplicativity(bracket, m))
+                    for label, m in maps]
     if comul is not None:
-        from .exact import apply_comul
-
-        for label, m in (("alpha", alpha), ("beta", beta)):
-            cells = []
-            for k in range(n):
-                plane = Matrix.from_rows(comul.entries[k])
-                diff = apply_comul(comul, m.column(k)).sub(m @ plane @ m.transpose())
-                for i in range(n):
-                    for j in range(n):
-                        cells.append(((k, i, j), diff.entries[i][j]))
-            entries.append(entry("co_comultiplicativity", f"{label}-endomorphism", Residual.collect((n, n, n), cells)))
+        entries += [entry("co_comultiplicativity", f"{label}-endomorphism", _comultiplicativity(comul, m))
+                    for label, m in maps]
     return Report(tuple(entries))
 
 
@@ -200,13 +183,11 @@ def _require_untwisted(alpha: Matrix, beta: Matrix, what: str) -> None:
 
 
 def _twist_bracket(bracket: Tensor3, alpha: Matrix, beta: Matrix) -> Tensor3:
-    from .exact import contract
     out = contract(bracket, 0, alpha.transpose())
     return contract(out, 1, beta.transpose())
 
 
 def _twist_comul(comul: Tensor3, alpha: Matrix, beta: Matrix) -> Tensor3:
-    from .exact import contract
     out = contract(comul, 1, alpha)
     return contract(out, 2, beta)
 
@@ -272,7 +253,6 @@ def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBund
 def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, Report]:
     """One-map specialization: bracket postcomposed with alpha, comultiplication
     precomposed, both structure maps set to alpha."""
-    from .exact import contract
     _require_untwisted(b.algebra.alpha, b.algebra.beta, "bialgebra")
     report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, alpha)
     if not report.ok:
@@ -287,6 +267,8 @@ def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, 
 
 
 # -- products --------------------------------------------------------------------
+
+_FLAVORS = ("bihom", "nijenhuis", "differential")
 
 
 def _assemble_bracket(n: int, m: int, ll, lv, vl, vv) -> Tensor3:
@@ -315,6 +297,25 @@ def _assemble_bracket(n: int, m: int, ll, lv, vl, vv) -> Tensor3:
     return Tensor3.from_entries(cells)
 
 
+def _neg(v: Vector) -> Vector:
+    return tuple(-x for x in v)
+
+
+def _require_identity_maps(what: str, *maps: Matrix) -> None:
+    if any(m != Matrix.identity(m.rows) for m in maps):
+        raise PreconditionFailed(f"differential {what} need identity structure maps")
+
+
+def _sum_algebra(bracket: Tensor3, alphas: tuple[Matrix, Matrix], betas: tuple[Matrix, Matrix],
+                 flavor: str, ops: tuple[Matrix, Matrix] | None, weight: Fraction | None = None) -> AlgebraBundle:
+    """The algebra on a direct sum with block-diagonal maps and, per flavour,
+    the block-diagonal operator (none for "bihom")."""
+    n, alpha, beta = bracket.shape[0], block_diag(*alphas), block_diag(*betas)
+    if flavor == "differential":
+        return AlgebraBundle(n, bracket, alpha, beta, differential=Differential(block_diag(*ops), weight), kind="lie")
+    return AlgebraBundle(n, bracket, alpha, beta, nijenhuis=block_diag(*ops) if ops else None, kind="bihom-lie")
+
+
 def semidirect_product(a: AlgebraBundle, r: RepresentationBundle, flavor: str) -> tuple[AlgebraBundle, Report]:
     """Algebra on L + V from a module candidate; the result passes the full
     suite exactly when the module axioms hold.
@@ -324,54 +325,86 @@ def semidirect_product(a: AlgebraBundle, r: RepresentationBundle, flavor: str) -
     """
     if r.algebra != a:
         raise DimensionMismatch("representation bundle does not belong to the given algebra")
-    n, m = a.dim, r.vdim
-    zero_l = tuple([ZERO] * n)
-    zero_v = tuple([ZERO] * m)
-
+    weight = None
     if flavor == "nijenhuis":
-        N = a.require_nijenhuis()
-        eta = r.require_eta()
-        ainv = invert(a.alpha)
-        qinv = invert(r.q)
-        ainv_b = ainv @ a.beta
-        pq_inv = r.p @ qinv
-
-        def lv(i: int, b: int):
-            return zero_l, r.rho[i].column(b)
-
-        def vl(av: int, j: int):
-            mat = r.act(ainv_b.column(j))
-            return zero_l, tuple(-x for x in mat.apply(pq_inv.column(av)))
-
-        bracket = _assemble_bracket(n, m, a.bracket_basis, lv, vl, lambda x, y: zero_v)
-        bundle = AlgebraBundle(
-            n + m, bracket, block_diag(a.alpha, r.p), block_diag(a.beta, r.q),
-            nijenhuis=block_diag(N, eta), kind="bihom-lie")
+        ops = (a.require_nijenhuis(), r.require_eta())
         report = check_representation(r).merged(check_nijenhuis_representation(r))
-        return bundle, report
-
-    if flavor == "differential":
-        da = a.require_differential()
-        xi = r.require_xi()
-        ident_l, ident_v = Matrix.identity(n), Matrix.identity(m)
-        if a.alpha != ident_l or a.beta != ident_l or r.p != ident_v or r.q != ident_v:
-            raise PreconditionFailed("differential semidirect products need identity structure maps")
-
-        def lv(i: int, b: int):
-            return zero_l, r.rho[i].column(b)
-
-        def vl(av: int, j: int):
-            return zero_l, tuple(-x for x in r.rho[j].column(av))
-
-        bracket = _assemble_bracket(n, m, a.bracket_basis, lv, vl, lambda x, y: zero_v)
-        bundle = AlgebraBundle(
-            n + m, bracket, Matrix.identity(n + m), Matrix.identity(n + m),
-            differential=Differential(block_diag(da.matrix, xi), da.weight), kind="lie")
-        from .checks import check_diff_rep
+    elif flavor == "differential":
+        d = a.require_differential()
+        ops, weight = (d.matrix, r.require_xi()), d.weight
+        _require_identity_maps("semidirect products", a.alpha, a.beta, r.p, r.q)
         report = check_representation(r).merged(check_diff_rep(r))
-        return bundle, report
+    else:
+        raise ValueError(f"unknown semidirect flavor {flavor!r}")
+    n, m = a.dim, r.vdim
+    ainv_b = invert(a.alpha) @ a.beta
+    pq_inv = r.p @ invert(r.q)
+    rho_of = [lincomb(r.rho, ainv_b.column(j)) for j in range(n)]  # rho(alpha^-1 beta e_j)
+    zero_l, zero_v = tuple([ZERO] * n), tuple([ZERO] * m)
+    bracket = _assemble_bracket(
+        n, m, a.bracket_basis,
+        lambda i, b: (zero_l, r.rho[i].column(b)),
+        lambda av, j: (zero_l, _neg(rho_of[j].apply(pq_inv.column(av)))),
+        lambda x, y: zero_v)
+    return _sum_algebra(bracket, (a.alpha, r.p), (a.beta, r.q), flavor, ops, weight), report
 
-    raise ValueError(f"unknown semidirect flavor {flavor!r}")
+
+def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> AlgebraBundle:
+    """The algebra on L + V of a matched pair (L, V, rho, h) with maps
+    (alpha, beta) on L and (p, q) on V:
+
+        [x, u] = -h(p q^-1 u)(alpha^-1 beta x) + rho(x) u
+        [u, x] = h(u) x - rho(alpha beta^-1 x)(p^-1 q u)
+
+    With identity maps these are the untwisted matched-pair brackets, so one
+    formula serves every flavour; the flavours differ in the operator block
+    and its preconditions only.
+    """
+    L, V = mp.left, mp.right
+    n, m = L.dim, V.dim
+    weight = None
+    if flavor == "nijenhuis":
+        ops = (L.require_nijenhuis(), V.require_nijenhuis())
+    elif flavor == "differential":
+        dl, dv = L.require_differential(), V.require_differential()
+        if dl.weight != dv.weight:
+            raise WeightMismatch(f"weights differ: {dl.weight} vs {dv.weight}")
+        _require_identity_maps(what, L.alpha, L.beta, V.alpha, V.beta)
+        ops, weight = (dl.matrix, dv.matrix), dl.weight
+    else:
+        ops = None
+    ainv_b = invert(L.alpha) @ L.beta
+    a_binv = L.alpha @ invert(L.beta)
+    pq_inv = V.alpha @ invert(V.beta)
+    pinv_q = invert(V.alpha) @ V.beta
+    h_of = [lincomb(mp.h, pq_inv.column(b)) for b in range(m)]  # h(p q^-1 f_b)
+    rho_of = [lincomb(mp.rho, a_binv.column(j)) for j in range(n)]  # rho(alpha beta^-1 e_j)
+    bracket = _assemble_bracket(
+        n, m, L.bracket_basis,
+        lambda i, b: (_neg(h_of[b].apply(ainv_b.column(i))), mp.rho[i].column(b)),
+        lambda a, j: (mp.h[a].column(j), _neg(rho_of[j].apply(pinv_q.column(a)))),
+        V.bracket_basis)
+    return _sum_algebra(bracket, (L.alpha, V.alpha), (L.beta, V.beta), flavor, ops, weight)
+
+
+def bicrossed_product(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> tuple[AlgebraBundle, Report]:
+    """Algebra on L + V from a matched pair of mutually acting algebras.
+
+    flavor in {"bihom", "nijenhuis", "differential"}.  The hypothesis report
+    is the full matched-pair check; the construction is still carried out
+    when it fails so that both directions of the equivalence can be exercised.
+    """
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown bicrossed flavor {flavor!r}")
+    return _bicrossed_algebra(mp, flavor, "bicrossed products"), check_matched_pair(mp, flavor, symmetrized)
+
+
+def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle,
+                           convention: str = "representation") -> MatchedPairBundle:
+    """The matched-pair candidate built from the two coadjoint actions."""
+    if left.dim != right.dim:
+        raise DimensionMismatch("coadjoint matched pair needs equal dimensions")
+    return MatchedPairBundle(left, right, coadjoint_rep(left), dual_action_on_primal(right, convention))
 
 
 def standard_double_form(n: int) -> FormBundle:
@@ -385,175 +418,31 @@ def standard_double_form(n: int) -> FormBundle:
 
 def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str,
                         convention: str = "representation") -> tuple[DoubleBundle, Report]:
-    """Algebra on L + L* from a base algebra and an algebra on its dual, with
-    the two coadjoint actions and the canonical pairing form.
+    """Algebra on L + L* from a base algebra and an algebra on its dual: the
+    bicrossed product of their coadjoint matched pair, with the canonical
+    pairing form.
 
     flavor in {"bihom", "nijenhuis", "differential"}.
     """
-    if left.dim != right.dim:
-        raise DimensionMismatch("double construction needs equal dimensions")
+    mp = coadjoint_matched_pair(left, right, convention)
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown double flavor {flavor!r}")
+    total = _bicrossed_algebra(mp, flavor, "doubles")
+    return DoubleBundle(total, standard_double_form(left.dim), left, right), _restriction_report(total, left, right)
+
+
+@declares(subalgebra="the combined bracket and operators restrict to the two factors")
+def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
+    """Verify the combined bracket restricts to the two factors (of equal dimension n)."""
     n = left.dim
-    rho = coadjoint_rep(left)
-    h = dual_action_on_primal(right, convention)
     zero = tuple([ZERO] * n)
 
-    if flavor in ("bihom", "nijenhuis"):
-        ainv = invert(left.alpha)
-        binv = invert(left.beta)
-        as_inv = invert(right.alpha)
-        bs_inv = invert(right.beta)
-        ainv_b = ainv @ left.beta
-        a_binv = left.alpha @ binv
-        as_bsinv = right.alpha @ bs_inv
-        asinv_bs = as_inv @ right.beta
+    def restriction(side: int, i: int, j: int) -> Vector:
+        got = total.bracket.entries[side * n + i][side * n + j]
+        want = left.bracket.entries[i][j] + zero if side == 0 else zero + right.bracket.entries[i][j]
+        return vec_sub(got, want)
 
-        def act_h(v: Vector) -> Matrix:
-            out = Matrix.zeros(n, n)
-            for i, cf in enumerate(v):
-                if cf != 0:
-                    out = out.add(h[i].scale(cf))
-            return out
-
-        def act_rho(v: Vector) -> Matrix:
-            out = Matrix.zeros(n, n)
-            for i, cf in enumerate(v):
-                if cf != 0:
-                    out = out.add(rho[i].scale(cf))
-            return out
-
-        def lv(i: int, b: int):
-            head = tuple(-x for x in act_h(as_bsinv.column(b)).apply(ainv_b.column(i)))
-            tail = rho[i].column(b)
-            return head, tail
-
-        def vl(a_idx: int, j: int):
-            head = h[a_idx].column(j)
-            tail = tuple(-x for x in act_rho(a_binv.column(j)).apply(asinv_bs.column(a_idx)))
-            return head, tail
-
-        bracket = _assemble_bracket(n, n, left.bracket_basis, lv, vl, right.bracket_basis)
-        nij = None
-        if flavor == "nijenhuis":
-            nij = block_diag(left.require_nijenhuis(), right.require_nijenhuis())
-        total = AlgebraBundle(2 * n, bracket, block_diag(left.alpha, right.alpha),
-                              block_diag(left.beta, right.beta), nijenhuis=nij, kind="bihom-lie")
-    elif flavor == "differential":
-        ident = Matrix.identity(n)
-        if left.alpha != ident or left.beta != ident or right.alpha != ident or right.beta != ident:
-            raise PreconditionFailed("differential doubles need identity structure maps")
-        dl = left.require_differential()
-        dr = right.require_differential()
-        if dl.weight != dr.weight:
-            raise WeightMismatch(f"weights differ: {dl.weight} vs {dr.weight}")
-
-        def lv(i: int, b: int):
-            head = tuple(-x for x in h[b].column(i))
-            tail = rho[i].column(b)
-            return head, tail
-
-        def vl(a_idx: int, j: int):
-            head = h[a_idx].column(j)
-            tail = tuple(-x for x in rho[j].column(a_idx))
-            return head, tail
-
-        bracket = _assemble_bracket(n, n, left.bracket_basis, lv, vl, right.bracket_basis)
-        total = AlgebraBundle(2 * n, bracket, Matrix.identity(2 * n), Matrix.identity(2 * n),
-                              differential=Differential(block_diag(dl.matrix, dr.matrix), dl.weight), kind="lie")
-    else:
-        raise ValueError(f"unknown double flavor {flavor!r}")
-
-    report = _restriction_report(total, left, right)
-    return DoubleBundle(total, standard_double_form(n), left, right), report
-
-
-def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
-    """Verify the combined bracket and operators restrict to the two factors."""
-    n, m = left.dim, right.dim
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            got = total.bracket.entries[i][j]
-            want = left.bracket.entries[i][j]
-            cells.extend((((0, i, j, k), got[k] - (want[k] if k < n else ZERO)) for k in range(n + m)))
-    for a in range(m):
-        for b in range(m):
-            got = total.bracket.entries[n + a][n + b]
-            want = right.bracket.entries[a][b]
-            cells.extend((((1, a, b, k), got[k] - (want[k - n] if k >= n else ZERO)) for k in range(n + m)))
-    return Report((entry("subalgebra", "bracket", Residual.collect((2, max(n, m), max(n, m), n + m), cells)),))
-
-
-def bicrossed_product(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> tuple[AlgebraBundle, Report]:
-    """Algebra on L + V from a matched pair of mutually acting algebras.
-
-    The hypothesis report is the full matched-pair check; the construction is
-    still carried out when it fails so that both directions of the
-    equivalence can be exercised.
-    """
-    L, V = mp.left, mp.right
-    n, m = L.dim, V.dim
-    zero_l = tuple([ZERO] * n)
-
-    if flavor == "nijenhuis":
-        N = L.require_nijenhuis()
-        S = V.require_nijenhuis()
-        ainv = invert(L.alpha)
-        binv = invert(L.beta)
-        pinv = invert(V.alpha)
-        qinv = invert(V.beta)
-        ainv_b = ainv @ L.beta
-        a_binv = L.alpha @ binv
-        pq_inv = V.alpha @ qinv
-        pinv_q = pinv @ V.beta
-
-        def lv(i: int, b: int):
-            head = tuple(-x for x in mp.act_right(pq_inv.column(b)).apply(ainv_b.column(i)))
-            tail = mp.rho[i].column(b)
-            return head, tail
-
-        def vl(a_idx: int, j: int):
-            head = mp.h[a_idx].column(j)
-            tail = tuple(-x for x in mp.act_left(a_binv.column(j)).apply(pinv_q.column(a_idx)))
-            return head, tail
-
-        bracket = _assemble_bracket(n, m, L.bracket_basis, lv, vl, V.bracket_basis)
-        bundle = AlgebraBundle(n + m, bracket, block_diag(L.alpha, V.alpha), block_diag(L.beta, V.beta),
-                               nijenhuis=block_diag(N, S), kind="bihom-lie")
-        return bundle, check_matched_pair(mp, "nijenhuis")
-
-    if flavor == "differential":
-        dl = L.require_differential()
-        dv = V.require_differential()
-        if dl.weight != dv.weight:
-            raise WeightMismatch(f"weights differ: {dl.weight} vs {dv.weight}")
-        ident_l, ident_v = Matrix.identity(n), Matrix.identity(m)
-        if L.alpha != ident_l or L.beta != ident_l or V.alpha != ident_v or V.beta != ident_v:
-            raise PreconditionFailed("differential bicrossed products need identity structure maps")
-
-        def lv(i: int, b: int):
-            head = tuple(-x for x in mp.h[b].column(i))
-            tail = mp.rho[i].column(b)
-            return head, tail
-
-        def vl(a_idx: int, j: int):
-            head = mp.h[a_idx].column(j)
-            tail = tuple(-x for x in mp.rho[j].column(a_idx))
-            return head, tail
-
-        bracket = _assemble_bracket(n, m, L.bracket_basis, lv, vl, V.bracket_basis)
-        bundle = AlgebraBundle(n + m, bracket, Matrix.identity(n + m), Matrix.identity(n + m),
-                               differential=Differential(block_diag(dl.matrix, dv.matrix), dl.weight), kind="lie")
-        return bundle, check_matched_pair(mp, "differential", symmetrized)
-
-    raise ValueError(f"unknown bicrossed flavor {flavor!r}")
-
-
-def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle,
-                           convention: str = "representation") -> MatchedPairBundle:
-    """The matched-pair candidate built from the two coadjoint actions."""
-    if left.dim != right.dim:
-        raise DimensionMismatch("coadjoint matched pair needs equal dimensions")
-    return MatchedPairBundle(left, right, coadjoint_rep(left), dual_action_on_primal(right, convention))
+    return Report((entry("subalgebra", "bracket", Residual.tabulate((2, n, n), restriction)),))
 
 
 # -- adjoint maps of forms ------------------------------------------------------------
@@ -568,6 +457,7 @@ def adjoint_map_wrt_form(n: Matrix, f: FormBundle) -> Matrix:
     return invert(g) @ n.transpose() @ g
 
 
+@declares(rep_hom="phi rho1(x) = rho2(x) phi; phi eta1 = eta2 phi; phi p1 = p2 phi; phi q1 = q2 phi; phi bijective")
 def rep_equivalence_iso(a: AlgebraBundle, f: FormBundle) -> tuple[Matrix, Report]:
     """The pairing map x -> B(x, -) as an intertwiner between the adjoint
     module and the dual module carrying the adjoint of the operator.
@@ -575,9 +465,6 @@ def rep_equivalence_iso(a: AlgebraBundle, f: FormBundle) -> tuple[Matrix, Report
     Returns the matrix of the map together with the report of the
     intertwining identities and bijectivity.
     """
-    from .checks import is_involutive
-    from .exact import nullspace
-
     N = a.require_nijenhuis()
     if f.dim != a.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
@@ -585,20 +472,15 @@ def rep_equivalence_iso(a: AlgebraBundle, f: FormBundle) -> tuple[Matrix, Report
     n = a.dim
     phi = f.gram.transpose()  # column i holds the pairing functional of e_i
     rho = coadjoint_rep(a)
-    entries = []
-    cells = []
-    for i in range(n):
+
+    def intertwines(i: int) -> Matrix:
         ad = Matrix.from_columns([a.bracket_basis(i, k) for k in range(n)])
-        diff = (phi @ ad).sub(rho[i] @ phi)
-        cells.extend((((i, x, y), diff.entries[x][y]) for x in range(n) for y in range(n)))
-    entries.append(entry("rep_hom", "bracket", Residual.collect((n, n, n), cells)))
-    entries.append(entry("rep_hom", "operator", Residual.from_matrix((phi @ N).sub(ntilde.transpose() @ phi))))
-    entries.append(entry("rep_hom", "alpha", Residual.from_matrix((phi @ a.alpha).sub(a.alpha.transpose() @ phi))))
-    entries.append(entry("rep_hom", "beta", Residual.from_matrix((phi @ a.beta).sub(a.beta.transpose() @ phi))))
-    kernel = nullspace(phi)
-    entries.append(entry("rep_hom", "bijective", Residual.collect(
-        (n, len(kernel)), (((i, j), kernel[j][i]) for j in range(len(kernel)) for i in range(n)))))
-    notes = []
-    if not is_involutive(a):
-        notes.append("hypothesis not met: algebra is not involutive (alpha^2 or beta^2 differs from id)")
-    return phi, Report(tuple(entries), tuple(notes))
+        return (phi @ ad).sub(rho[i] @ phi)
+
+    return phi, Report((
+        entry("rep_hom", "bracket", Residual.tabulate((n,), intertwines)),
+        entry("rep_hom", "operator", Residual.from_matrix((phi @ N).sub(ntilde.transpose() @ phi))),
+        entry("rep_hom", "alpha", Residual.from_matrix((phi @ a.alpha).sub(a.alpha.transpose() @ phi))),
+        entry("rep_hom", "beta", Residual.from_matrix((phi @ a.beta).sub(a.beta.transpose() @ phi))),
+        entry("rep_hom", "bijective", _kernel_residual(phi)),
+    ), _involution_note(a, detail=_SQUARES))

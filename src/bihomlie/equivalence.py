@@ -12,29 +12,17 @@ from dataclasses import dataclass
 from .bundles import (
     AlgebraBundle,
     BialgebraBundle,
-    MatchedPairBundle,
     Report,
     RepresentationBundle,
+    Residual,
+    entry,
 )
 from .checks import (
+    SUITES,
     WeightMismatch,
+    _involution_note,
     check_adjoint_admissible,
-    check_bialgebra_cocycle,
-    check_bihom_coalgebra,
-    check_bihom_lie,
-    check_diff_coalgebra,
-    check_diff_dual_admissible,
-    check_diff_leibniz,
-    check_diff_pi,
-    check_diff_rep,
-    check_dual_admissible,
-    check_form,
     check_matched_pair,
-    check_nijenhuis_coalgebra,
-    check_nijenhuis_operator,
-    check_nijenhuis_representation,
-    check_representation,
-    is_involutive,
 )
 from .constructions import (
     DoubleBundle,
@@ -48,7 +36,6 @@ from .constructions import (
     semidirect_product,
 )
 from .exact import DimensionMismatch, block_diag
-from .bundles import Residual, entry
 
 
 @dataclass(frozen=True)
@@ -96,89 +83,41 @@ def _require_coherent_dual(left: AlgebraBundle, right: AlgebraBundle) -> None:
         raise PreconditionFailed("the dual-side structure maps must be the transposes of the base maps")
 
 
-def _involution_notes(left: AlgebraBundle, right: AlgebraBundle) -> tuple[str, ...]:
-    notes = []
-    if not is_involutive(left):
-        notes.append("hypothesis not met: base algebra is not involutive")
-    if not is_involutive(right):
-        notes.append("hypothesis not met: dual-side algebra is not involutive")
-    return tuple(notes)
+def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str, symmetrized: bool) -> TriadReport:
+    """(i) the double and its form, (ii) the bialgebra conditions on the base
+    space, (iii) the coadjoint matched pair, each in the flavour's suites."""
+    _require_coherent_dual(left, right)
+    if flavor == "nijenhuis":
+        left.require_nijenhuis()
+        right.require_nijenhuis()
+        notes = _involution_note(left, "base algebra") + _involution_note(right, "dual-side algebra")
+    else:
+        dl, dr = left.require_differential(), right.require_differential()
+        if dl.weight != dr.weight:
+            raise WeightMismatch(f"weights differ: {dl.weight} vs {dr.weight}")
+        notes = ()
+
+    double, restrict = double_construction(left, right, flavor)
+    factor = SUITES["algebra", flavor]
+    manin = Report(()).merged(
+        factor.run(left).prefixed("left"),
+        factor.run(right).prefixed("right"),
+        restrict,
+        SUITES["double", flavor].run(double).prefixed("double"),
+    )
+    bial = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))
+    mp_report = check_matched_pair(coadjoint_matched_pair(left, right), flavor, symmetrized)
+    return TriadReport(manin.ok, manin, bial.ok, bial, mp_report.ok, mp_report, notes)
 
 
 def triad_nijenhuis_bihom(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:
     """Double suite vs bialgebra conditions vs coadjoint matched pair."""
-    _require_coherent_dual(left, right)
-    N = left.require_nijenhuis()
-    S_mat = right.require_nijenhuis().transpose()
-
-    # (i) the double and its form
-    double, restrict = double_construction(left, right, "nijenhuis")
-    manin = Report(()).merged(
-        check_bihom_lie(left).prefixed("left"),
-        check_nijenhuis_operator(left).prefixed("left"),
-        check_bihom_lie(right).prefixed("right"),
-        check_nijenhuis_operator(right).prefixed("right"),
-        restrict,
-        check_bihom_lie(double.total).prefixed("double"),
-        check_nijenhuis_operator(double.total).prefixed("double"),
-        check_form(double.total, double.form).prefixed("double"),
-    )
-
-    # (ii) the bialgebra conditions on the base space
-    coalg = dualize(right)
-    bial = Report(()).merged(
-        check_bihom_lie(left),
-        check_bihom_coalgebra(coalg),
-        check_bialgebra_cocycle(BialgebraBundle(left, coalg)),
-        check_nijenhuis_operator(left),
-        check_nijenhuis_coalgebra(coalg),
-        check_adjoint_admissible(left, S_mat),
-        check_dual_admissible(coalg.comul, N, S_mat),
-    )
-
-    # (iii) the coadjoint matched pair
-    mp = coadjoint_matched_pair(left, right)
-    mp_report = check_matched_pair(mp, "nijenhuis")
-
-    return TriadReport(manin.ok, manin, bial.ok, bial, mp_report.ok, mp_report,
-                       _involution_notes(left, right))
+    return _triad(left, right, "nijenhuis", True)
 
 
 def triad_differential(left: AlgebraBundle, right: AlgebraBundle, symmetrized: bool = True) -> TriadReport:
     """The same three-way comparison in the differential setting."""
-    _require_coherent_dual(left, right)
-    dl = left.require_differential()
-    dr = right.require_differential()
-    if dl.weight != dr.weight:
-        raise WeightMismatch(f"weights differ: {dl.weight} vs {dr.weight}")
-
-    double, restrict = double_construction(left, right, "differential")
-    manin = Report(()).merged(
-        check_bihom_lie(left).prefixed("left"),
-        check_diff_leibniz(left).prefixed("left"),
-        check_bihom_lie(right).prefixed("right"),
-        check_diff_leibniz(right).prefixed("right"),
-        restrict,
-        check_bihom_lie(double.total).prefixed("double"),
-        check_diff_leibniz(double.total).prefixed("double"),
-        check_form(double.total, double.form).prefixed("double"),
-    )
-
-    coalg = dualize(right)
-    bial = Report(()).merged(
-        check_bihom_lie(left),
-        check_bihom_coalgebra(coalg),
-        check_bialgebra_cocycle(BialgebraBundle(left, coalg)),
-        check_diff_leibniz(left),
-        check_diff_coalgebra(coalg),
-        check_diff_pi(left, coalg.codiff.matrix),
-        check_diff_dual_admissible(coalg, dl.matrix),
-    )
-
-    mp = coadjoint_matched_pair(left, right)
-    mp_report = check_matched_pair(mp, "differential", symmetrized)
-
-    return TriadReport(manin.ok, manin, bial.ok, bial, mp_report.ok, mp_report)
+    return _triad(left, right, "differential", symmetrized)
 
 
 def double_adjoint_report(double: DoubleBundle) -> Report:
@@ -197,65 +136,42 @@ def double_adjoint_report(double: DoubleBundle) -> Report:
     )
 
 
+#: equivalence kind -> (suite flavour, first side label, second side label)
+_IFF_KINDS = {
+    "dual_algebra": ("bihom", "algebra axioms", "dual coalgebra axioms"),
+    "dual_nijenhuis": ("nijenhuis", "operator algebra axioms", "dual operator coalgebra axioms"),
+    "dual_differential": ("differential", "differential algebra axioms", "dual differential coalgebra axioms"),
+    "dual_rep": ("bihom", "module axioms", "dual module axioms"),
+    "semidirect": ("nijenhuis", "module axioms", "semidirect product suite"),
+    "semidirect_diff": ("differential", "module axioms", "semidirect product suite"),
+    "bicrossed": ("nijenhuis", "matched pair axioms", "bicrossed product suite"),
+    "bicrossed_diff": ("differential", "matched pair axioms", "bicrossed product suite"),
+}
+
+
 def iff_harness(kind: str, **data) -> IffReport:
     """Evaluate both sides of a named equivalence independently.
 
     kinds: dual_algebra, dual_nijenhuis, dual_differential, dual_rep,
-    semidirect, semidirect_diff, bicrossed, bicrossed_diff.
+    semidirect, semidirect_diff, bicrossed, bicrossed_diff.  For the product
+    kinds the first side is the hypothesis report the construction returns.
     """
-    if kind == "dual_algebra":
-        algebra: AlgebraBundle = data["algebra"]
-        first = check_bihom_lie(algebra)
-        second = check_bihom_coalgebra(dualize(algebra))
-        return IffReport(kind, "algebra axioms", first.ok, first,
-                         "dual coalgebra axioms", second.ok, second)
-    if kind == "dual_nijenhuis":
-        algebra = data["algebra"]
-        first = check_bihom_lie(algebra).merged(check_nijenhuis_operator(algebra))
-        co = dualize(algebra)
-        second = check_bihom_coalgebra(co).merged(check_nijenhuis_coalgebra(co))
-        return IffReport(kind, "operator algebra axioms", first.ok, first,
-                         "dual operator coalgebra axioms", second.ok, second)
-    if kind == "dual_differential":
-        algebra = data["algebra"]
-        first = check_bihom_lie(algebra).merged(check_diff_leibniz(algebra))
-        co = dualize(algebra)
-        second = check_bihom_coalgebra(co).merged(check_diff_coalgebra(co))
-        return IffReport(kind, "differential algebra axioms", first.ok, first,
-                         "dual differential coalgebra axioms", second.ok, second)
+    if kind not in _IFF_KINDS:
+        raise ValueError(f"unknown equivalence kind {kind!r}")
+    flavor, first_label, second_label = _IFF_KINDS[kind]
     if kind == "dual_rep":
         rep: RepresentationBundle = data["rep"]
-        first = check_representation(rep)
-        second = check_representation(dual_representation(rep))
-        notes = () if is_involutive(rep.algebra) else ("hypothesis not met: algebra is not involutive",)
-        return IffReport(kind, "module axioms", first.ok, Report(first.entries, first.notes + notes),
-                         "dual module axioms", second.ok, second)
-    if kind == "semidirect":
-        algebra, rep = data["algebra"], data["rep"]
-        first = check_representation(rep).merged(check_nijenhuis_representation(rep))
-        product, _ = semidirect_product(algebra, rep, "nijenhuis")
-        second = check_bihom_lie(product).merged(check_nijenhuis_operator(product))
-        return IffReport(kind, "module axioms", first.ok, first,
-                         "semidirect product suite", second.ok, second)
-    if kind == "semidirect_diff":
-        algebra, rep = data["algebra"], data["rep"]
-        first = check_representation(rep).merged(check_diff_rep(rep))
-        product, _ = semidirect_product(algebra, rep, "differential")
-        second = check_bihom_lie(product).merged(check_diff_leibniz(product))
-        return IffReport(kind, "module axioms", first.ok, first,
-                         "semidirect product suite", second.ok, second)
-    if kind == "bicrossed":
-        mp: MatchedPairBundle = data["mp"]
-        first = check_matched_pair(mp, "nijenhuis")
-        product, _ = bicrossed_product(mp, "nijenhuis")
-        second = check_bihom_lie(product).merged(check_nijenhuis_operator(product))
-        return IffReport(kind, "matched pair axioms", first.ok, first,
-                         "bicrossed product suite", second.ok, second)
-    if kind == "bicrossed_diff":
-        mp = data["mp"]
-        first = check_matched_pair(mp, "differential", data.get("symmetrized", True))
-        product, _ = bicrossed_product(mp, "differential")
-        second = check_bihom_lie(product).merged(check_diff_leibniz(product))
-        return IffReport(kind, "matched pair axioms", first.ok, first,
-                         "bicrossed product suite", second.ok, second)
-    raise ValueError(f"unknown equivalence kind {kind!r}")
+        suite = SUITES["representation", flavor]
+        first = suite.run(rep)
+        first = Report(first.entries, first.notes + _involution_note(rep.algebra))
+        second = suite.run(dual_representation(rep))
+    elif kind.startswith("dual"):
+        first = SUITES["algebra", flavor].run(data["algebra"])
+        second = SUITES["coalgebra", flavor].run(dualize(data["algebra"]))
+    else:
+        if kind.startswith("semidirect"):
+            product, first = semidirect_product(data["algebra"], data["rep"], flavor)
+        else:
+            product, first = bicrossed_product(data["mp"], flavor, data.get("symmetrized", True))
+        second = SUITES["algebra", flavor].run(product)
+    return IffReport(kind, first_label, first.ok, first, second_label, second.ok, second)

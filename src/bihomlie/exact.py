@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -43,24 +43,12 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-def vec(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(scalar(v) for v in values)
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
 
 
 def basis_vector(n: int, i: int) -> Vector:
@@ -107,9 +95,6 @@ class Matrix:
     def from_columns(cols: Sequence[Vector]) -> "Matrix":
         nrows = len(cols[0])
         return Matrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
 
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -161,6 +146,20 @@ class Matrix:
             raise DimensionMismatch(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
+def lincomb(mats: Sequence[Matrix], x: Vector) -> Matrix:
+    """sum_i x[i] * mats[i]: the action of a coordinate vector x, by linearity,
+    given the action matrices of the basis vectors."""
+    rows, cols = mats[0].rows, mats[0].cols
+    out = [[ZERO] * cols for _ in range(rows)]
+    for c, m in zip(x, mats, strict=True):
+        if c:
+            for r in range(rows):
+                acc, src = out[r], m.entries[r]
+                for k in range(cols):
+                    acc[k] += c * src[k]
+    return Matrix(rows, cols, tuple(tuple(row) for row in out))
+
+
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """Block-diagonal sum of two maps on a direct-sum space."""
     rows = []
@@ -196,23 +195,6 @@ class Tensor3:
                 raise DimensionMismatch("ragged tensor literal")
         return Tensor3(shape, data)
 
-    def __getitem__(self, ijk: tuple[int, int, int]) -> Fraction:
-        i, j, k = ijk
-        return self.entries[i][j][k]
-
-    def add(self, other: "Tensor3") -> "Tensor3":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return Tensor3(self.shape, tuple(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-            for p1, p2 in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Tensor3") -> "Tensor3":
-        return self.add(other.neg())
-
-    def neg(self) -> "Tensor3":
-        return Tensor3(self.shape, tuple(tuple(tuple(-a for a in row) for row in plane) for plane in self.entries))
-
     def is_zero(self) -> bool:
         return all(a == 0 for plane in self.entries for row in plane for a in row)
 
@@ -244,24 +226,6 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
                         total += coeff * t.entries[src[0]][src[1]][src[2]]
                 out[i][j][k] = total
     return Tensor3((d[0], d[1], d[2]), tuple(tuple(tuple(row) for row in plane) for plane in out))
-
-
-def swap_factors(t: Tensor3, style: str = "comul") -> Tensor3:
-    """Swap the two tensor factors: axes (1, 2) for a comultiplication,
-    axes (0, 1) for a bracket."""
-    if style == "comul":
-        if t.shape[1] != t.shape[2]:
-            raise DimensionMismatch("factor axes have different extents")
-        return Tensor3(t.shape, tuple(
-            tuple(tuple(t.entries[k][j][i] for j in range(t.shape[1])) for i in range(t.shape[2]))
-            for k in range(t.shape[0])))
-    if style == "bracket":
-        if t.shape[0] != t.shape[1]:
-            raise DimensionMismatch("factor axes have different extents")
-        return Tensor3(t.shape, tuple(
-            tuple(tuple(t.entries[j][i][k] for k in range(t.shape[2])) for j in range(t.shape[1]))
-            for i in range(t.shape[0])))
-    raise ValueError(f"unknown swap style {style!r}")
 
 
 def apply_bilinear(t: Tensor3, u: Vector, v: Vector) -> Vector:

@@ -22,6 +22,7 @@ from .exact import (
     apply_bilinear,
     apply_comul,
     basis_vector,
+    lincomb,
     nullspace,
     solve,
 )
@@ -165,7 +166,7 @@ def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
     sys = _System(v, v)
     for i in range(n):
         rx = r.rho[i]
-        rdx = r.act(d.column(i))
+        rdx = lincomb(r.rho, d.column(i))
         for a_idx in range(v):
             for b_idx in range(v):
                 row, ridx = sys.new_row()

@@ -272,33 +272,33 @@ def test_nijenhuis_representation_zero_eta():
 def test_admissible_eta_identity():
     b = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.from_rows([[1, 1], [0, 2]]))
     rep = support.adjoint_rep(b, eta=Matrix.identity(2))
-    assert checks.check_admissibility("eta", rep=rep).ok
+    assert checks.check_eta_admissible(rep).ok
 
 
 def test_admissible_adjoint_s_equals_n_on_identity_operator():
     b = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.identity(2))
-    assert checks.check_admissibility("adjoint", algebra=b, smap=b.nijenhuis).ok
+    assert checks.check_adjoint_admissible(b, b.nijenhuis).ok
 
 
 def test_admissible_adjoint_s_equals_n_is_not_automatic():
     # a genuine operator for which taking S = N fails the admissibility identity
     b = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.diagonal([1, 0]))
     assert checks.check_nijenhuis_operator(b).ok
-    assert not checks.check_admissibility("adjoint", algebra=b, smap=b.nijenhuis).ok
+    assert not checks.check_adjoint_admissible(b, b.nijenhuis).ok
     g = bundles.bihom2(2, 3)
     assert checks.check_nijenhuis_operator(g).ok
-    assert not checks.check_admissibility("adjoint", algebra=g, smap=g.nijenhuis).ok
+    assert not checks.check_adjoint_admissible(g, g.nijenhuis).ok
 
 
 def test_admissible_dual_zero_comultiplication():
     z = Tensor3.zeros((2, 2, 2))
     m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert checks.check_admissibility("dual", comul=z, nmap=m, smap=m.transpose()).ok
+    assert checks.check_dual_admissible(z, m, m.transpose()).ok
 
 
 def test_admissibility_involution_note():
     b = bundles.bihom2(2, 3)
-    rep = checks.check_admissibility("adjoint", algebra=b, smap=Matrix.identity(2))
+    rep = checks.check_adjoint_admissible(b, Matrix.identity(2))
     assert any("involutive" in n for n in rep.notes)
 
 

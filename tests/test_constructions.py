@@ -12,7 +12,6 @@ from bihomlie.constructions import (
     PreconditionFailed,
     adjoint_map_wrt_form,
     bicrossed_product,
-    coadjoint_action,
     coadjoint_matched_pair,
     coadjoint_rep,
     double_construction,
@@ -103,9 +102,9 @@ def test_dual_action_pairing_identities_both_conventions():
 
 
 def test_coadjoint_action_zero_for_abelian_dual():
-    rho, h = coadjoint_action(bundles.aff2())
+    h = dual_action_on_primal(bundles.abelian(2))
     assert all(m.is_zero() for m in h)
-    assert not all(m.is_zero() for m in rho)
+    assert not all(m.is_zero() for m in coadjoint_rep(bundles.aff2()))
 
 
 def test_plus_convention_breaks_the_classical_double():
@@ -361,6 +360,20 @@ def test_bicrossed_coadjoint_pair_equals_double():
     dbl, _ = double_construction(left, right, "nijenhuis")
     assert bic.bracket == dbl.total.bracket
     assert bic.nijenhuis == dbl.total.nijenhuis
+
+
+def test_bicrossed_bihom_flavor_is_the_double_of_a_twisted_pair():
+    # the double is the bicrossed product of the coadjoint matched pair, also
+    # with non-involutive structure maps and in the operator-free flavour
+    alpha, beta = Matrix.diagonal([1, 2]), Matrix.diagonal([1, 3])
+    left, _ = yau_twist(bundles.aff2(), alpha, beta)
+    right = dataclasses.replace(bundles.abelian(2), alpha=alpha, beta=beta, kind="bihom-lie")
+    mp = coadjoint_matched_pair(left, right)
+    bic, hyp = bicrossed_product(mp, "bihom")
+    dbl, _ = double_construction(left, right, "bihom")
+    assert bic == dbl.total
+    assert bic.nijenhuis is None and bic.kind == "bihom-lie"
+    assert hyp == checks.check_matched_pair(mp, "bihom")
 
 
 def test_bicrossed_broken_pair_fails_suite():

@@ -21,7 +21,6 @@ from bihomlie.exact import (
     rank,
     scalar,
     solve,
-    swap_factors,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -101,22 +100,6 @@ def test_contract_along_two_axes_commutes():
     m1 = Matrix.from_rows([[1, 2], [0, 1]])
     m2 = Matrix.from_rows([["1/2", 0], [5, 1]])
     assert contract(contract(t, 0, m1), 2, m2) == contract(contract(t, 2, m2), 0, m1)
-
-
-def test_swap_factors_involution_and_symmetric_fixed_point():
-    b = bundles.bihom2(2, 3)
-    assert swap_factors(swap_factors(b.bracket, "bracket"), "bracket") == b.bracket
-    sym = _t3([[[1, 2], [3, 4]], [[3, 4], [5, 6]]])  # symmetric in the first two axes
-    assert swap_factors(sym, "bracket") == sym
-
-
-def test_swap_factors_comul_example():
-    # D(e2) = e1 (x) e2 - e2 (x) e1 swaps to e2 (x) e1 - e1 (x) e2
-    t = Tensor3.from_entries([[[0, 0], [0, 0]], [[0, 1], [-1, 0]]])
-    swapped = swap_factors(t, "comul")
-    assert swapped.entries[1][0][1] == -1
-    assert swapped.entries[1][1][0] == 1
-    assert swapped.entries[0] == t.entries[0]
 
 
 def test_invert_identity():
