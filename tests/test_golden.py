@@ -12,6 +12,7 @@ and ``write_harness_golden`` and review the diff.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 from pathlib import Path
@@ -26,6 +27,7 @@ from bihomlie.bundles import (
     Differential,
     FormBundle,
     MatchedPairBundle,
+    RepresentationBundle,
 )
 from bihomlie.checks import IDENTITY_FORMULAS
 from bihomlie.cli import _report_document, main
@@ -359,3 +361,211 @@ def test_harness_reports_match_golden():
     assert len(rendered) == len(golden)
     for got, want in zip(rendered, golden):
         assert got == want, f"rendered report differs: {json.loads(want)['item']}"
+
+
+# -- full residuals of every checker ----------------------------------------------------------
+#
+# The CLI and harness documents keep only the first cells of each residual, so
+# they cannot pin a cell-level rewrite of an evaluator.  This golden records
+# every nonzero cell of every entry of each checker on a fixed input set.
+
+RESIDUAL_GOLDEN = GOLDEN / "residuals.jsonl"
+
+
+def gl(n: int) -> AlgebraBundle:
+    """gl(n) on the basis E_ij (index i*n + j): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    dim = n * n
+    cells = [[[scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        out = cells[i * n + j][k * n + l]
+        if j == k:
+            out[i * n + l] += 1
+        if l == i:
+            out[k * n + j] -= 1
+    ident = Matrix.identity(dim)
+    return AlgebraBundle(dim, Tensor3.from_entries(cells), ident, ident, kind="lie")
+
+
+def gl_torus(n: int, t, s) -> AlgebraBundle:
+    """gl(n) twisted by the torus automorphisms E_ij -> (t_i/t_j) E_ij and (s_i/s_j) E_ij."""
+    t, s = [scalar(x) for x in t], [scalar(x) for x in s]
+    ratios = [(t[i] / t[j], s[i] / s[j]) for i in range(n) for j in range(n)]
+    return twisted(gl(n), [a for a, _ in ratios], [b for _, b in ratios])
+
+
+def heisenberg(k: int) -> AlgebraBundle:
+    """Heisenberg algebra of dim 2k+1: [x_i, y_i] = z."""
+    dim = 2 * k + 1
+    cells = [[[scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(k):
+        cells[i][k + i][dim - 1] = scalar(1)
+        cells[k + i][i][dim - 1] = scalar(-1)
+    ident = Matrix.identity(dim)
+    return AlgebraBundle(dim, Tensor3.from_entries(cells), ident, ident, kind="lie")
+
+
+def _block(a: Matrix, b: Matrix) -> Matrix:
+    rows = [list(r) + [scalar(0)] * b.cols for r in a.entries] + [[scalar(0)] * a.cols + list(r) for r in b.entries]
+    return Matrix.from_rows(rows)
+
+
+def direct_sum(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
+    """The product algebra on A + B with block-diagonal maps."""
+    n, m = a.dim, b.dim
+    cells = [[[scalar(0)] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+    for i, j in itertools.product(range(n), repeat=2):
+        cells[i][j][:n] = a.bracket.entries[i][j]
+    for i, j in itertools.product(range(m), repeat=2):
+        cells[n + i][n + j][n:] = b.bracket.entries[i][j]
+    return AlgebraBundle(n + m, Tensor3.from_entries(cells), _block(a.alpha, b.alpha), _block(a.beta, b.beta),
+                         kind="lie" if a.kind == b.kind == "lie" else "bihom-lie")
+
+
+def _rmatrix(r, rows: int, cols: int | None = None) -> Matrix:
+    return Matrix.from_rows([[support.rational(r) for _ in range(cols or rows)] for _ in range(rows)])
+
+
+def _perturbed_bracket(a: AlgebraBundle, r) -> AlgebraBundle:
+    return dataclasses.replace(a, bracket=support.perturb_tensor3(a.bracket, r), kind="bihom-lie")
+
+
+def residual_algebras() -> list[tuple[str, AlgebraBundle]]:
+    """Identity-map, torus-twisted non-involutive and bihom2(2,3) algebras of
+    dims 1-9, each carrying a Nijenhuis operator and a differential, plus one
+    perturbed copy of each family."""
+    r = support.rng(4101)
+    base = [
+        ("abelian1", bundles.abelian(1)),
+        ("aff2", bundles.aff2()),
+        ("sl2", bundles.sl2()),
+        ("gl2", gl(2)),
+        ("heis5", heisenberg(2)),
+        ("sl2+sl2", direct_sum(bundles.sl2(), bundles.sl2())),
+        ("heis7", heisenberg(3)),
+        ("gl2+gl2", direct_sum(gl(2), gl(2))),
+        ("gl3", gl(3)),
+        ("aff2t", twisted(bundles.aff2(), [1, 2], [1, 3])),
+        ("sl2t", twisted(bundles.sl2(), [1, 2, "1/2"], [1, 3, "1/3"])),
+        ("gl3t", gl_torus(3, [1, 2, 5], [1, 3, "1/2"])),
+        ("bihom2", bundles.bihom2(2, 3)),
+    ]
+    perturbed = [(f"{label}~", _perturbed_bracket(a, r)) for label, a in base if label in ("sl2", "gl3t", "bihom2")]
+    perturbed.append(("sl2t~alpha", dataclasses.replace(base[10][1], alpha=support.perturb_matrix(base[10][1].alpha, r))))
+    out = []
+    for label, a in base + perturbed:
+        n = a.dim
+        nij = a.nijenhuis if a.nijenhuis is not None else (
+            Matrix.identity(n).scale(scalar(2)) if n % 2 else _rmatrix(r, n))
+        out.append((label, dataclasses.replace(a, nijenhuis=nij, differential=Differential(_rmatrix(r, n), scalar("1/2")))))
+    return out
+
+
+def residual_pairs() -> list[tuple[str, MatchedPairBundle]]:
+    """Matched pairs: coadjoint, twisted, rectangular random, and identity-map
+    pairs with differentials (the only ones the differential flavour reads)."""
+    r = support.rng(4102)
+    aff2n = support.scalar_op(bundles.aff2(), 2)
+    dual = support.scalar_op(support.antisym_dual2(1, "-1/2"), "1/2")
+    sl2n = support.scalar_op(bundles.sl2(), 1)
+    rect = MatchedPairBundle(sl2n, aff2n, tuple(_rmatrix(r, 2) for _ in range(3)), tuple(_rmatrix(r, 3) for _ in range(2)))
+    aff2d = support.with_diff(bundles.aff2(), DERIVATION, "1/3")
+    dual_d = support.with_diff(support.antisym_dual2(0, 1), _rmatrix(r, 2), "1/3")
+    sl2d = support.with_diff(bundles.sl2(), _rmatrix(r, 3), "1/3")
+    rect_d = MatchedPairBundle(sl2d, aff2d, tuple(_rmatrix(r, 2) for _ in range(3)), tuple(_rmatrix(r, 3) for _ in range(2)))
+    pairs = [
+        ("coadjoint", coadjoint_pair(aff2n, dual)),
+        ("twisted", reproducer_pair(1)),
+        ("bihom2", coadjoint_pair(bundles.bihom2(2, 3), dataclasses.replace(
+            support.scalar_op(bundles.abelian(2), 1), alpha=bundles.bihom2(2, 3).alpha, kind="bihom-lie"))),
+        ("rect", rect),
+        ("coadjoint_d", coadjoint_pair(aff2d, dual_d)),
+        ("rect_d", rect_d),
+    ]
+    pairs += [(f"{label}~", support._perturb_mp(mp, r, allow_algebras=True)) for label, mp in pairs]
+    return pairs
+
+
+def _residual_rendering(report) -> dict:
+    return {
+        "notes": list(report.notes),
+        "entries": [{"identity": e.identity, "case": e.case, "ok": e.ok, "advisory": e.advisory,
+                     "shape": list(e.residual.shape),
+                     "cells": [[list(idx), str(v)] for idx, v in e.residual.nonzeros]}
+                    for e in report.entries],
+    }
+
+
+def residual_items():
+    """(label, thunk) of every checker call the residual golden records."""
+    from bihomlie import checks
+    from bihomlie.constructions import _endomorphism_report, _restriction_report, rep_equivalence_iso
+
+    r = support.rng(4103)
+    for label, a in residual_algebras():
+        n = a.dim
+        co = coalgebra_of(a)
+        smap, pi = _rmatrix(r, n), _rmatrix(r, n)
+        gram = Matrix.from_rows(naive.killing_gram(naive.as_cells(a.bracket)))
+        form = FormBundle(gram if label.startswith(("sl2", "gl")) and "~" not in label else _rmatrix(r, n))
+        bialgebra = BialgebraBundle(a, CoalgebraBundle(n, co.comul, a.alpha, a.beta))
+        rep = support.adjoint_rep(a, eta=a.nijenhuis, xi=a.differential.matrix)
+        small = RepresentationBundle(a, 2, tuple(_rmatrix(r, 2) for _ in range(n)), _rmatrix(r, 2), Matrix.identity(2),
+                                     eta=_rmatrix(r, 2), xi=_rmatrix(r, 2))
+        yield f"{label}/bihom_lie", lambda: checks.check_bihom_lie(a)
+        yield f"{label}/involution", lambda: checks.check_involution(a)
+        yield f"{label}/nijenhuis_operator", lambda: checks.check_nijenhuis_operator(a)
+        yield f"{label}/adjoint_admissible", lambda: checks.check_adjoint_admissible(a, smap)
+        yield f"{label}/diff_leibniz", lambda: checks.check_diff_leibniz(a)
+        yield f"{label}/diff_leibniz_w2", lambda: checks.check_diff_leibniz(a, smap, scalar(2))
+        yield f"{label}/diff_pi", lambda: checks.check_diff_pi(a, pi)
+        yield f"{label}/gram", lambda: checks.check_gram(form)
+        yield f"{label}/form", lambda: checks.check_form(a, form)
+        yield f"{label}/rep_equivalence_iso", lambda: rep_equivalence_iso(a, form)[1]
+        yield f"{label}/endomorphism", lambda: _endomorphism_report(a.bracket, co.comul, a.alpha, a.beta)
+        yield f"{label}/endomorphism_nijenhuis", lambda: _endomorphism_report(a.bracket, None, a.nijenhuis, a.nijenhuis)
+        yield f"{label}/bihom_coalgebra", lambda: checks.check_bihom_coalgebra(co)
+        yield f"{label}/nijenhuis_coalgebra", lambda: checks.check_nijenhuis_coalgebra(co)
+        yield f"{label}/diff_coalgebra", lambda: checks.check_diff_coalgebra(co)
+        yield f"{label}/dual_admissible", lambda: checks.check_dual_admissible(co.comul, co.conijenhuis, smap)
+        yield f"{label}/diff_dual_admissible", lambda: checks.check_diff_dual_admissible(co, pi)
+        yield f"{label}/bialgebra_cocycle", lambda: checks.check_bialgebra_cocycle(bialgebra)
+        for rlabel, x in (("adjoint", rep), ("small", small)):
+            yield f"{label}/{rlabel}/representation", lambda x=x: checks.check_representation(x)
+            yield f"{label}/{rlabel}/nijenhuis_representation", lambda x=x: checks.check_nijenhuis_representation(x)
+            yield f"{label}/{rlabel}/eta_admissible", lambda x=x: checks.check_eta_admissible(x)
+            yield f"{label}/{rlabel}/diff_rep", lambda x=x: checks.check_diff_rep(x)
+            yield f"{label}/{rlabel}/diff_zeta", lambda x=x, z=_rmatrix(r, x.vdim): checks.check_diff_zeta(x, z)
+    for label, mp in residual_pairs():
+        for flavor in ("bihom", "nijenhuis", "differential"):
+            for sym in (True, False):
+                yield (f"mp/{label}/{flavor}/{'symmetrized' if sym else 'as-printed'}",
+                       lambda mp=mp, flavor=flavor, sym=sym: checks.check_matched_pair(mp, flavor, sym))
+    for label, (left, right) in (("aff2+dual", (bundles.aff2(), support.antisym_dual2(1, 2))),
+                                 ("sl2+sl2", (bundles.sl2(), bundles.sl2()))):
+        total = direct_sum(left, right)
+        yield f"restriction/{label}", lambda: _restriction_report(total, left, right)
+        broken = _perturbed_bracket(total, r)
+        yield f"restriction/{label}~", lambda: _restriction_report(broken, left, right)
+
+
+def render_residuals() -> list[str]:
+    lines = []
+    for label, thunk in residual_items():
+        try:
+            value = _residual_rendering(thunk())
+        except ValueError as exc:
+            value = _error(exc)
+        lines.append(json.dumps({"item": label, "value": value}, separators=(",", ":"), sort_keys=True) + "\n")
+    return lines
+
+
+def write_residual_golden() -> None:
+    RESIDUAL_GOLDEN.write_text("".join(render_residuals()), encoding="utf-8")
+
+
+def test_residuals_match_golden():
+    golden = RESIDUAL_GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    rendered = render_residuals()
+    assert len(rendered) == len(golden)
+    for got, want in zip(rendered, golden):
+        assert got == want, f"residual differs: {json.loads(want)['item']}"
