@@ -227,9 +227,9 @@ class Residual:
     def tabulate(ranges: tuple[int, ...], value: Callable[..., Any]) -> "Residual":
         """Residual of value(*idx) over every index tuple idx in the ranges.
 
-        A Vector, Matrix or nested-list value spreads over trailing axes whose
-        extents come from the first value (none when the ranges are empty, as
-        for the kernel basis of an injective map).
+        A Vector, Matrix, Tensor3 or nested-list value spreads over trailing
+        axes whose extents come from the first value (none when the ranges
+        are empty, as for the kernel basis of an injective map).
         """
         cells: list[tuple[tuple[int, ...], Fraction]] = []
         tail: tuple[int, ...] = ()
@@ -241,7 +241,8 @@ class Residual:
         return Residual.collect(ranges + tail, cells)
 
     @staticmethod
-    def from_matrix(m: Matrix) -> "Residual":
+    def from_matrix(m: Matrix | Tensor3) -> "Residual":
+        """The residual of a whole Matrix or Tensor3, indexed like it."""
         return Residual.tabulate((), lambda: m)
 
     @property
@@ -252,6 +253,8 @@ class Residual:
 def _extents(v: Any) -> tuple[int, ...]:
     if isinstance(v, Matrix):
         return (v.rows, v.cols)
+    if isinstance(v, Tensor3):
+        return v.shape
     out = []
     while isinstance(v, (tuple, list)):
         out.append(len(v))
@@ -261,7 +264,7 @@ def _extents(v: Any) -> tuple[int, ...]:
 
 def _spread(idx: tuple[int, ...], v: Any, cells: list) -> None:
     """Append the nonzero scalars of v, indexed by idx extended with their position."""
-    if isinstance(v, Matrix):
+    if isinstance(v, (Matrix, Tensor3)):
         v = v.entries
     if not isinstance(v, (tuple, list)):
         if v:
@@ -352,40 +355,60 @@ def _fmt_comul(t: Tensor3) -> list[dict[str, Any]]:
     return out
 
 
-def _parse_matrix(obj: Any, n: int, where: str) -> Matrix:
+def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:
+    """parse(obj), a malformed obj reported as a ParseError naming the field."""
     try:
-        m = Matrix.from_rows(obj)
+        return parse(obj)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {where!r}: {exc}") from exc
+
+
+def _parse_matrix(obj: Any, n: int, where: str) -> Matrix:
+    m = _parsed(where, Matrix.from_rows, obj)
     if (m.rows, m.cols) != (n, n):
         raise DimensionMismatch(f"field {where!r} is {m.rows}x{m.cols} against dim {n}")
     return m
 
 
+def _integer(value: Any) -> int:
+    """A JSON integer; floats, booleans and strings are refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_bracket(obj: Any, n: int, where: str = "bracket") -> Tensor3:
     cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    seen = set()
     for item in obj or []:
         try:
-            i, j = int(item["i"]), int(item["j"])
+            i, j = _integer(item["i"]), _integer(item["j"])
             out = [scalar(x) for x in item["out"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"field {where!r}: bad entry {item!r}: {exc}") from exc
         if not (1 <= i <= n and 1 <= j <= n) or len(out) != n:
             raise DimensionMismatch(f"field {where!r}: entry (i={i}, j={j}) out of range for dim {n}")
+        if (i, j) in seen:
+            raise ParseError(f"field {where!r}: repeated entry (i={i}, j={j})")
+        seen.add((i, j))
         cells[i - 1][j - 1] = out
     return Tensor3.from_entries(cells)
 
 
 def _parse_comul(obj: Any, n: int, where: str = "comul") -> Tensor3:
     cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    seen = set()
     for item in obj or []:
         try:
-            k = int(item["k"])
+            k = _integer(item["k"])
             out = [[scalar(x) for x in row] for row in item["out"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"field {where!r}: bad entry {item!r}: {exc}") from exc
         if not 1 <= k <= n or len(out) != n or any(len(row) != n for row in out):
             raise DimensionMismatch(f"field {where!r}: entry k={k} out of range for dim {n}")
+        if k in seen:
+            raise ParseError(f"field {where!r}: repeated entry k={k}")
+        seen.add(k)
         cells[k - 1] = out
     return Tensor3.from_entries(cells)
 
@@ -492,13 +515,13 @@ def _coalgebra_from_document(doc: dict[str, Any]) -> CoalgebraBundle:
     return CoalgebraBundle(n, _parse_comul(doc.get("comul"), n), alpha, beta, conij, codiff)
 
 
-def _read_dim(doc: dict[str, Any]) -> int:
+def _read_dim(doc: dict[str, Any], key: str = "dim") -> int:
     try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or bad 'dim': {exc}") from exc
+        n = _integer(doc[key])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"missing or bad {key!r}: {exc}") from exc
     if n < 1:
-        raise ParseError(f"dim must be positive, got {n}")
+        raise ParseError(f"{key} must be positive, got {n}")
     return n
 
 
@@ -515,9 +538,8 @@ def from_document(doc: dict[str, Any]) -> Any:
     if kind == "bialgebra":
         return BialgebraBundle(_algebra_from_document(doc), _coalgebra_from_document(doc))
     if kind == "representation":
-        n = _read_dim(doc)
+        n, vdim = _read_dim(doc), _read_dim(doc, "vdim")
         try:
-            vdim = int(doc["vdim"])
             algebra = _algebra_from_document(doc["algebra"])
             rho_docs = doc["rho"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -610,6 +632,8 @@ def aff2() -> AlgebraBundle:
 
 def abelian(n: int) -> AlgebraBundle:
     """Abelian algebra of dimension n with identity structure maps."""
+    if n < 1:
+        raise ValueError(f"abelian requires a positive dimension, got {n}")
     return AlgebraBundle(n, Tensor3.zeros((n, n, n)), Matrix.identity(n), Matrix.identity(n), kind="lie")
 
 

@@ -57,6 +57,26 @@ def _load_source(ref: str) -> Any:
     return bundles.load_path(ref)
 
 
+_KINDS = {AlgebraBundle: "algebra", CoalgebraBundle: "coalgebra", BialgebraBundle: "bialgebra",
+          RepresentationBundle: "representation", MatchedPairBundle: "matched_pair", FormBundle: "form"}
+
+
+def _require_kind(bundle: Any, what: str, *types: type) -> Any:
+    """The bundle, if it is of one of the kinds an input accepts; else a ParseError naming them."""
+    if not isinstance(bundle, types):
+        wanted, got = " or ".join(_KINDS[t] for t in types), _KINDS.get(type(bundle), type(bundle).__name__)
+        raise ParseError(f"{what} needs a bundle of kind {wanted}, got kind {got}")
+    return bundle
+
+
+def _read_json(path: str, what: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {what} file at line {exc.lineno}: {exc.msg}") from exc
+
+
 def _residual_document(res: bundles.Residual) -> dict[str, Any]:
     cells = [{"index": list(idx), "value": format_scalar(v)} for idx, v in res.nonzeros[:MAX_RESIDUAL_CELLS]]
     doc: dict[str, Any] = {"shape": list(res.shape), "nonzero_count": len(res.nonzeros), "nonzeros": cells}
@@ -141,7 +161,7 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    against = _load_source(args.against) if args.against else None
+    against = _require_kind(_load_source(args.against), "--against", AlgebraBundle) if args.against else None
     weight = scalar(args.weight) if args.weight is not None else None
     reports: list[dict[str, Any]] = []
     ok = True
@@ -162,21 +182,30 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _load_maps(path: str, dim: int) -> tuple[Matrix, Matrix]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in maps file at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        alpha = Matrix.from_rows(doc["alpha"])
-    except KeyError as exc:
-        raise ParseError("maps file needs an 'alpha' matrix") from exc
-    beta = Matrix.from_rows(doc["beta"]) if "beta" in doc else Matrix.identity(dim)
+    doc = _read_json(path, "maps")
+    if not isinstance(doc, dict) or "alpha" not in doc:
+        raise ParseError("maps file needs an 'alpha' matrix")
+    alpha = bundles._parse_matrix(doc["alpha"], dim, "alpha")
+    beta = bundles._parse_matrix(doc["beta"], dim, "beta") if "beta" in doc else Matrix.identity(dim)
     return alpha, beta
 
 
 def _matrix_document(m: Matrix) -> dict[str, Any]:
     return {"kind": "matrix", "dim": m.rows, "matrix": [[format_scalar(x) for x in row] for row in m.entries]}
+
+
+_TWISTABLE = (AlgebraBundle, CoalgebraBundle, BialgebraBundle)
+#: construction -> the bundle kinds each of its inputs accepts
+_CONSTRUCTION_INPUTS: dict[str, tuple[tuple[type, ...], ...]] = {
+    "dual": ((AlgebraBundle, CoalgebraBundle),),
+    "twist": (_TWISTABLE,),
+    "untwist": (_TWISTABLE,),
+    "hom": ((BialgebraBundle,),),
+    "semidirect": ((RepresentationBundle,),),
+    "double": ((AlgebraBundle,), (AlgebraBundle,)),
+    "bicrossed": ((MatchedPairBundle,),),
+    "adjoint-form": ((AlgebraBundle,), (FormBundle,)),
+}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -185,6 +214,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     report = Report(())
     result: Any = None
     extra_out: list[tuple[str, dict[str, Any]]] = []
+
+    accepted = _CONSTRUCTION_INPUTS.get(kind)
+    if accepted is None:
+        raise ParseError(f"unknown construction {kind!r}")
+    if len(inputs) != len(accepted):
+        raise ParseError(f"{kind} takes {len(accepted)} input bundle(s), got {len(inputs)}")
+    for bundle, types in zip(inputs, accepted):
+        _require_kind(bundle, kind, *types)
 
     if kind == "dual":
         (bundle,) = inputs
@@ -206,8 +243,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
         result, report = constructions.hom_specialize(bundle, alpha)
     elif kind == "semidirect":
         (rep_bundle,) = inputs
-        if not isinstance(rep_bundle, RepresentationBundle):
-            raise ParseError("semidirect needs a representation bundle")
         result, report = constructions.semidirect_product(rep_bundle.algebra, rep_bundle, args.flavor or "nijenhuis")
     elif kind == "double":
         left, right = inputs
@@ -216,16 +251,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
         extra_out.append(("form", bundles.document(double.form)))
     elif kind == "bicrossed":
         (mp,) = inputs
-        if not isinstance(mp, MatchedPairBundle):
-            raise ParseError("bicrossed needs a matched_pair bundle")
         result, report = constructions.bicrossed_product(mp, args.flavor or "nijenhuis", args.symmetrized_mp_right)
     elif kind == "adjoint-form":
         algebra, form = inputs
         result_matrix = constructions.adjoint_map_wrt_form(algebra.require_nijenhuis(), form)
         result = None
         extra_out.append(("matrix", _matrix_document(result_matrix)))
-    else:
-        raise ParseError(f"unknown construction {kind!r}")
 
     docs: list[dict[str, Any]] = []
     if result is not None:
@@ -260,8 +291,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_triad(args: argparse.Namespace) -> int:
-    left = _load_source(args.left)
-    right = _load_source(args.right)
+    left = _require_kind(_load_source(args.left), "triad", AlgebraBundle)
+    right = _require_kind(_load_source(args.right), "triad", AlgebraBundle)
     if args.flavor == "differential":
         triad = equivalence.triad_differential(left, right, args.symmetrized_mp_right)
     else:
@@ -318,18 +349,19 @@ def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    bundle = _load_source(args.file)
-    weight = scalar(args.weight) if args.weight is not None else scalar(0)
     mode = args.mode
+    kind = {"conijenhuis": BialgebraBundle, "zeta": RepresentationBundle}.get(mode, AlgebraBundle)
+    bundle = _require_kind(_load_source(args.file), f"{mode} search", kind)
+    weight = scalar(args.weight) if args.weight is not None else scalar(0)
     if mode == "nijenhuis-grid":
         if not args.grid:
             raise ParseError("nijenhuis-grid needs --grid \"a,b,c\"")
         grid = [scalar(x) for x in args.grid.split(",")]
         pattern = None
         if args.pattern:
-            with open(args.pattern, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            pattern = [[None if x is None else scalar(x) for x in row] for row in raw]
+            raw = _read_json(args.pattern, "pattern")
+            pattern = bundles._parsed(
+                "pattern", lambda rows: [[None if x is None else scalar(x) for x in row] for row in rows], raw)
         sols = search.grid_search_nijenhuis(bundle, grid, pattern, args.budget)
         doc = {
             "kind": "solutions",
@@ -343,16 +375,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     if mode == "derivations":
         sol = search.solve_linear_identity("derivation", weight, algebra=bundle)
     elif mode == "conijenhuis":
-        if not isinstance(bundle, BialgebraBundle):
-            raise ParseError("conijenhuis search needs a bialgebra file carrying comul and nijenhuis")
         sol = search.solve_linear_identity("conijenhuis", weight,
                                            comul=bundle.coalgebra.comul, nmap=bundle.algebra.require_nijenhuis())
     elif mode == "pi":
         sol = search.solve_linear_identity("pi", weight if args.weight is not None else bundle.require_differential().weight,
                                            algebra=bundle)
     elif mode == "zeta":
-        if not isinstance(bundle, RepresentationBundle):
-            raise ParseError("zeta search needs a representation file")
         w = weight if args.weight is not None else bundle.algebra.require_differential().weight
         sol = search.solve_linear_identity("zeta", w, rep=bundle)
     else:

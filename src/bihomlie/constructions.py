@@ -28,12 +28,19 @@ from .bundles import (
 )
 from .checks import (
     _SQUARES,
+    PreconditionFailed,
     WeightMismatch,
+    _action,
+    _bracket,
+    _comul,
     _comultiplicativity,
     _commutator,
     _involution_note,
     _kernel_residual,
     _multiplicativity,
+    _planes,
+    _require_identity_maps,
+    _stack,
     check_diff_rep,
     check_matched_pair,
     check_nijenhuis_representation,
@@ -47,19 +54,8 @@ from .exact import (
     Vector,
     ZERO,
     block_diag,
-    contract,
     invert,
-    lincomb,
-    vec_sub,
 )
-
-
-class PreconditionFailed(ValueError):
-    """A construction's stated hypothesis fails; carries the failing report."""
-
-    def __init__(self, message: str, report: Report | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,7 @@ def dual_representation(r: RepresentationBundle) -> RepresentationBundle:
 def coadjoint_rep(a: AlgebraBundle) -> tuple[Matrix, ...]:
     """Action of the algebra on its dual space: x acts by minus the transpose
     of ad_x, so < x . w, v > = - < w, [x, v] >."""
-    n = a.dim
-    out = []
-    for i in range(n):
-        ad = Matrix.from_columns([a.bracket_basis(i, k) for k in range(n)])
-        out.append(ad.transpose().neg())
-    return tuple(out)
+    return tuple(ad_t.neg() for ad_t in _planes(a.bracket))  # plane i of the bracket is ad_{e_i}^T
 
 
 def dual_action_on_primal(dual_algebra: AlgebraBundle, convention: str = "representation") -> tuple[Matrix, ...]:
@@ -148,16 +139,11 @@ def dual_action_on_primal(dual_algebra: AlgebraBundle, convention: str = "repres
     sign; it satisfies < f . x, g > = < x, [f, g] > but is only an
     anti-representation and breaks the double bracket on non-abelian inputs.
     """
-    n = dual_algebra.dim
     sign = -1 if convention == "representation" else 1
     if convention not in ("representation", "plus"):
         raise ValueError(f"unknown convention {convention!r}")
-    out = []
-    for i in range(n):
-        # entry [k][j] of the action of the i-th dual basis vector
-        rows = [[sign * dual_algebra.bracket.entries[i][k][j] for j in range(n)] for k in range(n)]
-        out.append(Matrix.from_rows(rows))
-    return tuple(out)
+    # entry [k][j] of the action of the i-th dual basis vector is sign * [f_i, f_k]_j
+    return tuple(m.scale(sign) for m in _planes(dual_algebra.bracket))
 
 
 # -- twists --------------------------------------------------------------------
@@ -182,16 +168,6 @@ def _require_untwisted(alpha: Matrix, beta: Matrix, what: str) -> None:
         raise PreconditionFailed(f"{what} must carry identity structure maps before twisting")
 
 
-def _twist_bracket(bracket: Tensor3, alpha: Matrix, beta: Matrix) -> Tensor3:
-    out = contract(bracket, 0, alpha.transpose())
-    return contract(out, 1, beta.transpose())
-
-
-def _twist_comul(comul: Tensor3, alpha: Matrix, beta: Matrix) -> Tensor3:
-    out = contract(comul, 1, alpha)
-    return contract(out, 2, beta)
-
-
 def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
               alpha: Matrix, beta: Matrix) -> tuple[AlgebraBundle | CoalgebraBundle | BialgebraBundle, Report]:
     """Twist a plain Lie structure by two commuting endomorphisms.
@@ -211,9 +187,9 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
             invert(alpha)
         except Exception as exc:
             raise PreconditionFailed(f"alpha must be invertible to twist a bialgebra: {exc}") from exc
-        alg = AlgebraBundle(b.dim, _twist_bracket(b.algebra.bracket, alpha, beta), alpha, beta,
+        alg = AlgebraBundle(b.dim, _bracket(b.algebra.bracket, alpha, beta), alpha, beta,
                             nijenhuis=b.algebra.nijenhuis, differential=b.algebra.differential, kind="bihom-lie")
-        co = CoalgebraBundle(b.dim, _twist_comul(b.coalgebra.comul, alpha, beta), alpha, beta,
+        co = CoalgebraBundle(b.dim, _comul(b.coalgebra.comul, None, alpha, beta), alpha, beta,
                              conijenhuis=b.coalgebra.conijenhuis, codiff=b.coalgebra.codiff)
         return BialgebraBundle(alg, co), report
     if isinstance(b, AlgebraBundle):
@@ -221,14 +197,14 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
         report = _endomorphism_report(b.bracket, None, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting bracket endomorphisms", report)
-        return AlgebraBundle(b.dim, _twist_bracket(b.bracket, alpha, beta), alpha, beta,
+        return AlgebraBundle(b.dim, _bracket(b.bracket, alpha, beta), alpha, beta,
                              nijenhuis=b.nijenhuis, differential=b.differential, kind="bihom-lie"), report
     if isinstance(b, CoalgebraBundle):
         _require_untwisted(b.alpha, b.beta, "coalgebra")
         report = _endomorphism_report(None, b.comul, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting comultiplication endomorphisms", report)
-        return CoalgebraBundle(b.dim, _twist_comul(b.comul, alpha, beta), alpha, beta,
+        return CoalgebraBundle(b.dim, _comul(b.comul, None, alpha, beta), alpha, beta,
                                conijenhuis=b.conijenhuis, codiff=b.codiff), report
     raise TypeError(f"cannot twist {type(b).__name__}")
 
@@ -240,12 +216,12 @@ def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBund
     if isinstance(b, AlgebraBundle):
         ainv, binv = invert(b.alpha), invert(b.beta)
         ident = Matrix.identity(b.dim)
-        return AlgebraBundle(b.dim, _twist_bracket(b.bracket, ainv, binv), ident, ident,
+        return AlgebraBundle(b.dim, _bracket(b.bracket, ainv, binv), ident, ident,
                              nijenhuis=b.nijenhuis, differential=b.differential, kind="lie")
     if isinstance(b, CoalgebraBundle):
         ainv, binv = invert(b.alpha), invert(b.beta)
         ident = Matrix.identity(b.dim)
-        return CoalgebraBundle(b.dim, _twist_comul(b.comul, ainv, binv), ident, ident,
+        return CoalgebraBundle(b.dim, _comul(b.comul, None, ainv, binv), ident, ident,
                                conijenhuis=b.conijenhuis, codiff=b.codiff)
     raise TypeError(f"cannot untwist {type(b).__name__}")
 
@@ -257,8 +233,8 @@ def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, 
     report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, alpha)
     if not report.ok:
         raise PreconditionFailed("supplied map is not a bialgebra endomorphism", report)
-    bracket = contract(b.algebra.bracket, 2, alpha)
-    comul = contract(b.coalgebra.comul, 0, alpha.transpose())
+    bracket = _bracket(b.algebra.bracket, out=alpha)
+    comul = _comul(b.coalgebra.comul, alpha)
     alg = AlgebraBundle(b.dim, bracket, alpha, alpha,
                         nijenhuis=b.algebra.nijenhuis, differential=b.algebra.differential, kind="bihom-lie")
     co = CoalgebraBundle(b.dim, comul, alpha, alpha,
@@ -301,11 +277,6 @@ def _neg(v: Vector) -> Vector:
     return tuple(-x for x in v)
 
 
-def _require_identity_maps(what: str, *maps: Matrix) -> None:
-    if any(m != Matrix.identity(m.rows) for m in maps):
-        raise PreconditionFailed(f"differential {what} need identity structure maps")
-
-
 def _sum_algebra(bracket: Tensor3, alphas: tuple[Matrix, Matrix], betas: tuple[Matrix, Matrix],
                  flavor: str, ops: tuple[Matrix, Matrix] | None, weight: Fraction | None = None) -> AlgebraBundle:
     """The algebra on a direct sum with block-diagonal maps and, per flavour,
@@ -339,7 +310,7 @@ def semidirect_product(a: AlgebraBundle, r: RepresentationBundle, flavor: str) -
     n, m = a.dim, r.vdim
     ainv_b = invert(a.alpha) @ a.beta
     pq_inv = r.p @ invert(r.q)
-    rho_of = [lincomb(r.rho, ainv_b.column(j)) for j in range(n)]  # rho(alpha^-1 beta e_j)
+    rho_of = _planes(_action(_stack(r.rho), ainv_b))  # rho(alpha^-1 beta e_j)
     zero_l, zero_v = tuple([ZERO] * n), tuple([ZERO] * m)
     bracket = _assemble_bracket(
         n, m, a.bracket_basis,
@@ -377,8 +348,8 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     a_binv = L.alpha @ invert(L.beta)
     pq_inv = V.alpha @ invert(V.beta)
     pinv_q = invert(V.alpha) @ V.beta
-    h_of = [lincomb(mp.h, pq_inv.column(b)) for b in range(m)]  # h(p q^-1 f_b)
-    rho_of = [lincomb(mp.rho, a_binv.column(j)) for j in range(n)]  # rho(alpha beta^-1 e_j)
+    h_of = _planes(_action(_stack(mp.h), pq_inv))  # h(p q^-1 f_b)
+    rho_of = _planes(_action(_stack(mp.rho), a_binv))  # rho(alpha beta^-1 e_j)
     bracket = _assemble_bracket(
         n, m, L.bracket_basis,
         lambda i, b: (_neg(h_of[b].apply(ainv_b.column(i))), mp.rho[i].column(b)),
@@ -440,7 +411,7 @@ def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: Algebr
     def restriction(side: int, i: int, j: int) -> Vector:
         got = total.bracket.entries[side * n + i][side * n + j]
         want = left.bracket.entries[i][j] + zero if side == 0 else zero + right.bracket.entries[i][j]
-        return vec_sub(got, want)
+        return [x - y for x, y in zip(got, want)]
 
     return Report((entry("subalgebra", "bracket", Residual.tabulate((2, n, n), restriction)),))
 
@@ -469,16 +440,12 @@ def rep_equivalence_iso(a: AlgebraBundle, f: FormBundle) -> tuple[Matrix, Report
     if f.dim != a.dim:
         raise DimensionMismatch("form dimension does not match the algebra")
     ntilde = adjoint_map_wrt_form(N, f)  # raises SingularMatrix on degenerate gram
-    n = a.dim
     phi = f.gram.transpose()  # column i holds the pairing functional of e_i
-    rho = coadjoint_rep(a)
-
-    def intertwines(i: int) -> Matrix:
-        ad = Matrix.from_columns([a.bracket_basis(i, k) for k in range(n)])
-        return (phi @ ad).sub(rho[i] @ phi)
+    ad = a.bracket.transpose((0, 2, 1))  # plane i is the matrix of ad_{e_i}
+    intertwines = _action(ad, left=phi).sub(_action(_stack(coadjoint_rep(a)), right=phi))
 
     return phi, Report((
-        entry("rep_hom", "bracket", Residual.tabulate((n,), intertwines)),
+        entry("rep_hom", "bracket", Residual.from_matrix(intertwines)),
         entry("rep_hom", "operator", Residual.from_matrix((phi @ N).sub(ntilde.transpose() @ phi))),
         entry("rep_hom", "alpha", Residual.from_matrix((phi @ a.alpha).sub(a.alpha.transpose() @ phi))),
         entry("rep_hom", "beta", Residual.from_matrix((phi @ a.beta).sub(a.beta.transpose() @ phi))),

@@ -43,18 +43,6 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Dense matrix of exact rationals, row-major.
@@ -146,20 +134,6 @@ class Matrix:
             raise DimensionMismatch(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def lincomb(mats: Sequence[Matrix], x: Vector) -> Matrix:
-    """sum_i x[i] * mats[i]: the action of a coordinate vector x, by linearity,
-    given the action matrices of the basis vectors."""
-    rows, cols = mats[0].rows, mats[0].cols
-    out = [[ZERO] * cols for _ in range(rows)]
-    for c, m in zip(x, mats, strict=True):
-        if c:
-            for r in range(rows):
-                acc, src = out[r], m.entries[r]
-                for k in range(cols):
-                    acc[k] += c * src[k]
-    return Matrix(rows, cols, tuple(tuple(row) for row in out))
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """Block-diagonal sum of two maps on a direct-sum space."""
     rows = []
@@ -198,73 +172,71 @@ class Tensor3:
     def is_zero(self) -> bool:
         return all(a == 0 for plane in self.entries for row in plane for a in row)
 
+    def add(self, other: "Tensor3") -> "Tensor3":
+        self._same_shape(other)
+        return Tensor3(self.shape, tuple(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
+                                         for p1, p2 in zip(self.entries, other.entries)))
+
+    def sub(self, other: "Tensor3") -> "Tensor3":
+        self._same_shape(other)
+        return Tensor3(self.shape, tuple(tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
+                                         for p1, p2 in zip(self.entries, other.entries)))
+
+    def scale(self, c: int | str | Fraction) -> "Tensor3":
+        c = scalar(c)
+        return Tensor3(self.shape, tuple(tuple(tuple(c * a for a in row) for row in plane) for plane in self.entries))
+
+    def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
+        """Permute the axes: axis p of the result is axis axes[p] of self."""
+        shape = tuple(self.shape[a] for a in axes)
+        src = [axes.index(a) for a in range(3)]  # where each axis of self lands
+        e = self.entries
+
+        def at(idx: tuple[int, int, int]) -> Fraction:
+            return e[idx[src[0]]][idx[src[1]]][idx[src[2]]]
+
+        return Tensor3(shape, tuple(tuple(tuple(at((i, j, k)) for k in range(shape[2])) for j in range(shape[1]))
+                                    for i in range(shape[0])))
+
+    def _same_shape(self, other: "Tensor3") -> None:
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"tensor shape mismatch {self.shape} vs {other.shape}")
+
 
 def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     """Transform one axis of ``t`` by ``m``: new = sum_b m[a][b] * old at index b.
 
     The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
-    transforming an input slot of a bracket pass the transpose.
+    transforming an input slot of a bracket pass the transpose.  Zero entries
+    of ``t`` and of ``m`` cost nothing.
     """
     if axis not in (0, 1, 2):
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
     if m.cols != t.shape[axis]:
         raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match axis {axis} of extent {t.shape[axis]}")
-    d = list(t.shape)
-    d[axis] = m.rows
-    out = [[[ZERO for _ in range(d[2])] for _ in range(d[1])] for _ in range(d[0])]
-    for i in range(d[0]):
-        for j in range(d[1]):
-            for k in range(d[2]):
-                idx = (i, j, k)
-                a = idx[axis]
-                total = ZERO
-                for b in range(t.shape[axis]):
-                    src = list(idx)
-                    src[axis] = b
-                    coeff = m.entries[a][b]
-                    if coeff != 0:
-                        total += coeff * t.entries[src[0]][src[1]][src[2]]
-                out[i][j][k] = total
-    return Tensor3((d[0], d[1], d[2]), tuple(tuple(tuple(row) for row in plane) for plane in out))
+    images = [[(a, row[b]) for a, row in enumerate(m.entries) if row[b]] for b in range(m.cols)]
 
+    def combine(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+        """m @ rows, over the nonzero entries of rows only."""
+        out = [[ZERO] * len(rows[0]) for _ in range(m.rows)]
+        for b, row in enumerate(rows):
+            targets = images[b]
+            for k, v in enumerate(row):
+                if v:
+                    for a, coeff in targets:
+                        out[a][k] += coeff * v
+        return out
 
-def apply_bilinear(t: Tensor3, u: Vector, v: Vector) -> Vector:
-    """Evaluate a bracket tensor on two coordinate vectors."""
-    d1, d2, d3 = t.shape
-    if len(u) != d1 or len(v) != d2:
-        raise DimensionMismatch("vector lengths do not match bracket arity")
-    out = [ZERO] * d3
-    for i in range(d1):
-        if u[i] == 0:
-            continue
-        for j in range(d2):
-            c = u[i] * v[j]
-            if c == 0:
-                continue
-            row = t.entries[i][j]
-            for k in range(d3):
-                if row[k] != 0:
-                    out[k] += c * row[k]
-    return tuple(out)
-
-
-def apply_comul(t: Tensor3, u: Vector) -> Matrix:
-    """Evaluate a comultiplication tensor on a coordinate vector.
-
-    The result is the coefficient matrix M with D(u) = sum_ij M[i][j] e_i (x) e_j.
-    """
-    d1, d2, d3 = t.shape
-    if len(u) != d1:
-        raise DimensionMismatch("vector length does not match comultiplication arity")
-    out = [[ZERO for _ in range(d3)] for _ in range(d2)]
-    for k in range(d1):
-        if u[k] == 0:
-            continue
-        for i in range(d2):
-            for j in range(d3):
-                if t.entries[k][i][j] != 0:
-                    out[i][j] += u[k] * t.entries[k][i][j]
-    return Matrix.from_rows(out)
+    d0, d1, d2 = t.shape
+    if axis == 0:  # combine whole planes, flattened to rows
+        flat = combine([[x for row in plane for x in row] for plane in t.entries])
+        entries = [[row[j * d2:(j + 1) * d2] for j in range(d1)] for row in flat]
+    elif axis == 1:
+        entries = [combine(plane) for plane in t.entries]
+    else:  # combine the columns of each plane
+        entries = [list(zip(*combine(list(zip(*plane))))) for plane in t.entries]
+    shape = (m.rows, d1, d2) if axis == 0 else (d0, m.rows, d2) if axis == 1 else (d0, d1, m.rows)
+    return Tensor3(shape, tuple(tuple(tuple(row) for row in plane) for plane in entries))
 
 
 # -- fraction-free elimination ------------------------------------------------

@@ -13,16 +13,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bundles import AlgebraBundle, CoalgebraBundle, RepresentationBundle
-from .checks import check_nijenhuis_operator
+from .checks import _action, _bracket, _comul, _stack, check_nijenhuis_operator
 from .exact import (
     Matrix,
     Tensor3,
     Vector,
     ZERO,
-    apply_bilinear,
-    apply_comul,
-    basis_vector,
-    lincomb,
     nullspace,
     solve,
 )
@@ -125,31 +121,31 @@ def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:
 
 
 def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
+    """(S x id) Delta N + (id x N^2) Delta = (S x N) Delta + (id x N) Delta N,
+    linear in the unknown S."""
     n = comul.shape[0]
-    n2 = nmap @ nmap
+    # the coefficient of S: Delta N - (id x N) Delta; the constant: (id x N^2) Delta - (id x N) Delta N
+    coeff = _comul(comul, nmap).sub(_comul(comul, None, None, nmap)).entries
+    const = _comul(comul, None, None, nmap @ nmap).sub(_comul(comul, nmap, None, nmap)).entries
     sys = _System(n, n)
     for k in range(n):
-        m0 = Matrix.from_rows(comul.entries[k])
-        m1 = apply_comul(comul, nmap.column(k))
-        const = (m0 @ n2.transpose()).sub(m1 @ nmap.transpose())
-        sn = m0 @ nmap.transpose()
         for a_idx in range(n):
             for b_idx in range(n):
                 row, ridx = sys.new_row()
                 for i in range(n):
-                    row[sys.var(a_idx, i)] += m1.entries[i][b_idx] - sn.entries[i][b_idx]
-                sys.rhs[ridx] = -const.entries[a_idx][b_idx]
+                    row[sys.var(a_idx, i)] += coeff[k][i][b_idx]
+                sys.rhs[ridx] = -const[k][a_idx][b_idx]
     return sys
 
 
 def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
     n, c = a.dim, a.bracket
     d = a.require_differential().matrix
+    du = _bracket(c, d).entries  # [d(x), y]
     sys = _System(n, n)
     for i in range(n):
         for j in range(n):
-            w = a.bracket_basis(i, j)
-            u = apply_bilinear(c, d.column(i), basis_vector(n, j))
+            w, u = a.bracket_basis(i, j), du[i][j]
             for k in range(n):
                 row, ridx = sys.new_row()
                 for b in range(n):
@@ -163,17 +159,17 @@ def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
 def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
     d = r.algebra.require_differential().matrix
     n, v = r.algebra.dim, r.vdim
+    rho_d = _action(_stack(r.rho), d).entries  # rho(d(e_i))
     sys = _System(v, v)
     for i in range(n):
-        rx = r.rho[i]
-        rdx = lincomb(r.rho, d.column(i))
+        rx, rdx = r.rho[i].entries, rho_d[i]
         for a_idx in range(v):
             for b_idx in range(v):
                 row, ridx = sys.new_row()
                 for s in range(v):
-                    row[sys.var(s, b_idx)] += rx.entries[a_idx][s]
-                    row[sys.var(a_idx, s)] -= rx.entries[s][b_idx] + weight * rdx.entries[s][b_idx]
-                sys.rhs[ridx] = rdx.entries[a_idx][b_idx]
+                    row[sys.var(s, b_idx)] += rx[a_idx][s]
+                    row[sys.var(a_idx, s)] -= rx[s][b_idx] + weight * rdx[s][b_idx]
+                sys.rhs[ridx] = rdx[a_idx][b_idx]
     return sys
 
 

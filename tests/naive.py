@@ -30,6 +30,22 @@ def bracket_eval(c, u, v):
     return out
 
 
+def contract(t, axis, m):
+    """Transform one axis of a nested-list tensor by m: the entry at index a
+    on that axis becomes sum_b m[a][b] * (the entry at index b)."""
+    shape = [len(t), len(t[0]), len(t[0][0])]
+    shape[axis] = len(m)
+    out = [[[ZERO] * shape[2] for _ in range(shape[1])] for _ in range(shape[0])]
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            for k in range(shape[2]):
+                for b in range(len(m[0])):
+                    src = [i, j, k]
+                    src[axis] = b
+                    out[i][j][k] += m[(i, j, k)[axis]][b] * t[src[0]][src[1]][src[2]]
+    return out
+
+
 def mat_vec(m, v):
     return [sum((m[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(m))]
 

@@ -181,3 +181,48 @@ def test_matched_pair_validation():
     MatchedPairBundle(left, right, rho, h)
     with pytest.raises(DimensionMismatch):
         MatchedPairBundle(left, right, rho, h[:2])
+
+
+@pytest.mark.parametrize("field, value", [("dim", 3.7), ("dim", True), ("dim", "2"), ("dim", 2.0)])
+def test_dim_must_be_a_json_integer(field, value):
+    with pytest.raises(ParseError, match="dim"):
+        bundles.load(json.dumps({"kind": "algebra", field: value, "variant": "lie"}))
+
+
+def test_vdim_must_be_a_positive_json_integer():
+    import support
+
+    doc = json.loads(bundles.dumps(support.adjoint_rep(bundles.aff2())))
+    for bad in (2.5, False, 0):
+        with pytest.raises(ParseError, match="vdim"):
+            bundles.from_document({**doc, "vdim": bad})
+
+
+@pytest.mark.parametrize("entry", [{"i": 1.0, "j": 2, "out": ["0", "1"]}, {"i": True, "j": 2, "out": ["0", "1"]},
+                                   {"i": 1, "j": "2", "out": ["0", "1"]}])
+def test_bracket_indices_must_be_json_integers(entry):
+    with pytest.raises(ParseError, match="bracket"):
+        bundles.from_document({"kind": "algebra", "dim": 2, "bracket": [entry]})
+
+
+def test_comul_index_must_be_a_json_integer():
+    with pytest.raises(ParseError, match="comul"):
+        bundles.from_document({"kind": "coalgebra", "dim": 1, "comul": [{"k": 1.0, "out": [["1"]]}]})
+
+
+def test_repeated_bracket_entry_is_rejected():
+    entries = [{"i": 1, "j": 2, "out": ["0", "1"]}, {"i": 1, "j": 2, "out": ["0", "2"]}]
+    with pytest.raises(ParseError, match="repeated"):
+        bundles.from_document({"kind": "algebra", "dim": 2, "bracket": entries})
+
+
+def test_repeated_comul_entry_is_rejected():
+    entries = [{"k": 1, "out": [["0", "1"], ["-1", "0"]]}, {"k": 1, "out": [["0", "0"], ["0", "0"]]}]
+    with pytest.raises(ParseError, match="repeated"):
+        bundles.from_document({"kind": "coalgebra", "dim": 2, "comul": entries})
+
+
+@pytest.mark.parametrize("name", ["abelian(0)", "abelian(-1)", "abelian(2.5)", "abelian()"])
+def test_abelian_fixture_needs_a_positive_integer(name):
+    with pytest.raises(ParseError):
+        fixture_by_name(name)

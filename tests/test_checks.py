@@ -424,3 +424,19 @@ def test_matched_pair_weight_mismatch():
     mp = coadjoint_matched_pair(left, right)
     with pytest.raises(checks.WeightMismatch):
         checks.check_matched_pair(mp, "differential")
+
+
+def test_matched_pair_differential_needs_identity_maps():
+    # the differential identities are untwisted; a twisted pair is refused as
+    # bicrossed_product refuses it, not read as if its maps were identities
+    from bihomlie.constructions import PreconditionFailed, bicrossed_product
+
+    left = dataclasses.replace(support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0),
+                               alpha=Matrix.diagonal([1, 2]), kind="bihom-lie")
+    right = support.with_diff(bundles.abelian(2), Matrix.zeros(2, 2), 0)
+    mp = coadjoint_matched_pair(left, right)
+    with pytest.raises(PreconditionFailed, match="identity structure maps"):
+        checks.check_matched_pair(mp, "differential")
+    with pytest.raises(PreconditionFailed, match="identity structure maps"):
+        bicrossed_product(mp, "differential")
+    assert checks.check_matched_pair(mp, "bihom").entries[0].identity == "mp_left"

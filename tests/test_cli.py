@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,9 @@ import support
 from bihomlie import bundles
 from bihomlie.cli import main
 from bihomlie.exact import Matrix, Tensor3, scalar
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(argv):
@@ -219,3 +226,51 @@ def test_cli_reports_are_byte_identical_across_runs(workdir):
         out2 = workdir / ("b_" + name)
         assert run(argv + ["--out", str(out1)]) == run(argv + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _wrong_kind_inputs(workdir):
+    """Input files for the wrong-kind cases: a form where an algebra belongs,
+    and maps/pattern files that are JSON but not matrices."""
+    _write(workdir / "form.json", bundles.FormBundle(Matrix.identity(3)))
+    _write(workdir / "sl2.json", bundles.sl2())
+    _write(workdir / "aff2.json", bundles.aff2())
+    _write(workdir / "bi.json", bundles.BialgebraBundle(bundles.aff2(), bundles.CoalgebraBundle(
+        2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2), Matrix.identity(2))))
+    (workdir / "half.json").write_text("0.5", encoding="utf-8")
+    (workdir / "list.json").write_text('[["1", "0"], ["0", "1"]]', encoding="utf-8")
+    (workdir / "alpha_half.json").write_text('{"alpha": 0.5}', encoding="utf-8")
+    (workdir / "flat.json").write_text("[1, 2]", encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "form.json", "--mode", "derivations"],
+    ["search", "form.json", "--mode", "pi"],
+    ["search", "form.json", "--mode", "nijenhuis-grid", "--grid", "0,1"],
+    ["search", "aff2.json", "--mode", "zeta"],
+    ["triad", "form.json", "form.json"],
+    ["triad", "aff2.json", "form.json", "--flavor", "differential"],
+    ["construct", "dual", "form.json"],
+    ["construct", "untwist", "form.json"],
+    ["construct", "twist", "form.json", "--maps", "list.json"],
+    ["construct", "hom", "aff2.json", "--maps", "list.json"],
+    ["construct", "adjoint-form", "form.json", "sl2.json"],
+    ["construct", "adjoint-form", "sl2.json", "sl2.json"],
+    ["construct", "double", "aff2.json", "form.json"],
+    ["check", "form.json", "--against", "form.json"],
+    ["construct", "twist", "aff2.json", "--maps", "half.json"],
+    ["construct", "twist", "aff2.json", "--maps", "list.json"],
+    ["construct", "twist", "aff2.json", "--maps", "alpha_half.json"],
+    ["construct", "hom", "bi.json", "--maps", "half.json"],
+    ["construct", "hom", "bi.json", "--maps", "list.json"],
+    ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "flat.json"],
+    ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "half.json"],
+    ["check", "fixture:abelian(0)"],
+], ids=" ".join)
+def test_wrong_input_kind_exits_two_without_traceback(workdir, argv):
+    _wrong_kind_inputs(workdir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "bihomlie.cli", *argv], cwd=workdir, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

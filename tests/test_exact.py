@@ -1,5 +1,6 @@
 """Arithmetic substrate: scalars, matrices, tensors, elimination."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from bihomlie.exact import (
     Matrix,
     SingularMatrix,
     Tensor3,
-    apply_bilinear,
     contract,
     format_scalar,
     invert,
@@ -172,9 +172,58 @@ def test_solve_consistent_and_inconsistent():
     assert solve(bad, (scalar(0), scalar(1))) is None
 
 
-def test_apply_bilinear_matches_naive():
+def test_contract_bracket_evaluation_matches_naive():
+    # [u, v] is the bracket contracted with the row u on its first slot and v on its second
     b = bundles.sl2()
     c = naive.as_cells(b.bracket)
     u = (scalar(1), scalar(-2), scalar("1/3"))
     v = (scalar(0), scalar(5), scalar(1))
-    assert list(apply_bilinear(b.bracket, u, v)) == naive.bracket_eval(c, list(u), list(v))
+    uv = contract(contract(b.bracket, 0, Matrix.from_rows([u])), 1, Matrix.from_rows([v]))
+    assert list(uv.entries[0][0]) == naive.bracket_eval(c, list(u), list(v))
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@st.composite
+def _contraction(draw, axis):
+    """A random tensor, one of its slices along the axis possibly all zero, and
+    a rectangular map on that axis."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    cells = [[[draw(sparse_rationals) for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+    zero = draw(st.one_of(st.none(), st.integers(0, shape[axis] - 1)))
+    for i, j, k in itertools.product(*map(range, shape)):
+        if (i, j, k)[axis] == zero:
+            cells[i][j][k] = Fraction(0)
+    rows = draw(st.integers(1, 4))
+    m = [[draw(sparse_rationals) for _ in range(shape[axis])] for _ in range(rows)]
+    return cells, m
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contract_matches_naive_loop(axis, data):
+    cells, m = data.draw(_contraction(axis))
+    got = contract(Tensor3.from_entries(cells), axis, Matrix.from_rows(m))
+    assert naive.as_cells(got) == naive.contract(cells, axis, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.lists(sparse_rationals, min_size=3, max_size=3), min_size=2, max_size=2),
+                min_size=4, max_size=4),
+       st.permutations([0, 1, 2]))
+def test_tensor_transpose_moves_indices(cells, axes):
+    t = Tensor3.from_entries(cells)
+    moved = t.transpose(tuple(axes))
+    assert moved.shape == tuple(t.shape[a] for a in axes)
+    for idx in itertools.product(*map(range, t.shape)):
+        assert moved.entries[idx[axes[0]]][idx[axes[1]]][idx[axes[2]]] == cells[idx[0]][idx[1]][idx[2]]
+
+
+def test_tensor_add_sub_scale():
+    t = bundles.bihom2(2, 3).bracket
+    assert t.add(t) == t.scale(2)
+    assert t.sub(t).is_zero()
+    with pytest.raises(DimensionMismatch):
+        t.add(Tensor3.zeros((2, 2, 3)))
