@@ -139,6 +139,8 @@ _SUITE_KINDS = ((AlgebraBundle, "algebra"), (CoalgebraBundle, "coalgebra"),
 
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
                   flavor: str | None, symmetrized: bool, against: Any | None) -> Report:
+    if against is not None and not isinstance(bundle, FormBundle):
+        raise ParseError(f"--against applies only to form files, got kind {_KINDS.get(type(bundle), type(bundle).__name__)}")
     if isinstance(bundle, MatchedPairBundle):
         mp_flavor = flavor or ("nijenhuis" if bundle.left.nijenhuis is not None and bundle.right.nijenhuis is not None
                                else "differential" if bundle.left.differential is not None and bundle.right.differential is not None

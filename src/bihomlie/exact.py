@@ -7,10 +7,11 @@ immutable after construction; every operation is a pure function.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -239,104 +240,152 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     return Tensor3(shape, tuple(tuple(tuple(row) for row in plane) for plane in entries))
 
 
-# -- fraction-free elimination ------------------------------------------------
+# -- sparse integer elimination ------------------------------------------------
 #
-# Rows are cleared to integers, then reduced by one-step Bareiss elimination so
-# intermediate entries stay determinant-sized; back-substitution reintroduces
-# rationals only at the end.
+# A row is a dict {column: value} of its nonzero entries.  Rows are cleared to
+# primitive integers (zero and repeated rows dropped) and brought to reduced
+# echelon form column by column, left to right, touching nonzeros only;
+# rationals appear only when the results are read off.  The pivot columns are
+# those of the reduced row echelon form, so every kernel basis vector,
+# particular solution and inverse is the one dense Gauss-Jordan elimination
+# gives.
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    out = []
-    for row in m.entries:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in row])
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A matrix given by the nonzero entries of its rows, one {column: value} dict per row."""
+
+    cols: int
+    entries: Sequence[Mapping[int, Fraction]]
+
+
+def _row_dicts(m: Matrix | SparseMatrix) -> Iterable[Mapping[int, Fraction]]:
+    if isinstance(m, SparseMatrix):
+        return m.entries
+    return ({j: x for j, x in enumerate(row) if x} for row in m.entries)
+
+
+def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, int]]:
+    """Each row scaled to a primitive integer row with a positive leading entry,
+    its columns in increasing order; zero rows and repeats of an earlier row
+    (up to a scalar) are dropped."""
+    out: list[dict[int, int]] = []
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for row in rows:
+        cols = sorted(j for j, x in row.items() if x) if row else ()
+        if not cols:
+            continue
+        vals = [row[j] for j in cols]
+        den = math.lcm(*[x.denominator for x in vals])
+        ints = [x.numerator * (den // x.denominator) for x in vals]
+        g = math.gcd(*ints)
+        if ints[0] < 0:
+            g = -g
+        key = (tuple(cols), tuple(v // g for v in ints) if g != 1 else tuple(ints))
+        if key not in seen:
+            seen.add(key)
+            out.append(dict(zip(*key)))
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _combine(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[int, int]:
+    """a * row - b * other over the nonzeros, with its content divided out."""
+    new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in other.items():
+        w = new.get(j, 0) - b * v
+        if w:
+            new[j] = w
+        else:
+            del new[j]
+    content = math.gcd(*new.values()) if new else 1
+    return {j: v // content for j, v in new.items()} if content != 1 else new
+
+
+def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form of integer rows, up to a scale per row:
+    (pivot rows, their pivot columns).
+
+    Rows wait in buckets keyed by their leading column, and columns are taken
+    left to right.  The sparsest row of a bucket becomes its pivot (Markowitz);
+    every other row of the bucket is combined with it fraction-free to clear
+    the column and moves to the bucket of its new leading column, or vanishes.
+    Then each pivot column is cleared from the rows above, bottom row first."""
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        buckets.setdefault(min(row), []).append(row)
+    order = list(buckets)
+    heapq.heapify(order)
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            for j in range(ncols):
-                rows[i][j] = (piv * rows[i][j] - f * rows[r][j]) // prev
-        prev = piv
+    while order:
+        c = heapq.heappop(order)
+        bucket = buckets.pop(c)
+        pivot = min(bucket, key=len)
+        for row in bucket:
+            if row is pivot:
+                continue
+            g = math.gcd(pivot[c], row[c])
+            new = _combine(pivot[c] // g, row, row[c] // g, pivot)
+            if new:
+                lead = min(new)
+                if lead not in buckets:
+                    buckets[lead] = []
+                    heapq.heappush(order, lead)
+                buckets[lead].append(new)
+        echelon.append(pivot)
         pivots.append(c)
-        r += 1
-    return rows, pivots
+    below: dict[int, dict[int, int]] = {}  # pivot column -> its reduced row, for the rows done
+    for r in range(len(echelon) - 1, -1, -1):
+        row = echelon[r]
+        for j in [j for j in row if j in below]:  # reduced rows bring in no other pivot column
+            g = math.gcd(below[j][j], row[j])
+            row = _combine(below[j][j] // g, row, row[j] // g, below[j])
+        echelon[r] = below[pivots[r]] = row
+    return echelon, pivots
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank."""
-    _, pivots = _bareiss_echelon(_integer_rows(m))
-    return len(pivots)
-
-
-def nullspace(m: Matrix) -> list[Vector]:
+def nullspace(m: Matrix | SparseMatrix) -> list[Vector]:
     """Exact kernel basis (one vector per free column); empty iff injective."""
-    rows, pivots = _bareiss_echelon(_integer_rows(m))
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis: list[Vector] = []
-    for fc in free:
-        x = [ZERO] * n
+    rows, pivots = _bareiss_echelon(_integer_rows(_row_dicts(m)))
+    pivot_set = set(pivots)
+    kernel = {fc: [ZERO] * m.cols for fc in range(m.cols) if fc not in pivot_set}
+    for fc, x in kernel.items():
         x[fc] = ONE
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(rows[r][j]) * x[j] for j in range(pc + 1, n)), ZERO)
-            x[pc] = -s / rows[r][pc]
-        basis.append(tuple(x))
-    return basis
+    for row, pc in zip(rows, pivots):
+        for j, v in row.items():
+            if j != pc:
+                kernel[j][pc] = Fraction(-v, row[pc])
+    return [tuple(x) for x in kernel.values()]
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
+def solve(a: Matrix | SparseMatrix, b: Vector) -> Vector | None:
     """One exact solution of a x = b (free variables set to zero), or None."""
-    if a.rows != len(b):
+    if len(a.entries) != len(b):
         raise DimensionMismatch("right-hand side length does not match row count")
-    aug = Matrix.from_rows([list(a.entries[i]) + [b[i]] for i in range(a.rows)])
+    n = a.cols
+    aug = ({**row, n: y} if y else row for row, y in zip(_row_dicts(a), b))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
-    if a.cols in pivots:
+    if pivots and pivots[-1] == n:
         return None  # a pivot in the augmented column: inconsistent
-    x = [ZERO] * a.cols
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = sum((Fraction(rows[r][j]) * x[j] for j in range(pc + 1, a.cols)), ZERO)
-        x[pc] = (Fraction(rows[r][a.cols]) - s) / rows[r][pc]
+    x = [ZERO] * n
+    for row, pc in zip(rows, pivots):
+        if n in row:
+            x[pc] = Fraction(row[n], row[pc])
     return tuple(x)
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse via fraction-free elimination; raises SingularMatrix."""
+    """Exact inverse from one elimination of [m | I]; raises SingularMatrix."""
     if not m.is_square():
         raise DimensionMismatch(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = Matrix.from_rows([
-        list(m.entries[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)
-    ])
+    aug = ({**row, n + i: ONE} for i, row in enumerate(_row_dicts(m)))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    inv_cols: list[Vector] = []
-    for col in range(n):
-        x = [ZERO] * n
-        for r in range(n - 1, -1, -1):
-            s = sum((Fraction(rows[r][j]) * x[j] for j in range(r + 1, n)), ZERO)
-            x[r] = (Fraction(rows[r][n + col]) - s) / rows[r][r]
-        inv_cols.append(tuple(x))
-    return Matrix.from_columns(inv_cols)
+    inv = [[ZERO] * n for _ in range(n)]
+    for row, pc in zip(rows, pivots):
+        for j, v in row.items():
+            if j >= n:
+                inv[pc][j - n] = Fraction(v, row[pc])
+    return Matrix(n, n, tuple(map(tuple, inv)))

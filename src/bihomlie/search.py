@@ -11,11 +11,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterable
 
 from .bundles import AlgebraBundle, CoalgebraBundle, RepresentationBundle
 from .checks import _action, _bracket, _comul, _stack, check_nijenhuis_operator
 from .exact import (
+    ONE,
     Matrix,
+    SparseMatrix,
     Tensor3,
     Vector,
     ZERO,
@@ -76,47 +79,59 @@ class SolutionSpace:
 
 
 class _System:
-    """Accumulates exact linear equations over the entries of one unknown map."""
+    """Accumulates exact linear equations over the entries of one unknown map.
+
+    Each equation is a row {variable: coefficient} of its nonzero terms."""
 
     def __init__(self, rows_dim: int, cols_dim: int):
         self.shape = (rows_dim, cols_dim)
         self.nvars = rows_dim * cols_dim
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[dict[int, Fraction]] = []
         self.rhs: list[Fraction] = []
 
-    def new_row(self) -> tuple[list[Fraction], int]:
-        row = [ZERO] * self.nvars
+    def add(self, terms: Iterable[tuple[int, Fraction]], rhs: Fraction = ZERO) -> None:
+        """Append sum coeff * x[var] = rhs over the (var, coeff) terms; repeated variables add up."""
+        row: dict[int, Fraction] = {}
+        for var, coeff in terms:
+            row[var] = row[var] + coeff if var in row else coeff
         self.rows.append(row)
-        self.rhs.append(ZERO)
-        return row, len(self.rows) - 1
-
-    def var(self, r: int, c: int) -> int:
-        return r * self.shape[1] + c
+        self.rhs.append(rhs)
 
     def solve(self) -> SolutionSpace:
-        a = Matrix.from_rows(self.rows) if self.rows else Matrix.zeros(1, self.nvars)
-        rhs = tuple(self.rhs) if self.rows else (ZERO,)
-        homogeneous = all(x == 0 for x in rhs)
-        particular = tuple([ZERO] * self.nvars) if homogeneous else solve(a, rhs)
+        a = SparseMatrix(self.nvars, self.rows)
+        homogeneous = not any(self.rhs)
+        particular = tuple([ZERO] * self.nvars) if homogeneous else solve(a, tuple(self.rhs))
         basis = tuple(nullspace(a))
         return SolutionSpace(self.shape, particular, basis, homogeneous)
+
+
+def _slices(t: Tensor3, keep: tuple[int, int], scale: Fraction = ONE) -> list[list[list[tuple[int, Fraction]]]]:
+    """out[p][q]: the (index on the third axis, scale * value) of the nonzero
+    entries of t whose indices on the axes in keep are p and q."""
+    a, b = keep
+    third = 3 - a - b
+    out: list[list[list[tuple[int, Fraction]]]] = [[[] for _ in range(t.shape[b])] for _ in range(t.shape[a])]
+    if scale:
+        for i, plane in enumerate(t.entries):
+            for j, vec in enumerate(plane):
+                for k, x in enumerate(vec):
+                    if x:
+                        idx = (i, j, k)
+                        out[idx[a]][idx[b]].append((idx[third], x if scale == 1 else scale * x))
+    return out
 
 
 def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:
     if weight != 0:
         raise NonlinearKind("the weighted rule is quadratic in the unknown map unless the weight is zero")
     n, c = a.dim, a.bracket
+    # d([e_i, e_j])_k - [d e_i, e_j]_k - [e_i, d e_j]_k = 0, the unknown d[r][s] being variable r*n + s
+    w, left, right = _slices(c, (0, 1)), _slices(c, (1, 2), -ONE), _slices(c, (0, 2), -ONE)
     sys = _System(n, n)
-    for i in range(n):
-        for j in range(n):
-            w = a.bracket_basis(i, j)
-            for k in range(n):
-                row, _ = sys.new_row()
-                for s in range(n):
-                    row[sys.var(k, s)] += w[s]
-                for r in range(n):
-                    row[sys.var(r, i)] -= c.entries[r][j][k]
-                    row[sys.var(r, j)] -= c.entries[i][r][k]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        sys.add(itertools.chain(((k * n + s, x) for s, x in w[i][j]),
+                                ((r * n + i, x) for r, x in left[j][k]),
+                                ((r * n + j, x) for r, x in right[i][k])))
     return sys
 
 
@@ -124,52 +139,39 @@ def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
     """(S x id) Delta N + (id x N^2) Delta = (S x N) Delta + (id x N) Delta N,
     linear in the unknown S."""
     n = comul.shape[0]
-    # the coefficient of S: Delta N - (id x N) Delta; the constant: (id x N^2) Delta - (id x N) Delta N
-    coeff = _comul(comul, nmap).sub(_comul(comul, None, None, nmap)).entries
-    const = _comul(comul, None, None, nmap @ nmap).sub(_comul(comul, nmap, None, nmap)).entries
+    # the coefficient of S: Delta N - (id x N) Delta; the right-hand side: (id x N) Delta N - (id x N^2) Delta
+    coeff = _slices(_comul(comul, nmap).sub(_comul(comul, None, None, nmap)), (0, 2))
+    rhs = _comul(comul, nmap, None, nmap).sub(_comul(comul, None, None, nmap @ nmap)).entries
     sys = _System(n, n)
-    for k in range(n):
-        for a_idx in range(n):
-            for b_idx in range(n):
-                row, ridx = sys.new_row()
-                for i in range(n):
-                    row[sys.var(a_idx, i)] += coeff[k][i][b_idx]
-                sys.rhs[ridx] = -const[k][a_idx][b_idx]
+    for k, a_idx, b_idx in itertools.product(range(n), repeat=3):
+        sys.add(((a_idx * n + i, x) for i, x in coeff[k][b_idx]), rhs[k][a_idx][b_idx])
     return sys
 
 
 def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
     n, c = a.dim, a.bracket
     d = a.require_differential().matrix
-    du = _bracket(c, d).entries  # [d(x), y]
+    du = _bracket(c, d)  # [d(x), y]
+    right, w, wu = _slices(c, (0, 2)), _slices(c, (0, 1), -ONE), _slices(du, (0, 1), -weight)
     sys = _System(n, n)
-    for i in range(n):
-        for j in range(n):
-            w, u = a.bracket_basis(i, j), du[i][j]
-            for k in range(n):
-                row, ridx = sys.new_row()
-                for b in range(n):
-                    row[sys.var(b, j)] += c.entries[i][b][k]
-                for s in range(n):
-                    row[sys.var(k, s)] -= w[s] + weight * u[s]
-                sys.rhs[ridx] = u[k]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        sys.add(itertools.chain(((b * n + j, x) for b, x in right[i][k]),
+                                ((k * n + s, x) for s, x in itertools.chain(w[i][j], wu[i][j]))),
+                du.entries[i][j][k])
     return sys
 
 
 def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
     d = r.algebra.require_differential().matrix
     n, v = r.algebra.dim, r.vdim
-    rho_d = _action(_stack(r.rho), d).entries  # rho(d(e_i))
+    rho = _stack(r.rho)
+    rho_d = _action(rho, d)  # rho(d(e_i))
+    rows, cols, cols_d = _slices(rho, (0, 1)), _slices(rho, (0, 2), -ONE), _slices(rho_d, (0, 2), -weight)
     sys = _System(v, v)
-    for i in range(n):
-        rx, rdx = r.rho[i].entries, rho_d[i]
-        for a_idx in range(v):
-            for b_idx in range(v):
-                row, ridx = sys.new_row()
-                for s in range(v):
-                    row[sys.var(s, b_idx)] += rx[a_idx][s]
-                    row[sys.var(a_idx, s)] -= rx[s][b_idx] + weight * rdx[s][b_idx]
-                sys.rhs[ridx] = rdx[a_idx][b_idx]
+    for i, a_idx, b_idx in itertools.product(range(n), range(v), range(v)):
+        sys.add(itertools.chain(((s * v + b_idx, x) for s, x in rows[i][a_idx]),
+                                ((a_idx * v + s, x) for s, x in itertools.chain(cols[i][b_idx], cols_d[i][b_idx]))),
+                rho_d.entries[i][a_idx][b_idx])
     return sys
 
 

@@ -1,0 +1,37 @@
+"""Timings of the elimination kernel (pytest-benchmark; not part of the test suite).
+
+Run from the repository root with
+
+    python -m pytest tests/bench_elimination.py --benchmark-only
+
+Each benchmark times one kernel call on a system built beforehand and checks
+its result, so a fast wrong answer fails.
+"""
+
+import random
+from fractions import Fraction
+
+import support
+from bihomlie import bundles, search
+from bihomlie.exact import Matrix, SparseMatrix, invert, nullspace
+
+
+def _derivation_matrix(algebra) -> SparseMatrix:
+    system = search._derivation_system(algebra, Fraction(0))
+    return SparseMatrix(system.nvars, system.rows)
+
+
+def test_nullspace_gl4_derivation_system(benchmark):
+    m = _derivation_matrix(support.gl(4))  # 4096 equations, 256 unknowns
+    assert len(benchmark(nullspace, m)) == 16
+
+
+def test_nullspace_abelian9_zero_system(benchmark):
+    m = _derivation_matrix(bundles.abelian(9))  # 729 all-zero equations, 81 unknowns
+    assert len(benchmark(nullspace, m)) == 81
+
+
+def test_invert_dim16(benchmark):
+    r = random.Random(16)
+    m = Matrix.from_rows([[Fraction(r.randint(-3, 3), r.randint(1, 2)) for _ in range(16)] for _ in range(16)])
+    assert benchmark(invert, m) @ m == Matrix.identity(16)

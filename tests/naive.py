@@ -101,13 +101,15 @@ def killing_gram(c):
     return out
 
 
-def gauss_nullity(rows, ncols):
-    """Kernel dimension by plain rational Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
+def rref(rows, ncols):
+    """Reduced row echelon form by plain rational Gauss-Jordan elimination:
+    (the nonzero rows, their pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
     col = 0
     nrows = len(m)
-    while col < ncols and rank < nrows:
+    while col < ncols and len(pivots) < nrows:
+        rank = len(pivots)
         piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if piv is None:
             col += 1
@@ -119,9 +121,42 @@ def gauss_nullity(rows, ncols):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
+        pivots.append(col)
         col += 1
-    return ncols - rank
+    return m[:len(pivots)], pivots
+
+
+def gauss_nullity(rows, ncols):
+    """Kernel dimension by plain rational Gaussian elimination."""
+    return ncols - len(rref(rows, ncols)[1])
+
+
+def rref_nullspace(rows, ncols):
+    """Kernel basis read off the reduced row echelon form: for each free
+    column f, the vector with 1 at f, 0 at the other free columns."""
+    r, pivots = rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [ZERO] * ncols
+        x[f] = Fraction(1)
+        for row, p in zip(r, pivots):
+            x[p] = -row[f]
+        basis.append(x)
+    return basis
+
+
+def rref_solve(rows, b, ncols):
+    """The solution of rows x = b with every free variable zero, or None when
+    the system is inconsistent."""
+    r, pivots = rref([list(row) + [y] for row, y in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, p in zip(r, pivots):
+        x[p] = row[ncols]
+    return x
 
 
 def derivation_rows(c):

@@ -5,6 +5,7 @@ runs exercise identical instances.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -70,6 +71,36 @@ def perturb_algebra(b: AlgebraBundle, r: random.Random) -> AlgebraBundle:
     if choice == "nijenhuis":
         return dataclasses.replace(b, nijenhuis=perturb_matrix(b.nijenhuis, r))
     return dataclasses.replace(b, differential=Differential(perturb_matrix(b.differential.matrix, r), b.differential.weight))
+
+
+def twisted(a: AlgebraBundle, alpha, beta) -> AlgebraBundle:
+    """Yau twist by diagonal maps: {e_i, e_j} = alpha_i beta_j [e_i, e_j]."""
+    alpha, beta = [scalar(x) for x in alpha], [scalar(x) for x in beta]
+    n = a.dim
+    cells = [[[alpha[i] * beta[j] * x for x in a.bracket.entries[i][j]] for j in range(n)] for i in range(n)]
+    return dataclasses.replace(a, bracket=Tensor3.from_entries(cells), alpha=Matrix.diagonal(alpha),
+                               beta=Matrix.diagonal(beta), kind="bihom-lie")
+
+
+def gl(n: int) -> AlgebraBundle:
+    """gl(n) on the basis E_ij (index i*n + j): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    dim = n * n
+    cells = [[[scalar(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        out = cells[i * n + j][k * n + l]
+        if j == k:
+            out[i * n + l] += 1
+        if l == i:
+            out[k * n + j] -= 1
+    ident = Matrix.identity(dim)
+    return AlgebraBundle(dim, Tensor3.from_entries(cells), ident, ident, kind="lie")
+
+
+def gl_torus(n: int, t, s) -> AlgebraBundle:
+    """gl(n) twisted by the torus automorphisms E_ij -> (t_i/t_j) E_ij and (s_i/s_j) E_ij."""
+    t, s = [scalar(x) for x in t], [scalar(x) for x in s]
+    ratios = [(t[i] / t[j], s[i] / s[j]) for i in range(n) for j in range(n)]
+    return twisted(gl(n), [a for a, _ in ratios], [b for _, b in ratios])
 
 
 def antisym_dual2(u, v) -> AlgebraBundle:

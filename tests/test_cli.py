@@ -257,6 +257,7 @@ def _wrong_kind_inputs(workdir):
     ["construct", "adjoint-form", "sl2.json", "sl2.json"],
     ["construct", "double", "aff2.json", "form.json"],
     ["check", "form.json", "--against", "form.json"],
+    ["check", "fixture:aff2", "--against", "fixture:sl2"],
     ["construct", "twist", "aff2.json", "--maps", "half.json"],
     ["construct", "twist", "aff2.json", "--maps", "list.json"],
     ["construct", "twist", "aff2.json", "--maps", "alpha_half.json"],

@@ -13,12 +13,12 @@ from bihomlie.exact import (
     DimensionMismatch,
     Matrix,
     SingularMatrix,
+    SparseMatrix,
     Tensor3,
     contract,
     format_scalar,
     invert,
     nullspace,
-    rank,
     scalar,
     solve,
 )
@@ -145,11 +145,13 @@ def test_nullspace_zero_map():
 
 
 def test_nullspace_vectors_satisfy_system_and_rank_count():
-    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    m = Matrix.from_rows(rows)
     vecs = nullspace(m)
     for v in vecs:
         assert all(x == 0 for x in m.apply(v))
-    assert len(vecs) + rank(m) == m.cols
+    _, pivots = naive.rref(rows, m.cols)  # the rank, by the independent elimination
+    assert len(vecs) + len(pivots) == m.cols
 
 
 def test_nullspace_derivation_system_of_aff2():
@@ -227,3 +229,133 @@ def test_tensor_add_sub_scale():
     assert t.sub(t).is_zero()
     with pytest.raises(DimensionMismatch):
         t.add(Tensor3.zeros((2, 2, 3)))
+
+
+# -- elimination against independent oracles ---------------------------------------
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _linear_system(draw):
+    """Sparse rational rows with zero rows, repeated and scaled-repeated rows and
+    combinations of other rows (rank deficiency) mixed in, plus a right-hand
+    side that is in the column span or drawn freely (often inconsistent)."""
+    cols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 8))
+    row = st.lists(sparse_rationals, min_size=cols, max_size=cols)
+    rows = [draw(row)]
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled", "combination"]))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        s, t = draw(nonzero_rationals), draw(nonzero_rationals)
+        if kind == "fresh":
+            rows.append(draw(row))
+        elif kind == "zero":
+            rows.append([Fraction(0)] * cols)
+        elif kind == "repeat":
+            rows.append(list(rows[i]))
+        elif kind == "scaled":
+            rows.append([s * x for x in rows[i]])
+        else:
+            rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+    rows = [rows[k] for k in draw(st.permutations(range(nrows)))]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(sparse_rationals, min_size=cols, max_size=cols))
+        b = [sum((a * x for a, x in zip(r, x0)), Fraction(0)) for r in rows]
+    else:
+        b = draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows))
+    return rows, b
+
+
+def _sparse(rows):
+    return SparseMatrix(len(rows[0]), [{j: x for j, x in enumerate(r) if x} for r in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_linear_system())
+def test_nullspace_and_solve_equal_gauss_jordan_oracle(system):
+    rows, b = system
+    cols = len(rows[0])
+    kernel = naive.rref_nullspace(rows, cols)
+    particular = naive.rref_solve(rows, b, cols)
+    for m in (Matrix.from_rows(rows), _sparse(rows)):
+        assert [list(v) for v in nullspace(m)] == kernel
+        x = solve(m, tuple(b))
+        assert (None if x is None else list(x)) == particular
+
+
+@st.composite
+def _square_matrix(draw):
+    """A sparse square rational matrix with a shifted diagonal, its rows
+    shuffled; in about half the draws one row is a combination of two others."""
+    n = draw(st.integers(1, 6))
+    rows = [[x + 7 if i == j else x for j, x in enumerate(draw(st.lists(sparse_rationals, min_size=n, max_size=n)))]
+            for i in range(n)]
+    if n > 2 and draw(st.booleans()):
+        s, t = draw(nonzero_rationals), draw(nonzero_rationals)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    return [rows[k] for k in draw(st.permutations(range(n)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_matrix())
+def test_invert_equals_gauss_jordan_oracle(rows):
+    n = len(rows)
+    m = Matrix.from_rows(rows)
+    if naive.gauss_nullity(rows, n):
+        with pytest.raises(SingularMatrix):
+            invert(m)
+        return
+    inv = invert(m)
+    for col in range(n):
+        assert list(inv.column(col)) == naive.rref_solve(rows, [Fraction(int(i == col)) for i in range(n)], n)
+
+
+def test_elimination_drops_zero_and_repeated_rows():
+    # 729 x 81 all-zero system: nothing to eliminate, every column free
+    kernel = nullspace(Matrix.zeros(729, 81))
+    assert [list(v) for v in kernel] == naive.rref_nullspace([[0] * 81], 81)
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 0], [-1, -2, 0], [0, 3, 3]]
+    assert [list(v) for v in nullspace(Matrix.from_rows(rows))] == naive.rref_nullspace(rows, 3)
+
+
+def _sympy_matrix(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def _fractions(values):
+    return [Fraction(int(x.p), int(x.q)) for x in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_system())
+def test_nullspace_and_solve_equal_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    rows, b = system
+    cols = len(rows[0])
+    a = _sympy_matrix(sympy, rows)
+    m = Matrix.from_rows(rows)
+    assert [list(v) for v in nullspace(m)] == [_fractions(v) for v in a.nullspace()]
+    reduced, pivots = a.row_join(_sympy_matrix(sympy, [[y] for y in b])).rref()
+    x = solve(m, tuple(b))
+    if cols in pivots:
+        assert x is None
+    else:
+        expected = [Fraction(0)] * cols
+        for r, p in enumerate(pivots):
+            expected[p] = _fractions([reduced[r, cols]])[0]
+        assert list(x) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square_matrix())
+def test_invert_equals_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    a = _sympy_matrix(sympy, rows)
+    m = Matrix.from_rows(rows)
+    if a.rank() < len(rows):
+        with pytest.raises(SingularMatrix):
+            invert(m)
+    else:
+        assert [list(r) for r in invert(m).entries] == [_fractions(a.inv().row(i)) for i in range(len(rows))]

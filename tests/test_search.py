@@ -21,6 +21,23 @@ def test_derivation_dimensions_match_independent_elimination():
         assert naive.gauss_nullity(rows, fixture.dim ** 2) == expected
 
 
+@pytest.mark.parametrize("make, expected", [
+    (lambda: support.gl(4), 16),
+    (lambda: support.gl(5), 25),
+    (lambda: support.gl_torus(3, [1, 2, 5], [1, 3, "1/2"]), None),
+], ids=["gl4", "gl5", "gl3-twisted"])
+def test_large_derivation_spaces_reverify_through_checker(make, expected):
+    # Der(gl(n)) is ad(sl(n)) plus the maps into the centre: dimension n^2
+    a = make()
+    sol = search.solve_linear_identity("derivation", algebra=a)
+    if expected is None:
+        expected = naive.gauss_nullity(naive.derivation_rows(naive.as_cells(a.bracket)), a.dim ** 2)
+    assert sol.homogeneous and sol.dimension == expected
+    base = support.with_diff(a, Matrix.zeros(a.dim, a.dim), 0)
+    for m in sol.basis_matrices():
+        assert checks.check_diff_leibniz(dataclasses.replace(base, differential=Differential(m, scalar(0)))).ok
+
+
 def test_derivation_weight_must_be_zero():
     with pytest.raises(search.NonlinearKind):
         search.solve_linear_identity("derivation", scalar(1), algebra=bundles.aff2())
