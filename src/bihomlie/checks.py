@@ -34,6 +34,7 @@ from .exact import (
     Matrix,
     Tensor3,
     ZERO,
+    _nonzero_rows,
     contract,
     invert,
     nullspace,
@@ -114,16 +115,23 @@ def _planes(t: Tensor3) -> list[Matrix]:
 
 
 def _combination(size: int, terms) -> list[Fraction]:
-    """The sum of sign * sum_b coeffs[b] * rows[b] over (sign, rows, coeffs) terms."""
+    """The sum of sign * sum_b coeffs[b] * rows[b] over (sign, rows, coeffs)
+    terms, each row and the coeffs given by their nonzero (index, value) pairs
+    (``_nonzero_rows``); a cell still holding ZERO takes its first term
+    without an addition."""
     out = [ZERO] * size
     for sign, rows, coeffs in terms:
-        for b, x in enumerate(coeffs):
-            if x:
-                x = x if sign > 0 else -x
-                for k, y in enumerate(rows[b]):
-                    if y:
-                        out[k] += x * y
+        for b, x in coeffs:
+            x = x if sign > 0 else -x
+            for k, y in rows[b]:
+                v = out[k]
+                out[k] = x * y if v is ZERO else v + x * y
     return out
+
+
+def _minus_weighted(t: Tensor3, w: Fraction, term) -> Tensor3:
+    """t - w * term(); the term is not built at weight zero."""
+    return t.sub(term().scale(w)) if w else t
 
 
 def _array_entry(identity: str, case: str, m: Matrix | Tensor3) -> CheckEntry:
@@ -170,7 +178,7 @@ def check_bihom_lie(a: AlgebraBundle) -> Report:
     """Multiplicativity of alpha and beta, twisted antisymmetry, twisted Jacobi."""
     n, c, A, B = a.dim, a.bracket, a.alpha, a.beta
     twisted = _bracket(c, B, A)
-    p, q = twisted.entries, _bracket(c, B @ B).entries  # [beta(x), alpha(y)] and [beta^2(x), y]
+    p, q = _nonzero_rows(twisted), _nonzero_rows(_bracket(c, B @ B))  # [beta(x), alpha(y)] and [beta^2(x), y]
 
     def jacobi(i: int, j: int, k: int) -> list[Fraction]:
         return _combination(n, ((1, q[i], p[j][k]), (1, q[j], p[k][i]), (1, q[k], p[i][j])))
@@ -277,17 +285,17 @@ def check_bialgebra_cocycle(b: BialgebraBundle) -> Report:
     Ainv = invert(A)  # SingularMatrix signals the violated hypothesis
     AinvB = Ainv @ B
     B2 = B @ B
-    inner = _bracket(c, AinvB).entries                  # [i][j]: [alpha^-1 beta(e_i), e_j]
-    delta_rows = t.transpose((1, 0, 2)).entries         # [a][l]: row a of Delta(e_l)
-    delta_b = _comul(t, None, None, B).entries          # [j][r]: row r of (id x beta) Delta(e_j)
-    b_delta = _comul(t, None, B).entries                # [j][a]: row a of (beta x id) Delta(e_j)
+    inner = _nonzero_rows(_bracket(c, AinvB))           # [i][j]: [alpha^-1 beta(e_i), e_j]
+    delta_rows = _nonzero_rows(t.transpose((1, 0, 2)))  # [a][l]: row a of Delta(e_l)
+    delta_b = _nonzero_rows(_comul(t, None, None, B))   # [j][r]: row r of (id x beta) Delta(e_j)
+    b_delta = _nonzero_rows(_comul(t, None, B))         # [j][a]: row a of (beta x id) Delta(e_j)
 
     cases = []
     # (ad_{x1(e_i)} (x) beta + beta (x) ad_{x2(e_i)}) Delta(e_j), with x = e_i or, in
     # the twisted-argument form, x = alpha(e_i), read row a at a time
     for label, x1, x2 in (("", B, Ainv @ B2), ("twisted-argument-form", AinvB @ A, Ainv @ Ainv @ B2 @ A)):
-        ad1 = _bracket(c, x1).transpose((0, 2, 1)).entries  # [i][a]: row a of ad_{x1(e_i)}
-        ad2t = _bracket(c, x2).entries                      # [i][r]: row r of ad_{x2(e_i)}^T
+        ad1 = _nonzero_rows(_bracket(c, x1).transpose((0, 2, 1)))  # [i][a]: row a of ad_{x1(e_i)}
+        ad2t = _nonzero_rows(_bracket(c, x2))                      # [i][r]: row r of ad_{x2(e_i)}^T
 
         def cocycle(i: int, j: int, a: int) -> list[Fraction]:
             return _combination(n, ((1, delta_rows[a], inner[i][j]),
@@ -315,12 +323,13 @@ def check_representation(r: RepresentationBundle) -> Report:
     n = alg.dim
     A, B = alg.alpha, alg.beta
     rho = _stack(r.rho)
-    inner = _bracket(alg.bracket, B).entries                    # [i][j]: [beta(e_i), e_j]
-    rho_q = _action(rho, right=r.q).transpose((1, 0, 2)).entries  # [a][l]: row a of rho(e_l) q
-    r_a, r_b, r_ab = (_action(rho, x).entries for x in (A, B, A @ B))  # [i][a]: row a of rho(x(e_i))
+    inner = _nonzero_rows(_bracket(alg.bracket, B))                    # [i][j]: [beta(e_i), e_j]
+    rho_q = _nonzero_rows(_action(rho, right=r.q).transpose((1, 0, 2)))  # [a][l]: row a of rho(e_l) q
+    r_a, r_b, r_ab = (_nonzero_rows(_action(rho, x)) for x in (A, B, A @ B))  # [i][a]: row a of rho(x(e_i))
+    rho_rows = _nonzero_rows(rho)
 
     def bracket(i: int, j: int, a: int) -> list[Fraction]:
-        return _combination(r.vdim, ((1, rho_q[a], inner[i][j]), (-1, rho.entries[j], r_ab[i][a]),
+        return _combination(r.vdim, ((1, rho_q[a], inner[i][j]), (-1, rho_rows[j], r_ab[i][a]),
                                      (1, r_a[i], r_b[j][a])))
 
     return Report((
@@ -428,7 +437,8 @@ def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fract
         op = op if op is not None else diff.matrix
         weight = weight if weight is not None else diff.weight
     c = a.bracket
-    leibniz = _bracket(c, out=op).sub(_bracket(c, op)).sub(_bracket(c, None, op)).sub(_bracket(c, op, op).scale(weight))
+    leibniz = _minus_weighted(_bracket(c, out=op).sub(_bracket(c, op)).sub(_bracket(c, None, op)),
+                              weight, lambda: _bracket(c, op, op))
     return Report((_array_entry("diff_leibniz", "", leibniz),))
 
 
@@ -439,8 +449,8 @@ def check_diff_rep(r: RepresentationBundle, weight: Fraction | None = None) -> R
     diff = r.algebra.require_differential()
     w = weight if weight is not None else diff.weight
     rho, d = _stack(r.rho), diff.matrix
-    compat = (_action(rho, left=xi).sub(_action(rho, d)).sub(_action(rho, right=xi))
-              .sub(_action(rho, d, right=xi).scale(w)))
+    compat = _minus_weighted(_action(rho, left=xi).sub(_action(rho, d)).sub(_action(rho, right=xi)),
+                             w, lambda: _action(rho, d, right=xi))
     return Report((_array_entry("diff_rep", "", compat),))
 
 
@@ -452,8 +462,8 @@ def check_diff_coalgebra(co: CoalgebraBundle, op: Matrix | None = None, weight: 
         op = op if op is not None else codiff.matrix
         weight = weight if weight is not None else codiff.weight
     t = co.comul
-    leibniz = (_comul(t, op).sub(_comul(t, None, op)).sub(_comul(t, None, None, op))
-               .sub(_comul(t, None, op, op).scale(weight)))
+    leibniz = _minus_weighted(_comul(t, op).sub(_comul(t, None, op)).sub(_comul(t, None, None, op)),
+                              weight, lambda: _comul(t, None, op, op))
     return Report((_array_entry("diff_coalgebra", "", leibniz),))
 
 
@@ -463,8 +473,8 @@ def check_diff_zeta(r: RepresentationBundle, zeta: Matrix, weight: Fraction | No
     diff = r.algebra.require_differential()
     w = weight if weight is not None else diff.weight
     rho, d = _stack(r.rho), diff.matrix
-    admissible = (_action(rho, right=zeta).sub(_action(rho, d)).sub(_action(rho, left=zeta))
-                  .sub(_action(rho, d, left=zeta).scale(w)))
+    admissible = _minus_weighted(_action(rho, right=zeta).sub(_action(rho, d)).sub(_action(rho, left=zeta)),
+                                 w, lambda: _action(rho, d, left=zeta))
     return Report((_array_entry("diff_admissible_zeta", "", admissible),))
 
 
@@ -474,8 +484,8 @@ def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) 
     diff = a.require_differential()
     w = weight if weight is not None else diff.weight
     c, d = a.bracket, diff.matrix
-    admissible = (_bracket(c, None, pi).sub(_bracket(c, d)).sub(_bracket(c, out=pi))
-                  .sub(_bracket(c, d, None, pi).scale(w)))
+    admissible = _minus_weighted(_bracket(c, None, pi).sub(_bracket(c, d)).sub(_bracket(c, out=pi)),
+                                 w, lambda: _bracket(c, d, None, pi))
     return Report((_array_entry("diff_admissible_pi", "", admissible),))
 
 
@@ -485,7 +495,8 @@ def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction 
     codiff = co.require_codiff()
     w = weight if weight is not None else codiff.weight
     D, t = codiff.matrix, co.comul
-    admissible = _comul(t, d).add(_comul(t, None, D)).sub(_comul(t, None, None, d)).add(_comul(t, d, D).scale(w))
+    admissible = _minus_weighted(_comul(t, d).add(_comul(t, None, D)).sub(_comul(t, None, None, d)),
+                                 -w, lambda: _comul(t, d, D))
     return Report((_array_entry("diff_dual_admissible", "", admissible),))
 
 
@@ -509,18 +520,18 @@ def _mp_mixed(mp: MatchedPairBundle, flavor: str, symmetrized: bool) -> tuple[Ch
     n, m = L.dim, V.dim
     A, B, P, Q = L.alpha, L.beta, V.alpha, V.beta
     rho, h = _stack(mp.rho), _stack(mp.h)
-    cl, cv = L.bracket.entries, V.bracket.entries
-    # vectors indexed [first][second]: the value at basis vectors e_* of L, f_* of V
-    h_qa = _action(h, Q, right=A).transpose((0, 2, 1)).entries       # [c][i]: h(q(f_c)) alpha(e_i)
-    h_ab = _action(h, right=A @ B).transpose((2, 0, 1)).entries      # [i][l]: h(f_l) alpha beta(e_i)
-    rho_aq = _action(rho, A, right=Q).transpose((0, 2, 1)).entries   # [j][c]: rho(alpha(e_j)) q(f_c)
-    h_cols = h.transpose((0, 2, 1)).entries                          # [c][r]: h(f_c) e_r
-    l_twisted = _bracket(L.bracket, B, A).entries                    # [i][j]: [beta(e_i), alpha(e_j)]
-    rho_bp = _action(rho, B, right=P).transpose((0, 2, 1)).entries   # [k][a]: rho(beta(e_k)) p(f_a)
-    rho_pq = _action(rho, right=P @ Q).transpose((2, 0, 1)).entries  # [a][l]: rho(e_l) pq(f_a)
-    h_pb = _action(h, P, right=B).transpose((0, 2, 1)).entries       # [b][k]: h(p(f_b)) beta(e_k)
-    rho_cols = rho.transpose((0, 2, 1)).entries                      # [k][r]: rho(e_k) f_r
-    v_twisted = _bracket(V.bracket, Q, P).entries                    # [a][b]: [q(f_a), p(f_b)]_V
+    # rows indexed [first][second]: the value at basis vectors e_* of L, f_* of V
+    cl, cv = _nonzero_rows(L.bracket), _nonzero_rows(V.bracket)
+    h_qa = _nonzero_rows(_action(h, Q, right=A).transpose((0, 2, 1)))      # [c][i]: h(q(f_c)) alpha(e_i)
+    h_ab = _nonzero_rows(_action(h, right=A @ B).transpose((2, 0, 1)))     # [i][l]: h(f_l) alpha beta(e_i)
+    rho_aq = _nonzero_rows(_action(rho, A, right=Q).transpose((0, 2, 1)))  # [j][c]: rho(alpha(e_j)) q(f_c)
+    h_cols = _nonzero_rows(h.transpose((0, 2, 1)))                         # [c][r]: h(f_c) e_r
+    l_twisted = _nonzero_rows(_bracket(L.bracket, B, A))                   # [i][j]: [beta(e_i), alpha(e_j)]
+    rho_bp = _nonzero_rows(_action(rho, B, right=P).transpose((0, 2, 1)))  # [k][a]: rho(beta(e_k)) p(f_a)
+    rho_pq = _nonzero_rows(_action(rho, right=P @ Q).transpose((2, 0, 1)))  # [a][l]: rho(e_l) pq(f_a)
+    h_pb = _nonzero_rows(_action(h, P, right=B).transpose((0, 2, 1)))      # [b][k]: h(p(f_b)) beta(e_k)
+    rho_cols = _nonzero_rows(rho.transpose((0, 2, 1)))                     # [k][r]: rho(e_k) f_r
+    v_twisted = _nonzero_rows(_bracket(V.bracket, Q, P))                   # [a][b]: [q(f_a), p(f_b)]_V
 
     def left(i: int, j: int, c: int) -> list[Fraction]:
         return _combination(n, ((1, cl[j], h_qa[c][i]), (-1, cl[i], h_qa[c][j]), (-1, h_ab[i], rho_aq[j][c]),

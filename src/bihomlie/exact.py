@@ -93,28 +93,24 @@ class Matrix:
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(tuple(a + b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(tuple(a - b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def neg(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
         c = scalar(c)
-        return Matrix(self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.entries))
+        return Matrix(self.rows, self.cols, tuple(tuple(c * a if a and c else ZERO for a in row) for row in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = range(other.cols)
-        data = tuple(
-            tuple(sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), ZERO) for j in cols)
-            for i in range(self.rows)
-        )
-        return Matrix(self.rows, other.cols, data)
+        product = _row_product(_nonzero_rows(zip(*self.entries)), _nonzero_rows(other.entries), self.rows, other.cols)
+        return Matrix(self.rows, other.cols, tuple(map(tuple, product)))
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
@@ -175,17 +171,18 @@ class Tensor3:
 
     def add(self, other: "Tensor3") -> "Tensor3":
         self._same_shape(other)
-        return Tensor3(self.shape, tuple(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
+        return Tensor3(self.shape, tuple(tuple(tuple(a + b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
                                          for p1, p2 in zip(self.entries, other.entries)))
 
     def sub(self, other: "Tensor3") -> "Tensor3":
         self._same_shape(other)
-        return Tensor3(self.shape, tuple(tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
+        return Tensor3(self.shape, tuple(tuple(tuple(a - b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
                                          for p1, p2 in zip(self.entries, other.entries)))
 
     def scale(self, c: int | str | Fraction) -> "Tensor3":
         c = scalar(c)
-        return Tensor3(self.shape, tuple(tuple(tuple(c * a for a in row) for row in plane) for plane in self.entries))
+        return Tensor3(self.shape, tuple(tuple(tuple(c * a if a and c else ZERO for a in row) for row in plane)
+                                         for plane in self.entries))
 
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
         """Permute the axes: axis p of the result is axis axes[p] of self."""
@@ -204,6 +201,30 @@ class Tensor3:
             raise DimensionMismatch(f"tensor shape mismatch {self.shape} vs {other.shape}")
 
 
+def _nonzero_rows(t: Tensor3 | Iterable[Sequence[Fraction]]) -> list:
+    """Rows, or the rows of each plane of a tensor, as lists of their nonzero
+    (index, value) pairs: row i is [i], row (i, j) of a tensor [i][j]."""
+    if isinstance(t, Tensor3):
+        return [_nonzero_rows(plane) for plane in t.entries]
+    return [[(k, x) for k, x in enumerate(row) if x] for row in t]
+
+
+def _row_product(columns: Sequence[Sequence[tuple[int, Fraction]]], rows: Sequence[Sequence[tuple[int, Fraction]]],
+                 height: int, width: int) -> list[list[Fraction]]:
+    """The product of a height-row matrix, given by the nonzeros of its
+    columns, and a width-column matrix, given by the nonzeros of its rows:
+    zero entries of either factor cost nothing.  A cell still holding the
+    ZERO it starts from takes its first term without an addition."""
+    out = [[ZERO] * width for _ in range(height)]
+    for column, row in zip(columns, rows):
+        for a, x in column:
+            target = out[a]
+            for k, y in row:
+                v = target[k]
+                target[k] = x * y if v is ZERO else v + x * y
+    return out
+
+
 def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     """Transform one axis of ``t`` by ``m``: new = sum_b m[a][b] * old at index b.
 
@@ -215,27 +236,15 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
     if m.cols != t.shape[axis]:
         raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match axis {axis} of extent {t.shape[axis]}")
-    images = [[(a, row[b]) for a, row in enumerate(m.entries) if row[b]] for b in range(m.cols)]
-
-    def combine(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-        """m @ rows, over the nonzero entries of rows only."""
-        out = [[ZERO] * len(rows[0]) for _ in range(m.rows)]
-        for b, row in enumerate(rows):
-            targets = images[b]
-            for k, v in enumerate(row):
-                if v:
-                    for a, coeff in targets:
-                        out[a][k] += coeff * v
-        return out
-
     d0, d1, d2 = t.shape
-    if axis == 0:  # combine whole planes, flattened to rows
-        flat = combine([[x for row in plane for x in row] for plane in t.entries])
-        entries = [[row[j * d2:(j + 1) * d2] for j in range(d1)] for row in flat]
-    elif axis == 1:
-        entries = [combine(plane) for plane in t.entries]
-    else:  # combine the columns of each plane
-        entries = [list(zip(*combine(list(zip(*plane))))) for plane in t.entries]
+    cols = _nonzero_rows(zip(*m.entries))  # cols[b]: the nonzero (a, m[a][b])
+    if axis == 0:  # m @ whole planes, flattened to rows
+        flat = [[(j * d2 + k, x) for j, row in enumerate(plane) for k, x in row] for plane in _nonzero_rows(t)]
+        entries = [[row[j * d2:(j + 1) * d2] for j in range(d1)] for row in _row_product(cols, flat, m.rows, d1 * d2)]
+    elif axis == 1:  # m @ each plane
+        entries = [_row_product(cols, plane, m.rows, d2) for plane in _nonzero_rows(t)]
+    else:  # each plane @ m^T, the plane read by its columns
+        entries = [_row_product(_nonzero_rows(zip(*plane)), cols, d1, m.rows) for plane in t.entries]
     shape = (m.rows, d1, d2) if axis == 0 else (d0, m.rows, d2) if axis == 1 else (d0, d1, m.rows)
     return Tensor3(shape, tuple(tuple(tuple(row) for row in plane) for plane in entries))
 

@@ -55,6 +55,22 @@ def mat_mul(a, b):
     return [[sum((a[i][k] * b[k][j] for k in range(p)), ZERO) for j in range(q)] for i in range(n)]
 
 
+def cellwise(f, a, b):
+    """f on each pair of corresponding scalars of two nested lists of one shape."""
+    if isinstance(a, list):
+        return [cellwise(f, x, y) for x, y in zip(a, b)]
+    return f(a, b)
+
+
+def nonzero_pairs(row):
+    """The (index, value) pairs of the nonzero entries of a row, in index order."""
+    pairs = []
+    for k in range(len(row)):
+        if row[k] != 0:
+            pairs.append((k, row[k]))
+    return pairs
+
+
 def basis(n, i):
     return [Fraction(1) if j == i else ZERO for j in range(n)]
 

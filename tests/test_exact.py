@@ -15,6 +15,7 @@ from bihomlie.exact import (
     SingularMatrix,
     SparseMatrix,
     Tensor3,
+    _nonzero_rows,
     contract,
     format_scalar,
     invert,
@@ -229,6 +230,59 @@ def test_tensor_add_sub_scale():
     assert t.sub(t).is_zero()
     with pytest.raises(DimensionMismatch):
         t.add(Tensor3.zeros((2, 2, 3)))
+
+
+# -- zero-skipping kernel against plain loops ----------------------------------------------
+
+
+@st.composite
+def _sparse_cells(draw, shape):
+    """Sparse random rationals of the given shape (a matrix or a tensor), one row
+    and one column possibly all zero; a square matrix may instead be the
+    identity or a diagonal."""
+    if len(shape) == 2 and shape[0] == shape[1]:
+        kind = draw(st.sampled_from(["sparse", "identity", "diagonal"]))
+        if kind != "sparse":
+            diag = [Fraction(1) if kind == "identity" else draw(sparse_rationals) for _ in range(shape[0])]
+            return [[diag[i] if i == j else Fraction(0) for j in range(shape[1])] for i in range(shape[0])]
+    zero_row = draw(st.one_of(st.none(), st.integers(0, shape[-2] - 1)))
+    zero_col = draw(st.one_of(st.none(), st.integers(0, shape[-1] - 1)))
+    cells = []
+    for idx in itertools.product(*map(range, shape)):
+        zero = idx[-2] == zero_row or idx[-1] == zero_col
+        cells.append(Fraction(0) if zero else draw(sparse_rationals))
+    for extent in reversed(shape):  # nest the flat list, innermost axis first
+        cells = [cells[i:i + extent] for i in range(0, len(cells), extent)]
+    return cells[0]
+
+
+dims = st.integers(1, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), dims, dims, dims)
+def test_matmul_matches_naive_product(data, n, p, q):
+    a, b = data.draw(_sparse_cells((n, p))), data.draw(_sparse_cells((p, q)))
+    got = Matrix.from_rows(a) @ Matrix.from_rows(b)
+    assert (got.rows, got.cols) == (n, q)
+    assert naive.mat_cells(got) == naive.mat_mul(a, b)
+    assert all(isinstance(x, Fraction) for row in got.entries for x in row)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_add_sub_scale_and_nonzero_rows_match_naive_loops(order, data):
+    shape = data.draw(st.tuples(*[dims] * order))
+    a, b = data.draw(_sparse_cells(shape)), data.draw(_sparse_cells(shape))
+    c = data.draw(st.one_of(st.just(Fraction(0)), sparse_rationals))
+    x, y = (Matrix.from_rows(a), Matrix.from_rows(b)) if order == 2 else (_t3(a), _t3(b))
+    cells = naive.mat_cells if order == 2 else naive.as_cells
+    assert cells(x.add(y)) == naive.cellwise(lambda u, v: u + v, a, b)
+    assert cells(x.sub(y)) == naive.cellwise(lambda u, v: u - v, a, b)
+    assert cells(x.scale(c)) == naive.cellwise(lambda u, _: c * u, a, a)
+    rows = [naive.nonzero_pairs(r) for r in a] if order == 2 else [[naive.nonzero_pairs(r) for r in plane] for plane in a]
+    assert _nonzero_rows(x.entries if order == 2 else x) == rows
 
 
 # -- elimination against independent oracles ---------------------------------------
