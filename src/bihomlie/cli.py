@@ -135,6 +135,9 @@ def _print_report_lines(source: str, report: Report) -> None:
 #: bundle types whose --suite selects an entry of checks.SUITES
 _SUITE_KINDS = ((AlgebraBundle, "algebra"), (CoalgebraBundle, "coalgebra"),
                 (BialgebraBundle, "bialgebra"), (RepresentationBundle, "representation"))
+#: (bundle kind, --suite value) -> the suite of that kind it names; "lie" names "bihom"
+_SUITE_ALIASES = {("bialgebra", "bialgebra"): "auto", ("coalgebra", "coalgebra"): "bihom",
+                  ("representation", "representation"): "bihom"}
 
 
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
@@ -151,15 +154,10 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
     kind = next((name for cls, name in _SUITE_KINDS if isinstance(bundle, cls)), None)
     if kind is None:
         raise ParseError(f"cannot check a {type(bundle).__name__}")
-    if kind == "bialgebra":
-        suite = "auto"  # one suite, whatever --suite says
-    elif kind == "representation" and suite not in ("auto", "nijenhuis", "differential"):
-        suite = "bihom"
-    elif suite == "lie" or (kind, suite) == ("coalgebra", "coalgebra"):
-        suite = "bihom"
-    if (kind, suite) not in checks.SUITES:
+    key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
+    if key not in checks.SUITES:
         raise ParseError(f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle")
-    return checks.SUITES[kind, suite].run(bundle, weight)
+    return checks.SUITES[key].run(bundle, weight)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -44,6 +44,26 @@ def test_check_abelian_all_applicable_suites(workdir):
         assert run(["check", path, "--suite", suite]) == 0
 
 
+def test_check_bialgebra_runs_the_suite_asked_for(workdir):
+    # aff2 with N = id and d = 0 over the zero comultiplication with S = id and D = 0
+    # passes every bialgebra suite, and auto runs both operator families
+    zero = bundles.Differential(Matrix.zeros(2, 2), scalar(0))
+    alg = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.identity(2), differential=zero)
+    co = bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2), Matrix.identity(2),
+                                 conijenhuis=Matrix.identity(2), codiff=zero)
+    path = _write(workdir / "bi.json", bundles.BialgebraBundle(alg, co))
+    identities = {}
+    for suite in ("auto", "bialgebra", "nijenhuis", "differential"):
+        out = workdir / f"{suite}.json"
+        assert run(["check", path, "--suite", suite, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        identities[suite] = {e["identity"] for e in doc["reports"][0]["entries"]}
+    assert identities["bialgebra"] == identities["auto"]
+    assert "nijenhuis_identity" in identities["auto"] and "diff_leibniz" in identities["auto"]
+    assert "nijenhuis_identity" in identities["nijenhuis"] and "diff_leibniz" not in identities["nijenhuis"]
+    assert "diff_leibniz" in identities["differential"] and "nijenhuis_identity" not in identities["differential"]
+
+
 def test_check_perturbed_aff2_reports_jacobi_failure(workdir, capsys):
     r = support.rng(51)
     bad = bundles.aff2()
@@ -236,6 +256,8 @@ def _wrong_kind_inputs(workdir):
     _write(workdir / "aff2.json", bundles.aff2())
     _write(workdir / "bi.json", bundles.BialgebraBundle(bundles.aff2(), bundles.CoalgebraBundle(
         2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2), Matrix.identity(2))))
+    _write(workdir / "rep.json", bundles.RepresentationBundle(bundles.aff2(), 1, (Matrix.zeros(1, 1),) * 2,
+                                                              Matrix.identity(1), Matrix.identity(1)))
     (workdir / "half.json").write_text("0.5", encoding="utf-8")
     (workdir / "list.json").write_text('[["1", "0"], ["0", "1"]]', encoding="utf-8")
     (workdir / "alpha_half.json").write_text('{"alpha": 0.5}', encoding="utf-8")
@@ -266,6 +288,8 @@ def _wrong_kind_inputs(workdir):
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "flat.json"],
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "half.json"],
     ["check", "fixture:abelian(0)"],
+    *[["check", "rep.json", "--suite", suite] for suite in ("involution", "coalgebra", "bialgebra", "form")],
+    *[["check", "bi.json", "--suite", suite] for suite in ("lie", "bihom", "coalgebra", "representation", "involution")],
 ], ids=" ".join)
 def test_wrong_input_kind_exits_two_without_traceback(workdir, argv):
     _wrong_kind_inputs(workdir)
