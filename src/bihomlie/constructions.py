@@ -324,8 +324,8 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     """The algebra on L + V of a matched pair (L, V, rho, h) with maps
     (alpha, beta) on L and (p, q) on V:
 
-        [x, u] = -h(p q^-1 u)(alpha^-1 beta x) + rho(x) u
-        [u, x] = h(u) x - rho(alpha beta^-1 x)(p^-1 q u)
+        [x, u] = -h(p^-1 q u)(alpha beta^-1 x) + rho(x) u
+        [u, x] = h(u) x - rho(alpha^-1 beta x)(p q^-1 u)
 
     With identity maps these are the untwisted matched-pair brackets, so one
     formula serves every flavour; the flavours differ in the operator block
@@ -348,12 +348,12 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     a_binv = L.alpha @ invert(L.beta)
     pq_inv = V.alpha @ invert(V.beta)
     pinv_q = invert(V.alpha) @ V.beta
-    h_of = _planes(_action(_stack(mp.h), pq_inv))  # h(p q^-1 f_b)
-    rho_of = _planes(_action(_stack(mp.rho), a_binv))  # rho(alpha beta^-1 e_j)
+    h_of = _planes(_action(_stack(mp.h), pinv_q))  # h(p^-1 q f_b)
+    rho_of = _planes(_action(_stack(mp.rho), ainv_b))  # rho(alpha^-1 beta e_j)
     bracket = _assemble_bracket(
         n, m, L.bracket_basis,
-        lambda i, b: (_neg(h_of[b].apply(ainv_b.column(i))), mp.rho[i].column(b)),
-        lambda a, j: (mp.h[a].column(j), _neg(rho_of[j].apply(pinv_q.column(a)))),
+        lambda i, b: (_neg(h_of[b].apply(a_binv.column(i))), mp.rho[i].column(b)),
+        lambda a, j: (mp.h[a].column(j), _neg(rho_of[j].apply(pq_inv.column(a)))),
         V.bracket_basis)
     return _sum_algebra(bracket, (L.alpha, V.alpha), (L.beta, V.beta), flavor, ops, weight)
 
