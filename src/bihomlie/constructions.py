@@ -1,12 +1,12 @@
-"""Constructive maps between bundles: duals, twists, semidirect products,
-coadjoint doubles, bicrossed products, and adjoint maps of forms.
+"""Constructive maps between bundles: duals, twists, products, doubles, and
+adjoint maps of forms.
 
 Constructions never silently validate: the ones with stated hypotheses return
-their bundle together with the Report of those hypotheses.  Sign convention
-for coadjoint actions: both actions use the representation convention
-< rho*(u) w, v > = - < w, rho(u) v >; the variant with the plus sign (which
-fails to be a representation on non-abelian inputs) stays available through
-the ``convention`` argument for comparison.
+their bundle together with the Report of those hypotheses.  Every product is
+built by one bicrossed bracket (``_bicrossed_algebra``): the semidirect
+product is its h = 0 case, and the double is the bicrossed product of the
+coadjoint matched pair, whose two actions both use the representation sign
+< x . w, v > = - < w, [x, v] >.
 """
 
 from __future__ import annotations
@@ -131,21 +131,6 @@ def coadjoint_rep(a: AlgebraBundle) -> tuple[Matrix, ...]:
     return tuple(ad_t.neg() for ad_t in _planes(a.bracket))  # plane i of the bracket is ad_{e_i}^T
 
 
-def dual_action_on_primal(dual_algebra: AlgebraBundle, convention: str = "representation") -> tuple[Matrix, ...]:
-    """Action of an algebra living on the dual space back on the primal space.
-
-    With the default representation convention the pairing identity reads
-    < f . x, g > = - < x, [f, g] >.  convention="plus" keeps the opposite
-    sign; it satisfies < f . x, g > = < x, [f, g] > but is only an
-    anti-representation and breaks the double bracket on non-abelian inputs.
-    """
-    sign = -1 if convention == "representation" else 1
-    if convention not in ("representation", "plus"):
-        raise ValueError(f"unknown convention {convention!r}")
-    # entry [k][j] of the action of the i-th dual basis vector is sign * [f_i, f_k]_j
-    return tuple(m.scale(sign) for m in _planes(dual_algebra.bracket))
-
-
 # -- twists --------------------------------------------------------------------
 
 
@@ -247,77 +232,32 @@ def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, 
 _FLAVORS = ("bihom", "nijenhuis", "differential")
 
 
-def _assemble_bracket(n: int, m: int, ll, lv, vl, vv) -> Tensor3:
-    """Structure constants on a direct sum from the four block evaluators."""
-    total = n + m
-    cells = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
-
-    def put(i: int, j: int, head: Vector, tail: Vector) -> None:
-        cells[i][j] = list(head) + list(tail)
-
-    zl, zv = tuple([ZERO] * n), tuple([ZERO] * m)
-    for i in range(n):
-        for j in range(n):
-            put(i, j, ll(i, j), zv)
-    for i in range(n):
-        for b in range(m):
-            head, tail = lv(i, b)
-            put(i, n + b, head, tail)
-    for a in range(m):
-        for j in range(n):
-            head, tail = vl(a, j)
-            put(n + a, j, head, tail)
-    for a in range(m):
-        for b in range(m):
-            put(n + a, n + b, zl, vv(a, b))
-    return Tensor3.from_entries(cells)
-
-
-def _neg(v: Vector) -> Vector:
-    return tuple(-x for x in v)
-
-
-def _sum_algebra(bracket: Tensor3, alphas: tuple[Matrix, Matrix], betas: tuple[Matrix, Matrix],
-                 flavor: str, ops: tuple[Matrix, Matrix] | None, weight: Fraction | None = None) -> AlgebraBundle:
-    """The algebra on a direct sum with block-diagonal maps and, per flavour,
-    the block-diagonal operator (none for "bihom")."""
-    n, alpha, beta = bracket.shape[0], block_diag(*alphas), block_diag(*betas)
-    if flavor == "differential":
-        return AlgebraBundle(n, bracket, alpha, beta, differential=Differential(block_diag(*ops), weight), kind="lie")
-    return AlgebraBundle(n, bracket, alpha, beta, nijenhuis=block_diag(*ops) if ops else None, kind="bihom-lie")
-
-
 def semidirect_product(a: AlgebraBundle, r: RepresentationBundle, flavor: str) -> tuple[AlgebraBundle, Report]:
-    """Algebra on L + V from a module candidate; the result passes the full
-    suite exactly when the module axioms hold.
+    """Algebra on L + V from a module candidate: the bicrossed product of L
+    and the abelian algebra on V with maps (p, q), acting by rho, with h = 0.
+    The result passes the full suite exactly when the module axioms hold.
 
     flavor "nijenhuis" needs alpha and q invertible plus the operators N and
     eta; flavor "differential" needs xi and identity structure maps.
     """
     if r.algebra != a:
         raise DimensionMismatch("representation bundle does not belong to the given algebra")
-    weight = None
+    differential = None
     if flavor == "nijenhuis":
-        ops = (a.require_nijenhuis(), r.require_eta())
+        a.require_nijenhuis()
+        r.require_eta()
         report = check_representation(r).merged(check_nijenhuis_representation(r))
     elif flavor == "differential":
         d = a.require_differential()
-        ops, weight = (d.matrix, r.require_xi()), d.weight
+        differential = Differential(r.require_xi(), d.weight)
         _require_identity_maps("semidirect products", a.alpha, a.beta, r.p, r.q)
         report = check_representation(r).merged(check_diff_rep(r))
     else:
         raise ValueError(f"unknown semidirect flavor {flavor!r}")
-    n, m = a.dim, r.vdim
-    ainv_b = invert(a.alpha) @ a.beta
-    pq_inv = r.p @ invert(r.q)
-    rho_of = _planes(_action(_stack(r.rho), ainv_b))  # rho(alpha^-1 beta e_j)
-    zero_l, zero_v = tuple([ZERO] * n), tuple([ZERO] * m)
-    bracket = _assemble_bracket(
-        n, m, a.bracket_basis,
-        lambda i, b: (zero_l, r.rho[i].column(b)),
-        lambda av, j: (zero_l, _neg(rho_of[j].apply(pq_inv.column(av)))),
-        lambda x, y: zero_v)
-    return _sum_algebra(bracket, (a.alpha, r.p), (a.beta, r.q), flavor, ops, weight), report
+    m = r.vdim
+    v = AlgebraBundle(m, Tensor3.zeros((m, m, m)), r.p, r.q, nijenhuis=r.eta, differential=differential)
+    zero_h = tuple(Matrix.zeros(a.dim, a.dim) for _ in range(m))
+    return _bicrossed_algebra(MatchedPairBundle(a, v, r.rho, zero_h), flavor, "semidirect products"), report
 
 
 def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> AlgebraBundle:
@@ -327,9 +267,12 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
         [x, u] = -h(p^-1 q u)(alpha beta^-1 x) + rho(x) u
         [u, x] = h(u) x - rho(alpha^-1 beta x)(p q^-1 u)
 
-    With identity maps these are the untwisted matched-pair brackets, so one
-    formula serves every flavour; the flavours differ in the operator block
-    and its preconditions only.
+    Both follow from twisted antisymmetry [a, b] = -[beta alpha^-1 b,
+    alpha beta^-1 a].  With identity maps these are the untwisted
+    matched-pair brackets, so one formula serves every flavour, the double
+    and (h = 0, V abelian) the semidirect product; the flavours differ in the
+    operator block and its preconditions only.  The h term of [x, u], the
+    only one that needs p^-1 and beta^-1, is built only when h is nonzero.
     """
     L, V = mp.left, mp.right
     n, m = L.dim, V.dim
@@ -345,17 +288,25 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     else:
         ops = None
     ainv_b = invert(L.alpha) @ L.beta
-    a_binv = L.alpha @ invert(L.beta)
     pq_inv = V.alpha @ invert(V.beta)
-    pinv_q = invert(V.alpha) @ V.beta
-    h_of = _planes(_action(_stack(mp.h), pinv_q))  # h(p^-1 q f_b)
-    rho_of = _planes(_action(_stack(mp.rho), ainv_b))  # rho(alpha^-1 beta e_j)
-    bracket = _assemble_bracket(
-        n, m, L.bracket_basis,
-        lambda i, b: (_neg(h_of[b].apply(a_binv.column(i))), mp.rho[i].column(b)),
-        lambda a, j: (mp.h[a].column(j), _neg(rho_of[j].apply(pq_inv.column(a)))),
-        V.bracket_basis)
-    return _sum_algebra(bracket, (L.alpha, V.alpha), (L.beta, V.beta), flavor, ops, weight)
+    rho_of = _planes(_action(_stack(mp.rho), ainv_b).scale(-1))  # -rho(alpha^-1 beta e_j)
+    zero_l, zero_v = (ZERO,) * n, (ZERO,) * m
+    h_xu = [[zero_l] * m for _ in range(n)]  # L part of [e_i, f_b]
+    if not all(x.is_zero() for x in mp.h):
+        a_binv = L.alpha @ invert(L.beta)
+        h_of = _planes(_action(_stack(mp.h), invert(V.alpha) @ V.beta).scale(-1))  # -h(p^-1 q f_b)
+        h_xu = [[h_of[b].apply(a_binv.column(i)) for b in range(m)] for i in range(n)]
+    # cells[i][j] = [g_i, g_j] on the basis (e_1..e_n, f_1..f_m), L part first
+    cells = [[L.bracket.entries[i][j] + zero_v for j in range(n)]
+             + [h_xu[i][b] + mp.rho[i].column(b) for b in range(m)] for i in range(n)]
+    cells += [[mp.h[a].column(j) + rho_of[j].apply(pq_inv.column(a)) for j in range(n)]
+              + [zero_l + V.bracket.entries[a][b] for b in range(m)] for a in range(m)]
+    bracket = Tensor3.from_entries(cells)
+    alpha, beta = block_diag(L.alpha, V.alpha), block_diag(L.beta, V.beta)
+    if flavor == "differential":
+        return AlgebraBundle(n + m, bracket, alpha, beta, differential=Differential(block_diag(*ops), weight),
+                             kind="lie")
+    return AlgebraBundle(n + m, bracket, alpha, beta, nijenhuis=block_diag(*ops) if ops else None, kind="bihom-lie")
 
 
 def bicrossed_product(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> tuple[AlgebraBundle, Report]:
@@ -370,12 +321,11 @@ def bicrossed_product(mp: MatchedPairBundle, flavor: str, symmetrized: bool = Tr
     return _bicrossed_algebra(mp, flavor, "bicrossed products"), check_matched_pair(mp, flavor, symmetrized)
 
 
-def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle,
-                           convention: str = "representation") -> MatchedPairBundle:
+def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle) -> MatchedPairBundle:
     """The matched-pair candidate built from the two coadjoint actions."""
     if left.dim != right.dim:
         raise DimensionMismatch("coadjoint matched pair needs equal dimensions")
-    return MatchedPairBundle(left, right, coadjoint_rep(left), dual_action_on_primal(right, convention))
+    return MatchedPairBundle(left, right, coadjoint_rep(left), coadjoint_rep(right))
 
 
 def standard_double_form(n: int) -> FormBundle:
@@ -387,15 +337,14 @@ def standard_double_form(n: int) -> FormBundle:
     return FormBundle(Matrix.from_rows(cells))
 
 
-def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str,
-                        convention: str = "representation") -> tuple[DoubleBundle, Report]:
+def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[DoubleBundle, Report]:
     """Algebra on L + L* from a base algebra and an algebra on its dual: the
     bicrossed product of their coadjoint matched pair, with the canonical
     pairing form.
 
     flavor in {"bihom", "nijenhuis", "differential"}.
     """
-    mp = coadjoint_matched_pair(left, right, convention)
+    mp = coadjoint_matched_pair(left, right)
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown double flavor {flavor!r}")
     total = _bicrossed_algebra(mp, flavor, "doubles")

@@ -126,6 +126,18 @@ def zero_rep(b: AlgebraBundle, vdim: int, p: Matrix | None = None, q: Matrix | N
     return RepresentationBundle(b, vdim, rho, p or Matrix.identity(vdim), q or Matrix.identity(vdim), eta=eta, xi=xi)
 
 
+def reproducer_pair(c) -> MatchedPairBundle:
+    """Twisted non-involutive sl2 acting by ad on an abelian V with p = alpha,
+    q = beta and h = 0: a valid matched pair whose bicrossed product failed
+    while the twisted bracket applied alpha beta^-1 where alpha^-1 beta
+    belongs (and p^-1 q where p q^-1 belongs)."""
+    left = twisted(scalar_op(bundles.sl2(), c), [1, 2, "1/2"], [1, 3, "1/3"])
+    right = dataclasses.replace(scalar_op(bundles.abelian(3), c), alpha=left.alpha, beta=left.beta,
+                                kind="bihom-lie")
+    zero = tuple(Matrix.zeros(3, 3) for _ in range(3))
+    return MatchedPairBundle(left, right, adjoint_rep(left).rho, zero)
+
+
 def aff2_derivation(a21, a22) -> Matrix:
     """The general derivation of aff2 (first column free in the e2 slot)."""
     return Matrix.from_rows([[0, 0], [scalar(a21), scalar(a22)]])

@@ -1,6 +1,8 @@
 """Constructions: duals, twists, products, doubles, form adjoints."""
 
 import dataclasses
+import functools
+import itertools
 
 import pytest
 
@@ -15,7 +17,6 @@ from bihomlie.constructions import (
     coadjoint_matched_pair,
     coadjoint_rep,
     double_construction,
-    dual_action_on_primal,
     dual_representation,
     dualize,
     hom_specialize,
@@ -25,7 +26,7 @@ from bihomlie.constructions import (
     untwist,
     yau_twist,
 )
-from bihomlie.exact import Matrix, SingularMatrix, Tensor3, scalar
+from bihomlie.exact import Matrix, SingularMatrix, Tensor3, block_diag, scalar
 
 I2 = Matrix.identity(2)
 
@@ -84,37 +85,37 @@ def test_coadjoint_rep_pairing_identity():
     assert rho[0].entries[1][1] == -1  # the frozen example entry
 
 
-def test_dual_action_pairing_identities_both_conventions():
+def test_coadjoint_rep_pairing_identity_on_dual_side_fixtures():
     # entrywise on all basis triples, on every fixture used as a dual-side algebra
     fixtures = [support.antisym_dual2(1, "-1/2"), bundles.aff2(), bundles.sl2(),
                 bundles.abelian(3), bundles.bihom2(2, 3)]
     for dual in fixtures:
         n = dual.dim
         c = naive.as_cells(dual.bracket)
-        minus = dual_action_on_primal(dual, "representation")
-        plus = dual_action_on_primal(dual, "plus")
+        rho = coadjoint_rep(dual)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     pairing = naive.bracket_eval(c, naive.basis(n, i), naive.basis(n, k))[j]
-                    assert plus[i].column(j)[k] == pairing
-                    assert minus[i].column(j)[k] == -pairing
+                    assert rho[i].column(j)[k] == -pairing
 
 
 def test_coadjoint_action_zero_for_abelian_dual():
-    h = dual_action_on_primal(bundles.abelian(2))
+    h = coadjoint_rep(bundles.abelian(2))
     assert all(m.is_zero() for m in h)
     assert not all(m.is_zero() for m in coadjoint_rep(bundles.aff2()))
 
 
 def test_plus_convention_breaks_the_classical_double():
-    # with the sign as printed the mixed Jacobi fails on a non-abelian dual
+    # with the sign as printed (< f . x, g > = + < x, [f, g] >) for the dual
+    # side's action the mixed Jacobi fails on a non-abelian dual
     left = dataclasses.replace(bundles.aff2(), nijenhuis=I2)
     right = dataclasses.replace(support.antisym_dual2(0, 1), nijenhuis=I2)
-    good, _ = double_construction(left, right, "nijenhuis", convention="representation")
-    bad, _ = double_construction(left, right, "nijenhuis", convention="plus")
+    good, _ = double_construction(left, right, "nijenhuis")
+    plus = bundles.MatchedPairBundle(left, right, coadjoint_rep(left), tuple(m.neg() for m in coadjoint_rep(right)))
+    bad, _ = bicrossed_product(plus, "nijenhuis")
     assert checks.check_bihom_lie(good.total).ok
-    assert not checks.check_bihom_lie(bad.total).ok
+    assert not checks.check_bihom_lie(bad).ok
 
 
 # -- twists -----------------------------------------------------------------------
@@ -341,17 +342,6 @@ def test_double_differential_reduces_to_plain_double_when_maps_vanish():
     assert diff_dbl.total.bracket == plain_dbl.total.bracket
 
 
-def test_bicrossed_h_zero_reduces_to_semidirect():
-    alg = dataclasses.replace(bundles.aff2(), nijenhuis=I2)
-    v = dataclasses.replace(bundles.abelian(2), nijenhuis=I2)
-    rep = support.adjoint_rep(alg, eta=I2)
-    # matched pair with V abelian carrying the same action, h = 0
-    mp = bundles.MatchedPairBundle(alg, v, rep.rho, tuple(Matrix.zeros(2, 2) for _ in range(2)))
-    bic, _ = bicrossed_product(mp, "nijenhuis")
-    sd, _ = semidirect_product(alg, rep, "nijenhuis")
-    assert bic.bracket == sd.bracket
-
-
 def test_bicrossed_coadjoint_pair_equals_double():
     left = dataclasses.replace(bundles.aff2(), nijenhuis=I2.scale(scalar(2)))
     right = dataclasses.replace(support.antisym_dual2(1, 3), nijenhuis=I2.scale(scalar("1/2")))
@@ -386,6 +376,72 @@ def test_bicrossed_broken_pair_fails_suite():
     out, hyp = bicrossed_product(broken, "nijenhuis")
     assert not hyp.ok
     assert not checks.check_bihom_lie(out).ok
+
+
+# -- twisted products: the product of a twisted pair is the twisted product ---------
+#
+# For commuting automorphisms A, B of L and P, Q of V that intertwine the
+# actions, twisting the pair (L, V, rho, h) to (L_AB, V_PQ, rho(A -) Q,
+# h(P -) B) and then taking the bicrossed product gives the Yau twist of the
+# untwisted product by A + P and B + Q.  The identity holds for every choice
+# of such maps, involutive or not, so it pins both off-diagonal blocks.
+
+
+def _pre_post(act: tuple[Matrix, ...], pre: Matrix, post: Matrix) -> tuple[Matrix, ...]:
+    """The action e_i -> act(pre e_i) post, summed over the basis."""
+    n = len(act)
+    return tuple(functools.reduce(Matrix.add, [act[k].scale(pre.entries[k][i]) for k in range(n)]) @ post
+                 for i in range(n))
+
+
+def _twisted_pair(mp, a, b, p, q):
+    left, _ = yau_twist(mp.left, a, b)
+    right, _ = yau_twist(mp.right, p, q)
+    return bundles.MatchedPairBundle(left, right, _pre_post(mp.rho, a, q), _pre_post(mp.h, p, b))
+
+
+TORI = [(-1, 1), (1, -1), (-1, -1),  # involutive
+        (2, 3), (2, 1), (1, 3), ("1/2", -2), (3, 3)]
+
+
+def test_twisted_bicrossed_product_is_the_twisted_product():
+    mismatches = []
+    for v in ("1", "2", "-1/2"):
+        mp = coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, v))
+        assert checks.check_matched_pair(mp, "bihom").ok
+        product, _ = bicrossed_product(mp, "bihom")
+        for t, s in TORI:
+            a, b = _aff2_auto(t), _aff2_auto(s)
+            p, q = _aff2_auto(1 / scalar(t)), _aff2_auto(1 / scalar(s))  # the contragredient tori
+            want, _ = yau_twist(product, block_diag(a, p), block_diag(b, q))
+            got, _ = bicrossed_product(_twisted_pair(mp, a, b, p, q), "bihom")
+            if got != want:
+                mismatches.append((v, t, s))
+    assert mismatches == []
+
+
+def test_twisted_semidirect_product_is_the_twisted_product():
+    # h = 0: the bicrossed product of the twisted pair, the semidirect product
+    # of the twisted module and the twisted untwisted product coincide
+    for alg, autos in ((bundles.aff2(), [_aff2_auto(t) for t in (-1, 2, "1/3")]),
+                       (bundles.sl2(), [_sl2_auto(t) for t in (-1, 2, "1/3")])):
+        alg = support.scalar_op(alg, 2)
+        n, eta = alg.dim, Matrix.identity(alg.dim).scale(3)
+        v = dataclasses.replace(bundles.abelian(n), nijenhuis=eta)
+        rho = support.adjoint_rep(alg).rho
+        mp = bundles.MatchedPairBundle(alg, v, rho, tuple(Matrix.zeros(n, n) for _ in range(n)))
+        product, _ = bicrossed_product(mp, "nijenhuis")
+        for a, b in itertools.product(autos, repeat=2):
+            want, _ = yau_twist(product, block_diag(a, a), block_diag(b, b))
+            twisted_mp = _twisted_pair(mp, a, b, a, b)
+            bic, _ = bicrossed_product(twisted_mp, "nijenhuis")
+            module = bundles.RepresentationBundle(twisted_mp.left, n, twisted_mp.rho, a, b, eta=eta)
+            sd, rep_report = semidirect_product(twisted_mp.left, module, "nijenhuis")
+            assert rep_report.ok
+            assert bic == want and sd == want
+    for c in (1, 2):
+        out, hyp = bicrossed_product(support.reproducer_pair(c), "nijenhuis")
+        assert hyp.ok and checks.check_bihom_lie(out).ok
 
 
 # -- adjoint maps of forms -------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import naive
 import support
-from support import gl, gl_torus, twisted
+from support import gl, gl_torus, reproducer_pair, twisted
 from bihomlie import bundles
 from bihomlie.bundles import (
     AlgebraBundle,
@@ -61,16 +61,6 @@ def coadjoint_pair(left: AlgebraBundle, right: AlgebraBundle) -> MatchedPairBund
     h = tuple(Matrix.from_rows([[-right.bracket.entries[i][k][j] for j in range(n)] for k in range(n)])
               for i in range(n))
     return MatchedPairBundle(left, right, rho, h)
-
-
-def reproducer_pair(c) -> MatchedPairBundle:
-    """Twisted non-involutive sl2 acting by ad on an abelian V with p = alpha,
-    q = beta and h = 0: a valid matched pair whose bicrossed product fails."""
-    left = twisted(support.scalar_op(bundles.sl2(), c), [1, 2, "1/2"], [1, 3, "1/3"])
-    right = dataclasses.replace(support.scalar_op(bundles.abelian(3), c), alpha=left.alpha, beta=left.beta,
-                                kind="bihom-lie")
-    zero = tuple(Matrix.zeros(3, 3) for _ in range(3))
-    return MatchedPairBundle(left, right, support.adjoint_rep(left).rho, zero)
 
 
 DERIVATION = support.aff2_derivation(1, "1/2")
