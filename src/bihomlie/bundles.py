@@ -370,6 +370,15 @@ def _parse_matrix(obj: Any, n: int, where: str) -> Matrix:
     return m
 
 
+def _parse_actions(obj: Any, count: int, n: int, where: str) -> tuple[Matrix, ...]:
+    """A JSON list of one n x n action matrix per basis vector of a dim-count space."""
+    if not isinstance(obj, list):
+        raise ParseError(f"field {where!r}: expected a JSON list of matrices, got {obj!r}")
+    if len(obj) != count:
+        raise DimensionMismatch(f"{len(obj)} {where} matrices against dim {count}")
+    return tuple(_parse_matrix(m, n, f"{where}[{i}]") for i, m in enumerate(obj))
+
+
 def _integer(value: Any) -> int:
     """A JSON integer; floats, booleans and strings are refused, never coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -377,10 +386,18 @@ def _integer(value: Any) -> int:
     return value
 
 
+def _entry_list(obj: Any, where: str) -> list:
+    """The entries of a bracket or comul field, which must be a JSON list;
+    ``null``, ``0``, ``false`` or ``{}`` are refused, not read as empty."""
+    if not isinstance(obj, list):
+        raise ParseError(f"field {where!r}: expected a JSON list of entries, got {obj!r}")
+    return obj
+
+
 def _parse_bracket(obj: Any, n: int, where: str = "bracket") -> Tensor3:
     cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     seen = set()
-    for item in obj or []:
+    for item in _entry_list(obj, where):
         try:
             i, j = _integer(item["i"]), _integer(item["j"])
             out = [scalar(x) for x in item["out"]]
@@ -398,7 +415,7 @@ def _parse_bracket(obj: Any, n: int, where: str = "bracket") -> Tensor3:
 def _parse_comul(obj: Any, n: int, where: str = "comul") -> Tensor3:
     cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     seen = set()
-    for item in obj or []:
+    for item in _entry_list(obj, where):
         try:
             k = _integer(item["k"])
             out = [[scalar(x) for x in row] for row in item["out"]]
@@ -503,7 +520,7 @@ def _algebra_from_document(doc: dict[str, Any]) -> AlgebraBundle:
     beta = _parse_matrix(doc["beta"], n, "beta") if "beta" in doc else Matrix.identity(n)
     nij = _parse_matrix(doc["nijenhuis"], n, "nijenhuis") if "nijenhuis" in doc else None
     diff = _parse_differential(doc["differential"], n, "differential") if "differential" in doc else None
-    return AlgebraBundle(n, _parse_bracket(doc.get("bracket"), n), alpha, beta, nij, diff, variant)
+    return AlgebraBundle(n, _parse_bracket(doc.get("bracket", []), n), alpha, beta, nij, diff, variant)
 
 
 def _coalgebra_from_document(doc: dict[str, Any]) -> CoalgebraBundle:
@@ -512,7 +529,7 @@ def _coalgebra_from_document(doc: dict[str, Any]) -> CoalgebraBundle:
     beta = _parse_matrix(doc["beta"], n, "beta") if "beta" in doc else Matrix.identity(n)
     conij = _parse_matrix(doc["conijenhuis"], n, "conijenhuis") if "conijenhuis" in doc else None
     codiff = _parse_differential(doc["codiff"], n, "codiff") if "codiff" in doc else None
-    return CoalgebraBundle(n, _parse_comul(doc.get("comul"), n), alpha, beta, conij, codiff)
+    return CoalgebraBundle(n, _parse_comul(doc.get("comul", []), n), alpha, beta, conij, codiff)
 
 
 def _read_dim(doc: dict[str, Any], key: str = "dim") -> int:
@@ -546,9 +563,7 @@ def from_document(doc: dict[str, Any]) -> Any:
             raise ParseError(f"representation document: {exc}") from exc
         if algebra.dim != n:
             raise DimensionMismatch(f"embedded algebra dim {algebra.dim} does not match dim {n}")
-        if len(rho_docs) != n:
-            raise DimensionMismatch(f"{len(rho_docs)} rho matrices against dim {n}")
-        rho = tuple(_parse_matrix(m, vdim, f"rho[{i}]") for i, m in enumerate(rho_docs))
+        rho = _parse_actions(rho_docs, n, vdim, "rho")
         p = _parse_matrix(doc["p"], vdim, "p") if "p" in doc else Matrix.identity(vdim)
         q = _parse_matrix(doc["q"], vdim, "q") if "q" in doc else Matrix.identity(vdim)
         eta = _parse_matrix(doc["eta"], vdim, "eta") if "eta" in doc else None
@@ -561,11 +576,13 @@ def from_document(doc: dict[str, Any]) -> Any:
             rho_docs, h_docs = doc["rho"], doc["h"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"matched_pair document: {exc}") from exc
-        rho = tuple(_parse_matrix(m, right.dim, f"rho[{i}]") for i, m in enumerate(rho_docs))
-        h = tuple(_parse_matrix(m, left.dim, f"h[{i}]") for i, m in enumerate(h_docs))
+        rho = _parse_actions(rho_docs, left.dim, right.dim, "rho")
+        h = _parse_actions(h_docs, right.dim, left.dim, "h")
         return MatchedPairBundle(left, right, rho, h)
     if kind == "form":
         n = _read_dim(doc)
+        if "gram" not in doc:
+            raise ParseError("form document needs a 'gram' matrix")
         return FormBundle(_parse_matrix(doc["gram"], n, "gram"))
     raise ParseError(f"unknown bundle kind {kind!r}")
 

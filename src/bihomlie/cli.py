@@ -132,9 +132,6 @@ def _print_report_lines(source: str, report: Report) -> None:
 # -- check ------------------------------------------------------------------------
 
 
-#: bundle types whose --suite selects an entry of checks.SUITES
-_SUITE_KINDS = ((AlgebraBundle, "algebra"), (CoalgebraBundle, "coalgebra"),
-                (BialgebraBundle, "bialgebra"), (RepresentationBundle, "representation"))
 #: (bundle kind, --suite value) -> the suite of that kind it names; "lie" names "bihom"
 _SUITE_ALIASES = {("bialgebra", "bialgebra"): "auto", ("coalgebra", "coalgebra"): "bihom",
                   ("representation", "representation"): "bihom"}
@@ -142,21 +139,22 @@ _SUITE_ALIASES = {("bialgebra", "bialgebra"): "auto", ("coalgebra", "coalgebra")
 
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
                   flavor: str | None, symmetrized: bool, against: Any | None) -> Report:
-    if against is not None and not isinstance(bundle, FormBundle):
-        raise ParseError(f"--against applies only to form files, got kind {_KINDS.get(type(bundle), type(bundle).__name__)}")
-    if isinstance(bundle, MatchedPairBundle):
+    kind = _KINDS.get(type(bundle), type(bundle).__name__)
+    if against is not None and kind != "form":
+        raise ParseError(f"--against applies only to form files, got kind {kind}")
+    no_suite = ParseError(f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle")
+    if kind in ("matched_pair", "form"):
+        if suite not in ("auto", kind):  # a form also takes --suite form; a matched pair only auto
+            raise no_suite
+        if kind == "form":
+            return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
         mp_flavor = flavor or ("nijenhuis" if bundle.left.nijenhuis is not None and bundle.right.nijenhuis is not None
                                else "differential" if bundle.left.differential is not None and bundle.right.differential is not None
                                else "bihom")
         return checks.check_matched_pair(bundle, mp_flavor, symmetrized)
-    if isinstance(bundle, FormBundle):
-        return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
-    kind = next((name for cls, name in _SUITE_KINDS if isinstance(bundle, cls)), None)
-    if kind is None:
-        raise ParseError(f"cannot check a {type(bundle).__name__}")
     key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
     if key not in checks.SUITES:
-        raise ParseError(f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle")
+        raise no_suite
     return checks.SUITES[key].run(bundle, weight)
 
 

@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from bihomlie import bundles
 from bihomlie.cli import main
+from bihomlie.constructions import coadjoint_matched_pair
 from bihomlie.exact import Matrix, Tensor3, scalar
 
 
@@ -299,3 +303,141 @@ def test_wrong_input_kind_exits_two_without_traceback(workdir, argv):
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# -- malformed documents and --suite on forms and matched pairs -------------------------
+
+
+def _aff2_document(**fields):
+    return {**bundles.document(bundles.aff2()), **fields}
+
+
+@pytest.mark.parametrize("doc", [
+    _aff2_document(bracket=1),
+    _aff2_document(bracket=0),
+    _aff2_document(bracket=False),
+    _aff2_document(bracket={}),
+    _aff2_document(bracket=None),  # null is refused too: an abelian bracket is [] or an absent field
+    {**bundles.document(bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2),
+                                                Matrix.identity(2))), "comul": 1},
+    _aff2_document(alpha=[["1/0", "0"], ["0", "1"]]),
+], ids=["bracket-1", "bracket-0", "bracket-false", "bracket-empty-object", "bracket-null", "comul-1",
+        "zero-denominator"])
+def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: field ")
+
+
+def test_absent_bracket_still_means_abelian(workdir):
+    doc = _aff2_document()
+    del doc["bracket"]
+    path = workdir / "ab.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert bundles.load_path(str(path)).bracket.is_zero()
+    assert run(["check", str(path)]) == 0
+
+
+@pytest.mark.parametrize("kind,suite,code", [
+    ("form", "auto", 0), ("form", "form", 0),
+    *[("form", s, 2) for s in ("lie", "bihom", "nijenhuis", "involution", "differential", "representation")],
+    ("mp", "auto", 0),
+    *[("mp", s, 2) for s in ("form", "lie", "bihom", "nijenhuis", "bialgebra", "involution")],
+])
+def test_suite_on_form_and_matched_pair_bundles(workdir, capsys, kind, suite, code):
+    left = support.scalar_op(bundles.aff2(), 1)
+    right = support.scalar_op(support.antisym_dual2(0, 1), 1)
+    bundle = bundles.FormBundle(Matrix.identity(2)) if kind == "form" else coadjoint_matched_pair(left, right)
+    path = _write(workdir / f"{kind}.json", bundle)
+    assert run(["check", path, "--suite", suite]) == code
+    if code == 2:
+        kind_name = "form" if kind == "form" else "matched_pair"
+        assert capsys.readouterr().err == f"error: suite {suite!r} does not apply to a {kind_name} bundle\n"
+
+
+# -- fuzz: mutated documents through every subcommand -------------------------------------
+#
+# Each example takes one valid document of a bundle kind, replaces or deletes
+# one node of it, and runs one subcommand that accepts that kind in-process.
+# Whatever the mutation, the command must end with a documented exit code,
+# never an uncaught exception.
+
+
+def _fuzz_documents():
+    aff2 = dataclasses.replace(support.scalar_op(bundles.aff2(), 1),
+                               differential=bundles.Differential(Matrix.zeros(2, 2), scalar(0)))
+    right = support.scalar_op(support.antisym_dual2(0, 1), 1)
+    co = bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2), Matrix.identity(2),
+                                 conijenhuis=Matrix.identity(2))
+    rep = support.adjoint_rep(aff2, eta=Matrix.identity(2), xi=Matrix.zeros(2, 2))
+    kinds = {"algebra": aff2, "coalgebra": co, "bialgebra": bundles.BialgebraBundle(aff2, co),
+             "representation": rep, "matched_pair": coadjoint_matched_pair(aff2, right),
+             "form": bundles.FormBundle(Matrix.diagonal([1, 2]))}
+    return {kind: bundles.document(b) for kind, b in kinds.items()}, {"good.json": aff2, "right.json": right}
+
+
+FUZZ_DOCUMENTS, FUZZ_PARTNERS = _fuzz_documents()
+#: bundle kind -> subcommands taking it; F.json is the mutated document
+FUZZ_COMMANDS = {
+    "algebra": [["check", "F.json", "--suite", "auto"], ["check", "F.json", "--suite", "nijenhuis"],
+                ["check", "F.json", "--suite", "involution"], ["construct", "dual", "F.json"],
+                ["construct", "twist", "F.json", "--maps", "maps.json"], ["construct", "untwist", "F.json"],
+                ["construct", "double", "F.json", "right.json", "--flavor", "nijenhuis"],
+                ["construct", "adjoint-form", "F.json", "form.json"], ["triad", "F.json", "right.json"],
+                ["triad", "good.json", "F.json", "--flavor", "differential"],
+                ["search", "F.json", "--mode", "derivations"], ["search", "F.json", "--mode", "pi"],
+                ["search", "F.json", "--mode", "nijenhuis-grid", "--grid", "0,1"]],
+    "coalgebra": [["check", "F.json"], ["check", "F.json", "--suite", "nijenhuis"], ["construct", "dual", "F.json"],
+                  ["construct", "twist", "F.json", "--maps", "maps.json"]],
+    "bialgebra": [["check", "F.json"], ["construct", "hom", "F.json", "--maps", "maps.json"],
+                  ["construct", "twist", "F.json", "--maps", "maps.json"], ["search", "F.json", "--mode", "conijenhuis"]],
+    "representation": [["check", "F.json"], ["check", "F.json", "--suite", "differential"],
+                       ["construct", "semidirect", "F.json", "--flavor", "nijenhuis"],
+                       ["construct", "semidirect", "F.json", "--flavor", "differential"],
+                       ["search", "F.json", "--mode", "zeta"]],
+    "matched_pair": [["check", "F.json"], ["check", "F.json", "--flavor", "differential"],
+                     ["construct", "bicrossed", "F.json", "--flavor", "nijenhuis"],
+                     ["construct", "bicrossed", "F.json", "--flavor", "bihom"]],
+    "form": [["check", "F.json"], ["check", "F.json", "--against", "good.json"],
+             ["construct", "adjoint-form", "good.json", "F.json"]],
+}
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(-2, 2),
+    st.sampled_from(["0", "1", "-1/2", "1/0", "x", "", "2.5"]), st.just([]), st.just({}),
+    st.lists(st.sampled_from(["0", "1", 1, None, []]), max_size=3))
+
+
+def _mutated(doc, data):
+    """doc with one node, found by a random walk from the root, replaced by a
+    drawn JSON value or (in an object) deleted."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(FUZZ_VALUES)
+        return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_documents_end_with_an_exit_code(data):
+    kind = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS[kind]))
+    doc = _mutated(FUZZ_DOCUMENTS[kind], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, bundle in FUZZ_PARTNERS.items():
+            _write(work / name, bundle)
+        _write(work / "form.json", bundles.FormBundle(Matrix.identity(2)))
+        (work / "maps.json").write_text(json.dumps({"alpha": [["1", "0"], ["0", "2"]]}), encoding="utf-8")
+        (work / "F.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert run([str(work / a) if a.endswith(".json") else a for a in argv]) in (0, 1, 2, 3)
