@@ -142,10 +142,10 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
     kind = _KINDS.get(type(bundle), type(bundle).__name__)
     if against is not None and kind != "form":
         raise ParseError(f"--against applies only to form files, got kind {kind}")
-    no_suite = ParseError(f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle")
+    no_suite = f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle"
     if kind in ("matched_pair", "form"):
         if suite not in ("auto", kind):  # a form also takes --suite form; a matched pair only auto
-            raise no_suite
+            raise ParseError(no_suite)
         if kind == "form":
             return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
         mp_flavor = flavor or ("nijenhuis" if bundle.left.nijenhuis is not None and bundle.right.nijenhuis is not None
@@ -154,7 +154,7 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
         return checks.check_matched_pair(bundle, mp_flavor, symmetrized)
     key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
     if key not in checks.SUITES:
-        raise no_suite
+        raise ParseError(no_suite)
     return checks.SUITES[key].run(bundle, weight)
 
 

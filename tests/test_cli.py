@@ -330,15 +330,6 @@ def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
     assert capsys.readouterr().err.startswith("error: field ")
 
 
-def test_absent_bracket_still_means_abelian(workdir):
-    doc = _aff2_document()
-    del doc["bracket"]
-    path = workdir / "ab.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert bundles.load_path(str(path)).bracket.is_zero()
-    assert run(["check", str(path)]) == 0
-
-
 @pytest.mark.parametrize("kind,suite,code", [
     ("form", "auto", 0), ("form", "form", 0),
     *[("form", s, 2) for s in ("lie", "bihom", "nijenhuis", "involution", "differential", "representation")],
