@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable
 from .exact import (
     DimensionMismatch,
     Matrix,
+    Row,
     Tensor3,
     Vector,
     ZERO,
@@ -224,56 +225,22 @@ class Residual:
         return Residual(shape, nz)
 
     @staticmethod
-    def tabulate(ranges: tuple[int, ...], value: Callable[..., Any]) -> "Residual":
-        """Residual of value(*idx) over every index tuple idx in the ranges.
-
-        A Vector, Matrix, Tensor3 or nested-list value spreads over trailing
-        axes whose extents come from the first value (none when the ranges
-        are empty, as for the kernel basis of an injective map).
-        """
-        cells: list[tuple[tuple[int, ...], Fraction]] = []
-        tail: tuple[int, ...] = ()
-        for n, idx in enumerate(itertools.product(*map(range, ranges))):
-            v = value(*idx)
-            if n == 0:
-                tail = _extents(v)
-            _spread(idx, v, cells)
-        return Residual.collect(ranges + tail, cells)
+    def tabulate(ranges: tuple[int, ...], width: int, value: Callable[..., Row]) -> "Residual":
+        """Residual of the rows value(*idx), each of extent width and given by
+        its nonzero (k, value) pairs, over every index tuple idx in the ranges."""
+        return Residual.collect(ranges + (width,), ((idx + (k,), x) for idx in itertools.product(*map(range, ranges))
+                                                    for k, x in value(*idx)))
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
         """The residual of a whole Matrix or Tensor3, indexed like it."""
-        return Residual.tabulate((), lambda: m)
+        if isinstance(m, Matrix):
+            return Residual.tabulate((m.rows,), m.cols, m.nz.__getitem__)
+        return Residual.tabulate(m.shape[:2], m.shape[2], lambda i, j: m.nz[i][j])
 
     @property
     def is_zero(self) -> bool:
         return not self.nonzeros
-
-
-def _extents(v: Any) -> tuple[int, ...]:
-    if isinstance(v, Matrix):
-        return (v.rows, v.cols)
-    if isinstance(v, Tensor3):
-        return v.shape
-    out = []
-    while isinstance(v, (tuple, list)):
-        out.append(len(v))
-        v = v[0] if v else None
-    return tuple(out)
-
-
-def _spread(idx: tuple[int, ...], v: Any, cells: list) -> None:
-    """Append the nonzero scalars of v, indexed by idx extended with their position."""
-    if isinstance(v, (Matrix, Tensor3)):
-        v = v.entries
-    if not isinstance(v, (tuple, list)):
-        if v:
-            cells.append((idx, v))
-    elif v and isinstance(v[0], (tuple, list)):
-        for k, x in enumerate(v):
-            _spread(idx + (k,), x, cells)
-    else:
-        cells.extend((idx + (k,), x) for k, x in enumerate(v) if x)
 
 
 @dataclass(frozen=True)
@@ -281,12 +248,15 @@ class CheckEntry:
     identity: str
     case: str
     residual: Residual
-    ok: bool
     advisory: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.residual.is_zero
 
 
 def entry(identity: str, case: str, residual: Residual) -> CheckEntry:
-    return CheckEntry(identity, case, residual, residual.is_zero)
+    return CheckEntry(identity, case, residual)
 
 
 @dataclass(frozen=True)
@@ -316,7 +286,7 @@ class Report:
     def prefixed(self, prefix: str) -> "Report":
         """Re-label entry cases with a context prefix (for composite reports)."""
         return Report(
-            tuple(CheckEntry(e.identity, f"{prefix}:{e.case}" if e.case else prefix, e.residual, e.ok, e.advisory) for e in self.entries),
+            tuple(CheckEntry(e.identity, f"{prefix}:{e.case}" if e.case else prefix, e.residual, e.advisory) for e in self.entries),
             tuple(f"{prefix}: {n}" for n in self.notes),
         )
 
@@ -327,32 +297,22 @@ class Report:
 # -- serialization ---------------------------------------------------------------
 
 
-def _fmt_matrix(m: Matrix) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in m.entries]
-
-
 def _fmt_vector(v: Vector) -> list[str]:
     return [format_scalar(x) for x in v]
 
 
+def _fmt_matrix(m: Matrix) -> list[list[str]]:
+    return [_fmt_vector(row) for row in m.entries]
+
+
 def _fmt_bracket(t: Tensor3) -> list[dict[str, Any]]:
-    out = []
-    d1, d2, _ = t.shape
-    for i in range(d1):
-        for j in range(d2):
-            row = t.entries[i][j]
-            if any(x != 0 for x in row):
-                out.append({"i": i + 1, "j": j + 1, "out": _fmt_vector(row)})
-    return out
+    return [{"i": i + 1, "j": j + 1, "out": _fmt_vector(t.entries[i][j])}
+            for i, plane in enumerate(t.nz) for j, row in enumerate(plane) if row]
 
 
 def _fmt_comul(t: Tensor3) -> list[dict[str, Any]]:
-    out = []
-    for k in range(t.shape[0]):
-        plane = t.entries[k]
-        if any(x != 0 for row in plane for x in row):
-            out.append({"k": k + 1, "out": [[format_scalar(x) for x in row] for row in plane]})
-    return out
+    return [{"k": k + 1, "out": [_fmt_vector(row) for row in t.entries[k]]}
+            for k, plane in enumerate(t.nz) if any(plane)]
 
 
 def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:

@@ -142,6 +142,8 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
     kind = _KINDS.get(type(bundle), type(bundle).__name__)
     if against is not None and kind != "form":
         raise ParseError(f"--against applies only to form files, got kind {kind}")
+    if flavor is not None and kind != "matched_pair":
+        raise ParseError(f"--flavor applies only to matched_pair files, got kind {kind}")
     no_suite = f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle"
     if kind in ("matched_pair", "form"):
         if suite not in ("auto", kind):  # a form also takes --suite form; a matched pair only auto
@@ -189,7 +191,7 @@ def _load_maps(path: str, dim: int) -> tuple[Matrix, Matrix]:
 
 
 def _matrix_document(m: Matrix) -> dict[str, Any]:
-    return {"kind": "matrix", "dim": m.rows, "matrix": [[format_scalar(x) for x in row] for row in m.entries]}
+    return {"kind": "matrix", "dim": m.rows, "matrix": bundles._fmt_matrix(m)}
 
 
 _TWISTABLE = (AlgebraBundle, CoalgebraBundle, BialgebraBundle)
@@ -331,9 +333,7 @@ def cmd_triad(args: argparse.Namespace) -> int:
 
 
 def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
-    def fmt(m: Matrix | None):
-        return None if m is None else [[format_scalar(x) for x in row] for row in m.entries]
-
+    particular = sol.particular_matrix()
     return {
         "kind": "solutions",
         "mode": mode,
@@ -341,8 +341,8 @@ def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
         "homogeneous": sol.homogeneous,
         "empty": sol.is_empty,
         "dimension": sol.dimension,
-        "particular": fmt(sol.particular_matrix()),
-        "basis": [fmt(m) for m in sol.basis_matrices()],
+        "particular": None if particular is None else bundles._fmt_matrix(particular),
+        "basis": [bundles._fmt_matrix(m) for m in sol.basis_matrices()],
     }
 
 
@@ -365,7 +365,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "kind": "solutions",
             "mode": mode,
             "count": len(sols),
-            "solutions": [[[format_scalar(x) for x in row] for row in m.entries] for m in sols],
+            "solutions": [bundles._fmt_matrix(m) for m in sols],
         }
         _emit(doc, args.out)
         print(f"{len(sols)} solutions")
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="auto",
                    choices=["auto", "lie", "bihom", "nijenhuis", "coalgebra", "bialgebra",
                             "representation", "form", "differential", "involution"])
-    p.add_argument("--flavor", choices=["bihom", "nijenhuis", "differential", "lie"], default=None)
+    p.add_argument("--flavor", choices=["bihom", "nijenhuis", "differential"], default=None,
+                   help="matched-pair suite flavor (matched_pair files only)")
     p.add_argument("--weight", default=None, help="rational weight p/q override")
     p.add_argument("--against", default=None, help="algebra file a form file is checked against")
     p.add_argument("--symmetrized-mp-right", action=argparse.BooleanOptionalAction, default=True,
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("construction",
                    choices=["dual", "twist", "untwist", "hom", "semidirect", "double", "bicrossed", "adjoint-form"])
     p.add_argument("inputs", nargs="+", help="input bundle files or fixture:NAME references")
-    p.add_argument("--flavor", choices=["bihom", "nijenhuis", "differential", "lie"], default=None)
+    p.add_argument("--flavor", choices=["bihom", "nijenhuis", "differential"], default=None)
     p.add_argument("--maps", default=None, help="JSON file with alpha (and beta) matrices for twists")
     p.add_argument("--symmetrized-mp-right", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None, help="write the constructed bundle here")

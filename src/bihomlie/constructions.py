@@ -12,7 +12,6 @@ coadjoint matched pair, whose two actions both use the representation sign
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundles import (
     AlgebraBundle,
@@ -50,9 +49,9 @@ from .checks import (
 from .exact import (
     DimensionMismatch,
     Matrix,
+    Row,
     Tensor3,
-    Vector,
-    ZERO,
+    _sum,
     block_diag,
     invert,
 )
@@ -80,12 +79,10 @@ def dualize(x: AlgebraBundle | CoalgebraBundle) -> CoalgebraBundle | AlgebraBund
     dualize(dualize(x)) == x.
     """
     if isinstance(x, AlgebraBundle):
-        n = x.dim
-        cells = [[[x.bracket.entries[i][j][k] for j in range(n)] for i in range(n)] for k in range(n)]
         codiff = Differential(x.differential.matrix.transpose(), x.differential.weight) if x.differential else None
         return CoalgebraBundle(
-            n,
-            Tensor3.from_entries(cells),
+            x.dim,
+            x.bracket.transpose((2, 0, 1)),
             x.alpha.transpose(),
             x.beta.transpose(),
             conijenhuis=x.nijenhuis.transpose() if x.nijenhuis is not None else None,
@@ -93,7 +90,6 @@ def dualize(x: AlgebraBundle | CoalgebraBundle) -> CoalgebraBundle | AlgebraBund
         )
     if isinstance(x, CoalgebraBundle):
         n = x.dim
-        cells = [[[x.comul.entries[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
         alpha = x.alpha.transpose()
         beta = x.beta.transpose()
         diff = Differential(x.codiff.matrix.transpose(), x.codiff.weight) if x.codiff else None
@@ -101,7 +97,7 @@ def dualize(x: AlgebraBundle | CoalgebraBundle) -> CoalgebraBundle | AlgebraBund
         kind = "lie" if alpha == ident and beta == ident else "bihom-lie"
         return AlgebraBundle(
             n,
-            Tensor3.from_entries(cells),
+            x.comul.transpose((1, 2, 0)),
             alpha,
             beta,
             nijenhuis=x.conijenhuis.transpose() if x.conijenhuis is not None else None,
@@ -287,21 +283,23 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
         ops, weight = (dl.matrix, dv.matrix), dl.weight
     else:
         ops = None
-    ainv_b = invert(L.alpha) @ L.beta
-    pq_inv = V.alpha @ invert(V.beta)
-    rho_of = _planes(_action(_stack(mp.rho), ainv_b).scale(-1))  # -rho(alpha^-1 beta e_j)
-    zero_l, zero_v = (ZERO,) * n, (ZERO,) * m
-    h_xu = [[zero_l] * m for _ in range(n)]  # L part of [e_i, f_b]
-    if not all(x.is_zero() for x in mp.h):
-        a_binv = L.alpha @ invert(L.beta)
-        h_of = _planes(_action(_stack(mp.h), invert(V.alpha) @ V.beta).scale(-1))  # -h(p^-1 q f_b)
-        h_xu = [[h_of[b].apply(a_binv.column(i)) for b in range(m)] for i in range(n)]
-    # cells[i][j] = [g_i, g_j] on the basis (e_1..e_n, f_1..f_m), L part first
-    cells = [[L.bracket.entries[i][j] + zero_v for j in range(n)]
-             + [h_xu[i][b] + mp.rho[i].column(b) for b in range(m)] for i in range(n)]
-    cells += [[mp.h[a].column(j) + rho_of[j].apply(pq_inv.column(a)) for j in range(n)]
-              + [zero_l + V.bracket.entries[a][b] for b in range(m)] for a in range(m)]
-    bracket = Tensor3.from_entries(cells)
+    rho, h = _stack(mp.rho), _stack(mp.h)
+    # the L and V parts of [e_i, f_b] (rows [i][b]) and of [f_a, e_j] (rows [a][j])
+    rho_xu, h_ux = rho.transpose((0, 2, 1)).nz, h.transpose((0, 2, 1)).nz  # rho(e_i) f_b, h(f_a) e_j
+    ainv_b, pq_inv = invert(L.alpha) @ L.beta, V.alpha @ invert(V.beta)
+    # -rho(alpha^-1 beta e_j) p q^-1 f_a, and -h(p^-1 q f_b) alpha beta^-1 e_i
+    rho_ux = _action(rho, ainv_b, right=pq_inv).scale(-1).transpose((2, 0, 1)).nz
+    h_xu = Tensor3.zeros((n, m, n)).nz
+    if not h.is_zero():
+        h_xu = _action(h, invert(V.alpha) @ V.beta, right=L.alpha @ invert(L.beta)).scale(-1).transpose((2, 0, 1)).nz
+
+    def cell(left: Row, right: Row) -> Row:  # [g_i, g_j] on the basis (e_1..e_n, f_1..f_m)
+        return left + tuple((k + n, x) for k, x in right)
+
+    rows = [L.bracket.nz[i] + tuple(cell(h_xu[i][b], rho_xu[i][b]) for b in range(m)) for i in range(n)]
+    rows += [tuple(cell(h_ux[a][j], rho_ux[a][j]) for j in range(n)) + tuple(cell((), r) for r in V.bracket.nz[a])
+             for a in range(m)]
+    bracket = Tensor3((n + m,) * 3, tuple(rows))
     alpha, beta = block_diag(L.alpha, V.alpha), block_diag(L.beta, V.beta)
     if flavor == "differential":
         return AlgebraBundle(n + m, bracket, alpha, beta, differential=Differential(block_diag(*ops), weight),
@@ -330,11 +328,7 @@ def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle) -> Matched
 
 def standard_double_form(n: int) -> FormBundle:
     """Canonical pairing on L + L*: the block-antidiagonal identity Gram."""
-    cells = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        cells[i][n + i] = Fraction(1)
-        cells[n + i][i] = Fraction(1)
-    return FormBundle(Matrix.from_rows(cells))
+    return FormBundle(Matrix.from_rows([[int(j == (i + n) % (2 * n)) for j in range(2 * n)] for i in range(2 * n)]))
 
 
 def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[DoubleBundle, Report]:
@@ -355,14 +349,12 @@ def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) 
 def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
     """Verify the combined bracket restricts to the two factors (of equal dimension n)."""
     n = left.dim
-    zero = tuple([ZERO] * n)
 
-    def restriction(side: int, i: int, j: int) -> Vector:
-        got = total.bracket.entries[side * n + i][side * n + j]
-        want = left.bracket.entries[i][j] + zero if side == 0 else zero + right.bracket.entries[i][j]
-        return [x - y for x, y in zip(got, want)]
+    def restriction(side: int, i: int, j: int) -> Row:
+        want = left.bracket.nz[i][j] if side == 0 else tuple((k + n, x) for k, x in right.bracket.nz[i][j])
+        return _sum(total.bracket.nz[side * n + i][side * n + j], want, -1)
 
-    return Report((entry("subalgebra", "bracket", Residual.tabulate((2, n, n), restriction)),))
+    return Report((entry("subalgebra", "bracket", Residual.tabulate((2, n, n), 2 * n, restriction)),))
 
 
 # -- adjoint maps of forms ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: scalars, dense matrices, order-3 tensors.
+"""Exact rational linear algebra: scalars, sparse matrices, order-3 tensors.
 
 Everything is arbitrary-precision rational arithmetic (``fractions.Fraction``),
 so equality is structural and every residual test is exact.  All values are
@@ -11,7 +11,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -29,10 +31,11 @@ class DimensionMismatch(ValueError):
 
 
 def scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or ``"p/q"`` / ``"p"`` string to a Fraction."""
+    """Coerce an int, Fraction or ``"p/q"`` / ``"p"`` string to a Fraction;
+    a bool is refused, never read as 0 or 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -47,81 +50,142 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
+#: the nonzero entries of a row as (column, value) pairs in increasing column order
+Row = tuple[tuple[int, Fraction], ...]
+
+
+def _row(values: Iterable[Fraction]) -> Row:
+    return tuple((k, x) for k, x in enumerate(values) if x)
+
+
+def _dense(row: Row, width: int) -> Vector:
+    out = [ZERO] * width
+    for k, x in row:
+        out[k] = x
+    return tuple(out)
+
+
+def _sum(r1: Row, r2: Row, sign: int) -> Row:
+    """r1 + r2, or r1 - r2 for a negative sign."""
+    if not r2:
+        return r1
+    if not r1:
+        return r2 if sign > 0 else tuple((k, -y) for k, y in r2)
+    acc = dict(r1)
+    for k, y in r2:
+        v = acc.get(k)
+        if sign > 0:
+            acc[k] = y if v is None else v + y
+        else:
+            acc[k] = -y if v is None else v - y
+    return tuple(sorted((k, v) for k, v in acc.items() if v))
+
+
+def _scaled(row: Row, c: Fraction) -> Row:
+    return tuple((k, c * x) for k, x in row)
+
+
+def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
+    """The sum of sign * sum_b x_b * rows[b] over (sign, rows, coeffs) terms,
+    coeffs giving the nonzero (b, x_b): a row-wise sparse product (Gustavson),
+    where zero entries of either factor cost nothing and a cell takes its
+    first term without an addition."""
+    acc: dict[int, Fraction] = {}
+    for sign, rows, coeffs in terms:
+        for b, x in coeffs:
+            if sign < 0:
+                x = -x
+            for k, y in rows[b]:
+                v = acc.get(k)
+                acc[k] = x * y if v is None else v + x * y
+    return tuple(sorted((k, v) for k, v in acc.items() if v))
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Dense matrix of exact rationals, row-major.
+    """Matrix of exact rationals, stored by the nonzeros of its rows.
 
-    Columns hold images of basis vectors: composition of linear maps is
-    matrix product in the fixed basis.
+    ``nz[i]`` holds the (column, value) pairs of the nonzero entries of row i
+    in increasing column order; that form is canonical, so equal matrices
+    compare equal.  ``entries`` is the dense row-major view.  Columns hold
+    images of basis vectors: composition of linear maps is matrix product in
+    the fixed basis.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    nz: tuple[Row, ...]
+
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        return tuple(_dense(row, self.cols) for row in self.nz)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> "Matrix":
-        data = tuple(tuple(scalar(x) for x in row) for row in rows)
+        data = [[scalar(x) for x in row] for row in rows]
         if not data or not data[0]:
             raise DimensionMismatch("matrix needs at least one row and column")
         ncols = len(data[0])
         if any(len(row) != ncols for row in data):
             raise DimensionMismatch("ragged rows in matrix literal")
-        return Matrix(len(data), ncols, data)
+        return Matrix(len(data), ncols, tuple(map(_row, data)))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return Matrix.diagonal([ONE] * n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+        return Matrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> "Matrix":
         d = [scalar(v) for v in values]
-        n = len(d)
-        return Matrix(n, n, tuple(tuple(d[i] if i == j else ZERO for j in range(n)) for i in range(n)))
+        return Matrix(len(d), len(d), tuple(((i, x),) if x else () for i, x in enumerate(d)))
 
     @staticmethod
     def from_columns(cols: Sequence[Vector]) -> "Matrix":
-        nrows = len(cols[0])
-        return Matrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
+        return Matrix.from_rows(cols).transpose()
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(dict(row).get(j, ZERO) for row in self.nz)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, x in row:
+                out[j].append((i, x))
+        return Matrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(tuple(a + b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(map(_sum, self.nz, other.nz, repeat(1))))
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(tuple(a - b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, tuple(map(_sum, self.nz, other.nz, repeat(-1))))
 
     def neg(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
+        return Matrix(self.rows, self.cols, tuple(tuple((k, -x) for k, x in row) for row in self.nz))
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
         c = scalar(c)
-        return Matrix(self.rows, self.cols, tuple(tuple(c * a if a and c else ZERO for a in row) for row in self.entries))
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix(self.rows, self.cols, tuple(_scaled(row, c) for row in self.nz))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        product = _row_product(_nonzero_rows(zip(*self.entries)), _nonzero_rows(other.entries), self.rows, other.cols)
-        return Matrix(self.rows, other.cols, tuple(map(tuple, product)))
+        return Matrix(self.rows, other.cols, tuple(_combination(((1, other.nz, row),)) for row in self.nz))
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
             raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} to a vector of length {len(v)}")
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), ZERO) for row in self.entries)
+        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.nz)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(self.nz)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -136,164 +200,127 @@ class Matrix:
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """Block-diagonal sum of two maps on a direct-sum space."""
-    rows = []
-    for i in range(a.rows):
-        rows.append(list(a.entries[i]) + [ZERO] * b.cols)
-    for i in range(b.rows):
-        rows.append([ZERO] * a.cols + list(b.entries[i]))
-    return Matrix.from_rows(rows)
+    shifted = tuple(tuple((j + a.cols, x) for j, x in row) for row in b.nz)
+    return Matrix(a.rows + b.rows, a.cols + b.cols, a.nz + shifted)
 
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Order-3 tensor of exact rationals.
+    """Order-3 tensor of exact rationals, stored by the nonzeros of its rows:
+    ``nz[i][j]`` holds the (k, value) pairs of row t[i][j], as in ``Matrix``;
+    ``entries`` is the dense view.
 
     A bracket is stored as ``c[i][j][k]`` with [e_i, e_j] = sum_k c[i][j][k] e_k;
     a comultiplication as ``t[k][i][j]`` with D(e_k) = sum_ij t[k][i][j] e_i (x) e_j.
     """
 
     shape: tuple[int, int, int]
-    entries: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    nz: tuple[tuple[Row, ...], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Vector, ...], ...]:
+        return tuple(tuple(_dense(row, self.shape[2]) for row in plane) for plane in self.nz)
 
     @staticmethod
     def zeros(shape: tuple[int, int, int]) -> "Tensor3":
-        d1, d2, d3 = shape
-        return Tensor3(shape, tuple(tuple(tuple(ZERO for _ in range(d3)) for _ in range(d2)) for _ in range(d1)))
+        d1, d2, _ = shape
+        return Tensor3(shape, (((),) * d2,) * d1)
 
     @staticmethod
     def from_entries(entries: Sequence[Sequence[Sequence[int | str | Fraction]]]) -> "Tensor3":
-        data = tuple(tuple(tuple(scalar(x) for x in row) for row in plane) for plane in entries)
+        data = [[[scalar(x) for x in row] for row in plane] for plane in entries]
         shape = (len(data), len(data[0]), len(data[0][0]))
         for plane in data:
             if len(plane) != shape[1] or any(len(row) != shape[2] for row in plane):
                 raise DimensionMismatch("ragged tensor literal")
-        return Tensor3(shape, data)
+        return Tensor3(shape, tuple(tuple(map(_row, plane)) for plane in data))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for plane in self.entries for row in plane for a in row)
+        return not any(map(any, self.nz))
 
     def add(self, other: "Tensor3") -> "Tensor3":
         self._same_shape(other)
-        return Tensor3(self.shape, tuple(tuple(tuple(a + b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-                                         for p1, p2 in zip(self.entries, other.entries)))
+        return Tensor3(self.shape, tuple(tuple(map(_sum, p1, p2, repeat(1))) for p1, p2 in zip(self.nz, other.nz)))
 
     def sub(self, other: "Tensor3") -> "Tensor3":
         self._same_shape(other)
-        return Tensor3(self.shape, tuple(tuple(tuple(a - b if b else a for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-                                         for p1, p2 in zip(self.entries, other.entries)))
+        return Tensor3(self.shape, tuple(tuple(map(_sum, p1, p2, repeat(-1))) for p1, p2 in zip(self.nz, other.nz)))
 
     def scale(self, c: int | str | Fraction) -> "Tensor3":
         c = scalar(c)
-        return Tensor3(self.shape, tuple(tuple(tuple(c * a if a and c else ZERO for a in row) for row in plane)
-                                         for plane in self.entries))
+        if not c:
+            return Tensor3.zeros(self.shape)
+        return Tensor3(self.shape, tuple(tuple(_scaled(row, c) for row in plane) for plane in self.nz))
 
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
-        """Permute the axes: axis p of the result is axis axes[p] of self."""
+        """Permute the axes: axis p of the result is axis axes[p] of self.
+        Read in index order, every output row fills in increasing order."""
         shape = tuple(self.shape[a] for a in axes)
-        src = [axes.index(a) for a in range(3)]  # where each axis of self lands
-        e = self.entries
-
-        def at(idx: tuple[int, int, int]) -> Fraction:
-            return e[idx[src[0]]][idx[src[1]]][idx[src[2]]]
-
-        return Tensor3(shape, tuple(tuple(tuple(at((i, j, k)) for k in range(shape[2])) for j in range(shape[1]))
-                                    for i in range(shape[0])))
+        a0, a1, a2 = axes
+        out: list[list[list[tuple[int, Fraction]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
+        for i, plane in enumerate(self.nz):
+            for j, row in enumerate(plane):
+                for k, x in row:
+                    idx = (i, j, k)
+                    out[idx[a0]][idx[a1]].append((idx[a2], x))
+        return Tensor3(shape, tuple(tuple(map(tuple, plane)) for plane in out))
 
     def _same_shape(self, other: "Tensor3") -> None:
         if self.shape != other.shape:
             raise DimensionMismatch(f"tensor shape mismatch {self.shape} vs {other.shape}")
 
 
-def _nonzero_rows(t: Tensor3 | Iterable[Sequence[Fraction]]) -> list:
-    """Rows, or the rows of each plane of a tensor, as lists of their nonzero
-    (index, value) pairs: row i is [i], row (i, j) of a tensor [i][j]."""
-    if isinstance(t, Tensor3):
-        return [_nonzero_rows(plane) for plane in t.entries]
-    return [[(k, x) for k, x in enumerate(row) if x] for row in t]
-
-
-def _row_product(columns: Sequence[Sequence[tuple[int, Fraction]]], rows: Sequence[Sequence[tuple[int, Fraction]]],
-                 height: int, width: int) -> list[list[Fraction]]:
-    """The product of a height-row matrix, given by the nonzeros of its
-    columns, and a width-column matrix, given by the nonzeros of its rows:
-    zero entries of either factor cost nothing.  A cell still holding the
-    ZERO it starts from takes its first term without an addition."""
-    out = [[ZERO] * width for _ in range(height)]
-    for column, row in zip(columns, rows):
-        for a, x in column:
-            target = out[a]
-            for k, y in row:
-                v = target[k]
-                target[k] = x * y if v is ZERO else v + x * y
-    return out
-
-
 def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     """Transform one axis of ``t`` by ``m``: new = sum_b m[a][b] * old at index b.
 
     The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
-    transforming an input slot of a bracket pass the transpose.  Zero entries
-    of ``t`` and of ``m`` cost nothing.
+    transforming an input slot of a bracket pass the transpose.  Each output
+    row is one ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T
+    (axis 2), so zero entries of ``t`` and of ``m`` cost nothing.
     """
     if axis not in (0, 1, 2):
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
     if m.cols != t.shape[axis]:
         raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match axis {axis} of extent {t.shape[axis]}")
     d0, d1, d2 = t.shape
-    cols = _nonzero_rows(zip(*m.entries))  # cols[b]: the nonzero (a, m[a][b])
-    if axis == 0:  # m @ whole planes, flattened to rows
-        flat = [[(j * d2 + k, x) for j, row in enumerate(plane) for k, x in row] for plane in _nonzero_rows(t)]
-        entries = [[row[j * d2:(j + 1) * d2] for j in range(d1)] for row in _row_product(cols, flat, m.rows, d1 * d2)]
-    elif axis == 1:  # m @ each plane
-        entries = [_row_product(cols, plane, m.rows, d2) for plane in _nonzero_rows(t)]
-    else:  # each plane @ m^T, the plane read by its columns
-        entries = [_row_product(_nonzero_rows(zip(*plane)), cols, d1, m.rows) for plane in t.entries]
+    if axis == 0:  # row (a, j): sum_b m[a][b] t[b][j]
+        by_j = list(zip(*t.nz))
+        nz = tuple(tuple(_combination(((1, rows, row),)) for rows in by_j) for row in m.nz)
+    elif axis == 1:  # row (i, a): sum_b m[a][b] t[i][b]
+        nz = tuple(tuple(_combination(((1, plane, row),)) for row in m.nz) for plane in t.nz)
+    else:  # row (i, j): sum_b t[i][j][b] (row b of m^T)
+        mt = m.transpose().nz
+        nz = tuple(tuple(_combination(((1, mt, row),)) for row in plane) for plane in t.nz)
     shape = (m.rows, d1, d2) if axis == 0 else (d0, m.rows, d2) if axis == 1 else (d0, d1, m.rows)
-    return Tensor3(shape, tuple(tuple(tuple(row) for row in plane) for plane in entries))
+    return Tensor3(shape, nz)
 
 
 # -- sparse integer elimination ------------------------------------------------
 #
-# A row is a dict {column: value} of its nonzero entries.  Rows are cleared to
-# primitive integers (zero and repeated rows dropped) and brought to reduced
-# echelon form column by column, left to right, touching nonzeros only;
-# rationals appear only when the results are read off.  The pivot columns are
-# those of the reduced row echelon form, so every kernel basis vector,
-# particular solution and inverse is the one dense Gauss-Jordan elimination
-# gives.
+# Rows are cleared to primitive integers (zero and repeated rows dropped), held
+# as dicts {column: value} of their nonzeros, and brought to reduced echelon
+# form column by column, left to right, touching nonzeros only; rationals
+# appear only when the results are read off.  The pivot columns are those of
+# the reduced row echelon form, so every kernel basis vector, particular
+# solution and inverse is the one dense Gauss-Jordan elimination gives.
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """A matrix given by the nonzero entries of its rows, one {column: value} dict per row."""
-
-    cols: int
-    entries: Sequence[Mapping[int, Fraction]]
-
-
-def _row_dicts(m: Matrix | SparseMatrix) -> Iterable[Mapping[int, Fraction]]:
-    if isinstance(m, SparseMatrix):
-        return m.entries
-    return ({j: x for j, x in enumerate(row) if x} for row in m.entries)
-
-
-def _integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, int]]:
+def _integer_rows(rows: Iterable[Row]) -> list[dict[int, int]]:
     """Each row scaled to a primitive integer row with a positive leading entry,
     its columns in increasing order; zero rows and repeats of an earlier row
     (up to a scalar) are dropped."""
     out: list[dict[int, int]] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for row in rows:
-        cols = sorted(j for j, x in row.items() if x) if row else ()
-        if not cols:
+        if not row:
             continue
-        vals = [row[j] for j in cols]
+        cols, vals = zip(*row)
         den = math.lcm(*[x.denominator for x in vals])
         ints = [x.numerator * (den // x.denominator) for x in vals]
         g = math.gcd(*ints)
         if ints[0] < 0:
             g = -g
-        key = (tuple(cols), tuple(v // g for v in ints) if g != 1 else tuple(ints))
+        key = (cols, tuple(v // g for v in ints) if g != 1 else tuple(ints))
         if key not in seen:
             seen.add(key)
             out.append(dict(zip(*key)))
@@ -356,9 +383,9 @@ def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], 
     return echelon, pivots
 
 
-def nullspace(m: Matrix | SparseMatrix) -> list[Vector]:
+def nullspace(m: Matrix) -> list[Vector]:
     """Exact kernel basis (one vector per free column); empty iff injective."""
-    rows, pivots = _bareiss_echelon(_integer_rows(_row_dicts(m)))
+    rows, pivots = _bareiss_echelon(_integer_rows(m.nz))
     pivot_set = set(pivots)
     kernel = {fc: [ZERO] * m.cols for fc in range(m.cols) if fc not in pivot_set}
     for fc, x in kernel.items():
@@ -370,12 +397,12 @@ def nullspace(m: Matrix | SparseMatrix) -> list[Vector]:
     return [tuple(x) for x in kernel.values()]
 
 
-def solve(a: Matrix | SparseMatrix, b: Vector) -> Vector | None:
+def solve(a: Matrix, b: Vector) -> Vector | None:
     """One exact solution of a x = b (free variables set to zero), or None."""
-    if len(a.entries) != len(b):
+    if a.rows != len(b):
         raise DimensionMismatch("right-hand side length does not match row count")
     n = a.cols
-    aug = ({**row, n: y} if y else row for row, y in zip(_row_dicts(a), b))
+    aug = (row + ((n, y),) if y else row for row, y in zip(a.nz, b))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     if pivots and pivots[-1] == n:
         return None  # a pivot in the augmented column: inconsistent
@@ -391,13 +418,9 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatch(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = ({**row, n + i: ONE} for i, row in enumerate(_row_dicts(m)))
+    aug = (row + ((n + i, ONE),) for i, row in enumerate(m.nz))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    inv = [[ZERO] * n for _ in range(n)]
-    for row, pc in zip(rows, pivots):
-        for j, v in row.items():
-            if j >= n:
-                inv[pc][j - n] = Fraction(v, row[pc])
-    return Matrix(n, n, tuple(map(tuple, inv)))
+    return Matrix(n, n, tuple(tuple((j - n, Fraction(v, row[pc])) for j, v in sorted(row.items()) if j >= n)
+                              for row, pc in zip(rows, pivots)))

@@ -18,7 +18,7 @@ from .checks import _action, _bracket, _comul, _stack, check_nijenhuis_operator
 from .exact import (
     ONE,
     Matrix,
-    SparseMatrix,
+    Row,
     Tensor3,
     Vector,
     ZERO,
@@ -81,12 +81,13 @@ class SolutionSpace:
 class _System:
     """Accumulates exact linear equations over the entries of one unknown map.
 
-    Each equation is a row {variable: coefficient} of its nonzero terms."""
+    Each equation is a matrix row: the (variable, coefficient) pairs of its
+    nonzero terms in variable order."""
 
     def __init__(self, rows_dim: int, cols_dim: int):
         self.shape = (rows_dim, cols_dim)
         self.nvars = rows_dim * cols_dim
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[Row] = []
         self.rhs: list[Fraction] = []
 
     def add(self, terms: Iterable[tuple[int, Fraction]], rhs: Fraction = ZERO) -> None:
@@ -94,31 +95,15 @@ class _System:
         row: dict[int, Fraction] = {}
         for var, coeff in terms:
             row[var] = row[var] + coeff if var in row else coeff
-        self.rows.append(row)
+        self.rows.append(tuple(sorted((k, x) for k, x in row.items() if x)) if row else ())
         self.rhs.append(rhs)
 
     def solve(self) -> SolutionSpace:
-        a = SparseMatrix(self.nvars, self.rows)
+        a = Matrix(len(self.rows), self.nvars, tuple(self.rows))
         homogeneous = not any(self.rhs)
         particular = tuple([ZERO] * self.nvars) if homogeneous else solve(a, tuple(self.rhs))
         basis = tuple(nullspace(a))
         return SolutionSpace(self.shape, particular, basis, homogeneous)
-
-
-def _slices(t: Tensor3, keep: tuple[int, int], scale: Fraction = ONE) -> list[list[list[tuple[int, Fraction]]]]:
-    """out[p][q]: the (index on the third axis, scale * value) of the nonzero
-    entries of t whose indices on the axes in keep are p and q."""
-    a, b = keep
-    third = 3 - a - b
-    out: list[list[list[tuple[int, Fraction]]]] = [[[] for _ in range(t.shape[b])] for _ in range(t.shape[a])]
-    if scale:
-        for i, plane in enumerate(t.entries):
-            for j, vec in enumerate(plane):
-                for k, x in enumerate(vec):
-                    if x:
-                        idx = (i, j, k)
-                        out[idx[a]][idx[b]].append((idx[third], x if scale == 1 else scale * x))
-    return out
 
 
 def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:
@@ -126,7 +111,8 @@ def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:
         raise NonlinearKind("the weighted rule is quadratic in the unknown map unless the weight is zero")
     n, c = a.dim, a.bracket
     # d([e_i, e_j])_k - [d e_i, e_j]_k - [e_i, d e_j]_k = 0, the unknown d[r][s] being variable r*n + s
-    w, left, right = _slices(c, (0, 1)), _slices(c, (1, 2), -ONE), _slices(c, (0, 2), -ONE)
+    minus = c.scale(-ONE)
+    w, left, right = c.nz, minus.transpose((1, 2, 0)).nz, minus.transpose((0, 2, 1)).nz
     sys = _System(n, n)
     for i, j, k in itertools.product(range(n), repeat=3):
         sys.add(itertools.chain(((k * n + s, x) for s, x in w[i][j]),
@@ -140,7 +126,7 @@ def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
     linear in the unknown S."""
     n = comul.shape[0]
     # the coefficient of S: Delta N - (id x N) Delta; the right-hand side: (id x N) Delta N - (id x N^2) Delta
-    coeff = _slices(_comul(comul, nmap).sub(_comul(comul, None, None, nmap)), (0, 2))
+    coeff = _comul(comul, nmap).sub(_comul(comul, None, None, nmap)).transpose((0, 2, 1)).nz
     rhs = _comul(comul, nmap, None, nmap).sub(_comul(comul, None, None, nmap @ nmap)).entries
     sys = _System(n, n)
     for k, a_idx, b_idx in itertools.product(range(n), repeat=3):
@@ -152,7 +138,7 @@ def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
     n, c = a.dim, a.bracket
     d = a.require_differential().matrix
     du = _bracket(c, d)  # [d(x), y]
-    right, w, wu = _slices(c, (0, 2)), _slices(c, (0, 1), -ONE), _slices(du, (0, 1), -weight)
+    right, w, wu = c.transpose((0, 2, 1)).nz, c.scale(-ONE).nz, du.scale(-weight).nz
     sys = _System(n, n)
     for i, j, k in itertools.product(range(n), repeat=3):
         sys.add(itertools.chain(((b * n + j, x) for b, x in right[i][k]),
@@ -166,7 +152,8 @@ def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
     n, v = r.algebra.dim, r.vdim
     rho = _stack(r.rho)
     rho_d = _action(rho, d)  # rho(d(e_i))
-    rows, cols, cols_d = _slices(rho, (0, 1)), _slices(rho, (0, 2), -ONE), _slices(rho_d, (0, 2), -weight)
+    rows, cols = rho.nz, rho.scale(-ONE).transpose((0, 2, 1)).nz
+    cols_d = rho_d.scale(-weight).transpose((0, 2, 1)).nz
     sys = _System(v, v)
     for i, a_idx, b_idx in itertools.product(range(n), range(v), range(v)):
         sys.add(itertools.chain(((s * v + b_idx, x) for s, x in rows[i][a_idx]),

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import support
 from bihomlie import bundles, search
-from bihomlie.exact import Matrix, SparseMatrix, invert, nullspace
+from bihomlie.exact import Matrix, invert, nullspace
 
 
-def _derivation_matrix(algebra) -> SparseMatrix:
+def _derivation_matrix(algebra) -> Matrix:
     system = search._derivation_system(algebra, Fraction(0))
-    return SparseMatrix(system.nvars, system.rows)
+    return Matrix(len(system.rows), system.nvars, tuple(system.rows))
 
 
 def test_nullspace_gl4_derivation_system(benchmark):

@@ -284,6 +284,11 @@ def _wrong_kind_inputs(workdir):
     ["construct", "double", "aff2.json", "form.json"],
     ["check", "form.json", "--against", "form.json"],
     ["check", "fixture:aff2", "--against", "fixture:sl2"],
+    ["check", "fixture:aff2", "--flavor", "differential"],
+    ["check", "form.json", "--flavor", "bihom"],
+    ["check", "rep.json", "--flavor", "nijenhuis"],
+    ["check", "fixture:aff2", "--flavor", "lie"],
+    ["construct", "double", "fixture:aff2", "fixture:aff2", "--flavor", "lie"],
     ["construct", "twist", "aff2.json", "--maps", "half.json"],
     ["construct", "twist", "aff2.json", "--maps", "list.json"],
     ["construct", "twist", "aff2.json", "--maps", "alpha_half.json"],
@@ -321,8 +326,11 @@ def _aff2_document(**fields):
     {**bundles.document(bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2),
                                                 Matrix.identity(2))), "comul": 1},
     _aff2_document(alpha=[["1/0", "0"], ["0", "1"]]),
+    _aff2_document(alpha=[[True, 0], [0, True]]),  # a JSON boolean is no rational
+    _aff2_document(bracket=[{"i": 1, "j": 2, "out": [0, True]}]),
+    _aff2_document(differential={"matrix": [["0", "0"], ["0", "0"]], "weight": False}),
 ], ids=["bracket-1", "bracket-0", "bracket-false", "bracket-empty-object", "bracket-null", "comul-1",
-        "zero-denominator"])
+        "zero-denominator", "alpha-true", "bracket-out-true", "weight-false"])
 def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
     path = workdir / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -13,9 +13,7 @@ from bihomlie.exact import (
     DimensionMismatch,
     Matrix,
     SingularMatrix,
-    SparseMatrix,
     Tensor3,
-    _nonzero_rows,
     contract,
     format_scalar,
     invert,
@@ -34,6 +32,9 @@ def test_scalar_parse_and_format():
     assert format_scalar(Fraction(5)) == "5"
     with pytest.raises(TypeError):
         scalar(1.5)
+    for flag in (True, False):  # a bool is an int subclass, but never a rational
+        with pytest.raises(TypeError):
+            scalar(flag)
 
 
 @given(rationals, rationals, rationals)
@@ -282,7 +283,43 @@ def test_add_sub_scale_and_nonzero_rows_match_naive_loops(order, data):
     assert cells(x.sub(y)) == naive.cellwise(lambda u, v: u - v, a, b)
     assert cells(x.scale(c)) == naive.cellwise(lambda u, _: c * u, a, a)
     rows = [naive.nonzero_pairs(r) for r in a] if order == 2 else [[naive.nonzero_pairs(r) for r in plane] for plane in a]
-    assert _nonzero_rows(x.entries if order == 2 else x) == rows
+    assert (list(map(list, x.nz)) if order == 2 else [list(map(list, plane)) for plane in x.nz]) == rows
+
+
+def _assert_canonical(x):
+    """x is stored in its canonical form: every row holds nonzero Fractions at
+    strictly increasing in-range indices, and x equals its dense round trip."""
+    rows, width = (x.nz, x.cols) if isinstance(x, Matrix) else ([r for plane in x.nz for r in plane], x.shape[2])
+    assert len(x.nz) == (x.rows if isinstance(x, Matrix) else x.shape[0])
+    for row in rows:
+        assert isinstance(row, tuple) and all(isinstance(pair, tuple) for pair in row)
+        cols = [k for k, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= k < width for k in cols)
+        assert all(isinstance(v, Fraction) and v != 0 for _, v in row)
+    rebuilt = Matrix.from_rows(x.entries) if isinstance(x, Matrix) else Tensor3.from_entries(x.entries)
+    assert x == rebuilt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), dims, dims)
+def test_every_result_is_canonical(data, n, p):
+    a = Matrix.from_rows(data.draw(_sparse_cells((n, p))))
+    b = Matrix.from_rows(data.draw(_sparse_cells((p, n))))
+    t = _t3(data.draw(_sparse_cells((n, p, 2))))
+    c = data.draw(st.one_of(st.just(Fraction(0)), sparse_rationals))
+    results = [a, a.add(a), a.sub(a), a.add(a.neg()), a.add(a.scale(-1)), a.scale(c), a.scale(0), a @ b, b @ a,
+               a.transpose(), t, t.add(t), t.sub(t), t.add(t.scale(-1)), t.scale(c), t.scale(0),
+               *[t.transpose(axes) for axes in itertools.permutations(range(3))],
+               contract(t, 0, b), contract(t, 1, a), contract(t, 2, Matrix.from_rows(data.draw(_sparse_cells((3, 2)))))]
+    square = a @ b
+    try:
+        results.append(invert(square))
+    except SingularMatrix:
+        pass
+    for x in results:
+        _assert_canonical(x)
+    assert a.sub(a) == Matrix.zeros(n, p) and a.scale(0) == Matrix.zeros(n, p)
+    assert t.sub(t) == Tensor3.zeros(t.shape)
 
 
 # -- elimination against independent oracles ---------------------------------------
@@ -323,7 +360,8 @@ def _linear_system(draw):
 
 
 def _sparse(rows):
-    return SparseMatrix(len(rows[0]), [{j: x for j, x in enumerate(r) if x} for r in rows])
+    """The matrix built straight from the nonzeros of its rows, not via from_rows."""
+    return Matrix(len(rows), len(rows[0]), tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows))
 
 
 @settings(max_examples=100, deadline=None)
