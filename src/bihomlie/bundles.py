@@ -23,6 +23,7 @@ from .exact import (
     Vector,
     ZERO,
     format_scalar,
+    row_values,
     scalar,
 )
 
@@ -86,9 +87,6 @@ class AlgebraBundle:
         if self.differential is None:
             raise MissingField("algebra bundle has no differential")
         return self.differential
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.bracket.entries[i][j]
 
 
 @dataclass(frozen=True)
@@ -227,9 +225,9 @@ class Residual:
     @staticmethod
     def tabulate(ranges: tuple[int, ...], width: int, value: Callable[..., Row]) -> "Residual":
         """Residual of the rows value(*idx), each of extent width and given by
-        its nonzero (k, value) pairs, over every index tuple idx in the ranges."""
+        a ``Row``, over every index tuple idx in the ranges."""
         return Residual.collect(ranges + (width,), ((idx + (k,), x) for idx in itertools.product(*map(range, ranges))
-                                                    for k, x in value(*idx)))
+                                                    for k, x in row_values(value(*idx))))
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
@@ -307,12 +305,12 @@ def _fmt_matrix(m: Matrix) -> list[list[str]]:
 
 def _fmt_bracket(t: Tensor3) -> list[dict[str, Any]]:
     return [{"i": i + 1, "j": j + 1, "out": _fmt_vector(t.entries[i][j])}
-            for i, plane in enumerate(t.nz) for j, row in enumerate(plane) if row]
+            for i, plane in enumerate(t.nz) for j, (_, pairs) in enumerate(plane) if pairs]
 
 
 def _fmt_comul(t: Tensor3) -> list[dict[str, Any]]:
     return [{"k": k + 1, "out": [_fmt_vector(row) for row in t.entries[k]]}
-            for k, plane in enumerate(t.nz) if any(plane)]
+            for k, plane in enumerate(t.nz) if any(pairs for _, pairs in plane)]
 
 
 def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:

@@ -38,6 +38,7 @@ from .exact import (
     contract,
     invert,
     nullspace,
+    row_values,
 )
 
 
@@ -228,7 +229,7 @@ def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
         return w.add(w.transpose((2, 0, 1))).add(w.transpose((1, 2, 0)))
 
     cells = (((k, i, j, l), x) for k in range(n) for i, plane in enumerate(jacobi(k).nz)
-             for j, row in enumerate(plane) for l, x in row)
+             for j, row in enumerate(plane) for l, x in row_values(row))
     return Report((
         entry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
         entry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),

@@ -51,6 +51,7 @@ from .exact import (
     Matrix,
     Row,
     Tensor3,
+    _shifted,
     _sum,
     block_diag,
     invert,
@@ -294,10 +295,10 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
         h_xu = _action(h, invert(V.alpha) @ V.beta, right=L.alpha @ invert(L.beta)).scale(-1).transpose((2, 0, 1)).nz
 
     def cell(left: Row, right: Row) -> Row:  # [g_i, g_j] on the basis (e_1..e_n, f_1..f_m)
-        return left + tuple((k + n, x) for k, x in right)
+        return _sum(left, _shifted(right, n), 1)
 
     rows = [L.bracket.nz[i] + tuple(cell(h_xu[i][b], rho_xu[i][b]) for b in range(m)) for i in range(n)]
-    rows += [tuple(cell(h_ux[a][j], rho_ux[a][j]) for j in range(n)) + tuple(cell((), r) for r in V.bracket.nz[a])
+    rows += [tuple(cell(h_ux[a][j], rho_ux[a][j]) for j in range(n)) + tuple(_shifted(r, n) for r in V.bracket.nz[a])
              for a in range(m)]
     bracket = Tensor3((n + m,) * 3, tuple(rows))
     alpha, beta = block_diag(L.alpha, V.alpha), block_diag(L.beta, V.beta)
@@ -351,7 +352,7 @@ def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: Algebr
     n = left.dim
 
     def restriction(side: int, i: int, j: int) -> Row:
-        want = left.bracket.nz[i][j] if side == 0 else tuple((k + n, x) for k, x in right.bracket.nz[i][j])
+        want = left.bracket.nz[i][j] if side == 0 else _shifted(right.bracket.nz[i][j], n)
         return _sum(total.bracket.nz[side * n + i][side * n + j], want, -1)
 
     return Report((entry("subalgebra", "bracket", Residual.tabulate((2, n, n), 2 * n, restriction)),))

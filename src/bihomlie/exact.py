@@ -1,7 +1,11 @@
 """Exact rational linear algebra: scalars, sparse matrices, order-3 tensors.
 
-Everything is arbitrary-precision rational arithmetic (``fractions.Fraction``),
-so equality is structural and every residual test is exact.  All values are
+Everything is arbitrary-precision rational arithmetic, so equality is
+structural and every residual test is exact.  A matrix or tensor stores each
+row as integer numerators over one common denominator (``Row``); products,
+sums and eliminations run on those integers, and ``fractions.Fraction``
+values are built only where a value leaves the kernel: the dense ``entries``
+view, ``row_values``, and the read-off of an elimination.  All values are
 immutable after construction; every operation is a pure function.
 """
 
@@ -50,64 +54,122 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-#: the nonzero entries of a row as (column, value) pairs in increasing column order
-Row = tuple[tuple[int, Fraction], ...]
+#: a row as one positive denominator and the (column, numerator) pairs of its
+#: nonzero entries in increasing column order, the entry at column k being
+#: numerator / denominator; gcd(denominator, *numerators) is 1, so the form is
+#: canonical and the empty row is (1, ())
+Row = tuple[int, tuple[tuple[int, int], ...]]
+
+EMPTY: Row = (1, ())
+
+
+def _reduced(den: int, pairs: tuple[tuple[int, int], ...]) -> Row:
+    """The row of the nonzero (column, numerator) pairs over den > 0, in lowest terms."""
+    if not pairs:
+        return EMPTY
+    if den == 1:
+        return 1, pairs
+    g = math.gcd(den, *[v for _, v in pairs])
+    return (den, pairs) if g == 1 else (den // g, tuple((k, v // g) for k, v in pairs))
+
+
+def _sorted_row(den: int, acc: dict[int, int]) -> Row:
+    """The row of the numerators {column: value} over den, zeros dropped."""
+    if not all(acc.values()):
+        acc = {k: v for k, v in acc.items() if v}
+    return _reduced(den, tuple(sorted(acc.items())))
+
+
+def _gathered(cells: Sequence[tuple[int, int, int]]) -> Row:
+    """The row of (column, numerator, denominator) cells in increasing column order."""
+    if not cells:
+        return EMPTY
+    den = math.lcm(*[d for _, _, d in cells])
+    return _reduced(den, tuple((k, v * (den // d)) for k, v, d in cells))
 
 
 def _row(values: Iterable[Fraction]) -> Row:
-    return tuple((k, x) for k, x in enumerate(values) if x)
+    return _gathered([(k, x.numerator, x.denominator) for k, x in enumerate(values) if x])
+
+
+def row_values(row: Row) -> list[tuple[int, Fraction]]:
+    """The (column, value) pairs of a row's nonzero entries, as Fractions."""
+    den, pairs = row
+    return [(k, Fraction(v, den)) for k, v in pairs]
 
 
 def _dense(row: Row, width: int) -> Vector:
     out = [ZERO] * width
-    for k, x in row:
+    for k, x in row_values(row):
         out[k] = x
     return tuple(out)
 
 
+def _shifted(row: Row, offset: int) -> Row:
+    """The row with every column moved up by offset."""
+    return row[0], tuple((k + offset, v) for k, v in row[1])
+
+
 def _sum(r1: Row, r2: Row, sign: int) -> Row:
     """r1 + r2, or r1 - r2 for a negative sign."""
-    if not r2:
+    (d1, p1), (d2, p2) = r1, r2
+    if not p2:
         return r1
-    if not r1:
-        return r2 if sign > 0 else tuple((k, -y) for k, y in r2)
-    acc = dict(r1)
-    for k, y in r2:
-        v = acc.get(k)
-        if sign > 0:
-            acc[k] = y if v is None else v + y
-        else:
-            acc[k] = -y if v is None else v - y
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+    if not p1:
+        return r2 if sign > 0 else (d2, tuple((k, -y) for k, y in p2))
+    den = d1 if d1 == d2 else math.lcm(d1, d2)
+    f1, f2 = den // d1, sign * (den // d2)
+    acc = dict(p1) if f1 == 1 else {k: f1 * x for k, x in p1}
+    for k, y in p2:
+        acc[k] = acc.get(k, 0) + f2 * y
+    return _sorted_row(den, acc)
 
 
 def _scaled(row: Row, c: Fraction) -> Row:
-    return tuple((k, c * x) for k, x in row)
+    """c * row for a nonzero c."""
+    den, pairs = row
+    return _reduced(den * c.denominator, tuple((k, c.numerator * v) for k, v in pairs))
 
 
 def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
     """The sum of sign * sum_b x_b * rows[b] over (sign, rows, coeffs) terms,
-    coeffs giving the nonzero (b, x_b): a row-wise sparse product (Gustavson),
-    where zero entries of either factor cost nothing and a cell takes its
-    first term without an addition."""
-    acc: dict[int, Fraction] = {}
-    for sign, rows, coeffs in terms:
+    coeffs giving the nonzero x_b: a row-wise sparse product (Gustavson),
+    where zero entries of either factor cost nothing.
+
+    Products are added as integers over a running common denominator, which
+    grows to the least common multiple when a term's denominator does not
+    divide it; one gcd per result brings it to lowest terms."""
+    acc: dict[int, int] = {}
+    den = 1
+    for sign, rows, (dc, coeffs) in terms:
         for b, x in coeffs:
+            db, pairs = rows[b]
+            if not pairs:
+                continue
+            d = dc * db
+            if d != den:
+                if den % d:
+                    grown = math.lcm(den, d)
+                    f = grown // den
+                    for k in acc:
+                        acc[k] *= f
+                    den = grown
+                x *= den // d
             if sign < 0:
                 x = -x
-            for k, y in rows[b]:
-                v = acc.get(k)
-                acc[k] = x * y if v is None else v + x * y
-    return tuple(sorted((k, v) for k, v in acc.items() if v))
+            for k, y in pairs:
+                acc[k] = acc.get(k, 0) + x * y
+    return _sorted_row(den, acc)
 
 
 @dataclass(frozen=True)
 class Matrix:
     """Matrix of exact rationals, stored by the nonzeros of its rows.
 
-    ``nz[i]`` holds the (column, value) pairs of the nonzero entries of row i
-    in increasing column order; that form is canonical, so equal matrices
-    compare equal.  ``entries`` is the dense row-major view.  Columns hold
+    ``nz[i]`` is row i as a ``Row``: one positive denominator and the integer
+    numerators of its nonzero entries in increasing column order, in lowest
+    terms; that form is canonical, so equal matrices compare equal.
+    ``entries`` is the dense row-major view, in Fractions.  Columns hold
     images of basis vectors: composition of linear maps is matrix product in
     the fixed basis.
     """
@@ -136,26 +198,24 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, ((),) * rows)
+        return Matrix(rows, cols, (EMPTY,) * rows)
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> "Matrix":
         d = [scalar(v) for v in values]
-        return Matrix(len(d), len(d), tuple(((i, x),) if x else () for i, x in enumerate(d)))
+        return Matrix(len(d), len(d), tuple((x.denominator, ((i, x.numerator),)) if x else EMPTY
+                                            for i, x in enumerate(d)))
 
     @staticmethod
     def from_columns(cols: Sequence[Vector]) -> "Matrix":
         return Matrix.from_rows(cols).transpose()
 
-    def column(self, j: int) -> Vector:
-        return tuple(dict(row).get(j, ZERO) for row in self.nz)
-
     def transpose(self) -> "Matrix":
-        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nz):
-            for j, x in row:
-                out[j].append((i, x))
-        return Matrix(self.cols, self.rows, tuple(map(tuple, out)))
+        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
+        for i, (den, pairs) in enumerate(self.nz):
+            for j, v in pairs:
+                out[j].append((i, v, den))
+        return Matrix(self.cols, self.rows, tuple(map(_gathered, out)))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -166,7 +226,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(map(_sum, self.nz, other.nz, repeat(-1))))
 
     def neg(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(tuple((k, -x) for k, x in row) for row in self.nz))
+        return self.scale(-1)
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
         c = scalar(c)
@@ -177,15 +237,17 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Matrix(self.rows, other.cols, tuple(_combination(((1, other.nz, row),)) for row in self.nz))
+        rows = other.nz
+        return Matrix(self.rows, other.cols, tuple(_combination(((1, rows, row),)) if row[1] else EMPTY
+                                                   for row in self.nz))
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
             raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} to a vector of length {len(v)}")
-        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.nz)
+        return tuple(sum((x * v[j] for j, x in pairs), ZERO) / den for den, pairs in self.nz)
 
     def is_zero(self) -> bool:
-        return not any(self.nz)
+        return not any(pairs for _, pairs in self.nz)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -200,15 +262,14 @@ class Matrix:
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     """Block-diagonal sum of two maps on a direct-sum space."""
-    shifted = tuple(tuple((j + a.cols, x) for j, x in row) for row in b.nz)
-    return Matrix(a.rows + b.rows, a.cols + b.cols, a.nz + shifted)
+    return Matrix(a.rows + b.rows, a.cols + b.cols, a.nz + tuple(_shifted(row, a.cols) for row in b.nz))
 
 
 @dataclass(frozen=True)
 class Tensor3:
     """Order-3 tensor of exact rationals, stored by the nonzeros of its rows:
-    ``nz[i][j]`` holds the (k, value) pairs of row t[i][j], as in ``Matrix``;
-    ``entries`` is the dense view.
+    ``nz[i][j]`` is row t[i][j] as a ``Row``, as in ``Matrix``; ``entries`` is
+    the dense view, in Fractions.
 
     A bracket is stored as ``c[i][j][k]`` with [e_i, e_j] = sum_k c[i][j][k] e_k;
     a comultiplication as ``t[k][i][j]`` with D(e_k) = sum_ij t[k][i][j] e_i (x) e_j.
@@ -224,7 +285,7 @@ class Tensor3:
     @staticmethod
     def zeros(shape: tuple[int, int, int]) -> "Tensor3":
         d1, d2, _ = shape
-        return Tensor3(shape, (((),) * d2,) * d1)
+        return Tensor3(shape, ((EMPTY,) * d2,) * d1)
 
     @staticmethod
     def from_entries(entries: Sequence[Sequence[Sequence[int | str | Fraction]]]) -> "Tensor3":
@@ -236,7 +297,7 @@ class Tensor3:
         return Tensor3(shape, tuple(tuple(map(_row, plane)) for plane in data))
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.nz))
+        return not any(pairs for plane in self.nz for _, pairs in plane)
 
     def add(self, other: "Tensor3") -> "Tensor3":
         self._same_shape(other)
@@ -254,16 +315,19 @@ class Tensor3:
 
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
         """Permute the axes: axis p of the result is axis axes[p] of self.
-        Read in index order, every output row fills in increasing order."""
+        Rows move whole when the last axis stays; otherwise, read in index
+        order, every output row fills in increasing order."""
         shape = tuple(self.shape[a] for a in axes)
         a0, a1, a2 = axes
-        out: list[list[list[tuple[int, Fraction]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
+        if a2 == 2:
+            return Tensor3(shape, self.nz if a0 == 0 else tuple(zip(*self.nz)))
+        out: list[list[list[tuple[int, int, int]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
         for i, plane in enumerate(self.nz):
-            for j, row in enumerate(plane):
-                for k, x in row:
+            for j, (den, pairs) in enumerate(plane):
+                for k, v in pairs:
                     idx = (i, j, k)
-                    out[idx[a0]][idx[a1]].append((idx[a2], x))
-        return Tensor3(shape, tuple(tuple(map(tuple, plane)) for plane in out))
+                    out[idx[a0]][idx[a1]].append((idx[a2], v, den))
+        return Tensor3(shape, tuple(tuple(map(_gathered, plane)) for plane in out))
 
     def _same_shape(self, other: "Tensor3") -> None:
         if self.shape != other.shape:
@@ -276,7 +340,8 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
     transforming an input slot of a bracket pass the transpose.  Each output
     row is one ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T
-    (axis 2), so zero entries of ``t`` and of ``m`` cost nothing.
+    (axis 2), so zero entries of ``t`` and of ``m`` cost nothing, and an
+    output row whose coefficient row is empty is not computed at all.
     """
     if axis not in (0, 1, 2):
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
@@ -285,19 +350,20 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     d0, d1, d2 = t.shape
     if axis == 0:  # row (a, j): sum_b m[a][b] t[b][j]
         by_j = list(zip(*t.nz))
-        nz = tuple(tuple(_combination(((1, rows, row),)) for rows in by_j) for row in m.nz)
+        nz = tuple(tuple(_combination(((1, rows, row),)) for rows in by_j) if row[1] else (EMPTY,) * d1
+                   for row in m.nz)
     elif axis == 1:  # row (i, a): sum_b m[a][b] t[i][b]
-        nz = tuple(tuple(_combination(((1, plane, row),)) for row in m.nz) for plane in t.nz)
+        nz = tuple(tuple(_combination(((1, plane, row),)) if row[1] else EMPTY for row in m.nz) for plane in t.nz)
     else:  # row (i, j): sum_b t[i][j][b] (row b of m^T)
         mt = m.transpose().nz
-        nz = tuple(tuple(_combination(((1, mt, row),)) for row in plane) for plane in t.nz)
+        nz = tuple(tuple(_combination(((1, mt, row),)) if row[1] else EMPTY for row in plane) for plane in t.nz)
     shape = (m.rows, d1, d2) if axis == 0 else (d0, m.rows, d2) if axis == 1 else (d0, d1, m.rows)
     return Tensor3(shape, nz)
 
 
 # -- sparse integer elimination ------------------------------------------------
 #
-# Rows are cleared to primitive integers (zero and repeated rows dropped), held
+# Rows are scaled to primitive integers (zero and repeated rows dropped), held
 # as dicts {column: value} of their nonzeros, and brought to reduced echelon
 # form column by column, left to right, touching nonzeros only; rationals
 # appear only when the results are read off.  The pivot columns are those of
@@ -305,22 +371,20 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
 # solution and inverse is the one dense Gauss-Jordan elimination gives.
 
 
-def _integer_rows(rows: Iterable[Row]) -> list[dict[int, int]]:
-    """Each row scaled to a primitive integer row with a positive leading entry,
-    its columns in increasing order; zero rows and repeats of an earlier row
-    (up to a scalar) are dropped."""
+def _integer_rows(rows: Iterable[tuple[tuple[int, int], ...]]) -> list[dict[int, int]]:
+    """Each row of integer (column, value) pairs, in increasing column order,
+    scaled to a primitive row with a positive leading entry; zero rows and
+    repeats of an earlier row (up to a scalar) are dropped."""
     out: list[dict[int, int]] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for row in rows:
         if not row:
             continue
-        cols, vals = zip(*row)
-        den = math.lcm(*[x.denominator for x in vals])
-        ints = [x.numerator * (den // x.denominator) for x in vals]
+        cols, ints = zip(*row)
         g = math.gcd(*ints)
         if ints[0] < 0:
             g = -g
-        key = (cols, tuple(v // g for v in ints) if g != 1 else tuple(ints))
+        key = (cols, tuple(v // g for v in ints) if g != 1 else ints)
         if key not in seen:
             seen.add(key)
             out.append(dict(zip(*key)))
@@ -385,7 +449,7 @@ def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], 
 
 def nullspace(m: Matrix) -> list[Vector]:
     """Exact kernel basis (one vector per free column); empty iff injective."""
-    rows, pivots = _bareiss_echelon(_integer_rows(m.nz))
+    rows, pivots = _bareiss_echelon(_integer_rows(pairs for _, pairs in m.nz))
     pivot_set = set(pivots)
     kernel = {fc: [ZERO] * m.cols for fc in range(m.cols) if fc not in pivot_set}
     for fc, x in kernel.items():
@@ -402,7 +466,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     if a.rows != len(b):
         raise DimensionMismatch("right-hand side length does not match row count")
     n = a.cols
-    aug = (row + ((n, y),) if y else row for row, y in zip(a.nz, b))
+    # row / den = y is the integer row q * row = p * den for y = p / q
+    aug = (tuple((k, y.denominator * v) for k, v in pairs) + ((n, y.numerator * den),) if y else pairs
+           for (den, pairs), y in zip(a.nz, b))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     if pivots and pivots[-1] == n:
         return None  # a pivot in the augmented column: inconsistent
@@ -418,9 +484,11 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatch(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = (row + ((n + i, ONE),) for i, row in enumerate(m.nz))
+    aug = (pairs + ((n + i, den),) for i, (den, pairs) in enumerate(m.nz))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Matrix(n, n, tuple(tuple((j - n, Fraction(v, row[pc])) for j, v in sorted(row.items()) if j >= n)
+    # row i of the inverse is the right half of pivot row i over its pivot entry
+    return Matrix(n, n, tuple(_reduced(abs(row[pc]), tuple((j - n, v if row[pc] > 0 else -v)
+                                                           for j, v in sorted(row.items()) if j >= n))
                               for row, pc in zip(rows, pivots)))

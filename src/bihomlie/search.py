@@ -9,9 +9,10 @@ finite grid.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 
 from .bundles import AlgebraBundle, CoalgebraBundle, RepresentationBundle
 from .checks import _action, _bracket, _comul, _stack, check_nijenhuis_operator
@@ -22,6 +23,7 @@ from .exact import (
     Tensor3,
     Vector,
     ZERO,
+    _sorted_row,
     nullspace,
     solve,
 )
@@ -81,8 +83,7 @@ class SolutionSpace:
 class _System:
     """Accumulates exact linear equations over the entries of one unknown map.
 
-    Each equation is a matrix row: the (variable, coefficient) pairs of its
-    nonzero terms in variable order."""
+    Each equation is a matrix ``Row`` over the variables."""
 
     def __init__(self, rows_dim: int, cols_dim: int):
         self.shape = (rows_dim, cols_dim)
@@ -90,12 +91,18 @@ class _System:
         self.rows: list[Row] = []
         self.rhs: list[Fraction] = []
 
-    def add(self, terms: Iterable[tuple[int, Fraction]], rhs: Fraction = ZERO) -> None:
-        """Append sum coeff * x[var] = rhs over the (var, coeff) terms; repeated variables add up."""
-        row: dict[int, Fraction] = {}
-        for var, coeff in terms:
-            row[var] = row[var] + coeff if var in row else coeff
-        self.rows.append(tuple(sorted((k, x) for k, x in row.items() if x)) if row else ())
+    def add(self, parts: Sequence[tuple[Row, int, int]], rhs: Fraction = ZERO) -> None:
+        """Append sum row[k] * x[stride * k + offset] = rhs over the (row, stride,
+        offset) parts, on integers over their common denominator; a variable
+        met twice adds up."""
+        den = math.lcm(*[row[0] for row, _, _ in parts])
+        acc: dict[int, int] = {}
+        for (d, pairs), stride, offset in parts:
+            f = den // d
+            for k, v in pairs:
+                var = stride * k + offset
+                acc[var] = acc.get(var, 0) + f * v
+        self.rows.append(_sorted_row(den, acc))
         self.rhs.append(rhs)
 
     def solve(self) -> SolutionSpace:
@@ -115,9 +122,7 @@ def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:
     w, left, right = c.nz, minus.transpose((1, 2, 0)).nz, minus.transpose((0, 2, 1)).nz
     sys = _System(n, n)
     for i, j, k in itertools.product(range(n), repeat=3):
-        sys.add(itertools.chain(((k * n + s, x) for s, x in w[i][j]),
-                                ((r * n + i, x) for r, x in left[j][k]),
-                                ((r * n + j, x) for r, x in right[i][k])))
+        sys.add(((w[i][j], 1, k * n), (left[j][k], n, i), (right[i][k], n, j)))
     return sys
 
 
@@ -130,7 +135,7 @@ def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
     rhs = _comul(comul, nmap, None, nmap).sub(_comul(comul, None, None, nmap @ nmap)).entries
     sys = _System(n, n)
     for k, a_idx, b_idx in itertools.product(range(n), repeat=3):
-        sys.add(((a_idx * n + i, x) for i, x in coeff[k][b_idx]), rhs[k][a_idx][b_idx])
+        sys.add(((coeff[k][b_idx], 1, a_idx * n),), rhs[k][a_idx][b_idx])
     return sys
 
 
@@ -138,12 +143,10 @@ def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
     n, c = a.dim, a.bracket
     d = a.require_differential().matrix
     du = _bracket(c, d)  # [d(x), y]
-    right, w, wu = c.transpose((0, 2, 1)).nz, c.scale(-ONE).nz, du.scale(-weight).nz
+    right, w = c.transpose((0, 2, 1)).nz, c.add(du.scale(weight)).scale(-ONE).nz
     sys = _System(n, n)
     for i, j, k in itertools.product(range(n), repeat=3):
-        sys.add(itertools.chain(((b * n + j, x) for b, x in right[i][k]),
-                                ((k * n + s, x) for s, x in itertools.chain(w[i][j], wu[i][j]))),
-                du.entries[i][j][k])
+        sys.add(((right[i][k], n, j), (w[i][j], 1, k * n)), du.entries[i][j][k])
     return sys
 
 
@@ -152,13 +155,10 @@ def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
     n, v = r.algebra.dim, r.vdim
     rho = _stack(r.rho)
     rho_d = _action(rho, d)  # rho(d(e_i))
-    rows, cols = rho.nz, rho.scale(-ONE).transpose((0, 2, 1)).nz
-    cols_d = rho_d.scale(-weight).transpose((0, 2, 1)).nz
+    rows, cols = rho.nz, rho.add(rho_d.scale(weight)).scale(-ONE).transpose((0, 2, 1)).nz
     sys = _System(v, v)
     for i, a_idx, b_idx in itertools.product(range(n), range(v), range(v)):
-        sys.add(itertools.chain(((s * v + b_idx, x) for s, x in rows[i][a_idx]),
-                                ((a_idx * v + s, x) for s, x in itertools.chain(cols[i][b_idx], cols_d[i][b_idx]))),
-                rho_d.entries[i][a_idx][b_idx])
+        sys.add(((rows[i][a_idx], v, b_idx), (cols[i][b_idx], 1, a_idx * v)), rho_d.entries[i][a_idx][b_idx])
     return sys
 
 

@@ -47,6 +47,13 @@ def test_contract_gl4_bracket(benchmark):
     assert contract(benchmark(contract, c, 1, m), 1, back) == c
 
 
+def test_contract_gl4_bracket_fractional_map(benchmark):
+    c = support.gl(4).bracket
+    m = _diagonal(16, 5) @ _dense(16, 6)  # fractional entries over several denominators
+    expected = naive.contract(naive.as_cells(c), 2, naive.mat_cells(m))
+    assert naive.as_cells(benchmark(contract, c, 2, m)) == expected
+
+
 def test_check_bihom_lie_gl4(benchmark):
     a = support.gl(4)
     assert benchmark(check_bihom_lie, a).ok
@@ -54,4 +61,9 @@ def test_check_bihom_lie_gl4(benchmark):
 
 def test_check_bihom_lie_gl5(benchmark):
     a = support.gl(5)
+    assert benchmark(check_bihom_lie, a).ok
+
+
+def test_check_bihom_lie_gl4_torus_twisted(benchmark):
+    a = support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7])  # non-involutive maps, real denominators
     assert benchmark(check_bihom_lie, a).ok

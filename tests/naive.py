@@ -71,6 +71,30 @@ def nonzero_pairs(row):
     return pairs
 
 
+def stored_row(row):
+    """A row in the package's stored form: the least common denominator of its
+    nonzero entries, and the (index, numerator) pairs over it in index order."""
+    pairs = nonzero_pairs(row)
+    den = 1
+    for _, x in pairs:
+        multiple = den
+        while multiple % x.denominator:  # the least multiple of den that x.denominator divides
+            multiple += den
+        den = multiple
+    return den, tuple((k, int(x * den)) for k, x in pairs)
+
+
+def combination(terms, width):
+    """sum over (sign, rows, coeffs) terms of sign * sum_b coeffs[b] * rows[b],
+    with dense rows of the given width."""
+    out = [ZERO] * width
+    for sign, rows, coeffs in terms:
+        for b in range(len(coeffs)):
+            for k in range(width):
+                out[k] += sign * coeffs[b] * rows[b][k]
+    return out
+
+
 def basis(n, i):
     return [Fraction(1) if j == i else ZERO for j in range(n)]
 

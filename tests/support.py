@@ -116,7 +116,7 @@ def antisym_dual2(u, v) -> AlgebraBundle:
 def adjoint_rep(b: AlgebraBundle, eta: Matrix | None = None, xi: Matrix | None = None) -> RepresentationBundle:
     """rho = ad, p = alpha, q = beta."""
     n = b.dim
-    rho = tuple(Matrix.from_columns([b.bracket_basis(i, k) for k in range(n)]) for i in range(n))
+    rho = tuple(Matrix.from_columns(b.bracket.entries[i]) for i in range(n))
     return RepresentationBundle(b, n, rho, b.alpha, b.beta, eta=eta, xi=xi)
 
 

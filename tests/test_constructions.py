@@ -80,7 +80,7 @@ def test_coadjoint_rep_pairing_identity():
         for j in range(2):
             for k in range(2):
                 # <e_i . f_j, e_k> = -<f_j, [e_i, e_k]>
-                lhs = rho[i].entries[j][k] if False else rho[i].column(j)[k]
+                lhs = rho[i].entries[k][j]
                 assert lhs == -naive.bracket_eval(c, naive.basis(2, i), naive.basis(2, k))[j]
     assert rho[0].entries[1][1] == -1  # the frozen example entry
 
@@ -97,7 +97,7 @@ def test_coadjoint_rep_pairing_identity_on_dual_side_fixtures():
             for j in range(n):
                 for k in range(n):
                     pairing = naive.bracket_eval(c, naive.basis(n, i), naive.basis(n, k))[j]
-                    assert rho[i].column(j)[k] == -pairing
+                    assert rho[i].entries[k][j] == -pairing
 
 
 def test_coadjoint_action_zero_for_abelian_dual():
@@ -466,8 +466,8 @@ def test_adjoint_map_satisfies_pairing_identity_and_involution():
     g = f.gram
     for i in range(2):
         for j in range(2):
-            lhs = sum(n.column(i)[a] * g.entries[a][j] for a in range(2))
-            rhs = sum(g.entries[i][a] * adj.column(j)[a] for a in range(2))
+            lhs = sum(n.entries[a][i] * g.entries[a][j] for a in range(2))
+            rhs = sum(g.entries[i][a] * adj.entries[a][j] for a in range(2))
             assert lhs == rhs
     assert adjoint_map_wrt_form(adj, f) == n
 

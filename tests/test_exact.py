@@ -1,6 +1,7 @@
 """Arithmetic substrate: scalars, matrices, tensors, elimination."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from bihomlie.exact import (
     Matrix,
     SingularMatrix,
     Tensor3,
+    _combination,
     contract,
     format_scalar,
     invert,
@@ -282,22 +284,34 @@ def test_add_sub_scale_and_nonzero_rows_match_naive_loops(order, data):
     assert cells(x.add(y)) == naive.cellwise(lambda u, v: u + v, a, b)
     assert cells(x.sub(y)) == naive.cellwise(lambda u, v: u - v, a, b)
     assert cells(x.scale(c)) == naive.cellwise(lambda u, _: c * u, a, a)
-    rows = [naive.nonzero_pairs(r) for r in a] if order == 2 else [[naive.nonzero_pairs(r) for r in plane] for plane in a]
-    assert (list(map(list, x.nz)) if order == 2 else [list(map(list, plane)) for plane in x.nz]) == rows
+    rows = [naive.stored_row(r) for r in a] if order == 2 else [[naive.stored_row(r) for r in plane] for plane in a]
+    assert (list(x.nz) if order == 2 else [list(plane) for plane in x.nz]) == rows
 
 
 def _assert_canonical(x):
-    """x is stored in its canonical form: every row holds nonzero Fractions at
-    strictly increasing in-range indices, and x equals its dense round trip."""
-    rows, width = (x.nz, x.cols) if isinstance(x, Matrix) else ([r for plane in x.nz for r in plane], x.shape[2])
-    assert len(x.nz) == (x.rows if isinstance(x, Matrix) else x.shape[0])
+    """x is stored in its canonical form: every row is one positive integer
+    denominator and nonzero integer numerators at strictly increasing in-range
+    indices, with no common factor; its dense view holds Fractions only; and x
+    equals, and hashes like, its dense round trip, which is stored alike."""
+    if isinstance(x, Matrix):
+        rows, width, dense = x.nz, x.cols, x.entries
+        assert len(x.nz) == x.rows and len(dense) == x.rows
+    else:
+        rows, width = [r for plane in x.nz for r in plane], x.shape[2]
+        dense = [r for plane in x.entries for r in plane]
+        assert len(x.nz) == x.shape[0] and all(len(plane) == x.shape[1] for plane in x.nz)
     for row in rows:
-        assert isinstance(row, tuple) and all(isinstance(pair, tuple) for pair in row)
-        cols = [k for k, _ in row]
+        assert isinstance(row, tuple) and len(row) == 2
+        den, pairs = row
+        assert type(den) is int and den > 0
+        assert isinstance(pairs, tuple) and all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs)
+        cols = [k for k, _ in pairs]
         assert cols == sorted(set(cols)) and all(0 <= k < width for k in cols)
-        assert all(isinstance(v, Fraction) and v != 0 for _, v in row)
+        assert all(type(v) is int and v != 0 for _, v in pairs)
+        assert math.gcd(den, *[v for _, v in pairs]) == 1
+    assert all(len(r) == width and all(type(v) is Fraction for v in r) for r in dense)
     rebuilt = Matrix.from_rows(x.entries) if isinstance(x, Matrix) else Tensor3.from_entries(x.entries)
-    assert x == rebuilt
+    assert x == rebuilt and x.nz == rebuilt.nz and hash(x) == hash(rebuilt)
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,6 +334,62 @@ def test_every_result_is_canonical(data, n, p):
         _assert_canonical(x)
     assert a.sub(a) == Matrix.zeros(n, p) and a.scale(0) == Matrix.zeros(n, p)
     assert t.sub(t) == Tensor3.zeros(t.shape)
+
+
+# coprime denominators make the running denominator grow to their lcm
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def _combination_terms(draw):
+    """(sign, dense rows, dense coeffs) terms and the row width.  The sum is
+    free, or cancels to zero (every term also appears negated), or is an
+    integer row over fractional terms (one more term makes up the difference)."""
+    width, nrows = draw(dims), draw(dims)
+    row = st.lists(small_rationals, min_size=width, max_size=width)
+    terms = [(draw(st.sampled_from([1, -1])), [draw(row) for _ in range(nrows)],
+              draw(st.lists(small_rationals, min_size=nrows, max_size=nrows))) for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(["free", "zero", "integral"]))
+    if kind == "zero":
+        terms += [(-sign, rows, coeffs) for sign, rows, coeffs in terms]
+    elif kind == "integral":
+        target = draw(st.lists(st.integers(-3, 3).map(Fraction), min_size=width, max_size=width))
+        partial = naive.combination(terms, width)
+        terms.append((1, [[t - p for t, p in zip(target, partial)]], [Fraction(1, 3)]))
+        terms.append((1, [[t - p for t, p in zip(target, partial)]], [Fraction(2, 3)]))
+    return terms, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(_combination_terms())
+def test_combination_matches_naive_fraction_loop(case):
+    terms, width = case
+    stored = [(sign, Matrix.from_rows(rows).nz, Matrix.from_rows([coeffs]).nz[0]) for sign, rows, coeffs in terms]
+    expected = naive.combination(terms, width)
+    assert _combination(stored) == naive.stored_row(expected)
+    if not any(expected):
+        assert _combination(stored) == (1, ())
+
+
+def test_kernel_products_build_no_fraction():
+    a = Matrix.from_rows([["1/2", 0, "2/3"], [0, 0, 0], [3, "-1/5", 1]])
+    t = Tensor3.from_entries([[["1/3", 0, 1], [0, 0, 0], [2, "5/7", 0]]] * 3)
+    expected = [naive.mat_mul(naive.mat_cells(a), naive.mat_cells(a))] + \
+        [naive.contract(naive.as_cells(t), axis, naive.mat_cells(a)) for axis in range(3)]
+    made = []
+    new = vars(Fraction)["__new__"].__func__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        results = [a @ a] + [contract(t, axis, a) for axis in range(3)]
+    finally:
+        Fraction.__new__ = staticmethod(new)
+    assert made == []
+    assert [naive.mat_cells(results[0])] + [naive.as_cells(x) for x in results[1:]] == expected
 
 
 # -- elimination against independent oracles ---------------------------------------
@@ -360,8 +430,8 @@ def _linear_system(draw):
 
 
 def _sparse(rows):
-    """The matrix built straight from the nonzeros of its rows, not via from_rows."""
-    return Matrix(len(rows), len(rows[0]), tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows))
+    """The matrix built straight from its rows in the stored form, not via from_rows."""
+    return Matrix(len(rows), len(rows[0]), tuple(map(naive.stored_row, rows)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,7 +471,7 @@ def test_invert_equals_gauss_jordan_oracle(rows):
         return
     inv = invert(m)
     for col in range(n):
-        assert list(inv.column(col)) == naive.rref_solve(rows, [Fraction(int(i == col)) for i in range(n)], n)
+        assert list(inv.transpose().entries[col]) == naive.rref_solve(rows, [Fraction(int(i == col)) for i in range(n)], n)
 
 
 def test_elimination_drops_zero_and_repeated_rows():

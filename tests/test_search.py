@@ -50,7 +50,7 @@ def test_derivations_contain_zero_and_all_inner_derivations():
         base = support.with_diff(fixture, Matrix.zeros(fixture.dim, fixture.dim), 0)
         span = sol.basis_matrices()
         for i in range(fixture.dim):
-            ad = Matrix.from_columns([fixture.bracket_basis(i, k) for k in range(fixture.dim)])
+            ad = Matrix.from_columns(fixture.bracket.entries[i])
             # ad_x solves the rule, and lies in the solution span
             assert checks.check_diff_leibniz(dataclasses.replace(base, differential=Differential(ad, scalar(0)))).ok
             flat = tuple(x for row in ad.entries for x in row)
