@@ -1,12 +1,10 @@
 """Exact rational linear algebra: scalars, sparse matrices, order-3 tensors.
 
 Everything is arbitrary-precision rational arithmetic, so equality is
-structural and every residual test is exact.  A matrix or tensor stores each
-row as integer numerators over one common denominator (``Row``); products,
-sums and eliminations run on those integers, and ``fractions.Fraction``
-values are built only where a value leaves the kernel: the dense ``entries``
-view, ``row_values``, and the read-off of an elimination.  All values are
-immutable after construction; every operation is a pure function.
+structural and every residual test is exact.  Each stored row is integers over
+one denominator (``Row``); ``Fraction`` values are built only where a value
+leaves the kernel (``entries``, ``row_values``, elimination read-off).  All
+values are immutable after construction; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -54,19 +52,14 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-#: a row as one positive denominator and the (column, numerator) pairs of its
-#: nonzero entries in increasing column order, the entry at column k being
-#: numerator / denominator; gcd(denominator, *numerators) is 1, so the form is
-#: canonical and the empty row is (1, ())
+#: a row as (den, pairs): den > 0 and the (column, numerator) pairs of its nonzero
+#: entries in increasing column order, in lowest terms, so the form is canonical
 Row = tuple[int, tuple[tuple[int, int], ...]]
-
 EMPTY: Row = (1, ())
 
 
 def _reduced(den: int, pairs: tuple[tuple[int, int], ...]) -> Row:
     """The row of the nonzero (column, numerator) pairs over den > 0, in lowest terms."""
-    if not pairs:
-        return EMPTY
     if den == 1:
         return 1, pairs
     g = math.gcd(den, *[v for _, v in pairs])
@@ -77,19 +70,14 @@ def _sorted_row(den: int, acc: dict[int, int]) -> Row:
     """The row of the numerators {column: value} over den, zeros dropped."""
     if not all(acc.values()):
         acc = {k: v for k, v in acc.items() if v}
-    return _reduced(den, tuple(sorted(acc.items())))
-
-
-def _gathered(cells: Sequence[tuple[int, int, int]]) -> Row:
-    """The row of (column, numerator, denominator) cells in increasing column order."""
-    if not cells:
-        return EMPTY
-    den = math.lcm(*[d for _, _, d in cells])
-    return _reduced(den, tuple((k, v * (den // d)) for k, v, d in cells))
+    return _reduced(den, tuple(sorted(acc.items()))) if acc else EMPTY
 
 
 def _row(values: Iterable[Fraction]) -> Row:
-    return _gathered([(k, x.numerator, x.denominator) for k, x in enumerate(values) if x])
+    """The row of dense values: over the lcm of their denominators, already in lowest terms."""
+    nonzero = [(k, x) for k, x in enumerate(values) if x]
+    den = math.lcm(*[x.denominator for _, x in nonzero])
+    return den, tuple((k, x.numerator * (den // x.denominator)) for k, x in nonzero)
 
 
 def row_values(row: Row) -> list[tuple[int, Fraction]]:
@@ -133,12 +121,9 @@ def _scaled(row: Row, c: Fraction) -> Row:
 
 def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
     """The sum of sign * sum_b x_b * rows[b] over (sign, rows, coeffs) terms,
-    coeffs giving the nonzero x_b: a row-wise sparse product (Gustavson),
-    where zero entries of either factor cost nothing.
-
-    Products are added as integers over a running common denominator, which
-    grows to the least common multiple when a term's denominator does not
-    divide it; one gcd per result brings it to lowest terms."""
+    coeffs giving the nonzero x_b: a row-wise sparse product (Gustavson), where
+    zero entries of either factor cost nothing.  Products are added as integers
+    over a running common denominator, grown to an lcm when a term needs it."""
     acc: dict[int, int] = {}
     den = 1
     for sign, rows, (dc, coeffs) in terms:
@@ -211,11 +196,13 @@ class Matrix:
         return Matrix.from_rows(cols).transpose()
 
     def transpose(self) -> "Matrix":
-        out: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
-        for i, (den, pairs) in enumerate(self.nz):
+        den = math.lcm(*[d for d, _ in self.nz])
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, (d, pairs) in enumerate(self.nz):
+            f = den // d
             for j, v in pairs:
-                out[j].append((i, v, den))
-        return Matrix(self.cols, self.rows, tuple(map(_gathered, out)))
+                out[j].append((i, f * v))
+        return Matrix(self.cols, self.rows, tuple(_reduced(den, tuple(col)) for col in out))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -316,18 +303,21 @@ class Tensor3:
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
         """Permute the axes: axis p of the result is axis axes[p] of self.
         Rows move whole when the last axis stays; otherwise, read in index
-        order, every output row fills in increasing order."""
+        order over one common denominator, every output row fills in
+        increasing order."""
         shape = tuple(self.shape[a] for a in axes)
         a0, a1, a2 = axes
         if a2 == 2:
             return Tensor3(shape, self.nz if a0 == 0 else tuple(zip(*self.nz)))
-        out: list[list[list[tuple[int, int, int]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
+        den = math.lcm(*[d for plane in self.nz for d, _ in plane])
+        out: list[list[list[tuple[int, int]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
         for i, plane in enumerate(self.nz):
-            for j, (den, pairs) in enumerate(plane):
+            for j, (d, pairs) in enumerate(plane):
+                f = den // d
                 for k, v in pairs:
                     idx = (i, j, k)
-                    out[idx[a0]][idx[a1]].append((idx[a2], v, den))
-        return Tensor3(shape, tuple(tuple(map(_gathered, plane)) for plane in out))
+                    out[idx[a0]][idx[a1]].append((idx[a2], f * v))
+        return Tensor3(shape, tuple(tuple(_reduced(den, tuple(row)) for row in plane) for plane in out))
 
     def _same_shape(self, other: "Tensor3") -> None:
         if self.shape != other.shape:
@@ -340,8 +330,8 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
     transforming an input slot of a bracket pass the transpose.  Each output
     row is one ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T
-    (axis 2), so zero entries of ``t`` and of ``m`` cost nothing, and an
-    output row whose coefficient row is empty is not computed at all.
+    (axis 2), so zero entries of ``t`` and of ``m`` cost nothing; an output
+    row whose coefficient row is empty is skipped.
     """
     if axis not in (0, 1, 2):
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")

@@ -81,9 +81,7 @@ class SolutionSpace:
 
 
 class _System:
-    """Accumulates exact linear equations over the entries of one unknown map.
-
-    Each equation is a matrix ``Row`` over the variables."""
+    """Accumulates exact linear equations, each a matrix ``Row``, over the entries of one unknown map."""
 
     def __init__(self, rows_dim: int, cols_dim: int):
         self.shape = (rows_dim, cols_dim)
@@ -92,9 +90,8 @@ class _System:
         self.rhs: list[Fraction] = []
 
     def add(self, parts: Sequence[tuple[Row, int, int]], rhs: Fraction = ZERO) -> None:
-        """Append sum row[k] * x[stride * k + offset] = rhs over the (row, stride,
-        offset) parts, on integers over their common denominator; a variable
-        met twice adds up."""
+        """Append sum row[k] * x[stride * k + offset] = rhs over the (row, stride, offset)
+        parts, summed as integers over their common denominator."""
         den = math.lcm(*[row[0] for row, _, _ in parts])
         acc: dict[int, int] = {}
         for (d, pairs), stride, offset in parts:
