@@ -613,12 +613,14 @@ class Suite:
 
     steps: tuple[Step, ...]
 
+    def steps_on(self, bundle: Any) -> list[Step]:
+        """The steps that run on the bundle: those whose needed fields are all set."""
+        return [s for s in self.steps if all(_field(bundle, f) is not None for f in s.needs)]
+
     def run(self, bundle: Any, weight: Fraction | None = None) -> Report:
-        reports = []
-        for step in self.steps:
-            if all(_field(bundle, f) is not None for f in step.needs):
-                kwargs = {"weight": weight} if step.weighted else {}
-                reports.append(globals()[step.check](*(_field(bundle, f) for f in step.args), **kwargs))
+        reports = [globals()[step.check](*(_field(bundle, f) for f in step.args),
+                                         **({"weight": weight} if step.weighted else {}))
+                   for step in self.steps_on(bundle)]
         return Report(()).merged(*reports)
 
 
@@ -631,9 +633,9 @@ def _on(field: str, steps: tuple[Step, ...]) -> tuple[Step, ...]:
 
 _LIE, _COALG = Step("check_bihom_lie"), Step("check_bihom_coalgebra")
 _ALGEBRA_AUTO = (_LIE, Step("check_nijenhuis_operator", needs=("nijenhuis",)),
-                 Step("check_diff_leibniz", needs=("differential",)))
+                 Step("check_diff_leibniz", needs=("differential",), weighted=True))
 _COALGEBRA_AUTO = (_COALG, Step("check_nijenhuis_coalgebra", needs=("conijenhuis",)),
-                   Step("check_diff_coalgebra", needs=("codiff",)))
+                   Step("check_diff_coalgebra", needs=("codiff",), weighted=True))
 _OPERATOR_PAIR = ("algebra.nijenhuis", "coalgebra.conijenhuis")
 _DIFFERENTIAL_PAIR = ("algebra.differential", "coalgebra.codiff")
 _ADJOINT = Step("check_adjoint_admissible", ("algebra", "coalgebra.conijenhuis"), _OPERATOR_PAIR)

@@ -145,7 +145,10 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
     if flavor is not None and kind != "matched_pair":
         raise ParseError(f"--flavor applies only to matched_pair files, got kind {kind}")
     no_suite = f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle"
+    no_weight = f"--weight is read by no check that suite {suite!r} runs on this {kind} bundle"
     if kind in ("matched_pair", "form"):
+        if weight is not None:
+            raise ParseError(no_weight)
         if suite not in ("auto", kind):  # a form also takes --suite form; a matched pair only auto
             raise ParseError(no_suite)
         if kind == "form":
@@ -157,6 +160,8 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
     key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
     if key not in checks.SUITES:
         raise ParseError(no_suite)
+    if weight is not None and not any(step.weighted for step in checks.SUITES[key].steps_on(bundle)):
+        raise ParseError(no_weight)
     return checks.SUITES[key].run(bundle, weight)
 
 

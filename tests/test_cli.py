@@ -310,6 +310,31 @@ def test_wrong_input_kind_exits_two_without_traceback(workdir, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_auto_suite_reads_the_weight_override(workdir, capsys):
+    # aff2 with the identity differential satisfies the weight -1 rule only
+    path = _write(workdir / "aff2id.json", support.with_diff(bundles.aff2(), Matrix.identity(2), -1))
+    assert run(["check", path]) == 0
+    for argv in (["check", path, "--weight", "5"], ["check", path, "--suite", "differential", "--weight", "5"]):
+        assert run(argv) == 1
+        assert f"FAIL {path}: diff_leibniz" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["check", "fixture:aff2", "--weight", "5"], "--weight"),
+    (["check", "fixture:aff2", "--suite", "involution", "--weight", "1"], "--weight"),
+    (["check", "rep.json", "--weight", "1"], "--weight"),
+    (["check", "form.json", "--weight", "1"], "--weight"),
+    (["check", "mp.json", "--weight", "1"], "--weight"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_flag_nothing_reads_exits_two(workdir, capsys, monkeypatch, argv, flag):
+    _wrong_kind_inputs(workdir)
+    _write(workdir / "mp.json", coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(1, 1)))
+    monkeypatch.chdir(workdir)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
 # -- malformed documents and --suite on forms and matched pairs -------------------------
 
 
