@@ -353,6 +353,11 @@ def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
 
 def cmd_search(args: argparse.Namespace) -> int:
     mode = args.mode
+    unread = ({"--weight": args.weight} if mode == "nijenhuis-grid"
+              else {"--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget})
+    for flag, value in unread.items():
+        if value is not None:
+            raise ParseError(f"{flag} does not apply to --mode {mode}")
     kind = {"conijenhuis": BialgebraBundle, "zeta": RepresentationBundle}.get(mode, AlgebraBundle)
     bundle = _require_kind(_load_source(args.file), f"{mode} search", kind)
     weight = scalar(args.weight) if args.weight is not None else scalar(0)
@@ -365,7 +370,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             raw = _read_json(args.pattern, "pattern")
             pattern = bundles._parsed(
                 "pattern", lambda rows: [[None if x is None else scalar(x) for x in row] for row in rows], raw)
-        sols = search.grid_search_nijenhuis(bundle, grid, pattern, args.budget)
+        budget = {} if args.budget is None else {"budget": args.budget}
+        sols = search.grid_search_nijenhuis(bundle, grid, pattern, **budget)
         doc = {
             "kind": "solutions",
             "mode": mode,
@@ -440,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default=None, help="rational weight p/q")
     p.add_argument("--grid", default=None, help="comma-separated rational grid values")
     p.add_argument("--pattern", default=None, help="JSON file fixing matrix entries (null = free)")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=None, help="enumeration size limit (nijenhuis-grid; default 200000)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
     return parser
