@@ -64,7 +64,8 @@ class AlgebraBundle:
         n = self.dim
         if self.bracket.shape != (n, n, n):
             raise DimensionMismatch(f"bracket shape {self.bracket.shape} does not match dim {n}")
-        for name, m in self._maps():
+        d = self.differential.matrix if self.differential else None
+        for name, m in [("alpha", self.alpha), ("beta", self.beta), ("nijenhuis", self.nijenhuis), ("differential", d)]:
             if m is not None and (m.rows, m.cols) != (n, n):
                 raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, expected {n}x{n}")
         if self.kind not in ("lie", "bihom-lie"):
@@ -73,10 +74,6 @@ class AlgebraBundle:
             ident = Matrix.identity(n)
             if self.alpha != ident or self.beta != ident:
                 raise ParseError("kind 'lie' requires alpha = beta = identity")
-
-    def _maps(self) -> list[tuple[str, Matrix | None]]:
-        d = self.differential.matrix if self.differential else None
-        return [("alpha", self.alpha), ("beta", self.beta), ("nijenhuis", self.nijenhuis), ("differential", d)]
 
     def require_nijenhuis(self) -> Matrix:
         if self.nijenhuis is None:
@@ -274,12 +271,8 @@ class Report:
         return all(e.ok for e in self.entries if not e.advisory)
 
     def merged(self, *others: "Report") -> "Report":
-        entries = self.entries
-        notes = self.notes
-        for o in others:
-            entries = entries + o.entries
-            notes = notes + o.notes
-        return Report(entries, notes)
+        reports = (self, *others)
+        return Report(tuple(e for r in reports for e in r.entries), tuple(n for r in reports for n in r.notes))
 
     def prefixed(self, prefix: str) -> "Report":
         """Re-label entry cases with a context prefix (for composite reports)."""
@@ -587,21 +580,15 @@ def bihom2(m: int | str | Fraction, n: int | str | Fraction) -> AlgebraBundle:
 
 def sl2() -> AlgebraBundle:
     """sl2 on basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    cells = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
-    cells[0][1] = [scalar(0), scalar(2), scalar(0)]
-    cells[1][0] = [scalar(0), scalar(-2), scalar(0)]
-    cells[0][2] = [scalar(0), scalar(0), scalar(-2)]
-    cells[2][0] = [scalar(0), scalar(0), scalar(2)]
-    cells[1][2] = [scalar(1), scalar(0), scalar(0)]
-    cells[2][1] = [scalar(-1), scalar(0), scalar(0)]
+    cells = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
+             [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
+             [[0, 0, 2], [-1, 0, 0], [0, 0, 0]]]
     return AlgebraBundle(3, Tensor3.from_entries(cells), Matrix.identity(3), Matrix.identity(3), kind="lie")
 
 
 def aff2() -> AlgebraBundle:
     """Two-dimensional non-abelian algebra: [e1, e2] = e2."""
-    cells = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
-    cells[0][1] = [scalar(0), scalar(1)]
-    cells[1][0] = [scalar(0), scalar(-1)]
+    cells = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
     return AlgebraBundle(2, Tensor3.from_entries(cells), Matrix.identity(2), Matrix.identity(2), kind="lie")
 
 

@@ -24,31 +24,19 @@ from .bundles import (
     CoalgebraBundle,
     FormBundle,
     MatchedPairBundle,
-    MissingField,
     ParseError,
     Report,
     RepresentationBundle,
     fixture_by_name,
 )
-from .checks import IDENTITY_FORMULAS, WeightMismatch
-from .constructions import PreconditionFailed
-from .exact import DimensionMismatch, Matrix, SingularMatrix, format_scalar, scalar
-from .search import BudgetExceeded, NonlinearKind
+from .checks import IDENTITY_FORMULAS
+from .exact import Matrix, format_scalar, scalar
 
 MAX_RESIDUAL_CELLS = 16
 
-_USER_ERRORS = (
-    ParseError,
-    MissingField,
-    DimensionMismatch,
-    SingularMatrix,
-    PreconditionFailed,
-    NonlinearKind,
-    BudgetExceeded,
-    WeightMismatch,
-    ValueError,
-    OSError,
-)
+#: every error the package raises on bad input (ParseError, MissingField,
+#: DimensionMismatch, SingularMatrix, PreconditionFailed, ...) is a ValueError
+_USER_ERRORS = (ValueError, OSError)
 
 
 def _load_source(ref: str) -> Any:
@@ -91,16 +79,8 @@ def _report_document(source: str, report: Report) -> dict[str, Any]:
         "source": source,
         "ok": report.ok,
         "notes": list(report.notes),
-        "entries": [
-            {
-                "identity": e.identity,
-                "case": e.case,
-                "ok": e.ok,
-                "advisory": e.advisory,
-                "residual": _residual_document(e.residual),
-            }
-            for e in report.entries
-        ],
+        "entries": [{"identity": e.identity, "case": e.case, "ok": e.ok, "advisory": e.advisory,
+                     "residual": _residual_document(e.residual)} for e in report.entries],
     }
 
 
@@ -225,42 +205,36 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise ParseError(f"unknown construction {kind!r}")
     if len(inputs) != len(accepted):
         raise ParseError(f"{kind} takes {len(accepted)} input bundle(s), got {len(inputs)}")
-    for bundle, types in zip(inputs, accepted):
-        _require_kind(bundle, kind, *types)
+    for given, types in zip(inputs, accepted):
+        _require_kind(given, kind, *types)
+    bundle = inputs[0]
 
     if kind == "dual":
-        (bundle,) = inputs
         result = constructions.dualize(bundle)
     elif kind == "twist":
-        (bundle,) = inputs
         if not args.maps:
             raise ParseError("twist needs --maps pointing to an alpha/beta file")
         alpha, beta = _load_maps(args.maps, bundle.dim)
         result, report = constructions.yau_twist(bundle, alpha, beta)
     elif kind == "untwist":
-        (bundle,) = inputs
         result = constructions.untwist(bundle)
     elif kind == "hom":
-        (bundle,) = inputs
         if not args.maps:
             raise ParseError("hom needs --maps pointing to an alpha file")
         alpha, _ = _load_maps(args.maps, bundle.dim)
         result, report = constructions.hom_specialize(bundle, alpha)
     elif kind == "semidirect":
-        (rep_bundle,) = inputs
-        result, report = constructions.semidirect_product(rep_bundle.algebra, rep_bundle, args.flavor or "nijenhuis")
+        result, report = constructions.semidirect_product(bundle.algebra, bundle, args.flavor or "nijenhuis")
     elif kind == "double":
         left, right = inputs
         double, report = constructions.double_construction(left, right, args.flavor or "nijenhuis")
         result = double.total
         extra_out.append(("form", bundles.document(double.form)))
     elif kind == "bicrossed":
-        (mp,) = inputs
-        result, report = constructions.bicrossed_product(mp, args.flavor or "nijenhuis", args.symmetrized_mp_right)
+        result, report = constructions.bicrossed_product(bundle, args.flavor or "nijenhuis", args.symmetrized_mp_right)
     elif kind == "adjoint-form":
         algebra, form = inputs
         result_matrix = constructions.adjoint_map_wrt_form(algebra.require_nijenhuis(), form)
-        result = None
         extra_out.append(("matrix", _matrix_document(result_matrix)))
 
     docs: list[dict[str, Any]] = []
@@ -272,16 +246,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
                "identities": _identity_table([rep_doc]), "report": rep_doc, "outputs": docs}
     if args.out:
         if result is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(docs[0], indent=2) + "\n")
+            _emit(docs[0], args.out)
             for label, doc in extra_out:
-                with open(f"{args.out}.{label}.json", "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(doc, indent=2) + "\n")
+                _emit(doc, f"{args.out}.{label}.json")
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(extra_out[0][1], indent=2) + "\n")
-        with open(f"{args.out}.report.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(out_doc, indent=2) + "\n")
+            _emit(extra_out[0][1], args.out)
+        _emit(out_doc, f"{args.out}.report.json")
     else:
         _emit(out_doc, None)
     _print_report_lines("hypotheses", report)
@@ -310,11 +280,7 @@ def cmd_triad(args: argparse.Namespace) -> int:
     doc = {
         "kind": "triad-report",
         "flavor": args.flavor,
-        "verdicts": {
-            "manin": triad.manin_ok,
-            "bialgebra": triad.bialgebra_ok,
-            "matched_pair": triad.matched_pair_ok,
-        },
+        "verdicts": {"manin": triad.manin_ok, "bialgebra": triad.bialgebra_ok, "matched_pair": triad.matched_pair_ok},
         "agree": triad.agree,
         "all_ok": triad.all_ok,
         "notes": list(triad.notes),
@@ -446,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default=None, help="rational weight p/q")
     p.add_argument("--grid", default=None, help="comma-separated rational grid values")
     p.add_argument("--pattern", default=None, help="JSON file fixing matrix entries (null = free)")
-    p.add_argument("--budget", type=int, default=None, help="enumeration size limit (nijenhuis-grid; default 200000)")
+    p.add_argument("--budget", type=int, default=None, help="nijenhuis-grid enumeration limit (default 200000)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
     return parser

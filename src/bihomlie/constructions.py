@@ -40,6 +40,7 @@ from .checks import (
     _planes,
     _require_identity_maps,
     _stack,
+    _tr,
     check_diff_rep,
     check_matched_pair,
     check_nijenhuis_representation,
@@ -81,45 +82,23 @@ def dualize(x: AlgebraBundle | CoalgebraBundle) -> CoalgebraBundle | AlgebraBund
     """
     if isinstance(x, AlgebraBundle):
         codiff = Differential(x.differential.matrix.transpose(), x.differential.weight) if x.differential else None
-        return CoalgebraBundle(
-            x.dim,
-            x.bracket.transpose((2, 0, 1)),
-            x.alpha.transpose(),
-            x.beta.transpose(),
-            conijenhuis=x.nijenhuis.transpose() if x.nijenhuis is not None else None,
-            codiff=codiff,
-        )
+        return CoalgebraBundle(x.dim, x.bracket.transpose((2, 0, 1)), x.alpha.transpose(), x.beta.transpose(),
+                               conijenhuis=_tr(x.nijenhuis), codiff=codiff)
     if isinstance(x, CoalgebraBundle):
-        n = x.dim
-        alpha = x.alpha.transpose()
-        beta = x.beta.transpose()
+        alpha, beta = x.alpha.transpose(), x.beta.transpose()
         diff = Differential(x.codiff.matrix.transpose(), x.codiff.weight) if x.codiff else None
-        ident = Matrix.identity(n)
+        ident = Matrix.identity(x.dim)
         kind = "lie" if alpha == ident and beta == ident else "bihom-lie"
-        return AlgebraBundle(
-            n,
-            x.comul.transpose((1, 2, 0)),
-            alpha,
-            beta,
-            nijenhuis=x.conijenhuis.transpose() if x.conijenhuis is not None else None,
-            differential=diff,
-            kind=kind,
-        )
+        return AlgebraBundle(x.dim, x.comul.transpose((1, 2, 0)), alpha, beta, nijenhuis=_tr(x.conijenhuis),
+                             differential=diff, kind=kind)
     raise TypeError(f"cannot dualize {type(x).__name__}")
 
 
 def dual_representation(r: RepresentationBundle) -> RepresentationBundle:
     """Module structure on the dual space: actions negated-transposed, the
     auxiliary maps transposed."""
-    return RepresentationBundle(
-        r.algebra,
-        r.vdim,
-        tuple(m.transpose().neg() for m in r.rho),
-        r.p.transpose(),
-        r.q.transpose(),
-        eta=r.eta.transpose() if r.eta is not None else None,
-        xi=r.xi.transpose() if r.xi is not None else None,
-    )
+    return RepresentationBundle(r.algebra, r.vdim, tuple(m.transpose().neg() for m in r.rho), r.p.transpose(),
+                                r.q.transpose(), eta=_tr(r.eta), xi=_tr(r.xi))
 
 
 def coadjoint_rep(a: AlgebraBundle) -> tuple[Matrix, ...]:
