@@ -319,10 +319,10 @@ def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
 
 def cmd_search(args: argparse.Namespace) -> int:
     mode = args.mode
-    unread = ({"--weight": args.weight} if mode == "nijenhuis-grid"
-              else {"--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget})
-    for flag, value in unread.items():
-        if value is not None:
+    reads = {"nijenhuis-grid": ("--grid", "--pattern", "--budget"), "conijenhuis": ()}.get(mode, ("--weight",))
+    given = {"--weight": args.weight, "--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget}
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
             raise ParseError(f"{flag} does not apply to --mode {mode}")
     kind = {"conijenhuis": BialgebraBundle, "zeta": RepresentationBundle}.get(mode, AlgebraBundle)
     bundle = _require_kind(_load_source(args.file), f"{mode} search", kind)

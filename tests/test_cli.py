@@ -329,6 +329,7 @@ def test_auto_suite_reads_the_weight_override(workdir, capsys):
     (["search", "fixture:aff2", "--mode", "pi", "--pattern", "list.json"], "--pattern"),
     (["search", "fixture:aff2", "--mode", "derivations", "--budget", "10"], "--budget"),
     (["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0,1", "--weight", "0"], "--weight"),
+    (["search", "bi.json", "--mode", "conijenhuis", "--weight", "1"], "--weight"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_flag_nothing_reads_exits_two(workdir, capsys, monkeypatch, argv, flag):
     _wrong_kind_inputs(workdir)
