@@ -632,16 +632,17 @@ def _on(field: str, steps: tuple[Step, ...]) -> tuple[Step, ...]:
 
 
 _LIE, _COALG = Step("check_bihom_lie"), Step("check_bihom_coalgebra")
-_ALGEBRA_AUTO = (_LIE, Step("check_nijenhuis_operator", needs=("nijenhuis",)),
-                 Step("check_diff_leibniz", needs=("differential",), weighted=True))
+_LEIBNIZ, _CO_LEIBNIZ = Step("check_diff_leibniz", weighted=True), Step("check_diff_coalgebra", weighted=True)
+_ALGEBRA_AUTO = (_LIE, Step("check_nijenhuis_operator", needs=("nijenhuis",)), _LEIBNIZ._replace(needs=("differential",)))
 _COALGEBRA_AUTO = (_COALG, Step("check_nijenhuis_coalgebra", needs=("conijenhuis",)),
-                   Step("check_diff_coalgebra", needs=("codiff",), weighted=True))
+                   _CO_LEIBNIZ._replace(needs=("codiff",)))
 _OPERATOR_PAIR = ("algebra.nijenhuis", "coalgebra.conijenhuis")
 _DIFFERENTIAL_PAIR = ("algebra.differential", "coalgebra.codiff")
 _ADJOINT = Step("check_adjoint_admissible", ("algebra", "coalgebra.conijenhuis"), _OPERATOR_PAIR)
 _DUAL = Step("check_dual_admissible", ("coalgebra.comul", "algebra.nijenhuis", "coalgebra.conijenhuis"), _OPERATOR_PAIR)
-_PI = Step("check_diff_pi", ("algebra", "coalgebra.codiff.matrix"), _DIFFERENTIAL_PAIR)
-_DIFF_DUAL = Step("check_diff_dual_admissible", ("coalgebra", "algebra.differential.matrix"), _DIFFERENTIAL_PAIR)
+_PI = Step("check_diff_pi", ("algebra", "coalgebra.codiff.matrix"), _DIFFERENTIAL_PAIR, weighted=True)
+_DIFF_DUAL = Step("check_diff_dual_admissible", ("coalgebra", "algebra.differential.matrix"), _DIFFERENTIAL_PAIR,
+                  weighted=True)
 _COCYCLE = Step("check_bialgebra_cocycle")
 _REP_NIJENHUIS = Step("check_nijenhuis_representation", needs=("eta", "algebra.nijenhuis"))
 _REP_DIFFERENTIAL = Step("check_diff_rep", needs=("xi", "algebra.differential"), weighted=True)
@@ -655,12 +656,12 @@ SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
     ("algebra", "auto"): _ALGEBRA_AUTO,
     ("algebra", "bihom"): (_LIE,),
     ("algebra", "nijenhuis"): (_LIE, Step("check_nijenhuis_operator")),
-    ("algebra", "differential"): (_LIE, Step("check_diff_leibniz", weighted=True)),
+    ("algebra", "differential"): (_LIE, _LEIBNIZ),
     ("algebra", "involution"): (Step("check_involution"),),
     ("coalgebra", "auto"): _COALGEBRA_AUTO,
     ("coalgebra", "bihom"): (_COALG,),
     ("coalgebra", "nijenhuis"): (_COALG, Step("check_nijenhuis_coalgebra")),
-    ("coalgebra", "differential"): (_COALG, Step("check_diff_coalgebra", weighted=True)),
+    ("coalgebra", "differential"): (_COALG, _CO_LEIBNIZ),
     ("representation", "auto"): (Step("check_representation"), _REP_NIJENHUIS, _REP_DIFFERENTIAL),
     ("representation", "bihom"): (Step("check_representation"),),
     ("representation", "nijenhuis"): (Step("check_representation"), _REP_NIJENHUIS),
@@ -670,12 +671,11 @@ SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
     ("bialgebra", "nijenhuis"): _BIALGEBRA_SIDE + (
         Step("check_nijenhuis_operator", ("algebra",)), Step("check_nijenhuis_coalgebra", ("coalgebra",)),
         _ADJOINT, _DUAL),
-    ("bialgebra", "differential"): _BIALGEBRA_SIDE + (
-        Step("check_diff_leibniz", ("algebra",)), Step("check_diff_coalgebra", ("coalgebra",)),
-        _PI, _DIFF_DUAL),
+    ("bialgebra", "differential"): (_BIALGEBRA_SIDE + _on("algebra", (_LEIBNIZ,)) + _on("coalgebra", (_CO_LEIBNIZ,))
+                                    + (_PI, _DIFF_DUAL)),
     ("double", "nijenhuis"): (Step("check_bihom_lie", ("total",)), Step("check_nijenhuis_operator", ("total",)),
                               Step("check_form", ("total", "form"))),
-    ("double", "differential"): (Step("check_bihom_lie", ("total",)), Step("check_diff_leibniz", ("total",)),
+    ("double", "differential"): (Step("check_bihom_lie", ("total",)), *_on("total", (_LEIBNIZ,)),
                                  Step("check_form", ("total", "form"))),
 }.items()}
 

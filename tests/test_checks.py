@@ -2,6 +2,7 @@
 against the independent brute-force evaluators."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -440,3 +441,11 @@ def test_matched_pair_differential_needs_identity_maps():
     with pytest.raises(PreconditionFailed, match="identity structure maps"):
         bicrossed_product(mp, "differential")
     assert checks.check_matched_pair(mp, "bihom").entries[0].identity == "mp_left"
+
+
+def test_every_suite_step_that_takes_a_weight_receives_the_override():
+    # a --weight override reaches every differential check a suite runs, or none
+    for key, suite in checks.SUITES.items():
+        for step in suite.steps:
+            takes = "weight" in inspect.signature(getattr(checks, step.check)).parameters
+            assert step.weighted == takes, (key, step.check)
