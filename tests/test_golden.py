@@ -72,6 +72,7 @@ def cli_inputs() -> dict:
     ab2n = support.scalar_op(bundles.abelian(2), 1)
     aff2d0 = support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), "1/2")
     ab2d = support.with_diff(bundles.abelian(2), I2, "1/2")
+    aff2id = support.with_diff(bundles.aff2(), I2, -1)  # satisfies the weighted Leibniz rule at weight -1 only
     sl2t = twisted(support.scalar_op(bundles.sl2(), 1), [1, 2, "1/2"], [1, 3, "1/3"])
     bad_cells = [[list(row) for row in plane] for plane in bundles.aff2().bracket.entries]
     bad_cells[0][0][1] += 1
@@ -83,6 +84,7 @@ def cli_inputs() -> dict:
         "aff2d.json": support.with_diff(bundles.aff2(), DERIVATION, "1/2"),
         "aff2d0.json": aff2d0,
         "ab2d.json": ab2d,
+        "aff2id.json": aff2id,
         "sl2.json": bundles.sl2(),
         "sl2n.json": dataclasses.replace(bundles.sl2(), nijenhuis=Matrix.diagonal([2, 2, 2])),
         "sl2t.json": sl2t,
@@ -97,6 +99,7 @@ def cli_inputs() -> dict:
         "bi.json": BialgebraBundle(aff2n, coalgebra_of(ab2n)),
         "biplain.json": BialgebraBundle(bundles.aff2(), coalgebra_of(bundles.abelian(2))),
         "bid.json": BialgebraBundle(aff2d0, coalgebra_of(ab2d)),
+        "biid.json": BialgebraBundle(aff2id, coalgebra_of(support.with_diff(bundles.abelian(2), I2, -1))),
         "rep.json": support.adjoint_rep(support.scalar_op(bundles.aff2(), 2), eta=I2.scale(2)),
         "repd.json": support.adjoint_rep(support.with_diff(bundles.aff2(), DERIVATION, 0), xi=DERIVATION),
         "rept.json": support.adjoint_rep(sl2t, eta=I3),
@@ -129,6 +132,8 @@ CLI_COMMANDS = [
     _check("check_alg_diff", ["aff2d.json"], "--suite", "differential"),
     _check("check_alg_diff_weight", ["aff2d.json"], "--suite", "differential", "--weight", "2"),
     _check("check_alg_diff_auto_weight", ["aff2d.json"], "--weight", "2"),
+    _check("check_alg_diffid_weight", ["aff2id.json"], "--suite", "differential", "--weight", "5"),
+    _check("check_alg_diffid_auto_weight", ["aff2id.json"], "--weight", "5"),
     _check("check_bihom2", ["fixture:bihom2(2,3)"]),
     _check("check_twisted", ["sl2t.json"]),
     _check("check_twisted_involution", ["sl2t.json"], "--suite", "involution"),
@@ -141,6 +146,8 @@ CLI_COMMANDS = [
     _check("check_co_diff_weight", ["cod.json"], "--suite", "differential", "--weight", "3"),
     *[_check(f"check_bi_{s}", ["bi.json"], "--suite", s) for s in ("auto", "bialgebra", "nijenhuis")],
     _check("check_bi_diff", ["bid.json"]),
+    _check("check_bi_diffid_weight", ["biid.json"], "--suite", "differential", "--weight", "5"),
+    _check("check_bi_diffid_auto_weight", ["biid.json"], "--weight", "5"),
     *[_check(f"check_rep_{s}", ["rep.json"], "--suite", s)
       for s in ("auto", "nijenhuis", "representation", "differential")],
     _check("check_rep_diff", ["repd.json"]),
