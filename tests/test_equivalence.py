@@ -6,11 +6,13 @@ import pytest
 
 import support
 from bihomlie import bundles
-from bihomlie.checks import WeightMismatch
+from bihomlie.checks import WeightMismatch, check_matched_pair
 from bihomlie.constructions import (
     PreconditionFailed,
+    bicrossed_product,
     coadjoint_matched_pair,
     double_construction,
+    semidirect_product,
 )
 from bihomlie.equivalence import (
     double_adjoint_report,
@@ -208,3 +210,48 @@ def test_iff_bicrossed_diff_valid_and_broken():
 def test_iff_unknown_kind():
     with pytest.raises(ValueError):
         iff_harness("nope")
+
+
+# -- flavour rules: every entry point enforces them with the same exception ---------------
+
+
+def _flavour_inputs() -> dict:
+    """(left, right, flavour) breaking exactly one flavour rule each."""
+    zero = Matrix.zeros(2, 2)
+    ld, rd = support.with_diff(bundles.aff2(), zero, 0), support.with_diff(bundles.abelian(2), zero, 0)
+    twist = Matrix.diagonal([1, 2])  # diagonal, so the dual side's maps are its transposes too
+    return {
+        "unknown flavour": (ld, rd, "lie", ValueError),
+        "missing nijenhuis": (bundles.aff2(), support.scalar_op(bundles.abelian(2), 1), "nijenhuis",
+                              bundles.MissingField),
+        "missing differential": (bundles.aff2(), rd, "differential", bundles.MissingField),
+        "unequal weights": (ld, support.with_diff(bundles.abelian(2), zero, 1), "differential", WeightMismatch),
+        "non-identity maps": (dataclasses.replace(ld, alpha=twist, kind="bihom-lie"),
+                              dataclasses.replace(rd, alpha=twist, kind="bihom-lie"), "differential",
+                              PreconditionFailed),
+    }
+
+
+def _semidirect(left, right, flavor):
+    return semidirect_product(left, support.adjoint_rep(left, eta=I2, xi=Matrix.zeros(2, 2)), flavor)
+
+
+_FLAVOUR_ENTRY_POINTS = {
+    "check_matched_pair": lambda l, r, f: check_matched_pair(coadjoint_matched_pair(l, r), f),
+    "bicrossed_product": lambda l, r, f: bicrossed_product(coadjoint_matched_pair(l, r), f),
+    "double_construction": double_construction,
+    "semidirect_product": _semidirect,
+    "triad": lambda l, r, f: {"nijenhuis": triad_nijenhuis_bihom, "differential": triad_differential}[f](l, r),
+}
+#: (entry point, rule) pairs that cannot be broken: a semidirect product's module
+#: takes the algebra's weight, and the triads take no flavour name
+_UNBREAKABLE = {("semidirect_product", "unequal weights"), ("triad", "unknown flavour")}
+
+
+@pytest.mark.parametrize("entry_point,rule", [(e, r) for e in _FLAVOUR_ENTRY_POINTS for r in _flavour_inputs()
+                                               if (e, r) not in _UNBREAKABLE])
+def test_every_entry_point_enforces_each_flavour_rule(entry_point, rule):
+    left, right, flavor, exc = _flavour_inputs()[rule]
+    with pytest.raises(ValueError) as err:
+        _FLAVOUR_ENTRY_POINTS[entry_point](left, right, flavor)
+    assert type(err.value) is exc
