@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from .exact import (
@@ -187,6 +188,21 @@ class MatchedPairBundle:
         for m in self.h:
             if (m.rows, m.cols) != (self.left.dim, self.left.dim):
                 raise DimensionMismatch("h matrices must act on the left space")
+
+    @cached_property
+    def rho_module(self) -> RepresentationBundle:
+        """V as a module over L through rho, with V's maps and operators."""
+        return _module(self.left, self.right, self.rho)
+
+    @cached_property
+    def h_module(self) -> RepresentationBundle:
+        """L as a module over V through h, with L's maps and operators."""
+        return _module(self.right, self.left, self.h)
+
+
+def _module(acting: AlgebraBundle, on: AlgebraBundle, action: tuple[Matrix, ...]) -> RepresentationBundle:
+    return RepresentationBundle(acting, on.dim, action, on.alpha, on.beta, eta=on.nijenhuis,
+                                xi=on.differential.matrix if on.differential else None)
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,35 @@ class PreconditionFailed(ValueError):
         self.report = report
 
 
-def _require_identity_maps(what: str, *maps: Matrix) -> None:
+def _require_identity_maps(message: str, *maps: Matrix) -> None:
     if any(m != Matrix.identity(m.rows) for m in maps):
-        raise PreconditionFailed(f"differential {what} need identity structure maps")
+        raise PreconditionFailed(message)
+
+
+#: flavour -> the operator field it reads on an algebra, in the order ``check``
+#: tries them on a matched pair that names none
+FLAVORS: dict[str, str | None] = {"nijenhuis": "nijenhuis", "differential": "differential", "bihom": None}
+
+
+def flavor_operators(flavor: str, what: str, *algebras: AlgebraBundle) -> tuple[tuple[Matrix, ...], Fraction | None]:
+    """The operator matrices a flavour reads on the algebras it combines into
+    ``what``, and their common weight (None unless differential).
+
+    Raises ValueError for an unknown flavour, MissingField for an absent
+    operator, WeightMismatch for unequal weights and PreconditionFailed for a
+    differential algebra whose structure maps are not identities.
+    """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r} for {what}")
+    field = FLAVORS[flavor]
+    ops = tuple(getattr(a, f"require_{field}")() for a in algebras) if field else ()
+    if field != "differential":
+        return ops, None
+    if len({d.weight for d in ops}) > 1:
+        raise WeightMismatch("weights differ: " + " vs ".join(str(d.weight) for d in ops))
+    _require_identity_maps(f"differential {what} need identity structure maps",
+                           *(m for a in algebras for m in (a.alpha, a.beta)))
+    return tuple(d.matrix for d in ops), ops[0].weight
 
 
 #: identity id -> the identity it checks, embedded in every report document.
@@ -545,41 +571,14 @@ def _mp_mixed(mp: MatchedPairBundle, flavor: str, symmetrized: bool) -> tuple[Ch
 def check_matched_pair(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> Report:
     """Constituent axioms, cross representations, and the two mixed identities.
 
-    flavor in {"bihom", "nijenhuis", "differential"}.  The differential
-    flavour needs identity structure maps; its report carries both readings
-    of the second mixed identity, only the selected one (symmetrized by
-    default) contributing to the verdict, the other advisory.
+    flavor is a key of FLAVORS; the checkers besides the mixed identities are
+    the ("matched_pair", flavor) suite.  The differential flavour needs
+    identity structure maps; its report carries both readings of the second
+    mixed identity, only the selected one (symmetrized by default)
+    contributing to the verdict, the other advisory.
     """
-    if flavor not in ("bihom", "nijenhuis", "differential"):
-        raise ValueError(f"unknown matched pair flavor {flavor!r}")
-    L, V = mp.left, mp.right
-    reports = [
-        check_bihom_lie(L).prefixed("left"),
-        check_bihom_lie(V).prefixed("right"),
-    ]
-    rep_on_right = RepresentationBundle(L, V.dim, mp.rho, V.alpha, V.beta,
-                                        eta=V.nijenhuis, xi=V.differential.matrix if V.differential else None)
-    rep_on_left = RepresentationBundle(V, L.dim, mp.h, L.alpha, L.beta,
-                                       eta=L.nijenhuis, xi=L.differential.matrix if L.differential else None)
-    reports.append(check_representation(rep_on_right).prefixed("rho"))
-    reports.append(check_representation(rep_on_left).prefixed("h"))
-
-    if flavor == "nijenhuis":
-        reports.append(check_nijenhuis_operator(L).prefixed("left"))
-        reports.append(check_nijenhuis_operator(V).prefixed("right"))
-        reports.append(check_nijenhuis_representation(rep_on_right).prefixed("rho"))
-        reports.append(check_nijenhuis_representation(rep_on_left).prefixed("h"))
-    if flavor == "differential":
-        dl = L.require_differential()
-        dv = V.require_differential()
-        if dl.weight != dv.weight:
-            raise WeightMismatch(f"weights differ: {dl.weight} vs {dv.weight}")
-        _require_identity_maps("matched pairs", L.alpha, L.beta, V.alpha, V.beta)
-        reports.append(check_diff_leibniz(L).prefixed("left"))
-        reports.append(check_diff_leibniz(V).prefixed("right"))
-        reports.append(check_diff_rep(rep_on_right).prefixed("rho"))
-        reports.append(check_diff_rep(rep_on_left).prefixed("h"))
-    return Report(_mp_mixed(mp, flavor, symmetrized)).merged(*reports)
+    flavor_operators(flavor, "matched pairs", mp.left, mp.right)
+    return Report(_mp_mixed(mp, flavor, symmetrized)).merged(SUITES["matched_pair", flavor].run(mp))
 
 
 # -- suites ---------------------------------------------------------------------------------
@@ -591,14 +590,16 @@ class Step(NamedTuple):
     ``check`` names a checker of this module; it is looked up when the suite
     runs, so wrappers installed on the module apply.  ``args`` are the bundle
     fields it is called with ("" is the bundle itself, dots reach into
-    sub-bundles).  The step is skipped when a field in ``needs`` is unset, and
-    a ``weighted`` step receives the caller's weight override.
+    sub-bundles).  The step is skipped when a field in ``needs`` is unset, a
+    ``weighted`` step receives the caller's weight override, and a ``prefix``
+    labels the cases of its report.
     """
 
     check: str
     args: tuple[str, ...] = ("",)
     needs: tuple[str, ...] = ()
     weighted: bool = False
+    prefix: str = ""
 
 
 def _field(bundle: Any, path: str) -> Any:
@@ -618,9 +619,11 @@ class Suite:
         return [s for s in self.steps if all(_field(bundle, f) is not None for f in s.needs)]
 
     def run(self, bundle: Any, weight: Fraction | None = None) -> Report:
-        reports = [globals()[step.check](*(_field(bundle, f) for f in step.args),
-                                         **({"weight": weight} if step.weighted else {}))
-                   for step in self.steps_on(bundle)]
+        reports = []
+        for step in self.steps_on(bundle):
+            report = globals()[step.check](*(_field(bundle, f) for f in step.args),
+                                           **({"weight": weight} if step.weighted else {}))
+            reports.append(report.prefixed(step.prefix) if step.prefix else report)
         return Report(()).merged(*reports)
 
 
@@ -648,10 +651,22 @@ _REP_NIJENHUIS = Step("check_nijenhuis_representation", needs=("eta", "algebra.n
 _REP_DIFFERENTIAL = Step("check_diff_rep", needs=("xi", "algebra.differential"), weighted=True)
 _BIALGEBRA_SIDE = (Step("check_bihom_lie", ("algebra",)), Step("check_bihom_coalgebra", ("coalgebra",)), _COCYCLE)
 
+
+#: (field, case prefix) of the two algebras and of the two modules of a matched pair
+_ALGEBRAS, _MODULES = (("left", "left"), ("right", "right")), (("rho_module", "rho"), ("h_module", "h"))
+
+
+def _each(check: str, factors: tuple[tuple[str, str], ...], weighted: bool = False) -> tuple[Step, ...]:
+    return tuple(Step(check, (field,), weighted=weighted, prefix=prefix) for field, prefix in factors)
+
+
+_MATCHED_PAIR = _each("check_bihom_lie", _ALGEBRAS) + _each("check_representation", _MODULES)
+
 #: (bundle kind, suite name) -> the checkers that suite runs, in report order.
 #: "auto" runs every checker whose operators the bundle carries; the
 #: "bialgebra" nijenhuis/differential suites are the bialgebra side of the
-#: triads, "double" suites run on a DoubleBundle.
+#: triads, "double" suites run on a DoubleBundle, "matched_pair" suites are
+#: what check_matched_pair runs besides the mixed identities.
 SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
     ("algebra", "auto"): _ALGEBRA_AUTO,
     ("algebra", "bihom"): (_LIE,),
@@ -673,6 +688,11 @@ SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
         _ADJOINT, _DUAL),
     ("bialgebra", "differential"): (_BIALGEBRA_SIDE + _on("algebra", (_LEIBNIZ,)) + _on("coalgebra", (_CO_LEIBNIZ,))
                                     + (_PI, _DIFF_DUAL)),
+    ("matched_pair", "bihom"): _MATCHED_PAIR,
+    ("matched_pair", "nijenhuis"): (_MATCHED_PAIR + _each("check_nijenhuis_operator", _ALGEBRAS)
+                                    + _each("check_nijenhuis_representation", _MODULES)),
+    ("matched_pair", "differential"): (_MATCHED_PAIR + _each("check_diff_leibniz", _ALGEBRAS, True)
+                                       + _each("check_diff_rep", _MODULES, True)),
     ("double", "nijenhuis"): (Step("check_bihom_lie", ("total",)), Step("check_nijenhuis_operator", ("total",)),
                               Step("check_form", ("total", "form"))),
     ("double", "differential"): (Step("check_bihom_lie", ("total",)), *_on("total", (_LEIBNIZ,)),
@@ -683,7 +703,3 @@ SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
 def full_algebra_suite(a: AlgebraBundle) -> Report:
     """Everything claimable from the fields an algebra bundle carries."""
     return SUITES["algebra", "auto"].run(a)
-
-
-def full_coalgebra_suite(co: CoalgebraBundle) -> Report:
-    return SUITES["coalgebra", "auto"].run(co)

@@ -133,10 +133,10 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
             raise ParseError(no_suite)
         if kind == "form":
             return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
-        mp_flavor = flavor or ("nijenhuis" if bundle.left.nijenhuis is not None and bundle.right.nijenhuis is not None
-                               else "differential" if bundle.left.differential is not None and bundle.right.differential is not None
-                               else "bihom")
-        return checks.check_matched_pair(bundle, mp_flavor, symmetrized)
+        # the first flavour whose operator both algebras carry
+        flavor = flavor or next(f for f, field in checks.FLAVORS.items()
+                                if field is None or None not in (getattr(bundle.left, field), getattr(bundle.right, field)))
+        return checks.check_matched_pair(bundle, flavor, symmetrized)
     key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
     if key not in checks.SUITES:
         raise ParseError(no_suite)
@@ -326,7 +326,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise ParseError(f"{flag} does not apply to --mode {mode}")
     kind = {"conijenhuis": BialgebraBundle, "zeta": RepresentationBundle}.get(mode, AlgebraBundle)
     bundle = _require_kind(_load_source(args.file), f"{mode} search", kind)
-    weight = scalar(args.weight) if args.weight is not None else scalar(0)
+    weight = scalar(args.weight) if args.weight is not None else None
     if mode == "nijenhuis-grid":
         if not args.grid:
             raise ParseError("nijenhuis-grid needs --grid \"a,b,c\"")
@@ -350,14 +350,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     if mode == "derivations":
         sol = search.solve_linear_identity("derivation", weight, algebra=bundle)
     elif mode == "conijenhuis":
-        sol = search.solve_linear_identity("conijenhuis", weight,
-                                           comul=bundle.coalgebra.comul, nmap=bundle.algebra.require_nijenhuis())
+        sol = search.solve_linear_identity("conijenhuis", comul=bundle.coalgebra.comul,
+                                           nmap=bundle.algebra.require_nijenhuis())
     elif mode == "pi":
-        sol = search.solve_linear_identity("pi", weight if args.weight is not None else bundle.require_differential().weight,
-                                           algebra=bundle)
+        sol = search.solve_linear_identity("pi", weight, algebra=bundle)
     elif mode == "zeta":
-        w = weight if args.weight is not None else bundle.algebra.require_differential().weight
-        sol = search.solve_linear_identity("zeta", w, rep=bundle)
+        sol = search.solve_linear_identity("zeta", weight, rep=bundle)
     else:
         raise ParseError(f"unknown search mode {mode!r}")
     _emit(_solution_document(mode, sol), args.out)
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="auto",
                    choices=["auto", "lie", "bihom", "nijenhuis", "coalgebra", "bialgebra",
                             "representation", "form", "differential", "involution"])
-    p.add_argument("--flavor", choices=["bihom", "nijenhuis", "differential"], default=None,
+    p.add_argument("--flavor", choices=list(checks.FLAVORS), default=None,
                    help="matched-pair suite flavor (matched_pair files only)")
     p.add_argument("--weight", default=None, help="rational weight p/q override")
     p.add_argument("--against", default=None, help="algebra file a form file is checked against")
@@ -391,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("construction",
                    choices=["dual", "twist", "untwist", "hom", "semidirect", "double", "bicrossed", "adjoint-form"])
     p.add_argument("inputs", nargs="+", help="input bundle files or fixture:NAME references")
-    p.add_argument("--flavor", choices=["bihom", "nijenhuis", "differential"], default=None)
+    p.add_argument("--flavor", choices=list(checks.FLAVORS), default=None)
     p.add_argument("--maps", default=None, help="JSON file with alpha (and beta) matrices for twists")
     p.add_argument("--symmetrized-mp-right", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None, help="write the constructed bundle here")

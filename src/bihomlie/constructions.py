@@ -27,8 +27,8 @@ from .bundles import (
 )
 from .checks import (
     _SQUARES,
+    SUITES,
     PreconditionFailed,
-    WeightMismatch,
     _action,
     _bracket,
     _comul,
@@ -41,11 +41,9 @@ from .checks import (
     _require_identity_maps,
     _stack,
     _tr,
-    check_diff_rep,
     check_matched_pair,
-    check_nijenhuis_representation,
-    check_representation,
     declares,
+    flavor_operators,
 )
 from .exact import (
     DimensionMismatch,
@@ -123,10 +121,7 @@ def _endomorphism_report(bracket: Tensor3 | None, comul: Tensor3 | None,
     return Report(tuple(entries))
 
 
-def _require_untwisted(alpha: Matrix, beta: Matrix, what: str) -> None:
-    ident = Matrix.identity(alpha.rows)
-    if alpha != ident or beta != ident:
-        raise PreconditionFailed(f"{what} must carry identity structure maps before twisting")
+_UNTWISTED = "{} must carry identity structure maps before twisting"
 
 
 def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
@@ -140,7 +135,7 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
     alpha is singular).
     """
     if isinstance(b, BialgebraBundle):
-        _require_untwisted(b.algebra.alpha, b.algebra.beta, "bialgebra")
+        _require_identity_maps(_UNTWISTED.format("bialgebra"), b.algebra.alpha, b.algebra.beta)
         report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting bialgebra endomorphisms", report)
@@ -154,14 +149,14 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
                              conijenhuis=b.coalgebra.conijenhuis, codiff=b.coalgebra.codiff)
         return BialgebraBundle(alg, co), report
     if isinstance(b, AlgebraBundle):
-        _require_untwisted(b.alpha, b.beta, "algebra")
+        _require_identity_maps(_UNTWISTED.format("algebra"), b.alpha, b.beta)
         report = _endomorphism_report(b.bracket, None, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting bracket endomorphisms", report)
         return AlgebraBundle(b.dim, _bracket(b.bracket, alpha, beta), alpha, beta,
                              nijenhuis=b.nijenhuis, differential=b.differential, kind="bihom-lie"), report
     if isinstance(b, CoalgebraBundle):
-        _require_untwisted(b.alpha, b.beta, "coalgebra")
+        _require_identity_maps(_UNTWISTED.format("coalgebra"), b.alpha, b.beta)
         report = _endomorphism_report(None, b.comul, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting comultiplication endomorphisms", report)
@@ -190,7 +185,7 @@ def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBund
 def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, Report]:
     """One-map specialization: bracket postcomposed with alpha, comultiplication
     precomposed, both structure maps set to alpha."""
-    _require_untwisted(b.algebra.alpha, b.algebra.beta, "bialgebra")
+    _require_identity_maps(_UNTWISTED.format("bialgebra"), b.algebra.alpha, b.algebra.beta)
     report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, alpha)
     if not report.ok:
         raise PreconditionFailed("supplied map is not a bialgebra endomorphism", report)
@@ -205,35 +200,27 @@ def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, 
 
 # -- products --------------------------------------------------------------------
 
-_FLAVORS = ("bihom", "nijenhuis", "differential")
-
 
 def semidirect_product(a: AlgebraBundle, r: RepresentationBundle, flavor: str) -> tuple[AlgebraBundle, Report]:
     """Algebra on L + V from a module candidate: the bicrossed product of L
     and the abelian algebra on V with maps (p, q), acting by rho, with h = 0.
     The result passes the full suite exactly when the module axioms hold.
 
-    flavor "nijenhuis" needs alpha and q invertible plus the operators N and
-    eta; flavor "differential" needs xi and identity structure maps.
+    flavor is a key of ``checks.FLAVORS``: "nijenhuis" needs alpha and q
+    invertible plus the operators N and eta, "differential" needs xi and
+    identity structure maps.  The hypothesis report is the
+    ("representation", flavor) suite.
     """
     if r.algebra != a:
         raise DimensionMismatch("representation bundle does not belong to the given algebra")
-    differential = None
-    if flavor == "nijenhuis":
-        a.require_nijenhuis()
-        r.require_eta()
-        report = check_representation(r).merged(check_nijenhuis_representation(r))
-    elif flavor == "differential":
-        d = a.require_differential()
-        differential = Differential(r.require_xi(), d.weight)
-        _require_identity_maps("semidirect products", a.alpha, a.beta, r.p, r.q)
-        report = check_representation(r).merged(check_diff_rep(r))
-    else:
-        raise ValueError(f"unknown semidirect flavor {flavor!r}")
     m = r.vdim
-    v = AlgebraBundle(m, Tensor3.zeros((m, m, m)), r.p, r.q, nijenhuis=r.eta, differential=differential)
+    eta = r.require_eta() if flavor == "nijenhuis" else r.eta
+    weight = a.require_differential().weight if flavor == "differential" else None
+    v = AlgebraBundle(m, Tensor3.zeros((m, m, m)), r.p, r.q, nijenhuis=eta,
+                      differential=None if weight is None else Differential(r.require_xi(), weight))
     zero_h = tuple(Matrix.zeros(a.dim, a.dim) for _ in range(m))
-    return _bicrossed_algebra(MatchedPairBundle(a, v, r.rho, zero_h), flavor, "semidirect products"), report
+    product = _bicrossed_algebra(MatchedPairBundle(a, v, r.rho, zero_h), flavor, "semidirect products")
+    return product, SUITES["representation", flavor].run(r)
 
 
 def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> AlgebraBundle:
@@ -247,22 +234,13 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     alpha beta^-1 a].  With identity maps these are the untwisted
     matched-pair brackets, so one formula serves every flavour, the double
     and (h = 0, V abelian) the semidirect product; the flavours differ in the
-    operator block and its preconditions only.  The h term of [x, u], the
-    only one that needs p^-1 and beta^-1, is built only when h is nonzero.
+    operator block and its preconditions (``flavor_operators``) only.  The h
+    term of [x, u], the only one that needs p^-1 and beta^-1, is built only
+    when h is nonzero.
     """
     L, V = mp.left, mp.right
+    ops, weight = flavor_operators(flavor, what, L, V)
     n, m = L.dim, V.dim
-    weight = None
-    if flavor == "nijenhuis":
-        ops = (L.require_nijenhuis(), V.require_nijenhuis())
-    elif flavor == "differential":
-        dl, dv = L.require_differential(), V.require_differential()
-        if dl.weight != dv.weight:
-            raise WeightMismatch(f"weights differ: {dl.weight} vs {dv.weight}")
-        _require_identity_maps(what, L.alpha, L.beta, V.alpha, V.beta)
-        ops, weight = (dl.matrix, dv.matrix), dl.weight
-    else:
-        ops = None
     rho, h = _stack(mp.rho), _stack(mp.h)
     # the L and V parts of [e_i, f_b] (rows [i][b]) and of [f_a, e_j] (rows [a][j])
     rho_xu, h_ux = rho.transpose((0, 2, 1)).nz, h.transpose((0, 2, 1)).nz  # rho(e_i) f_b, h(f_a) e_j
@@ -281,7 +259,7 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
              for a in range(m)]
     bracket = Tensor3((n + m,) * 3, tuple(rows))
     alpha, beta = block_diag(L.alpha, V.alpha), block_diag(L.beta, V.beta)
-    if flavor == "differential":
+    if weight is not None:
         return AlgebraBundle(n + m, bracket, alpha, beta, differential=Differential(block_diag(*ops), weight),
                              kind="lie")
     return AlgebraBundle(n + m, bracket, alpha, beta, nijenhuis=block_diag(*ops) if ops else None, kind="bihom-lie")
@@ -290,12 +268,10 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
 def bicrossed_product(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> tuple[AlgebraBundle, Report]:
     """Algebra on L + V from a matched pair of mutually acting algebras.
 
-    flavor in {"bihom", "nijenhuis", "differential"}.  The hypothesis report
-    is the full matched-pair check; the construction is still carried out
-    when it fails so that both directions of the equivalence can be exercised.
+    flavor is a key of ``checks.FLAVORS``.  The hypothesis report is the full
+    matched-pair check; the construction is still carried out when it fails
+    so that both directions of the equivalence can be exercised.
     """
-    if flavor not in _FLAVORS:
-        raise ValueError(f"unknown bicrossed flavor {flavor!r}")
     return _bicrossed_algebra(mp, flavor, "bicrossed products"), check_matched_pair(mp, flavor, symmetrized)
 
 
@@ -316,12 +292,9 @@ def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) 
     bicrossed product of their coadjoint matched pair, with the canonical
     pairing form.
 
-    flavor in {"bihom", "nijenhuis", "differential"}.
+    flavor is a key of ``checks.FLAVORS``.
     """
-    mp = coadjoint_matched_pair(left, right)
-    if flavor not in _FLAVORS:
-        raise ValueError(f"unknown double flavor {flavor!r}")
-    total = _bicrossed_algebra(mp, flavor, "doubles")
+    total = _bicrossed_algebra(coadjoint_matched_pair(left, right), flavor, "doubles")
     return DoubleBundle(total, standard_double_form(left.dim), left, right), _restriction_report(total, left, right)
 
 

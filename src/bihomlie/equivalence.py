@@ -19,7 +19,6 @@ from .bundles import (
 )
 from .checks import (
     SUITES,
-    WeightMismatch,
     _involution_note,
     check_adjoint_admissible,
     check_matched_pair,
@@ -87,17 +86,9 @@ def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str, symmetrized: 
     """(i) the double and its form, (ii) the bialgebra conditions on the base
     space, (iii) the coadjoint matched pair, each in the flavour's suites."""
     _require_coherent_dual(left, right)
-    if flavor == "nijenhuis":
-        left.require_nijenhuis()
-        right.require_nijenhuis()
-        notes = _involution_note(left, "base algebra") + _involution_note(right, "dual-side algebra")
-    else:
-        dl, dr = left.require_differential(), right.require_differential()
-        if dl.weight != dr.weight:
-            raise WeightMismatch(f"weights differ: {dl.weight} vs {dr.weight}")
-        notes = ()
-
-    double, restrict = double_construction(left, right, flavor)
+    double, restrict = double_construction(left, right, flavor)  # enforces the flavour's preconditions
+    # the differential flavour has identity maps, so these notes are empty there
+    notes = _involution_note(left, "base algebra") + _involution_note(right, "dual-side algebra")
     factor = SUITES["algebra", flavor]
     manin = Report(()).merged(
         factor.run(left).prefixed("left"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .bundles import AlgebraBundle, CoalgebraBundle, RepresentationBundle
+from .bundles import AlgebraBundle, RepresentationBundle
 from .checks import _action, _bracket, _comul, _stack, check_nijenhuis_operator
 from .exact import (
     ONE,
@@ -136,9 +136,11 @@ def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
     return sys
 
 
-def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
+def _pi_system(a: AlgebraBundle, weight: Fraction | None) -> _System:
     n, c = a.dim, a.bracket
-    d = a.require_differential().matrix
+    diff = a.require_differential()
+    d = diff.matrix
+    weight = diff.weight if weight is None else weight
     du = _bracket(c, d)  # [d(x), y]
     right, w = c.transpose((0, 2, 1)).nz, c.add(du.scale(weight)).scale(-ONE).nz
     sys = _System(n, n)
@@ -147,8 +149,10 @@ def _pi_system(a: AlgebraBundle, weight: Fraction) -> _System:
     return sys
 
 
-def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
-    d = r.algebra.require_differential().matrix
+def _zeta_system(r: RepresentationBundle, weight: Fraction | None) -> _System:
+    diff = r.algebra.require_differential()
+    d = diff.matrix
+    weight = diff.weight if weight is None else weight
     n, v = r.algebra.dim, r.vdim
     rho = _stack(r.rho)
     rho_d = _action(rho, d)  # rho(d(e_i))
@@ -159,21 +163,18 @@ def _zeta_system(r: RepresentationBundle, weight: Fraction) -> _System:
     return sys
 
 
-def solve_linear_identity(kind: str, weight: Fraction = ZERO, **data) -> SolutionSpace:
+def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> SolutionSpace:
     """Exact solution space of an identity linear in one unknown map.
 
-    kinds: "derivation" (weight must be zero there), "conijenhuis" (unknown
-    comultiplication-side operator given the algebra-side one), "pi" and
-    "zeta" (adjoint- and module-admissibility given the differential).
+    kinds: "derivation" (weight must be zero there, its default),
+    "conijenhuis" (unknown comultiplication-side operator given the
+    algebra-side one; no weight), "pi" and "zeta" (adjoint- and
+    module-admissibility given the differential, whose weight is the default).
     """
     if kind == "derivation":
-        return _derivation_system(data["algebra"], weight).solve()
+        return _derivation_system(data["algebra"], ZERO if weight is None else weight).solve()
     if kind == "conijenhuis":
-        comul = data.get("comul")
-        if comul is None:
-            co: CoalgebraBundle = data["coalgebra"]
-            comul = co.comul
-        return _conijenhuis_system(comul, data["nmap"]).solve()
+        return _conijenhuis_system(data["comul"], data["nmap"]).solve()
     if kind == "pi":
         return _pi_system(data["algebra"], weight).solve()
     if kind == "zeta":

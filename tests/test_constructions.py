@@ -301,6 +301,17 @@ def test_semidirect_differential():
     assert checks.check_bihom_lie(out).ok and checks.check_diff_leibniz(out).ok
 
 
+def test_semidirect_bihom_flavour_reads_no_operator():
+    # the bihom flavour, as for bicrossed products and doubles: the same
+    # bracket, no operator block, and the module axioms alone as hypotheses
+    alg = dataclasses.replace(bundles.aff2(), nijenhuis=I2)
+    rep = support.adjoint_rep(alg, eta=I2)
+    out, rep_report = semidirect_product(alg, rep, "bihom")
+    assert out.nijenhuis is None and out.differential is None
+    assert out.bracket == semidirect_product(alg, rep, "nijenhuis")[0].bracket
+    assert rep_report == checks.check_representation(rep)
+
+
 # -- doubles and bicrossed products --------------------------------------------------
 
 
