@@ -523,12 +523,12 @@ def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction 
     diff_mp_left="[y,h(c)x] - [x,h(c)y] - h(rho(y)c)(x) + h(rho(x)c)(y) + h(c)([x,y]) = 0",
     diff_mp_right="[b,rho(z)a]_V - [a,rho(z)b]_V - rho(h(b)z)(a) + rho(h(a)z)(b) + rho(z)([a,b]_V) = 0 (symmetrized); the as-printed variant replaces -rho(h(b)z)(a) + rho(h(a)z)(b) by -rho(h(b)z)(b)",
 )
-def _mp_mixed(mp: MatchedPairBundle, flavor: str, symmetrized: bool) -> tuple[CheckEntry, ...]:
+def _mp_mixed(mp: MatchedPairBundle, flavor: str) -> tuple[CheckEntry, ...]:
     """The two mixed identities of a matched pair, on x, y, z in L and a, b, c in V.
 
     The differential flavour, whose maps are identities, reads the same
     identities under its own names and adds the as-printed reading of the
-    second one; only the selected reading counts toward the verdict.
+    second one as an advisory entry.
     """
     L, V = mp.left, mp.right
     n, m = L.dim, V.dim
@@ -560,25 +560,22 @@ def _mp_mixed(mp: MatchedPairBundle, flavor: str, symmetrized: bool) -> tuple[Ch
     if flavor != "differential":
         return (entry("mp_left", "", Residual.tabulate((n, n, m), n, left)),
                 entry("mp_right", "", Residual.tabulate((m, m, n), m, right)))
-    readings = {"symmetrized": Residual.tabulate((m, m, n), m, right),
-                "as-printed": Residual.tabulate((m, m, n), m, lambda a, b, k: right(a, b, k, printed=True))}
-    chosen, other = ("symmetrized", "as-printed") if symmetrized else ("as-printed", "symmetrized")
+    printed = Residual.tabulate((m, m, n), m, lambda a, b, k: right(a, b, k, printed=True))
     return (entry("diff_mp_left", "", Residual.tabulate((n, n, m), n, left)),
-            entry("diff_mp_right", chosen, readings[chosen]),
-            CheckEntry("diff_mp_right", other, readings[other], advisory=True))
+            entry("diff_mp_right", "symmetrized", Residual.tabulate((m, m, n), m, right)),
+            CheckEntry("diff_mp_right", "as-printed", printed, advisory=True))
 
 
-def check_matched_pair(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> Report:
+def check_matched_pair(mp: MatchedPairBundle, flavor: str) -> Report:
     """Constituent axioms, cross representations, and the two mixed identities.
 
     flavor is a key of FLAVORS; the checkers besides the mixed identities are
     the ("matched_pair", flavor) suite.  The differential flavour needs
-    identity structure maps; its report carries both readings of the second
-    mixed identity, only the selected one (symmetrized by default)
-    contributing to the verdict, the other advisory.
+    identity structure maps; its report also carries the as-printed reading
+    of the second mixed identity, as an advisory entry.
     """
     flavor_operators(flavor, "matched pairs", mp.left, mp.right)
-    return Report(_mp_mixed(mp, flavor, symmetrized)).merged(SUITES["matched_pair", flavor].run(mp))
+    return Report(_mp_mixed(mp, flavor)).merged(SUITES["matched_pair", flavor].run(mp))
 
 
 # -- suites ---------------------------------------------------------------------------------

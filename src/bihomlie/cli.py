@@ -118,7 +118,7 @@ _SUITE_ALIASES = {("bialgebra", "bialgebra"): "auto", ("coalgebra", "coalgebra")
 
 
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
-                  flavor: str | None, symmetrized: bool, against: Any | None) -> Report:
+                  flavor: str | None, against: Any | None) -> Report:
     kind = _KINDS.get(type(bundle), type(bundle).__name__)
     if against is not None and kind != "form":
         raise ParseError(f"--against applies only to form files, got kind {kind}")
@@ -136,7 +136,7 @@ def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
         # the first flavour whose operator both algebras carry
         flavor = flavor or next(f for f, field in checks.FLAVORS.items()
                                 if field is None or None not in (getattr(bundle.left, field), getattr(bundle.right, field)))
-        return checks.check_matched_pair(bundle, flavor, symmetrized)
+        return checks.check_matched_pair(bundle, flavor)
     key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
     if key not in checks.SUITES:
         raise ParseError(no_suite)
@@ -152,7 +152,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ok = True
     for ref in args.files:
         bundle = _load_source(ref)
-        report = _suite_report(bundle, args.suite, weight, args.flavor, args.symmetrized_mp_right, against)
+        report = _suite_report(bundle, args.suite, weight, args.flavor, against)
         _print_report_lines(ref, report)
         reports.append(_report_document(ref, report))
         ok = ok and report.ok
@@ -180,29 +180,35 @@ def _matrix_document(m: Matrix) -> dict[str, Any]:
 
 
 _TWISTABLE = (AlgebraBundle, CoalgebraBundle, BialgebraBundle)
-#: construction -> the bundle kinds each of its inputs accepts
-_CONSTRUCTION_INPUTS: dict[str, tuple[tuple[type, ...], ...]] = {
-    "dual": ((AlgebraBundle, CoalgebraBundle),),
-    "twist": (_TWISTABLE,),
-    "untwist": (_TWISTABLE,),
-    "hom": ((BialgebraBundle,),),
-    "semidirect": ((RepresentationBundle,),),
-    "double": ((AlgebraBundle,), (AlgebraBundle,)),
-    "bicrossed": ((MatchedPairBundle,),),
-    "adjoint-form": ((AlgebraBundle,), (FormBundle,)),
+#: construction -> (the bundle kinds each of its inputs accepts, the flags besides --out it reads)
+_CONSTRUCTIONS: dict[str, tuple[tuple[tuple[type, ...], ...], tuple[str, ...]]] = {
+    "dual": (((AlgebraBundle, CoalgebraBundle),), ()),
+    "twist": ((_TWISTABLE,), ("--maps",)),
+    "untwist": ((_TWISTABLE,), ()),
+    "hom": (((BialgebraBundle,),), ("--maps",)),
+    "semidirect": (((RepresentationBundle,),), ("--flavor",)),
+    "double": (((AlgebraBundle,), (AlgebraBundle,)), ("--flavor",)),
+    "bicrossed": (((MatchedPairBundle,),), ("--flavor",)),
+    "adjoint-form": (((AlgebraBundle,), (FormBundle,)), ()),
 }
+
+
+def _refuse_unread(given: dict[str, Any], reads: tuple[str, ...], what: str) -> None:
+    """A ParseError naming the first flag given a value that ``what`` does not read."""
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise ParseError(f"{flag} does not apply to {what}")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     kind = args.construction
+    accepted, reads = _CONSTRUCTIONS[kind]
+    _refuse_unread({"--flavor": args.flavor, "--maps": args.maps}, reads, f"construct {kind}")
     inputs = [_load_source(ref) for ref in args.inputs]
     report = Report(())
     result: Any = None
     extra_out: list[tuple[str, dict[str, Any]]] = []
 
-    accepted = _CONSTRUCTION_INPUTS.get(kind)
-    if accepted is None:
-        raise ParseError(f"unknown construction {kind!r}")
     if len(inputs) != len(accepted):
         raise ParseError(f"{kind} takes {len(accepted)} input bundle(s), got {len(inputs)}")
     for given, types in zip(inputs, accepted):
@@ -231,7 +237,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         result = double.total
         extra_out.append(("form", bundles.document(double.form)))
     elif kind == "bicrossed":
-        result, report = constructions.bicrossed_product(bundle, args.flavor or "nijenhuis", args.symmetrized_mp_right)
+        result, report = constructions.bicrossed_product(bundle, args.flavor or "nijenhuis")
     elif kind == "adjoint-form":
         algebra, form = inputs
         result_matrix = constructions.adjoint_map_wrt_form(algebra.require_nijenhuis(), form)
@@ -269,7 +275,7 @@ def cmd_triad(args: argparse.Namespace) -> int:
     left = _require_kind(_load_source(args.left), "triad", AlgebraBundle)
     right = _require_kind(_load_source(args.right), "triad", AlgebraBundle)
     if args.flavor == "differential":
-        triad = equivalence.triad_differential(left, right, args.symmetrized_mp_right)
+        triad = equivalence.triad_differential(left, right)
     else:
         triad = equivalence.triad_nijenhuis_bihom(left, right)
     side_docs = {
@@ -320,10 +326,8 @@ def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
 def cmd_search(args: argparse.Namespace) -> int:
     mode = args.mode
     reads = {"nijenhuis-grid": ("--grid", "--pattern", "--budget"), "conijenhuis": ()}.get(mode, ("--weight",))
-    given = {"--weight": args.weight, "--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget}
-    for flag, value in given.items():
-        if value is not None and flag not in reads:
-            raise ParseError(f"{flag} does not apply to --mode {mode}")
+    _refuse_unread({"--weight": args.weight, "--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget},
+                   reads, f"--mode {mode}")
     kind = {"conijenhuis": BialgebraBundle, "zeta": RepresentationBundle}.get(mode, AlgebraBundle)
     bundle = _require_kind(_load_source(args.file), f"{mode} search", kind)
     weight = scalar(args.weight) if args.weight is not None else None
@@ -354,10 +358,8 @@ def cmd_search(args: argparse.Namespace) -> int:
                                            nmap=bundle.algebra.require_nijenhuis())
     elif mode == "pi":
         sol = search.solve_linear_identity("pi", weight, algebra=bundle)
-    elif mode == "zeta":
+    else:  # zeta
         sol = search.solve_linear_identity("zeta", weight, rep=bundle)
-    else:
-        raise ParseError(f"unknown search mode {mode!r}")
     _emit(_solution_document(mode, sol), args.out)
     print(f"solution space dimension {sol.dimension}" + (" (inconsistent)" if sol.is_empty else ""))
     return 0
@@ -380,18 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matched-pair suite flavor (matched_pair files only)")
     p.add_argument("--weight", default=None, help="rational weight p/q override")
     p.add_argument("--against", default=None, help="algebra file a form file is checked against")
-    p.add_argument("--symmetrized-mp-right", action=argparse.BooleanOptionalAction, default=True,
-                   help="which reading of the second matched-pair identity counts toward the verdict")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="run a construction and write its output bundle")
-    p.add_argument("construction",
-                   choices=["dual", "twist", "untwist", "hom", "semidirect", "double", "bicrossed", "adjoint-form"])
+    p.add_argument("construction", choices=list(_CONSTRUCTIONS))
     p.add_argument("inputs", nargs="+", help="input bundle files or fixture:NAME references")
     p.add_argument("--flavor", choices=list(checks.FLAVORS), default=None)
     p.add_argument("--maps", default=None, help="JSON file with alpha (and beta) matrices for twists")
-    p.add_argument("--symmetrized-mp-right", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None, help="write the constructed bundle here")
     p.set_defaults(func=cmd_construct)
 
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left", help="base algebra bundle")
     p.add_argument("right", help="algebra bundle on the dual space")
     p.add_argument("--flavor", choices=["nijenhuis", "differential"], default="nijenhuis")
-    p.add_argument("--symmetrized-mp-right", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triad)
 

@@ -11,7 +11,7 @@ coadjoint matched pair, whose two actions both use the representation sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bundles import (
     AlgebraBundle,
@@ -124,6 +124,19 @@ def _endomorphism_report(bracket: Tensor3 | None, comul: Tensor3 | None,
 _UNTWISTED = "{} must carry identity structure maps before twisting"
 
 
+def _rebuilt(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle, bracket_maps: tuple, comul_maps: tuple,
+             alpha: Matrix, beta: Matrix, kind: str = "bihom-lie") -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
+    """b with its bracket composed by ``_bracket(bracket, *bracket_maps)``, its
+    comultiplication by ``_comul(comul, *comul_maps)`` and structure maps
+    alpha, beta; every operator field is kept."""
+    if isinstance(b, BialgebraBundle):
+        return BialgebraBundle(*(_rebuilt(part, bracket_maps, comul_maps, alpha, beta, kind)
+                                 for part in (b.algebra, b.coalgebra)))
+    if isinstance(b, AlgebraBundle):
+        return replace(b, bracket=_bracket(b.bracket, *bracket_maps), alpha=alpha, beta=beta, kind=kind)
+    return replace(b, comul=_comul(b.comul, *comul_maps), alpha=alpha, beta=beta)
+
+
 def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
               alpha: Matrix, beta: Matrix) -> tuple[AlgebraBundle | CoalgebraBundle | BialgebraBundle, Report]:
     """Twist a plain Lie structure by two commuting endomorphisms.
@@ -143,43 +156,29 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
             invert(alpha)
         except Exception as exc:
             raise PreconditionFailed(f"alpha must be invertible to twist a bialgebra: {exc}") from exc
-        alg = AlgebraBundle(b.dim, _bracket(b.algebra.bracket, alpha, beta), alpha, beta,
-                            nijenhuis=b.algebra.nijenhuis, differential=b.algebra.differential, kind="bihom-lie")
-        co = CoalgebraBundle(b.dim, _comul(b.coalgebra.comul, None, alpha, beta), alpha, beta,
-                             conijenhuis=b.coalgebra.conijenhuis, codiff=b.coalgebra.codiff)
-        return BialgebraBundle(alg, co), report
-    if isinstance(b, AlgebraBundle):
+    elif isinstance(b, AlgebraBundle):
         _require_identity_maps(_UNTWISTED.format("algebra"), b.alpha, b.beta)
         report = _endomorphism_report(b.bracket, None, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting bracket endomorphisms", report)
-        return AlgebraBundle(b.dim, _bracket(b.bracket, alpha, beta), alpha, beta,
-                             nijenhuis=b.nijenhuis, differential=b.differential, kind="bihom-lie"), report
-    if isinstance(b, CoalgebraBundle):
+    elif isinstance(b, CoalgebraBundle):
         _require_identity_maps(_UNTWISTED.format("coalgebra"), b.alpha, b.beta)
         report = _endomorphism_report(None, b.comul, alpha, beta)
         if not report.ok:
             raise PreconditionFailed("supplied maps are not commuting comultiplication endomorphisms", report)
-        return CoalgebraBundle(b.dim, _comul(b.comul, None, alpha, beta), alpha, beta,
-                               conijenhuis=b.conijenhuis, codiff=b.codiff), report
-    raise TypeError(f"cannot twist {type(b).__name__}")
+    else:
+        raise TypeError(f"cannot twist {type(b).__name__}")
+    return _rebuilt(b, (alpha, beta), (None, alpha, beta), alpha, beta), report
 
 
 def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
     """Undo a twist: compose with the inverses and reset the maps to identity."""
-    if isinstance(b, BialgebraBundle):
-        return BialgebraBundle(untwist(b.algebra), untwist(b.coalgebra))
-    if isinstance(b, AlgebraBundle):
-        ainv, binv = invert(b.alpha), invert(b.beta)
-        ident = Matrix.identity(b.dim)
-        return AlgebraBundle(b.dim, _bracket(b.bracket, ainv, binv), ident, ident,
-                             nijenhuis=b.nijenhuis, differential=b.differential, kind="lie")
-    if isinstance(b, CoalgebraBundle):
-        ainv, binv = invert(b.alpha), invert(b.beta)
-        ident = Matrix.identity(b.dim)
-        return CoalgebraBundle(b.dim, _comul(b.comul, None, ainv, binv), ident, ident,
-                               conijenhuis=b.conijenhuis, codiff=b.codiff)
-    raise TypeError(f"cannot untwist {type(b).__name__}")
+    if not isinstance(b, (AlgebraBundle, CoalgebraBundle, BialgebraBundle)):
+        raise TypeError(f"cannot untwist {type(b).__name__}")
+    maps = b.algebra if isinstance(b, BialgebraBundle) else b
+    ainv, binv = invert(maps.alpha), invert(maps.beta)
+    ident = Matrix.identity(b.dim)
+    return _rebuilt(b, (ainv, binv), (None, ainv, binv), ident, ident, "lie")
 
 
 def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, Report]:
@@ -189,13 +188,7 @@ def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, 
     report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, alpha)
     if not report.ok:
         raise PreconditionFailed("supplied map is not a bialgebra endomorphism", report)
-    bracket = _bracket(b.algebra.bracket, out=alpha)
-    comul = _comul(b.coalgebra.comul, alpha)
-    alg = AlgebraBundle(b.dim, bracket, alpha, alpha,
-                        nijenhuis=b.algebra.nijenhuis, differential=b.algebra.differential, kind="bihom-lie")
-    co = CoalgebraBundle(b.dim, comul, alpha, alpha,
-                         conijenhuis=b.coalgebra.conijenhuis, codiff=b.coalgebra.codiff)
-    return BialgebraBundle(alg, co), report
+    return _rebuilt(b, (None, None, alpha), (alpha,), alpha, alpha), report
 
 
 # -- products --------------------------------------------------------------------
@@ -265,14 +258,14 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     return AlgebraBundle(n + m, bracket, alpha, beta, nijenhuis=block_diag(*ops) if ops else None, kind="bihom-lie")
 
 
-def bicrossed_product(mp: MatchedPairBundle, flavor: str, symmetrized: bool = True) -> tuple[AlgebraBundle, Report]:
+def bicrossed_product(mp: MatchedPairBundle, flavor: str) -> tuple[AlgebraBundle, Report]:
     """Algebra on L + V from a matched pair of mutually acting algebras.
 
     flavor is a key of ``checks.FLAVORS``.  The hypothesis report is the full
     matched-pair check; the construction is still carried out when it fails
     so that both directions of the equivalence can be exercised.
     """
-    return _bicrossed_algebra(mp, flavor, "bicrossed products"), check_matched_pair(mp, flavor, symmetrized)
+    return _bicrossed_algebra(mp, flavor, "bicrossed products"), check_matched_pair(mp, flavor)
 
 
 def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle) -> MatchedPairBundle:

@@ -82,7 +82,7 @@ def _require_coherent_dual(left: AlgebraBundle, right: AlgebraBundle) -> None:
         raise PreconditionFailed("the dual-side structure maps must be the transposes of the base maps")
 
 
-def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str, symmetrized: bool) -> TriadReport:
+def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadReport:
     """(i) the double and its form, (ii) the bialgebra conditions on the base
     space, (iii) the coadjoint matched pair, each in the flavour's suites."""
     _require_coherent_dual(left, right)
@@ -97,18 +97,18 @@ def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str, symmetrized: 
         SUITES["double", flavor].run(double).prefixed("double"),
     )
     bial = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))
-    mp_report = check_matched_pair(coadjoint_matched_pair(left, right), flavor, symmetrized)
+    mp_report = check_matched_pair(coadjoint_matched_pair(left, right), flavor)
     return TriadReport(manin.ok, manin, bial.ok, bial, mp_report.ok, mp_report, notes)
 
 
 def triad_nijenhuis_bihom(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:
     """Double suite vs bialgebra conditions vs coadjoint matched pair."""
-    return _triad(left, right, "nijenhuis", True)
+    return _triad(left, right, "nijenhuis")
 
 
-def triad_differential(left: AlgebraBundle, right: AlgebraBundle, symmetrized: bool = True) -> TriadReport:
+def triad_differential(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:
     """The same three-way comparison in the differential setting."""
-    return _triad(left, right, "differential", symmetrized)
+    return _triad(left, right, "differential")
 
 
 def double_adjoint_report(double: DoubleBundle) -> Report:
@@ -163,6 +163,6 @@ def iff_harness(kind: str, **data) -> IffReport:
         if kind.startswith("semidirect"):
             product, first = semidirect_product(data["algebra"], data["rep"], flavor)
         else:
-            product, first = bicrossed_product(data["mp"], flavor, data.get("symmetrized", True))
+            product, first = bicrossed_product(data["mp"], flavor)
         second = SUITES["algebra", flavor].run(product)
     return IffReport(kind, first_label, first.ok, first, second_label, second.ok, second)

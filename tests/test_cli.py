@@ -254,7 +254,9 @@ def test_cli_reports_are_byte_identical_across_runs(workdir):
 
 def _wrong_kind_inputs(workdir):
     """Input files for the wrong-kind cases: a form where an algebra belongs,
-    and maps/pattern files that are JSON but not matrices."""
+    maps/pattern files that are JSON but not matrices, and a matched pair and
+    a differential triad pair that the commands accept, so that a refused flag
+    is the only error."""
     _write(workdir / "form.json", bundles.FormBundle(Matrix.identity(3)))
     _write(workdir / "sl2.json", bundles.sl2())
     _write(workdir / "aff2.json", bundles.aff2())
@@ -262,6 +264,9 @@ def _wrong_kind_inputs(workdir):
         2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2), Matrix.identity(2))))
     _write(workdir / "rep.json", bundles.RepresentationBundle(bundles.aff2(), 1, (Matrix.zeros(1, 1),) * 2,
                                                               Matrix.identity(1), Matrix.identity(1)))
+    _write(workdir / "mp.json", coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(1, 1)))
+    _write(workdir / "aff2d.json", support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0))
+    _write(workdir / "ab2d.json", support.with_diff(bundles.abelian(2), Matrix.zeros(2, 2), 0))
     (workdir / "half.json").write_text("0.5", encoding="utf-8")
     (workdir / "list.json").write_text('[["1", "0"], ["0", "1"]]', encoding="utf-8")
     (workdir / "alpha_half.json").write_text('{"alpha": 0.5}', encoding="utf-8")
@@ -297,6 +302,9 @@ def _wrong_kind_inputs(workdir):
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "flat.json"],
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "half.json"],
     ["check", "fixture:abelian(0)"],
+    ["check", "fixture:aff2", "--no-symmetrized-mp-right"],
+    ["construct", "bicrossed", "mp.json", "--flavor", "bihom", "--no-symmetrized-mp-right"],
+    ["triad", "aff2d.json", "ab2d.json", "--flavor", "differential", "--no-symmetrized-mp-right"],
     *[["check", "rep.json", "--suite", suite] for suite in ("involution", "coalgebra", "bialgebra", "form")],
     *[["check", "bi.json", "--suite", suite] for suite in ("lie", "bihom", "coalgebra", "representation", "involution")],
 ], ids=" ".join)
@@ -330,10 +338,13 @@ def test_auto_suite_reads_the_weight_override(workdir, capsys):
     (["search", "fixture:aff2", "--mode", "derivations", "--budget", "10"], "--budget"),
     (["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0,1", "--weight", "0"], "--weight"),
     (["search", "bi.json", "--mode", "conijenhuis", "--weight", "1"], "--weight"),
+    (["construct", "dual", "fixture:aff2", "--flavor", "differential"], "--flavor"),
+    (["construct", "untwist", "fixture:sl2", "--flavor", "nijenhuis"], "--flavor"),
+    (["construct", "untwist", "fixture:sl2", "--maps", "missing.json"], "--maps"),
+    (["construct", "bicrossed", "mp.json", "--flavor", "bihom", "--maps", "list.json"], "--maps"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_flag_nothing_reads_exits_two(workdir, capsys, monkeypatch, argv, flag):
     _wrong_kind_inputs(workdir)
-    _write(workdir / "mp.json", coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(1, 1)))
     monkeypatch.chdir(workdir)
     assert run(argv) == 2
     err = capsys.readouterr().err
