@@ -297,9 +297,6 @@ class Report:
             tuple(f"{prefix}: {n}" for n in self.notes),
         )
 
-    def failing(self) -> tuple[CheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok and not e.advisory)
-
 
 # -- serialization ---------------------------------------------------------------
 

@@ -372,18 +372,6 @@ def check_nijenhuis_representation(r: RepresentationBundle) -> Report:
 # -- admissibility checkers ---------------------------------------------------------
 
 
-@declares(admissible_eta="eta(rho(N(x)) u) + rho(x)(eta^2(u)) = rho(N(x)) eta(u) + eta(rho(x) eta(u))")
-def check_eta_admissible(r: RepresentationBundle) -> Report:
-    """Dual-module admissibility of eta."""
-    eta = r.require_eta()
-    N = r.algebra.require_nijenhuis()
-    notes = _involution_note(r.algebra, detail=_SQUARES)
-    rho = _stack(r.rho)
-    admissible = (_action(rho, N, left=eta).add(_action(rho, right=eta @ eta))
-                  .sub(_action(rho, N, right=eta)).sub(_action(rho, None, eta, eta)))
-    return Report((_array_entry("admissible_eta", "", admissible),), notes)
-
-
 @declares(admissible_adjoint="S([N(x),y]) + [x,S^2(y)] = [N(x),S(y)] + S([x,S(y)])")
 def check_adjoint_admissible(a: AlgebraBundle, smap: Matrix) -> Report:
     """Adjoint admissibility of a candidate map S against the bundle operator N."""
@@ -469,12 +457,10 @@ def check_diff_rep(r: RepresentationBundle, weight: Fraction | None = None) -> R
 
 
 @declares(diff_coalgebra="delta D = (D x id) delta + (id x D) delta + w (D x D) delta")
-def check_diff_coalgebra(co: CoalgebraBundle, op: Matrix | None = None, weight: Fraction | None = None) -> Report:
+def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) -> Report:
     """Weighted co-Leibniz rule for the codifferential."""
-    if op is None or weight is None:
-        codiff = co.require_codiff()
-        op = op if op is not None else codiff.matrix
-        weight = weight if weight is not None else codiff.weight
+    codiff = co.require_codiff()
+    op, weight = codiff.matrix, codiff.weight if weight is None else weight
     t = co.comul
     leibniz = _minus_weighted(_comul(t, op).sub(_comul(t, None, op)).sub(_comul(t, None, None, op)),
                               weight, lambda: _comul(t, None, op, op))

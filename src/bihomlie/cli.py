@@ -419,8 +419,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory; is a dimension too large?"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .bundles import (
     entry,
 )
 from .checks import (
-    _SQUARES,
     SUITES,
     PreconditionFailed,
     _action,
@@ -34,8 +33,6 @@ from .checks import (
     _comul,
     _comultiplicativity,
     _commutator,
-    _involution_note,
-    _kernel_residual,
     _multiplicativity,
     _planes,
     _require_identity_maps,
@@ -313,28 +310,3 @@ def adjoint_map_wrt_form(n: Matrix, f: FormBundle) -> Matrix:
         raise DimensionMismatch("map and form dimensions differ")
     g = f.gram
     return invert(g) @ n.transpose() @ g
-
-
-@declares(rep_hom="phi rho1(x) = rho2(x) phi; phi eta1 = eta2 phi; phi p1 = p2 phi; phi q1 = q2 phi; phi bijective")
-def rep_equivalence_iso(a: AlgebraBundle, f: FormBundle) -> tuple[Matrix, Report]:
-    """The pairing map x -> B(x, -) as an intertwiner between the adjoint
-    module and the dual module carrying the adjoint of the operator.
-
-    Returns the matrix of the map together with the report of the
-    intertwining identities and bijectivity.
-    """
-    N = a.require_nijenhuis()
-    if f.dim != a.dim:
-        raise DimensionMismatch("form dimension does not match the algebra")
-    ntilde = adjoint_map_wrt_form(N, f)  # raises SingularMatrix on degenerate gram
-    phi = f.gram.transpose()  # column i holds the pairing functional of e_i
-    ad = a.bracket.transpose((0, 2, 1))  # plane i is the matrix of ad_{e_i}
-    intertwines = _action(ad, left=phi).sub(_action(_stack(coadjoint_rep(a)), right=phi))
-
-    return phi, Report((
-        entry("rep_hom", "bracket", Residual.from_matrix(intertwines)),
-        entry("rep_hom", "operator", Residual.from_matrix((phi @ N).sub(ntilde.transpose() @ phi))),
-        entry("rep_hom", "alpha", Residual.from_matrix((phi @ a.alpha).sub(a.alpha.transpose() @ phi))),
-        entry("rep_hom", "beta", Residual.from_matrix((phi @ a.beta).sub(a.beta.transpose() @ phi))),
-        entry("rep_hom", "bijective", _kernel_residual(phi)),
-    ), _involution_note(a, detail=_SQUARES))

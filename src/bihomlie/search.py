@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .bundles import AlgebraBundle, RepresentationBundle
-from .checks import _action, _bracket, _comul, _stack, check_nijenhuis_operator
+from .bundles import AlgebraBundle
+from .checks import _action, _comul, _stack, check_nijenhuis_operator
 from .exact import (
     ONE,
     Matrix,
@@ -136,25 +136,13 @@ def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
     return sys
 
 
-def _pi_system(a: AlgebraBundle, weight: Fraction | None) -> _System:
-    n, c = a.dim, a.bracket
+def _zeta_system(rho: Tensor3, a: AlgebraBundle, weight: Fraction | None) -> _System:
+    """rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x)), linear in zeta, for the
+    stacked action rho of a; pi is the adjoint case rho(e_i) = ad_{e_i}."""
     diff = a.require_differential()
     d = diff.matrix
     weight = diff.weight if weight is None else weight
-    du = _bracket(c, d)  # [d(x), y]
-    right, w = c.transpose((0, 2, 1)).nz, c.add(du.scale(weight)).scale(-ONE).nz
-    sys = _System(n, n)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        sys.add(((right[i][k], n, j), (w[i][j], 1, k * n)), du.entries[i][j][k])
-    return sys
-
-
-def _zeta_system(r: RepresentationBundle, weight: Fraction | None) -> _System:
-    diff = r.algebra.require_differential()
-    d = diff.matrix
-    weight = diff.weight if weight is None else weight
-    n, v = r.algebra.dim, r.vdim
-    rho = _stack(r.rho)
+    n, v = a.dim, rho.shape[1]
     rho_d = _action(rho, d)  # rho(d(e_i))
     rows, cols = rho.nz, rho.add(rho_d.scale(weight)).scale(-ONE).transpose((0, 2, 1)).nz
     sys = _System(v, v)
@@ -168,17 +156,20 @@ def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> 
 
     kinds: "derivation" (weight must be zero there, its default),
     "conijenhuis" (unknown comultiplication-side operator given the
-    algebra-side one; no weight), "pi" and "zeta" (adjoint- and
-    module-admissibility given the differential, whose weight is the default).
+    algebra-side one; no weight), "zeta" (module-admissibility given the
+    differential, whose weight is the default) and "pi" (zeta on the adjoint
+    module).
     """
     if kind == "derivation":
         return _derivation_system(data["algebra"], ZERO if weight is None else weight).solve()
     if kind == "conijenhuis":
         return _conijenhuis_system(data["comul"], data["nmap"]).solve()
     if kind == "pi":
-        return _pi_system(data["algebra"], weight).solve()
+        a = data["algebra"]
+        return _zeta_system(a.bracket.transpose((0, 2, 1)), a, weight).solve()
     if kind == "zeta":
-        return _zeta_system(data["rep"], weight).solve()
+        r = data["rep"]
+        return _zeta_system(_stack(r.rho), r.algebra, weight).solve()
     raise ValueError(f"unknown linear identity kind {kind!r}")
 
 

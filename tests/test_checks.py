@@ -271,9 +271,9 @@ def test_nijenhuis_representation_zero_eta():
 
 
 def test_admissible_eta_identity():
+    # eta-admissibility to the adjoint module is adjoint admissibility of S = eta
     b = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.from_rows([[1, 1], [0, 2]]))
-    rep = support.adjoint_rep(b, eta=Matrix.identity(2))
-    assert checks.check_eta_admissible(rep).ok
+    assert checks.check_adjoint_admissible(b, Matrix.identity(2)).ok
 
 
 def test_admissible_adjoint_s_equals_n_on_identity_operator():

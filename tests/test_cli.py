@@ -76,7 +76,7 @@ def test_check_perturbed_aff2_reports_jacobi_failure(workdir, capsys):
         from bihomlie import checks
 
         rep = checks.check_bihom_lie(cand)
-        failed = {e.identity for e in rep.failing()}
+        failed = {e.identity for e in rep.entries if not e.ok and not e.advisory}
         if "bihom_jacobi" in failed:
             bad = cand
             break
@@ -302,6 +302,7 @@ def _wrong_kind_inputs(workdir):
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "flat.json"],
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "half.json"],
     ["check", "fixture:abelian(0)"],
+    ["check", "fixture:abelian(99999999999)"],
     ["check", "fixture:aff2", "--no-symmetrized-mp-right"],
     ["construct", "bicrossed", "mp.json", "--flavor", "bihom", "--no-symmetrized-mp-right"],
     ["triad", "aff2d.json", "ab2d.json", "--flavor", "differential", "--no-symmetrized-mp-right"],

@@ -20,7 +20,6 @@ from bihomlie.constructions import (
     dual_representation,
     dualize,
     hom_specialize,
-    rep_equivalence_iso,
     semidirect_product,
     standard_double_form,
     untwist,
@@ -496,27 +495,3 @@ def test_adjoint_map_on_double_is_blockwise_swap():
 def test_adjoint_map_degenerate_gram_raises():
     with pytest.raises(SingularMatrix):
         adjoint_map_wrt_form(I2, FormBundle(Matrix.from_rows([[1, 1], [1, 1]])))
-
-
-# -- representation equivalence isomorphism ----------------------------------------------
-
-
-def test_rep_equivalence_iso_abelian_identity():
-    alg = dataclasses.replace(bundles.abelian(2), nijenhuis=I2)
-    phi, rep = rep_equivalence_iso(alg, FormBundle(I2))
-    assert phi == I2
-    assert rep.ok
-
-
-def test_rep_equivalence_iso_sl2_killing():
-    b = dataclasses.replace(bundles.sl2(), nijenhuis=Matrix.identity(3))
-    gram = Matrix.from_rows(naive.killing_gram(naive.as_cells(b.bracket)))
-    phi, rep = rep_equivalence_iso(b, FormBundle(gram))
-    assert rep.ok
-    assert phi == gram  # symmetric gram: the pairing map is the gram itself
-
-
-def test_rep_equivalence_iso_degenerate_gram_raises():
-    alg = dataclasses.replace(bundles.abelian(2), nijenhuis=I2)
-    with pytest.raises(SingularMatrix):
-        rep_equivalence_iso(alg, FormBundle(Matrix.from_rows([[1, 1], [1, 1]])))
