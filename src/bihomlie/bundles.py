@@ -24,7 +24,6 @@ from .exact import (
     Vector,
     ZERO,
     format_scalar,
-    row_values,
     scalar,
 )
 
@@ -72,8 +71,7 @@ class AlgebraBundle:
         if self.kind not in ("lie", "bihom-lie"):
             raise ParseError(f"unknown algebra kind {self.kind!r}")
         if self.kind == "lie":
-            ident = Matrix.identity(n)
-            if self.alpha != ident or self.beta != ident:
+            if not (self.alpha.is_identity() and self.beta.is_identity()):
                 raise ParseError("kind 'lie' requires alpha = beta = identity")
 
     def require_nijenhuis(self) -> Matrix:
@@ -238,9 +236,15 @@ class Residual:
     @staticmethod
     def tabulate(ranges: tuple[int, ...], width: int, value: Callable[..., Row]) -> "Residual":
         """Residual of the rows value(*idx), each of extent width and given by
-        a ``Row``, over every index tuple idx in the ranges."""
-        return Residual.collect(ranges + (width,), ((idx + (k,), x) for idx in itertools.product(*map(range, ranges))
-                                                    for k, x in row_values(value(*idx))))
+        a ``Row``, over every index tuple idx in the ranges.  Tuples come in
+        index order and a row's columns in increasing order, so the cells of
+        the nonempty rows are appended already sorted."""
+        cells = []
+        for idx in itertools.product(*map(range, ranges)):
+            den, pairs = value(*idx)
+            if pairs:
+                cells.extend([(idx + (k,), Fraction(v, den)) for k, v in pairs])
+        return Residual(ranges + (width,), tuple(cells))
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":

@@ -30,6 +30,7 @@ from .bundles import (
     entry,
 )
 from .exact import (
+    EMPTY,
     DimensionMismatch,
     Matrix,
     Tensor3,
@@ -55,7 +56,7 @@ class PreconditionFailed(ValueError):
 
 
 def _require_identity_maps(message: str, *maps: Matrix) -> None:
-    if any(m != Matrix.identity(m.rows) for m in maps):
+    if not all(m.is_identity() for m in maps):
         raise PreconditionFailed(message)
 
 
@@ -193,7 +194,10 @@ def check_bihom_lie(a: AlgebraBundle) -> Report:
     p, q = twisted.nz, _bracket(c, B @ B).nz  # [beta(x), alpha(y)] and [beta^2(x), y]
 
     def jacobi(i: int, j: int, k: int) -> Row:
-        return _combination(((1, q[i], p[j][k]), (1, q[j], p[k][i]), (1, q[k], p[i][j])))
+        jk, ki, ij = p[j][k], p[k][i], p[i][j]
+        if not (jk[1] or ki[1] or ij[1]):
+            return EMPTY
+        return _combination(((1, q[i], jk), (1, q[j], ki), (1, q[k], ij)))
 
     return Report((
         entry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),

@@ -7,6 +7,9 @@ deterministically: repeated runs on the same inputs are byte-identical.
 
 Exit codes: 0 all pass; 1 identity failure; 2 parse/precondition error;
 3 (triad only) the alarming case of a three-way disagreement.
+
+construct, triad and search import their modules when they run, so a check
+process loads only ``bundles`` and ``checks``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import bundles, checks, constructions, equivalence, search
+from . import bundles, checks
 from .bundles import (
     AlgebraBundle,
     BialgebraBundle,
@@ -31,6 +34,9 @@ from .bundles import (
 )
 from .checks import IDENTITY_FORMULAS
 from .exact import Matrix, format_scalar, scalar
+
+if TYPE_CHECKING:
+    from .search import SolutionSpace
 
 MAX_RESIDUAL_CELLS = 16
 
@@ -201,6 +207,8 @@ def _refuse_unread(given: dict[str, Any], reads: tuple[str, ...], what: str) -> 
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import constructions
+
     kind = args.construction
     accepted, reads = _CONSTRUCTIONS[kind]
     _refuse_unread({"--flavor": args.flavor, "--maps": args.maps}, reads, f"construct {kind}")
@@ -272,6 +280,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_triad(args: argparse.Namespace) -> int:
+    from . import equivalence
+
     left = _require_kind(_load_source(args.left), "triad", AlgebraBundle)
     right = _require_kind(_load_source(args.right), "triad", AlgebraBundle)
     if args.flavor == "differential":
@@ -309,7 +319,7 @@ def cmd_triad(args: argparse.Namespace) -> int:
 # -- search --------------------------------------------------------------------------
 
 
-def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
+def _solution_document(mode: str, sol: SolutionSpace) -> dict[str, Any]:
     particular = sol.particular_matrix()
     return {
         "kind": "solutions",
@@ -324,6 +334,8 @@ def _solution_document(mode: str, sol: search.SolutionSpace) -> dict[str, Any]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from . import search
+
     mode = args.mode
     reads = {"nijenhuis-grid": ("--grid", "--pattern", "--budget"), "conijenhuis": ()}.get(mode, ("--weight",))
     _refuse_unread({"--weight": args.weight, "--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget},

@@ -82,8 +82,7 @@ def dualize(x: AlgebraBundle | CoalgebraBundle) -> CoalgebraBundle | AlgebraBund
     if isinstance(x, CoalgebraBundle):
         alpha, beta = x.alpha.transpose(), x.beta.transpose()
         diff = Differential(x.codiff.matrix.transpose(), x.codiff.weight) if x.codiff else None
-        ident = Matrix.identity(x.dim)
-        kind = "lie" if alpha == ident and beta == ident else "bihom-lie"
+        kind = "lie" if alpha.is_identity() and beta.is_identity() else "bihom-lie"
         return AlgebraBundle(x.dim, x.comul.transpose((1, 2, 0)), alpha, beta, nijenhuis=_tr(x.conijenhuis),
                              differential=diff, kind=kind)
     raise TypeError(f"cannot dualize {type(x).__name__}")

@@ -1,8 +1,13 @@
 """Equivalence harnesses.
 
-Each harness evaluates every side of an equivalence independently, from
-scratch, and reports whether the verdicts coincide.  A disagreement is never
-resolved silently: the reports say which side failed and on which identity.
+Each harness evaluates every side of an equivalence independently and
+reports whether the verdicts coincide.  A disagreement is never resolved
+silently: the reports say which side failed and on which identity.
+
+"Independent" means independent formulas: each side is decided by its own
+identities, read on its own structure.  It does not mean recomputation, so
+two sides that run the same checker on the same bundle could share that one
+result without losing anything the comparison shows.
 """
 
 from __future__ import annotations

@@ -5,6 +5,13 @@ structural and every residual test is exact.  Each stored row is integers over
 one denominator (``Row``); ``Fraction`` values are built only where a value
 leaves the kernel (``entries``, ``row_values``, elimination read-off).  All
 values are immutable after construction; every operation is a pure function.
+
+Structure maps and operators are mostly the identity or diagonal, so a square
+matrix knows its diagonal (``Matrix.diag``, None when it is not diagonal), and
+the kernel takes a short path on it: contracting by the identity, multiplying
+by it and transposing a diagonal matrix return an operand unchanged, and
+contracting by another diagonal scales each row (or each column, on axis 2)
+instead of running the sparse product.
 """
 
 from __future__ import annotations
@@ -113,10 +120,10 @@ def _sum(r1: Row, r2: Row, sign: int) -> Row:
     return _sorted_row(den, acc)
 
 
-def _scaled(row: Row, c: Fraction) -> Row:
-    """c * row for a nonzero c."""
-    den, pairs = row
-    return _reduced(den * c.denominator, tuple((k, c.numerator * v) for k, v in pairs))
+def _scaled(row: Row, num: int, den: int) -> Row:
+    """row * num / den for integers num != 0 and den > 0."""
+    d, pairs = row
+    return _reduced(d * den, tuple((k, num * v) for k, v in pairs)) if pairs else EMPTY
 
 
 def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
@@ -167,6 +174,26 @@ class Matrix:
     def entries(self) -> tuple[Vector, ...]:
         return tuple(_dense(row, self.cols) for row in self.nz)
 
+    @cached_property
+    def diag(self) -> tuple[tuple[int, int], ...] | None:
+        """The diagonal as (numerator, denominator) pairs, a zero entry as
+        (0, 1), if the matrix is square with no entry off it; else None."""
+        if self.rows != self.cols:
+            return None
+        out = []
+        for i, (den, pairs) in enumerate(self.nz):
+            if not pairs:
+                out.append((0, 1))
+            elif len(pairs) == 1 and pairs[0][0] == i:
+                out.append((pairs[0][1], den))
+            else:
+                return None
+        return tuple(out)
+
+    def is_identity(self) -> bool:
+        d = self.diag
+        return d is not None and d.count((1, 1)) == len(d)
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> "Matrix":
         data = [[scalar(x) for x in row] for row in rows]
@@ -196,6 +223,8 @@ class Matrix:
         return Matrix.from_rows(cols).transpose()
 
     def transpose(self) -> "Matrix":
+        if self.diag is not None:
+            return self
         den = math.lcm(*[d for d, _ in self.nz])
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
         for i, (d, pairs) in enumerate(self.nz):
@@ -219,11 +248,15 @@ class Matrix:
         c = scalar(c)
         if not c:
             return Matrix.zeros(self.rows, self.cols)
-        return Matrix(self.rows, self.cols, tuple(_scaled(row, c) for row in self.nz))
+        return Matrix(self.rows, self.cols, tuple(_scaled(row, c.numerator, c.denominator) for row in self.nz))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         rows = other.nz
         return Matrix(self.rows, other.cols, tuple(_combination(((1, rows, row),)) if row[1] else EMPTY
                                                    for row in self.nz))
@@ -298,7 +331,8 @@ class Tensor3:
         c = scalar(c)
         if not c:
             return Tensor3.zeros(self.shape)
-        return Tensor3(self.shape, tuple(tuple(_scaled(row, c) for row in plane) for plane in self.nz))
+        return Tensor3(self.shape, tuple(tuple(_scaled(row, c.numerator, c.denominator) for row in plane)
+                                         for plane in self.nz))
 
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
         """Permute the axes: axis p of the result is axis axes[p] of self.
@@ -328,16 +362,35 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     """Transform one axis of ``t`` by ``m``: new = sum_b m[a][b] * old at index b.
 
     The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
-    transforming an input slot of a bracket pass the transpose.  Each output
-    row is one ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T
-    (axis 2), so zero entries of ``t`` and of ``m`` cost nothing; an output
-    row whose coefficient row is empty is skipped.
+    transforming an input slot of a bracket pass the transpose.  The identity
+    returns ``t`` itself.  Another diagonal m scales row (a, j) by m[a][a] on
+    axis 0, row (i, a) by m[a][a] on axis 1, and column k of every row by
+    m[k][k] on axis 2.  For any other m, each output row is one
+    ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T (axis 2), so
+    zero entries of ``t`` and of ``m`` cost nothing; an output row whose
+    coefficient row is empty is skipped.
     """
     if axis not in (0, 1, 2):
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
     if m.cols != t.shape[axis]:
         raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match axis {axis} of extent {t.shape[axis]}")
     d0, d1, d2 = t.shape
+    diag = m.diag
+    if diag is not None:
+        if m.is_identity():
+            return t
+        if axis == 0:  # plane a times m[a][a]
+            nz = tuple(tuple(_scaled(row, num, den) for row in plane) if num else (EMPTY,) * d1
+                       for plane, (num, den) in zip(t.nz, diag))
+        elif axis == 1:  # row (i, a) times m[a][a]
+            nz = tuple(tuple(_scaled(row, num, den) if num else EMPTY for row, (num, den) in zip(plane, diag))
+                       for plane in t.nz)
+        else:  # column k times m[k][k], over the lcm of the diagonal's denominators
+            lcm = math.lcm(*[den for _, den in diag])
+            f = [num * (lcm // den) for num, den in diag]
+            nz = tuple(tuple(_reduced(den * lcm, tuple((k, f[k] * v) for k, v in pairs if f[k])) if pairs else EMPTY
+                             for den, pairs in plane) for plane in t.nz)
+        return Tensor3(t.shape, nz)
     if axis == 0:  # row (a, j): sum_b m[a][b] t[b][j]
         by_j = list(zip(*t.nz))
         nz = tuple(tuple(_combination(((1, rows, row),)) for rows in by_j) if row[1] else (EMPTY,) * d1

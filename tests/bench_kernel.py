@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import naive
+import pytest
 import support
 from bihomlie.checks import check_bihom_lie
 from bihomlie.exact import Matrix, contract, invert
@@ -52,6 +53,15 @@ def test_contract_gl4_bracket_fractional_map(benchmark):
     m = _diagonal(16, 5) @ _dense(16, 6)  # fractional entries over several denominators
     expected = naive.contract(naive.as_cells(c), 2, naive.mat_cells(m))
     assert naive.as_cells(benchmark(contract, c, 2, m)) == expected
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["identity", "torus"])
+def test_contract_gl4_bracket_diagonal_map(benchmark, kind, axis):
+    c = support.gl(4).bracket
+    m = Matrix.identity(16) if kind == "identity" else _diagonal(16, 7)
+    expected = naive.contract(naive.as_cells(c), axis, naive.mat_cells(m))
+    assert naive.as_cells(benchmark(contract, c, axis, m)) == expected
 
 
 def test_check_bihom_lie_gl4(benchmark):

@@ -1,9 +1,13 @@
 """Bundle types, fixtures and serialization round-trips."""
 
 import dataclasses
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihomlie import bundles
 from bihomlie.bundles import (
@@ -15,6 +19,7 @@ from bihomlie.bundles import (
     MatchedPairBundle,
     ParseError,
     RepresentationBundle,
+    Residual,
     fixture_by_name,
 )
 from bihomlie.constructions import dualize
@@ -226,3 +231,26 @@ def test_repeated_comul_entry_is_rejected():
 def test_abelian_fixture_needs_a_positive_integer(name):
     with pytest.raises(ParseError):
         fixture_by_name(name)
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.tuples(*[st.integers(1, 4)] * 3), st.booleans())
+def test_tabulate_and_from_matrix_equal_collect_over_all_cells(data, shape, empty):
+    d0, d1, d2 = shape
+    cell = st.just(Fraction(0)) if empty else sparse_rationals
+    cells = [[[data.draw(cell) for _ in range(d2)] for _ in range(d1)] for _ in range(d0)]
+    t, m = Tensor3.from_entries(cells), Matrix.from_rows(cells[0])
+
+    def every(shape, value):
+        return Residual.collect(shape, ((idx, value(*idx)) for idx in itertools.product(*map(range, shape))))
+
+    expected = every(shape, lambda i, j, k: cells[i][j][k])
+    assert Residual.from_matrix(t) == expected
+    assert Residual.tabulate((d0, d1), d2, lambda i, j: t.nz[i][j]) == expected
+    assert Residual.from_matrix(m) == every((d1, d2), lambda j, k: cells[0][j][k])
+    assert Residual.tabulate((d1, d0, d0), d2, lambda j, i, l: t.nz[l][j]) == \
+        every((d1, d0, d0, d2), lambda j, i, l, k: cells[l][j][k])
+    assert not empty or Residual.from_matrix(t).nonzeros == ()

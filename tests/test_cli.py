@@ -190,12 +190,12 @@ def test_triad_exit_codes(workdir):
 
 def test_triad_disagreement_exit_code(workdir, monkeypatch):
     # the alarming path: force a fabricated disagreement through the harness
-    from bihomlie import cli as cli_mod
+    from bihomlie import equivalence
     from bihomlie.bundles import Report
     from bihomlie.equivalence import TriadReport
 
     fake = TriadReport(True, Report(()), False, Report(()), True, Report(()))
-    monkeypatch.setattr(cli_mod.equivalence, "triad_nijenhuis_bihom", lambda l, r: fake)
+    monkeypatch.setattr(equivalence, "triad_nijenhuis_bihom", lambda l, r: fake)
     left = _write(workdir / "l.json", support.scalar_op(bundles.aff2(), 1))
     right = _write(workdir / "r.json", support.scalar_op(bundles.abelian(2), 1))
     assert run(["triad", left, right, "--flavor", "nijenhuis"]) == 3
@@ -482,3 +482,12 @@ def test_fuzzed_documents_end_with_an_exit_code(data):
         (work / "maps.json").write_text(json.dumps({"alpha": [["1", "0"], ["0", "2"]]}), encoding="utf-8")
         (work / "F.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run([str(work / a) if a.endswith(".json") else a for a in argv]) in (0, 1, 2, 3)
+
+
+def test_cli_import_leaves_construction_triad_and_search_modules_unloaded():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    lazy = ["bihomlie.constructions", "bihomlie.equivalence", "bihomlie.search"]
+    code = f"import sys, bihomlie.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -189,21 +189,29 @@ def test_contract_bracket_evaluation_matches_naive():
 
 
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
 
 
 @st.composite
 def _contraction(draw, axis):
     """A random tensor, one of its slices along the axis possibly all zero, and
-    a rectangular map on that axis."""
+    a map on that axis: rectangular, or a square identity, diagonal or
+    diagonal with some zeros."""
     shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
     cells = [[[draw(sparse_rationals) for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
     zero = draw(st.one_of(st.none(), st.integers(0, shape[axis] - 1)))
     for i, j, k in itertools.product(*map(range, shape)):
         if (i, j, k)[axis] == zero:
             cells[i][j][k] = Fraction(0)
-    rows = draw(st.integers(1, 4))
-    m = [[draw(sparse_rationals) for _ in range(shape[axis])] for _ in range(rows)]
-    return cells, m
+    n = shape[axis]
+    kind = draw(st.sampled_from(["rectangular", "identity", "diagonal", "zero-diagonal"]))
+    if kind == "rectangular":
+        return cells, [[draw(sparse_rationals) for _ in range(n)] for _ in range(draw(st.integers(1, 4)))]
+    entry = {"identity": st.just(Fraction(1)), "diagonal": nonzero_rationals, "zero-diagonal": sparse_rationals}[kind]
+    diag = [draw(entry) for _ in range(n)]
+    if kind == "zero-diagonal":
+        diag[draw(st.integers(0, n - 1))] = Fraction(0)
+    return cells, [[diag[a] if a == b else Fraction(0) for b in range(n)] for a in range(n)]
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -321,10 +329,13 @@ def test_every_result_is_canonical(data, n, p):
     b = Matrix.from_rows(data.draw(_sparse_cells((p, n))))
     t = _t3(data.draw(_sparse_cells((n, p, 2))))
     c = data.draw(st.one_of(st.just(Fraction(0)), sparse_rationals))
+    diagonals = [Matrix.diagonal(data.draw(st.lists(sparse_rationals, min_size=k, max_size=k))) for k in t.shape]
     results = [a, a.add(a), a.sub(a), a.add(a.neg()), a.add(a.scale(-1)), a.scale(c), a.scale(0), a @ b, b @ a,
                a.transpose(), t, t.add(t), t.sub(t), t.add(t.scale(-1)), t.scale(c), t.scale(0),
                *[t.transpose(axes) for axes in itertools.permutations(range(3))],
-               contract(t, 0, b), contract(t, 1, a), contract(t, 2, Matrix.from_rows(data.draw(_sparse_cells((3, 2)))))]
+               contract(t, 0, b), contract(t, 1, a), contract(t, 2, Matrix.from_rows(data.draw(_sparse_cells((3, 2))))),
+               *[contract(t, axis, d) for axis, d in enumerate(diagonals)],
+               Matrix.identity(n) @ a, a @ Matrix.identity(p), diagonals[0].transpose()]
     square = a @ b
     try:
         results.append(invert(square))
@@ -389,8 +400,6 @@ def test_kernel_products_build_no_fraction():
 
 
 # -- elimination against independent oracles ---------------------------------------
-
-nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
 
 
 @st.composite
