@@ -4,7 +4,15 @@ matched pairs, bilinear forms, and the Report type every checker returns.
 Each bundle fixes one canonical basis; all structure constants refer to it.
 The dual space always uses the canonical dual basis, so every dual map is a
 transpose.  Optional fields (nijenhuis, differential, ...) absent mean
-"not claimed", never "identity".  Bundles are immutable after construction.
+"not claimed", never "identity"; ``require`` reads one that a checker needs.
+Bundles are immutable after construction.
+
+This module alone knows the document format.  ``FIELDS`` declares each
+field of each kind once: the writer writes the set ones in that order, and
+the reader refuses any other key.  There is one reader per value type (a
+square matrix, a {matrix, weight} differential, an action list, keyed tensor
+entries), and every JSON list they read passes one check, which refuses a
+string (or anything else) where a list belongs.
 """
 
 from __future__ import annotations
@@ -14,14 +22,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .exact import (
     DimensionMismatch,
     Matrix,
     Row,
     Tensor3,
-    Vector,
     ZERO,
     format_scalar,
     scalar,
@@ -37,6 +44,13 @@ class MissingField(ValueError):
 
 
 # -- bundle types --------------------------------------------------------------
+
+
+def _require_square(n: int, maps: dict[str, Matrix | None]) -> None:
+    """DimensionMismatch naming the first given map that is not n x n; None passes."""
+    for name, m in maps.items():
+        if m is not None and (m.rows, m.cols) != (n, n):
+            raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, expected {n}x{n}")
 
 
 @dataclass(frozen=True)
@@ -64,25 +78,13 @@ class AlgebraBundle:
         n = self.dim
         if self.bracket.shape != (n, n, n):
             raise DimensionMismatch(f"bracket shape {self.bracket.shape} does not match dim {n}")
-        d = self.differential.matrix if self.differential else None
-        for name, m in [("alpha", self.alpha), ("beta", self.beta), ("nijenhuis", self.nijenhuis), ("differential", d)]:
-            if m is not None and (m.rows, m.cols) != (n, n):
-                raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, expected {n}x{n}")
+        _require_square(n, {"alpha": self.alpha, "beta": self.beta, "nijenhuis": self.nijenhuis,
+                            "differential": self.differential and self.differential.matrix})
         if self.kind not in ("lie", "bihom-lie"):
             raise ParseError(f"unknown algebra kind {self.kind!r}")
         if self.kind == "lie":
             if not (self.alpha.is_identity() and self.beta.is_identity()):
                 raise ParseError("kind 'lie' requires alpha = beta = identity")
-
-    def require_nijenhuis(self) -> Matrix:
-        if self.nijenhuis is None:
-            raise MissingField("algebra bundle has no nijenhuis operator")
-        return self.nijenhuis
-
-    def require_differential(self) -> Differential:
-        if self.differential is None:
-            raise MissingField("algebra bundle has no differential")
-        return self.differential
 
 
 @dataclass(frozen=True)
@@ -101,20 +103,8 @@ class CoalgebraBundle:
         n = self.dim
         if self.comul.shape != (n, n, n):
             raise DimensionMismatch(f"comul shape {self.comul.shape} does not match dim {n}")
-        d = self.codiff.matrix if self.codiff else None
-        for name, m in [("alpha", self.alpha), ("beta", self.beta), ("conijenhuis", self.conijenhuis), ("codiff", d)]:
-            if m is not None and (m.rows, m.cols) != (n, n):
-                raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, expected {n}x{n}")
-
-    def require_conijenhuis(self) -> Matrix:
-        if self.conijenhuis is None:
-            raise MissingField("coalgebra bundle has no conijenhuis operator")
-        return self.conijenhuis
-
-    def require_codiff(self) -> Differential:
-        if self.codiff is None:
-            raise MissingField("coalgebra bundle has no codifferential")
-        return self.codiff
+        _require_square(n, {"alpha": self.alpha, "beta": self.beta, "conijenhuis": self.conijenhuis,
+                            "codiff": self.codiff and self.codiff.matrix})
 
 
 @dataclass(frozen=True)
@@ -151,20 +141,8 @@ class RepresentationBundle:
     def __post_init__(self) -> None:
         if len(self.rho) != self.algebra.dim:
             raise DimensionMismatch(f"{len(self.rho)} action matrices for algebra of dim {self.algebra.dim}")
-        v = self.vdim
-        for name, m in [("p", self.p), ("q", self.q), ("eta", self.eta), ("xi", self.xi), *[(f"rho[{i}]", r) for i, r in enumerate(self.rho)]]:
-            if m is not None and (m.rows, m.cols) != (v, v):
-                raise DimensionMismatch(f"{name} is {m.rows}x{m.cols}, expected {v}x{v}")
-
-    def require_eta(self) -> Matrix:
-        if self.eta is None:
-            raise MissingField("representation bundle has no eta operator")
-        return self.eta
-
-    def require_xi(self) -> Matrix:
-        if self.xi is None:
-            raise MissingField("representation bundle has no xi operator")
-        return self.xi
+        _require_square(self.vdim, {"p": self.p, "q": self.q, "eta": self.eta, "xi": self.xi,
+                                    **{f"rho[{i}]": r for i, r in enumerate(self.rho)}})
 
 
 @dataclass(frozen=True)
@@ -180,12 +158,8 @@ class MatchedPairBundle:
     def __post_init__(self) -> None:
         if len(self.rho) != self.left.dim or len(self.h) != self.right.dim:
             raise DimensionMismatch("action list lengths do not match algebra dimensions")
-        for m in self.rho:
-            if (m.rows, m.cols) != (self.right.dim, self.right.dim):
-                raise DimensionMismatch("rho matrices must act on the right space")
-        for m in self.h:
-            if (m.rows, m.cols) != (self.left.dim, self.left.dim):
-                raise DimensionMismatch("h matrices must act on the left space")
+        _require_square(self.right.dim, {f"rho[{i}]": m for i, m in enumerate(self.rho)})
+        _require_square(self.left.dim, {f"h[{i}]": m for i, m in enumerate(self.h)})
 
     @cached_property
     def rho_module(self) -> RepresentationBundle:
@@ -216,6 +190,20 @@ class FormBundle:
     @property
     def dim(self) -> int:
         return self.gram.rows
+
+
+#: bundle type -> the kind its document names
+KINDS: dict[type, str] = {AlgebraBundle: "algebra", CoalgebraBundle: "coalgebra", BialgebraBundle: "bialgebra",
+                          RepresentationBundle: "representation", MatchedPairBundle: "matched_pair", FormBundle: "form"}
+
+
+def require(bundle: Any, field: str) -> Any:
+    """The optional field of bundle, or MissingField naming its kind and the field."""
+    value = getattr(bundle, field)
+    if value is None:
+        what = field if field in ("differential", "codiff") else f"{field} operator"
+        raise MissingField(f"{KINDS[type(bundle)]} bundle has no {what}")
+    return value
 
 
 # -- reports -------------------------------------------------------------------
@@ -270,10 +258,6 @@ class CheckEntry:
         return self.residual.is_zero
 
 
-def entry(identity: str, case: str, residual: Residual) -> CheckEntry:
-    return CheckEntry(identity, case, residual)
-
-
 @dataclass(frozen=True)
 class Report:
     """Per-identity exact residuals with boolean verdicts.
@@ -302,25 +286,73 @@ class Report:
         )
 
 
-# -- serialization ---------------------------------------------------------------
+# -- documents -------------------------------------------------------------------
 
 
-def _fmt_vector(v: Vector) -> list[str]:
-    return [format_scalar(x) for x in v]
+#: document kind -> its fields after "kind", in the order they are written.
+#: A document holding any other key is refused; a bialgebra holds the fields
+#: of an algebra and of a coalgebra.
+FIELDS: dict[str, tuple[str, ...]] = {
+    "algebra": ("dim", "variant", "bracket", "alpha", "beta", "nijenhuis", "differential"),
+    "coalgebra": ("dim", "comul", "alpha", "beta", "conijenhuis", "codiff"),
+    "bialgebra": ("dim", "variant", "bracket", "comul", "alpha", "beta", "nijenhuis", "conijenhuis",
+                  "differential", "codiff"),
+    "representation": ("dim", "vdim", "algebra", "rho", "p", "q", "eta", "xi"),
+    "matched_pair": ("dim", "left", "right", "rho", "h"),
+    "form": ("dim", "gram"),
+}
 
 
-def _fmt_matrix(m: Matrix) -> list[list[str]]:
-    return [_fmt_vector(row) for row in m.entries]
+def to_json(value: Any) -> Any:
+    """value as JSON data: a matrix as its rows of lowest-terms rationals, a
+    differential as {matrix, weight}, a bundle as its document, a list or
+    tuple item by item, and anything else (already JSON) as it is."""
+    if isinstance(value, Matrix):
+        return [[format_scalar(x) for x in row] for row in value.entries]
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, Differential):
+        return {"matrix": to_json(value.matrix), "weight": format_scalar(value.weight)}
+    if type(value) in KINDS:
+        return document(value)
+    return value
 
 
-def _fmt_bracket(t: Tensor3) -> list[dict[str, Any]]:
-    return [{"i": i + 1, "j": j + 1, "out": _fmt_vector(t.entries[i][j])}
-            for i, plane in enumerate(t.nz) for j, (_, pairs) in enumerate(plane) if pairs]
+def _values(b: Any) -> dict[str, Any]:
+    """The value of each field FIELDS declares for the kind of b; None when unset."""
+    if isinstance(b, AlgebraBundle):
+        t = b.bracket
+        return {"dim": b.dim, "variant": b.kind, "alpha": b.alpha, "beta": b.beta, "nijenhuis": b.nijenhuis,
+                "differential": b.differential,
+                "bracket": [{"i": i + 1, "j": j + 1, "out": [format_scalar(x) for x in t.entries[i][j]]}
+                            for i, plane in enumerate(t.nz) for j, (_, pairs) in enumerate(plane) if pairs]}
+    if isinstance(b, CoalgebraBundle):
+        t = b.comul
+        return {"dim": b.dim, "alpha": b.alpha, "beta": b.beta, "conijenhuis": b.conijenhuis, "codiff": b.codiff,
+                "comul": [{"k": k + 1, "out": to_json(Matrix(b.dim, b.dim, plane))}
+                          for k, plane in enumerate(t.nz) if any(pairs for _, pairs in plane)]}
+    if isinstance(b, BialgebraBundle):
+        return {**_values(b.coalgebra), **_values(b.algebra)}
+    if isinstance(b, RepresentationBundle):
+        return {"dim": b.algebra.dim, "vdim": b.vdim, "algebra": b.algebra, "rho": b.rho, "p": b.p, "q": b.q,
+                "eta": b.eta, "xi": b.xi}
+    if isinstance(b, MatchedPairBundle):
+        return {"dim": b.left.dim, "left": b.left, "right": b.right, "rho": b.rho, "h": b.h}
+    return {"dim": b.dim, "gram": b.gram}
 
 
-def _fmt_comul(t: Tensor3) -> list[dict[str, Any]]:
-    return [{"k": k + 1, "out": [_fmt_vector(row) for row in t.entries[k]]}
-            for k, plane in enumerate(t.nz) if any(pairs for _, pairs in plane)]
+def document(bundle: Any) -> dict[str, Any]:
+    """Serialize any bundle to its JSON document (lowest-terms rationals): each
+    set field of its kind, in ``FIELDS`` order."""
+    kind = KINDS.get(type(bundle))
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(bundle).__name__}")
+    values = _values(bundle)
+    return {"kind": kind, **{key: to_json(values[key]) for key in FIELDS[kind] if values[key] is not None}}
+
+
+def dumps(bundle: Any) -> str:
+    return json.dumps(document(bundle), indent=2) + "\n"
 
 
 def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:
@@ -331,20 +363,30 @@ def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:
         raise ParseError(f"field {where!r}: {exc}") from exc
 
 
-def _parse_matrix(obj: Any, n: int, where: str) -> Matrix:
-    m = _parsed(where, Matrix.from_rows, obj)
-    if (m.rows, m.cols) != (n, n):
-        raise DimensionMismatch(f"field {where!r} is {m.rows}x{m.cols} against dim {n}")
+def _list(obj: Any, where: str, what: str) -> list:
+    """obj if it is a JSON list.  Anything else is refused: a string is never
+    read one character at a time, nor ``null``, ``0`` or ``{}`` as empty."""
+    if not isinstance(obj, list):
+        raise ParseError(f"field {where!r}: expected a JSON list of {what}, got {obj!r}")
+    return obj
+
+
+def _rows(obj: Any, where: str) -> list[list]:
+    """The one row reader: obj as a JSON list of rows, each a JSON list."""
+    return [_list(row, where, "rationals") for row in _list(obj, where, "rows")]
+
+
+def _square(obj: Any, n: int, where: str) -> Matrix:
+    """obj read as an n x n matrix."""
+    m = _parsed(where, Matrix.from_rows, _rows(obj, where))
+    _require_square(n, {f"field {where!r}": m})
     return m
 
 
-def _parse_actions(obj: Any, count: int, n: int, where: str) -> tuple[Matrix, ...]:
-    """A JSON list of one n x n action matrix per basis vector of a dim-count space."""
-    if not isinstance(obj, list):
-        raise ParseError(f"field {where!r}: expected a JSON list of matrices, got {obj!r}")
-    if len(obj) != count:
-        raise DimensionMismatch(f"{len(obj)} {where} matrices against dim {count}")
-    return tuple(_parse_matrix(m, n, f"{where}[{i}]") for i, m in enumerate(obj))
+def _known_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"field {key!r} is not read from {what}; known fields: {', '.join(keys)}")
 
 
 def _integer(value: Any) -> int:
@@ -352,152 +394,6 @@ def _integer(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected a JSON integer, got {value!r}")
     return value
-
-
-def _entry_list(obj: Any, where: str) -> list:
-    """The entries of a bracket or comul field, which must be a JSON list;
-    ``null``, ``0``, ``false`` or ``{}`` are refused, not read as empty."""
-    if not isinstance(obj, list):
-        raise ParseError(f"field {where!r}: expected a JSON list of entries, got {obj!r}")
-    return obj
-
-
-def _parse_bracket(obj: Any, n: int, where: str = "bracket") -> Tensor3:
-    cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    seen = set()
-    for item in _entry_list(obj, where):
-        try:
-            i, j = _integer(item["i"]), _integer(item["j"])
-            out = [scalar(x) for x in item["out"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"field {where!r}: bad entry {item!r}: {exc}") from exc
-        if not (1 <= i <= n and 1 <= j <= n) or len(out) != n:
-            raise DimensionMismatch(f"field {where!r}: entry (i={i}, j={j}) out of range for dim {n}")
-        if (i, j) in seen:
-            raise ParseError(f"field {where!r}: repeated entry (i={i}, j={j})")
-        seen.add((i, j))
-        cells[i - 1][j - 1] = out
-    return Tensor3.from_entries(cells)
-
-
-def _parse_comul(obj: Any, n: int, where: str = "comul") -> Tensor3:
-    cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    seen = set()
-    for item in _entry_list(obj, where):
-        try:
-            k = _integer(item["k"])
-            out = [[scalar(x) for x in row] for row in item["out"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"field {where!r}: bad entry {item!r}: {exc}") from exc
-        if not 1 <= k <= n or len(out) != n or any(len(row) != n for row in out):
-            raise DimensionMismatch(f"field {where!r}: entry k={k} out of range for dim {n}")
-        if k in seen:
-            raise ParseError(f"field {where!r}: repeated entry k={k}")
-        seen.add(k)
-        cells[k - 1] = out
-    return Tensor3.from_entries(cells)
-
-
-def _parse_differential(obj: Any, n: int, where: str) -> Differential:
-    try:
-        mat = obj["matrix"]
-        w = scalar(obj["weight"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"field {where!r}: {exc}") from exc
-    return Differential(_parse_matrix(mat, n, where + ".matrix"), w)
-
-
-def _algebra_document(b: AlgebraBundle) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "kind": "algebra",
-        "dim": b.dim,
-        "variant": b.kind,
-        "bracket": _fmt_bracket(b.bracket),
-        "alpha": _fmt_matrix(b.alpha),
-        "beta": _fmt_matrix(b.beta),
-    }
-    if b.nijenhuis is not None:
-        doc["nijenhuis"] = _fmt_matrix(b.nijenhuis)
-    if b.differential is not None:
-        doc["differential"] = {"matrix": _fmt_matrix(b.differential.matrix), "weight": format_scalar(b.differential.weight)}
-    return doc
-
-
-def _coalgebra_document(c: CoalgebraBundle) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "kind": "coalgebra",
-        "dim": c.dim,
-        "comul": _fmt_comul(c.comul),
-        "alpha": _fmt_matrix(c.alpha),
-        "beta": _fmt_matrix(c.beta),
-    }
-    if c.conijenhuis is not None:
-        doc["conijenhuis"] = _fmt_matrix(c.conijenhuis)
-    if c.codiff is not None:
-        doc["codiff"] = {"matrix": _fmt_matrix(c.codiff.matrix), "weight": format_scalar(c.codiff.weight)}
-    return doc
-
-
-def document(bundle: Any) -> dict[str, Any]:
-    """Serialize any bundle to its JSON document (lowest-terms rationals)."""
-    if isinstance(bundle, AlgebraBundle):
-        return _algebra_document(bundle)
-    if isinstance(bundle, CoalgebraBundle):
-        return _coalgebra_document(bundle)
-    if isinstance(bundle, BialgebraBundle):
-        both = {**_coalgebra_document(bundle.coalgebra), **_algebra_document(bundle.algebra)}
-        keys = ("dim", "variant", "bracket", "comul", "alpha", "beta", "nijenhuis", "conijenhuis", "differential", "codiff")
-        return {"kind": "bialgebra", **{k: both[k] for k in keys if k in both}}
-    if isinstance(bundle, RepresentationBundle):
-        doc = {
-            "kind": "representation",
-            "dim": bundle.algebra.dim,
-            "vdim": bundle.vdim,
-            "algebra": _algebra_document(bundle.algebra),
-            "rho": [_fmt_matrix(m) for m in bundle.rho],
-            "p": _fmt_matrix(bundle.p),
-            "q": _fmt_matrix(bundle.q),
-        }
-        if bundle.eta is not None:
-            doc["eta"] = _fmt_matrix(bundle.eta)
-        if bundle.xi is not None:
-            doc["xi"] = _fmt_matrix(bundle.xi)
-        return doc
-    if isinstance(bundle, MatchedPairBundle):
-        return {
-            "kind": "matched_pair",
-            "dim": bundle.left.dim,
-            "left": _algebra_document(bundle.left),
-            "right": _algebra_document(bundle.right),
-            "rho": [_fmt_matrix(m) for m in bundle.rho],
-            "h": [_fmt_matrix(m) for m in bundle.h],
-        }
-    if isinstance(bundle, FormBundle):
-        return {"kind": "form", "dim": bundle.dim, "gram": _fmt_matrix(bundle.gram)}
-    raise TypeError(f"cannot serialize {type(bundle).__name__}")
-
-
-def dumps(bundle: Any) -> str:
-    return json.dumps(document(bundle), indent=2) + "\n"
-
-
-def _algebra_from_document(doc: dict[str, Any]) -> AlgebraBundle:
-    n = _read_dim(doc)
-    variant = doc.get("variant", "bihom-lie")
-    alpha = _parse_matrix(doc["alpha"], n, "alpha") if "alpha" in doc else Matrix.identity(n)
-    beta = _parse_matrix(doc["beta"], n, "beta") if "beta" in doc else Matrix.identity(n)
-    nij = _parse_matrix(doc["nijenhuis"], n, "nijenhuis") if "nijenhuis" in doc else None
-    diff = _parse_differential(doc["differential"], n, "differential") if "differential" in doc else None
-    return AlgebraBundle(n, _parse_bracket(doc.get("bracket", []), n), alpha, beta, nij, diff, variant)
-
-
-def _coalgebra_from_document(doc: dict[str, Any]) -> CoalgebraBundle:
-    n = _read_dim(doc)
-    alpha = _parse_matrix(doc["alpha"], n, "alpha") if "alpha" in doc else Matrix.identity(n)
-    beta = _parse_matrix(doc["beta"], n, "beta") if "beta" in doc else Matrix.identity(n)
-    conij = _parse_matrix(doc["conijenhuis"], n, "conijenhuis") if "conijenhuis" in doc else None
-    codiff = _parse_differential(doc["codiff"], n, "codiff") if "codiff" in doc else None
-    return CoalgebraBundle(n, _parse_comul(doc.get("comul", []), n), alpha, beta, conij, codiff)
 
 
 def _read_dim(doc: dict[str, Any], key: str = "dim") -> int:
@@ -510,49 +406,138 @@ def _read_dim(doc: dict[str, Any], key: str = "dim") -> int:
     return n
 
 
-def from_document(doc: dict[str, Any]) -> Any:
+def _field(doc: dict[str, Any], key: str) -> Any:
+    if key not in doc:
+        raise ParseError(f"field {key!r} is missing")
+    return doc[key]
+
+
+def _matrix(doc: dict[str, Any], key: str, n: int, default: Matrix | None = None) -> Matrix | None:
+    """Field key of doc as an n x n matrix, or default when it is absent."""
+    return _square(doc[key], n, key) if key in doc else default
+
+
+def _differential(doc: dict[str, Any], key: str, n: int) -> Differential | None:
+    """Field key of doc as a {matrix, weight} differential on dim n, or None when it is absent."""
+    if key not in doc:
+        return None
+    obj = doc[key]
+    try:
+        matrix, weight = obj["matrix"], scalar(obj["weight"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"field {key!r}: {exc}") from exc
+    _known_keys(obj, ("matrix", "weight"), f"a {key}")
+    return Differential(_square(matrix, n, f"{key}.matrix"), weight)
+
+
+def _actions(doc: dict[str, Any], key: str, count: int, n: int) -> tuple[Matrix, ...]:
+    """Field key of doc as one n x n action matrix per basis vector of a dim-count space."""
+    obj = _list(_field(doc, key), key, "matrices")
+    if len(obj) != count:
+        raise DimensionMismatch(f"{len(obj)} {key} matrices against dim {count}")
+    return tuple(_square(m, n, f"{key}[{i}]") for i, m in enumerate(obj))
+
+
+def _entries(doc: dict[str, Any], key: str, n: int,
+             index_keys: tuple[str, ...]) -> Iterator[tuple[tuple[int, ...], Any]]:
+    """(indices, out) of each entry of the keyed tensor field key, an absent
+    field holding none: a JSON list of objects whose index_keys are JSON
+    integers in 1..n, each tuple of indices at most once.  The caller reads out."""
+    seen = set()
+    for item in _list(doc.get(key, []), key, "entries"):
+        try:
+            idx, out = tuple(_integer(item[k]) for k in index_keys), item["out"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"field {key!r}: bad entry {item!r}: {exc}") from exc
+        _known_keys(item, (*index_keys, "out"), f"{key} entries")
+        if not all(1 <= i <= n for i in idx):
+            raise DimensionMismatch(f"field {key!r}: entry {dict(zip(index_keys, idx))} out of range for dim {n}")
+        if idx in seen:
+            raise ParseError(f"field {key!r}: repeated entry {dict(zip(index_keys, idx))}")
+        seen.add(idx)
+        yield idx, out
+
+
+def _bracket(doc: dict[str, Any], n: int) -> Tensor3:
+    cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), out in _entries(doc, "bracket", n, ("i", "j")):
+        cells[i - 1][j - 1] = _list(out, "bracket", "rationals")
+        if len(out) != n:
+            raise DimensionMismatch(f"field 'bracket': entry (i={i}, j={j}) has {len(out)} coordinates against dim {n}")
+    return _parsed("bracket", Tensor3.from_entries, cells)
+
+
+def _comul(doc: dict[str, Any], n: int) -> Tensor3:
+    planes = [Matrix.zeros(n, n)] * n
+    for (k,), out in _entries(doc, "comul", n, ("k",)):
+        planes[k - 1] = _square(out, n, "comul")
+    return Tensor3((n, n, n), tuple(m.nz for m in planes))
+
+
+def _algebra(doc: dict[str, Any]) -> AlgebraBundle:
+    n = _read_dim(doc)
+    return AlgebraBundle(n, _bracket(doc, n), _matrix(doc, "alpha", n, Matrix.identity(n)),
+                         _matrix(doc, "beta", n, Matrix.identity(n)), _matrix(doc, "nijenhuis", n),
+                         _differential(doc, "differential", n), doc.get("variant", "bihom-lie"))
+
+
+def _coalgebra(doc: dict[str, Any]) -> CoalgebraBundle:
+    n = _read_dim(doc)
+    return CoalgebraBundle(n, _comul(doc, n), _matrix(doc, "alpha", n, Matrix.identity(n)),
+                           _matrix(doc, "beta", n, Matrix.identity(n)), _matrix(doc, "conijenhuis", n),
+                           _differential(doc, "codiff", n))
+
+
+def _nested_algebra(doc: dict[str, Any], key: str) -> AlgebraBundle:
+    b = from_document(_field(doc, key))
+    if not isinstance(b, AlgebraBundle):
+        raise ParseError(f"field {key!r}: expected an algebra document, got kind {KINDS[type(b)]}")
+    return b
+
+
+def from_document(doc: Any) -> Any:
     """Build a bundle from a parsed JSON document, dispatching on 'kind'."""
     try:
         kind = doc["kind"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing 'kind': {exc}") from exc
+    if not isinstance(kind, str) or kind not in FIELDS:
+        raise ParseError(f"unknown bundle kind {kind!r}")
+    _known_keys(doc, ("kind", *FIELDS[kind]), f"{kind} documents")
     if kind == "algebra":
-        return _algebra_from_document(doc)
+        return _algebra(doc)
     if kind == "coalgebra":
-        return _coalgebra_from_document(doc)
+        return _coalgebra(doc)
     if kind == "bialgebra":
-        return BialgebraBundle(_algebra_from_document(doc), _coalgebra_from_document(doc))
+        return BialgebraBundle(_algebra(doc), _coalgebra(doc))
     if kind == "representation":
         n, vdim = _read_dim(doc), _read_dim(doc, "vdim")
-        try:
-            algebra = _algebra_from_document(doc["algebra"])
-            rho_docs = doc["rho"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"representation document: {exc}") from exc
+        algebra = _nested_algebra(doc, "algebra")
         if algebra.dim != n:
             raise DimensionMismatch(f"embedded algebra dim {algebra.dim} does not match dim {n}")
-        rho = _parse_actions(rho_docs, n, vdim, "rho")
-        p = _parse_matrix(doc["p"], vdim, "p") if "p" in doc else Matrix.identity(vdim)
-        q = _parse_matrix(doc["q"], vdim, "q") if "q" in doc else Matrix.identity(vdim)
-        eta = _parse_matrix(doc["eta"], vdim, "eta") if "eta" in doc else None
-        xi = _parse_matrix(doc["xi"], vdim, "xi") if "xi" in doc else None
-        return RepresentationBundle(algebra, vdim, rho, p, q, eta, xi)
+        return RepresentationBundle(algebra, vdim, _actions(doc, "rho", n, vdim),
+                                    _matrix(doc, "p", vdim, Matrix.identity(vdim)),
+                                    _matrix(doc, "q", vdim, Matrix.identity(vdim)),
+                                    _matrix(doc, "eta", vdim), _matrix(doc, "xi", vdim))
     if kind == "matched_pair":
-        try:
-            left = _algebra_from_document(doc["left"])
-            right = _algebra_from_document(doc["right"])
-            rho_docs, h_docs = doc["rho"], doc["h"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"matched_pair document: {exc}") from exc
-        rho = _parse_actions(rho_docs, left.dim, right.dim, "rho")
-        h = _parse_actions(h_docs, right.dim, left.dim, "h")
-        return MatchedPairBundle(left, right, rho, h)
-    if kind == "form":
-        n = _read_dim(doc)
-        if "gram" not in doc:
-            raise ParseError("form document needs a 'gram' matrix")
-        return FormBundle(_parse_matrix(doc["gram"], n, "gram"))
-    raise ParseError(f"unknown bundle kind {kind!r}")
+        left, right = _nested_algebra(doc, "left"), _nested_algebra(doc, "right")
+        return MatchedPairBundle(left, right, _actions(doc, "rho", left.dim, right.dim),
+                                 _actions(doc, "h", right.dim, left.dim))
+    return FormBundle(_square(_field(doc, "gram"), _read_dim(doc), "gram"))
+
+
+def read_maps(doc: Any, n: int) -> tuple[Matrix, Matrix]:
+    """The alpha and beta of a ``--maps`` document on dim n; beta defaults to the identity."""
+    if not isinstance(doc, dict) or "alpha" not in doc:
+        raise ParseError("maps file needs an 'alpha' matrix")
+    _known_keys(doc, ("alpha", "beta"), "maps files")
+    return _matrix(doc, "alpha", n), _matrix(doc, "beta", n, Matrix.identity(n))
+
+
+def read_pattern(doc: Any) -> list[list[Fraction | None]]:
+    """The rows of a ``--pattern`` document: rationals, null for a free entry."""
+    return _parsed("pattern", lambda rows: [[None if x is None else scalar(x) for x in row] for row in rows],
+                   _rows(doc, "pattern"))
 
 
 def load(text: str) -> Any:

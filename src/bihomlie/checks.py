@@ -27,7 +27,7 @@ from .bundles import (
     Report,
     RepresentationBundle,
     Residual,
-    entry,
+    require,
 )
 from .exact import (
     EMPTY,
@@ -76,7 +76,7 @@ def flavor_operators(flavor: str, what: str, *algebras: AlgebraBundle) -> tuple[
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r} for {what}")
     field = FLAVORS[flavor]
-    ops = tuple(getattr(a, f"require_{field}")() for a in algebras) if field else ()
+    ops = tuple(require(a, field) for a in algebras) if field else ()
     if field != "differential":
         return ops, None
     if len({d.weight for d in ops}) > 1:
@@ -148,7 +148,7 @@ def _minus_weighted(t: Tensor3, w: Fraction, term) -> Tensor3:
 
 
 def _array_entry(identity: str, case: str, m: Matrix | Tensor3) -> CheckEntry:
-    return entry(identity, case, Residual.from_matrix(m))
+    return CheckEntry(identity, case, Residual.from_matrix(m))
 
 
 def _commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -200,11 +200,11 @@ def check_bihom_lie(a: AlgebraBundle) -> Report:
         return _combination(((1, q[i], jk), (1, q[j], ki), (1, q[k], ij)))
 
     return Report((
-        entry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),
-        entry("bihom_multiplicativity", "beta", _multiplicativity(c, B)),
+        CheckEntry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),
+        CheckEntry("bihom_multiplicativity", "beta", _multiplicativity(c, B)),
         _array_entry("bihom_multiplicativity", "alpha-beta-commute", _commutator(A, B)),
         _array_entry("bihom_antisymmetry", "", twisted.add(twisted.transpose((1, 0, 2)))),
-        entry("bihom_jacobi", "", Residual.tabulate((n, n, n), n, jacobi)),
+        CheckEntry("bihom_jacobi", "", Residual.tabulate((n, n, n), n, jacobi)),
     ))
 
 
@@ -228,7 +228,7 @@ def is_involutive(a: AlgebraBundle) -> bool:
 )
 def check_nijenhuis_operator(a: AlgebraBundle) -> Report:
     """Commutation with the structure maps plus the deformation identity."""
-    N = a.require_nijenhuis()
+    N = require(a, "nijenhuis")
     c = a.bracket
     deformation = (_bracket(c, N, N).sub(_bracket(c, N, None, N)).sub(_bracket(c, None, N, N))
                    .add(_bracket(c, out=N @ N)))
@@ -261,11 +261,11 @@ def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
     cells = (((k, i, j, l), x) for k in range(n) for i, plane in enumerate(jacobi(k).nz)
              for j, row in enumerate(plane) for l, x in row_values(row))
     return Report((
-        entry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
-        entry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),
+        CheckEntry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
+        CheckEntry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),
         _array_entry("co_comultiplicativity", "alpha-beta-commute", _commutator(A, B)),
         _array_entry("co_antisymmetry", "", twisted.add(twisted.transpose((0, 2, 1)))),
-        entry("co_jacobi", "", Residual.collect((n,) * 4, cells)),
+        CheckEntry("co_jacobi", "", Residual.collect((n,) * 4, cells)),
     ))
 
 
@@ -276,7 +276,7 @@ def check_nijenhuis_coalgebra(co: CoalgebraBundle) -> Report:
     Commutation of S with alpha and beta is included so that the verdict
     matches the dual algebra-side check exactly.
     """
-    S = co.require_conijenhuis()
+    S = require(co, "conijenhuis")
     t = co.comul
     deformation = _comul(t, None, S, S).add(_comul(t, S @ S)).sub(_comul(t, S, S)).sub(_comul(t, S, None, S))
     return Report((
@@ -354,15 +354,15 @@ def check_representation(r: RepresentationBundle) -> Report:
         _array_entry("rep_p_compat", "", _action(rho, left=r.p).sub(_action(rho, A, right=r.p))),
         _array_entry("rep_p_compat", "p-q-commute", _commutator(r.p, r.q)),
         _array_entry("rep_q_compat", "", _action(rho, left=r.q).sub(_action(rho, B, right=r.q))),
-        entry("rep_bracket", "", Residual.tabulate((n, n, r.vdim), r.vdim, bracket)),
+        CheckEntry("rep_bracket", "", Residual.tabulate((n, n, r.vdim), r.vdim, bracket)),
     ))
 
 
 @declares(rep_nijenhuis="rho(N(x)) eta = eta rho(N(x)) + eta rho(x) eta - eta^2 rho(x); eta commutes with p, q")
 def check_nijenhuis_representation(r: RepresentationBundle) -> Report:
     """Operator compatibility of eta with the module and the algebra operator."""
-    eta = r.require_eta()
-    N = r.algebra.require_nijenhuis()
+    eta = require(r, "eta")
+    N = require(r.algebra, "nijenhuis")
     rho = _stack(r.rho)
     deformation = (_action(rho, N, right=eta).sub(_action(rho, N, left=eta))
                    .sub(_action(rho, None, eta, eta)).add(_action(rho, left=eta @ eta)))
@@ -379,7 +379,7 @@ def check_nijenhuis_representation(r: RepresentationBundle) -> Report:
 @declares(admissible_adjoint="S([N(x),y]) + [x,S^2(y)] = [N(x),S(y)] + S([x,S(y)])")
 def check_adjoint_admissible(a: AlgebraBundle, smap: Matrix) -> Report:
     """Adjoint admissibility of a candidate map S against the bundle operator N."""
-    N = a.require_nijenhuis()
+    N = require(a, "nijenhuis")
     if (smap.rows, smap.cols) != (a.dim, a.dim):
         raise DimensionMismatch("candidate map size does not match the algebra")
     notes = _involution_note(a, detail=_SQUARES)
@@ -413,7 +413,7 @@ def check_gram(f: FormBundle) -> Report:
     G = f.gram
     return Report((
         _array_entry("form_symmetric", "", G.sub(G.transpose())),
-        entry("form_nondegenerate", "", _kernel_residual(G)),
+        CheckEntry("form_nondegenerate", "", _kernel_residual(G)),
     ))
 
 
@@ -439,7 +439,7 @@ def check_form(a: AlgebraBundle, f: FormBundle) -> Report:
 def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fraction | None = None) -> Report:
     """Weighted Leibniz rule for the bundle differential (or a candidate map)."""
     if op is None or weight is None:
-        diff = a.require_differential()
+        diff = require(a, "differential")
         op = op if op is not None else diff.matrix
         weight = weight if weight is not None else diff.weight
     c = a.bracket
@@ -451,8 +451,8 @@ def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fract
 @declares(diff_rep="xi rho(x) = rho(d(x)) + rho(x) xi + w rho(d(x)) xi")
 def check_diff_rep(r: RepresentationBundle, weight: Fraction | None = None) -> Report:
     """Module operator compatibility for a differential representation."""
-    xi = r.require_xi()
-    diff = r.algebra.require_differential()
+    xi = require(r, "xi")
+    diff = require(r.algebra, "differential")
     w = weight if weight is not None else diff.weight
     rho, d = _stack(r.rho), diff.matrix
     compat = _minus_weighted(_action(rho, left=xi).sub(_action(rho, d)).sub(_action(rho, right=xi)),
@@ -463,7 +463,7 @@ def check_diff_rep(r: RepresentationBundle, weight: Fraction | None = None) -> R
 @declares(diff_coalgebra="delta D = (D x id) delta + (id x D) delta + w (D x D) delta")
 def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) -> Report:
     """Weighted co-Leibniz rule for the codifferential."""
-    codiff = co.require_codiff()
+    codiff = require(co, "codiff")
     op, weight = codiff.matrix, codiff.weight if weight is None else weight
     t = co.comul
     leibniz = _minus_weighted(_comul(t, op).sub(_comul(t, None, op)).sub(_comul(t, None, None, op)),
@@ -474,7 +474,7 @@ def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) ->
 @declares(diff_admissible_zeta="rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x))")
 def check_diff_zeta(r: RepresentationBundle, zeta: Matrix, weight: Fraction | None = None) -> Report:
     """Dual-module admissibility of a candidate zeta."""
-    diff = r.algebra.require_differential()
+    diff = require(r.algebra, "differential")
     w = weight if weight is not None else diff.weight
     rho, d = _stack(r.rho), diff.matrix
     admissible = _minus_weighted(_action(rho, right=zeta).sub(_action(rho, d)).sub(_action(rho, left=zeta)),
@@ -485,7 +485,7 @@ def check_diff_zeta(r: RepresentationBundle, zeta: Matrix, weight: Fraction | No
 @declares(diff_admissible_pi="[x,pi(y)] = [d(x),y] + pi([x,y]) + w pi([d(x),y])")
 def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) -> Report:
     """Adjoint admissibility of a candidate pi against the bundle differential."""
-    diff = a.require_differential()
+    diff = require(a, "differential")
     w = weight if weight is not None else diff.weight
     c, d = a.bracket, diff.matrix
     admissible = _minus_weighted(_bracket(c, None, pi).sub(_bracket(c, d)).sub(_bracket(c, out=pi)),
@@ -496,7 +496,7 @@ def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) 
 @declares(diff_dual_admissible="delta d + (D x id - id x d) delta + w (D x id) delta d = 0")
 def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction | None = None) -> Report:
     """Adjoint admissibility of the dual of d against the codifferential side."""
-    codiff = co.require_codiff()
+    codiff = require(co, "codiff")
     w = weight if weight is not None else codiff.weight
     D, t = codiff.matrix, co.comul
     admissible = _minus_weighted(_comul(t, d).add(_comul(t, None, D)).sub(_comul(t, None, None, d)),
@@ -548,11 +548,11 @@ def _mp_mixed(mp: MatchedPairBundle, flavor: str) -> tuple[CheckEntry, ...]:
                              (1, rho_cols[k], v_twisted[a][b])))
 
     if flavor != "differential":
-        return (entry("mp_left", "", Residual.tabulate((n, n, m), n, left)),
-                entry("mp_right", "", Residual.tabulate((m, m, n), m, right)))
+        return (CheckEntry("mp_left", "", Residual.tabulate((n, n, m), n, left)),
+                CheckEntry("mp_right", "", Residual.tabulate((m, m, n), m, right)))
     printed = Residual.tabulate((m, m, n), m, lambda a, b, k: right(a, b, k, printed=True))
-    return (entry("diff_mp_left", "", Residual.tabulate((n, n, m), n, left)),
-            entry("diff_mp_right", "symmetrized", Residual.tabulate((m, m, n), m, right)),
+    return (CheckEntry("diff_mp_left", "", Residual.tabulate((n, n, m), n, left)),
+            CheckEntry("diff_mp_right", "symmetrized", Residual.tabulate((m, m, n), m, right)),
             CheckEntry("diff_mp_right", "as-printed", printed, advisory=True))
 
 

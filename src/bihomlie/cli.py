@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 from . import bundles, checks
 from .bundles import (
+    KINDS,
     AlgebraBundle,
     BialgebraBundle,
     CoalgebraBundle,
@@ -31,9 +32,13 @@ from .bundles import (
     Report,
     RepresentationBundle,
     fixture_by_name,
+    read_maps,
+    read_pattern,
+    require,
+    to_json,
 )
 from .checks import IDENTITY_FORMULAS
-from .exact import Matrix, format_scalar, scalar
+from .exact import format_scalar, scalar
 
 if TYPE_CHECKING:
     from .search import SolutionSpace
@@ -51,14 +56,10 @@ def _load_source(ref: str) -> Any:
     return bundles.load_path(ref)
 
 
-_KINDS = {AlgebraBundle: "algebra", CoalgebraBundle: "coalgebra", BialgebraBundle: "bialgebra",
-          RepresentationBundle: "representation", MatchedPairBundle: "matched_pair", FormBundle: "form"}
-
-
 def _require_kind(bundle: Any, what: str, *types: type) -> Any:
     """The bundle, if it is of one of the kinds an input accepts; else a ParseError naming them."""
     if not isinstance(bundle, types):
-        wanted, got = " or ".join(_KINDS[t] for t in types), _KINDS.get(type(bundle), type(bundle).__name__)
+        wanted, got = " or ".join(KINDS[t] for t in types), KINDS[type(bundle)]
         raise ParseError(f"{what} needs a bundle of kind {wanted}, got kind {got}")
     return bundle
 
@@ -125,7 +126,7 @@ _SUITE_ALIASES = {("bialgebra", "bialgebra"): "auto", ("coalgebra", "coalgebra")
 
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
                   flavor: str | None, against: Any | None) -> Report:
-    kind = _KINDS.get(type(bundle), type(bundle).__name__)
+    kind = KINDS[type(bundle)]
     if against is not None and kind != "form":
         raise ParseError(f"--against applies only to form files, got kind {kind}")
     if flavor is not None and kind != "matched_pair":
@@ -172,19 +173,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 # -- construct -----------------------------------------------------------------------
 
 
-def _load_maps(path: str, dim: int) -> tuple[Matrix, Matrix]:
-    doc = _read_json(path, "maps")
-    if not isinstance(doc, dict) or "alpha" not in doc:
-        raise ParseError("maps file needs an 'alpha' matrix")
-    alpha = bundles._parse_matrix(doc["alpha"], dim, "alpha")
-    beta = bundles._parse_matrix(doc["beta"], dim, "beta") if "beta" in doc else Matrix.identity(dim)
-    return alpha, beta
-
-
-def _matrix_document(m: Matrix) -> dict[str, Any]:
-    return {"kind": "matrix", "dim": m.rows, "matrix": bundles._fmt_matrix(m)}
-
-
 _TWISTABLE = (AlgebraBundle, CoalgebraBundle, BialgebraBundle)
 #: construction -> (the bundle kinds each of its inputs accepts, the flags besides --out it reads)
 _CONSTRUCTIONS: dict[str, tuple[tuple[tuple[type, ...], ...], tuple[str, ...]]] = {
@@ -228,14 +216,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif kind == "twist":
         if not args.maps:
             raise ParseError("twist needs --maps pointing to an alpha/beta file")
-        alpha, beta = _load_maps(args.maps, bundle.dim)
+        alpha, beta = read_maps(_read_json(args.maps, "maps"), bundle.dim)
         result, report = constructions.yau_twist(bundle, alpha, beta)
     elif kind == "untwist":
         result = constructions.untwist(bundle)
     elif kind == "hom":
         if not args.maps:
             raise ParseError("hom needs --maps pointing to an alpha file")
-        alpha, _ = _load_maps(args.maps, bundle.dim)
+        alpha, _ = read_maps(_read_json(args.maps, "maps"), bundle.dim)
         result, report = constructions.hom_specialize(bundle, alpha)
     elif kind == "semidirect":
         result, report = constructions.semidirect_product(bundle.algebra, bundle, args.flavor or "nijenhuis")
@@ -248,8 +236,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         result, report = constructions.bicrossed_product(bundle, args.flavor or "nijenhuis")
     elif kind == "adjoint-form":
         algebra, form = inputs
-        result_matrix = constructions.adjoint_map_wrt_form(algebra.require_nijenhuis(), form)
-        extra_out.append(("matrix", _matrix_document(result_matrix)))
+        adjoint = constructions.adjoint_map_wrt_form(require(algebra, "nijenhuis"), form)
+        extra_out.append(("matrix", {"kind": "matrix", "dim": adjoint.rows, "matrix": to_json(adjoint)}))
 
     docs: list[dict[str, Any]] = []
     if result is not None:
@@ -320,7 +308,6 @@ def cmd_triad(args: argparse.Namespace) -> int:
 
 
 def _solution_document(mode: str, sol: SolutionSpace) -> dict[str, Any]:
-    particular = sol.particular_matrix()
     return {
         "kind": "solutions",
         "mode": mode,
@@ -328,8 +315,8 @@ def _solution_document(mode: str, sol: SolutionSpace) -> dict[str, Any]:
         "homogeneous": sol.homogeneous,
         "empty": sol.is_empty,
         "dimension": sol.dimension,
-        "particular": None if particular is None else bundles._fmt_matrix(particular),
-        "basis": [bundles._fmt_matrix(m) for m in sol.basis_matrices()],
+        "particular": to_json(sol.particular_matrix()),
+        "basis": to_json(sol.basis_matrices()),
     }
 
 
@@ -347,18 +334,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         if not args.grid:
             raise ParseError("nijenhuis-grid needs --grid \"a,b,c\"")
         grid = [scalar(x) for x in args.grid.split(",")]
-        pattern = None
-        if args.pattern:
-            raw = _read_json(args.pattern, "pattern")
-            pattern = bundles._parsed(
-                "pattern", lambda rows: [[None if x is None else scalar(x) for x in row] for row in rows], raw)
+        pattern = read_pattern(_read_json(args.pattern, "pattern")) if args.pattern else None
         budget = {} if args.budget is None else {"budget": args.budget}
         sols = search.grid_search_nijenhuis(bundle, grid, pattern, **budget)
         doc = {
             "kind": "solutions",
             "mode": mode,
             "count": len(sols),
-            "solutions": [bundles._fmt_matrix(m) for m in sols],
+            "solutions": to_json(sols),
         }
         _emit(doc, args.out)
         print(f"{len(sols)} solutions")
@@ -367,7 +350,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         sol = search.solve_linear_identity("derivation", weight, algebra=bundle)
     elif mode == "conijenhuis":
         sol = search.solve_linear_identity("conijenhuis", comul=bundle.coalgebra.comul,
-                                           nmap=bundle.algebra.require_nijenhuis())
+                                           nmap=require(bundle.algebra, "nijenhuis"))
     elif mode == "pi":
         sol = search.solve_linear_identity("pi", weight, algebra=bundle)
     else:  # zeta

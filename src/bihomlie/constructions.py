@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from .bundles import (
     AlgebraBundle,
     BialgebraBundle,
+    CheckEntry,
     CoalgebraBundle,
     Differential,
     FormBundle,
@@ -23,7 +24,7 @@ from .bundles import (
     Report,
     RepresentationBundle,
     Residual,
-    entry,
+    require,
 )
 from .checks import (
     SUITES,
@@ -107,12 +108,12 @@ def coadjoint_rep(a: AlgebraBundle) -> tuple[Matrix, ...]:
 def _endomorphism_report(bracket: Tensor3 | None, comul: Tensor3 | None,
                          alpha: Matrix, beta: Matrix) -> Report:
     maps = (("alpha", alpha), ("beta", beta))
-    entries = [entry("bihom_multiplicativity", "alpha-beta-commute", Residual.from_matrix(_commutator(alpha, beta)))]
+    entries = [CheckEntry("bihom_multiplicativity", "alpha-beta-commute", Residual.from_matrix(_commutator(alpha, beta)))]
     if bracket is not None:
-        entries += [entry("bihom_multiplicativity", f"{label}-endomorphism", _multiplicativity(bracket, m))
+        entries += [CheckEntry("bihom_multiplicativity", f"{label}-endomorphism", _multiplicativity(bracket, m))
                     for label, m in maps]
     if comul is not None:
-        entries += [entry("co_comultiplicativity", f"{label}-endomorphism", _comultiplicativity(comul, m))
+        entries += [CheckEntry("co_comultiplicativity", f"{label}-endomorphism", _comultiplicativity(comul, m))
                     for label, m in maps]
     return Report(tuple(entries))
 
@@ -203,10 +204,10 @@ def semidirect_product(a: AlgebraBundle, r: RepresentationBundle, flavor: str) -
     if r.algebra != a:
         raise DimensionMismatch("representation bundle does not belong to the given algebra")
     m = r.vdim
-    eta = r.require_eta() if flavor == "nijenhuis" else r.eta
-    weight = a.require_differential().weight if flavor == "differential" else None
+    eta = require(r, "eta") if flavor == "nijenhuis" else r.eta
+    weight = require(a, "differential").weight if flavor == "differential" else None
     v = AlgebraBundle(m, Tensor3.zeros((m, m, m)), r.p, r.q, nijenhuis=eta,
-                      differential=None if weight is None else Differential(r.require_xi(), weight))
+                      differential=None if weight is None else Differential(require(r, "xi"), weight))
     zero_h = tuple(Matrix.zeros(a.dim, a.dim) for _ in range(m))
     product = _bicrossed_algebra(MatchedPairBundle(a, v, r.rho, zero_h), flavor, "semidirect products")
     return product, SUITES["representation", flavor].run(r)
@@ -296,7 +297,7 @@ def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: Algebr
         want = left.bracket.nz[i][j] if side == 0 else _shifted(right.bracket.nz[i][j], n)
         return _sum(total.bracket.nz[side * n + i][side * n + j], want, -1)
 
-    return Report((entry("subalgebra", "bracket", Residual.tabulate((2, n, n), 2 * n, restriction)),))
+    return Report((CheckEntry("subalgebra", "bracket", Residual.tabulate((2, n, n), 2 * n, restriction)),))
 
 
 # -- adjoint maps of forms ------------------------------------------------------------

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from .bundles import (
     AlgebraBundle,
     BialgebraBundle,
+    CheckEntry,
     Report,
     RepresentationBundle,
     Residual,
-    entry,
+    require,
 )
 from .checks import (
     SUITES,
@@ -46,13 +47,22 @@ from .exact import DimensionMismatch, block_diag
 class TriadReport:
     """Verdicts of the three equivalent descriptions plus their agreement."""
 
-    manin_ok: bool
     manin_report: Report
-    bialgebra_ok: bool
     bialgebra_report: Report
-    matched_pair_ok: bool
     matched_pair_report: Report
     notes: tuple[str, ...] = ()
+
+    @property
+    def manin_ok(self) -> bool:
+        return self.manin_report.ok
+
+    @property
+    def bialgebra_ok(self) -> bool:
+        return self.bialgebra_report.ok
+
+    @property
+    def matched_pair_ok(self) -> bool:
+        return self.matched_pair_report.ok
 
     @property
     def agree(self) -> bool:
@@ -69,11 +79,17 @@ class IffReport:
 
     kind: str
     first_label: str
-    first_ok: bool
     first_report: Report
     second_label: str
-    second_ok: bool
     second_report: Report
+
+    @property
+    def first_ok(self) -> bool:
+        return self.first_report.ok
+
+    @property
+    def second_ok(self) -> bool:
+        return self.second_report.ok
 
     @property
     def agree(self) -> bool:
@@ -103,7 +119,7 @@ def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadRepor
     )
     bial = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))
     mp_report = check_matched_pair(coadjoint_matched_pair(left, right), flavor)
-    return TriadReport(manin.ok, manin, bial.ok, bial, mp_report.ok, mp_report, notes)
+    return TriadReport(manin, bial, mp_report, notes)
 
 
 def triad_nijenhuis_bihom(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:
@@ -120,12 +136,12 @@ def double_adjoint_report(double: DoubleBundle) -> Report:
     """Block identity for the form-adjoint of the combined operator, plus the
     two factor admissibility conditions it implies."""
     left, right = double.left, double.right
-    N = left.require_nijenhuis()
-    S_star = right.require_nijenhuis()
-    combined = double.total.require_nijenhuis()
+    N = require(left, "nijenhuis")
+    S_star = require(right, "nijenhuis")
+    combined = require(double.total, "nijenhuis")
     adj = adjoint_map_wrt_form(combined, double.form)
     expected = block_diag(S_star.transpose(), N.transpose())
-    rep = Report((entry("admissible_adjoint", "form-adjoint-blocks", Residual.from_matrix(adj.sub(expected))),))
+    rep = Report((CheckEntry("admissible_adjoint", "form-adjoint-blocks", Residual.from_matrix(adj.sub(expected))),))
     return rep.merged(
         check_adjoint_admissible(left, S_star.transpose()).prefixed("left-factor"),
         check_adjoint_admissible(right, N.transpose()).prefixed("right-factor"),
@@ -170,4 +186,4 @@ def iff_harness(kind: str, **data) -> IffReport:
         else:
             product, first = bicrossed_product(data["mp"], flavor)
         second = SUITES["algebra", flavor].run(product)
-    return IffReport(kind, first_label, first.ok, first, second_label, second.ok, second)
+    return IffReport(kind, first_label, first, second_label, second)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .bundles import AlgebraBundle
+from .bundles import AlgebraBundle, require
 from .checks import _action, _comul, _stack, check_nijenhuis_operator
 from .exact import (
     ONE,
@@ -139,7 +139,7 @@ def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
 def _zeta_system(rho: Tensor3, a: AlgebraBundle, weight: Fraction | None) -> _System:
     """rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x)), linear in zeta, for the
     stacked action rho of a; pi is the adjoint case rho(e_i) = ad_{e_i}."""
-    diff = a.require_differential()
+    diff = require(a, "differential")
     d = diff.matrix
     weight = diff.weight if weight is None else weight
     n, v = a.dim, rho.shape[1]

@@ -254,3 +254,116 @@ def test_tabulate_and_from_matrix_equal_collect_over_all_cells(data, shape, empt
     assert Residual.tabulate((d1, d0, d0), d2, lambda j, i, l: t.nz[l][j]) == \
         every((d1, d0, d0, d2), lambda j, i, l, k: cells[l][j][k])
     assert not empty or Residual.from_matrix(t).nonzeros == ()
+
+
+# -- the document codec and require ------------------------------------------------
+
+
+def _square_lists(n, items):
+    return st.lists(st.lists(items, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _matrices(n):
+    return _square_lists(n, sparse_rationals).map(Matrix.from_rows)
+
+
+def _tensors(n):
+    return _square_lists(n, st.lists(sparse_rationals, min_size=n, max_size=n)).map(Tensor3.from_entries)
+
+
+def _differentials(n):
+    return st.builds(Differential, _matrices(n), sparse_rationals)
+
+
+def _actions(count, n):
+    return st.lists(_matrices(n), min_size=count, max_size=count).map(tuple)
+
+
+@st.composite
+def _algebras(draw, n=None):
+    n = n or draw(st.integers(1, 3))
+    bracket = draw(_tensors(n))
+    if draw(st.booleans()):
+        maps, variant = (Matrix.identity(n), Matrix.identity(n)), "lie"
+    else:
+        maps, variant = (draw(_matrices(n)), draw(_matrices(n))), "bihom-lie"
+    return AlgebraBundle(n, bracket, *maps, draw(st.none() | _matrices(n)), draw(st.none() | _differentials(n)),
+                         variant)
+
+
+@st.composite
+def _coalgebras(draw, algebra):
+    n = algebra.dim
+    return CoalgebraBundle(n, draw(_tensors(n)), algebra.alpha, algebra.beta, draw(st.none() | _matrices(n)),
+                           draw(st.none() | _differentials(n)))
+
+
+@st.composite
+def _bundles_of_every_kind(draw):
+    kind = draw(st.sampled_from(sorted(bundles.FIELDS)))
+    a = draw(_algebras())
+    if kind == "algebra":
+        return a
+    if kind in ("coalgebra", "bialgebra"):
+        co = draw(_coalgebras(a))
+        return co if kind == "coalgebra" else BialgebraBundle(a, co)
+    if kind == "representation":
+        v = draw(st.integers(1, 3))
+        return RepresentationBundle(a, v, draw(_actions(a.dim, v)), draw(_matrices(v)), draw(_matrices(v)),
+                                    draw(st.none() | _matrices(v)), draw(st.none() | _matrices(v)))
+    if kind == "matched_pair":
+        b = draw(_algebras())
+        return MatchedPairBundle(a, b, draw(_actions(a.dim, b.dim)), draw(_actions(b.dim, a.dim)))
+    return FormBundle(draw(_matrices(a.dim)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bundles_of_every_kind())
+def test_every_bundle_kind_round_trips_through_its_document(b):
+    text = bundles.dumps(b)
+    assert bundles.load(text) == b
+    assert bundles.dumps(bundles.load(text)) == text
+    assert set(json.loads(text)) <= {"kind", *bundles.FIELDS[bundles.KINDS[type(b)]]}
+
+
+def test_a_bialgebra_document_reads_the_fields_of_both_factors():
+    assert set(bundles.FIELDS["bialgebra"]) == set(bundles.FIELDS["algebra"]) | set(bundles.FIELDS["coalgebra"])
+
+
+_REP = RepresentationBundle(bundles.aff2(), 1, (Matrix.zeros(1, 1),) * 2, Matrix.identity(1), Matrix.identity(1))
+_DIFF = Differential(Matrix.identity(2), scalar(1))
+
+
+@pytest.mark.parametrize("bundle, field, value", [
+    (bundles.aff2(), "nijenhuis", Matrix.identity(2)),
+    (bundles.aff2(), "differential", _DIFF),
+    (dualize(bundles.aff2()), "conijenhuis", Matrix.identity(2)),
+    (dualize(bundles.aff2()), "codiff", _DIFF),
+    (_REP, "eta", Matrix.identity(1)),
+    (_REP, "xi", Matrix.identity(1)),
+], ids=["algebra-nijenhuis", "algebra-differential", "coalgebra-conijenhuis", "coalgebra-codiff",
+        "representation-eta", "representation-xi"])
+def test_require_names_the_kind_and_the_field(bundle, field, value):
+    with pytest.raises(bundles.MissingField, match=f"^{bundles.KINDS[type(bundle)]} bundle has no {field}"):
+        bundles.require(bundle, field)
+    assert bundles.require(dataclasses.replace(bundle, **{field: value}), field) is value
+
+
+def test_no_module_but_bundles_uses_a_private_bundles_name():
+    # the document format is known to bundles.py alone: no other module reads
+    # its private helpers, as attributes of the module or by import
+    import ast
+    from pathlib import Path
+
+    package = Path(bundles.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "bundles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "bundles" and node.attr.startswith("_")):
+                offenders.append(f"{path.name}:{node.lineno} bundles.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "bundles":
+                offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []

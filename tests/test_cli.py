@@ -189,12 +189,14 @@ def test_triad_exit_codes(workdir):
 
 
 def test_triad_disagreement_exit_code(workdir, monkeypatch):
-    # the alarming path: force a fabricated disagreement through the harness
+    # the alarming path: force a fabricated disagreement through the harness,
+    # a bialgebra side whose one identity fails against two passing sides
     from bihomlie import equivalence
-    from bihomlie.bundles import Report
+    from bihomlie.bundles import CheckEntry, Report, Residual
     from bihomlie.equivalence import TriadReport
 
-    fake = TriadReport(True, Report(()), False, Report(()), True, Report(()))
+    failing = Report((CheckEntry("bihom_jacobi", "", Residual((1,), (((0,), scalar(1)),))),))
+    fake = TriadReport(Report(()), failing, Report(()))
     monkeypatch.setattr(equivalence, "triad_nijenhuis_bihom", lambda l, r: fake)
     left = _write(workdir / "l.json", support.scalar_op(bundles.aff2(), 1))
     right = _write(workdir / "r.json", support.scalar_op(bundles.abelian(2), 1))
@@ -271,6 +273,10 @@ def _wrong_kind_inputs(workdir):
     (workdir / "list.json").write_text('[["1", "0"], ["0", "1"]]', encoding="utf-8")
     (workdir / "alpha_half.json").write_text('{"alpha": 0.5}', encoding="utf-8")
     (workdir / "flat.json").write_text("[1, 2]", encoding="utf-8")
+    (workdir / "string_rows.json").write_text('["10", "01"]', encoding="utf-8")
+    (workdir / "alpha_strings.json").write_text('{"alpha": ["10", "02"]}', encoding="utf-8")
+    (workdir / "maps_typo.json").write_text('{"alpha": [["1", "0"], ["0", "2"]], "bata": [["1", "0"], ["0", "1"]]}',
+                                            encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,6 +307,9 @@ def _wrong_kind_inputs(workdir):
     ["construct", "hom", "bi.json", "--maps", "list.json"],
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "flat.json"],
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "half.json"],
+    ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "string_rows.json"],
+    ["construct", "twist", "fixture:aff2", "--maps", "alpha_strings.json"],
+    ["construct", "twist", "fixture:aff2", "--maps", "maps_typo.json"],
     ["check", "fixture:abelian(0)"],
     ["check", "fixture:abelian(99999999999)"],
     ["check", "fixture:aff2", "--no-symmetrized-mp-right"],
@@ -371,8 +380,20 @@ def _aff2_document(**fields):
     _aff2_document(alpha=[[True, 0], [0, True]]),  # a JSON boolean is no rational
     _aff2_document(bracket=[{"i": 1, "j": 2, "out": [0, True]}]),
     _aff2_document(differential={"matrix": [["0", "0"], ["0", "0"]], "weight": False}),
+    # a string where a list belongs is refused, not read one character at a time
+    _aff2_document(alpha=["10", "01"]),
+    _aff2_document(bracket=[{"i": 1, "j": 2, "out": "01"}]),
+    {**bundles.document(bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2),
+                                                Matrix.identity(2))), "comul": [{"k": 1, "out": ["01", "10"]}]},
+    {"kind": "form", "dim": 2, "gram": ["01", "10"]},
+    _aff2_document(differential={"matrix": [["0", "0"], ["0", "0"]], "weight": "0", "wieght": "1"}),
+    _aff2_document(bracket=[{"i": 1, "j": 2, "k": 1, "out": ["0", "1"]}]),
+    {**bundles.document(support.adjoint_rep(bundles.aff2())), "algebra": {"kind": "form", "dim": 2,
+                                                                          "gram": [["1", "0"], ["0", "1"]]}},
 ], ids=["bracket-1", "bracket-0", "bracket-false", "bracket-empty-object", "bracket-null", "comul-1",
-        "zero-denominator", "alpha-true", "bracket-out-true", "weight-false"])
+        "zero-denominator", "alpha-true", "bracket-out-true", "weight-false", "alpha-string-rows",
+        "bracket-out-string", "comul-out-string-rows", "gram-string-rows", "differential-unknown-key",
+        "bracket-entry-unknown-key", "embedded-form-as-algebra"])
 def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
     path = workdir / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -419,6 +440,16 @@ def _fuzz_documents():
 
 
 FUZZ_DOCUMENTS, FUZZ_PARTNERS = _fuzz_documents()
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_DOCUMENTS))
+def test_misspelled_document_key_exits_two(workdir, capsys, kind):
+    # a key the kind does not read is refused, not dropped with its operator unchecked
+    path = workdir / "typo.json"
+    path.write_text(json.dumps({**FUZZ_DOCUMENTS[kind], "nijenhius": [["1", "0"], ["0", "1"]]}), encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: field 'nijenhius' is not read from {kind} documents")
+
 #: bundle kind -> subcommands taking it; F.json is the mutated document
 FUZZ_COMMANDS = {
     "algebra": [["check", "F.json", "--suite", "auto"], ["check", "F.json", "--suite", "nijenhuis"],
