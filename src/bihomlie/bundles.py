@@ -162,19 +162,21 @@ class MatchedPairBundle:
         _require_square(self.left.dim, {f"h[{i}]": m for i, m in enumerate(self.h)})
 
     @cached_property
+    def swapped(self) -> "MatchedPairBundle":
+        """The same pair read from its other side: (V, L, h, rho)."""
+        return MatchedPairBundle(self.right, self.left, self.h, self.rho)
+
+    @cached_property
     def rho_module(self) -> RepresentationBundle:
         """V as a module over L through rho, with V's maps and operators."""
-        return _module(self.left, self.right, self.rho)
+        v = self.right
+        return RepresentationBundle(self.left, v.dim, self.rho, v.alpha, v.beta, eta=v.nijenhuis,
+                                    xi=v.differential.matrix if v.differential else None)
 
     @cached_property
     def h_module(self) -> RepresentationBundle:
         """L as a module over V through h, with L's maps and operators."""
-        return _module(self.right, self.left, self.h)
-
-
-def _module(acting: AlgebraBundle, on: AlgebraBundle, action: tuple[Matrix, ...]) -> RepresentationBundle:
-    return RepresentationBundle(acting, on.dim, action, on.alpha, on.beta, eta=on.nijenhuis,
-                                xi=on.differential.matrix if on.differential else None)
+        return self.swapped.rho_module
 
 
 @dataclass(frozen=True)
@@ -520,18 +522,20 @@ def from_document(doc: Any) -> Any:
                                     _matrix(doc, "q", vdim, Matrix.identity(vdim)),
                                     _matrix(doc, "eta", vdim), _matrix(doc, "xi", vdim))
     if kind == "matched_pair":
-        left, right = _nested_algebra(doc, "left"), _nested_algebra(doc, "right")
+        n, left, right = _read_dim(doc), _nested_algebra(doc, "left"), _nested_algebra(doc, "right")
+        if left.dim != n:
+            raise DimensionMismatch(f"field 'dim': {n} does not match the left algebra's dim {left.dim}")
         return MatchedPairBundle(left, right, _actions(doc, "rho", left.dim, right.dim),
                                  _actions(doc, "h", right.dim, left.dim))
     return FormBundle(_square(_field(doc, "gram"), _read_dim(doc), "gram"))
 
 
-def read_maps(doc: Any, n: int) -> tuple[Matrix, Matrix]:
-    """The alpha and beta of a ``--maps`` document on dim n; beta defaults to the identity."""
+def read_maps(doc: Any, n: int, fields: tuple[str, ...] = ("alpha", "beta")) -> tuple[Matrix, ...]:
+    """The maps named in fields, in order, of a ``--maps`` document on dim n; beta defaults to the identity."""
     if not isinstance(doc, dict) or "alpha" not in doc:
         raise ParseError("maps file needs an 'alpha' matrix")
-    _known_keys(doc, ("alpha", "beta"), "maps files")
-    return _matrix(doc, "alpha", n), _matrix(doc, "beta", n, Matrix.identity(n))
+    _known_keys(doc, fields, "maps files")
+    return tuple(_matrix(doc, field, n, Matrix.identity(n)) for field in fields)
 
 
 def read_pattern(doc: Any) -> list[list[Fraction | None]]:

@@ -4,8 +4,12 @@ Every checker evaluates its identities on all basis tuples (multilinearity
 makes that exhaustive) and returns a Report of exact residuals; pass iff the
 residual is identically zero.  Each twisted bracket, comultiplication or
 action an identity reads is built once, as a whole tensor, by ``contract``;
-three-index identities are differences of such tensors, four-index ones are
+three-index identities are differences of such tensors, four-index ones
+(Jacobi, co-Jacobi, the mixed matched-pair identities, the cocycle) are
 tabulated per basis tuple over their rows, so no n^4 array is ever built.
+Each formula is written once: the second mixed identity is the first read on
+the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
+zeta-admissibility on the adjoint action.
 Hypotheses a result states without the checker being able to gate on
 usefully (involutivity, invertibility) are reported as notes while the
 identity is still evaluated.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .bundles import (
     AlgebraBundle,
@@ -39,7 +43,6 @@ from .exact import (
     contract,
     invert,
     nullspace,
-    row_values,
 )
 
 
@@ -136,10 +139,6 @@ def _action(r: Tensor3, x: Matrix | None = None, left: Matrix | None = None, rig
 def _stack(mats: Sequence[Matrix]) -> Tensor3:
     """Action matrices rho(e_i) as one tensor, plane i holding rho(e_i)."""
     return Tensor3((len(mats), mats[0].rows, mats[0].cols), tuple(m.nz for m in mats))
-
-
-def _planes(t: Tensor3) -> list[Matrix]:
-    return [Matrix(t.shape[1], t.shape[2], plane) for plane in t.nz]
 
 
 def _minus_weighted(t: Tensor3, w: Fraction, term) -> Tensor3:
@@ -251,21 +250,22 @@ def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
     """Comultiplicativity, twisted co-antisymmetry, twisted co-Jacobi."""
     n, t, A, B = co.dim, co.comul, co.alpha, co.beta
     twisted = _comul(t, None, B, A)
-    outer = _planes(_comul(t, None, B @ B))  # (beta^2 x id) Delta
+    outer = _comul(t, None, B @ B)  # (beta^2 x id) Delta
+    # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) is w_k[a][i][j] = sum_b outer[k][a][b] twisted[b][i][j];
+    # cell (k, a, i, j) of the cyclic sum is w_k[a][i][j] + w_k[j][a][i] + w_k[i][j][a], a row over j
+    o, o_cols = outer.nz, outer.transpose((0, 2, 1)).nz  # [k][a]: outer[k][a][b] over b; [k][b]: outer[k][j][b] over j
+    # [i][b]: twisted[b][i][j] over j; [a][i]: twisted[b][a][i] over b; [a][b]: twisted[b][j][a] over j
+    t_ib, t_ai, t_ab = (twisted.transpose(axes).nz for axes in ((1, 0, 2), (1, 2, 0), (2, 0, 1)))
 
-    def jacobi(k: int) -> Tensor3:
-        # (id x beta x alpha)(beta^2 x Delta) Delta(e_k), then the cyclic sum
-        w = contract(twisted, 0, outer[k])
-        return w.add(w.transpose((2, 0, 1))).add(w.transpose((1, 2, 0)))
+    def jacobi(k: int, a: int, i: int) -> Row:
+        return _combination(((1, t_ib[i], o[k][a]), (1, o_cols[k], t_ai[a][i]), (1, t_ab[a], o[k][i])))
 
-    cells = (((k, i, j, l), x) for k in range(n) for i, plane in enumerate(jacobi(k).nz)
-             for j, row in enumerate(plane) for l, x in row_values(row))
     return Report((
         CheckEntry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
         CheckEntry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),
         _array_entry("co_comultiplicativity", "alpha-beta-commute", _commutator(A, B)),
         _array_entry("co_antisymmetry", "", twisted.add(twisted.transpose((0, 2, 1)))),
-        CheckEntry("co_jacobi", "", Residual.collect((n,) * 4, cells)),
+        CheckEntry("co_jacobi", "", Residual.tabulate((n, n, n), n, jacobi)),
     ))
 
 
@@ -471,25 +471,26 @@ def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) ->
     return Report((_array_entry("diff_coalgebra", "", leibniz),))
 
 
+def _admissible_zeta(rho: Tensor3, a: AlgebraBundle, zeta: Matrix, weight: Fraction | None) -> Tensor3:
+    """rho(x) zeta - rho(d(x)) - zeta rho(x) - w zeta rho(d(x)) for a stacked action rho of a, d = a.differential."""
+    diff = require(a, "differential")
+    w, d = weight if weight is not None else diff.weight, diff.matrix
+    return _minus_weighted(_action(rho, right=zeta).sub(_action(rho, d)).sub(_action(rho, left=zeta)),
+                           w, lambda: _action(rho, d, left=zeta))
+
+
 @declares(diff_admissible_zeta="rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x))")
 def check_diff_zeta(r: RepresentationBundle, zeta: Matrix, weight: Fraction | None = None) -> Report:
     """Dual-module admissibility of a candidate zeta."""
-    diff = require(r.algebra, "differential")
-    w = weight if weight is not None else diff.weight
-    rho, d = _stack(r.rho), diff.matrix
-    admissible = _minus_weighted(_action(rho, right=zeta).sub(_action(rho, d)).sub(_action(rho, left=zeta)),
-                                 w, lambda: _action(rho, d, left=zeta))
+    admissible = _admissible_zeta(_stack(r.rho), r.algebra, zeta, weight)
     return Report((_array_entry("diff_admissible_zeta", "", admissible),))
 
 
 @declares(diff_admissible_pi="[x,pi(y)] = [d(x),y] + pi([x,y]) + w pi([d(x),y])")
 def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) -> Report:
-    """Adjoint admissibility of a candidate pi against the bundle differential."""
-    diff = require(a, "differential")
-    w = weight if weight is not None else diff.weight
-    c, d = a.bracket, diff.matrix
-    admissible = _minus_weighted(_bracket(c, None, pi).sub(_bracket(c, d)).sub(_bracket(c, out=pi)),
-                                 w, lambda: _bracket(c, d, None, pi))
+    """Adjoint admissibility of a candidate pi: zeta = pi on the adjoint action, whose plane i is ad_{e_i},
+    transposed back so that cell (i, j, k) is the k-th coordinate at (e_i, e_j)."""
+    admissible = _admissible_zeta(a.bracket.transpose((0, 2, 1)), a, pi, weight).transpose((0, 2, 1))
     return Report((_array_entry("diff_admissible_pi", "", admissible),))
 
 
@@ -514,39 +515,15 @@ def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction 
     diff_mp_right="[b,rho(z)a]_V - [a,rho(z)b]_V - rho(h(b)z)(a) + rho(h(a)z)(b) + rho(z)([a,b]_V) = 0 (symmetrized); the as-printed variant replaces -rho(h(b)z)(a) + rho(h(a)z)(b) by -rho(h(b)z)(b)",
 )
 def _mp_mixed(mp: MatchedPairBundle, flavor: str) -> tuple[CheckEntry, ...]:
-    """The two mixed identities of a matched pair, on x, y, z in L and a, b, c in V.
+    """The two mixed identities of a matched pair: the second is the first read
+    on the swapped pair (V, L, h, rho), where alpha, beta and p, q trade places.
 
     The differential flavour, whose maps are identities, reads the same
     identities under its own names and adds the as-printed reading of the
     second one as an advisory entry.
     """
-    L, V = mp.left, mp.right
-    n, m = L.dim, V.dim
-    A, B, P, Q = L.alpha, L.beta, V.alpha, V.beta
-    rho, h = _stack(mp.rho), _stack(mp.h)
-    # rows indexed [first][second]: the value at basis vectors e_* of L, f_* of V
-    cl, cv = L.bracket.nz, V.bracket.nz
-    h_qa = _action(h, Q, right=A).transpose((0, 2, 1)).nz       # [c][i]: h(q(f_c)) alpha(e_i)
-    h_ab = _action(h, right=A @ B).transpose((2, 0, 1)).nz      # [i][l]: h(f_l) alpha beta(e_i)
-    rho_aq = _action(rho, A, right=Q).transpose((0, 2, 1)).nz   # [j][c]: rho(alpha(e_j)) q(f_c)
-    h_cols = h.transpose((0, 2, 1)).nz                          # [c][r]: h(f_c) e_r
-    l_twisted = _bracket(L.bracket, B, A).nz                    # [i][j]: [beta(e_i), alpha(e_j)]
-    rho_bp = _action(rho, B, right=P).transpose((0, 2, 1)).nz   # [k][a]: rho(beta(e_k)) p(f_a)
-    rho_pq = _action(rho, right=P @ Q).transpose((2, 0, 1)).nz  # [a][l]: rho(e_l) pq(f_a)
-    h_pb = _action(h, P, right=B).transpose((0, 2, 1)).nz       # [b][k]: h(p(f_b)) beta(e_k)
-    rho_cols = rho.transpose((0, 2, 1)).nz                      # [k][r]: rho(e_k) f_r
-    v_twisted = _bracket(V.bracket, Q, P).nz                    # [a][b]: [q(f_a), p(f_b)]_V
-
-    def left(i: int, j: int, c: int) -> Row:
-        return _combination(((1, cl[j], h_qa[c][i]), (-1, cl[i], h_qa[c][j]), (-1, h_ab[i], rho_aq[j][c]),
-                             (1, h_ab[j], rho_aq[i][c]), (1, h_cols[c], l_twisted[i][j])))
-
-    def right(a: int, b: int, k: int, printed: bool = False) -> Row:
-        swapped = (((-1, rho_pq[b], h_pb[b][k]),) if printed
-                   else ((-1, rho_pq[a], h_pb[b][k]), (1, rho_pq[b], h_pb[a][k])))
-        return _combination(((1, cv[b], rho_bp[k][a]), (-1, cv[a], rho_bp[k][b]), *swapped,
-                             (1, rho_cols[k], v_twisted[a][b])))
-
+    n, m = mp.left.dim, mp.right.dim
+    left, right = _mixed(mp), _mixed(mp.swapped)
     if flavor != "differential":
         return (CheckEntry("mp_left", "", Residual.tabulate((n, n, m), n, left)),
                 CheckEntry("mp_right", "", Residual.tabulate((m, m, n), m, right)))
@@ -554,6 +531,28 @@ def _mp_mixed(mp: MatchedPairBundle, flavor: str) -> tuple[CheckEntry, ...]:
     return (CheckEntry("diff_mp_left", "", Residual.tabulate((n, n, m), n, left)),
             CheckEntry("diff_mp_right", "symmetrized", Residual.tabulate((m, m, n), m, right)),
             CheckEntry("diff_mp_right", "as-printed", printed, advisory=True))
+
+
+def _mixed(mp: MatchedPairBundle) -> Callable[..., Row]:
+    """The row function of the first mixed identity on x = e_i, y = e_j in L and c = f_c in V; with printed
+    set, of the as-printed second identity of the pair mp is the swap of, one middle term in place of two."""
+    L, Q = mp.left, mp.right.beta
+    A, B, cl = L.alpha, L.beta, L.bracket.nz
+    rho, h = _stack(mp.rho), _stack(mp.h)
+    # rows indexed [first][second]: the value at basis vectors e_* of L, f_* of V
+    h_qa = _action(h, Q, right=A).transpose((0, 2, 1)).nz       # [c][i]: h(q(f_c)) alpha(e_i)
+    h_ab = _action(h, right=A @ B).transpose((2, 0, 1)).nz      # [i][l]: h(f_l) alpha beta(e_i)
+    rho_aq = _action(rho, A, right=Q).transpose((0, 2, 1)).nz   # [j][c]: rho(alpha(e_j)) q(f_c)
+    h_cols = h.transpose((0, 2, 1)).nz                          # [c][r]: h(f_c) e_r
+    l_twisted = _bracket(L.bracket, B, A).nz                    # [i][j]: [beta(e_i), alpha(e_j)]
+
+    def mixed(i: int, j: int, c: int, printed: bool = False) -> Row:
+        middle = (((-1, h_ab[j], rho_aq[j][c]),) if printed
+                  else ((-1, h_ab[i], rho_aq[j][c]), (1, h_ab[j], rho_aq[i][c])))
+        return _combination(((1, cl[j], h_qa[c][i]), (-1, cl[i], h_qa[c][j]), *middle,
+                             (1, h_cols[c], l_twisted[i][j])))
+
+    return mixed
 
 
 def check_matched_pair(mp: MatchedPairBundle, flavor: str) -> Report:

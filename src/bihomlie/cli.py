@@ -223,7 +223,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif kind == "hom":
         if not args.maps:
             raise ParseError("hom needs --maps pointing to an alpha file")
-        alpha, _ = read_maps(_read_json(args.maps, "maps"), bundle.dim)
+        alpha, = read_maps(_read_json(args.maps, "maps"), bundle.dim, ("alpha",))
         result, report = constructions.hom_specialize(bundle, alpha)
     elif kind == "semidirect":
         result, report = constructions.semidirect_product(bundle.algebra, bundle, args.flavor or "nijenhuis")

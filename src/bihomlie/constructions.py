@@ -35,7 +35,6 @@ from .checks import (
     _comultiplicativity,
     _commutator,
     _multiplicativity,
-    _planes,
     _require_identity_maps,
     _stack,
     _tr,
@@ -99,7 +98,7 @@ def dual_representation(r: RepresentationBundle) -> RepresentationBundle:
 def coadjoint_rep(a: AlgebraBundle) -> tuple[Matrix, ...]:
     """Action of the algebra on its dual space: x acts by minus the transpose
     of ad_x, so < x . w, v > = - < w, [x, v] >."""
-    return tuple(ad_t.neg() for ad_t in _planes(a.bracket))  # plane i of the bracket is ad_{e_i}^T
+    return tuple(Matrix(a.dim, a.dim, ad_t).neg() for ad_t in a.bracket.nz)  # plane i of the bracket is ad_{e_i}^T
 
 
 # -- twists --------------------------------------------------------------------

@@ -272,9 +272,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def commutes_with(self, other: "Matrix") -> bool:
-        return (self @ other).sub(other @ self).is_zero()
-
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")

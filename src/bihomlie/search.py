@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bundles import AlgebraBundle, require
-from .checks import _action, _comul, _stack, check_nijenhuis_operator
+from .checks import _action, _commutator, _comul, _stack, check_nijenhuis_operator
 from .exact import (
     ONE,
     Matrix,
@@ -199,7 +199,7 @@ def grid_search_nijenhuis(a: AlgebraBundle, grid: list[Fraction],
         for (i, j), val in zip(free, combo):
             cells[i][j] = val
         m = Matrix.from_rows(cells)
-        if not (m.commutes_with(a.alpha) and m.commutes_with(a.beta)):
+        if not (_commutator(m, a.alpha).is_zero() and _commutator(m, a.beta).is_zero()):
             continue
         if check_nijenhuis_operator(replace(a, nijenhuis=m)).ok:
             out.append(m)

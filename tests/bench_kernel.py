@@ -1,5 +1,5 @@
-"""Timings of the exact kernel and the Jacobi checker (pytest-benchmark; not
-part of the test suite).
+"""Timings of the exact kernel and the Jacobi and co-Jacobi checkers
+(pytest-benchmark; not part of the test suite).
 
 Run from the repository root with
 
@@ -15,7 +15,8 @@ from fractions import Fraction
 import naive
 import pytest
 import support
-from bihomlie.checks import check_bihom_lie
+from bihomlie.checks import check_bihom_coalgebra, check_bihom_lie
+from bihomlie.constructions import dualize
 from bihomlie.exact import Matrix, contract, invert
 
 
@@ -77,3 +78,18 @@ def test_check_bihom_lie_gl5(benchmark):
 def test_check_bihom_lie_gl4_torus_twisted(benchmark):
     a = support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7])  # non-involutive maps, real denominators
     assert benchmark(check_bihom_lie, a).ok
+
+
+def test_check_bihom_coalgebra_gl4_dual(benchmark):
+    co = dualize(support.gl(4))
+    assert benchmark(check_bihom_coalgebra, co).ok
+
+
+def test_check_bihom_coalgebra_gl5_dual(benchmark):
+    co = dualize(support.gl(5))
+    assert benchmark(check_bihom_coalgebra, co).ok
+
+
+def test_check_bihom_coalgebra_gl4_torus_twisted_dual(benchmark):
+    co = dualize(support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7]))
+    assert benchmark(check_bihom_coalgebra, co).ok

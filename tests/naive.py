@@ -242,3 +242,47 @@ def cocycle_residual(c, t, i, j):
     r1 = ad_action(i, comul_of(basis(n, j)))
     r2 = ad_action(j, comul_of(basis(n, i)))
     return [[lhs[a][b] - r1[a][b] + r2[a][b] for b in range(n)] for a in range(n)]
+
+
+def bihom_jacobi(c, alpha, beta, i, j, k):
+    """[beta^2(e_i),[beta(e_j),alpha(e_k)]] plus its two cyclic shifts in
+    (i, j, k), as a dense vector."""
+    n = len(c)
+    beta2 = mat_mul(beta, beta)
+
+    def term(x, y, z):
+        inner = bracket_eval(c, mat_vec(beta, basis(n, y)), mat_vec(alpha, basis(n, z)))
+        return bracket_eval(c, mat_vec(beta2, basis(n, x)), inner)
+
+    terms = (term(i, j, k), term(j, k, i), term(k, i, j))
+    return [terms[0][r] + terms[1][r] + terms[2][r] for r in range(n)]
+
+
+def co_jacobi(t, alpha, beta):
+    """(id + c + c^2)(id x beta x alpha)(beta^2 x Delta) Delta(e_k) as dense
+    cells [k][x][y][z], with c the cyclic rotation of the three factors."""
+    n = len(t)
+    beta2 = mat_mul(beta, beta)
+    # twisted[b][y][z]: (beta x alpha) Delta(e_b), applying the maps to e_i (x) e_j
+    twisted = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for b in range(n):
+        for i in range(n):
+            for j in range(n):
+                if t[b][i][j]:
+                    for y in range(n):
+                        for z in range(n):
+                            twisted[b][y][z] += t[b][i][j] * beta[y][i] * alpha[z][j]
+    out = []
+    for k in range(n):
+        # w[x][y][z]: sum over e_a (x) e_b in Delta(e_k) of beta^2(e_a) (x) twisted[b]
+        w = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                if t[k][a][b]:
+                    for x in range(n):
+                        if beta2[x][a]:
+                            for y in range(n):
+                                for z in range(n):
+                                    w[x][y][z] += t[k][a][b] * beta2[x][a] * twisted[b][y][z]
+        out.append([[[w[x][y][z] + w[y][z][x] + w[z][x][y] for z in range(n)] for y in range(n)] for x in range(n)])
+    return out

@@ -6,6 +6,8 @@ import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 import support
@@ -133,6 +135,34 @@ def test_coalgebra_duality_verdicts_match_algebra_side():
     cases += [support.perturb_algebra(b, r) for b in cases for _ in range(10)]
     for b in cases:
         assert checks.check_bihom_coalgebra(dualize(b)).ok == checks.check_bihom_lie(b).ok
+
+
+_small = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def _twisted_coalgebra(draw):
+    """A coalgebra of dim 1-4 with sparse random comultiplication and arbitrary,
+    usually non-diagonal and non-commuting, structure maps."""
+    n = draw(st.integers(1, 4))
+
+    def cells(*shape):
+        return st.lists(cells(*shape[1:]) if len(shape) > 1 else _small, min_size=shape[0], max_size=shape[0])
+
+    t, alpha, beta = draw(cells(n, n, n)), draw(cells(n, n)), draw(cells(n, n))
+    return CoalgebraBundle(n, Tensor3.from_entries(t), Matrix.from_rows(alpha), Matrix.from_rows(beta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_coalgebra())
+def test_co_jacobi_matches_the_dense_definition(co):
+    want = naive.co_jacobi(naive.as_cells(co.comul), naive.mat_cells(co.alpha), naive.mat_cells(co.beta))
+    n = co.dim
+    cells = {(k, x, y, z): want[k][x][y][z] for k in range(n) for x in range(n) for y in range(n) for z in range(n)
+             if want[k][x][y][z]}
+    jacobi = [e for e in checks.check_bihom_coalgebra(co).entries if e.identity == "co_jacobi"][0].residual
+    assert jacobi.shape == (n,) * 4
+    assert dict(jacobi.nonzeros) == cells
 
 
 def test_nijenhuis_coalgebra_trivial_operators():

@@ -277,6 +277,8 @@ def _wrong_kind_inputs(workdir):
     (workdir / "alpha_strings.json").write_text('{"alpha": ["10", "02"]}', encoding="utf-8")
     (workdir / "maps_typo.json").write_text('{"alpha": [["1", "0"], ["0", "2"]], "bata": [["1", "0"], ["0", "1"]]}',
                                             encoding="utf-8")
+    (workdir / "maps_beta.json").write_text('{"alpha": [["1", "0"], ["0", "2"]], "beta": [["5", "0"], ["0", "7"]]}',
+                                            encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,6 +312,7 @@ def _wrong_kind_inputs(workdir):
     ["search", "aff2.json", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "string_rows.json"],
     ["construct", "twist", "fixture:aff2", "--maps", "alpha_strings.json"],
     ["construct", "twist", "fixture:aff2", "--maps", "maps_typo.json"],
+    ["construct", "hom", "bi.json", "--maps", "maps_beta.json"],  # hom reads alpha only
     ["check", "fixture:abelian(0)"],
     ["check", "fixture:abelian(99999999999)"],
     ["check", "fixture:aff2", "--no-symmetrized-mp-right"],
@@ -390,10 +393,11 @@ def _aff2_document(**fields):
     _aff2_document(bracket=[{"i": 1, "j": 2, "k": 1, "out": ["0", "1"]}]),
     {**bundles.document(support.adjoint_rep(bundles.aff2())), "algebra": {"kind": "form", "dim": 2,
                                                                           "gram": [["1", "0"], ["0", "1"]]}},
+    {**bundles.document(coadjoint_matched_pair(bundles.aff2(), bundles.abelian(2))), "dim": 99},
 ], ids=["bracket-1", "bracket-0", "bracket-false", "bracket-empty-object", "bracket-null", "comul-1",
         "zero-denominator", "alpha-true", "bracket-out-true", "weight-false", "alpha-string-rows",
         "bracket-out-string", "comul-out-string-rows", "gram-string-rows", "differential-unknown-key",
-        "bracket-entry-unknown-key", "embedded-form-as-algebra"])
+        "bracket-entry-unknown-key", "embedded-form-as-algebra", "matched-pair-dim"])
 def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
     path = workdir / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -430,6 +430,59 @@ def test_twisted_bicrossed_product_is_the_twisted_product():
     assert mismatches == []
 
 
+def _twisted_coadjoint_pairs():
+    """The 24 twisted coadjoint pairs above: aff2 on antisym_dual2(0, v) under every torus of TORI."""
+    for v in ("1", "2", "-1/2"):
+        mp = coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, v))
+        for t, s in TORI:
+            yield _twisted_pair(mp, _aff2_auto(t), _aff2_auto(s), _aff2_auto(1 / scalar(t)), _aff2_auto(1 / scalar(s)))
+
+
+def _residuals(mp, flavor):
+    return {(e.identity, e.case): e.residual for e in checks.check_matched_pair(mp, flavor).entries}
+
+
+def test_the_second_mixed_identity_is_the_first_on_the_swapped_pair():
+    # (L, V, rho, h) and (V, L, h, rho) are the same matched pair read from its
+    # two sides, so each mixed identity of one is the other's, cell for cell
+    pairs = [("bihom", "mp_left", "", "mp_right", "", mp)
+             for mp in (support.bicrossed_valid(60) + support.bicrossed_broken(60)
+                        + [support.reproducer_pair(1), support.reproducer_pair(2)] + list(_twisted_coadjoint_pairs()))]
+    pairs += [("differential", "diff_mp_left", "", "diff_mp_right", "symmetrized", mp)
+              for mp in support.bicrossed_diff_valid(60) + support.bicrossed_diff_broken(60)]
+    assert len(pairs) == 260
+    nonzero = 0
+    for flavor, first, first_case, second, second_case, mp in pairs:
+        got = _residuals(mp, flavor)
+        swapped = _residuals(bundles.MatchedPairBundle(mp.right, mp.left, mp.h, mp.rho), flavor)
+        assert got[second, second_case] == swapped[first, first_case]
+        assert got[first, first_case] == swapped[second, second_case]
+        nonzero += not got[second, second_case].is_zero
+    assert nonzero > 20  # 32 pairs fail the second identity, so not only empty residuals are compared
+
+
+def test_mixed_identities_are_blocks_of_the_products_jacobi_identity():
+    # with L = e_1..e_n and V = f_1..f_m, mp_left is the L-part of the product's
+    # Jacobi identity on (L, L, V) and mp_right its V-part on (V, V, L)
+    mismatches = []
+    for mp in support.bicrossed_valid(60) + support.bicrossed_broken(60):
+        n, m = mp.left.dim, mp.right.dim
+        product, report = bicrossed_product(mp, "nijenhuis")
+        c, alpha, beta = naive.as_cells(product.bracket), naive.mat_cells(product.alpha), naive.mat_cells(product.beta)
+        left, right = range(n), range(n, n + m)
+
+        def block_is_zero(xs, ys, zs, part):
+            cells = (naive.bihom_jacobi(c, alpha, beta, i, j, k) for i in xs for j in ys for k in zs)
+            return all(cell[r] == 0 for cell in cells for r in part)
+
+        verdicts = {e.identity: e.ok for e in report.entries if e.identity in ("mp_left", "mp_right")}
+        blocks = {"mp_left": block_is_zero(left, left, right, left),
+                  "mp_right": block_is_zero(right, right, left, right)}
+        if verdicts != blocks:
+            mismatches.append((mp, verdicts, blocks))
+    assert mismatches == []
+
+
 def test_twisted_semidirect_product_is_the_twisted_product():
     # h = 0: the bicrossed product of the twisted pair, the semidirect product
     # of the twisted module and the twisted untwisted product coincide
