@@ -12,7 +12,9 @@ field of each kind once: the writer writes the set ones in that order, and
 the reader refuses any other key.  There is one reader per value type (a
 square matrix, a {matrix, weight} differential, an action list, keyed tensor
 entries), and every JSON list they read passes one check, which refuses a
-string (or anything else) where a list belongs.
+string (or anything else) where a list belongs.  ``parse_json`` parses every
+JSON text the package reads (a bundle, a ``--maps`` or ``--pattern`` file),
+and ``require_kind`` is the one check that a bundle is of a kind an input takes.
 """
 
 from __future__ import annotations
@@ -206,6 +208,14 @@ def require(bundle: Any, field: str) -> Any:
         what = field if field in ("differential", "codiff") else f"{field} operator"
         raise MissingField(f"{KINDS[type(bundle)]} bundle has no {what}")
     return value
+
+
+def require_kind(bundle: Any, what: str, *types: type) -> Any:
+    """The bundle, if it is of one of the kinds ``what`` accepts; else a ParseError naming them."""
+    if not isinstance(bundle, types):
+        wanted, got = " or ".join(KINDS[t] for t in types), KINDS[type(bundle)]
+        raise ParseError(f"{what} needs a bundle of kind {wanted}, got kind {got}")
+    return bundle
 
 
 # -- reports -------------------------------------------------------------------
@@ -491,10 +501,7 @@ def _coalgebra(doc: dict[str, Any]) -> CoalgebraBundle:
 
 
 def _nested_algebra(doc: dict[str, Any], key: str) -> AlgebraBundle:
-    b = from_document(_field(doc, key))
-    if not isinstance(b, AlgebraBundle):
-        raise ParseError(f"field {key!r}: expected an algebra document, got kind {KINDS[type(b)]}")
-    return b
+    return require_kind(from_document(_field(doc, key)), f"field {key!r}", AlgebraBundle)
 
 
 def from_document(doc: Any) -> Any:
@@ -544,12 +551,20 @@ def read_pattern(doc: Any) -> list[list[Fraction | None]]:
                    _rows(doc, "pattern"))
 
 
+def parse_json(text: str, what: str) -> Any:
+    """The JSON data text holds.  Malformed JSON, and JSON nested more deeply
+    than the parser recurses, is a ParseError naming what."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {what} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what} is nested too deeply to parse") from exc
+
+
 def load(text: str) -> Any:
     """Parse a bundle document; exact round-trip with dumps()."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = parse_json(text, "bundle document")
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
     return from_document(doc)

@@ -46,30 +46,28 @@ if TYPE_CHECKING:
 MAX_RESIDUAL_CELLS = 16
 
 #: every error the package raises on bad input (ParseError, MissingField,
-#: DimensionMismatch, SingularMatrix, PreconditionFailed, ...) is a ValueError
+#: DimensionMismatch, SingularMatrix, PreconditionFailed, ...) is a ValueError,
+#: and ends with exit 2.  Bad input must never end with exit 1, which a script
+#: reads as "identity failure"; an error outside these is a fault of the program.
 _USER_ERRORS = (ValueError, OSError)
 
 
-def _load_source(ref: str) -> Any:
-    if ref.startswith("fixture:"):
-        return fixture_by_name(ref[len("fixture:"):])
-    return bundles.load_path(ref)
-
-
-def _require_kind(bundle: Any, what: str, *types: type) -> Any:
-    """The bundle, if it is of one of the kinds an input accepts; else a ParseError naming them."""
-    if not isinstance(bundle, types):
-        wanted, got = " or ".join(KINDS[t] for t in types), KINDS[type(bundle)]
-        raise ParseError(f"{what} needs a bundle of kind {wanted}, got kind {got}")
-    return bundle
+def _load_source(ref: str, what: str, *types: type) -> Any:
+    """The bundle a file or fixture:NAME reference names, if it is of one of the kinds ``what`` accepts."""
+    bundle = fixture_by_name(ref[len("fixture:"):]) if ref.startswith("fixture:") else bundles.load_path(ref)
+    return bundles.require_kind(bundle, what, *types)
 
 
 def _read_json(path: str, what: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {what} file at line {exc.lineno}: {exc.msg}") from exc
+        return bundles.parse_json(fh.read(), f"{what} file")
+
+
+def _refuse_unread(given: dict[str, Any], reads: tuple[str, ...], what: str) -> None:
+    """A ParseError naming the first flag given a value that ``what`` does not read."""
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise ParseError(f"{flag} does not apply to {what}")
 
 
 def _residual_document(res: bundles.Residual) -> dict[str, Any]:
@@ -127,38 +125,35 @@ _SUITE_ALIASES = {("bialgebra", "bialgebra"): "auto", ("coalgebra", "coalgebra")
 def _suite_report(bundle: Any, suite: str, weight: Fraction | None,
                   flavor: str | None, against: Any | None) -> Report:
     kind = KINDS[type(bundle)]
-    if against is not None and kind != "form":
-        raise ParseError(f"--against applies only to form files, got kind {kind}")
-    if flavor is not None and kind != "matched_pair":
-        raise ParseError(f"--flavor applies only to matched_pair files, got kind {kind}")
-    no_suite = f"suite {suite!r} does not apply to {'an' if kind == 'algebra' else 'a'} {kind} bundle"
-    no_weight = f"--weight is read by no check that suite {suite!r} runs on this {kind} bundle"
+    named = f"{'an' if kind == 'algebra' else 'a'} {kind} bundle"
+    no_suite = f"suite {suite!r} does not apply to {named}"
     if kind in ("matched_pair", "form"):
-        if weight is not None:
-            raise ParseError(no_weight)
         if suite not in ("auto", kind):  # a form also takes --suite form; a matched pair only auto
             raise ParseError(no_suite)
-        if kind == "form":
-            return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
+        reads: tuple[str, ...] = ("--against",) if kind == "form" else ("--flavor",)
+    else:
+        key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
+        if key not in checks.SUITES:
+            raise ParseError(no_suite)
+        reads = ("--weight",) if any(step.weighted for step in checks.SUITES[key].steps_on(bundle)) else ()
+    _refuse_unread({"--against": against, "--flavor": flavor, "--weight": weight}, reads, f"suite {suite!r} on {named}")
+    if kind == "form":
+        return checks.check_form(against, bundle) if against is not None else checks.check_gram(bundle)
+    if kind == "matched_pair":
         # the first flavour whose operator both algebras carry
         flavor = flavor or next(f for f, field in checks.FLAVORS.items()
                                 if field is None or None not in (getattr(bundle.left, field), getattr(bundle.right, field)))
         return checks.check_matched_pair(bundle, flavor)
-    key = (kind, _SUITE_ALIASES.get((kind, suite), "bihom" if suite == "lie" else suite))
-    if key not in checks.SUITES:
-        raise ParseError(no_suite)
-    if weight is not None and not any(step.weighted for step in checks.SUITES[key].steps_on(bundle)):
-        raise ParseError(no_weight)
     return checks.SUITES[key].run(bundle, weight)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    against = _require_kind(_load_source(args.against), "--against", AlgebraBundle) if args.against else None
+    against = _load_source(args.against, "--against", AlgebraBundle) if args.against else None
     weight = scalar(args.weight) if args.weight is not None else None
     reports: list[dict[str, Any]] = []
     ok = True
     for ref in args.files:
-        bundle = _load_source(ref)
+        bundle = _load_source(ref, "check", *KINDS)
         report = _suite_report(bundle, args.suite, weight, args.flavor, against)
         _print_report_lines(ref, report)
         reports.append(_report_document(ref, report))
@@ -187,11 +182,11 @@ _CONSTRUCTIONS: dict[str, tuple[tuple[tuple[type, ...], ...], tuple[str, ...]]] 
 }
 
 
-def _refuse_unread(given: dict[str, Any], reads: tuple[str, ...], what: str) -> None:
-    """A ParseError naming the first flag given a value that ``what`` does not read."""
-    for flag, value in given.items():
-        if value is not None and flag not in reads:
-            raise ParseError(f"{flag} does not apply to {what}")
+def _maps(args: argparse.Namespace, n: int, fields: tuple[str, ...]) -> tuple[Any, ...]:
+    """The maps named in fields of the ``--maps`` file of a construction on dim n."""
+    if not args.maps:
+        raise ParseError(f"{args.construction} needs --maps pointing to an {'/'.join(fields)} file")
+    return read_maps(_read_json(args.maps, "maps"), n, fields)
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -200,59 +195,46 @@ def cmd_construct(args: argparse.Namespace) -> int:
     kind = args.construction
     accepted, reads = _CONSTRUCTIONS[kind]
     _refuse_unread({"--flavor": args.flavor, "--maps": args.maps}, reads, f"construct {kind}")
-    inputs = [_load_source(ref) for ref in args.inputs]
+    if len(args.inputs) != len(accepted):
+        raise ParseError(f"{kind} takes {len(accepted)} input bundle(s), got {len(args.inputs)}")
+    inputs = [_load_source(ref, kind, *types) for ref, types in zip(args.inputs, accepted)]
+    bundle, flavor = inputs[0], args.flavor or "nijenhuis"
     report = Report(())
-    result: Any = None
-    extra_out: list[tuple[str, dict[str, Any]]] = []
 
-    if len(inputs) != len(accepted):
-        raise ParseError(f"{kind} takes {len(accepted)} input bundle(s), got {len(inputs)}")
-    for given, types in zip(inputs, accepted):
-        _require_kind(given, kind, *types)
-    bundle = inputs[0]
-
+    # outputs: (label, bundle or document); the first goes to --out, each other one to --out.<label>.json
     if kind == "dual":
-        result = constructions.dualize(bundle)
+        outputs = [("dual", constructions.dualize(bundle))]
     elif kind == "twist":
-        if not args.maps:
-            raise ParseError("twist needs --maps pointing to an alpha/beta file")
-        alpha, beta = read_maps(_read_json(args.maps, "maps"), bundle.dim)
-        result, report = constructions.yau_twist(bundle, alpha, beta)
+        alpha, beta = _maps(args, bundle.dim, ("alpha", "beta"))
+        twisted, report = constructions.yau_twist(bundle, alpha, beta)
+        outputs = [("twist", twisted)]
     elif kind == "untwist":
-        result = constructions.untwist(bundle)
+        outputs = [("untwist", constructions.untwist(bundle))]
     elif kind == "hom":
-        if not args.maps:
-            raise ParseError("hom needs --maps pointing to an alpha file")
-        alpha, = read_maps(_read_json(args.maps, "maps"), bundle.dim, ("alpha",))
-        result, report = constructions.hom_specialize(bundle, alpha)
+        alpha, = _maps(args, bundle.dim, ("alpha",))
+        specialized, report = constructions.hom_specialize(bundle, alpha)
+        outputs = [("hom", specialized)]
     elif kind == "semidirect":
-        result, report = constructions.semidirect_product(bundle.algebra, bundle, args.flavor or "nijenhuis")
+        product, report = constructions.semidirect_product(bundle.algebra, bundle, flavor)
+        outputs = [("semidirect", product)]
     elif kind == "double":
-        left, right = inputs
-        double, report = constructions.double_construction(left, right, args.flavor or "nijenhuis")
-        result = double.total
-        extra_out.append(("form", bundles.document(double.form)))
+        double, report = constructions.double_construction(*inputs, flavor)
+        outputs = [("double", double.total), ("form", double.form)]
     elif kind == "bicrossed":
-        result, report = constructions.bicrossed_product(bundle, args.flavor or "nijenhuis")
-    elif kind == "adjoint-form":
+        product, report = constructions.bicrossed_product(bundle, flavor)
+        outputs = [("bicrossed", product)]
+    else:  # adjoint-form
         algebra, form = inputs
         adjoint = constructions.adjoint_map_wrt_form(require(algebra, "nijenhuis"), form)
-        extra_out.append(("matrix", {"kind": "matrix", "dim": adjoint.rows, "matrix": to_json(adjoint)}))
+        outputs = [("matrix", {"kind": "matrix", "dim": adjoint.rows, "matrix": to_json(adjoint)})]
 
-    docs: list[dict[str, Any]] = []
-    if result is not None:
-        docs.append(bundles.document(result))
-    docs.extend(doc for _, doc in extra_out)
+    docs = [to_json(output) for _, output in outputs]
     rep_doc = _report_document("hypotheses", report)
     out_doc = {"kind": "construction", "construction": kind, "ok": report.ok,
                "identities": _identity_table([rep_doc]), "report": rep_doc, "outputs": docs}
     if args.out:
-        if result is not None:
-            _emit(docs[0], args.out)
-            for label, doc in extra_out:
-                _emit(doc, f"{args.out}.{label}.json")
-        else:
-            _emit(extra_out[0][1], args.out)
+        for i, ((label, _), doc) in enumerate(zip(outputs, docs)):
+            _emit(doc, f"{args.out}.{label}.json" if i else args.out)
         _emit(out_doc, f"{args.out}.report.json")
     else:
         _emit(out_doc, None)
@@ -267,24 +249,23 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # -- triad ---------------------------------------------------------------------------
 
 
+#: triad flavour -> the name of its harness in ``equivalence``
+_TRIADS = {"nijenhuis": "triad_nijenhuis_bihom", "differential": "triad_differential"}
+
+
 def cmd_triad(args: argparse.Namespace) -> int:
     from . import equivalence
 
-    left = _require_kind(_load_source(args.left), "triad", AlgebraBundle)
-    right = _require_kind(_load_source(args.right), "triad", AlgebraBundle)
-    if args.flavor == "differential":
-        triad = equivalence.triad_differential(left, right)
-    else:
-        triad = equivalence.triad_nijenhuis_bihom(left, right)
-    side_docs = {
-        "manin": _report_document("manin", triad.manin_report),
-        "bialgebra": _report_document("bialgebra", triad.bialgebra_report),
-        "matched_pair": _report_document("matched_pair", triad.matched_pair_report),
-    }
+    left = _load_source(args.left, "triad", AlgebraBundle)
+    right = _load_source(args.right, "triad", AlgebraBundle)
+    triad = getattr(equivalence, _TRIADS[args.flavor])(left, right)
+    sides = {"manin": triad.manin_report, "bialgebra": triad.bialgebra_report,
+             "matched_pair": triad.matched_pair_report}
+    side_docs = {name: _report_document(name, report) for name, report in sides.items()}
     doc = {
         "kind": "triad-report",
         "flavor": args.flavor,
-        "verdicts": {"manin": triad.manin_ok, "bialgebra": triad.bialgebra_ok, "matched_pair": triad.matched_pair_ok},
+        "verdicts": {name: report.ok for name, report in sides.items()},
         "agree": triad.agree,
         "all_ok": triad.all_ok,
         "notes": list(triad.notes),
@@ -293,7 +274,7 @@ def cmd_triad(args: argparse.Namespace) -> int:
     }
     if args.out:
         _emit(doc, args.out)
-    print(f"manin={triad.manin_ok} bialgebra={triad.bialgebra_ok} matched_pair={triad.matched_pair_ok} agree={triad.agree}")
+    print(" ".join(f"{name}={report.ok}" for name, report in sides.items()) + f" agree={triad.agree}")
     if not triad.agree:
         print("DISAGREEMENT")
         return 3
@@ -320,15 +301,24 @@ def _solution_document(mode: str, sol: SolutionSpace) -> dict[str, Any]:
     }
 
 
+#: search mode -> (the bundle kind it reads, the flags besides --out it reads)
+_SEARCHES: dict[str, tuple[type, tuple[str, ...]]] = {
+    "derivations": (AlgebraBundle, ("--weight",)),
+    "conijenhuis": (BialgebraBundle, ()),
+    "pi": (AlgebraBundle, ("--weight",)),
+    "zeta": (RepresentationBundle, ("--weight",)),
+    "nijenhuis-grid": (AlgebraBundle, ("--grid", "--pattern", "--budget")),
+}
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     from . import search
 
     mode = args.mode
-    reads = {"nijenhuis-grid": ("--grid", "--pattern", "--budget"), "conijenhuis": ()}.get(mode, ("--weight",))
+    kind, reads = _SEARCHES[mode]
     _refuse_unread({"--weight": args.weight, "--grid": args.grid, "--pattern": args.pattern, "--budget": args.budget},
                    reads, f"--mode {mode}")
-    kind = {"conijenhuis": BialgebraBundle, "zeta": RepresentationBundle}.get(mode, AlgebraBundle)
-    bundle = _require_kind(_load_source(args.file), f"{mode} search", kind)
+    bundle = _load_source(args.file, f"{mode} search", kind)
     weight = scalar(args.weight) if args.weight is not None else None
     if mode == "nijenhuis-grid":
         if not args.grid:
@@ -391,14 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triad", help="three-way equivalence harness")
     p.add_argument("left", help="base algebra bundle")
     p.add_argument("right", help="algebra bundle on the dual space")
-    p.add_argument("--flavor", choices=["nijenhuis", "differential"], default="nijenhuis")
+    p.add_argument("--flavor", choices=list(_TRIADS), default="nijenhuis")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triad)
 
     p = sub.add_parser("search", help="structure-finding solvers")
     p.add_argument("file", help="input bundle file or fixture:NAME")
-    p.add_argument("--mode", required=True,
-                   choices=["derivations", "conijenhuis", "pi", "zeta", "nijenhuis-grid"])
+    p.add_argument("--mode", required=True, choices=list(_SEARCHES))
     p.add_argument("--weight", default=None, help="rational weight p/q")
     p.add_argument("--grid", default=None, help="comma-separated rational grid values")
     p.add_argument("--pattern", default=None, help="JSON file fixing matrix entries (null = free)")

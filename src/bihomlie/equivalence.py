@@ -53,24 +53,12 @@ class TriadReport:
     notes: tuple[str, ...] = ()
 
     @property
-    def manin_ok(self) -> bool:
-        return self.manin_report.ok
-
-    @property
-    def bialgebra_ok(self) -> bool:
-        return self.bialgebra_report.ok
-
-    @property
-    def matched_pair_ok(self) -> bool:
-        return self.matched_pair_report.ok
-
-    @property
     def agree(self) -> bool:
-        return self.manin_ok == self.bialgebra_ok == self.matched_pair_ok
+        return self.manin_report.ok == self.bialgebra_report.ok == self.matched_pair_report.ok
 
     @property
     def all_ok(self) -> bool:
-        return self.manin_ok and self.bialgebra_ok and self.matched_pair_ok
+        return self.manin_report.ok and self.bialgebra_report.ok and self.matched_pair_report.ok
 
 
 @dataclass(frozen=True)

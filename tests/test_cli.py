@@ -258,7 +258,8 @@ def _wrong_kind_inputs(workdir):
     """Input files for the wrong-kind cases: a form where an algebra belongs,
     maps/pattern files that are JSON but not matrices, and a matched pair and
     a differential triad pair that the commands accept, so that a refused flag
-    is the only error."""
+    is the only error, a bundle of each kind, and JSON nested deeper than any
+    parser recurses."""
     _write(workdir / "form.json", bundles.FormBundle(Matrix.identity(3)))
     _write(workdir / "sl2.json", bundles.sl2())
     _write(workdir / "aff2.json", bundles.aff2())
@@ -267,6 +268,8 @@ def _wrong_kind_inputs(workdir):
     _write(workdir / "rep.json", bundles.RepresentationBundle(bundles.aff2(), 1, (Matrix.zeros(1, 1),) * 2,
                                                               Matrix.identity(1), Matrix.identity(1)))
     _write(workdir / "mp.json", coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(1, 1)))
+    _write(workdir / "co.json", bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.identity(2),
+                                                        Matrix.identity(2)))
     _write(workdir / "aff2d.json", support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0))
     _write(workdir / "ab2d.json", support.with_diff(bundles.abelian(2), Matrix.zeros(2, 2), 0))
     (workdir / "half.json").write_text("0.5", encoding="utf-8")
@@ -279,6 +282,7 @@ def _wrong_kind_inputs(workdir):
                                             encoding="utf-8")
     (workdir / "maps_beta.json").write_text('{"alpha": [["1", "0"], ["0", "2"]], "beta": [["5", "0"], ["0", "7"]]}',
                                             encoding="utf-8")
+    (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,6 +324,10 @@ def _wrong_kind_inputs(workdir):
     ["triad", "aff2d.json", "ab2d.json", "--flavor", "differential", "--no-symmetrized-mp-right"],
     *[["check", "rep.json", "--suite", suite] for suite in ("involution", "coalgebra", "bialgebra", "form")],
     *[["check", "bi.json", "--suite", suite] for suite in ("lie", "bihom", "coalgebra", "representation", "involution")],
+    # JSON nested too deeply for the parser is bad input, not an identity failure
+    ["check", "deep.json"],
+    ["construct", "twist", "fixture:aff2", "--maps", "deep.json"],
+    ["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0,1", "--pattern", "deep.json"],
 ], ids=" ".join)
 def test_wrong_input_kind_exits_two_without_traceback(workdir, argv):
     _wrong_kind_inputs(workdir)
@@ -355,6 +363,38 @@ def test_auto_suite_reads_the_weight_override(workdir, capsys):
     (["construct", "untwist", "fixture:sl2", "--flavor", "nijenhuis"], "--flavor"),
     (["construct", "untwist", "fixture:sl2", "--maps", "missing.json"], "--maps"),
     (["construct", "bicrossed", "mp.json", "--flavor", "bihom", "--maps", "list.json"], "--maps"),
+    # the rest of the matrix: each construction with each of --flavor and --maps it does not read
+    (["construct", "dual", "fixture:aff2", "--maps", "list.json"], "--maps"),
+    (["construct", "twist", "fixture:aff2", "--maps", "list.json", "--flavor", "nijenhuis"], "--flavor"),
+    (["construct", "hom", "bi.json", "--maps", "list.json", "--flavor", "nijenhuis"], "--flavor"),
+    (["construct", "semidirect", "rep.json", "--maps", "list.json"], "--maps"),
+    (["construct", "double", "fixture:aff2", "fixture:aff2", "--maps", "list.json"], "--maps"),
+    (["construct", "adjoint-form", "fixture:sl2", "form.json", "--flavor", "nijenhuis"], "--flavor"),
+    (["construct", "adjoint-form", "fixture:sl2", "form.json", "--maps", "list.json"], "--maps"),
+    # each search mode with each of --weight, --grid, --pattern and --budget it does not read
+    (["search", "fixture:aff2", "--mode", "derivations", "--pattern", "list.json"], "--pattern"),
+    (["search", "fixture:aff2", "--mode", "pi", "--grid", "1,2"], "--grid"),
+    (["search", "fixture:aff2", "--mode", "pi", "--budget", "10"], "--budget"),
+    (["search", "rep.json", "--mode", "zeta", "--grid", "1,2"], "--grid"),
+    (["search", "rep.json", "--mode", "zeta", "--pattern", "list.json"], "--pattern"),
+    (["search", "rep.json", "--mode", "zeta", "--budget", "10"], "--budget"),
+    (["search", "bi.json", "--mode", "conijenhuis", "--grid", "1,2"], "--grid"),
+    (["search", "bi.json", "--mode", "conijenhuis", "--pattern", "list.json"], "--pattern"),
+    (["search", "bi.json", "--mode", "conijenhuis", "--budget", "10"], "--budget"),
+    # each bundle kind with each of --against, --flavor and --weight that nothing reads on it
+    (["check", "fixture:aff2", "--against", "fixture:aff2"], "--against"),
+    (["check", "fixture:aff2", "--flavor", "nijenhuis"], "--flavor"),
+    (["check", "fixture:bihom2(2,3)", "--suite", "nijenhuis", "--weight", "1"], "--weight"),
+    (["check", "co.json", "--against", "fixture:aff2"], "--against"),
+    (["check", "co.json", "--flavor", "nijenhuis"], "--flavor"),
+    (["check", "co.json", "--weight", "1"], "--weight"),
+    (["check", "bi.json", "--against", "fixture:aff2"], "--against"),
+    (["check", "bi.json", "--flavor", "nijenhuis"], "--flavor"),
+    (["check", "bi.json", "--weight", "1"], "--weight"),
+    (["check", "rep.json", "--against", "fixture:aff2"], "--against"),
+    (["check", "rep.json", "--flavor", "bihom"], "--flavor"),
+    (["check", "mp.json", "--against", "fixture:aff2"], "--against"),
+    (["check", "form.json", "--flavor", "nijenhuis"], "--flavor"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_flag_nothing_reads_exits_two(workdir, capsys, monkeypatch, argv, flag):
     _wrong_kind_inputs(workdir)

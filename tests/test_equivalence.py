@@ -46,7 +46,7 @@ def test_triad_all_false_on_broken_right_coantisymmetry():
     bad = dataclasses.replace(support.scalar_op(bundles.abelian(2), 1),
                               bracket=Tensor3.from_entries(cells), kind="bihom-lie")
     t = triad_nijenhuis_bihom(support.scalar_op(bundles.aff2(), 1), bad)
-    assert t.agree and not t.manin_ok and not t.bialgebra_ok and not t.matched_pair_ok
+    assert t.agree and not t.manin_report.ok and not t.bialgebra_report.ok and not t.matched_pair_report.ok
 
 
 def test_triad_family_and_perturbations_always_agree():

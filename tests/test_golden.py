@@ -325,7 +325,7 @@ def _render_triad(run, left, right) -> dict:
     except ValueError as exc:
         return _error(exc)
     return {
-        "verdicts": [t.manin_ok, t.bialgebra_ok, t.matched_pair_ok], "agree": t.agree, "all_ok": t.all_ok,
+        "verdicts": [t.manin_report.ok, t.bialgebra_report.ok, t.matched_pair_report.ok], "agree": t.agree, "all_ok": t.all_ok,
         "notes": list(t.notes),
         "manin": _report_document("manin", t.manin_report),
         "bialgebra": _report_document("bialgebra", t.bialgebra_report),
