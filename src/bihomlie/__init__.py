@@ -14,7 +14,6 @@ from .bundles import (
     abelian,
     aff2,
     bihom2,
-    canonical_fixtures,
     load,
     dumps,
     sl2,
@@ -34,7 +33,6 @@ __all__ = [
     "abelian",
     "aff2",
     "bihom2",
-    "canonical_fixtures",
     "dumps",
     "load",
     "scalar",

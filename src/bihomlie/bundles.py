@@ -27,11 +27,14 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
 
 from .exact import (
+    EMPTY,
+    MAX_DIGITS,
     DimensionMismatch,
     Matrix,
     Row,
     Tensor3,
     ZERO,
+    _row,
     format_scalar,
     scalar,
 )
@@ -83,7 +86,7 @@ class AlgebraBundle:
         _require_square(n, {"alpha": self.alpha, "beta": self.beta, "nijenhuis": self.nijenhuis,
                             "differential": self.differential and self.differential.matrix})
         if self.kind not in ("lie", "bihom-lie"):
-            raise ParseError(f"unknown algebra kind {self.kind!r}")
+            raise ParseError(f"unknown algebra kind {_quoted(self.kind)}")
         if self.kind == "lie":
             if not (self.alpha.is_identity() and self.beta.is_identity()):
                 raise ParseError("kind 'lie' requires alpha = beta = identity")
@@ -367,19 +370,25 @@ def dumps(bundle: Any) -> str:
     return json.dumps(document(bundle), indent=2) + "\n"
 
 
+def _quoted(value: Any) -> str:
+    """The repr of an offending value, or the text of an exception, cut to at most 80 characters."""
+    text = str(value) if isinstance(value, Exception) else repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:
     """parse(obj), a malformed obj reported as a ParseError naming the field."""
     try:
         return parse(obj)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {where!r}: {exc}") from exc
+        raise ParseError(f"field {where!r}: {_quoted(exc)}") from exc
 
 
 def _list(obj: Any, where: str, what: str) -> list:
     """obj if it is a JSON list.  Anything else is refused: a string is never
     read one character at a time, nor ``null``, ``0`` or ``{}`` as empty."""
     if not isinstance(obj, list):
-        raise ParseError(f"field {where!r}: expected a JSON list of {what}, got {obj!r}")
+        raise ParseError(f"field {where!r}: expected a JSON list of {what}, got {_quoted(obj)}")
     return obj
 
 
@@ -398,13 +407,13 @@ def _square(obj: Any, n: int, where: str) -> Matrix:
 def _known_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
     for key in obj:
         if key not in keys:
-            raise ParseError(f"field {key!r} is not read from {what}; known fields: {', '.join(keys)}")
+            raise ParseError(f"field {_quoted(key)} is not read from {what}; known fields: {', '.join(keys)}")
 
 
 def _integer(value: Any) -> int:
     """A JSON integer; floats, booleans and strings are refused, never coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {value!r}")
+        raise TypeError(f"expected a JSON integer, got {_quoted(value)}")
     return value
 
 
@@ -437,7 +446,7 @@ def _differential(doc: dict[str, Any], key: str, n: int) -> Differential | None:
     try:
         matrix, weight = obj["matrix"], scalar(obj["weight"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"field {key!r}: {exc}") from exc
+        raise ParseError(f"field {key!r}: {_quoted(exc)}") from exc
     _known_keys(obj, ("matrix", "weight"), f"a {key}")
     return Differential(_square(matrix, n, f"{key}.matrix"), weight)
 
@@ -460,7 +469,7 @@ def _entries(doc: dict[str, Any], key: str, n: int,
         try:
             idx, out = tuple(_integer(item[k]) for k in index_keys), item["out"]
         except (KeyError, TypeError) as exc:
-            raise ParseError(f"field {key!r}: bad entry {item!r}: {exc}") from exc
+            raise ParseError(f"field {key!r}: bad entry {_quoted(item)}: {exc}") from exc
         _known_keys(item, (*index_keys, "out"), f"{key} entries")
         if not all(1 <= i <= n for i in idx):
             raise DimensionMismatch(f"field {key!r}: entry {dict(zip(index_keys, idx))} out of range for dim {n}")
@@ -471,12 +480,17 @@ def _entries(doc: dict[str, Any], key: str, n: int,
 
 
 def _bracket(doc: dict[str, Any], n: int) -> Tensor3:
-    cells = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    """The rows of the bracket's entries, each checked for length before it is
+    read; an absent (i, j) is empty, and the planes with no entry share one tuple."""
+    rows: dict[tuple[int, int], Row] = {}
     for (i, j), out in _entries(doc, "bracket", n, ("i", "j")):
-        cells[i - 1][j - 1] = _list(out, "bracket", "rationals")
-        if len(out) != n:
+        if len(_list(out, "bracket", "rationals")) != n:
             raise DimensionMismatch(f"field 'bracket': entry (i={i}, j={j}) has {len(out)} coordinates against dim {n}")
-    return _parsed("bracket", Tensor3.from_entries, cells)
+        rows[i - 1, j - 1] = _parsed("bracket", lambda values: _row(map(scalar, values)), out)
+    planes = {i for i, _ in rows}
+    empty = (EMPTY,) * n
+    return Tensor3((n, n, n), tuple(tuple(rows.get((i, j), EMPTY) for j in range(n)) if i in planes else empty
+                                    for i in range(n)))
 
 
 def _comul(doc: dict[str, Any], n: int) -> Tensor3:
@@ -511,7 +525,7 @@ def from_document(doc: Any) -> Any:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing 'kind': {exc}") from exc
     if not isinstance(kind, str) or kind not in FIELDS:
-        raise ParseError(f"unknown bundle kind {kind!r}")
+        raise ParseError(f"unknown bundle kind {_quoted(kind)}")
     _known_keys(doc, ("kind", *FIELDS[kind]), f"{kind} documents")
     if kind == "algebra":
         return _algebra(doc)
@@ -560,6 +574,8 @@ def parse_json(text: str, what: str) -> Any:
         raise ParseError(f"invalid JSON in {what} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{what} is nested too deeply to parse") from exc
+    except ValueError as exc:  # the one other refusal: an integer literal past Python's digit limit
+        raise ParseError(f"{what} holds an integer of more than {MAX_DIGITS} digits") from exc
 
 
 def load(text: str) -> Any:
@@ -620,35 +636,31 @@ def abelian(n: int) -> AlgebraBundle:
     return AlgebraBundle(n, Tensor3.zeros((n, n, n)), Matrix.identity(n), Matrix.identity(n), kind="lie")
 
 
-def canonical_fixtures() -> dict[str, Any]:
-    """Named bundle catalog.  Parametric entries are callables."""
-    return {
-        "bihom2": bihom2,
-        "sl2": sl2(),
-        "aff2": aff2(),
-        "abelian": abelian,
-    }
+#: fixture name -> its builder and the reader of each argument it takes
+FIXTURES: dict[str, tuple[Callable[..., AlgebraBundle], tuple[Callable[[str], Any], ...]]] = {
+    "bihom2": (bihom2, (scalar, scalar)),
+    "sl2": (sl2, ()),
+    "aff2": (aff2, ()),
+    "abelian": (abelian, (int,)),
+}
 
 
-def fixture_by_name(name: str) -> Any:
-    """Resolve a catalog reference like "sl2", "abelian(3)" or "bihom2(2,3)"."""
+def fixture_by_name(name: str) -> AlgebraBundle:
+    """Build only the fixture a reference like "sl2", "abelian(3)" or "bihom2(2,3)" names, reading every argument."""
     name = name.strip()
     if "(" in name and name.endswith(")"):
         base, argstr = name[:-1].split("(", 1)
         args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     else:
         base, args = name, []
-    catalog = canonical_fixtures()
-    if base not in catalog:
-        raise ParseError(f"unknown fixture {base!r}; known: {sorted(catalog)}")
-    item = catalog[base]
-    if callable(item):
-        try:
-            if base == "abelian":
-                return item(int(args[0]))
-            return item(*[scalar(a) for a in args])
-        except (IndexError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad arguments for fixture {base!r}: {exc}") from exc
-    if args:
+    if base not in FIXTURES:
+        raise ParseError(f"unknown fixture {base!r}; known: {sorted(FIXTURES)}")
+    build, readers = FIXTURES[base]
+    if args and not readers:
         raise ParseError(f"fixture {base!r} takes no arguments")
-    return item
+    try:
+        if len(args) != len(readers):
+            raise ValueError(f"{len(args)} given where it takes {len(readers)}")
+        return build(*[read(arg) for read, arg in zip(readers, args)])
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad arguments for fixture {base!r}: {exc}") from exc

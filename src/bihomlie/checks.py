@@ -42,7 +42,7 @@ from .exact import (
     _combination,
     contract,
     invert,
-    nullspace,
+    solve,
 )
 
 
@@ -156,7 +156,7 @@ def _commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def _kernel_residual(m: Matrix) -> Residual:
     """A kernel basis of m, one column per basis vector: zero iff m is injective."""
-    kernel = nullspace(m)
+    kernel = solve(m)[1]
     return Residual.collect((m.cols, len(kernel)), (((i, j), x) for j, v in enumerate(kernel) for i, x in enumerate(v)))
 
 

@@ -20,6 +20,7 @@ from .bundles import (
     CoalgebraBundle,
     Differential,
     FormBundle,
+    KINDS,
     MatchedPairBundle,
     Report,
     RepresentationBundle,
@@ -46,6 +47,7 @@ from .exact import (
     DimensionMismatch,
     Matrix,
     Row,
+    SingularMatrix,
     Tensor3,
     _shifted,
     _sum,
@@ -104,33 +106,47 @@ def coadjoint_rep(a: AlgebraBundle) -> tuple[Matrix, ...]:
 # -- twists --------------------------------------------------------------------
 
 
-def _endomorphism_report(bracket: Tensor3 | None, comul: Tensor3 | None,
-                         alpha: Matrix, beta: Matrix) -> Report:
-    maps = (("alpha", alpha), ("beta", beta))
+def _parts(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> tuple[AlgebraBundle | CoalgebraBundle, ...]:
+    """(algebra, coalgebra) of a bialgebra, (b,) of an algebra or a coalgebra."""
+    if isinstance(b, BialgebraBundle):
+        return b.algebra, b.coalgebra
+    if isinstance(b, (AlgebraBundle, CoalgebraBundle)):
+        return (b,)
+    raise TypeError(f"cannot twist {type(b).__name__}")
+
+
+def _endomorphism_report(parts: tuple[AlgebraBundle | CoalgebraBundle, ...], alpha: Matrix, beta: Matrix) -> Report:
     entries = [CheckEntry("bihom_multiplicativity", "alpha-beta-commute", Residual.from_matrix(_commutator(alpha, beta)))]
-    if bracket is not None:
-        entries += [CheckEntry("bihom_multiplicativity", f"{label}-endomorphism", _multiplicativity(bracket, m))
-                    for label, m in maps]
-    if comul is not None:
-        entries += [CheckEntry("co_comultiplicativity", f"{label}-endomorphism", _comultiplicativity(comul, m))
-                    for label, m in maps]
+    for part in parts:
+        entries += [CheckEntry("bihom_multiplicativity", f"{label}-endomorphism", _multiplicativity(part.bracket, m))
+                    if isinstance(part, AlgebraBundle) else
+                    CheckEntry("co_comultiplicativity", f"{label}-endomorphism", _comultiplicativity(part.comul, m))
+                    for label, m in (("alpha", alpha), ("beta", beta))]
     return Report(tuple(entries))
 
 
-_UNTWISTED = "{} must carry identity structure maps before twisting"
+def _twistable(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle, alpha: Matrix, beta: Matrix,
+               message: str) -> tuple[tuple[AlgebraBundle | CoalgebraBundle, ...], Report]:
+    """The parts of b and the report that alpha and beta are commuting endomorphisms
+    of them.  PreconditionFailed if b carries other than identity maps, or with
+    message if the report fails."""
+    parts = _parts(b)
+    _require_identity_maps(f"{KINDS[type(b)]} must carry identity structure maps before twisting",
+                           parts[0].alpha, parts[0].beta)
+    report = _endomorphism_report(parts, alpha, beta)
+    if not report.ok:
+        raise PreconditionFailed(message, report)
+    return parts, report
 
 
-def _rebuilt(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle, bracket_maps: tuple, comul_maps: tuple,
+def _rebuilt(parts: tuple[AlgebraBundle | CoalgebraBundle, ...], bracket_maps: tuple, comul_maps: tuple,
              alpha: Matrix, beta: Matrix, kind: str = "bihom-lie") -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
-    """b with its bracket composed by ``_bracket(bracket, *bracket_maps)``, its
-    comultiplication by ``_comul(comul, *comul_maps)`` and structure maps
-    alpha, beta; every operator field is kept."""
-    if isinstance(b, BialgebraBundle):
-        return BialgebraBundle(*(_rebuilt(part, bracket_maps, comul_maps, alpha, beta, kind)
-                                 for part in (b.algebra, b.coalgebra)))
-    if isinstance(b, AlgebraBundle):
-        return replace(b, bracket=_bracket(b.bracket, *bracket_maps), alpha=alpha, beta=beta, kind=kind)
-    return replace(b, comul=_comul(b.comul, *comul_maps), alpha=alpha, beta=beta)
+    """The bundle of parts, brackets composed by ``_bracket(c, *bracket_maps)``, comultiplications by
+    ``_comul(t, *comul_maps)``, with structure maps alpha, beta; every operator field is kept."""
+    out = [replace(p, bracket=_bracket(p.bracket, *bracket_maps), alpha=alpha, beta=beta, kind=kind)
+           if isinstance(p, AlgebraBundle) else replace(p, comul=_comul(p.comul, *comul_maps), alpha=alpha, beta=beta)
+           for p in parts]
+    return BialgebraBundle(*out) if len(out) == 2 else out[0]
 
 
 def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
@@ -143,48 +159,29 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
     do not commute or are not endomorphisms (or, for a bialgebra input, if
     alpha is singular).
     """
-    if isinstance(b, BialgebraBundle):
-        _require_identity_maps(_UNTWISTED.format("bialgebra"), b.algebra.alpha, b.algebra.beta)
-        report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, beta)
-        if not report.ok:
-            raise PreconditionFailed("supplied maps are not commuting bialgebra endomorphisms", report)
+    structure = {AlgebraBundle: "bracket", CoalgebraBundle: "comultiplication"}.get(type(b), "bialgebra")
+    parts, report = _twistable(b, alpha, beta, f"supplied maps are not commuting {structure} endomorphisms")
+    if len(parts) == 2:
         try:
             invert(alpha)
-        except Exception as exc:
+        except SingularMatrix as exc:
             raise PreconditionFailed(f"alpha must be invertible to twist a bialgebra: {exc}") from exc
-    elif isinstance(b, AlgebraBundle):
-        _require_identity_maps(_UNTWISTED.format("algebra"), b.alpha, b.beta)
-        report = _endomorphism_report(b.bracket, None, alpha, beta)
-        if not report.ok:
-            raise PreconditionFailed("supplied maps are not commuting bracket endomorphisms", report)
-    elif isinstance(b, CoalgebraBundle):
-        _require_identity_maps(_UNTWISTED.format("coalgebra"), b.alpha, b.beta)
-        report = _endomorphism_report(None, b.comul, alpha, beta)
-        if not report.ok:
-            raise PreconditionFailed("supplied maps are not commuting comultiplication endomorphisms", report)
-    else:
-        raise TypeError(f"cannot twist {type(b).__name__}")
-    return _rebuilt(b, (alpha, beta), (None, alpha, beta), alpha, beta), report
+    return _rebuilt(parts, (alpha, beta), (None, alpha, beta), alpha, beta), report
 
 
 def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
     """Undo a twist: compose with the inverses and reset the maps to identity."""
-    if not isinstance(b, (AlgebraBundle, CoalgebraBundle, BialgebraBundle)):
-        raise TypeError(f"cannot untwist {type(b).__name__}")
-    maps = b.algebra if isinstance(b, BialgebraBundle) else b
-    ainv, binv = invert(maps.alpha), invert(maps.beta)
+    parts = _parts(b)
+    ainv, binv = invert(parts[0].alpha), invert(parts[0].beta)
     ident = Matrix.identity(b.dim)
-    return _rebuilt(b, (ainv, binv), (None, ainv, binv), ident, ident, "lie")
+    return _rebuilt(parts, (ainv, binv), (None, ainv, binv), ident, ident, "lie")
 
 
 def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, Report]:
     """One-map specialization: bracket postcomposed with alpha, comultiplication
     precomposed, both structure maps set to alpha."""
-    _require_identity_maps(_UNTWISTED.format("bialgebra"), b.algebra.alpha, b.algebra.beta)
-    report = _endomorphism_report(b.algebra.bracket, b.coalgebra.comul, alpha, alpha)
-    if not report.ok:
-        raise PreconditionFailed("supplied map is not a bialgebra endomorphism", report)
-    return _rebuilt(b, (None, None, alpha), (alpha,), alpha, alpha), report
+    parts, report = _twistable(b, alpha, alpha, "supplied map is not a bialgebra endomorphism")
+    return _rebuilt(parts, (None, None, alpha), (alpha,), alpha, alpha), report
 
 
 # -- products --------------------------------------------------------------------

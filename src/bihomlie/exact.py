@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +30,8 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+#: the most digits a number may carry: Python's own limit on reading an integer, never raised here
+MAX_DIGITS = 4300
 
 
 class SingularMatrix(ValueError):
@@ -47,6 +50,8 @@ def scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_DIGITS and max(map(len, re.findall(r"\d+", value))) > MAX_DIGITS:
+            raise ValueError(f"a scalar may carry at most {MAX_DIGITS} digits in a row")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
@@ -487,36 +492,32 @@ def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], 
     return echelon, pivots
 
 
-def nullspace(m: Matrix) -> list[Vector]:
-    """Exact kernel basis (one vector per free column); empty iff injective."""
-    rows, pivots = _bareiss_echelon(_integer_rows(pairs for _, pairs in m.nz))
+def solve(a: Matrix, b: Vector | None = None) -> tuple[Vector | None, list[Vector]]:
+    """(particular, kernel) of a x = b, b = None meaning zero, both read off one
+    elimination of [a | b]: the solution whose free variables are zero (None when
+    inconsistent) and the kernel basis of a, one vector per free column."""
+    n = a.cols
+    aug = (pairs for _, pairs in a.nz)
+    if b is not None:
+        if a.rows != len(b):
+            raise DimensionMismatch("right-hand side length does not match row count")
+        # row / den = y is the integer row q * row = p * den for y = p / q
+        aug = (tuple((k, y.denominator * v) for k, v in pairs) + ((n, y.numerator * den),) if y else pairs
+               for (den, pairs), y in zip(a.nz, b))
+    rows, pivots = _bareiss_echelon(_integer_rows(aug))
+    particular = [ZERO] * n
+    if pivots and pivots[-1] == n:  # a pivot in the right-hand column: its row reads 0 = 1
+        particular = None  # and back-substitution cleared that column from every other row
+        rows, pivots = rows[:-1], pivots[:-1]
     pivot_set = set(pivots)
-    kernel = {fc: [ZERO] * m.cols for fc in range(m.cols) if fc not in pivot_set}
-    for fc, x in kernel.items():
-        x[fc] = ONE
+    kernel = {fc: [ZERO] * fc + [ONE] + [ZERO] * (n - fc - 1) for fc in range(n) if fc not in pivot_set}
     for row, pc in zip(rows, pivots):
         for j, v in row.items():
-            if j != pc:
+            if j in kernel:
                 kernel[j][pc] = Fraction(-v, row[pc])
-    return [tuple(x) for x in kernel.values()]
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of a x = b (free variables set to zero), or None."""
-    if a.rows != len(b):
-        raise DimensionMismatch("right-hand side length does not match row count")
-    n = a.cols
-    # row / den = y is the integer row q * row = p * den for y = p / q
-    aug = (tuple((k, y.denominator * v) for k, v in pairs) + ((n, y.numerator * den),) if y else pairs
-           for (den, pairs), y in zip(a.nz, b))
-    rows, pivots = _bareiss_echelon(_integer_rows(aug))
-    if pivots and pivots[-1] == n:
-        return None  # a pivot in the augmented column: inconsistent
-    x = [ZERO] * n
-    for row, pc in zip(rows, pivots):
-        if n in row:
-            x[pc] = Fraction(row[n], row[pc])
-    return tuple(x)
+            elif j == n:
+                particular[pc] = Fraction(v, row[pc])
+    return None if particular is None else tuple(particular), [tuple(x) for x in kernel.values()]
 
 
 def invert(m: Matrix) -> Matrix:

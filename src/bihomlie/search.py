@@ -1,7 +1,7 @@
 """Structure-finding solvers.
 
 Identities linear in one unknown map are compiled into one exact linear
-system over the map's entries and solved by nullspace computation; the
+system over the map's entries and solved by one exact elimination; the
 quadratic operator identity is searched by exhaustive enumeration over a
 finite grid.
 """
@@ -24,7 +24,6 @@ from .exact import (
     Vector,
     ZERO,
     _sorted_row,
-    nullspace,
     solve,
 )
 
@@ -105,9 +104,8 @@ class _System:
     def solve(self) -> SolutionSpace:
         a = Matrix(len(self.rows), self.nvars, tuple(self.rows))
         homogeneous = not any(self.rhs)
-        particular = tuple([ZERO] * self.nvars) if homogeneous else solve(a, tuple(self.rhs))
-        basis = tuple(nullspace(a))
-        return SolutionSpace(self.shape, particular, basis, homogeneous)
+        particular, basis = solve(a, None if homogeneous else tuple(self.rhs))
+        return SolutionSpace(self.shape, particular, tuple(basis), homogeneous)
 
 
 def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import support
 from bihomlie import bundles, search
-from bihomlie.exact import Matrix, invert, nullspace
+from bihomlie.exact import Matrix, invert, solve
 
 
 def _derivation_matrix(algebra) -> Matrix:
@@ -23,12 +23,12 @@ def _derivation_matrix(algebra) -> Matrix:
 
 def test_nullspace_gl4_derivation_system(benchmark):
     m = _derivation_matrix(support.gl(4))  # 4096 equations, 256 unknowns
-    assert len(benchmark(nullspace, m)) == 16
+    assert len(benchmark(solve, m)[1]) == 16
 
 
 def test_nullspace_abelian9_zero_system(benchmark):
     m = _derivation_matrix(bundles.abelian(9))  # 729 all-zero equations, 81 unknowns
-    assert len(benchmark(nullspace, m)) == 81
+    assert len(benchmark(solve, m)[1]) == 81
 
 
 def test_invert_dim16(benchmark):

@@ -286,3 +286,18 @@ def co_jacobi(t, alpha, beta):
                                     w[x][y][z] += t[k][a][b] * beta2[x][a] * twisted[b][y][z]
         out.append([[[w[x][y][z] + w[y][z][x] + w[z][x][y] for z in range(n)] for y in range(n)] for x in range(n)])
     return out
+
+
+def deformed_bracket(c, nmap):
+    """The deformed bracket [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] as dense cells
+    (Kosmann-Schwarzbach and Magri, Ann. IHP 53 (1990))."""
+    n = len(c)
+    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            x, y = basis(n, i), basis(n, j)
+            first = bracket_eval(c, mat_vec(nmap, x), y)
+            second = bracket_eval(c, x, mat_vec(nmap, y))
+            third = mat_vec(nmap, bracket_eval(c, x, y))
+            out[i][j] = [first[k] + second[k] - third[k] for k in range(n)]
+    return out

@@ -158,8 +158,11 @@ def test_fixture_by_name():
     assert fixture_by_name("bihom2(2, 3)") == bundles.bihom2(2, 3)
     with pytest.raises(ParseError):
         fixture_by_name("nope")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^fixture 'sl2' takes no arguments$"):
         fixture_by_name("sl2(3)")
+    for name in ("abelian(3,4)", "bihom2(2)", "bihom2(2,3,4)"):  # every argument is read, none dropped
+        with pytest.raises(ParseError, match="^bad arguments for fixture"):
+            fixture_by_name(name)
 
 
 def test_representation_dimension_validation():

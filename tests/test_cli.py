@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -443,6 +444,88 @@ def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: field ")
+
+
+def _nested(depth):
+    value = "0"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _refusal(workdir, capsys, text):
+    """The stderr of ``check`` on a document of this text, which must end with exit 2 and one error line."""
+    path = workdir / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+    return err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_aff2_document(alpha=_nested(500))),
+    json.dumps(_aff2_document(alpha=[["9" * 5000, "0"], ["0", "1"]])),
+    json.dumps(_aff2_document(differential={"matrix": [["0", "0"], ["0", "0"]], "weight": _nested(500)})),
+    json.dumps(_aff2_document(variant="x" * 5000)),
+    '{"kind": "algebra", "dim": ' + "1" * 5001 + "}",
+], ids=["deep-alpha", "long-scalar", "deep-weight", "long-variant", "long-integer"])
+def test_huge_values_end_with_a_short_error_line(workdir, capsys, text):
+    assert len(_refusal(workdir, capsys, text)) < 200
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_aff2_document(bracket=[{"i": 1, "j": _nested(500), "out": ["0", "1"]}])),
+    json.dumps({**_aff2_document(), "x" * 5000: 1}),
+], ids=["deep-index", "long-key"])
+def test_every_quoted_value_is_clipped(workdir, capsys, text):
+    assert not re.search(r"(.)\1{80}", _refusal(workdir, capsys, text))  # no value quoted past 80 characters
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_aff2_document(alpha=["10", "01"]), "field 'alpha': expected a JSON list of rationals, got '10'"),
+    (_aff2_document(alpha=[["1", "x"], ["0", "1"]]), "field 'alpha': Invalid literal for Fraction: 'x'"),
+    (_aff2_document(alpha=[["9" * 4301, "0"], ["0", "1"]]), "field 'alpha': a scalar may carry at most 4300 digits in a row"),
+    ({"kind": "algebra", "dim": "2"}, "missing or bad 'dim': expected a JSON integer, got '2'"),
+])
+def test_short_values_are_quoted_whole(workdir, capsys, doc, message):
+    assert _refusal(workdir, capsys, json.dumps(doc)) == f"error: {message}\n"
+
+
+def test_fixture_arguments_are_all_read(capsys):
+    assert run(["check", "fixture:abelian(3,4)"]) == 2
+    assert capsys.readouterr().err == "error: bad arguments for fixture 'abelian': 2 given where it takes 1\n"
+
+
+# A reader that allocated dim^3 cells before reading an entry took 518 MB to
+# refuse the dim-400 document.  The child caps its own address space at 256 MiB
+# and reports its own peak resident set (VmHWM, in KiB; ru_maxrss would carry
+# this process's peak across the fork).
+_CAPPED_CHECK = """
+import contextlib, io, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from bihomlie.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["check", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, peak, err.getvalue().strip())
+"""
+
+
+@pytest.mark.parametrize("dim", [400, 10 ** 6])
+def test_reading_a_document_costs_its_size_plus_dim(workdir, dim):
+    path = workdir / "wide.json"
+    path.write_text(json.dumps(_aff2_document(dim=dim)), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHECK, str(path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib, message = proc.stdout.split(" ", 2)
+    assert code == "2"
+    assert message.strip() == f"error: field 'bracket': entry (i=1, j=2) has 2 coordinates against dim {dim}"
+    assert int(peak_kib) < 50 * 1024
 
 
 @pytest.mark.parametrize("kind,suite,code", [

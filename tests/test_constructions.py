@@ -8,7 +8,7 @@ import pytest
 
 import naive
 import support
-from bihomlie import bundles, checks
+from bihomlie import bundles, checks, constructions
 from bihomlie.bundles import BialgebraBundle, CoalgebraBundle, FormBundle
 from bihomlie.constructions import (
     PreconditionFailed,
@@ -154,6 +154,38 @@ def test_yau_twist_rejects_non_endomorphism():
 def test_yau_twist_rejects_twisted_input():
     with pytest.raises(PreconditionFailed):
         yau_twist(bundles.bihom2(2, 3), I2, I2)
+
+
+def test_twist_preconditions_name_the_structure():
+    bad = Matrix.diagonal([2, 1])  # an endomorphism neither of aff2's bracket nor of its dual's comultiplication
+    co, twisted = dualize(bundles.aff2()), bundles.bihom2(2, 3)
+    for b, structure in ((bundles.aff2(), "bracket"), (co, "comultiplication"),
+                         (BialgebraBundle(bundles.aff2(), co), "bialgebra")):
+        with pytest.raises(PreconditionFailed, match=f"^supplied maps are not commuting {structure} endomorphisms$"):
+            yau_twist(b, bad, I2)
+    for b, kind in ((twisted, "algebra"), (dualize(twisted), "coalgebra"),
+                    (BialgebraBundle(twisted, CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), twisted.alpha,
+                                                              twisted.beta)), "bialgebra")):
+        with pytest.raises(PreconditionFailed, match=f"^{kind} must carry identity structure maps before twisting$"):
+            yau_twist(b, I2, I2)
+    with pytest.raises(PreconditionFailed, match="^supplied map is not a bialgebra endomorphism$"):
+        hom_specialize(BialgebraBundle(bundles.aff2(), co), bad)
+    for twist in (lambda x: yau_twist(x, I2, I2), untwist):
+        with pytest.raises(TypeError, match="FormBundle"):
+            twist(FormBundle(I2))
+
+
+def test_yau_twist_of_a_bialgebra_refuses_only_a_singular_alpha(monkeypatch):
+    zero = BialgebraBundle(bundles.abelian(2), CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), I2, I2))
+    with pytest.raises(PreconditionFailed, match="^alpha must be invertible to twist a bialgebra: matrix is singular$"):
+        yau_twist(zero, Matrix.zeros(2, 2), I2)
+
+    def broken(m):
+        raise RuntimeError("fault inside invert")
+
+    monkeypatch.setattr(constructions, "invert", broken)
+    with pytest.raises(RuntimeError, match="fault inside invert"):  # a program fault is never a failed hypothesis
+        yau_twist(zero, I2, I2)
 
 
 def test_yau_twist_coalgebra_passes_coalgebra_suite():

@@ -19,7 +19,6 @@ from bihomlie.exact import (
     contract,
     format_scalar,
     invert,
-    nullspace,
     scalar,
     solve,
 )
@@ -140,18 +139,18 @@ def test_invert_times_original_is_identity(vals):
 
 
 def test_nullspace_identity_empty():
-    assert nullspace(Matrix.identity(3)) == []
+    assert solve(Matrix.identity(3))[1] == []
 
 
 def test_nullspace_zero_map():
-    vecs = nullspace(Matrix.zeros(2, 4))
+    vecs = solve(Matrix.zeros(2, 4))[1]
     assert len(vecs) == 4
 
 
 def test_nullspace_vectors_satisfy_system_and_rank_count():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     m = Matrix.from_rows(rows)
-    vecs = nullspace(m)
+    vecs = solve(m)[1]
     for v in vecs:
         assert all(x == 0 for x in m.apply(v))
     _, pivots = naive.rref(rows, m.cols)  # the rank, by the independent elimination
@@ -164,7 +163,7 @@ def test_nullspace_derivation_system_of_aff2():
     c = naive.as_cells(bundles.aff2().bracket)
     rows = naive.derivation_rows(c)
     m = Matrix.from_rows(rows)
-    vecs = nullspace(m)
+    vecs = solve(m)[1]
     assert len(vecs) == 2
     for v in vecs:
         assert v[0] == 0 and v[1] == 0  # flattened (0,0) and (0,1) entries vanish
@@ -172,10 +171,10 @@ def test_nullspace_derivation_system_of_aff2():
 
 def test_solve_consistent_and_inconsistent():
     a = Matrix.from_rows([[1, 1], [0, 1]])
-    x = solve(a, (scalar(3), scalar(1)))
-    assert x == (scalar(2), scalar(1))
+    assert solve(a, (scalar(3), scalar(1))) == ((scalar(2), scalar(1)), [])
     bad = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve(bad, (scalar(0), scalar(1))) is None
+    assert solve(bad, (scalar(0), scalar(1))) == (None, [(scalar(-1), scalar(1))])
+    assert solve(bad) == ((scalar(0), scalar(0)), [(scalar(-1), scalar(1))])
 
 
 def test_contract_bracket_evaluation_matches_naive():
@@ -447,9 +446,10 @@ def test_nullspace_and_solve_equal_gauss_jordan_oracle(system):
     kernel = naive.rref_nullspace(rows, cols)
     particular = naive.rref_solve(rows, b, cols)
     for m in (Matrix.from_rows(rows), _sparse(rows)):
-        assert [list(v) for v in nullspace(m)] == kernel
-        x = solve(m, tuple(b))
+        assert [list(v) for v in solve(m)[1]] == kernel
+        x, kernel_b = solve(m, tuple(b))
         assert (None if x is None else list(x)) == particular
+        assert [list(v) for v in kernel_b] == kernel  # consistent or not, the same kernel
 
 
 @st.composite
@@ -481,10 +481,10 @@ def test_invert_equals_gauss_jordan_oracle(rows):
 
 def test_elimination_drops_zero_and_repeated_rows():
     # 729 x 81 all-zero system: nothing to eliminate, every column free
-    kernel = nullspace(Matrix.zeros(729, 81))
+    kernel = solve(Matrix.zeros(729, 81))[1]
     assert [list(v) for v in kernel] == naive.rref_nullspace([[0] * 81], 81)
     rows = [[1, 2, 0], [2, 4, 0], [0, 0, 0], [-1, -2, 0], [0, 3, 3]]
-    assert [list(v) for v in nullspace(Matrix.from_rows(rows))] == naive.rref_nullspace(rows, 3)
+    assert [list(v) for v in solve(Matrix.from_rows(rows))[1]] == naive.rref_nullspace(rows, 3)
 
 
 def _sympy_matrix(sympy, rows):
@@ -503,9 +503,11 @@ def test_nullspace_and_solve_equal_sympy(system):
     cols = len(rows[0])
     a = _sympy_matrix(sympy, rows)
     m = Matrix.from_rows(rows)
-    assert [list(v) for v in nullspace(m)] == [_fractions(v) for v in a.nullspace()]
+    kernel = [_fractions(v) for v in a.nullspace()]
+    assert [list(v) for v in solve(m)[1]] == kernel
     reduced, pivots = a.row_join(_sympy_matrix(sympy, [[y] for y in b])).rref()
-    x = solve(m, tuple(b))
+    x, kernel_b = solve(m, tuple(b))
+    assert [list(v) for v in kernel_b] == kernel  # consistent or not, the same kernel
     if cols in pivots:
         assert x is None
     else:

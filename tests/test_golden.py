@@ -495,8 +495,8 @@ def residual_items():
         yield f"{label}/diff_pi", lambda: checks.check_diff_pi(a, pi)
         yield f"{label}/gram", lambda: checks.check_gram(form)
         yield f"{label}/form", lambda: checks.check_form(a, form)
-        yield f"{label}/endomorphism", lambda: _endomorphism_report(a.bracket, co.comul, a.alpha, a.beta)
-        yield f"{label}/endomorphism_nijenhuis", lambda: _endomorphism_report(a.bracket, None, a.nijenhuis, a.nijenhuis)
+        yield f"{label}/endomorphism", lambda: _endomorphism_report((a, co), a.alpha, a.beta)
+        yield f"{label}/endomorphism_nijenhuis", lambda: _endomorphism_report((a,), a.nijenhuis, a.nijenhuis)
         yield f"{label}/bihom_coalgebra", lambda: checks.check_bihom_coalgebra(co)
         yield f"{label}/nijenhuis_coalgebra", lambda: checks.check_nijenhuis_coalgebra(co)
         yield f"{label}/diff_coalgebra", lambda: checks.check_diff_coalgebra(co)

@@ -7,9 +7,9 @@ import pytest
 
 import naive
 import support
-from bihomlie import bundles, checks, search
+from bihomlie import bundles, checks, exact, search
 from bihomlie.bundles import Differential
-from bihomlie.exact import Matrix, scalar
+from bihomlie.exact import Matrix, Tensor3, scalar
 
 
 def test_derivation_dimensions_match_independent_elimination():
@@ -59,7 +59,7 @@ def test_derivations_contain_zero_and_all_inner_derivations():
                 system = Matrix.from_columns(cols)
                 from bihomlie.exact import solve
 
-                assert solve(system, flat) is not None
+                assert solve(system, flat)[0] is not None
 
 
 def test_derivation_solutions_reverify_through_checker():
@@ -94,6 +94,16 @@ def test_pi_solver_inhomogeneous_with_nonzero_differential():
         for coeffs in itertools.product([scalar(0), scalar(2)], repeat=sol.dimension):
             pi = sol.sample(coeffs)
             assert checks.check_diff_pi(alg, pi).ok
+
+
+def test_inhomogeneous_system_is_eliminated_once(monkeypatch):
+    # the particular solution and the kernel are read off one elimination of [a | b]
+    calls = []
+    echelon = exact._bareiss_echelon
+    monkeypatch.setattr(exact, "_bareiss_echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
+    alg = support.with_diff(bundles.aff2(), support.aff2_derivation(0, 1), 0)
+    sol = search.solve_linear_identity("pi", scalar(0), algebra=alg)
+    assert not sol.homogeneous and len(calls) == 1
 
 
 def test_zeta_solver_reverifies():
@@ -148,6 +158,23 @@ def test_grid_search_pattern_and_budget():
     assert all(m.entries[0][0] == 1 and m.entries[1][1] == 1 for m in out)
     with pytest.raises(search.BudgetExceeded):
         search.grid_search_nijenhuis(b, [scalar(k) for k in range(10)], budget=10)
+
+
+@pytest.mark.parametrize("make, grid, count", [
+    (bundles.aff2, (0, 1, -1, 2), 256),
+    (lambda: support.twisted(bundles.sl2(), [1, 2, "1/2"], [1, 3, "1/3"]), (0, 1, -1), 15),
+], ids=["aff2", "twisted-sl2"])
+def test_grid_search_results_deform_the_bracket(make, grid, count):
+    # a Nijenhuis N commuting with alpha and beta deforms the bracket into a
+    # BiHom-Lie bracket with the same maps, for which N is again Nijenhuis
+    a = make()
+    out = search.grid_search_nijenhuis(a, [scalar(x) for x in grid])
+    assert len(out) == count
+    c = naive.as_cells(a.bracket)
+    for n_map in out:
+        bracket = Tensor3.from_entries(naive.deformed_bracket(c, naive.mat_cells(n_map)))
+        deformed = dataclasses.replace(a, bracket=bracket, nijenhuis=n_map)
+        assert checks.check_bihom_lie(deformed).ok and checks.check_nijenhuis_operator(deformed).ok
 
 
 def test_grid_search_results_reverify_and_are_sorted():
