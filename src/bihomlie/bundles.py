@@ -636,12 +636,20 @@ def abelian(n: int) -> AlgebraBundle:
     return AlgebraBundle(n, Tensor3.zeros((n, n, n)), Matrix.identity(n), Matrix.identity(n), kind="lie")
 
 
+def _decimal(text: str) -> int:
+    """An optional sign and decimal digits, nothing else: int() alone reads "1_0" as 10 and stops at Python's limit."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
+        raise ValueError(f"expected an integer of at most {MAX_DIGITS} digits, got {_quoted(text)}")
+    return int(text)
+
+
 #: fixture name -> its builder and the reader of each argument it takes
 FIXTURES: dict[str, tuple[Callable[..., AlgebraBundle], tuple[Callable[[str], Any], ...]]] = {
     "bihom2": (bihom2, (scalar, scalar)),
     "sl2": (sl2, ()),
     "aff2": (aff2, ()),
-    "abelian": (abelian, (int,)),
+    "abelian": (abelian, (_decimal,)),
 }
 
 

@@ -4,9 +4,9 @@ Every checker evaluates its identities on all basis tuples (multilinearity
 makes that exhaustive) and returns a Report of exact residuals; pass iff the
 residual is identically zero.  Each twisted bracket, comultiplication or
 action an identity reads is built once, as a whole tensor, by ``contract``;
-three-index identities are differences of such tensors, four-index ones
-(Jacobi, co-Jacobi, the mixed matched-pair identities, the cocycle) are
-tabulated per basis tuple over their rows, so no n^4 array is ever built.
+three-index identities are differences of such tensors, four-index ones are
+tabulated by rows, no n^4 array built: per basis tuple, or, for the one cyclic
+sum of Jacobi and co-Jacobi, per orbit under rotation (S3 under antisymmetry).
 Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
 zeta-admissibility on the adjoint action.
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .bundles import (
@@ -34,7 +36,6 @@ from .bundles import (
     require,
 )
 from .exact import (
-    EMPTY,
     DimensionMismatch,
     Matrix,
     Tensor3,
@@ -178,6 +179,26 @@ def _comultiplicativity(t: Tensor3, m: Matrix) -> Residual:
     return Residual.from_matrix(_comul(t, m).sub(_comul(t, None, m, m)))
 
 
+@cache
+def _orbits(n: int, alternating: bool) -> tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], ...]:
+    """(representative, ((tuple, sign), ...)) per orbit of range(n)^3 under rotation, or of distinct indices under S3."""
+    if alternating:  # permutations lists (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
+        return tuple((t, tuple(zip(permutations(t), (1, -1, -1, 1, 1, -1)))) for t in combinations(range(n), 3))
+    return tuple(((i, j, k), tuple({(i, j, k): 1, (j, k, i): 1, (k, i, j): 1}.items()))
+                 for i in range(n) for j in range(i, n) for k in range(i + (j > i), n))  # the least rotation
+
+
+def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = False) -> Residual:
+    """The residual of q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j] at (i, j, k, r), or (r, i, j, k) if row_first, x.y
+    being the row sum_b y_b x[b]; evaluated once per orbit, alternating meaning that p[i][j] = -p[j][i]."""
+    cells = []
+    for (i, j, k), orbit in _orbits(len(p), alternating):
+        den, pairs = _combination(((1, q[i], p[j][k]), (1, q[j], p[k][i]), (1, q[k], p[i][j])))
+        for idx, sign in orbit if pairs else ():
+            cells += [((r, *idx) if row_first else (*idx, r), Fraction(sign * v, den)) for r, v in pairs]
+    return Residual.collect((len(p),) * 4, cells)
+
+
 # -- algebra-side checkers -------------------------------------------------------
 
 
@@ -188,22 +209,15 @@ def _comultiplicativity(t: Tensor3, m: Matrix) -> Residual:
 )
 def check_bihom_lie(a: AlgebraBundle) -> Report:
     """Multiplicativity of alpha and beta, twisted antisymmetry, twisted Jacobi."""
-    n, c, A, B = a.dim, a.bracket, a.alpha, a.beta
-    twisted = _bracket(c, B, A)
-    p, q = twisted.nz, _bracket(c, B @ B).nz  # [beta(x), alpha(y)] and [beta^2(x), y]
-
-    def jacobi(i: int, j: int, k: int) -> Row:
-        jk, ki, ij = p[j][k], p[k][i], p[i][j]
-        if not (jk[1] or ki[1] or ij[1]):
-            return EMPTY
-        return _combination(((1, q[i], jk), (1, q[j], ki), (1, q[k], ij)))
-
+    c, A, B = a.bracket, a.alpha, a.beta
+    twisted = _bracket(c, B, A)  # [beta(x), alpha(y)]
+    antisymmetry = twisted.add(twisted.transpose((1, 0, 2)))
     return Report((
         CheckEntry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),
         CheckEntry("bihom_multiplicativity", "beta", _multiplicativity(c, B)),
         _array_entry("bihom_multiplicativity", "alpha-beta-commute", _commutator(A, B)),
-        _array_entry("bihom_antisymmetry", "", twisted.add(twisted.transpose((1, 0, 2)))),
-        CheckEntry("bihom_jacobi", "", Residual.tabulate((n, n, n), n, jacobi)),
+        _array_entry("bihom_antisymmetry", "", antisymmetry),
+        CheckEntry("bihom_jacobi", "", _cyclic_sum(_bracket(c, B @ B).nz, twisted.nz, antisymmetry.is_zero())),
     ))
 
 
@@ -248,24 +262,17 @@ def check_nijenhuis_operator(a: AlgebraBundle) -> Report:
 )
 def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
     """Comultiplicativity, twisted co-antisymmetry, twisted co-Jacobi."""
-    n, t, A, B = co.dim, co.comul, co.alpha, co.beta
-    twisted = _comul(t, None, B, A)
-    outer = _comul(t, None, B @ B)  # (beta^2 x id) Delta
-    # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) is w_k[a][i][j] = sum_b outer[k][a][b] twisted[b][i][j];
-    # cell (k, a, i, j) of the cyclic sum is w_k[a][i][j] + w_k[j][a][i] + w_k[i][j][a], a row over j
-    o, o_cols = outer.nz, outer.transpose((0, 2, 1)).nz  # [k][a]: outer[k][a][b] over b; [k][b]: outer[k][j][b] over j
-    # [i][b]: twisted[b][i][j] over j; [a][i]: twisted[b][a][i] over b; [a][b]: twisted[b][j][a] over j
-    t_ib, t_ai, t_ab = (twisted.transpose(axes).nz for axes in ((1, 0, 2), (1, 2, 0), (2, 0, 1)))
-
-    def jacobi(k: int, a: int, i: int) -> Row:
-        return _combination(((1, t_ib[i], o[k][a]), (1, o_cols[k], t_ai[a][i]), (1, t_ab[a], o[k][i])))
-
+    t, A, B = co.comul, co.alpha, co.beta
+    twisted, outer = _comul(t, None, B, A), _comul(t, None, B @ B)  # (beta x alpha) Delta, (beta^2 x id) Delta
+    antisymmetry = twisted.add(twisted.transpose((0, 2, 1)))
+    # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) at e_a (x) e_i (x) e_j is sum_b outer[k][a][b] twisted[b][i][j]
+    jacobi = _cyclic_sum(outer.transpose((1, 2, 0)).nz, twisted.transpose((1, 2, 0)).nz, antisymmetry.is_zero(), True)
     return Report((
         CheckEntry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
         CheckEntry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),
         _array_entry("co_comultiplicativity", "alpha-beta-commute", _commutator(A, B)),
-        _array_entry("co_antisymmetry", "", twisted.add(twisted.transpose((0, 2, 1)))),
-        CheckEntry("co_jacobi", "", Residual.tabulate((n, n, n), n, jacobi)),
+        _array_entry("co_antisymmetry", "", antisymmetry),
+        CheckEntry("co_jacobi", "", jacobi),
     ))
 
 

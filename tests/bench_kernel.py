@@ -9,6 +9,7 @@ Each benchmark times one call on operands built beforehand and checks its
 result, so a fast wrong answer fails.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -93,3 +94,34 @@ def test_check_bihom_coalgebra_gl5_dual(benchmark):
 def test_check_bihom_coalgebra_gl4_torus_twisted_dual(benchmark):
     co = dualize(support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7]))
     assert benchmark(check_bihom_coalgebra, co).ok
+
+
+def _perturbed_gl4():
+    """gl(4) with one bracket entry moved: twisted antisymmetry fails, so Jacobi runs per rotation orbit."""
+    return support.perturb_algebra(support.gl(4), support.rng(4))
+
+
+def _entry(report, identity):
+    return [e for e in report.entries if e.identity == identity][0].residual
+
+
+def test_check_bihom_lie_gl4_perturbed(benchmark):
+    a = _perturbed_gl4()
+    assert a.alpha.is_identity() and a.beta.is_identity()
+    # naive.bihom_jacobi at alpha = beta = id, with the brackets [e_j, e_k] made once: the full oracle
+    # re-multiplies the 16 x 16 maps for each of the 4096 tuples
+    c, n = naive.as_cells(a.bracket), a.dim
+    e = [naive.basis(n, i) for i in range(n)]
+    inner = [[naive.bracket_eval(c, e[j], e[k]) for k in range(n)] for j in range(n)]
+    want = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        terms = (naive.bracket_eval(c, e[x], inner[y][z]) for x, y, z in ((i, j, k), (j, k, i), (k, i, j)))
+        want += [((i, j, k, r), v) for r, v in enumerate(map(sum, zip(*terms))) if v]
+    assert list(_entry(benchmark(check_bihom_lie, a), "bihom_jacobi").nonzeros) == want != []
+
+
+def test_check_bihom_coalgebra_gl4_perturbed_dual(benchmark):
+    co = dualize(_perturbed_gl4())
+    cells = naive.co_jacobi(naive.as_cells(co.comul), naive.mat_cells(co.alpha), naive.mat_cells(co.beta))
+    want = [(idx, cells[idx[0]][idx[1]][idx[2]][idx[3]]) for idx in itertools.product(range(co.dim), repeat=4)]
+    assert list(_entry(benchmark(check_bihom_coalgebra, co), "co_jacobi").nonzeros) == [c for c in want if c[1]] != []

@@ -3,16 +3,18 @@ against the independent brute-force evaluators."""
 
 import dataclasses
 import inspect
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive
 import support
 from bihomlie import bundles, checks
 from bihomlie.bundles import (
+    AlgebraBundle,
     BialgebraBundle,
     CoalgebraBundle,
     Differential,
@@ -163,6 +165,88 @@ def test_co_jacobi_matches_the_dense_definition(co):
     jacobi = [e for e in checks.check_bihom_coalgebra(co).entries if e.identity == "co_jacobi"][0].residual
     assert jacobi.shape == (n,) * 4
     assert dict(jacobi.nonzeros) == cells
+
+
+@st.composite
+def _jacobi_instance(draw):
+    """An algebra and a coalgebra of dim 1-5 from one of three families: arbitrary cells and maps (Jacobi is
+    evaluated per rotation orbit); cells antisymmetric in the two twisted slots under alpha = beta = M, M
+    non-diagonal (per S3 orbit, with signs); or a torus twist of gl(1) or gl(2) and its dual."""
+    family = draw(st.sampled_from(["arbitrary", "antisymmetric", "torus"]))
+    if family == "torus":
+        m = draw(st.integers(1, 2))
+        units = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool), min_size=m, max_size=m)
+        a = support.gl_torus(m, draw(units), draw(units))
+        return a, dualize(a)
+    n = draw(st.integers(1, 5))
+    square = st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
+    cells = draw(st.lists(square, min_size=n, max_size=n))  # cells[x][y][z], x and y the twisted slots
+    alpha, beta = draw(square), draw(square)
+    if family == "antisymmetric":
+        cells = [[[cells[x][y][z] - cells[y][x][z] for z in range(n)] for y in range(n)] for x in range(n)]
+        alpha[0][n - 1] = alpha[0][n - 1] or Fraction(1)  # off the diagonal once n > 1
+        beta = alpha
+    return _algebra_and_coalgebra(cells, alpha, beta)
+
+
+def _algebra_and_coalgebra(cells, alpha, beta):
+    """The algebra of bracket cells[x][y][z] and the coalgebra of comultiplication cells[y][z][x], with these maps."""
+    c, maps = Tensor3.from_entries(cells), (Matrix.from_rows(alpha), Matrix.from_rows(beta))
+    return AlgebraBundle(len(cells), c, *maps), CoalgebraBundle(len(cells), c.transpose((2, 0, 1)), *maps)
+
+
+# [e0,e1] = e0, [e1,e2] = e0 + e2 under alpha = beta = e_i -> e_i + e_{i-1}: antisymmetric, not Jacobi
+_SHEARED = _algebra_and_coalgebra([[[0, 0, 0], [1, 0, 0], [0, 0, 0]], [[-1, 0, 0], [0, 0, 0], [1, 0, 1]],
+                                   [[0, 0, 0], [-1, 0, -1], [0, 0, 0]]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+                                  [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+
+
+def test_orbit_evaluation_matches_the_dense_oracles():
+    """Every Jacobi and co-Jacobi cell equals the brute-force value, in index order.  Both orbit groups are drawn,
+    and the S3 one with nonzero rows, whose signs it sets."""
+    groups = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(_jacobi_instance())
+    @example(_SHEARED)
+    def check(instance):
+        a, co = instance
+        n = a.dim
+        c, alpha, beta = naive.as_cells(a.bracket), naive.mat_cells(a.alpha), naive.mat_cells(a.beta)
+        want = {(i, j, k, r): x for i, j, k in itertools.product(range(n), repeat=3)
+                for r, x in enumerate(naive.bihom_jacobi(c, alpha, beta, i, j, k)) if x}
+        co_cells = naive.co_jacobi(naive.as_cells(co.comul), naive.mat_cells(co.alpha), naive.mat_cells(co.beta))
+        co_want = {idx: co_cells[idx[0]][idx[1]][idx[2]][idx[3]] for idx in itertools.product(range(n), repeat=4)}
+        for report, jacobi, antisymmetry, cells in (
+                (checks.check_bihom_lie(a), "bihom_jacobi", "bihom_antisymmetry", want),
+                (checks.check_bihom_coalgebra(co), "co_jacobi", "co_antisymmetry", co_want)):
+            entries = {e.identity: e for e in report.entries}
+            assert entries[jacobi].residual.shape == (n,) * 4
+            assert list(entries[jacobi].residual.nonzeros) == sorted((idx, x) for idx, x in cells.items() if x)
+            groups.add((jacobi, "S3" if entries[antisymmetry].ok else "C3", entries[jacobi].ok))
+
+    check()
+    assert {g[:2] for g in groups} == {(jacobi, g) for jacobi in ("bihom_jacobi", "co_jacobi") for g in ("S3", "C3")}
+    assert {("bihom_jacobi", "S3", False), ("co_jacobi", "S3", False)} <= groups
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbit_tables_partition_the_index_tuples(n):
+    """Rotation orbits cover range(n)^3, S3 orbits the tuples of three distinct indices (the alternating sum is zero
+    on the others), each tuple once, as a permutation of its representative of that permutation's sign."""
+    for alternating, count in ((False, (n ** 3 + 2 * n) // 3), (True, n * (n - 1) * (n - 2) // 6)):
+        table = checks._orbits(n, alternating)
+        assert len(table) == count
+        seen = [t for _, orbit in table for t, _ in orbit]
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {t for t in itertools.product(range(n), repeat=3) if not alternating or len(set(t)) == 3}
+        for rep, orbit in table:
+            assert orbit[0] == (rep, 1)
+            for t, sign in orbit:
+                if alternating:  # rep is increasing, so the sign is that of t's inversions
+                    assert sorted(t) == list(rep) and sign == (-1) ** sum(t[x] > t[y] for x, y in ((0, 1), (0, 2), (1, 2)))
+                else:
+                    assert t in (rep, rep[1:] + rep[:1], rep[2:] + rep[:2]) and sign == 1
 
 
 def test_nijenhuis_coalgebra_trivial_operators():

@@ -498,6 +498,16 @@ def test_fixture_arguments_are_all_read(capsys):
     assert capsys.readouterr().err == "error: bad arguments for fixture 'abelian': 2 given where it takes 1\n"
 
 
+@pytest.mark.parametrize("arg, quoted", [
+    ("1_0", "'1_0'"),  # int() reads this as 10
+    ("9" * 5000, "'" + "9" * 76 + "..."),  # int() stops at Python's digit limit
+], ids=["underscore", "5000-digits"])
+def test_fixture_integer_arguments_are_a_sign_and_digits(capsys, arg, quoted):
+    assert run(["check", f"fixture:abelian({arg})"]) == 2
+    assert capsys.readouterr().err == ("error: bad arguments for fixture 'abelian': "
+                                       f"expected an integer of at most 4300 digits, got {quoted}\n")
+
+
 # A reader that allocated dim^3 cells before reading an entry took 518 MB to
 # refuse the dim-400 document.  The child caps its own address space at 256 MiB
 # and reports its own peak resident set (VmHWM, in KiB; ru_maxrss would carry
