@@ -34,6 +34,7 @@ from .exact import (
     Row,
     Tensor3,
     ZERO,
+    _quoted,
     _row,
     format_scalar,
     scalar,
@@ -368,12 +369,6 @@ def document(bundle: Any) -> dict[str, Any]:
 
 def dumps(bundle: Any) -> str:
     return json.dumps(document(bundle), indent=2) + "\n"
-
-
-def _quoted(value: Any) -> str:
-    """The repr of an offending value, or the text of an exception, cut to at most 80 characters."""
-    text = str(value) if isinstance(value, Exception) else repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _parsed(where: str, parse: Callable[[Any], Any], obj: Any) -> Any:

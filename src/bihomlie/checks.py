@@ -9,7 +9,10 @@ tabulated by rows, no n^4 array built: per basis tuple, or, for the one cyclic
 sum of Jacobi and co-Jacobi, per orbit under rotation (S3 under antisymmetry).
 Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
-zeta-admissibility on the adjoint action.
+zeta-admissibility on the adjoint action.  An identity linear in one unknown
+map (the Leibniz rule at weight zero, dual, zeta- and pi-admissibility) is an
+``Affine`` form in that map: its checker evaluates the form at the candidate,
+and ``search`` solves the same form for the map.
 Hypotheses a result states without the checker being able to gate on
 usefully (involutivity, invertibility) are reported as notes while the
 identity is still evaluated.
@@ -145,6 +148,23 @@ def _stack(mats: Sequence[Matrix]) -> Tensor3:
 def _minus_weighted(t: Tensor3, w: Fraction, term) -> Tensor3:
     """t - w * term(); the term is not built at weight zero."""
     return t.sub(term().scale(w)) if w else t
+
+
+class Affine(NamedTuple):
+    """A residual linear in one unknown map x of the given shape: const plus, over the terms (sign, t, axis,
+    transposed), sign * contract(t, axis, x^T if transposed else x).  Its checker evaluates it at a candidate
+    (``at``); ``search`` solves it for x."""
+
+    shape: tuple[int, int]
+    const: Tensor3
+    terms: tuple[tuple[int, Tensor3, int, bool], ...]
+
+    def at(self, x: Matrix) -> Tensor3:
+        out = self.const
+        for sign, t, axis, transposed in self.terms:
+            term = contract(t, axis, x.transpose() if transposed else x)
+            out = out.add(term) if sign > 0 else out.sub(term)
+        return out
 
 
 def _array_entry(identity: str, case: str, m: Matrix | Tensor3) -> CheckEntry:
@@ -396,6 +416,14 @@ def check_adjoint_admissible(a: AlgebraBundle, smap: Matrix) -> Report:
     return Report((_array_entry("admissible_adjoint", "", admissible),), notes)
 
 
+def _dual_admissible_form(comul: Tensor3, nmap: Matrix) -> Affine:
+    """(S x id) Delta N - (S x N) Delta + (id x N^2) Delta - (id x N) Delta N in the unknown S."""
+    n = comul.shape[0]
+    t, N = comul, nmap
+    const = _comul(t, None, None, N @ N).sub(_comul(t, N, None, N))
+    return Affine((n, n), const, ((1, _comul(t, N).sub(_comul(t, None, None, N)), 1, False),))
+
+
 @declares(admissible_dual="(S x id) Delta N + (id x N^2) Delta = (S x N) Delta + (id x N) Delta N")
 def check_dual_admissible(comul: Tensor3, nmap: Matrix, smap: Matrix) -> Report:
     """Comultiplication-side admissibility tying S, N and Delta together."""
@@ -403,9 +431,7 @@ def check_dual_admissible(comul: Tensor3, nmap: Matrix, smap: Matrix) -> Report:
     for m in (nmap, smap):
         if (m.rows, m.cols) != (n, n):
             raise DimensionMismatch("operator size does not match the comultiplication")
-    t, N, S = comul, nmap, smap
-    admissible = _comul(t, N, S).add(_comul(t, None, None, N @ N)).sub(_comul(t, None, S, N)).sub(_comul(t, N, None, N))
-    return Report((_array_entry("admissible_dual", "", admissible),))
+    return Report((_array_entry("admissible_dual", "", _dual_admissible_form(comul, nmap).at(smap)),))
 
 
 # -- bilinear forms -------------------------------------------------------------------
@@ -442,6 +468,12 @@ def check_form(a: AlgebraBundle, f: FormBundle) -> Report:
 # -- differential checkers --------------------------------------------------------------
 
 
+def _leibniz_form(a: AlgebraBundle) -> Affine:
+    """d([x,y]) - [d(x),y] - [x,d(y)] in the unknown d: the Leibniz rule at weight zero."""
+    c = a.bracket
+    return Affine((a.dim, a.dim), Tensor3.zeros(c.shape), ((1, c, 2, False), (-1, c, 0, True), (-1, c, 1, True)))
+
+
 @declares(diff_leibniz="d([x,y]) = [d(x),y] + [x,d(y)] + w [d(x),d(y)]")
 def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fraction | None = None) -> Report:
     """Weighted Leibniz rule for the bundle differential (or a candidate map)."""
@@ -449,9 +481,7 @@ def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fract
         diff = require(a, "differential")
         op = op if op is not None else diff.matrix
         weight = weight if weight is not None else diff.weight
-    c = a.bracket
-    leibniz = _minus_weighted(_bracket(c, out=op).sub(_bracket(c, op)).sub(_bracket(c, None, op)),
-                              weight, lambda: _bracket(c, op, op))
+    leibniz = _minus_weighted(_leibniz_form(a).at(op), weight, lambda: _bracket(a.bracket, op, op))
     return Report((_array_entry("diff_leibniz", "", leibniz),))
 
 
@@ -478,26 +508,31 @@ def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) ->
     return Report((_array_entry("diff_coalgebra", "", leibniz),))
 
 
-def _admissible_zeta(rho: Tensor3, a: AlgebraBundle, zeta: Matrix, weight: Fraction | None) -> Tensor3:
-    """rho(x) zeta - rho(d(x)) - zeta rho(x) - w zeta rho(d(x)) for a stacked action rho of a, d = a.differential."""
+def _zeta_form(rho: Tensor3, a: AlgebraBundle, weight: Fraction | None) -> Affine:
+    """rho(x) zeta - rho(d(x)) - zeta rho(x) - w zeta rho(d(x)) in the unknown zeta, for a stacked action rho of a,
+    d = a.differential; rho + w rho(d(.)) is built only at a nonzero weight."""
     diff = require(a, "differential")
     w, d = weight if weight is not None else diff.weight, diff.matrix
-    return _minus_weighted(_action(rho, right=zeta).sub(_action(rho, d)).sub(_action(rho, left=zeta)),
-                           w, lambda: _action(rho, d, left=zeta))
+    rho_d, v = _action(rho, d), rho.shape[1]
+    return Affine((v, v), rho_d.scale(-1), ((1, rho, 2, True), (-1, rho.add(rho_d.scale(w)) if w else rho, 1, False)))
+
+
+def _pi_form(a: AlgebraBundle, weight: Fraction | None) -> Affine:
+    """The zeta form on the adjoint action, plane i being ad_{e_i}: cell (i, k, j) is coordinate k at (e_i, e_j)."""
+    return _zeta_form(a.bracket.transpose((0, 2, 1)), a, weight)
 
 
 @declares(diff_admissible_zeta="rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x))")
 def check_diff_zeta(r: RepresentationBundle, zeta: Matrix, weight: Fraction | None = None) -> Report:
     """Dual-module admissibility of a candidate zeta."""
-    admissible = _admissible_zeta(_stack(r.rho), r.algebra, zeta, weight)
+    admissible = _zeta_form(_stack(r.rho), r.algebra, weight).at(zeta)
     return Report((_array_entry("diff_admissible_zeta", "", admissible),))
 
 
 @declares(diff_admissible_pi="[x,pi(y)] = [d(x),y] + pi([x,y]) + w pi([d(x),y])")
 def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) -> Report:
-    """Adjoint admissibility of a candidate pi: zeta = pi on the adjoint action, whose plane i is ad_{e_i},
-    transposed back so that cell (i, j, k) is the k-th coordinate at (e_i, e_j)."""
-    admissible = _admissible_zeta(a.bracket.transpose((0, 2, 1)), a, pi, weight).transpose((0, 2, 1))
+    """Adjoint admissibility of a candidate pi, its form's cells transposed back to (i, j, k)."""
+    admissible = _pi_form(a, weight).at(pi).transpose((0, 2, 1))
     return Report((_array_entry("diff_admissible_pi", "", admissible),))
 
 

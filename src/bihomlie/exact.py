@@ -42,9 +42,16 @@ class DimensionMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+def _quoted(value: object) -> str:
+    """The repr of an offending value, or the text of an exception, cut to at most 80 characters."""
+    text = str(value) if isinstance(value, Exception) else repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` / ``"p"`` string to a Fraction;
-    a bool is refused, never read as 0 or 1."""
+    a bool is refused, never read as 0 or 1, and so is an underscore, which
+    ``Fraction`` would skip ("1_0" is not 10)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -52,6 +59,8 @@ def scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         if len(value) > MAX_DIGITS and max(map(len, re.findall(r"\d+", value))) > MAX_DIGITS:
             raise ValueError(f"a scalar may carry at most {MAX_DIGITS} digits in a row")
+        if "_" in value:
+            raise ValueError(f"a scalar has no underscores, got {_quoted(value)}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

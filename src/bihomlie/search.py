@@ -1,7 +1,8 @@
 """Structure-finding solvers.
 
-Identities linear in one unknown map are compiled into one exact linear
-system over the map's entries and solved by one exact elimination; the
+An identity linear in one unknown map is the affine form its checker
+evaluates (``checks.Affine``), compiled into one exact linear system over the
+map's entries and solved by one exact elimination; the
 quadratic operator identity is searched by exhaustive enumeration over a
 finite grid.
 """
@@ -12,20 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
-from .bundles import AlgebraBundle, require
-from .checks import _action, _commutator, _comul, _stack, check_nijenhuis_operator
-from .exact import (
-    ONE,
-    Matrix,
-    Row,
-    Tensor3,
-    Vector,
-    ZERO,
-    _sorted_row,
-    solve,
-)
+from . import checks
+from .bundles import AlgebraBundle
+from .checks import _commutator, _stack, check_nijenhuis_operator
+from .exact import Matrix, Row, Vector, ZERO, _sorted_row, solve
 
 
 class NonlinearKind(ValueError):
@@ -80,77 +72,42 @@ class SolutionSpace:
 
 
 class _System:
-    """Accumulates exact linear equations, each a matrix ``Row``, over the entries of one unknown map."""
+    """The equations of an affine form in one unknown map x, x[r][s] being unknown r * cols + s: the form's
+    residual at a cell, sum_u row[u] x_u + const = 0, for each cell a nonzero of a term or of the constant
+    reaches (a cell whose coefficients cancel keeps its constant), on integers over one common denominator."""
 
-    def __init__(self, rows_dim: int, cols_dim: int):
-        self.shape = (rows_dim, cols_dim)
-        self.nvars = rows_dim * cols_dim
-        self.rows: list[Row] = []
-        self.rhs: list[Fraction] = []
-
-    def add(self, parts: Sequence[tuple[Row, int, int]], rhs: Fraction = ZERO) -> None:
-        """Append sum row[k] * x[stride * k + offset] = rhs over the (row, stride, offset)
-        parts, summed as integers over their common denominator."""
-        den = math.lcm(*[row[0] for row, _, _ in parts])
-        acc: dict[int, int] = {}
-        for (d, pairs), stride, offset in parts:
-            f = den // d
-            for k, v in pairs:
-                var = stride * k + offset
-                acc[var] = acc.get(var, 0) + f * v
-        self.rows.append(_sorted_row(den, acc))
-        self.rhs.append(rhs)
+    def __init__(self, form: checks.Affine):
+        rows_dim, cols = self.shape = form.shape
+        self.nvars = rows_dim * cols
+        den = math.lcm(*[d for t in (form.const, *(term[1] for term in form.terms))
+                         for plane in t.nz for d, pairs in plane if pairs])
+        const = {(i, j, k): -v * (den // d) for i, plane in enumerate(form.const.nz)
+                 for j, (d, pairs) in enumerate(plane) for k, v in pairs}
+        equations: dict[tuple[int, int, int], dict[int, int]] = {cell: {} for cell in const}
+        for sign, t, axis, transposed in form.terms:
+            # contract(t, axis, x) at the cell with index a on the axis is sum_b x[a][b] t[.. b ..]: the rows of
+            # t with the axis moved last, each spread over x's row a (or column a, transposed) for every a
+            stride, step = (cols, 1) if transposed else (1, cols)
+            for p, plane in enumerate(t.transpose(((1, 2, 0), (0, 2, 1), (0, 1, 2))[axis]).nz):
+                for q, (d, pairs) in enumerate(plane):
+                    f = sign * (den // d)
+                    for a in range(form.const.shape[axis]) if pairs else ():
+                        eq = equations.setdefault((a, p, q) if axis == 0 else (p, a, q) if axis == 1 else (p, q, a), {})
+                        for b, v in pairs:
+                            u = stride * b + step * a
+                            eq[u] = eq.get(u, 0) + f * v
+        self.rows: list[Row] = [_sorted_row(1, eq) for eq in equations.values()]
+        # the right-hand sides, None when the form has no constant
+        self.rhs = tuple(Fraction(const.get(cell, 0)) for cell in equations) if const else None
 
     def solve(self) -> SolutionSpace:
-        a = Matrix(len(self.rows), self.nvars, tuple(self.rows))
-        homogeneous = not any(self.rhs)
-        particular, basis = solve(a, None if homogeneous else tuple(self.rhs))
-        return SolutionSpace(self.shape, particular, tuple(basis), homogeneous)
-
-
-def _derivation_system(a: AlgebraBundle, weight: Fraction) -> _System:
-    if weight != 0:
-        raise NonlinearKind("the weighted rule is quadratic in the unknown map unless the weight is zero")
-    n, c = a.dim, a.bracket
-    # d([e_i, e_j])_k - [d e_i, e_j]_k - [e_i, d e_j]_k = 0, the unknown d[r][s] being variable r*n + s
-    minus = c.scale(-ONE)
-    w, left, right = c.nz, minus.transpose((1, 2, 0)).nz, minus.transpose((0, 2, 1)).nz
-    sys = _System(n, n)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        sys.add(((w[i][j], 1, k * n), (left[j][k], n, i), (right[i][k], n, j)))
-    return sys
-
-
-def _conijenhuis_system(comul: Tensor3, nmap: Matrix) -> _System:
-    """(S x id) Delta N + (id x N^2) Delta = (S x N) Delta + (id x N) Delta N,
-    linear in the unknown S."""
-    n = comul.shape[0]
-    # the coefficient of S: Delta N - (id x N) Delta; the right-hand side: (id x N) Delta N - (id x N^2) Delta
-    coeff = _comul(comul, nmap).sub(_comul(comul, None, None, nmap)).transpose((0, 2, 1)).nz
-    rhs = _comul(comul, nmap, None, nmap).sub(_comul(comul, None, None, nmap @ nmap)).entries
-    sys = _System(n, n)
-    for k, a_idx, b_idx in itertools.product(range(n), repeat=3):
-        sys.add(((coeff[k][b_idx], 1, a_idx * n),), rhs[k][a_idx][b_idx])
-    return sys
-
-
-def _zeta_system(rho: Tensor3, a: AlgebraBundle, weight: Fraction | None) -> _System:
-    """rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x)), linear in zeta, for the
-    stacked action rho of a; pi is the adjoint case rho(e_i) = ad_{e_i}."""
-    diff = require(a, "differential")
-    d = diff.matrix
-    weight = diff.weight if weight is None else weight
-    n, v = a.dim, rho.shape[1]
-    rho_d = _action(rho, d)  # rho(d(e_i))
-    rows, cols = rho.nz, rho.add(rho_d.scale(weight)).scale(-ONE).transpose((0, 2, 1)).nz
-    sys = _System(v, v)
-    for i, a_idx, b_idx in itertools.product(range(n), range(v), range(v)):
-        sys.add(((rows[i][a_idx], v, b_idx), (cols[i][b_idx], 1, a_idx * v)), rho_d.entries[i][a_idx][b_idx])
-    return sys
+        particular, basis = solve(Matrix(len(self.rows), self.nvars, tuple(self.rows)), self.rhs)
+        return SolutionSpace(self.shape, particular, tuple(basis), self.rhs is None)
 
 
 def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> SolutionSpace:
-    """Exact solution space of an identity linear in one unknown map.
+    """Exact solution space of an identity linear in one unknown map: the
+    checker's affine form of that identity, solved for the map.
 
     kinds: "derivation" (weight must be zero there, its default),
     "conijenhuis" (unknown comultiplication-side operator given the
@@ -158,17 +115,17 @@ def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> 
     differential, whose weight is the default) and "pi" (zeta on the adjoint
     module).
     """
-    if kind == "derivation":
-        return _derivation_system(data["algebra"], ZERO if weight is None else weight).solve()
-    if kind == "conijenhuis":
-        return _conijenhuis_system(data["comul"], data["nmap"]).solve()
-    if kind == "pi":
-        a = data["algebra"]
-        return _zeta_system(a.bracket.transpose((0, 2, 1)), a, weight).solve()
-    if kind == "zeta":
-        r = data["rep"]
-        return _zeta_system(_stack(r.rho), r.algebra, weight).solve()
-    raise ValueError(f"unknown linear identity kind {kind!r}")
+    forms = {
+        "derivation": lambda algebra: checks._leibniz_form(algebra),
+        "conijenhuis": checks._dual_admissible_form,
+        "pi": lambda algebra: checks._pi_form(algebra, weight),
+        "zeta": lambda rep: checks._zeta_form(_stack(rep.rho), rep.algebra, weight),
+    }
+    if kind not in forms:
+        raise ValueError(f"unknown linear identity kind {kind!r}")
+    if kind == "derivation" and weight:
+        raise NonlinearKind("the weighted rule is quadratic in the unknown map unless the weight is zero")
+    return _System(forms[kind](**data)).solve()
 
 
 def grid_search_nijenhuis(a: AlgebraBundle, grid: list[Fraction],

@@ -218,6 +218,58 @@ def derivation_rows(c):
     return rows
 
 
+def zeta_rows(rhos, d, w):
+    """(rows, right-hand sides) of the zeta system rho(x) zeta = rho(d(x)) + zeta rho(x)
+    + w zeta rho(d(x)), one equation per (i, a, b) at x = e_i, assembled directly from
+    the formula; rhos[i] is the matrix rho(e_i), unknowns zeta[r][s] flattened r*v+s.
+    The pi system is the adjoint case, rhos[i] = ad_of(c, i)."""
+    n, v = len(rhos), len(rhos[0])
+    rows, rhs = [], []
+    for i in range(n):
+        r_i = rhos[i]
+        # rho(d(e_i)) = sum_k d[k][i] rho(e_k)
+        rd_i = [[sum((d[k][i] * rhos[k][a][b] for k in range(n)), ZERO) for b in range(v)] for a in range(v)]
+        for a in range(v):
+            for b in range(v):
+                row = [ZERO] * (v * v)
+                for s in range(v):
+                    row[s * v + b] += r_i[a][s]  # (rho(x) zeta)[a][b]
+                    row[a * v + s] -= r_i[s][b] + w * rd_i[s][b]  # (zeta rho(x) + w zeta rho(d(x)))[a][b]
+                rows.append(row)
+                rhs.append(rd_i[a][b])
+    return rows, rhs
+
+
+def conijenhuis_rows(t, nmap):
+    """(rows, right-hand sides) of (S x id) Delta N + (id x N^2) Delta = (S x N) Delta
+    + (id x N) Delta N in the unknown S, one equation per (k, a, b) at e_k, assembled
+    directly from the formula, unknowns S[r][s] flattened r*n+s.  A two-factor
+    tensor M (x) M' acts on the coefficient matrix E of Delta(u) as M E M'^T."""
+    n = len(t)
+    nt = [[nmap[j][i] for j in range(n)] for i in range(n)]
+    n2t = mat_mul(nt, nt)
+
+    def comul_of(u):
+        return [[sum((u[k] * t[k][i][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+
+    rows, rhs = [], []
+    for k in range(n):
+        delta = comul_of(basis(n, k))
+        delta_n = comul_of(mat_vec(nmap, basis(n, k)))
+        delta_nt, delta_n_nt, delta_n2t = mat_mul(delta, nt), mat_mul(delta_n, nt), mat_mul(delta, n2t)
+        # S (Delta(N e_k) - Delta(e_k) N^T) = Delta(N e_k) N^T - Delta(e_k) (N^2)^T
+        coeff = [[delta_n[i][j] - delta_nt[i][j] for j in range(n)] for i in range(n)]
+        const = [[delta_n_nt[a][b] - delta_n2t[a][b] for b in range(n)] for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                row = [ZERO] * (n * n)
+                for s in range(n):
+                    row[a * n + s] += coeff[s][b]
+                rows.append(row)
+                rhs.append(const[a][b])
+    return rows, rhs
+
+
 def cocycle_residual(c, t, i, j):
     """Classical compatibility residual Delta([e_i,e_j]) - (ad_{e_i} (x) id +
     id (x) ad_{e_i}) Delta(e_j) + (same with j) Delta(e_i), as a matrix."""

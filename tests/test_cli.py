@@ -508,6 +508,24 @@ def test_fixture_integer_arguments_are_a_sign_and_digits(capsys, arg, quoted):
                                        f"expected an integer of at most 4300 digits, got {quoted}\n")
 
 
+def test_scalars_with_underscores_are_refused(workdir, capsys):
+    # Fraction reads "1_0" as 10; no scalar, wherever it is read, does
+    aff2d = support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0)
+    path = _write(workdir / "aff2d.json", aff2d)
+    doc = bundles.document(aff2d)
+    doc["bracket"][0]["out"][1] = "1_0"
+    underscored = workdir / "underscored.json"
+    underscored.write_text(json.dumps(doc))
+    for argv, prefix in (
+            (["check", str(underscored)], "field 'bracket': "),
+            (["check", path, "--suite", "differential", "--weight", "1_0"], ""),
+            (["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0,1_0"], ""),
+            (["check", "fixture:bihom2(1_0,3)"], "bad arguments for fixture 'bihom2': "),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {prefix}a scalar has no underscores, got '1_0'\n"
+
+
 # A reader that allocated dim^3 cells before reading an entry took 518 MB to
 # refuse the dim-400 document.  The child caps its own address space at 256 MiB
 # and reports its own peak resident set (VmHWM, in KiB; ru_maxrss would carry

@@ -2,13 +2,18 @@
 
 import dataclasses
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 import support
 from bihomlie import bundles, checks, exact, search
-from bihomlie.bundles import Differential
+from bihomlie.bundles import AlgebraBundle, Differential, RepresentationBundle
+from bihomlie.cli import main
 from bihomlie.exact import Matrix, Tensor3, scalar
 
 
@@ -115,6 +120,75 @@ def test_zeta_solver_reverifies():
         padded = coeffs + tuple(scalar(0) for _ in range(sol.dimension - len(coeffs)))
         zeta = sol.sample(padded)
         assert checks.check_diff_zeta(rep, zeta).ok
+
+
+def _identity_rep_over_abelian1() -> RepresentationBundle:
+    # rho(e_1) zeta - rho(d(e_1)) - zeta rho(e_1) = zeta - I - zeta = -I for every zeta
+    alg = support.with_diff(bundles.abelian(1), Matrix.identity(1), 0)
+    return RepresentationBundle(alg, 2, (Matrix.identity(2),), Matrix.identity(2), Matrix.identity(2))
+
+
+def test_zeta_system_whose_coefficients_cancel_is_inconsistent(tmp_path, capsys):
+    # every coefficient cancels, and each diagonal cell is still the equation 0 = 1
+    rep = _identity_rep_over_abelian1()
+    sol = search.solve_linear_identity("zeta", rep=rep)
+    assert sol.is_empty and not sol.homogeneous
+    path, out = tmp_path / "rep.json", tmp_path / "zeta.json"
+    bundles.save_path(rep, str(path))
+    assert main(["search", str(path), "--mode", "zeta", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("(inconsistent)\n")
+    assert json.loads(out.read_text())["empty"] is True
+
+
+_ENTRY = st.sampled_from([Fraction(x) for x in (0, 0, 0, 1, -1, 2)] + [Fraction(1, 2)])
+
+
+def _cells(*shape):
+    if not shape:
+        return _ENTRY
+    return st.lists(_cells(*shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+def _algebra(c, d, w) -> AlgebraBundle:
+    n = len(c)
+    return AlgebraBundle(n, Tensor3.from_entries(c), Matrix.identity(n), Matrix.identity(n),
+                         differential=Differential(Matrix.from_rows(d), w))
+
+
+@st.composite
+def _linear_instance(draw):
+    """(kind, weight, data, unknowns, rows, right-hand sides): a small random instance of one linear
+    identity, with the rows of its system built by tests/naive.py from the printed identity."""
+    kind = draw(st.sampled_from(["derivation", "conijenhuis", "pi", "zeta"]))
+    n = draw(st.integers(1, 3))
+    c, d, w = draw(_cells(n, n, n)), draw(_cells(n, n)), draw(_ENTRY)
+    if kind == "derivation":
+        rows = naive.derivation_rows(c)
+        return kind, None, {"algebra": _algebra(c, d, w)}, n * n, rows, [Fraction(0)] * len(rows)
+    if kind == "conijenhuis":
+        rows, rhs = naive.conijenhuis_rows(c, d)
+        return kind, None, {"comul": Tensor3.from_entries(c), "nmap": Matrix.from_rows(d)}, n * n, rows, rhs
+    if kind == "pi":
+        rows, rhs = naive.zeta_rows([naive.ad_of(c, i) for i in range(n)], d, w)
+        return kind, w, {"algebra": _algebra(c, d, w)}, n * n, rows, rhs
+    v = draw(st.integers(1, 3))
+    rhos = draw(_cells(n, v, v))
+    rep = RepresentationBundle(_algebra(c, d, w), v, tuple(map(Matrix.from_rows, rhos)),
+                               Matrix.identity(v), Matrix.identity(v))
+    rows, rhs = naive.zeta_rows(rhos, d, w)
+    return kind, w, {"rep": rep}, v * v, rows, rhs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_linear_instance())
+def test_linear_solutions_match_the_naive_systems(instance):
+    # the naive rows are written from the printed identities, not from the checkers' forms
+    kind, weight, data, nvars, rows, rhs = instance
+    sol = search.solve_linear_identity(kind, weight, **data)
+    assert [list(v) for v in sol.basis] == naive.rref_nullspace(rows, nvars)
+    particular = naive.rref_solve(rows, rhs, nvars)
+    assert (None if sol.particular is None else list(sol.particular)) == particular
+    assert sol.homogeneous == (not any(rhs))
 
 
 def test_grid_search_includes_printed_operator():
