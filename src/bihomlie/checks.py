@@ -2,11 +2,11 @@
 
 Every checker evaluates its identities on all basis tuples (multilinearity
 makes that exhaustive) and returns a Report of exact residuals; pass iff the
-residual is identically zero.  Each twisted bracket, comultiplication or
-action an identity reads is built once, as a whole tensor, by ``contract``;
-three-index identities are differences of such tensors, four-index ones are
-tabulated by rows, no n^4 array built: per basis tuple, or, for the one cyclic
-sum of Jacobi and co-Jacobi, per orbit under rotation (S3 under antisymmetry).
+residual is identically zero.  A three-index identity, a signed sum of
+contractions of one tensor, is one ``contract_sum`` call over ``_bracket``,
+``_comul`` or ``_action`` terms; four-index ones are tabulated by rows, no n^4
+array built: per basis tuple, or, for the one cyclic sum of Jacobi and
+co-Jacobi, per orbit under rotation (S3 under antisymmetry).
 Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
 zeta-admissibility on the adjoint action.  An identity linear in one unknown
@@ -43,8 +43,10 @@ from .exact import (
     Matrix,
     Tensor3,
     Row,
+    Term,
     _combination,
     contract,
+    contract_sum,
     invert,
     solve,
 )
@@ -113,41 +115,29 @@ def declares(**formulas: str):
 # -- whole tensors -----------------------------------------------------------------
 
 
-def _contracted(t: Tensor3, *maps: Matrix | None) -> Tensor3:
-    """t with axis i transformed by maps[i]; None leaves the axis as it is."""
-    for axis, m in enumerate(maps):
-        if m is not None:
-            t = contract(t, axis, m)
-    return t
-
-
 def _tr(m: Matrix | None) -> Matrix | None:
     return None if m is None else m.transpose()
 
 
-def _bracket(c: Tensor3, x: Matrix | None = None, y: Matrix | None = None, out: Matrix | None = None) -> Tensor3:
-    """The bracket tensor of (u, v) -> out([x(u), y(v)]); an omitted map is the identity."""
-    return _contracted(c, _tr(x), _tr(y), out)
+def _bracket(scale, x: Matrix | None = None, y: Matrix | None = None, out: Matrix | None = None) -> Term:
+    """The ``contract_sum`` term of (u, v) -> scale out([x(u), y(v)]) on a bracket; an omitted map is the identity,
+    and at scale zero no transpose is built."""
+    return scale, (_tr(x), _tr(y), out) if scale else (None, None, None)
 
 
-def _comul(t: Tensor3, x: Matrix | None = None, left: Matrix | None = None, right: Matrix | None = None) -> Tensor3:
-    """The comultiplication tensor of u -> (left (x) right) Delta(x(u))."""
-    return _contracted(t, _tr(x), left, right)
+def _comul(scale, x: Matrix | None = None, left: Matrix | None = None, right: Matrix | None = None) -> Term:
+    """The term of u -> scale (left (x) right) Delta(x(u)) on a comultiplication."""
+    return scale, (_tr(x), left, right) if scale else (None, None, None)
 
 
-def _action(r: Tensor3, x: Matrix | None = None, left: Matrix | None = None, right: Matrix | None = None) -> Tensor3:
-    """The action matrices u -> left rho(x(u)) right of a stacked action r."""
-    return _contracted(r, _tr(x), left, _tr(right))
+def _action(scale, x: Matrix | None = None, left: Matrix | None = None, right: Matrix | None = None) -> Term:
+    """The term of u -> scale left rho(x(u)) right on a stacked action."""
+    return scale, (_tr(x), left, _tr(right)) if scale else (None, None, None)
 
 
 def _stack(mats: Sequence[Matrix]) -> Tensor3:
     """Action matrices rho(e_i) as one tensor, plane i holding rho(e_i)."""
     return Tensor3((len(mats), mats[0].rows, mats[0].cols), tuple(m.nz for m in mats))
-
-
-def _minus_weighted(t: Tensor3, w: Fraction, term) -> Tensor3:
-    """t - w * term(); the term is not built at weight zero."""
-    return t.sub(term().scale(w)) if w else t
 
 
 class Affine(NamedTuple):
@@ -191,12 +181,12 @@ def _involution_note(a: AlgebraBundle, subject: str = "algebra", detail: str = "
 
 def _multiplicativity(c: Tensor3, m: Matrix) -> Residual:
     """phi([x,y]) - [phi(x),phi(y)] on basis pairs."""
-    return Residual.from_matrix(_bracket(c, out=m).sub(_bracket(c, m, m)))
+    return Residual.from_matrix(contract_sum(c, [_bracket(1, out=m), _bracket(-1, m, m)]))
 
 
 def _comultiplicativity(t: Tensor3, m: Matrix) -> Residual:
     """Delta phi - (phi x phi) Delta on basis vectors."""
-    return Residual.from_matrix(_comul(t, m).sub(_comul(t, None, m, m)))
+    return Residual.from_matrix(contract_sum(t, [_comul(1, m), _comul(-1, None, m, m)]))
 
 
 @cache
@@ -230,14 +220,15 @@ def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = F
 def check_bihom_lie(a: AlgebraBundle) -> Report:
     """Multiplicativity of alpha and beta, twisted antisymmetry, twisted Jacobi."""
     c, A, B = a.bracket, a.alpha, a.beta
-    twisted = _bracket(c, B, A)  # [beta(x), alpha(y)]
+    twisted = contract_sum(c, [_bracket(1, B, A)])  # [beta(x), alpha(y)]
     antisymmetry = twisted.add(twisted.transpose((1, 0, 2)))
     return Report((
         CheckEntry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),
         CheckEntry("bihom_multiplicativity", "beta", _multiplicativity(c, B)),
         _array_entry("bihom_multiplicativity", "alpha-beta-commute", _commutator(A, B)),
         _array_entry("bihom_antisymmetry", "", antisymmetry),
-        CheckEntry("bihom_jacobi", "", _cyclic_sum(_bracket(c, B @ B).nz, twisted.nz, antisymmetry.is_zero())),
+        CheckEntry("bihom_jacobi", "",
+                   _cyclic_sum(contract_sum(c, [_bracket(1, B @ B)]).nz, twisted.nz, antisymmetry.is_zero())),
     ))
 
 
@@ -263,8 +254,8 @@ def check_nijenhuis_operator(a: AlgebraBundle) -> Report:
     """Commutation with the structure maps plus the deformation identity."""
     N = require(a, "nijenhuis")
     c = a.bracket
-    deformation = (_bracket(c, N, N).sub(_bracket(c, N, None, N)).sub(_bracket(c, None, N, N))
-                   .add(_bracket(c, out=N @ N)))
+    deformation = contract_sum(c, [_bracket(1, N, N), _bracket(-1, N, None, N), _bracket(-1, None, N, N),
+                                   _bracket(1, out=N @ N)])
     return Report((
         _array_entry("nijenhuis_commute", "alpha", _commutator(a.alpha, N)),
         _array_entry("nijenhuis_commute", "beta", _commutator(a.beta, N)),
@@ -283,7 +274,8 @@ def check_nijenhuis_operator(a: AlgebraBundle) -> Report:
 def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
     """Comultiplicativity, twisted co-antisymmetry, twisted co-Jacobi."""
     t, A, B = co.comul, co.alpha, co.beta
-    twisted, outer = _comul(t, None, B, A), _comul(t, None, B @ B)  # (beta x alpha) Delta, (beta^2 x id) Delta
+    # (beta x alpha) Delta, (beta^2 x id) Delta
+    twisted, outer = contract_sum(t, [_comul(1, None, B, A)]), contract_sum(t, [_comul(1, None, B @ B)])
     antisymmetry = twisted.add(twisted.transpose((0, 2, 1)))
     # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) at e_a (x) e_i (x) e_j is sum_b outer[k][a][b] twisted[b][i][j]
     jacobi = _cyclic_sum(outer.transpose((1, 2, 0)).nz, twisted.transpose((1, 2, 0)).nz, antisymmetry.is_zero(), True)
@@ -305,7 +297,7 @@ def check_nijenhuis_coalgebra(co: CoalgebraBundle) -> Report:
     """
     S = require(co, "conijenhuis")
     t = co.comul
-    deformation = _comul(t, None, S, S).add(_comul(t, S @ S)).sub(_comul(t, S, S)).sub(_comul(t, S, None, S))
+    deformation = contract_sum(t, [_comul(1, None, S, S), _comul(1, S @ S), _comul(-1, S, S), _comul(-1, S, None, S)])
     return Report((
         _array_entry("co_nijenhuis", "commute-alpha", _commutator(co.alpha, S)),
         _array_entry("co_nijenhuis", "commute-beta", _commutator(co.beta, S)),
@@ -330,17 +322,17 @@ def check_bialgebra_cocycle(b: BialgebraBundle) -> Report:
     Ainv = invert(A)  # SingularMatrix signals the violated hypothesis
     AinvB = Ainv @ B
     B2 = B @ B
-    inner = _bracket(c, AinvB).nz           # [i][j]: [alpha^-1 beta(e_i), e_j]
-    delta_rows = t.transpose((1, 0, 2)).nz  # [a][l]: row a of Delta(e_l)
-    delta_b = _comul(t, None, None, B).nz   # [j][r]: row r of (id x beta) Delta(e_j)
-    b_delta = _comul(t, None, B).nz         # [j][a]: row a of (beta x id) Delta(e_j)
+    inner = contract_sum(c, [_bracket(1, AinvB)]).nz       # [i][j]: [alpha^-1 beta(e_i), e_j]
+    delta_rows = t.transpose((1, 0, 2)).nz                 # [a][l]: row a of Delta(e_l)
+    delta_b = contract_sum(t, [_comul(1, None, None, B)]).nz  # [j][r]: row r of (id x beta) Delta(e_j)
+    b_delta = contract_sum(t, [_comul(1, None, B)]).nz        # [j][a]: row a of (beta x id) Delta(e_j)
 
     cases = []
     # (ad_{x1(e_i)} (x) beta + beta (x) ad_{x2(e_i)}) Delta(e_j), with x = e_i or, in
     # the twisted-argument form, x = alpha(e_i), read row a at a time
     for label, x1, x2 in (("", B, Ainv @ B2), ("twisted-argument-form", AinvB @ A, Ainv @ Ainv @ B2 @ A)):
-        ad1 = _bracket(c, x1).transpose((0, 2, 1)).nz  # [i][a]: row a of ad_{x1(e_i)}
-        ad2t = _bracket(c, x2).nz                       # [i][r]: row r of ad_{x2(e_i)}^T
+        ad1 = contract_sum(c, [_bracket(1, x1)]).transpose((0, 2, 1)).nz  # [i][a]: row a of ad_{x1(e_i)}
+        ad2t = contract_sum(c, [_bracket(1, x2)]).nz                       # [i][r]: row r of ad_{x2(e_i)}^T
 
         def cocycle(i: int, j: int, a: int) -> Row:
             return _combination(((1, delta_rows[a], inner[i][j]),
@@ -368,9 +360,9 @@ def check_representation(r: RepresentationBundle) -> Report:
     n = alg.dim
     A, B = alg.alpha, alg.beta
     rho = _stack(r.rho)
-    inner = _bracket(alg.bracket, B).nz                      # [i][j]: [beta(e_i), e_j]
-    rho_q = _action(rho, right=r.q).transpose((1, 0, 2)).nz  # [a][l]: row a of rho(e_l) q
-    r_a, r_b, r_ab = (_action(rho, x).nz for x in (A, B, A @ B))  # [i][a]: row a of rho(x(e_i))
+    inner = contract_sum(alg.bracket, [_bracket(1, B)]).nz                      # [i][j]: [beta(e_i), e_j]
+    rho_q = contract_sum(rho, [_action(1, right=r.q)]).transpose((1, 0, 2)).nz  # [a][l]: row a of rho(e_l) q
+    r_a, r_b, r_ab = (contract_sum(rho, [_action(1, x)]).nz for x in (A, B, A @ B))  # [i][a]: row a of rho(x(e_i))
     rho_rows = rho.nz
 
     def bracket(i: int, j: int, a: int) -> Row:
@@ -378,9 +370,9 @@ def check_representation(r: RepresentationBundle) -> Report:
                              (1, r_a[i], r_b[j][a])))
 
     return Report((
-        _array_entry("rep_p_compat", "", _action(rho, left=r.p).sub(_action(rho, A, right=r.p))),
+        _array_entry("rep_p_compat", "", contract_sum(rho, [_action(1, left=r.p), _action(-1, A, right=r.p)])),
         _array_entry("rep_p_compat", "p-q-commute", _commutator(r.p, r.q)),
-        _array_entry("rep_q_compat", "", _action(rho, left=r.q).sub(_action(rho, B, right=r.q))),
+        _array_entry("rep_q_compat", "", contract_sum(rho, [_action(1, left=r.q), _action(-1, B, right=r.q)])),
         CheckEntry("rep_bracket", "", Residual.tabulate((n, n, r.vdim), r.vdim, bracket)),
     ))
 
@@ -391,8 +383,8 @@ def check_nijenhuis_representation(r: RepresentationBundle) -> Report:
     eta = require(r, "eta")
     N = require(r.algebra, "nijenhuis")
     rho = _stack(r.rho)
-    deformation = (_action(rho, N, right=eta).sub(_action(rho, N, left=eta))
-                   .sub(_action(rho, None, eta, eta)).add(_action(rho, left=eta @ eta)))
+    deformation = contract_sum(rho, [_action(1, N, right=eta), _action(-1, N, left=eta), _action(-1, None, eta, eta),
+                                     _action(1, left=eta @ eta)])
     return Report((
         _array_entry("rep_nijenhuis", "eta-p-commute", _commutator(eta, r.p)),
         _array_entry("rep_nijenhuis", "eta-q-commute", _commutator(eta, r.q)),
@@ -411,17 +403,16 @@ def check_adjoint_admissible(a: AlgebraBundle, smap: Matrix) -> Report:
         raise DimensionMismatch("candidate map size does not match the algebra")
     notes = _involution_note(a, detail=_SQUARES)
     c, S = a.bracket, smap
-    admissible = (_bracket(c, N, None, S).add(_bracket(c, None, S @ S))
-                  .sub(_bracket(c, N, S)).sub(_bracket(c, None, S, S)))
+    admissible = contract_sum(c, [_bracket(1, N, None, S), _bracket(1, None, S @ S), _bracket(-1, N, S),
+                                  _bracket(-1, None, S, S)])
     return Report((_array_entry("admissible_adjoint", "", admissible),), notes)
 
 
 def _dual_admissible_form(comul: Tensor3, nmap: Matrix) -> Affine:
     """(S x id) Delta N - (S x N) Delta + (id x N^2) Delta - (id x N) Delta N in the unknown S."""
-    n = comul.shape[0]
-    t, N = comul, nmap
-    const = _comul(t, None, None, N @ N).sub(_comul(t, N, None, N))
-    return Affine((n, n), const, ((1, _comul(t, N).sub(_comul(t, None, None, N)), 1, False),))
+    t, N, n = comul, nmap, comul.shape[0]
+    const = contract_sum(t, [_comul(1, None, None, N @ N), _comul(-1, N, None, N)])
+    return Affine((n, n), const, ((1, contract_sum(t, [_comul(1, N), _comul(-1, None, None, N)]), 1, False),))
 
 
 @declares(admissible_dual="(S x id) Delta N + (id x N^2) Delta = (S x N) Delta + (id x N) Delta N")
@@ -457,7 +448,8 @@ def check_form(a: AlgebraBundle, f: FormBundle) -> Report:
         raise DimensionMismatch("form dimension does not match the algebra")
     G = f.gram
     # B([e_i,e_j],e_k) minus B(e_i,[e_j,e_k]), the latter read off (j, k, i)
-    invariance = _bracket(a.bracket, out=G.transpose()).sub(_bracket(a.bracket, out=G).transpose((2, 0, 1)))
+    invariance = (contract_sum(a.bracket, [_bracket(1, out=G.transpose())])
+                  .sub(contract_sum(a.bracket, [_bracket(1, out=G)]).transpose((2, 0, 1))))
     return check_gram(f).merged(Report((
         _array_entry("form_invariance", "alpha-selfadjoint", (a.alpha.transpose() @ G).sub(G @ a.alpha)),
         _array_entry("form_invariance", "beta-selfadjoint", (a.beta.transpose() @ G).sub(G @ a.beta)),
@@ -481,7 +473,9 @@ def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fract
         diff = require(a, "differential")
         op = op if op is not None else diff.matrix
         weight = weight if weight is not None else diff.weight
-    leibniz = _minus_weighted(_leibniz_form(a).at(op), weight, lambda: _bracket(a.bracket, op, op))
+    leibniz = _leibniz_form(a).at(op)
+    if weight:  # the weight term -w [d(x), d(y)]; the form alone at weight zero
+        leibniz = leibniz.add(contract_sum(a.bracket, [_bracket(-weight, op, op)]))
     return Report((_array_entry("diff_leibniz", "", leibniz),))
 
 
@@ -492,8 +486,7 @@ def check_diff_rep(r: RepresentationBundle, weight: Fraction | None = None) -> R
     diff = require(r.algebra, "differential")
     w = weight if weight is not None else diff.weight
     rho, d = _stack(r.rho), diff.matrix
-    compat = _minus_weighted(_action(rho, left=xi).sub(_action(rho, d)).sub(_action(rho, right=xi)),
-                             w, lambda: _action(rho, d, right=xi))
+    compat = contract_sum(rho, [_action(1, left=xi), _action(-1, d), _action(-1, right=xi), _action(-w, d, right=xi)])
     return Report((_array_entry("diff_rep", "", compat),))
 
 
@@ -503,18 +496,18 @@ def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) ->
     codiff = require(co, "codiff")
     op, weight = codiff.matrix, codiff.weight if weight is None else weight
     t = co.comul
-    leibniz = _minus_weighted(_comul(t, op).sub(_comul(t, None, op)).sub(_comul(t, None, None, op)),
-                              weight, lambda: _comul(t, None, op, op))
+    leibniz = contract_sum(t, [_comul(1, op), _comul(-1, None, op), _comul(-1, None, None, op),
+                               _comul(-weight, None, op, op)])
     return Report((_array_entry("diff_coalgebra", "", leibniz),))
 
 
 def _zeta_form(rho: Tensor3, a: AlgebraBundle, weight: Fraction | None) -> Affine:
     """rho(x) zeta - rho(d(x)) - zeta rho(x) - w zeta rho(d(x)) in the unknown zeta, for a stacked action rho of a,
-    d = a.differential; rho + w rho(d(.)) is built only at a nonzero weight."""
+    d = a.differential; rho + w rho(d(.)) is rho itself at weight zero."""
     diff = require(a, "differential")
-    w, d = weight if weight is not None else diff.weight, diff.matrix
-    rho_d, v = _action(rho, d), rho.shape[1]
-    return Affine((v, v), rho_d.scale(-1), ((1, rho, 2, True), (-1, rho.add(rho_d.scale(w)) if w else rho, 1, False)))
+    w, d, v = weight if weight is not None else diff.weight, diff.matrix, rho.shape[1]
+    return Affine((v, v), contract_sum(rho, [_action(-1, d)]),
+                  ((1, rho, 2, True), (-1, contract_sum(rho, [_action(1), _action(w, d)]), 1, False)))
 
 
 def _pi_form(a: AlgebraBundle, weight: Fraction | None) -> Affine:
@@ -542,8 +535,7 @@ def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction 
     codiff = require(co, "codiff")
     w = weight if weight is not None else codiff.weight
     D, t = codiff.matrix, co.comul
-    admissible = _minus_weighted(_comul(t, d).add(_comul(t, None, D)).sub(_comul(t, None, None, d)),
-                                 -w, lambda: _comul(t, d, D))
+    admissible = contract_sum(t, [_comul(1, d), _comul(1, None, D), _comul(-1, None, None, d), _comul(w, d, D)])
     return Report((_array_entry("diff_dual_admissible", "", admissible),))
 
 
@@ -582,11 +574,11 @@ def _mixed(mp: MatchedPairBundle) -> Callable[..., Row]:
     A, B, cl = L.alpha, L.beta, L.bracket.nz
     rho, h = _stack(mp.rho), _stack(mp.h)
     # rows indexed [first][second]: the value at basis vectors e_* of L, f_* of V
-    h_qa = _action(h, Q, right=A).transpose((0, 2, 1)).nz       # [c][i]: h(q(f_c)) alpha(e_i)
-    h_ab = _action(h, right=A @ B).transpose((2, 0, 1)).nz      # [i][l]: h(f_l) alpha beta(e_i)
-    rho_aq = _action(rho, A, right=Q).transpose((0, 2, 1)).nz   # [j][c]: rho(alpha(e_j)) q(f_c)
-    h_cols = h.transpose((0, 2, 1)).nz                          # [c][r]: h(f_c) e_r
-    l_twisted = _bracket(L.bracket, B, A).nz                    # [i][j]: [beta(e_i), alpha(e_j)]
+    h_qa = contract_sum(h, [_action(1, Q, right=A)]).transpose((0, 2, 1)).nz      # [c][i]: h(q(f_c)) alpha(e_i)
+    h_ab = contract_sum(h, [_action(1, right=A @ B)]).transpose((2, 0, 1)).nz     # [i][l]: h(f_l) alpha beta(e_i)
+    rho_aq = contract_sum(rho, [_action(1, A, right=Q)]).transpose((0, 2, 1)).nz  # [j][c]: rho(alpha(e_j)) q(f_c)
+    h_cols = h.transpose((0, 2, 1)).nz                                           # [c][r]: h(f_c) e_r
+    l_twisted = contract_sum(L.bracket, [_bracket(1, B, A)]).nz                  # [i][j]: [beta(e_i), alpha(e_j)]
 
     def mixed(i: int, j: int, c: int, printed: bool = False) -> Row:
         middle = (((-1, h_ab[j], rho_aq[j][c]),) if printed

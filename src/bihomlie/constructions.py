@@ -49,9 +49,11 @@ from .exact import (
     Row,
     SingularMatrix,
     Tensor3,
+    Term,
     _shifted,
     _sum,
     block_diag,
+    contract_sum,
     invert,
 )
 
@@ -139,12 +141,12 @@ def _twistable(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle, alpha: Matr
     return parts, report
 
 
-def _rebuilt(parts: tuple[AlgebraBundle | CoalgebraBundle, ...], bracket_maps: tuple, comul_maps: tuple,
+def _rebuilt(parts: tuple[AlgebraBundle | CoalgebraBundle, ...], bracket: Term, comul: Term,
              alpha: Matrix, beta: Matrix, kind: str = "bihom-lie") -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
-    """The bundle of parts, brackets composed by ``_bracket(c, *bracket_maps)``, comultiplications by
-    ``_comul(t, *comul_maps)``, with structure maps alpha, beta; every operator field is kept."""
-    out = [replace(p, bracket=_bracket(p.bracket, *bracket_maps), alpha=alpha, beta=beta, kind=kind)
-           if isinstance(p, AlgebraBundle) else replace(p, comul=_comul(p.comul, *comul_maps), alpha=alpha, beta=beta)
+    """The bundle of parts, brackets composed by the ``contract_sum`` term bracket, comultiplications by the
+    term comul, with structure maps alpha, beta; every operator field is kept."""
+    out = [replace(p, bracket=contract_sum(p.bracket, [bracket]), alpha=alpha, beta=beta, kind=kind)
+           if isinstance(p, AlgebraBundle) else replace(p, comul=contract_sum(p.comul, [comul]), alpha=alpha, beta=beta)
            for p in parts]
     return BialgebraBundle(*out) if len(out) == 2 else out[0]
 
@@ -166,7 +168,7 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
             invert(alpha)
         except SingularMatrix as exc:
             raise PreconditionFailed(f"alpha must be invertible to twist a bialgebra: {exc}") from exc
-    return _rebuilt(parts, (alpha, beta), (None, alpha, beta), alpha, beta), report
+    return _rebuilt(parts, _bracket(1, alpha, beta), _comul(1, None, alpha, beta), alpha, beta), report
 
 
 def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
@@ -174,14 +176,14 @@ def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBund
     parts = _parts(b)
     ainv, binv = invert(parts[0].alpha), invert(parts[0].beta)
     ident = Matrix.identity(b.dim)
-    return _rebuilt(parts, (ainv, binv), (None, ainv, binv), ident, ident, "lie")
+    return _rebuilt(parts, _bracket(1, ainv, binv), _comul(1, None, ainv, binv), ident, ident, "lie")
 
 
 def hom_specialize(b: BialgebraBundle, alpha: Matrix) -> tuple[BialgebraBundle, Report]:
     """One-map specialization: bracket postcomposed with alpha, comultiplication
     precomposed, both structure maps set to alpha."""
     parts, report = _twistable(b, alpha, alpha, "supplied map is not a bialgebra endomorphism")
-    return _rebuilt(parts, (None, None, alpha), (alpha,), alpha, alpha), report
+    return _rebuilt(parts, _bracket(1, out=alpha), _comul(1, alpha), alpha, alpha), report
 
 
 # -- products --------------------------------------------------------------------
@@ -232,10 +234,11 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     rho_xu, h_ux = rho.transpose((0, 2, 1)).nz, h.transpose((0, 2, 1)).nz  # rho(e_i) f_b, h(f_a) e_j
     ainv_b, pq_inv = invert(L.alpha) @ L.beta, V.alpha @ invert(V.beta)
     # -rho(alpha^-1 beta e_j) p q^-1 f_a, and -h(p^-1 q f_b) alpha beta^-1 e_i
-    rho_ux = _action(rho, ainv_b, right=pq_inv).scale(-1).transpose((2, 0, 1)).nz
+    rho_ux = contract_sum(rho, [_action(-1, ainv_b, right=pq_inv)]).transpose((2, 0, 1)).nz
     h_xu = Tensor3.zeros((n, m, n)).nz
     if not h.is_zero():
-        h_xu = _action(h, invert(V.alpha) @ V.beta, right=L.alpha @ invert(L.beta)).scale(-1).transpose((2, 0, 1)).nz
+        term = _action(-1, invert(V.alpha) @ V.beta, right=L.alpha @ invert(L.beta))
+        h_xu = contract_sum(h, [term]).transpose((2, 0, 1)).nz
 
     def cell(left: Row, right: Row) -> Row:  # [g_i, g_j] on the basis (e_1..e_n, f_1..f_m)
         return _sum(left, _shifted(right, n), 1)

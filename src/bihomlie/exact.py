@@ -6,12 +6,11 @@ one denominator (``Row``); ``Fraction`` values are built only where a value
 leaves the kernel (``entries``, ``row_values``, elimination read-off).  All
 values are immutable after construction; every operation is a pure function.
 
-Structure maps and operators are mostly the identity or diagonal, so a square
-matrix knows its diagonal (``Matrix.diag``, None when it is not diagonal), and
-the kernel takes a short path on it: contracting by the identity, multiplying
-by it and transposing a diagonal matrix return an operand unchanged, and
-contracting by another diagonal scales each row (or each column, on axis 2)
-instead of running the sparse product.
+The checkers' identities are signed sums of contractions of one tensor, one
+``contract_sum`` call each.  Their maps are mostly the identity or diagonal
+(``Matrix.diag``): multiplying by the identity and transposing a diagonal
+return an operand unchanged, and diagonal terms fold into one factor per cell,
+so such a sum is one pass over the tensor's nonzero rows.
 """
 
 from __future__ import annotations
@@ -189,24 +188,17 @@ class Matrix:
         return tuple(_dense(row, self.cols) for row in self.nz)
 
     @cached_property
-    def diag(self) -> tuple[tuple[int, int], ...] | None:
-        """The diagonal as (numerator, denominator) pairs, a zero entry as
-        (0, 1), if the matrix is square with no entry off it; else None."""
-        if self.rows != self.cols:
+    def diag(self) -> tuple[int, tuple[int, ...]] | None:
+        """The diagonal as (den, numerators), integers over the lcm of its
+        denominators, if the matrix is square with no entry off it; else None."""
+        if self.rows != self.cols or any(p and (len(p) > 1 or p[0][0] != i) for i, (_, p) in enumerate(self.nz)):
             return None
-        out = []
-        for i, (den, pairs) in enumerate(self.nz):
-            if not pairs:
-                out.append((0, 1))
-            elif len(pairs) == 1 and pairs[0][0] == i:
-                out.append((pairs[0][1], den))
-            else:
-                return None
-        return tuple(out)
+        den = math.lcm(*[d for d, _ in self.nz])
+        return den, tuple(pairs[0][1] * (den // d) if pairs else 0 for d, pairs in self.nz)
 
     def is_identity(self) -> bool:
         d = self.diag
-        return d is not None and d.count((1, 1)) == len(d)
+        return d is not None and d[0] == 1 and d[1].count(1) == self.rows
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> "Matrix":
@@ -338,13 +330,6 @@ class Tensor3:
         self._same_shape(other)
         return Tensor3(self.shape, tuple(tuple(map(_sum, p1, p2, repeat(-1))) for p1, p2 in zip(self.nz, other.nz)))
 
-    def scale(self, c: int | str | Fraction) -> "Tensor3":
-        c = scalar(c)
-        if not c:
-            return Tensor3.zeros(self.shape)
-        return Tensor3(self.shape, tuple(tuple(_scaled(row, c.numerator, c.denominator) for row in plane)
-                                         for plane in self.nz))
-
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
         """Permute the axes: axis p of the result is axis axes[p] of self.
         Rows move whole when the last axis stays; otherwise, read in index
@@ -373,35 +358,19 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
     """Transform one axis of ``t`` by ``m``: new = sum_b m[a][b] * old at index b.
 
     The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
-    transforming an input slot of a bracket pass the transpose.  The identity
-    returns ``t`` itself.  Another diagonal m scales row (a, j) by m[a][a] on
-    axis 0, row (i, a) by m[a][a] on axis 1, and column k of every row by
-    m[k][k] on axis 2.  For any other m, each output row is one
-    ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T (axis 2), so
-    zero entries of ``t`` and of ``m`` cost nothing; an output row whose
-    coefficient row is empty is skipped.
+    transforming an input slot of a bracket pass the transpose.  A diagonal m
+    is the one-term ``contract_sum`` (the identity returns ``t`` itself).  For
+    any other m, each output row is one ``_combination`` of rows of ``t``
+    (axes 0 and 1) or of m^T (axis 2), so zero entries of ``t`` and of ``m``
+    cost nothing; an output row whose coefficient row is empty is skipped.
     """
     if axis not in (0, 1, 2):
         raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
     if m.cols != t.shape[axis]:
         raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match axis {axis} of extent {t.shape[axis]}")
+    if m.diag is not None:
+        return t if m.is_identity() else contract_sum(t, [(1, tuple(m if a == axis else None for a in range(3)))])
     d0, d1, d2 = t.shape
-    diag = m.diag
-    if diag is not None:
-        if m.is_identity():
-            return t
-        if axis == 0:  # plane a times m[a][a]
-            nz = tuple(tuple(_scaled(row, num, den) for row in plane) if num else (EMPTY,) * d1
-                       for plane, (num, den) in zip(t.nz, diag))
-        elif axis == 1:  # row (i, a) times m[a][a]
-            nz = tuple(tuple(_scaled(row, num, den) if num else EMPTY for row, (num, den) in zip(plane, diag))
-                       for plane in t.nz)
-        else:  # column k times m[k][k], over the lcm of the diagonal's denominators
-            lcm = math.lcm(*[den for _, den in diag])
-            f = [num * (lcm // den) for num, den in diag]
-            nz = tuple(tuple(_reduced(den * lcm, tuple((k, f[k] * v) for k, v in pairs if f[k])) if pairs else EMPTY
-                             for den, pairs in plane) for plane in t.nz)
-        return Tensor3(t.shape, nz)
     if axis == 0:  # row (a, j): sum_b m[a][b] t[b][j]
         by_j = list(zip(*t.nz))
         nz = tuple(tuple(_combination(((1, rows, row),)) for rows in by_j) if row[1] else (EMPTY,) * d1
@@ -413,6 +382,79 @@ def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
         nz = tuple(tuple(_combination(((1, mt, row),)) if row[1] else EMPTY for row in plane) for plane in t.nz)
     shape = (m.rows, d1, d2) if axis == 0 else (d0, m.rows, d2) if axis == 1 else (d0, d1, m.rows)
     return Tensor3(shape, nz)
+
+
+#: one term of ``contract_sum``: (scale, (m0, m1, m2)), the scale an int or a Fraction, a map of None the identity
+Term = tuple[int | Fraction, tuple[Matrix | None, Matrix | None, Matrix | None]]
+
+
+def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
+    """The sum of scale * (t with axis i transformed by maps[i], as by ``contract``) over the terms.
+
+    Terms of scale 0 are dropped before anything is built, and one scale-1 term of identity maps returns ``t``.
+    When every map left is diagonal, the terms fold into one factor per cell, sum scale * m0[i][i] * m1[j][j] *
+    m2[k][k], applied in one pass over the nonzero rows of t, on integers over one common denominator with one
+    gcd per row.  Otherwise each term is contracted axis by axis and the terms are added."""
+    if len(terms) == 1 and terms[0][0] == 1 and all([m is None or m.is_identity() and m.cols == n
+                                                     for m, n in zip(terms[0][1], t.shape)]):
+        return t
+    kept = [(s, maps) for s, maps in terms if s]
+    if any(m is not None and m.diag is None for _, maps in kept for m in maps):
+        out = None
+        for s, maps in kept:
+            u = t
+            for axis, m in enumerate(maps):
+                u = u if m is None else contract(u, axis, m)
+            if s != 1 and (out is None or s != -1):  # a scalar multiple, unless it is subtracted
+                u, s = contract_sum(u, [(s, (None, None, None))]), 1
+            out = u if out is None else out.add(u) if s == 1 else out.sub(u)
+        return out
+    ints, common, varying = [], 1, False  # per term: multiplier, its denominator, each axis' diagonal over it
+    for s, maps in kept:
+        num, den, axes = s.numerator, s.denominator, []
+        for m, n in zip(maps, t.shape):
+            if m is not None and m.cols != n:
+                raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match an axis of extent {n}")
+            d, diag = (1, None) if m is None else m.diag
+            if diag is not None and len(set(diag)) == 1:  # a constant diagonal (None) scales the whole term
+                num, diag = num * diag[0], None
+            varying = varying or diag is not None
+            axes.append(diag)
+            den *= d
+        ints.append((num, den, axes))
+        common = math.lcm(common, den)
+    if not varying:  # the sum is f / common times t
+        f = sum([num * (common // den) for num, den, _ in ints])
+        if f == common:
+            return t
+        return Tensor3(t.shape, tuple(tuple(_scaled(row, f, common) for row in plane) if f else (EMPTY,) * len(plane)
+                                      for plane in t.nz))
+    tables: dict[tuple[int, ...] | None, list[list[int]]] = {}  # axis-2 diagonal -> its coefficient at (i, j)
+    for num, den, (a0, a1, a2) in ints:
+        x, held = num * (common // den), tables.get(a2)
+        table = [[xa * b for b in a1 or (1,) * t.shape[1]] for xa in [x * a for a in a0 or (1,) * t.shape[0]]]
+        tables[a2] = table if held is None else [[p + q for p, q in zip(r, h)] for r, h in zip(table, held)]
+    const = tables.pop(None, None) or [[0] * t.shape[1]] * t.shape[0]
+    nz = []  # cell (i, j, k) times const[i][j] + sum of table[i][j] * a2[k] over the other tables
+    for i, plane in enumerate(t.nz):
+        c0, cs = const[i], [(a2, table[i]) for a2, table in tables.items()]
+        out = []
+        for j, (den, pairs) in enumerate(plane):
+            if not pairs:
+                out.append(EMPTY)
+                continue
+            f0, fs, d = c0[j], [(a2, c[j]) for a2, c in cs if c[j]] if cs else (), common
+            if not fs:  # one factor for the whole row, in lowest terms
+                g = math.gcd(f0, common)
+                cells, d = [(k, f0 // g * v) for k, v in pairs] if f0 else (), common // g
+            elif len(fs) == 1:
+                a2, f = fs[0]
+                cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * a2[k]))]
+            else:
+                cells = [(k, w) for k, v in pairs if (w := v * (f0 + sum([f * a2[k] for a2, f in fs])))]
+            out.append(_reduced(den * d, tuple(cells)) if cells else EMPTY)
+        nz.append(tuple(out))
+    return Tensor3(t.shape, tuple(nz))
 
 
 # -- sparse integer elimination ------------------------------------------------

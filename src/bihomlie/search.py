@@ -123,6 +123,8 @@ def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> 
     }
     if kind not in forms:
         raise ValueError(f"unknown linear identity kind {kind!r}")
+    if kind == "conijenhuis" and weight is not None:
+        raise ValueError(f"the linear identity kind 'conijenhuis' has no weight, got {weight}")
     if kind == "derivation" and weight:
         raise NonlinearKind("the weighted rule is quadratic in the unknown map unless the weight is zero")
     return _System(forms[kind](**data)).solve()

@@ -1,14 +1,19 @@
-"""Timings of the exact kernel and the Jacobi and co-Jacobi checkers
-(pytest-benchmark; not part of the test suite).
+"""Timings of the exact kernel (matmul, ``contract``), of the checkers'
+signed sums of contractions (``contract_sum``: multiplicativity and the
+Nijenhuis identity on torus-twisted gl(4), whose maps are all diagonal) and
+of the Jacobi and co-Jacobi checkers (pytest-benchmark; not part of the test
+suite).
 
 Run from the repository root with
 
     python -m pytest tests/bench_kernel.py --benchmark-only
 
 Each benchmark times one call on operands built beforehand and checks its
-result, so a fast wrong answer fails.
+result against tests/naive.py or an exact inverse, so a fast wrong answer
+fails.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +21,7 @@ from fractions import Fraction
 import naive
 import pytest
 import support
-from bihomlie.checks import check_bihom_coalgebra, check_bihom_lie
+from bihomlie.checks import check_bihom_coalgebra, check_bihom_lie, check_nijenhuis_operator
 from bihomlie.constructions import dualize
 from bihomlie.exact import Matrix, contract, invert
 
@@ -76,9 +81,61 @@ def test_check_bihom_lie_gl5(benchmark):
     assert benchmark(check_bihom_lie, a).ok
 
 
+def _gl4_torus():
+    return support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7])  # non-involutive maps, real denominators
+
+
+def _naive_bihom_lie(a):
+    """The nonzero residual cells of check_bihom_lie's multiplicativity (alpha, beta), antisymmetry and
+    Jacobi entries, from the printed identities; the brackets [beta(e_j), alpha(e_k)] are made once."""
+    c, n = naive.as_cells(a.bracket), a.dim
+    A, B = naive.mat_cells(a.alpha), naive.mat_cells(a.beta)
+    e = [naive.basis(n, i) for i in range(n)]
+    twisted = [[naive.bracket_eval(c, naive.mat_vec(B, e[i]), naive.mat_vec(A, e[j])) for j in range(n)]
+               for i in range(n)]
+    b2 = [naive.mat_vec(B, naive.mat_vec(B, x)) for x in e]
+
+    def nonzero(cells):
+        return [(idx, v) for idx, v in cells if v]
+
+    out = [nonzero(((i, j, k), v) for i, j in itertools.product(range(n), repeat=2) for k, v in enumerate(
+        [p - q for p, q in zip(naive.mat_vec(m, naive.bracket_eval(c, e[i], e[j])),
+                               naive.bracket_eval(c, naive.mat_vec(m, e[i]), naive.mat_vec(m, e[j])))]))
+           for m in (A, B)]
+    out.append(nonzero(((i, j, k), twisted[i][j][k] + twisted[j][i][k])
+                       for i, j, k in itertools.product(range(n), repeat=3)))
+    jacobi = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        terms = [naive.bracket_eval(c, b2[x], twisted[y][z]) for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
+        jacobi += [((i, j, k, r), v) for r, v in enumerate(map(sum, zip(*terms)))]
+    return out + [nonzero(jacobi)]
+
+
 def test_check_bihom_lie_gl4_torus_twisted(benchmark):
-    a = support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7])  # non-involutive maps, real denominators
-    assert benchmark(check_bihom_lie, a).ok
+    a = _gl4_torus()
+    want = _naive_bihom_lie(a)
+    report = benchmark(check_bihom_lie, a)
+    cases = [("bihom_multiplicativity", "alpha"), ("bihom_multiplicativity", "beta"), ("bihom_antisymmetry", ""),
+             ("bihom_jacobi", "")]
+    got = {(e.identity, e.case): list(e.residual.nonzeros) for e in report.entries}
+    assert [got[case] for case in cases] == want and report.ok
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diagonal"])
+def test_check_nijenhuis_operator_gl4_torus_twisted(benchmark, kind):
+    # N = 3 I passes; N(E_ij) = (i + 2j) E_ij commutes with the torus maps but is not Nijenhuis, so the
+    # identity's residual is compared cell by cell with [Nx,Ny] - N([x,y]_N) from naive.deformed_bracket.
+    # check_bihom_lie reads no operator: its benchmark above serves both.
+    entries = [3] * 16 if kind == "scalar" else [i + 2 * j for i in range(4) for j in range(4)]
+    a = dataclasses.replace(_gl4_torus(), nijenhuis=Matrix.diagonal(entries))
+    c, N = naive.as_cells(a.bracket), naive.mat_cells(a.nijenhuis)
+    deformed, e = naive.deformed_bracket(c, N), [naive.basis(16, i) for i in range(16)]
+    want = [((i, j, k), v) for i, j in itertools.product(range(16), repeat=2) for k, v in enumerate(
+        [p - q for p, q in zip(naive.bracket_eval(c, naive.mat_vec(N, e[i]), naive.mat_vec(N, e[j])),
+                               naive.mat_vec(N, deformed[i][j]))]) if v]
+    report = benchmark(check_nijenhuis_operator, a)
+    assert list(_entry(report, "nijenhuis_identity").nonzeros) == want
+    assert report.ok == (kind == "scalar") and (want == []) == (kind == "scalar")
 
 
 def test_check_bihom_coalgebra_gl4_dual(benchmark):

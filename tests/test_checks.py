@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import naive
 import support
-from bihomlie import bundles, checks
+from bihomlie import bundles, checks, exact
 from bihomlie.bundles import (
     AlgebraBundle,
     BialgebraBundle,
@@ -23,7 +23,7 @@ from bihomlie.bundles import (
     RepresentationBundle,
 )
 from bihomlie.constructions import coadjoint_matched_pair, dualize
-from bihomlie.exact import Matrix, SingularMatrix, Tensor3, scalar
+from bihomlie.exact import Matrix, SingularMatrix, Tensor3, contract, scalar
 
 FIXTURES = [bundles.aff2(), bundles.sl2(), bundles.abelian(2), bundles.abelian(3), bundles.bihom2(2, 3)]
 
@@ -94,6 +94,25 @@ def test_nijenhuis_golden_fixture():
 def test_nijenhuis_missing_field():
     with pytest.raises(MissingField):
         checks.check_nijenhuis_operator(bundles.aff2())
+
+
+def test_corpus_operators_are_nijenhuis_iff_they_deform_the_bracket():
+    # N passes iff the deformed bracket [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] (naive.deformed_bracket) is
+    # BiHom-Lie with the same maps and N is Nijenhuis for it.  The corpora's operators are scalar; two
+    # diagonal ones on a gl(3) torus, N(E_ij) = t_i E_ij (Nijenhuis) and N(E_ij) = (i + j) E_ij (not), join them
+    torus = support.gl_torus(3, [1, 2, "1/3"], [1, 3, "-1/2"])
+    t = [1, 2, "-1/2"]
+    algebras = [a for pair in support.nijenhuis_triad_family() for a in pair]
+    algebras += [a for a, _ in support.semidirect_valid(40)]
+    algebras += [dataclasses.replace(torus, nijenhuis=Matrix.diagonal([t[i] for i in range(3) for _ in range(3)])),
+                 dataclasses.replace(torus, nijenhuis=Matrix.diagonal([i + j for i in range(3) for j in range(3)]))]
+    verdicts = []
+    for a in algebras:
+        c = naive.deformed_bracket(naive.as_cells(a.bracket), naive.mat_cells(a.nijenhuis))
+        deformed = dataclasses.replace(a, bracket=Tensor3.from_entries(c))
+        verdicts.append(checks.check_nijenhuis_operator(a).ok)
+        assert verdicts[-1] == (checks.check_bihom_lie(deformed).ok and checks.check_nijenhuis_operator(deformed).ok)
+    assert all(verdicts[:-1]) and not verdicts[-1]
 
 
 def test_involution():
@@ -483,6 +502,24 @@ def test_diff_coalgebra_and_dual_admissible_trivial():
     co = dualize(support.with_diff(bundles.abelian(2), Matrix.from_rows([[1, 2], [3, 4]]), 2))
     assert checks.check_diff_coalgebra(co).ok
     assert checks.check_diff_dual_admissible(co, Matrix.from_rows([[5, 0], [1, 1]])).ok
+
+
+def test_a_zero_weight_contracts_no_weight_term(monkeypatch):
+    # with maps that are not diagonal, every term is contracted map by map: one contraction for each of the
+    # three unweighted terms, and two for the weight term, which a zero weight drops
+    d = Matrix.from_rows([[1, 2], [0, 1]])
+    rep = support.adjoint_rep(support.with_diff(bundles.aff2(), d, 0), xi=d)
+    co = dualize(support.with_diff(bundles.abelian(2), d, 0))
+    made = []
+    monkeypatch.setattr(exact, "contract", lambda *args: made.append(args) or contract(*args))
+    for run in (lambda w: checks.check_diff_rep(rep, w), lambda w: checks.check_diff_coalgebra(co, w),
+                lambda w: checks.check_diff_dual_admissible(co, d, w)):
+        counts = []
+        for w in (Fraction(0), Fraction(1)):
+            made.clear()
+            run(w)
+            counts.append(len(made))
+        assert counts == [3, 5]
 
 
 def test_diff_zeta_and_pi_trivial():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
-from bihomlie import bundles
+import support
+from bihomlie import bundles, exact
 from bihomlie.exact import (
     DimensionMismatch,
     Matrix,
@@ -17,6 +18,7 @@ from bihomlie.exact import (
     Tensor3,
     _combination,
     contract,
+    contract_sum,
     format_scalar,
     invert,
     scalar,
@@ -234,9 +236,14 @@ def test_tensor_transpose_moves_indices(cells, axes):
         assert moved.entries[idx[axes[0]]][idx[axes[1]]][idx[axes[2]]] == cells[idx[0]][idx[1]][idx[2]]
 
 
+def _multiple(t, c):
+    """c t, as the one-term signed sum of t."""
+    return contract_sum(t, [(c, (None, None, None))])
+
+
 def test_tensor_add_sub_scale():
     t = bundles.bihom2(2, 3).bracket
-    assert t.add(t) == t.scale(2)
+    assert t.add(t) == _multiple(t, 2)
     assert t.sub(t).is_zero()
     with pytest.raises(DimensionMismatch):
         t.add(Tensor3.zeros((2, 2, 3)))
@@ -290,7 +297,7 @@ def test_add_sub_scale_and_nonzero_rows_match_naive_loops(order, data):
     cells = naive.mat_cells if order == 2 else naive.as_cells
     assert cells(x.add(y)) == naive.cellwise(lambda u, v: u + v, a, b)
     assert cells(x.sub(y)) == naive.cellwise(lambda u, v: u - v, a, b)
-    assert cells(x.scale(c)) == naive.cellwise(lambda u, _: c * u, a, a)
+    assert cells(x.scale(c) if order == 2 else _multiple(x, c)) == naive.cellwise(lambda u, _: c * u, a, a)
     rows = [naive.stored_row(r) for r in a] if order == 2 else [[naive.stored_row(r) for r in plane] for plane in a]
     assert (list(x.nz) if order == 2 else [list(plane) for plane in x.nz]) == rows
 
@@ -330,7 +337,7 @@ def test_every_result_is_canonical(data, n, p):
     c = data.draw(st.one_of(st.just(Fraction(0)), sparse_rationals))
     diagonals = [Matrix.diagonal(data.draw(st.lists(sparse_rationals, min_size=k, max_size=k))) for k in t.shape]
     results = [a, a.add(a), a.sub(a), a.add(a.neg()), a.add(a.scale(-1)), a.scale(c), a.scale(0), a @ b, b @ a,
-               a.transpose(), t, t.add(t), t.sub(t), t.add(t.scale(-1)), t.scale(c), t.scale(0),
+               a.transpose(), t, t.add(t), t.sub(t), t.add(_multiple(t, -1)), _multiple(t, c), _multiple(t, 0),
                *[t.transpose(axes) for axes in itertools.permutations(range(3))],
                contract(t, 0, b), contract(t, 1, a), contract(t, 2, Matrix.from_rows(data.draw(_sparse_cells((3, 2))))),
                *[contract(t, axis, d) for axis, d in enumerate(diagonals)],
@@ -380,8 +387,13 @@ def test_combination_matches_naive_fraction_loop(case):
 def test_kernel_products_build_no_fraction():
     a = Matrix.from_rows([["1/2", 0, "2/3"], [0, 0, 0], [3, "-1/5", 1]])
     t = Tensor3.from_entries([[["1/3", 0, 1], [0, 0, 0], [2, "5/7", 0]]] * 3)
+    d, e, c = Matrix.diagonal(["1/2", 0, -3]), Matrix.diagonal([2, "-2/7", 1]), Matrix.identity(3).scale(2)
+    # folded sums: one factor per cell, and a multiple of t
+    sums = [[(1, (d, None, e)), (Fraction(-2, 3), (None, d, d)), (-1, (e, e, e)), (3, (None, None, d))],
+            [(Fraction(5, 2), (None, None, None)), (-1, (c, None, None)), (0, (a, a, a))]]
     expected = [naive.mat_mul(naive.mat_cells(a), naive.mat_cells(a))] + \
-        [naive.contract(naive.as_cells(t), axis, naive.mat_cells(a)) for axis in range(3)]
+        [naive.contract(naive.as_cells(t), axis, naive.mat_cells(a)) for axis in range(3)] + \
+        [_naive_sum(naive.as_cells(t), terms) for terms in sums]
     made = []
     new = vars(Fraction)["__new__"].__func__
 
@@ -391,11 +403,100 @@ def test_kernel_products_build_no_fraction():
 
     Fraction.__new__ = staticmethod(counted)
     try:
-        results = [a @ a] + [contract(t, axis, a) for axis in range(3)]
+        results = [a @ a] + [contract(t, axis, a) for axis in range(3)] + [contract_sum(t, terms) for terms in sums]
     finally:
         Fraction.__new__ = staticmethod(new)
     assert made == []
     assert [naive.mat_cells(results[0])] + [naive.as_cells(x) for x in results[1:]] == expected
+
+
+# -- signed sums of contractions against sums of naive contraction chains ----------------------
+
+
+def _naive_sum(cells, terms):
+    """sum scale * (cells with axis i transformed by maps[i]) over (scale, maps) terms, by naive.contract."""
+    total = [[[Fraction(0)] * len(cells[0][0]) for _ in cells[0]] for _ in cells]
+    for scale, maps in terms:
+        term = cells
+        for axis, m in enumerate(maps):
+            if m is not None:
+                term = naive.contract(term, axis, naive.mat_cells(m))
+        total = naive.cellwise(lambda u, x, scale=scale: u + scale * x, total, term)
+    return total
+
+
+@st.composite
+def _axis_map(draw, n, general):
+    """A map on an axis of extent n: None, the identity, c I, a diagonal with zero, negative or
+    fractional entries, or, if general, a sparse or a dense map."""
+    kind = draw(st.sampled_from(["none", "identity", "scalar", "diagonal"] + ["sparse", "dense"] * general))
+    if kind in ("none", "identity"):
+        return None if kind == "none" else Matrix.identity(n)
+    if kind in ("scalar", "diagonal"):
+        return Matrix.diagonal([draw(nonzero_rationals)] * n if kind == "scalar" else
+                               draw(st.lists(sparse_rationals, min_size=n, max_size=n)))
+    entries = sparse_rationals if kind == "sparse" else nonzero_rationals
+    return Matrix.from_rows([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def _contract_sum_case(draw):
+    """A tensor, square (n, n, n) or shaped like a stacked action (n, v, v) with v != n, and 1-4 terms
+    of scale 1, -1, 0 or a fraction, whose maps are all diagonal or, half the time, may be general."""
+    n = draw(st.integers(1, 4))
+    v = draw(st.sampled_from([x for x in range(1, 5) if x != n])) if draw(st.booleans()) else n
+    cells = draw(_sparse_cells((n, v, v)))
+    general = draw(st.booleans())
+    terms = [(draw(st.one_of(st.sampled_from([1, -1, 0]), nonzero_rationals)),
+              tuple(draw(_axis_map(k, general)) for k in (n, v, v))) for _ in range(draw(st.integers(1, 4)))]
+    return cells, terms
+
+
+def test_contract_sum_matches_sums_of_naive_contractions(monkeypatch):
+    made, paths = [], set()
+    monkeypatch.setattr(exact, "contract", lambda *args: made.append(args) or contract(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_contract_sum_case())
+    def check(case):
+        cells, terms = case
+        made.clear()
+        got = contract_sum(_t3(cells), terms)
+        assert naive.as_cells(got) == _naive_sum(cells, terms)
+        _assert_canonical(got)
+        # a general map anywhere sends every term through contract; the folded path contracts nothing
+        general = any(m is not None and m.diag is None for scale, maps in terms if scale for m in maps)
+        assert bool(made) == general
+        paths.add("general" if general else "folded")
+
+    check()
+    assert paths == {"general", "folded"}
+
+
+def test_contract_sum_cancels_the_multiplicativity_of_a_torus_automorphism():
+    # phi [x, y] - [phi x, phi y] for phi = Ad diag(1, 2, 1/3) on gl(3): every cell cancels in the folded
+    # sum; a diagonal that is no automorphism leaves the cells the naive sum gives
+    c = support.gl(3).bracket
+    for phi, zero in ((support.gl_torus(3, [1, 2, "1/3"], [1, 1, 1]).alpha, True),
+                      (Matrix.diagonal([1, 2, 3, "1/2", 5, -1, 7, 1, "2/3"]), False)):
+        terms = [(1, (None, None, phi)), (-1, (phi.transpose(), phi.transpose(), None))]
+        got = contract_sum(c, terms)
+        assert naive.as_cells(got) == _naive_sum(naive.as_cells(c), terms)
+        assert got.is_zero() == zero
+
+
+def test_contract_sum_never_contracts_a_zero_scale_term(monkeypatch):
+    t = bundles.sl2().bracket
+    general = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+    made = []
+    monkeypatch.setattr(exact, "contract", lambda *args: made.append(args) or contract(*args))
+    assert contract_sum(t, [(1, (None, None, None))]) is t
+    assert contract_sum(t, [(1, (None, None, None)), (0, (general, general, general))]) == t
+    assert contract_sum(t, [(0, (general, None, None)), (Fraction(0), (None, general, None))]).is_zero()
+    assert made == []
+    assert contract_sum(t, [(-1, (None, None, general)), (0, (general, general, None))]) == \
+        _multiple(contract(t, 2, general), -1)
+    assert [(axis, m) for _, axis, m in made] == [(2, general)]
 
 
 # -- elimination against independent oracles ---------------------------------------

@@ -90,6 +90,16 @@ def test_conijenhuis_solutions_reverify():
         assert checks.check_dual_admissible(co.comul, co.conijenhuis, m).ok
 
 
+@pytest.mark.parametrize("weight", [Fraction(5), Fraction(0)])
+def test_conijenhuis_refuses_a_weight(weight):
+    # the identity has no weight: one that is passed is refused, never ignored
+    from bihomlie.constructions import dualize
+
+    co = dualize(bundles.bihom2(2, 3))
+    with pytest.raises(ValueError, match="'conijenhuis' has no weight"):
+        search.solve_linear_identity("conijenhuis", weight, comul=co.comul, nmap=co.conijenhuis)
+
+
 def test_pi_solver_inhomogeneous_with_nonzero_differential():
     d = support.aff2_derivation(0, 1)
     alg = support.with_diff(bundles.aff2(), d, 0)
