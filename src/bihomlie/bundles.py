@@ -254,8 +254,10 @@ class Residual:
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
         """The residual of a whole Matrix or Tensor3, indexed like it."""
         if isinstance(m, Matrix):
-            return Residual.tabulate((m.rows,), m.cols, m.nz.__getitem__)
-        return Residual.tabulate(m.shape[:2], m.shape[2], lambda i, j: m.nz[i][j])
+            shape, rows = (m.rows, m.cols), [((i,), row) for i, row in enumerate(m.nz)]
+        else:
+            shape, rows = m.shape, [((i, j), row) for i, plane in enumerate(m.nz) for j, row in enumerate(plane)]
+        return Residual(shape, tuple((idx + (k,), Fraction(v, den)) for idx, (den, pairs) in rows for k, v in pairs))
 
     @property
     def is_zero(self) -> bool:

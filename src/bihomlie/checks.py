@@ -162,6 +162,8 @@ def _array_entry(identity: str, case: str, m: Matrix | Tensor3) -> CheckEntry:
 
 
 def _commutator(a: Matrix, b: Matrix) -> Matrix:
+    if a.diag is not None and b.diag is not None and a.rows == b.rows:  # diagonal maps commute
+        return Matrix.zeros(a.rows, a.cols)
     return (a @ b).sub(b @ a)
 
 

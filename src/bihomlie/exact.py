@@ -8,9 +8,11 @@ values are immutable after construction; every operation is a pure function.
 
 The checkers' identities are signed sums of contractions of one tensor, one
 ``contract_sum`` call each.  Their maps are mostly the identity or diagonal
-(``Matrix.diag``): multiplying by the identity and transposing a diagonal
-return an operand unchanged, and diagonal terms fold into one factor per cell,
-so such a sum is one pass over the tensor's nonzero rows.
+(``Matrix.diag``), and a diagonal stays diagonal: a product of two diagonals and
+the inverse of one are taken entry by entry, multiplying by the identity and
+transposing a diagonal return an operand unchanged (any other transpose is
+built once per matrix), and diagonal terms fold into one factor per cell, so
+such a sum is one pass over the tensor's nonzero rows.
 """
 
 from __future__ import annotations
@@ -229,8 +231,11 @@ class Matrix:
         return Matrix.from_rows(cols).transpose()
 
     def transpose(self) -> "Matrix":
-        if self.diag is not None:
-            return self
+        """The transpose: a diagonal is its own, and any other is built once per matrix and kept."""
+        return self if self.diag is not None else self._transposed
+
+    @cached_property
+    def _transposed(self) -> "Matrix":
         den = math.lcm(*[d for d, _ in self.nz])
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
         for i, (d, pairs) in enumerate(self.nz):
@@ -263,6 +268,10 @@ class Matrix:
             return other
         if other.is_identity():
             return self
+        if self.diag is not None and other.diag is not None:  # elementwise, each product in lowest terms
+            return Matrix(self.rows, self.cols, tuple(
+                _reduced(d1 * d2, ((i, p1[0][1] * p2[0][1]),)) if p1 and p2 else EMPTY
+                for i, ((d1, p1), (d2, p2)) in enumerate(zip(self.nz, other.nz))))
         rows = other.nz
         return Matrix(self.rows, other.cols, tuple(_combination(((1, rows, row),)) if row[1] else EMPTY
                                                    for row in self.nz))
@@ -572,10 +581,14 @@ def solve(a: Matrix, b: Vector | None = None) -> tuple[Vector | None, list[Vecto
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse from one elimination of [m | I]; raises SingularMatrix."""
+    """Exact inverse, of a diagonal entry by entry, else from one elimination of [m | I]; raises SingularMatrix."""
     if not m.is_square():
         raise DimensionMismatch(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
+    if m.diag is not None:  # entry by entry: v / d inverts to d / v, already in lowest terms
+        if not all(pairs for _, pairs in m.nz):
+            raise SingularMatrix("matrix is singular")
+        return Matrix(n, n, tuple((abs(v), ((i, d if v > 0 else -d),)) for i, (d, ((_, v),)) in enumerate(m.nz)))
     aug = (pairs + ((n + i, den),) for i, (den, pairs) in enumerate(m.nz))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     if pivots != list(range(n)):

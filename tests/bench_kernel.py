@@ -1,8 +1,9 @@
-"""Timings of the exact kernel (matmul, ``contract``), of the checkers'
-signed sums of contractions (``contract_sum``: multiplicativity and the
-Nijenhuis identity on torus-twisted gl(4), whose maps are all diagonal) and
-of the Jacobi and co-Jacobi checkers (pytest-benchmark; not part of the test
-suite).
+"""Timings of the exact kernel (matmul, ``contract``; the product, inverse
+and commutator of the diagonal torus maps of gl(4), taken entry by entry),
+of the checkers' signed sums of contractions (``contract_sum``:
+multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
+maps are all diagonal) and of the Jacobi and co-Jacobi checkers
+(pytest-benchmark; not part of the test suite).
 
 Run from the repository root with
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 import naive
 import pytest
 import support
-from bihomlie.checks import check_bihom_coalgebra, check_bihom_lie, check_nijenhuis_operator
+from bihomlie.checks import _commutator, check_bihom_coalgebra, check_bihom_lie, check_nijenhuis_operator
 from bihomlie.constructions import dualize
 from bihomlie.exact import Matrix, contract, invert
 
@@ -83,6 +84,23 @@ def test_check_bihom_lie_gl5(benchmark):
 
 def _gl4_torus():
     return support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7])  # non-involutive maps, real denominators
+
+
+def test_commutator_gl4_torus_maps(benchmark):
+    a = _gl4_torus()
+    want = naive.commutator(naive.mat_cells(a.alpha), naive.mat_cells(a.beta))
+    assert naive.mat_cells(benchmark(_commutator, a.alpha, a.beta)) == want
+
+
+def test_invert_gl4_torus_map(benchmark):
+    alpha = _gl4_torus().alpha
+    assert benchmark(invert, alpha) @ alpha == Matrix.identity(16)
+
+
+def test_matmul_gl4_torus_map_squared(benchmark):
+    beta = _gl4_torus().beta
+    cells = naive.mat_cells(beta)
+    assert naive.mat_cells(benchmark(beta.__matmul__, beta)) == naive.mat_mul(cells, cells)
 
 
 def _naive_bihom_lie(a):

@@ -55,6 +55,11 @@ def mat_mul(a, b):
     return [[sum((a[i][k] * b[k][j] for k in range(p)), ZERO) for j in range(q)] for i in range(n)]
 
 
+def commutator(a, b):
+    """ab - ba of two square nested-list matrices."""
+    return cellwise(lambda x, y: x - y, mat_mul(a, b), mat_mul(b, a))
+
+
 def cellwise(f, a, b):
     """f on each pair of corresponding scalars of two nested lists of one shape."""
     if isinstance(a, list):

@@ -115,6 +115,21 @@ def test_corpus_operators_are_nijenhuis_iff_they_deform_the_bracket():
     assert all(verdicts[:-1]) and not verdicts[-1]
 
 
+def test_nijenhuis_commute_short_cuts_only_two_diagonal_maps():
+    # N = I + e_01 sends E_01 to E_00 + E_01: not diagonal, and it does not commute with alpha or beta, whose
+    # entries at E_00 and E_01 differ (1 and t_0/t_1 = 1/2, 1 and s_0/s_1 = 1/3); each residual is the
+    # naive commutator, cell for cell
+    a = support.gl_torus(3, [1, 2, "1/3"], [1, 3, "-1/2"])
+    cells = [[Fraction(int(i == j or (i, j) == (0, 1))) for j in range(9)] for i in range(9)]
+    a = dataclasses.replace(a, nijenhuis=Matrix.from_rows(cells))
+    got = {e.case: list(e.residual.nonzeros) for e in checks.check_nijenhuis_operator(a).entries
+           if e.identity == "nijenhuis_commute"}
+    for case, m in (("alpha", a.alpha), ("beta", a.beta)):
+        commutator = naive.commutator(naive.mat_cells(m), cells)
+        want = [((i, j), v) for i, row in enumerate(commutator) for j, v in enumerate(row) if v]
+        assert want != [] and got[case] == want
+
+
 def test_involution():
     assert checks.check_involution(bundles.aff2()).ok
     diag = dataclasses.replace(bundles.abelian(2), alpha=Matrix.diagonal([1, -1]), kind="bihom-lie")

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 import naive
 import support
 from bihomlie import bundles, exact
+from bihomlie.checks import _commutator
 from bihomlie.exact import (
     DimensionMismatch,
     Matrix,
     SingularMatrix,
     Tensor3,
+    _bareiss_echelon,
     _combination,
     contract,
     contract_sum,
@@ -353,6 +355,16 @@ def test_every_result_is_canonical(data, n, p):
     assert t.sub(t) == Tensor3.zeros(t.shape)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), dims, dims)
+def test_transpose_is_built_once_per_matrix(data, n, p):
+    cells = data.draw(_sparse_cells((n, p)))
+    m = Matrix.from_rows(cells)
+    assert m.transpose() is m.transpose()
+    assert naive.mat_cells(m.transpose()) == [[cells[i][j] for i in range(n)] for j in range(p)]
+    assert m.transpose().transpose() == m
+
+
 # coprime denominators make the running denominator grow to their lcm
 small_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
 
@@ -629,3 +641,86 @@ def test_invert_equals_sympy(rows):
             invert(m)
     else:
         assert [list(r) for r in invert(m).entries] == [_fractions(a.inv().row(i)) for i in range(len(rows))]
+
+
+# -- diagonal maps: products, inverses and commutators entry by entry ----------------------
+
+
+@st.composite
+def _diagonal_map(draw, n, nonzero=False):
+    """A diagonal map of size n: c I, the identity or a diagonal with negative and fractional entries; unless
+    nonzero, the diagonal may hold zeros and the zero map is drawn too."""
+    kind = draw(st.sampled_from(["diagonal", "scalar", "identity"] + ["zero"] * (not nonzero)))
+    if kind in ("identity", "zero"):
+        return Matrix.identity(n) if kind == "identity" else Matrix.zeros(n, n)
+    entries = nonzero_rationals if nonzero else sparse_rationals
+    return Matrix.diagonal([draw(nonzero_rationals)] * n if kind == "scalar" else
+                           draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+def test_a_product_of_diagonals_is_elementwise(monkeypatch):
+    made = []
+    monkeypatch.setattr(exact, "_combination", lambda terms: made.append(terms) or _combination(terms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), dims)
+    def check(data, n):
+        a, b = data.draw(_diagonal_map(n)), data.draw(_diagonal_map(n))
+        made.clear()
+        got = a @ b
+        assert made == []
+        assert naive.mat_cells(got) == naive.mat_mul(naive.mat_cells(a), naive.mat_cells(b))
+        _assert_canonical(got)
+
+    check()
+    Matrix.from_rows([[1, 1], [0, 1]]) @ Matrix.diagonal([2, 3])  # a general factor takes the row product
+    assert made != []
+
+
+def test_a_diagonal_inverts_entry_by_entry(monkeypatch):
+    made = []
+    monkeypatch.setattr(exact, "_bareiss_echelon", lambda rows: made.append(rows) or _bareiss_echelon(rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), dims)
+    def check(data, n):
+        m = data.draw(_diagonal_map(n, nonzero=True))
+        made.clear()
+        inv = invert(m)
+        assert made == []
+        rows = naive.mat_cells(m)
+        for col in range(n):
+            assert list(inv.transpose().entries[col]) == naive.rref_solve(rows, naive.basis(n, col), n)
+        _assert_canonical(inv)
+
+    check()
+    for singular in (Matrix.diagonal([0]), Matrix.diagonal([2, 0, "-1/3"]), Matrix.zeros(3, 3)):
+        with pytest.raises(SingularMatrix, match="^matrix is singular$"):
+            invert(singular)
+    assert made == []
+    invert(Matrix.from_rows([[1, 1], [0, 1]]))  # a general map is eliminated
+    assert made != []
+
+
+def test_commutator_of_two_diagonals_builds_no_product(monkeypatch):
+    made, kinds = [], set()
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: made.append((a, b)) or matmul(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), dims)
+    def check(data, n):
+        d, e = data.draw(_diagonal_map(n)), data.draw(_diagonal_map(n))
+        made.clear()
+        assert _commutator(d, e) == Matrix.zeros(n, n) and made == []
+        g = Matrix.from_rows(data.draw(_sparse_cells((n, n))))
+        for a, b in ((d, g), (g, d)):
+            assert naive.mat_cells(_commutator(a, b)) == naive.commutator(naive.mat_cells(a), naive.mat_cells(b))
+        kinds.add(g.diag is None)
+
+    check()
+    assert kinds == {True, False}
+    for a, b in ((Matrix.diagonal([1, 2]), Matrix.diagonal([1, 2, 3])), (Matrix.identity(3), Matrix.identity(2)),
+                 (Matrix.diagonal([1, 2]), Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))):
+        with pytest.raises(DimensionMismatch):
+            _commutator(a, b)
