@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -421,6 +422,8 @@ def _read_dim(doc: dict[str, Any], key: str = "dim") -> int:
         raise ParseError(f"missing or bad {key!r}: {exc}") from exc
     if n < 1:
         raise ParseError(f"{key} must be positive, got {n}")
+    if n > sys.maxsize:  # no list has more entries
+        raise ParseError(f"{key} must be at most {sys.maxsize}, got {_quoted(n)}")
     return n
 
 
@@ -630,6 +633,8 @@ def abelian(n: int) -> AlgebraBundle:
     """Abelian algebra of dimension n with identity structure maps."""
     if n < 1:
         raise ValueError(f"abelian requires a positive dimension, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"abelian requires a dimension of at most {sys.maxsize}, got {_quoted(n)}")
     return AlgebraBundle(n, Tensor3.zeros((n, n, n)), Matrix.identity(n), Matrix.identity(n), kind="lie")
 
 

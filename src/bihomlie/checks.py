@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -191,24 +190,24 @@ def _comultiplicativity(t: Tensor3, m: Matrix) -> Residual:
     return Residual.from_matrix(contract_sum(t, [_comul(1, m), _comul(-1, None, m, m)]))
 
 
-@cache
-def _orbits(n: int, alternating: bool) -> tuple[tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]], ...]:
-    """(representative, ((tuple, sign), ...)) per orbit of range(n)^3 under rotation, or of distinct indices under S3."""
-    if alternating:  # permutations lists (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
-        return tuple((t, tuple(zip(permutations(t), (1, -1, -1, 1, 1, -1)))) for t in combinations(range(n), 3))
-    return tuple(((i, j, k), tuple({(i, j, k): 1, (j, k, i): 1, (k, i, j): 1}.items()))
-                 for i in range(n) for j in range(i, n) for k in range(i + (j > i), n))  # the least rotation
-
-
 def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = False) -> Residual:
     """The residual of q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j] at (i, j, k, r), or (r, i, j, k) if row_first, x.y
-    being the row sum_b y_b x[b]; evaluated once per orbit, alternating meaning that p[i][j] = -p[j][i]."""
-    cells = []
-    for (i, j, k), orbit in _orbits(len(p), alternating):
+    being the row sum_b y_b x[b]; evaluated once per orbit under rotation, or under S3 when alternating (meaning that
+    p[i][j] = -p[j][i]: odd permutations negate the row, a repeated index gives zero), and zero where the three rows
+    of p are empty."""
+    n, cells = len(p), []
+    reps = combinations(range(n), 3) if alternating else (  # the least rotation
+        (i, j, k) for i in range(n) for j in range(i, n) for k in range(i + (j > i), n))
+    for i, j, k in reps:
+        if not (p[j][k][1] or p[k][i][1] or p[i][j][1]):
+            continue
         den, pairs = _combination(((1, q[i], p[j][k]), (1, q[j], p[k][i]), (1, q[k], p[i][j])))
-        for idx, sign in orbit if pairs else ():
-            cells += [((r, *idx) if row_first else (*idx, r), Fraction(sign * v, den)) for r, v in pairs]
-    return Residual.collect((len(p),) * 4, cells)
+        if pairs:  # permutations lists (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
+            orbit = (zip(permutations((i, j, k)), (1, -1, -1, 1, 1, -1)) if alternating
+                     else {(i, j, k): 1, (j, k, i): 1, (k, i, j): 1}.items())
+            for idx, sign in orbit:
+                cells += [((r, *idx) if row_first else (*idx, r), Fraction(sign * v, den)) for r, v in pairs]
+    return Residual.collect((n,) * 4, cells)
 
 
 # -- algebra-side checkers -------------------------------------------------------

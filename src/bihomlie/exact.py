@@ -52,7 +52,7 @@ def _quoted(value: object) -> str:
 def scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` / ``"p"`` string to a Fraction;
     a bool is refused, never read as 0 or 1, and so is an underscore, which
-    ``Fraction`` would skip ("1_0" is not 10)."""
+    ``Fraction`` would skip ("1_0" is not 10), and an exponent ("1e5")."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -62,6 +62,8 @@ def scalar(value: int | str | Fraction) -> Fraction:
             raise ValueError(f"a scalar may carry at most {MAX_DIGITS} digits in a row")
         if "_" in value:
             raise ValueError(f"a scalar has no underscores, got {_quoted(value)}")
+        if "e" in value or "E" in value:  # Fraction("1e300000000") computes 10**300000000
+            raise ValueError(f"a scalar has no exponent, got {_quoted(value)}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -149,7 +149,8 @@ def grid_search_nijenhuis(a: AlgebraBundle, grid: list[Fraction],
     free = [(i, j) for i in range(n) for j in range(n) if pattern[i][j] is None]
     k = len(free)
     if k * len(grid) ** k > budget:
-        raise BudgetExceeded(f"{k} free entries over a grid of {len(grid)} needs {k * len(grid) ** k} > budget {budget}")
+        raise BudgetExceeded(f"{k} free entries over a grid of {len(grid)} need {k} * {len(grid)}^{k} candidates"
+                             f" > budget {budget}")
     out: list[Matrix] = []
     for combo in itertools.product(grid, repeat=k):
         cells = [[pattern[i][j] if pattern[i][j] is not None else ZERO for j in range(n)] for i in range(n)]

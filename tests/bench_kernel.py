@@ -2,8 +2,9 @@
 and commutator of the diagonal torus maps of gl(4), taken entry by entry),
 of the checkers' signed sums of contractions (``contract_sum``:
 multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
-maps are all diagonal) and of the Jacobi and co-Jacobi checkers
-(pytest-benchmark; not part of the test suite).
+maps are all diagonal) and of the Jacobi and co-Jacobi checkers, on dense
+brackets and on the zero bracket of abelian(60) (pytest-benchmark; not part
+of the test suite).
 
 Run from the repository root with
 
@@ -22,6 +23,7 @@ from fractions import Fraction
 import naive
 import pytest
 import support
+from bihomlie import bundles
 from bihomlie.checks import _commutator, check_bihom_coalgebra, check_bihom_lie, check_nijenhuis_operator
 from bihomlie.constructions import dualize
 from bihomlie.exact import Matrix, contract, invert
@@ -80,6 +82,15 @@ def test_check_bihom_lie_gl4(benchmark):
 def test_check_bihom_lie_gl5(benchmark):
     a = support.gl(5)
     assert benchmark(check_bihom_lie, a).ok
+
+
+def test_check_bihom_lie_abelian60(benchmark):
+    # a zero bracket: every Jacobi orbit is skipped before a row is combined
+    assert benchmark(check_bihom_lie, bundles.abelian(60)).ok
+
+
+def test_check_bihom_coalgebra_abelian60_dual(benchmark):
+    assert benchmark(check_bihom_coalgebra, dualize(bundles.abelian(60))).ok
 
 
 def _gl4_torus():

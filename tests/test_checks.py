@@ -4,6 +4,7 @@ against the independent brute-force evaluators."""
 import dataclasses
 import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -265,22 +266,38 @@ def test_orbit_evaluation_matches_the_dense_oracles():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_orbit_tables_partition_the_index_tuples(n):
-    """Rotation orbits cover range(n)^3, S3 orbits the tuples of three distinct indices (the alternating sum is zero
-    on the others), each tuple once, as a permutation of its representative of that permutation's sign."""
-    for alternating, count in ((False, (n ** 3 + 2 * n) // 3), (True, n * (n - 1) * (n - 2) // 6)):
-        table = checks._orbits(n, alternating)
-        assert len(table) == count
-        seen = [t for _, orbit in table for t, _ in orbit]
-        assert len(seen) == len(set(seen))
-        assert set(seen) == {t for t in itertools.product(range(n), repeat=3) if not alternating or len(set(t)) == 3}
-        for rep, orbit in table:
-            assert orbit[0] == (rep, 1)
-            for t, sign in orbit:
-                if alternating:  # rep is increasing, so the sign is that of t's inversions
-                    assert sorted(t) == list(rep) and sign == (-1) ** sum(t[x] > t[y] for x, y in ((0, 1), (0, 2), (1, 2)))
-                else:
-                    assert t in (rep, rep[1:] + rep[:1], rep[2:] + rep[:2]) and sign == 1
+def test_cyclic_sum_walk_matches_a_dense_loop(n, monkeypatch):
+    """_cyclic_sum against q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j] summed at every tuple of range(n)^3, on seeded
+    integer rows, about half of them empty, for both groups (p = -p^T with a zero diagonal when alternating) and
+    both layouts; it combines rows only at the representatives where some row of p is nonempty."""
+    calls = []
+    monkeypatch.setattr(checks, "_combination", lambda terms: calls.append(1) or exact._combination(terms))
+    r = random.Random(n)
+
+    def row():
+        return [r.randint(-2, 2) if r.random() < 0.5 else 0 for _ in range(n)] if r.random() < 0.5 else [0] * n
+
+    for alternating, row_first in itertools.product((False, True), repeat=2):
+        dense_q = [[row() for _ in range(n)] for _ in range(n)]
+        dense_p = [[row() for _ in range(n)] for _ in range(n)]
+        if alternating:
+            dense_p = [[[0] * n if j == k else dense_p[j][k] if j < k else [-x for x in dense_p[k][j]]
+                        for k in range(n)] for j in range(n)]
+        q, p = ([[exact._row(map(Fraction, v)) for v in plane] for plane in t] for t in (dense_q, dense_p))
+        want = {}
+        for i, j, k in itertools.product(range(n), repeat=3):
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for b, w in enumerate(dense_p[y][z]):
+                    for s, v in enumerate(dense_q[x][b]):
+                        idx = (s, i, j, k) if row_first else (i, j, k, s)
+                        want[idx] = want.get(idx, 0) + w * v
+        calls.clear()
+        got = checks._cyclic_sum(q, p, alternating, row_first)
+        assert got.shape == (n,) * 4
+        assert list(got.nonzeros) == sorted((idx, Fraction(v)) for idx, v in want.items() if v)
+        reps = itertools.combinations(range(n), 3) if alternating else (
+            t for t in itertools.product(range(n), repeat=3) if t == min(t, t[1:] + t[:1], t[2:] + t[:2]))
+        assert len(calls) == sum(any(any(dense_p[y][z]) for y, z in ((j, k), (k, i), (i, j))) for i, j, k in reps)
 
 
 def test_nijenhuis_coalgebra_trivial_operators():

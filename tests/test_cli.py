@@ -508,22 +508,56 @@ def test_fixture_integer_arguments_are_a_sign_and_digits(capsys, arg, quoted):
                                        f"expected an integer of at most 4300 digits, got {quoted}\n")
 
 
-def test_scalars_with_underscores_are_refused(workdir, capsys):
-    # Fraction reads "1_0" as 10; no scalar, wherever it is read, does
+def _scalar_refusals(workdir, text):
+    """(argv, prefix of the message) for commands reading the scalar text as a document entry, a --weight, a --grid
+    value and a fixture argument."""
     aff2d = support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0)
     path = _write(workdir / "aff2d.json", aff2d)
     doc = bundles.document(aff2d)
-    doc["bracket"][0]["out"][1] = "1_0"
-    underscored = workdir / "underscored.json"
-    underscored.write_text(json.dumps(doc))
-    for argv, prefix in (
-            (["check", str(underscored)], "field 'bracket': "),
-            (["check", path, "--suite", "differential", "--weight", "1_0"], ""),
-            (["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0,1_0"], ""),
-            (["check", "fixture:bihom2(1_0,3)"], "bad arguments for fixture 'bihom2': "),
-    ):
+    doc["bracket"][0]["out"][1] = text
+    entry = workdir / "entry.json"
+    entry.write_text(json.dumps(doc))
+    return [
+        (["check", str(entry)], "field 'bracket': "),
+        (["construct", "dual", str(entry)], "field 'bracket': "),
+        (["check", path, "--suite", "differential", "--weight", text], ""),
+        (["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", f"0,{text}"], ""),
+        (["check", f"fixture:bihom2({text},3)"], "bad arguments for fixture 'bihom2': "),
+    ]
+
+
+def test_scalars_with_underscores_are_refused(workdir, capsys):
+    # Fraction reads "1_0" as 10; no scalar, wherever it is read, does
+    for argv, prefix in _scalar_refusals(workdir, "1_0"):
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {prefix}a scalar has no underscores, got '1_0'\n"
+
+
+def test_scalars_with_exponents_are_refused(workdir, capsys):
+    # Fraction expands "1e99999" past Python's digit limit for printing, and "1E300000000" for over a minute
+    for text in ("1e99999", "1E300000000"):
+        for argv, prefix in _scalar_refusals(workdir, text):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: {prefix}a scalar has no exponent, got {text!r}\n"
+
+
+def test_dimensions_past_the_largest_list_are_refused(workdir, capsys):
+    big = 10 ** 20  # Tensor3.zeros would raise OverflowError, not MemoryError
+    rep = {**bundles.document(support.adjoint_rep(bundles.aff2())), "vdim": big}
+    for doc, message in (({"kind": "algebra", "dim": big}, f"dim must be at most {sys.maxsize}, got {big}"),
+                         (rep, f"vdim must be at most {sys.maxsize}, got {big}")):
+        assert _refusal(workdir, capsys, json.dumps(doc)) == f"error: {message}\n"
+    assert run(["check", f"fixture:abelian({big})"]) == 2
+    assert capsys.readouterr().err == ("error: bad arguments for fixture 'abelian': "
+                                       f"abelian requires a dimension of at most {sys.maxsize}, got {big}\n")
+
+
+def test_grid_budget_message_writes_the_count_as_a_power(capsys):
+    # the count 10000 * 3^10000 has 4776 digits, past Python's limit for printing an int
+    assert run(["search", "fixture:abelian(100)", "--mode", "nijenhuis-grid", "--grid", "0,1,-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 10000 free entries over a grid of 3 need 10000 * 3^10000 candidates > budget 200000\n"
+    assert "set_int_max_str_digits" not in err
 
 
 # A reader that allocated dim^3 cells before reading an entry took 518 MB to
@@ -535,7 +569,7 @@ import contextlib, io, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 from bihomlie.cli import main
 err = io.StringIO()
-with contextlib.redirect_stderr(err):
+with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
     code = main(["check", sys.argv[1]])
 with open("/proc/self/status") as fh:
     peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
@@ -543,17 +577,34 @@ print(code, peak, err.getvalue().strip())
 """
 
 
-@pytest.mark.parametrize("dim", [400, 10 ** 6])
-def test_reading_a_document_costs_its_size_plus_dim(workdir, dim):
-    path = workdir / "wide.json"
-    path.write_text(json.dumps(_aff2_document(dim=dim)), encoding="utf-8")
+def _capped_check(path):
+    """(exit code, VmHWM in KiB, stderr) of ``check`` on path in the capped child."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _CAPPED_CHECK, str(path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, peak_kib, message = proc.stdout.split(" ", 2)
-    assert code == "2"
-    assert message.strip() == f"error: field 'bracket': entry (i=1, j=2) has 2 coordinates against dim {dim}"
-    assert int(peak_kib) < 50 * 1024
+    return int(code), int(peak_kib), message.strip()
+
+
+@pytest.mark.parametrize("dim", [400, 10 ** 6])
+def test_reading_a_document_costs_its_size_plus_dim(workdir, dim):
+    path = workdir / "wide.json"
+    path.write_text(json.dumps(_aff2_document(dim=dim)), encoding="utf-8")
+    code, peak_kib, message = _capped_check(path)
+    assert code == 2
+    assert message == f"error: field 'bracket': entry (i=1, j=2) has 2 coordinates against dim {dim}"
+    assert peak_kib < 50 * 1024
+
+
+@pytest.mark.parametrize("kind", ["algebra", "coalgebra"])
+def test_checking_a_sparse_document_costs_its_nonzero_rows(workdir, kind):
+    # abelian(400) and its dual: Jacobi and co-Jacobi skip the orbits where the bracket is zero and keep no table of
+    # them; a table of every orbit ran out of memory under this cap at dim 200
+    path = workdir / "abelian.json"
+    path.write_text(json.dumps({"kind": kind, "dim": 400}), encoding="utf-8")
+    code, peak_kib, message = _capped_check(path)
+    assert (code, message) == (0, "")
+    assert peak_kib < 96 * 1024
 
 
 @pytest.mark.parametrize("kind,suite,code", [
@@ -631,7 +682,8 @@ FUZZ_COMMANDS = {
 }
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 4), st.floats(-2, 2),
-    st.sampled_from(["0", "1", "-1/2", "1/0", "x", "", "2.5"]), st.just([]), st.just({}),
+    st.sampled_from(["0", "1", "-1/2", "1/0", "x", "", "2.5", "1e99999"]), st.just(10 ** 20),
+    st.just([]), st.just({}),
     st.lists(st.sampled_from(["0", "1", 1, None, []]), max_size=3))
 
 
