@@ -37,7 +37,6 @@ from .exact import (
     ZERO,
     _quoted,
     _row,
-    format_scalar,
     scalar,
 )
 
@@ -327,11 +326,11 @@ def to_json(value: Any) -> Any:
     differential as {matrix, weight}, a bundle as its document, a list or
     tuple item by item, and anything else (already JSON) as it is."""
     if isinstance(value, Matrix):
-        return [[format_scalar(x) for x in row] for row in value.entries]
+        return [[str(x) for x in row] for row in value.entries]
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     if isinstance(value, Differential):
-        return {"matrix": to_json(value.matrix), "weight": format_scalar(value.weight)}
+        return {"matrix": to_json(value.matrix), "weight": str(value.weight)}
     if type(value) in KINDS:
         return document(value)
     return value
@@ -343,7 +342,7 @@ def _values(b: Any) -> dict[str, Any]:
         t = b.bracket
         return {"dim": b.dim, "variant": b.kind, "alpha": b.alpha, "beta": b.beta, "nijenhuis": b.nijenhuis,
                 "differential": b.differential,
-                "bracket": [{"i": i + 1, "j": j + 1, "out": [format_scalar(x) for x in t.entries[i][j]]}
+                "bracket": [{"i": i + 1, "j": j + 1, "out": [str(x) for x in t.entries[i][j]]}
                             for i, plane in enumerate(t.nz) for j, (_, pairs) in enumerate(plane) if pairs]}
     if isinstance(b, CoalgebraBundle):
         t = b.comul
@@ -566,10 +565,22 @@ def read_pattern(doc: Any) -> list[list[Fraction | None]]:
 
 
 def parse_json(text: str, what: str) -> Any:
-    """The JSON data text holds.  Malformed JSON, and JSON nested more deeply
-    than the parser recurses, is a ParseError naming what."""
+    """The JSON data text holds.  Malformed JSON, JSON nested more deeply than
+    the parser recurses, and an object that repeats a key (which ``json.loads``
+    reads as its last value) are ParseErrors naming what."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ParseError(f"{what} repeats the key {_quoted(key)}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
+    except ParseError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {what} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -11,8 +11,8 @@ Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
 zeta-admissibility on the adjoint action.  An identity linear in one unknown
 map (the Leibniz rule at weight zero, dual, zeta- and pi-admissibility) is an
-``Affine`` form in that map: its checker evaluates the form at the candidate,
-and ``search`` solves the same form for the map.
+``Affine`` form in that map: its checker evaluates it at the candidate, a
+one-term ``contract_sum`` per term, and ``search`` solves it for the map.
 Hypotheses a result states without the checker being able to gate on
 usefully (involutivity, invertibility) are reported as notes while the
 identity is still evaluated.
@@ -44,7 +44,6 @@ from .exact import (
     Row,
     Term,
     _combination,
-    contract,
     contract_sum,
     invert,
     solve,
@@ -141,8 +140,8 @@ def _stack(mats: Sequence[Matrix]) -> Tensor3:
 
 class Affine(NamedTuple):
     """A residual linear in one unknown map x of the given shape: const plus, over the terms (sign, t, axis,
-    transposed), sign * contract(t, axis, x^T if transposed else x).  Its checker evaluates it at a candidate
-    (``at``); ``search`` solves it for x."""
+    transposed), sign * (t with that axis transformed by x^T if transposed else x, a one-term ``contract_sum``).
+    Its checker evaluates it at a candidate (``at``); ``search`` solves it for x."""
 
     shape: tuple[int, int]
     const: Tensor3
@@ -151,7 +150,8 @@ class Affine(NamedTuple):
     def at(self, x: Matrix) -> Tensor3:
         out = self.const
         for sign, t, axis, transposed in self.terms:
-            term = contract(t, axis, x.transpose() if transposed else x)
+            m = x.transpose() if transposed else x
+            term = contract_sum(t, [(1, tuple(m if a == axis else None for a in range(3)))])
             out = out.add(term) if sign > 0 else out.sub(term)
         return out
 

@@ -38,7 +38,7 @@ from .bundles import (
     to_json,
 )
 from .checks import IDENTITY_FORMULAS
-from .exact import format_scalar, scalar
+from .exact import scalar
 
 if TYPE_CHECKING:
     from .search import SolutionSpace
@@ -71,7 +71,7 @@ def _refuse_unread(given: dict[str, Any], reads: tuple[str, ...], what: str) -> 
 
 
 def _residual_document(res: bundles.Residual) -> dict[str, Any]:
-    cells = [{"index": list(idx), "value": format_scalar(v)} for idx, v in res.nonzeros[:MAX_RESIDUAL_CELLS]]
+    cells = [{"index": list(idx), "value": str(v)} for idx, v in res.nonzeros[:MAX_RESIDUAL_CELLS]]
     doc: dict[str, Any] = {"shape": list(res.shape), "nonzero_count": len(res.nonzeros), "nonzeros": cells}
     if len(res.nonzeros) > MAX_RESIDUAL_CELLS:
         doc["truncated"] = True

@@ -3,16 +3,16 @@
 Everything is arbitrary-precision rational arithmetic, so equality is
 structural and every residual test is exact.  Each stored row is integers over
 one denominator (``Row``); ``Fraction`` values are built only where a value
-leaves the kernel (``entries``, ``row_values``, elimination read-off).  All
-values are immutable after construction; every operation is a pure function.
+leaves the kernel (``entries``, elimination read-off).  All values are
+immutable after construction; every operation is a pure function.
 
-The checkers' identities are signed sums of contractions of one tensor, one
-``contract_sum`` call each.  Their maps are mostly the identity or diagonal
-(``Matrix.diag``), and a diagonal stays diagonal: a product of two diagonals and
-the inverse of one are taken entry by entry, multiplying by the identity and
-transposing a diagonal return an operand unchanged (any other transpose is
-built once per matrix), and diagonal terms fold into one factor per cell, so
-such a sum is one pass over the tensor's nonzero rows.
+``contract_sum`` is the one contraction: each of the checkers' identities, a
+signed sum of contractions of one tensor, is one call.  Their maps are mostly
+the identity or diagonal (``Matrix.diag``), and a diagonal stays diagonal: a
+product of two diagonals and the inverse of one are taken entry by entry,
+multiplying by the identity and transposing a diagonal return an operand
+unchanged (any other transpose is built once per matrix), and diagonal terms
+fold into one factor per cell, so such a sum is one pass over its nonzero rows.
 """
 
 from __future__ import annotations
@@ -71,11 +71,6 @@ def scalar(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
-def format_scalar(value: Fraction) -> str:
-    """Lowest-terms string, ``"p"`` or ``"p/q"`` with positive denominator."""
-    return str(value)
-
-
 #: a row as (den, pairs): den > 0 and the (column, numerator) pairs of its nonzero
 #: entries in increasing column order, in lowest terms, so the form is canonical
 Row = tuple[int, tuple[tuple[int, int], ...]]
@@ -104,16 +99,11 @@ def _row(values: Iterable[Fraction]) -> Row:
     return den, tuple((k, x.numerator * (den // x.denominator)) for k, x in nonzero)
 
 
-def row_values(row: Row) -> list[tuple[int, Fraction]]:
-    """The (column, value) pairs of a row's nonzero entries, as Fractions."""
-    den, pairs = row
-    return [(k, Fraction(v, den)) for k, v in pairs]
-
-
 def _dense(row: Row, width: int) -> Vector:
+    den, pairs = row
     out = [ZERO] * width
-    for k, x in row_values(row):
-        out[k] = x
+    for k, v in pairs:
+        out[k] = Fraction(v, den)
     return tuple(out)
 
 
@@ -365,22 +355,10 @@ class Tensor3:
             raise DimensionMismatch(f"tensor shape mismatch {self.shape} vs {other.shape}")
 
 
-def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
-    """Transform one axis of ``t`` by ``m``: new = sum_b m[a][b] * old at index b.
-
-    The matrix acts covariantly on the chosen axis (``m[new][old]``); callers
-    transforming an input slot of a bracket pass the transpose.  A diagonal m
-    is the one-term ``contract_sum`` (the identity returns ``t`` itself).  For
-    any other m, each output row is one ``_combination`` of rows of ``t``
-    (axes 0 and 1) or of m^T (axis 2), so zero entries of ``t`` and of ``m``
-    cost nothing; an output row whose coefficient row is empty is skipped.
-    """
-    if axis not in (0, 1, 2):
-        raise DimensionMismatch(f"axis must be 0, 1 or 2, got {axis}")
-    if m.cols != t.shape[axis]:
-        raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match axis {axis} of extent {t.shape[axis]}")
-    if m.diag is not None:
-        return t if m.is_identity() else contract_sum(t, [(1, tuple(m if a == axis else None for a in range(3)))])
+def _contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
+    """Transform one axis of ``t`` by a map ``m`` that is not diagonal, as in ``contract_sum``, which checks
+    its size: each output row is one ``_combination`` of rows of ``t`` (axes 0 and 1) or of m^T (axis 2), so
+    zero entries of ``t`` and of ``m`` cost nothing, and one whose coefficient row is empty is skipped."""
     d0, d1, d2 = t.shape
     if axis == 0:  # row (a, j): sum_b m[a][b] t[b][j]
         by_j = list(zip(*t.nz))
@@ -400,22 +378,31 @@ Term = tuple[int | Fraction, tuple[Matrix | None, Matrix | None, Matrix | None]]
 
 
 def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
-    """The sum of scale * (t with axis i transformed by maps[i], as by ``contract``) over the terms.
+    """The sum of scale * (t with axis i transformed by maps[i]) over the terms; a map m acts covariantly, the
+    entry at index a on its axis becoming sum_b m[a][b] * (the entry at index b), so an input slot takes m^T.
 
-    Terms of scale 0 are dropped before anything is built, and one scale-1 term of identity maps returns ``t``.
-    When every map left is diagonal, the terms fold into one factor per cell, sum scale * m0[i][i] * m1[j][j] *
-    m2[k][k], applied in one pass over the nonzero rows of t, on integers over one common denominator with one
-    gcd per row.  Otherwise each term is contracted axis by axis and the terms are added."""
+    Terms of scale 0 are dropped before anything is built, one scale-1 term of identity maps returns ``t``, and
+    one loop checks each map left against its axis and picks the path.  When every map left is diagonal, the
+    terms fold into one factor per cell, sum scale * m0[i][i] * m1[j][j] * m2[k][k], applied in one pass over the
+    nonzero rows of t on integers over one common denominator, one gcd per row.  Otherwise each term applies its
+    maps in turn, a diagonal as its one-term sum and any other by ``_contract``, and the terms are added."""
     if len(terms) == 1 and terms[0][0] == 1 and all([m is None or m.is_identity() and m.cols == n
                                                      for m, n in zip(terms[0][1], t.shape)]):
         return t
-    kept = [(s, maps) for s, maps in terms if s]
-    if any(m is not None and m.diag is None for _, maps in kept for m in maps):
+    kept, general = [(s, maps) for s, maps in terms if s], False
+    for _, maps in kept:
+        for m, n in zip(maps, t.shape):
+            if m is not None and m.cols != n:
+                raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match an axis of extent {n}")
+            general = general or m is not None and m.diag is None
+    if general:
         out = None
         for s, maps in kept:
             u = t
             for axis, m in enumerate(maps):
-                u = u if m is None else contract(u, axis, m)
+                if m is not None:
+                    u = _contract(u, axis, m) if m.diag is None else \
+                        contract_sum(u, [(1, tuple(m if a == axis else None for a in range(3)))])
             if s != 1 and (out is None or s != -1):  # a scalar multiple, unless it is subtracted
                 u, s = contract_sum(u, [(s, (None, None, None))]), 1
             out = u if out is None else out.add(u) if s == 1 else out.sub(u)
@@ -423,9 +410,7 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
     ints, common, varying = [], 1, False  # per term: multiplier, its denominator, each axis' diagonal over it
     for s, maps in kept:
         num, den, axes = s.numerator, s.denominator, []
-        for m, n in zip(maps, t.shape):
-            if m is not None and m.cols != n:
-                raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match an axis of extent {n}")
+        for m in maps:
             d, diag = (1, None) if m is None else m.diag
             if diag is not None and len(set(diag)) == 1:  # a constant diagonal (None) scales the whole term
                 num, diag = num * diag[0], None

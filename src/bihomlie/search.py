@@ -2,9 +2,9 @@
 
 An identity linear in one unknown map is the affine form its checker
 evaluates (``checks.Affine``), compiled into one exact linear system over the
-map's entries and solved by one exact elimination; the
-quadratic operator identity is searched by exhaustive enumeration over a
-finite grid.
+map's entries and solved by one exact elimination; the quadratic operator
+identity is searched by exhaustive enumeration over a finite grid, its free
+entries counted and held to the budget before any is listed.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class _System:
                  for j, (d, pairs) in enumerate(plane) for k, v in pairs}
         equations: dict[tuple[int, int, int], dict[int, int]] = {cell: {} for cell in const}
         for sign, t, axis, transposed in form.terms:
-            # contract(t, axis, x) at the cell with index a on the axis is sum_b x[a][b] t[.. b ..]: the rows of
+            # t with the axis transformed by x is sum_b x[a][b] t[.. b ..] at index a on the axis: the rows of
             # t with the axis moved last, each spread over x's row a (or column a, transposed) for every a
             stride, step = (cols, 1) if transposed else (1, cols)
             for p, plane in enumerate(t.transpose(((1, 2, 0), (0, 2, 1), (0, 1, 2))[axis]).nz):
@@ -138,19 +138,19 @@ def grid_search_nijenhuis(a: AlgebraBundle, grid: list[Fraction],
 
     The pattern fixes some entries; None marks a free entry drawn from the
     grid.  Enumeration size k * |grid|^k beyond the budget raises
-    BudgetExceeded.  Output is sorted canonically by entries.
+    BudgetExceeded before anything is built.  Output is sorted canonically.
     """
     n = a.dim
-    if pattern is None:
-        pattern = [[None] * n for _ in range(n)]
-    if len(pattern) != n or any(len(row) != n for row in pattern):
+    if pattern is not None and (len(pattern) != n or any(len(row) != n for row in pattern)):
         raise ValueError(f"pattern must be {n}x{n}")
     grid = sorted(set(grid))
-    free = [(i, j) for i in range(n) for j in range(n) if pattern[i][j] is None]
-    k = len(free)
-    if k * len(grid) ** k > budget:
+    k = n * n if pattern is None else sum(x is None for row in pattern for x in row)
+    if grid and k > budget or k * len(grid) ** k > budget:  # k * g^k >= k for g >= 1: refused before the power
         raise BudgetExceeded(f"{k} free entries over a grid of {len(grid)} need {k} * {len(grid)}^{k} candidates"
                              f" > budget {budget}")
+    if pattern is None:
+        pattern = [[None] * n for _ in range(n)]
+    free = [(i, j) for i in range(n) for j in range(n) if pattern[i][j] is None]
     out: list[Matrix] = []
     for combo in itertools.product(grid, repeat=k):
         cells = [[pattern[i][j] if pattern[i][j] is not None else ZERO for j in range(n)] for i in range(n)]

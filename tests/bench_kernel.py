@@ -1,4 +1,4 @@
-"""Timings of the exact kernel (matmul, ``contract``; the product, inverse
+"""Timings of the exact kernel (matmul, one-term ``contract_sum``; the product, inverse
 and commutator of the diagonal torus maps of gl(4), taken entry by entry),
 of the checkers' signed sums of contractions (``contract_sum``:
 multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
@@ -26,7 +26,8 @@ import support
 from bihomlie import bundles
 from bihomlie.checks import _commutator, check_bihom_coalgebra, check_bihom_lie, check_nijenhuis_operator
 from bihomlie.constructions import dualize
-from bihomlie.exact import Matrix, contract, invert
+from bihomlie.exact import Matrix, invert
+from support import contract
 
 
 def _dense(n: int, seed: int) -> Matrix:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from bihomlie import bundles
 from bihomlie.bundles import AlgebraBundle, Differential, MatchedPairBundle, RepresentationBundle
-from bihomlie.exact import Matrix, Tensor3, scalar
+from bihomlie.exact import Matrix, Tensor3, contract_sum, scalar
 
 SCALARS = [scalar(x) for x in ("0", "1", "-1", "2", "1/2", "-3/2", "3", "2/3", "-1/3", "5/2", "-2", "4", "1/4")]
 
@@ -37,6 +37,11 @@ def scalar_op(b: AlgebraBundle, c) -> AlgebraBundle:
 
 def with_diff(b: AlgebraBundle, m: Matrix, w) -> AlgebraBundle:
     return dataclasses.replace(b, differential=Differential(m, scalar(w)))
+
+
+def contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
+    """t with one axis transformed by m: the one-term ``contract_sum``."""
+    return contract_sum(t, [(1, tuple(m if a == axis else None for a in range(3)))])
 
 
 def perturb_matrix(m: Matrix, r: random.Random) -> Matrix:

@@ -24,7 +24,7 @@ from bihomlie.bundles import (
     RepresentationBundle,
 )
 from bihomlie.constructions import coadjoint_matched_pair, dualize
-from bihomlie.exact import Matrix, SingularMatrix, Tensor3, contract, scalar
+from bihomlie.exact import Matrix, SingularMatrix, Tensor3, _contract, scalar
 
 FIXTURES = [bundles.aff2(), bundles.sl2(), bundles.abelian(2), bundles.abelian(3), bundles.bihom2(2, 3)]
 
@@ -543,7 +543,7 @@ def test_a_zero_weight_contracts_no_weight_term(monkeypatch):
     rep = support.adjoint_rep(support.with_diff(bundles.aff2(), d, 0), xi=d)
     co = dualize(support.with_diff(bundles.abelian(2), d, 0))
     made = []
-    monkeypatch.setattr(exact, "contract", lambda *args: made.append(args) or contract(*args))
+    monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
     for run in (lambda w: checks.check_diff_rep(rep, w), lambda w: checks.check_diff_coalgebra(co, w),
                 lambda w: checks.check_diff_dual_admissible(co, d, w)):
         counts = []

@@ -552,6 +552,28 @@ def test_dimensions_past_the_largest_list_are_refused(workdir, capsys):
                                        f"abelian requires a dimension of at most {sys.maxsize}, got {big}\n")
 
 
+def test_repeated_json_keys_are_refused(workdir, capsys):
+    # plain json.loads keeps the last value of a repeated key: the first document below would check as aff2 with
+    # alpha = id, and the second would read the entry as the pair (2, 2)
+    text = json.dumps(_aff2_document(alpha=[["1", "0"], ["0", "2"]]))
+    assert text.endswith("]]}")
+    doc_cases = [
+        (text[:-1] + ', "alpha": [["1", "0"], ["0", "1"]]}', "alpha"),
+        (text.replace('{"i": 1, "j": 2, ', '{"i": 1, "j": 2, "i": 2, ', 1), "i"),
+        (json.dumps(_aff2_document(differential={"matrix": [["0", "0"], ["0", "0"]], "weight": "0"}))
+         .replace('"weight": "0"', '"weight": "0", "weight": "1"'), "weight"),
+    ]
+    for doc, key in doc_cases:
+        assert doc.count(f'"{key}"') > json.dumps(json.loads(doc)).count(f'"{key}"')  # the key is repeated
+        assert _refusal(workdir, capsys, doc) == f"error: bundle document repeats the key '{key}'\n"
+    spath = _write(workdir / "aff2.json", bundles.aff2())
+    maps = workdir / "maps.json"
+    maps.write_text('{"alpha": [["1", "0"], ["0", "2"]], "beta": [["1", "0"], ["0", "1"]], '
+                    '"alpha": [["1", "0"], ["0", "1"]]}', encoding="utf-8")
+    assert run(["construct", "twist", spath, "--maps", str(maps), "--out", str(workdir / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: maps file repeats the key 'alpha'\n"
+
+
 def test_grid_budget_message_writes_the_count_as_a_power(capsys):
     # the count 10000 * 3^10000 has 4776 digits, past Python's limit for printing an int
     assert run(["search", "fixture:abelian(100)", "--mode", "nijenhuis-grid", "--grid", "0,1,-1"]) == 2
@@ -561,26 +583,27 @@ def test_grid_budget_message_writes_the_count_as_a_power(capsys):
 
 
 # A reader that allocated dim^3 cells before reading an entry took 518 MB to
-# refuse the dim-400 document.  The child caps its own address space at 256 MiB
-# and reports its own peak resident set (VmHWM, in KiB; ru_maxrss would carry
-# this process's peak across the fork).
-_CAPPED_CHECK = """
+# refuse the dim-400 document.  The child runs the command line it is given
+# under a 256 MiB cap on its own address space and reports its own peak
+# resident set (VmHWM, in KiB; ru_maxrss would carry this process's peak
+# across the fork).
+_CAPPED_MAIN = """
 import contextlib, io, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 from bihomlie.cli import main
 err = io.StringIO()
 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-    code = main(["check", sys.argv[1]])
+    code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
 print(code, peak, err.getvalue().strip())
 """
 
 
-def _capped_check(path):
-    """(exit code, VmHWM in KiB, stderr) of ``check`` on path in the capped child."""
+def _capped_main(*argv):
+    """(exit code, VmHWM in KiB, stderr) of the command line argv in the capped child."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHECK, str(path)], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, peak_kib, message = proc.stdout.split(" ", 2)
     return int(code), int(peak_kib), message.strip()
@@ -590,7 +613,7 @@ def _capped_check(path):
 def test_reading_a_document_costs_its_size_plus_dim(workdir, dim):
     path = workdir / "wide.json"
     path.write_text(json.dumps(_aff2_document(dim=dim)), encoding="utf-8")
-    code, peak_kib, message = _capped_check(path)
+    code, peak_kib, message = _capped_main("check", str(path))
     assert code == 2
     assert message == f"error: field 'bracket': entry (i=1, j=2) has 2 coordinates against dim {dim}"
     assert peak_kib < 50 * 1024
@@ -602,9 +625,18 @@ def test_checking_a_sparse_document_costs_its_nonzero_rows(workdir, kind):
     # them; a table of every orbit ran out of memory under this cap at dim 200
     path = workdir / "abelian.json"
     path.write_text(json.dumps({"kind": kind, "dim": 400}), encoding="utf-8")
-    code, peak_kib, message = _capped_check(path)
+    code, peak_kib, message = _capped_main("check", str(path))
     assert (code, message) == (0, "")
     assert peak_kib < 96 * 1024
+
+
+def test_an_over_budget_grid_search_is_refused_before_it_builds_the_grid():
+    # abelian(3000) has 9 * 10^6 free entries: listing them and computing 3^(9 * 10^6) ran out of memory under the cap
+    code, peak_kib, message = _capped_main("search", "fixture:abelian(3000)", "--mode", "nijenhuis-grid",
+                                           "--grid", "0,1,-1")
+    assert (code, message) == (2, "error: 9000000 free entries over a grid of 3 need 9000000 * 3^9000000 candidates"
+                                  " > budget 200000")
+    assert peak_kib < 50 * 1024
 
 
 @pytest.mark.parametrize("kind,suite,code", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import naive
 import support
+from support import contract
 from bihomlie import bundles, exact
 from bihomlie.checks import _commutator
 from bihomlie.exact import (
@@ -19,9 +20,8 @@ from bihomlie.exact import (
     Tensor3,
     _bareiss_echelon,
     _combination,
-    contract,
+    _contract,
     contract_sum,
-    format_scalar,
     invert,
     scalar,
     solve,
@@ -33,8 +33,6 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 def test_scalar_parse_and_format():
     assert scalar("3/6") == Fraction(1, 2)
     assert scalar("-4/2") == Fraction(-2)
-    assert format_scalar(Fraction(6, -4)) == "-3/2"
-    assert format_scalar(Fraction(5)) == "5"
     with pytest.raises(TypeError):
         scalar(1.5)
     for flag in (True, False):  # a bool is an int subclass, but never a rational
@@ -466,7 +464,7 @@ def _contract_sum_case(draw):
 
 def test_contract_sum_matches_sums_of_naive_contractions(monkeypatch):
     made, paths = [], set()
-    monkeypatch.setattr(exact, "contract", lambda *args: made.append(args) or contract(*args))
+    monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
 
     @settings(max_examples=200, deadline=None)
     @given(_contract_sum_case())
@@ -476,7 +474,7 @@ def test_contract_sum_matches_sums_of_naive_contractions(monkeypatch):
         got = contract_sum(_t3(cells), terms)
         assert naive.as_cells(got) == _naive_sum(cells, terms)
         _assert_canonical(got)
-        # a general map anywhere sends every term through contract; the folded path contracts nothing
+        # a general map anywhere sends the terms through _contract; the folded path contracts nothing
         general = any(m is not None and m.diag is None for scale, maps in terms if scale for m in maps)
         assert bool(made) == general
         paths.add("general" if general else "folded")
@@ -500,15 +498,51 @@ def test_contract_sum_cancels_the_multiplicativity_of_a_torus_automorphism():
 def test_contract_sum_never_contracts_a_zero_scale_term(monkeypatch):
     t = bundles.sl2().bracket
     general = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+    expected = _multiple(contract(t, 2, general), -1)
     made = []
-    monkeypatch.setattr(exact, "contract", lambda *args: made.append(args) or contract(*args))
+    monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
     assert contract_sum(t, [(1, (None, None, None))]) is t
     assert contract_sum(t, [(1, (None, None, None)), (0, (general, general, general))]) == t
     assert contract_sum(t, [(0, (general, None, None)), (Fraction(0), (None, general, None))]).is_zero()
     assert made == []
-    assert contract_sum(t, [(-1, (None, None, general)), (0, (general, general, None))]) == \
-        _multiple(contract(t, 2, general), -1)
+    assert contract_sum(t, [(-1, (None, None, general)), (0, (general, general, None))]) == expected
     assert [(axis, m) for _, axis, m in made] == [(2, general)]
+
+
+def test_contract_sum_applies_each_map_once(monkeypatch):
+    # a general map on one axis and a diagonal on another: one _contract call, the diagonal folded as its one-term sum
+    t = bundles.sl2().bracket
+    general, d = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]]), Matrix.diagonal([2, "-1/3", 5])
+    made = []
+    monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
+    for maps in itertools.permutations((general, d, None)):
+        made.clear()
+        terms = [(Fraction(3, 2), maps)]
+        assert naive.as_cells(contract_sum(t, terms)) == _naive_sum(naive.as_cells(t), terms)
+        assert [(axis, m) for _, axis, m in made] == [(maps.index(general), general)]
+
+
+def test_contract_sum_checks_every_map_size(monkeypatch):
+    # a wrong-size map on any axis of a kept term raises before anything is contracted, on the general path and
+    # on the folded one, and a wrong-size identity raises in the one-term short-cut
+    t = bundles.sl2().bracket
+    general, d = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]]), Matrix.diagonal([2, 3, 5])
+    made = []
+    monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
+    wrong = [Matrix.from_rows([[1, 2], [3, 4]]), Matrix.from_rows([[1, 2], [3, 4], [5, 6]]), Matrix.diagonal([2, 3]),
+             Matrix.identity(2), Matrix.identity(4)]
+    for axis, m in itertools.product(range(3), wrong):
+        bad = tuple(m if a == axis else None for a in range(3))
+        other = tuple(None if a == axis else d for a in range(3))
+        cases = [[(1, bad)], [(1, (general, None, None)), (-1, bad)]]
+        if m.diag is not None:
+            cases += [[(1, other), (Fraction(1, 2), bad)], [(1, tuple(x or y for x, y in zip(bad, other)))]]
+        for terms in cases:
+            with pytest.raises(DimensionMismatch, match="does not match an axis of extent 3"):
+                contract_sum(t, terms)
+    assert made == []
+    # a dropped term is never read
+    assert contract_sum(t, [(1, (d, None, None)), (0, (wrong[0], None, None))]) == contract(t, 0, d)
 
 
 # -- elimination against independent oracles ---------------------------------------
