@@ -252,12 +252,12 @@ class Residual:
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
-        """The residual of a whole Matrix or Tensor3, indexed like it."""
+        """The residual of a whole Matrix or Tensor3, indexed like it: cells are made for the nonempty rows only."""
         if isinstance(m, Matrix):
-            shape, rows = (m.rows, m.cols), [((i,), row) for i, row in enumerate(m.nz)]
-        else:
-            shape, rows = m.shape, [((i, j), row) for i, plane in enumerate(m.nz) for j, row in enumerate(plane)]
-        return Residual(shape, tuple((idx + (k,), Fraction(v, den)) for idx, (den, pairs) in rows for k, v in pairs))
+            return Residual((m.rows, m.cols), tuple(((i, k), Fraction(v, den)) for i, (den, pairs) in enumerate(m.nz)
+                                                    if pairs for k, v in pairs))
+        return Residual(m.shape, tuple(((i, j, k), Fraction(v, den)) for i, plane in enumerate(m.nz)
+                                       for j, (den, pairs) in enumerate(plane) if pairs for k, v in pairs))
 
     @property
     def is_zero(self) -> bool:
@@ -432,9 +432,15 @@ def _field(doc: dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
-def _matrix(doc: dict[str, Any], key: str, n: int, default: Matrix | None = None) -> Matrix | None:
-    """Field key of doc as an n x n matrix, or default when it is absent."""
-    return _square(doc[key], n, key) if key in doc else default
+def _matrix(doc: dict[str, Any], key: str, n: int) -> Matrix | None:
+    """Field key of doc as an n x n matrix, or None when it is absent."""
+    return _square(doc[key], n, key) if key in doc else None
+
+
+def _maps(doc: dict[str, Any], keys: tuple[str, ...], n: int) -> tuple[Matrix, ...]:
+    """Fields keys of doc as n x n matrices, in order; the absent ones share one identity, built only for them."""
+    identity = Matrix.identity(n) if any(key not in doc for key in keys) else None
+    return tuple(_square(doc[key], n, key) if key in doc else identity for key in keys)
 
 
 def _differential(doc: dict[str, Any], key: str, n: int) -> Differential | None:
@@ -501,16 +507,15 @@ def _comul(doc: dict[str, Any], n: int) -> Tensor3:
 
 def _algebra(doc: dict[str, Any]) -> AlgebraBundle:
     n = _read_dim(doc)
-    return AlgebraBundle(n, _bracket(doc, n), _matrix(doc, "alpha", n, Matrix.identity(n)),
-                         _matrix(doc, "beta", n, Matrix.identity(n)), _matrix(doc, "nijenhuis", n),
+    return AlgebraBundle(n, _bracket(doc, n), *_maps(doc, ("alpha", "beta"), n), _matrix(doc, "nijenhuis", n),
                          _differential(doc, "differential", n), doc.get("variant", "bihom-lie"))
 
 
-def _coalgebra(doc: dict[str, Any]) -> CoalgebraBundle:
+def _coalgebra(doc: dict[str, Any], maps: tuple[Matrix, Matrix] | None = None) -> CoalgebraBundle:
+    """The coalgebra of doc; a bialgebra passes the maps its algebra read."""
     n = _read_dim(doc)
-    return CoalgebraBundle(n, _comul(doc, n), _matrix(doc, "alpha", n, Matrix.identity(n)),
-                           _matrix(doc, "beta", n, Matrix.identity(n)), _matrix(doc, "conijenhuis", n),
-                           _differential(doc, "codiff", n))
+    return CoalgebraBundle(n, _comul(doc, n), *(maps or _maps(doc, ("alpha", "beta"), n)),
+                           _matrix(doc, "conijenhuis", n), _differential(doc, "codiff", n))
 
 
 def _nested_algebra(doc: dict[str, Any], key: str) -> AlgebraBundle:
@@ -531,15 +536,14 @@ def from_document(doc: Any) -> Any:
     if kind == "coalgebra":
         return _coalgebra(doc)
     if kind == "bialgebra":
-        return BialgebraBundle(_algebra(doc), _coalgebra(doc))
+        algebra = _algebra(doc)
+        return BialgebraBundle(algebra, _coalgebra(doc, (algebra.alpha, algebra.beta)))
     if kind == "representation":
         n, vdim = _read_dim(doc), _read_dim(doc, "vdim")
         algebra = _nested_algebra(doc, "algebra")
         if algebra.dim != n:
             raise DimensionMismatch(f"embedded algebra dim {algebra.dim} does not match dim {n}")
-        return RepresentationBundle(algebra, vdim, _actions(doc, "rho", n, vdim),
-                                    _matrix(doc, "p", vdim, Matrix.identity(vdim)),
-                                    _matrix(doc, "q", vdim, Matrix.identity(vdim)),
+        return RepresentationBundle(algebra, vdim, _actions(doc, "rho", n, vdim), *_maps(doc, ("p", "q"), vdim),
                                     _matrix(doc, "eta", vdim), _matrix(doc, "xi", vdim))
     if kind == "matched_pair":
         n, left, right = _read_dim(doc), _nested_algebra(doc, "left"), _nested_algebra(doc, "right")
@@ -555,7 +559,7 @@ def read_maps(doc: Any, n: int, fields: tuple[str, ...] = ("alpha", "beta")) -> 
     if not isinstance(doc, dict) or "alpha" not in doc:
         raise ParseError("maps file needs an 'alpha' matrix")
     _known_keys(doc, fields, "maps files")
-    return tuple(_matrix(doc, field, n, Matrix.identity(n)) for field in fields)
+    return _maps(doc, fields, n)
 
 
 def read_pattern(doc: Any) -> list[list[Fraction | None]]:

@@ -6,7 +6,10 @@ residual is identically zero.  A three-index identity, a signed sum of
 contractions of one tensor, is one ``contract_sum`` call over ``_bracket``,
 ``_comul`` or ``_action`` terms; four-index ones are tabulated by rows, no n^4
 array built: per basis tuple, or, for the one cyclic sum of Jacobi and
-co-Jacobi, per orbit under rotation (S3 under antisymmetry).
+co-Jacobi, per orbit under rotation (S3 under antisymmetry).  Twisted
+(co-)antisymmetry is read off the twisted rows once per unordered pair of
+them (``_pair_sum``), and co-Jacobi's rows are those of Delta transposed once,
+so a passing check adds no whole tensor.
 Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
 zeta-admissibility on the adjoint action.  An identity linear in one unknown
@@ -44,6 +47,7 @@ from .exact import (
     Row,
     Term,
     _combination,
+    _sum,
     contract_sum,
     invert,
     solve,
@@ -190,12 +194,30 @@ def _comultiplicativity(t: Tensor3, m: Matrix) -> Residual:
     return Residual.from_matrix(contract_sum(t, [_comul(1, m), _comul(-1, None, m, m)]))
 
 
+def _pair_sum(p: Sequence[Sequence[Row]], row_first: bool = False) -> Residual:
+    """The residual of p[i][j] + p[j][i] at (i, j, k), or (k, i, j) if row_first: one ``_sum`` per unordered pair
+    {i, j} with a nonempty row, and cells made only for the pairs that do not cancel."""
+    n, failing = len(p), []  # (i, j, p[i][j] + p[j][i]) for each failing pair, i <= j
+    for i, plane in enumerate(p):
+        for j in range(i, n):
+            x, y = plane[j], p[j][i]
+            if x[1] or y[1]:
+                row = _sum(x, y, 1)
+                if row[1]:
+                    failing.append((i, j, row))
+    cells = [((r, *idx) if row_first else (*idx, r), Fraction(v, den)) for i, j, (den, pairs) in failing
+             for idx in (((i, j), (j, i)) if i != j else ((i, i),)) for r, v in pairs]
+    return Residual.collect((n,) * 3, cells)
+
+
 def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = False) -> Residual:
     """The residual of q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j] at (i, j, k, r), or (r, i, j, k) if row_first, x.y
     being the row sum_b y_b x[b]; evaluated once per orbit under rotation, or under S3 when alternating (meaning that
     p[i][j] = -p[j][i]: odd permutations negate the row, a repeated index gives zero), and zero where the three rows
-    of p are empty."""
+    of p are empty; no orbit is walked when every row of p is."""
     n, cells = len(p), []
+    if not any(row[1] for plane in p for row in plane):
+        return Residual((n,) * 4, ())
     reps = combinations(range(n), 3) if alternating else (  # the least rotation
         (i, j, k) for i in range(n) for j in range(i, n) for k in range(i + (j > i), n))
     for i, j, k in reps:
@@ -221,15 +243,15 @@ def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = F
 def check_bihom_lie(a: AlgebraBundle) -> Report:
     """Multiplicativity of alpha and beta, twisted antisymmetry, twisted Jacobi."""
     c, A, B = a.bracket, a.alpha, a.beta
-    twisted = contract_sum(c, [_bracket(1, B, A)])  # [beta(x), alpha(y)]
-    antisymmetry = twisted.add(twisted.transpose((1, 0, 2)))
+    twisted = contract_sum(c, [_bracket(1, B, A)]).nz  # [beta(x), alpha(y)]
+    antisymmetry = _pair_sum(twisted)
     return Report((
         CheckEntry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),
         CheckEntry("bihom_multiplicativity", "beta", _multiplicativity(c, B)),
         _array_entry("bihom_multiplicativity", "alpha-beta-commute", _commutator(A, B)),
-        _array_entry("bihom_antisymmetry", "", antisymmetry),
-        CheckEntry("bihom_jacobi", "",
-                   _cyclic_sum(contract_sum(c, [_bracket(1, B @ B)]).nz, twisted.nz, antisymmetry.is_zero())),
+        CheckEntry("bihom_antisymmetry", "", antisymmetry),
+        CheckEntry("bihom_jacobi", "", _cyclic_sum(contract_sum(c, [_bracket(1, B @ B)]).nz, twisted,
+                                                   antisymmetry.is_zero)),
     ))
 
 
@@ -275,17 +297,18 @@ def check_nijenhuis_operator(a: AlgebraBundle) -> Report:
 def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
     """Comultiplicativity, twisted co-antisymmetry, twisted co-Jacobi."""
     t, A, B = co.comul, co.alpha, co.beta
-    # (beta x alpha) Delta, (beta^2 x id) Delta
-    twisted, outer = contract_sum(t, [_comul(1, None, B, A)]), contract_sum(t, [_comul(1, None, B @ B)])
-    antisymmetry = twisted.add(twisted.transpose((0, 2, 1)))
-    # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) at e_a (x) e_i (x) e_j is sum_b outer[k][a][b] twisted[b][i][j]
-    jacobi = _cyclic_sum(outer.transpose((1, 2, 0)).nz, twisted.transpose((1, 2, 0)).nz, antisymmetry.is_zero(), True)
+    # (beta x alpha) Delta and (beta^2 x id) Delta on tt[i][j][k] = Delta[k][i][j], by rows (i, j) over k; the
+    # transpose of a dualized bracket is that bracket itself
+    tt = t.transpose((1, 2, 0))
+    twisted, outer = contract_sum(tt, [(1, (B, A, None))]).nz, contract_sum(tt, [(1, (B @ B, None, None))]).nz
+    antisymmetry = _pair_sum(twisted, True)
+    # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) at e_a (x) e_i (x) e_j is sum_b outer[a][b][k] twisted[i][j][b]
     return Report((
         CheckEntry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
         CheckEntry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),
         _array_entry("co_comultiplicativity", "alpha-beta-commute", _commutator(A, B)),
-        _array_entry("co_antisymmetry", "", antisymmetry),
-        CheckEntry("co_jacobi", "", jacobi),
+        CheckEntry("co_antisymmetry", "", antisymmetry),
+        CheckEntry("co_jacobi", "", _cyclic_sum(outer, twisted, antisymmetry.is_zero, True)),
     ))
 
 

@@ -13,6 +13,8 @@ product of two diagonals and the inverse of one are taken entry by entry,
 multiplying by the identity and transposing a diagonal return an operand
 unchanged (any other transpose is built once per matrix), and diagonal terms
 fold into one factor per cell, so such a sum is one pass over its nonzero rows.
+A transposed tensor records its source, so transposing it back returns that
+source and builds nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -301,6 +303,9 @@ class Tensor3:
 
     shape: tuple[int, int, int]
     nz: tuple[tuple[Row, ...], ...]
+    #: on a transpose's result only: (its source, the axes that transpose it back to the source); no part of
+    #: the value, so it changes no ``==``, hash or repr
+    back: tuple["Tensor3", tuple[int, int, int]] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def entries(self) -> tuple[tuple[Vector, ...], ...]:
@@ -333,26 +338,38 @@ class Tensor3:
 
     def transpose(self, axes: tuple[int, int, int]) -> "Tensor3":
         """Permute the axes: axis p of the result is axis axes[p] of self.
-        Rows move whole when the last axis stays; otherwise, read in index
-        order over one common denominator, every output row fills in
-        increasing order."""
+        Rows move whole when the last axis stays, and cells are regrouped
+        (``_regrouped``) otherwise.  The result records self as its source,
+        so transposing it back returns self and builds nothing; nothing is
+        recorded on self."""
+        if self.back is not None and self.back[1] == axes:
+            return self.back[0]
         shape = tuple(self.shape[a] for a in axes)
-        a0, a1, a2 = axes
-        if a2 == 2:
-            return Tensor3(shape, self.nz if a0 == 0 else tuple(zip(*self.nz)))
-        den = math.lcm(*[d for plane in self.nz for d, _ in plane])
-        out: list[list[list[tuple[int, int]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
-        for i, plane in enumerate(self.nz):
-            for j, (d, pairs) in enumerate(plane):
-                f = den // d
-                for k, v in pairs:
-                    idx = (i, j, k)
-                    out[idx[a0]][idx[a1]].append((idx[a2], f * v))
-        return Tensor3(shape, tuple(tuple(_reduced(den, tuple(row)) for row in plane) for plane in out))
+        if axes[2] == 2:
+            nz = self.nz if axes[0] == 0 else tuple(zip(*self.nz))
+        else:
+            nz = _regrouped(self.nz, axes, shape)
+        return Tensor3(shape, nz, (self, (axes.index(0), axes.index(1), axes.index(2))))
 
     def _same_shape(self, other: "Tensor3") -> None:
         if self.shape != other.shape:
             raise DimensionMismatch(f"tensor shape mismatch {self.shape} vs {other.shape}")
+
+
+def _regrouped(nz: tuple[tuple[Row, ...], ...], axes: tuple[int, int, int],
+               shape: tuple[int, int, int]) -> tuple[tuple[Row, ...], ...]:
+    """The rows of a transpose that moves the last axis: the cells, read in index order over one common
+    denominator, fill every output row in increasing order, and a row no cell reaches is ``EMPTY``."""
+    a0, a1, a2 = axes
+    den = math.lcm(*[d for plane in nz for d, _ in plane])
+    out: list[list[list[tuple[int, int]]]] = [[[] for _ in range(shape[1])] for _ in range(shape[0])]
+    for i, plane in enumerate(nz):
+        for j, (d, pairs) in enumerate(plane):
+            f = den // d
+            for k, v in pairs:
+                idx = (i, j, k)
+                out[idx[a0]][idx[a1]].append((idx[a2], f * v))
+    return tuple(tuple(_reduced(den, tuple(row)) if row else EMPTY for row in plane) for plane in out)
 
 
 def _contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:

@@ -315,6 +315,34 @@ def bihom_jacobi(c, alpha, beta, i, j, k):
     return [terms[0][r] + terms[1][r] + terms[2][r] for r in range(n)]
 
 
+def bihom_antisymmetry(c, alpha, beta):
+    """[beta(e_i), alpha(e_j)] + [beta(e_j), alpha(e_i)] as dense cells [i][j][k]."""
+    n = len(c)
+
+    def twisted(x, y):
+        return bracket_eval(c, mat_vec(beta, basis(n, x)), mat_vec(alpha, basis(n, y)))
+
+    return [[[p + q for p, q in zip(twisted(i, j), twisted(j, i))] for j in range(n)] for i in range(n)]
+
+
+def co_antisymmetry(t, alpha, beta):
+    """(beta x alpha) Delta(e_k) + tau (beta x alpha) Delta(e_k) as dense cells
+    [k][y][z], with tau the flip of the two factors."""
+    n = len(t)
+    out = []
+    for k in range(n):
+        # w[y][z]: (beta x alpha) Delta(e_k), applying the maps to e_i (x) e_j
+        w = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if t[k][i][j]:
+                    for y in range(n):
+                        for z in range(n):
+                            w[y][z] += t[k][i][j] * beta[y][i] * alpha[z][j]
+        out.append([[w[y][z] + w[z][y] for z in range(n)] for y in range(n)])
+    return out
+
+
 def co_jacobi(t, alpha, beta):
     """(id + c + c^2)(id x beta x alpha)(beta^2 x Delta) Delta(e_k) as dense
     cells [k][x][y][z], with c the cyclic rotation of the three factors."""

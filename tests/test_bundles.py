@@ -244,7 +244,9 @@ sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, ma
 def test_tabulate_and_from_matrix_equal_collect_over_all_cells(data, shape, empty):
     d0, d1, d2 = shape
     cell = st.just(Fraction(0)) if empty else sparse_rationals
-    cells = [[[data.draw(cell) for _ in range(d2)] for _ in range(d1)] for _ in range(d0)]
+    blank = data.draw(st.sets(st.tuples(st.integers(0, d0 - 1), st.integers(0, d1 - 1))))  # rows left empty
+    cells = [[[Fraction(0) if (i, j) in blank else data.draw(cell) for _ in range(d2)] for j in range(d1)]
+             for i in range(d0)]
     t, m = Tensor3.from_entries(cells), Matrix.from_rows(cells[0])
 
     def every(shape, value):
@@ -335,6 +337,28 @@ def test_a_bialgebra_document_reads_the_fields_of_both_factors():
 
 _REP = RepresentationBundle(bundles.aff2(), 1, (Matrix.zeros(1, 1),) * 2, Matrix.identity(1), Matrix.identity(1))
 _DIFF = Differential(Matrix.identity(2), scalar(1))
+
+
+def test_the_maps_a_document_leaves_out_share_one_identity(monkeypatch):
+    """A document builds one identity, for the maps it leaves out only; a bialgebra's coalgebra takes the maps its
+    algebra read, and a representation's p and q are read the same way."""
+    built = []
+    identity = Matrix.identity
+    monkeypatch.setattr(Matrix, "identity", staticmethod(lambda n: built.append(n) or identity(n)))
+    b = bundles.load('{"kind": "bialgebra", "dim": 3}')
+    assert built == [3] and b.algebra.alpha is b.algebra.beta is b.coalgebra.alpha is b.coalgebra.beta
+    assert b.algebra.alpha == identity(3)
+    built.clear()
+    shear = [["1", "1"], ["0", "1"]]
+    co = bundles.load(json.dumps({"kind": "coalgebra", "dim": 2, "beta": shear}))
+    assert built == [2] and (co.alpha, co.beta) == (identity(2), Matrix.from_rows(shear))
+    built.clear()
+    a = bundles.load(json.dumps({"kind": "algebra", "dim": 2, "alpha": shear, "beta": shear}))
+    assert built == [] and a.alpha == a.beta == Matrix.from_rows(shear)
+    doc = json.loads(bundles.dumps(_REP))
+    del doc["p"], doc["q"]
+    rep = bundles.load(json.dumps(doc))
+    assert built == [1] and rep.p is rep.q and rep == _REP
 
 
 @pytest.mark.parametrize("bundle, field, value", [

@@ -4,6 +4,7 @@ against the independent brute-force evaluators."""
 import dataclasses
 import inspect
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -237,9 +238,10 @@ _SHEARED = _algebra_and_coalgebra([[[0, 0, 0], [1, 0, 0], [0, 0, 0]], [[-1, 0, 0
 
 
 def test_orbit_evaluation_matches_the_dense_oracles():
-    """Every Jacobi and co-Jacobi cell equals the brute-force value, in index order.  Both orbit groups are drawn,
-    and the S3 one with nonzero rows, whose signs it sets."""
-    groups = set()
+    """Every Jacobi and co-Jacobi cell, and every twisted (co-)antisymmetry cell, equals the brute-force value, in
+    index order.  Both orbit groups are drawn, and the S3 one with nonzero rows, whose signs it sets; antisymmetry
+    fails both on the diagonal of the two twisted slots and at pairs whose (i, j) and (j, i) cells are both made."""
+    groups, failures = set(), set()
 
     @settings(max_examples=25, deadline=None)
     @given(_jacobi_instance())
@@ -250,19 +252,64 @@ def test_orbit_evaluation_matches_the_dense_oracles():
         c, alpha, beta = naive.as_cells(a.bracket), naive.mat_cells(a.alpha), naive.mat_cells(a.beta)
         want = {(i, j, k, r): x for i, j, k in itertools.product(range(n), repeat=3)
                 for r, x in enumerate(naive.bihom_jacobi(c, alpha, beta, i, j, k)) if x}
-        co_cells = naive.co_jacobi(naive.as_cells(co.comul), naive.mat_cells(co.alpha), naive.mat_cells(co.beta))
+        co_args = naive.as_cells(co.comul), naive.mat_cells(co.alpha), naive.mat_cells(co.beta)
+        co_cells = naive.co_jacobi(*co_args)
         co_want = {idx: co_cells[idx[0]][idx[1]][idx[2]][idx[3]] for idx in itertools.product(range(n), repeat=4)}
-        for report, jacobi, antisymmetry, cells in (
-                (checks.check_bihom_lie(a), "bihom_jacobi", "bihom_antisymmetry", want),
-                (checks.check_bihom_coalgebra(co), "co_jacobi", "co_antisymmetry", co_want)):
+        pairs, co_pairs = naive.bihom_antisymmetry(c, alpha, beta), naive.co_antisymmetry(*co_args)
+        for report, jacobi, antisymmetry, cells, pair_cells, slots in (
+                (checks.check_bihom_lie(a), "bihom_jacobi", "bihom_antisymmetry", want, pairs, slice(0, 2)),
+                (checks.check_bihom_coalgebra(co), "co_jacobi", "co_antisymmetry", co_want, co_pairs, slice(1, 3))):
             entries = {e.identity: e for e in report.entries}
             assert entries[jacobi].residual.shape == (n,) * 4
             assert list(entries[jacobi].residual.nonzeros) == sorted((idx, x) for idx, x in cells.items() if x)
             groups.add((jacobi, "S3" if entries[antisymmetry].ok else "C3", entries[jacobi].ok))
+            got = entries[antisymmetry].residual
+            assert got.shape == (n,) * 3
+            assert list(got.nonzeros) == [(idx, pair_cells[idx[0]][idx[1]][idx[2]])
+                                          for idx in itertools.product(range(n), repeat=3)
+                                          if pair_cells[idx[0]][idx[1]][idx[2]]]
+            made = {idx[slots] for idx, _ in got.nonzeros}
+            failures.update((antisymmetry, "diagonal" if i == j else "pair") for i, j in made if (j, i) in made)
 
     check()
     assert {g[:2] for g in groups} == {(jacobi, g) for jacobi in ("bihom_jacobi", "co_jacobi") for g in ("S3", "C3")}
     assert {("bihom_jacobi", "S3", False), ("co_jacobi", "S3", False)} <= groups
+    assert failures == {(a, f) for a in ("bihom_antisymmetry", "co_antisymmetry") for f in ("diagonal", "pair")}
+
+
+def test_the_bihom_checks_build_no_whole_antisymmetry_tensor(monkeypatch):
+    """check_bihom_lie adds no tensors, passing or failing.  check_bihom_coalgebra regroups the cells of Delta
+    once, to tt[i][j][k] = Delta[k][i][j], when Delta was read from its document, and never when it is a dualized
+    bracket: transposing that back returns the bracket."""
+    def refuse(*args):
+        raise AssertionError("a whole tensor was added")
+
+    regroup, regrouped = exact._regrouped, []
+    monkeypatch.setattr(Tensor3, "add", refuse)
+    monkeypatch.setattr(exact, "_regrouped", lambda nz, axes, shape: regrouped.append(axes) or regroup(nz, axes, shape))
+    a = support.gl_torus(2, [1, 2], [3, "1/2"])
+    perturbed = support.perturb_algebra(a, support.rng(2))
+    assert checks.check_bihom_lie(a).ok and not checks.check_bihom_lie(perturbed).ok
+    for alg in (a, perturbed):
+        co = dualize(alg)
+        regrouped.clear()
+        assert checks.check_bihom_coalgebra(co).ok == (alg is a) and regrouped == []
+        read = bundles.load(bundles.dumps(co))
+        assert read == co and read.comul.back is None
+        assert checks.check_bihom_coalgebra(read) == checks.check_bihom_coalgebra(co) and regrouped == [(1, 2, 0)]
+
+
+@pytest.mark.parametrize("kind", ["algebra", "coalgebra"])
+def test_an_empty_bracket_walks_no_jacobi_orbit(monkeypatch, kind):
+    """When every row of the twisted bracket (or comultiplication) is empty, Jacobi (co-Jacobi) is zero before any
+    orbit representative is listed: one emptiness test per orbit took 15 s on a dim-1000 document."""
+    def refuse(*args):
+        raise AssertionError("an orbit walk was started")
+
+    monkeypatch.setattr(checks, "combinations", refuse)
+    bundle = bundles.load(json.dumps({"kind": kind, "dim": 60}))
+    report = checks.check_bihom_lie(bundle) if kind == "algebra" else checks.check_bihom_coalgebra(bundle)
+    assert report.ok and report.entries[-1].residual.shape == (60,) * 4
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -630,6 +630,17 @@ def test_checking_a_sparse_document_costs_its_nonzero_rows(workdir, kind):
     assert peak_kib < 96 * 1024
 
 
+def test_a_bialgebra_document_builds_one_identity_for_its_absent_maps(workdir):
+    # alpha and beta are absent, so the algebra and the coalgebra share one identity; an identity per map and
+    # factor (four) ran out of memory under this cap at dim 300000.  The codiff, read last, is refused: no check runs
+    path = workdir / "bialgebra.json"
+    path.write_text(json.dumps({"kind": "bialgebra", "dim": 300000, "codiff": {"matrix": [[1]], "weight": 0}}),
+                    encoding="utf-8")
+    code, peak_kib, message = _capped_main("check", str(path))
+    assert (code, message) == (2, "error: field 'codiff.matrix' is 1x1, expected 300000x300000")
+    assert peak_kib < 128 * 1024
+
+
 def test_an_over_budget_grid_search_is_refused_before_it_builds_the_grid():
     # abelian(3000) has 9 * 10^6 free entries: listing them and computing 3^(9 * 10^6) ran out of memory under the cap
     code, peak_kib, message = _capped_main("search", "fixture:abelian(3000)", "--mode", "nijenhuis-grid",

@@ -236,6 +236,35 @@ def test_tensor_transpose_moves_indices(cells, axes):
         assert moved.entries[idx[axes[0]]][idx[axes[1]]][idx[axes[2]]] == cells[idx[0]][idx[1]][idx[2]]
 
 
+def _inverse(axes):
+    """The inverse permutation of axes, written out: back[axes[p]] = p."""
+    back = [None] * 3
+    for p, a in enumerate(axes):
+        back[a] = p
+    return tuple(back)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.lists(sparse_rationals, min_size=3, max_size=3), min_size=2, max_size=2),
+                min_size=4, max_size=4))
+def test_a_transpose_transposed_back_is_its_source(cells):
+    """The result of a transpose holds its source, so the inverse transpose returns it; the link is no part of
+    the value (==, hash and repr are those of the plain tensor) and nothing is recorded on the operand, so two
+    transposes of it are two objects.  A transpose by any other permutation is still computed."""
+    t = Tensor3.from_entries(cells)
+    for axes in itertools.permutations(range(3)):
+        moved = t.transpose(axes)
+        assert moved.transpose(_inverse(axes)) is t
+        assert t.transpose(axes) is not moved and t.back is None
+        plain = Tensor3(moved.shape, moved.nz)
+        assert moved == plain and hash(moved) == hash(plain) and repr(moved) == repr(plain)
+        for other in itertools.permutations(range(3)):
+            if other != _inverse(axes):
+                again = moved.transpose(other)
+                assert again is not t
+                assert naive.as_cells(again) == naive.as_cells(plain.transpose(other))
+
+
 def _multiple(t, c):
     """c t, as the one-term signed sum of t."""
     return contract_sum(t, [(c, (None, None, None))])
