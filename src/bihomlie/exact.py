@@ -192,9 +192,18 @@ class Matrix:
         den = math.lcm(*[d for d, _ in self.nz])
         return den, tuple(pairs[0][1] * (den // d) if pairs else 0 for d, pairs in self.nz)
 
-    def is_identity(self) -> bool:
+    @cached_property
+    def scalar_multiple(self) -> tuple[int, int] | None:
+        """(num, den), in lowest terms, if the matrix is c I for c = num / den (the square zero matrix is 0 I);
+        else None."""
         d = self.diag
-        return d is not None and d[0] == 1 and d[1].count(1) == self.rows
+        if d is None:
+            return None
+        c = d[1][0] if d[1] else 1
+        return (c, d[0]) if d[1].count(c) == self.rows else None
+
+    def is_identity(self) -> bool:
+        return self.scalar_multiple == (1, 1)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> "Matrix":
@@ -208,7 +217,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.diagonal([ONE] * n)
+        return Matrix(n, n, tuple((1, ((i, 1),)) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -398,20 +407,32 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
     """The sum of scale * (t with axis i transformed by maps[i]) over the terms; a map m acts covariantly, the
     entry at index a on its axis becoming sum_b m[a][b] * (the entry at index b), so an input slot takes m^T.
 
-    Terms of scale 0 are dropped before anything is built, one scale-1 term of identity maps returns ``t``, and
-    one loop checks each map left against its axis and picks the path.  When every map left is diagonal, the
-    terms fold into one factor per cell, sum scale * m0[i][i] * m1[j][j] * m2[k][k], applied in one pass over the
-    nonzero rows of t on integers over one common denominator, one gcd per row.  Otherwise each term applies its
-    maps in turn, a diagonal as its one-term sum and any other by ``_contract``, and the terms are added."""
-    if len(terms) == 1 and terms[0][0] == 1 and all([m is None or m.is_identity() and m.cols == n
-                                                     for m, n in zip(terms[0][1], t.shape)]):
-        return t
-    kept, general = [(s, maps) for s, maps in terms if s], False
-    for _, maps in kept:
+    Terms of scale 0 are dropped before anything is built, and one loop over the terms left checks each map
+    against its axis, folds each c I (``Matrix.scalar_multiple``; None is 1 I) into its term's integer
+    multiplier and picks the path.  When every map left is c I, the sum is one rational multiple of t: 1 returns
+    ``t`` itself, 0 the zero tensor, and any other scales each row.  When every map left is diagonal, each
+    nonempty row (i, j) of t takes the factors f0 + sum f * a2[k] over its cells, f0 = x * a0[i] * a1[j] for the
+    first term whose axis-2 map is c I and f likewise for each other term, whose axis-2 diagonal is a2 (all ones
+    for c I), x being the term's multiplier; this is integers over one common denominator, one gcd per row, and
+    no table is built.  Otherwise each term applies its maps in turn, a diagonal as its one-term sum and any
+    other by ``_contract``, and the terms are added."""
+    kept, ints, common, general, varying = [(s, maps) for s, maps in terms if s], [], 1, False, False
+    for s, maps in kept:  # per term: its multiplier, the multiplier's denominator, each axis' diagonal over it
+        num, den, axes = s.numerator, s.denominator, []
         for m, n in zip(maps, t.shape):
-            if m is not None and m.cols != n:
-                raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match an axis of extent {n}")
-            general = general or m is not None and m.diag is None
+            diag = None  # over den, or None for a map folded into the multiplier
+            if m is not None:
+                if m.cols != n:
+                    raise DimensionMismatch(f"matrix {m.rows}x{m.cols} does not match an axis of extent {n}")
+                if (c := m.scalar_multiple) is not None:
+                    num, den = num * c[0], den * c[1]
+                elif m.diag is None:
+                    general = True
+                else:
+                    den, diag, varying = den * m.diag[0], m.diag[1], True
+            axes.append(diag)
+        ints.append((num, den, axes))
+        common = math.lcm(common, den)
     if general:
         out = None
         for s, maps in kept:
@@ -424,47 +445,39 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
                 u, s = contract_sum(u, [(s, (None, None, None))]), 1
             out = u if out is None else out.add(u) if s == 1 else out.sub(u)
         return out
-    ints, common, varying = [], 1, False  # per term: multiplier, its denominator, each axis' diagonal over it
-    for s, maps in kept:
-        num, den, axes = s.numerator, s.denominator, []
-        for m in maps:
-            d, diag = (1, None) if m is None else m.diag
-            if diag is not None and len(set(diag)) == 1:  # a constant diagonal (None) scales the whole term
-                num, diag = num * diag[0], None
-            varying = varying or diag is not None
-            axes.append(diag)
-            den *= d
-        ints.append((num, den, axes))
-        common = math.lcm(common, den)
     if not varying:  # the sum is f / common times t
         f = sum([num * (common // den) for num, den, _ in ints])
         if f == common:
             return t
-        return Tensor3(t.shape, tuple(tuple(_scaled(row, f, common) for row in plane) if f else (EMPTY,) * len(plane)
-                                      for plane in t.nz))
-    tables: dict[tuple[int, ...] | None, list[list[int]]] = {}  # axis-2 diagonal -> its coefficient at (i, j)
+        if not f:
+            return Tensor3.zeros(t.shape)
+        return Tensor3(t.shape, tuple(tuple(_scaled(row, f, common) for row in plane) for plane in t.nz))
+    ones, first, rest = (1,) * max(t.shape), None, []  # the first constant term, then every other term
     for num, den, (a0, a1, a2) in ints:
-        x, held = num * (common // den), tables.get(a2)
-        table = [[xa * b for b in a1 or (1,) * t.shape[1]] for xa in [x * a for a in a0 or (1,) * t.shape[0]]]
-        tables[a2] = table if held is None else [[p + q for p, q in zip(r, h)] for r, h in zip(table, held)]
-    const = tables.pop(None, None) or [[0] * t.shape[1]] * t.shape[0]
-    nz = []  # cell (i, j, k) times const[i][j] + sum of table[i][j] * a2[k] over the other tables
+        x = num * (common // den)
+        if a2 is None and first is None:
+            first = (x, a0 or ones, a1 or ones)
+        else:  # a constant axis-2 diagonal read as ones
+            rest.append((a2 or ones, x, a0 or ones, a1 or ones))
+    x0, b0, b1 = first or (0, ones, ones)
+    (c2, z, c0, c1), *rest = rest or [(ones, 0, ones, ones)]  # the second term, read without a list per row
+    nz = []  # cell (i, j, k) times f0 + f * c2[k] + sum of g * a2[k], each factor x * a0[i] * a1[j] of one term
     for i, plane in enumerate(t.nz):
-        c0, cs = const[i], [(a2, table[i]) for a2, table in tables.items()]
+        y0, y, cs = x0 * b0[i], z * c0[i], [(a2, x * a0[i], a1) for a2, x, a0, a1 in rest]
         out = []
         for j, (den, pairs) in enumerate(plane):
             if not pairs:
                 out.append(EMPTY)
                 continue
-            f0, fs, d = c0[j], [(a2, c[j]) for a2, c in cs if c[j]] if cs else (), common
-            if not fs:  # one factor for the whole row, in lowest terms
+            f0, f, d = y0 * b1[j], y * c1[j], common
+            fs = [(a2, g) for a2, x, a1 in cs if (g := x * a1[j])] if cs else ()
+            if fs:
+                cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * c2[k] + sum([g * a2[k] for a2, g in fs])))]
+            elif f:
+                cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * c2[k]))]
+            else:  # one factor for the whole row, in lowest terms
                 g = math.gcd(f0, common)
                 cells, d = [(k, f0 // g * v) for k, v in pairs] if f0 else (), common // g
-            elif len(fs) == 1:
-                a2, f = fs[0]
-                cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * a2[k]))]
-            else:
-                cells = [(k, w) for k, v in pairs if (w := v * (f0 + sum([f * a2[k] for a2, f in fs])))]
             out.append(_reduced(den * d, tuple(cells)) if cells else EMPTY)
         nz.append(tuple(out))
     return Tensor3(t.shape, tuple(nz))

@@ -2,7 +2,8 @@
 and commutator of the diagonal torus maps of gl(4), taken entry by entry),
 of the checkers' signed sums of contractions (``contract_sum``:
 multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
-maps are all diagonal) and of the Jacobi and co-Jacobi checkers, on dense
+maps are all diagonal, and the per-call overhead of small instances:
+torus-twisted sl2 and aff2 with N = 2 I) and of the Jacobi and co-Jacobi checkers, on dense
 brackets, on a coalgebra read from its document and on the zero bracket of
 abelian(60) (pytest-benchmark; not part of the test suite).
 
@@ -188,6 +189,18 @@ def test_check_bihom_coalgebra_gl4_torus_twisted_document(benchmark):
     co = bundles.load(bundles.dumps(dualize(_gl4_torus())))
     assert co.comul.back is None
     assert benchmark(check_bihom_coalgebra, co).ok
+
+
+def test_check_bihom_lie_sl2_torus_twisted(benchmark):
+    # a small instance: the per-call overhead of contract_sum and the checker, not arithmetic, sets its time
+    a = support.twisted(bundles.sl2(), [1, 2, "1/2"], [1, 3, "1/3"])
+    assert benchmark(check_bihom_lie, a).ok
+
+
+def test_check_nijenhuis_operator_aff2_scalar(benchmark):
+    # N = 2 I: every map of the Nijenhuis identity folds into one multiple of the bracket, which cancels
+    a = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.identity(2).scale(2))
+    assert benchmark(check_nijenhuis_operator, a).ok
 
 
 def _perturbed_gl4():

@@ -142,6 +142,19 @@ def test_involution():
     assert not checks.check_involution(b).ok
 
 
+def test_is_involutive_agrees_with_check_involution():
+    # identity maps, a diag(1, -1) twist, a non-involutive torus twist, and a swap that is no diagonal
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    cases = [(bundles.aff2(), True),
+             (dataclasses.replace(bundles.abelian(2), alpha=Matrix.diagonal([1, -1]), kind="bihom-lie"), True),
+             (bundles.bihom2(2, 3), False),
+             (dataclasses.replace(bundles.abelian(2), beta=swap, kind="bihom-lie"), True),
+             (dataclasses.replace(bundles.abelian(2), alpha=swap, beta=Matrix.from_rows([[0, 2], [1, 0]]),
+                                  kind="bihom-lie"), False)]
+    for a, involutive in cases:
+        assert checks.is_involutive(a) == checks.check_involution(a).ok == involutive
+
+
 # -- coalgebra suite -------------------------------------------------------------------
 
 

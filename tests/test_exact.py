@@ -58,6 +58,16 @@ def test_matrix_shape_validation():
         Matrix.from_rows([[1, 2]]) @ Matrix.from_rows([[1, 2]])
 
 
+def test_identity_and_scalar_multiples():
+    for n in (1, 2, 7):
+        ident = Matrix.identity(n)
+        assert ident == Matrix.diagonal([1] * n) and ident.is_identity() and ident.scalar_multiple == (1, 1)
+        assert Matrix.diagonal(["-2/3"] * n).scalar_multiple == (-2, 3) and not Matrix.diagonal([2] * n).is_identity()
+        assert Matrix.zeros(n, n).scalar_multiple == (0, 1)
+    assert Matrix.diagonal([1, 2]).scalar_multiple is None and Matrix.diagonal([1, 0]).scalar_multiple is None
+    assert Matrix.from_rows([[1, 1], [0, 1]]).scalar_multiple is None and Matrix.zeros(2, 3).scalar_multiple is None
+
+
 def _t3(cells):
     return Tensor3.from_entries(cells)
 
@@ -524,6 +534,37 @@ def test_contract_sum_cancels_the_multiplicativity_of_a_torus_automorphism():
         assert got.is_zero() == zero
 
 
+def test_contract_sum_of_scalar_maps_is_one_multiple():
+    # every map c I or None: factors totalling 1 return t itself, totalling 0 the zero tensor, others each row scaled
+    t, ident = bundles.bihom2(2, 3).bracket, Matrix.identity(2)
+    two, half = ident.scale(2), Matrix.diagonal(["1/2"] * 2)
+    assert contract_sum(t, [(2, (ident, None, None)), (-1, (None, None, None))]) is t
+    assert contract_sum(t, [(Fraction(1, 2), (two, None, None))]) is t
+    assert contract_sum(t, [(1, (half, two, None)), (Fraction(-1, 3), (None, None, ident.scale(3)))]).is_zero()
+    assert contract_sum(t, [(1, (Matrix.zeros(2, 2), None, None))]) == Tensor3.zeros(t.shape)
+    c = support.gl(3).bracket
+    frac = [Matrix.diagonal([x] * 9) for x in ("-2/3", "5/7", "3/4")]
+    terms = [(Fraction(7, 5), tuple(frac)), (-1, (frac[1], None, frac[0]))]
+    got = contract_sum(c, terms)
+    assert naive.as_cells(got) == _naive_sum(naive.as_cells(c), terms)
+    _assert_canonical(got)
+
+
+def test_contract_sum_of_varying_diagonals_matches_naive():
+    # on gl(3): two distinct axis-2 diagonals, two constant terms and a c I on axis 2 among them; rows whose
+    # varying factors vanish (e has a zero entry) take one factor, others one varying factor or several
+    c = support.gl(3).bracket
+    d, e, g = (Matrix.diagonal(v) for v in ([1, 2, 3, "1/2", 5, -1, 7, 1, "2/3"], [2, 0, 1, 1, "-1/3", 4, 1, 1, 3],
+                                             [3, 1, "1/5", 0, 2, 2, -2, 1, 1]))
+    three = Matrix.identity(9).scale(3)
+    terms = [(1, (d, None, None)), (Fraction(-2, 3), (None, e, d)), (3, (e, None, g)), (-1, (g, d, three)),
+             (1, (None, None, d))]
+    for some in (terms[:2], terms[1:3], terms):
+        got = contract_sum(c, some)
+        assert naive.as_cells(got) == _naive_sum(naive.as_cells(c), some)
+        _assert_canonical(got)
+
+
 def test_contract_sum_never_contracts_a_zero_scale_term(monkeypatch):
     t = bundles.sl2().bracket
     general = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
@@ -565,7 +606,8 @@ def test_contract_sum_checks_every_map_size(monkeypatch):
         other = tuple(None if a == axis else d for a in range(3))
         cases = [[(1, bad)], [(1, (general, None, None)), (-1, bad)]]
         if m.diag is not None:
-            cases += [[(1, other), (Fraction(1, 2), bad)], [(1, tuple(x or y for x, y in zip(bad, other)))]]
+            cases += [[(1, other), (Fraction(1, 2), bad)], [(1, tuple(x or y for x, y in zip(bad, other)))],
+                      [(3, (None, None, None)), (-1, tuple(m.scale(5) if a == axis else None for a in range(3)))]]
         for terms in cases:
             with pytest.raises(DimensionMismatch, match="does not match an axis of extent 3"):
                 contract_sum(t, terms)
