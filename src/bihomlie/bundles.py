@@ -477,7 +477,8 @@ def _entries(doc: dict[str, Any], key: str, n: int,
             raise ParseError(f"field {key!r}: bad entry {_quoted(item)}: {exc}") from exc
         _known_keys(item, (*index_keys, "out"), f"{key} entries")
         if not all(1 <= i <= n for i in idx):
-            raise DimensionMismatch(f"field {key!r}: entry {dict(zip(index_keys, idx))} out of range for dim {n}")
+            raise DimensionMismatch(f"field {key!r}: entry {_quoted(dict(zip(index_keys, idx)))}"
+                                    f" out of range for dim {n}")
         if idx in seen:
             raise ParseError(f"field {key!r}: repeated entry {dict(zip(index_keys, idx))}")
         seen.add(idx)
@@ -679,7 +680,7 @@ def fixture_by_name(name: str) -> AlgebraBundle:
     else:
         base, args = name, []
     if base not in FIXTURES:
-        raise ParseError(f"unknown fixture {base!r}; known: {sorted(FIXTURES)}")
+        raise ParseError(f"unknown fixture {_quoted(base)}; known: {sorted(FIXTURES)}")
     build, readers = FIXTURES[base]
     if args and not readers:
         raise ParseError(f"fixture {base!r} takes no arguments")

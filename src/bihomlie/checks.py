@@ -13,9 +13,10 @@ so a passing check adds no whole tensor.
 Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
 zeta-admissibility on the adjoint action.  An identity linear in one unknown
-map (the Leibniz rule at weight zero, dual, zeta- and pi-admissibility) is an
-``Affine`` form in that map: its checker evaluates it at the candidate, a
-one-term ``contract_sum`` per term, and ``search`` solves it for the map.
+map (the Leibniz rule at weight zero, dual, zeta- and pi-admissibility) is one
+term list (``_leibniz``, ``_dual_admissible``, ``_zeta``): its checker
+contracts it at the candidate, and ``search`` solves it for the marker
+``Unknown`` standing in the candidate's place.
 Hypotheses a result states without the checker being able to gate on
 usefully (involutivity, invertibility) are reported as notes while the
 identity is still evaluated.
@@ -142,22 +143,14 @@ def _stack(mats: Sequence[Matrix]) -> Tensor3:
     return Tensor3((len(mats), mats[0].rows, mats[0].cols), tuple(m.nz for m in mats))
 
 
-class Affine(NamedTuple):
-    """A residual linear in one unknown map x of the given shape: const plus, over the terms (sign, t, axis,
-    transposed), sign * (t with that axis transformed by x^T if transposed else x, a one-term ``contract_sum``).
-    Its checker evaluates it at a candidate (``at``); ``search`` solves it for x."""
+class Unknown(NamedTuple):
+    """The unknown map of a linear identity in a term's slot, or its transpose; ``transpose`` flips the flag, so
+    the term builders write one list for a candidate map and for the unknown, which ``search`` solves for."""
 
-    shape: tuple[int, int]
-    const: Tensor3
-    terms: tuple[tuple[int, Tensor3, int, bool], ...]
+    transposed: bool = False
 
-    def at(self, x: Matrix) -> Tensor3:
-        out = self.const
-        for sign, t, axis, transposed in self.terms:
-            m = x.transpose() if transposed else x
-            term = contract_sum(t, [(1, tuple(m if a == axis else None for a in range(3)))])
-            out = out.add(term) if sign > 0 else out.sub(term)
-        return out
+    def transpose(self) -> Unknown:
+        return Unknown(not self.transposed)
 
 
 def _array_entry(identity: str, case: str, m: Matrix | Tensor3) -> CheckEntry:
@@ -433,11 +426,9 @@ def check_adjoint_admissible(a: AlgebraBundle, smap: Matrix) -> Report:
     return Report((_array_entry("admissible_adjoint", "", admissible),), notes)
 
 
-def _dual_admissible_form(comul: Tensor3, nmap: Matrix) -> Affine:
-    """(S x id) Delta N - (S x N) Delta + (id x N^2) Delta - (id x N) Delta N in the unknown S."""
-    t, N, n = comul, nmap, comul.shape[0]
-    const = contract_sum(t, [_comul(1, None, None, N @ N), _comul(-1, N, None, N)])
-    return Affine((n, n), const, ((1, contract_sum(t, [_comul(1, N), _comul(-1, None, None, N)]), 1, False),))
+def _dual_admissible(N: Matrix, S: Matrix | Unknown) -> list[Term]:
+    """(S x id) Delta N - (S x N) Delta + (id x N^2) Delta - (id x N) Delta N, linear in S."""
+    return [_comul(1, N, S), _comul(-1, None, S, N), _comul(1, None, None, N @ N), _comul(-1, N, None, N)]
 
 
 @declares(admissible_dual="(S x id) Delta N + (id x N^2) Delta = (S x N) Delta + (id x N) Delta N")
@@ -447,7 +438,7 @@ def check_dual_admissible(comul: Tensor3, nmap: Matrix, smap: Matrix) -> Report:
     for m in (nmap, smap):
         if (m.rows, m.cols) != (n, n):
             raise DimensionMismatch("operator size does not match the comultiplication")
-    return Report((_array_entry("admissible_dual", "", _dual_admissible_form(comul, nmap).at(smap)),))
+    return Report((_array_entry("admissible_dual", "", contract_sum(comul, _dual_admissible(nmap, smap))),))
 
 
 # -- bilinear forms -------------------------------------------------------------------
@@ -485,10 +476,9 @@ def check_form(a: AlgebraBundle, f: FormBundle) -> Report:
 # -- differential checkers --------------------------------------------------------------
 
 
-def _leibniz_form(a: AlgebraBundle) -> Affine:
-    """d([x,y]) - [d(x),y] - [x,d(y)] in the unknown d: the Leibniz rule at weight zero."""
-    c = a.bracket
-    return Affine((a.dim, a.dim), Tensor3.zeros(c.shape), ((1, c, 2, False), (-1, c, 0, True), (-1, c, 1, True)))
+def _leibniz(d: Matrix | Unknown, w: Fraction) -> list[Term]:
+    """d([x,y]) - [d(x),y] - [x,d(y)] - w [d(x),d(y)] on a bracket, linear in d at w = 0, which drops the last term."""
+    return [_bracket(1, out=d), _bracket(-1, d), _bracket(-1, None, d), _bracket(-w, d, d)]
 
 
 @declares(diff_leibniz="d([x,y]) = [d(x),y] + [x,d(y)] + w [d(x),d(y)]")
@@ -498,10 +488,7 @@ def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fract
         diff = require(a, "differential")
         op = op if op is not None else diff.matrix
         weight = weight if weight is not None else diff.weight
-    leibniz = _leibniz_form(a).at(op)
-    if weight:  # the weight term -w [d(x), d(y)]; the form alone at weight zero
-        leibniz = leibniz.add(contract_sum(a.bracket, [_bracket(-weight, op, op)]))
-    return Report((_array_entry("diff_leibniz", "", leibniz),))
+    return Report((_array_entry("diff_leibniz", "", contract_sum(a.bracket, _leibniz(op, weight))),))
 
 
 @declares(diff_rep="xi rho(x) = rho(d(x)) + rho(x) xi + w rho(d(x)) xi")
@@ -526,31 +513,25 @@ def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) ->
     return Report((_array_entry("diff_coalgebra", "", leibniz),))
 
 
-def _zeta_form(rho: Tensor3, a: AlgebraBundle, weight: Fraction | None) -> Affine:
-    """rho(x) zeta - rho(d(x)) - zeta rho(x) - w zeta rho(d(x)) in the unknown zeta, for a stacked action rho of a,
-    d = a.differential; rho + w rho(d(.)) is rho itself at weight zero."""
+def _zeta(a: AlgebraBundle, zeta: Matrix | Unknown, weight: Fraction | None) -> list[Term]:
+    """rho(x) zeta - rho(d(x)) - zeta rho(x) - w zeta rho(d(x)) on a stacked action rho of a, linear in zeta;
+    d = a.differential, whose weight w is the default."""
     diff = require(a, "differential")
-    w, d, v = weight if weight is not None else diff.weight, diff.matrix, rho.shape[1]
-    return Affine((v, v), contract_sum(rho, [_action(-1, d)]),
-                  ((1, rho, 2, True), (-1, contract_sum(rho, [_action(1), _action(w, d)]), 1, False)))
-
-
-def _pi_form(a: AlgebraBundle, weight: Fraction | None) -> Affine:
-    """The zeta form on the adjoint action, plane i being ad_{e_i}: cell (i, k, j) is coordinate k at (e_i, e_j)."""
-    return _zeta_form(a.bracket.transpose((0, 2, 1)), a, weight)
+    w, d = weight if weight is not None else diff.weight, diff.matrix
+    return [_action(1, right=zeta), _action(-1, d), _action(-1, left=zeta), _action(-w, d, left=zeta)]
 
 
 @declares(diff_admissible_zeta="rho(x) zeta = rho(d(x)) + zeta rho(x) + w zeta rho(d(x))")
 def check_diff_zeta(r: RepresentationBundle, zeta: Matrix, weight: Fraction | None = None) -> Report:
     """Dual-module admissibility of a candidate zeta."""
-    admissible = _zeta_form(_stack(r.rho), r.algebra, weight).at(zeta)
+    admissible = contract_sum(_stack(r.rho), _zeta(r.algebra, zeta, weight))
     return Report((_array_entry("diff_admissible_zeta", "", admissible),))
 
 
 @declares(diff_admissible_pi="[x,pi(y)] = [d(x),y] + pi([x,y]) + w pi([d(x),y])")
 def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) -> Report:
-    """Adjoint admissibility of a candidate pi, its form's cells transposed back to (i, j, k)."""
-    admissible = _pi_form(a, weight).at(pi).transpose((0, 2, 1))
+    """Adjoint admissibility of pi: the zeta terms on the action ad_{e_i}, cell (i, k, j), read at (i, j, k)."""
+    admissible = contract_sum(a.bracket.transpose((0, 2, 1)), _zeta(a, pi, weight)).transpose((0, 2, 1))
     return Report((_array_entry("diff_admissible_pi", "", admissible),))
 
 

@@ -69,8 +69,10 @@ def scalar(value: int | str | Fraction) -> Fraction:
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+            raise ValueError(f"zero denominator in {_quoted(value)}") from None
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: {_quoted(value.strip())}") from None
+    raise TypeError(f"cannot interpret {_quoted(value)} as an exact scalar")
 
 
 #: a row as (den, pairs): den > 0 and the (column, numerator) pairs of its nonzero

@@ -1,10 +1,11 @@
 """Structure-finding solvers.
 
-An identity linear in one unknown map is the affine form its checker
-evaluates (``checks.Affine``), compiled into one exact linear system over the
-map's entries and solved by one exact elimination; the quadratic operator
-identity is searched by exhaustive enumeration over a finite grid, its free
-entries counted and held to the budget before any is listed.
+An identity linear in one unknown map is the term list its checker contracts,
+with the marker ``checks.Unknown`` in the candidate's place, compiled into one
+exact linear system over the map's entries and solved by one exact
+elimination; the quadratic operator identity is searched by exhaustive
+enumeration over a finite grid, its free entries counted and held to the
+budget before any is listed.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 
 from . import checks
 from .bundles import AlgebraBundle
-from .checks import _commutator, _stack, check_nijenhuis_operator
-from .exact import Matrix, Row, Vector, ZERO, _sorted_row, solve
+from .checks import Unknown, _commutator, _stack, check_nijenhuis_operator
+from .exact import Matrix, Row, Tensor3, Term, Vector, ZERO, _sorted_row, contract_sum, solve
 
 
 class NonlinearKind(ValueError):
@@ -72,33 +73,51 @@ class SolutionSpace:
 
 
 class _System:
-    """The equations of an affine form in one unknown map x, x[r][s] being unknown r * cols + s: the form's
-    residual at a cell, sum_u row[u] x_u + const = 0, for each cell a nonzero of a term or of the constant
-    reaches (a cell whose coefficients cancel keeps its constant), on integers over one common denominator."""
+    """The equations of a linear identity in one unknown map x (x[r][s] is unknown r * cols + s), given as the
+    ``contract_sum`` terms on t its checker contracts, the marker ``Unknown`` for x: sum_u row[u] x_u + const = 0 at
+    each cell a nonzero of a group's sum reaches (cancelled coefficients keep the constant), on integers over one
+    denominator.  Groups, by where the marker stands, the constant first, are each summed by one ``contract_sum``."""
 
-    def __init__(self, form: checks.Affine):
-        rows_dim, cols = self.shape = form.shape
-        self.nvars = rows_dim * cols
-        den = math.lcm(*[d for t in (form.const, *(term[1] for term in form.terms))
-                         for plane in t.nz for d, pairs in plane if pairs])
-        const = {(i, j, k): -v * (den // d) for i, plane in enumerate(form.const.nz)
-                 for j, (d, pairs) in enumerate(plane) for k, v in pairs}
-        equations: dict[tuple[int, int, int], dict[int, int]] = {cell: {} for cell in const}
-        for sign, t, axis, transposed in form.terms:
-            # t with the axis transformed by x is sum_b x[a][b] t[.. b ..] at index a on the axis: the rows of
-            # t with the axis moved last, each spread over x's row a (or column a, transposed) for every a
-            stride, step = (cols, 1) if transposed else (1, cols)
-            for p, plane in enumerate(t.transpose(((1, 2, 0), (0, 2, 1), (0, 1, 2))[axis]).nz):
+    def __init__(self, t: Tensor3, terms: list[Term]):
+        groups: dict[tuple[int, bool] | None, list[Term]] = {None: []}  # the marker's (axis, transposed) -> terms
+        for s, maps in terms:
+            at = None
+            for axis, m in enumerate(maps):
+                if isinstance(m, Unknown):
+                    if at is not None:
+                        raise NonlinearKind("the weighted rule is quadratic in the unknown map"
+                                            " unless the weight is zero")
+                    at, n, maps = (axis, m.transposed), t.shape[axis], maps[:axis] + (None,) + maps[axis + 1:]
+            if s:
+                groups.setdefault(at, []).append((s, maps))
+        self.shape, self.nvars = (n, n), n * n  # x is n x n
+        parts = []  # (sign, the sum of a group, where its marker stands): a leading -1 is kept out of the sum
+        for at, group in groups.items():
+            sign = -1 if group and group[0][0] == -1 else 1
+            group = group if sign > 0 else [(-s, maps) for s, maps in group]
+            if group:  # a lone term of no map is t itself
+                parts.append((sign, t if group == [(1, (None, None, None))] else contract_sum(t, group), at))
+        den = math.lcm(*[d for _, u, _ in parts for plane in u.nz for d, pairs in plane if pairs])
+        const, equations = {}, {}  # cell -> the constant there; cell -> {unknown: coefficient}
+        for sign, u, at in parts:
+            if at is None:  # the constant
+                const = {(i, j, k): -sign * v * (den // d) for i, plane in enumerate(u.nz)
+                         for j, (d, pairs) in enumerate(plane) for k, v in pairs}
+                equations = {cell: {} for cell in const}
+                continue
+            # sum_b x[a][b] u[.. b ..] at a on the axis: u's rows, axis last, spread over x's row (column, transposed) a
+            axis, transposed = at
+            stride, step = (n, 1) if transposed else (1, n)
+            for p, plane in enumerate(u.transpose(((1, 2, 0), (0, 2, 1), (0, 1, 2))[axis]).nz):
                 for q, (d, pairs) in enumerate(plane):
                     f = sign * (den // d)
-                    for a in range(form.const.shape[axis]) if pairs else ():
+                    for a in range(n) if pairs else ():
                         eq = equations.setdefault((a, p, q) if axis == 0 else (p, a, q) if axis == 1 else (p, q, a), {})
                         for b, v in pairs:
-                            u = stride * b + step * a
-                            eq[u] = eq.get(u, 0) + f * v
+                            var = stride * b + step * a
+                            eq[var] = eq.get(var, 0) + f * v
         self.rows: list[Row] = [_sorted_row(1, eq) for eq in equations.values()]
-        # the right-hand sides, None when the form has no constant
-        self.rhs = tuple(Fraction(const.get(cell, 0)) for cell in equations) if const else None
+        self.rhs = tuple(Fraction(const.get(cell, 0)) for cell in equations) if const else None  # None: homogeneous
 
     def solve(self) -> SolutionSpace:
         particular, basis = solve(Matrix(len(self.rows), self.nvars, tuple(self.rows)), self.rhs)
@@ -107,27 +126,26 @@ class _System:
 
 def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> SolutionSpace:
     """Exact solution space of an identity linear in one unknown map: the
-    checker's affine form of that identity, solved for the map.
+    terms its checker contracts, solved for the marker ``checks.Unknown``
+    standing in the candidate's place.
 
-    kinds: "derivation" (weight must be zero there, its default),
-    "conijenhuis" (unknown comultiplication-side operator given the
+    kinds: "derivation" (the Leibniz rule; weight must be zero there, its
+    default), "conijenhuis" (unknown comultiplication-side operator given the
     algebra-side one; no weight), "zeta" (module-admissibility given the
     differential, whose weight is the default) and "pi" (zeta on the adjoint
     module).
     """
-    forms = {
-        "derivation": lambda algebra: checks._leibniz_form(algebra),
-        "conijenhuis": checks._dual_admissible_form,
-        "pi": lambda algebra: checks._pi_form(algebra, weight),
-        "zeta": lambda rep: checks._zeta_form(_stack(rep.rho), rep.algebra, weight),
+    systems = {
+        "derivation": lambda algebra: (algebra.bracket, checks._leibniz(Unknown(), weight or 0)),
+        "conijenhuis": lambda comul, nmap: (comul, checks._dual_admissible(nmap, Unknown())),
+        "pi": lambda algebra: (algebra.bracket.transpose((0, 2, 1)), checks._zeta(algebra, Unknown(), weight)),
+        "zeta": lambda rep: (_stack(rep.rho), checks._zeta(rep.algebra, Unknown(), weight)),
     }
-    if kind not in forms:
+    if kind not in systems:
         raise ValueError(f"unknown linear identity kind {kind!r}")
     if kind == "conijenhuis" and weight is not None:
         raise ValueError(f"the linear identity kind 'conijenhuis' has no weight, got {weight}")
-    if kind == "derivation" and weight:
-        raise NonlinearKind("the weighted rule is quadratic in the unknown map unless the weight is zero")
-    return _System(forms[kind](**data)).solve()
+    return _System(*systems[kind](**data)).solve()
 
 
 def grid_search_nijenhuis(a: AlgebraBundle, grid: list[Fraction],

@@ -600,12 +600,13 @@ def test_a_zero_weight_contracts_no_weight_term(monkeypatch):
     # with maps that are not diagonal, every term is contracted map by map: one contraction for each of the
     # three unweighted terms, and two for the weight term, which a zero weight drops
     d = Matrix.from_rows([[1, 2], [0, 1]])
-    rep = support.adjoint_rep(support.with_diff(bundles.aff2(), d, 0), xi=d)
+    alg = support.with_diff(bundles.aff2(), d, 0)
+    rep = support.adjoint_rep(alg, xi=d)
     co = dualize(support.with_diff(bundles.abelian(2), d, 0))
     made = []
     monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
     for run in (lambda w: checks.check_diff_rep(rep, w), lambda w: checks.check_diff_coalgebra(co, w),
-                lambda w: checks.check_diff_dual_admissible(co, d, w)):
+                lambda w: checks.check_diff_dual_admissible(co, d, w), lambda w: checks.check_diff_leibniz(alg, d, w)):
         counts = []
         for w in (Fraction(0), Fraction(1)):
             made.clear()

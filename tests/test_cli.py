@@ -454,14 +454,33 @@ def _nested(depth):
 
 
 def _refusal(workdir, capsys, text):
-    """The stderr of ``check`` on a document of this text, which must end with exit 2 and one error line."""
-    path = workdir / "bad.json"
-    path.write_text(text, encoding="utf-8")
-    assert run(["check", str(path)]) == 2
+    """The stderr of ``check`` on a document of this text, or of the command line a list gives ("{doc}" in it
+    the path of a differential aff2 document), which must end with exit 2 and one error line."""
+    if isinstance(text, list):
+        doc = _write(workdir / "aff2d.json", support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0))
+        argv = [doc if arg == "{doc}" else arg for arg in text]
+    else:
+        path = workdir / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["check", str(path)]
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "set_int_max_str_digits" not in err
     return err
+
+
+#: command lines that quote a long bad scalar or fixture name in their error
+_LONG_ARGUMENTS = [
+    ["check", "{doc}", "--weight", "a" * 3000],
+    ["check", "{doc}", "--weight", "1/" + "0" * 3000],
+    ["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0," + "x" * 3000],
+    ["check", f"fixture:bihom2({'x' * 3000},3)"],
+    ["check", "fixture:" + "x" * 3000],
+]
+#: a bracket entry whose index is out of range by 3000 digits
+_LONG_INDEX = json.dumps(_aff2_document(bracket=[{"i": int("9" * 3000), "j": 2, "out": ["0", "1"]}]))
+_LONG_ARGUMENT_IDS = ["long-weight", "long-zero-denominator", "long-grid", "long-fixture-argument", "long-fixture-name"]
 
 
 @pytest.mark.parametrize("text", [
@@ -470,7 +489,9 @@ def _refusal(workdir, capsys, text):
     json.dumps(_aff2_document(differential={"matrix": [["0", "0"], ["0", "0"]], "weight": _nested(500)})),
     json.dumps(_aff2_document(variant="x" * 5000)),
     '{"kind": "algebra", "dim": ' + "1" * 5001 + "}",
-], ids=["deep-alpha", "long-scalar", "deep-weight", "long-variant", "long-integer"])
+    _LONG_INDEX,
+    *_LONG_ARGUMENTS,
+], ids=["deep-alpha", "long-scalar", "deep-weight", "long-variant", "long-integer", "long-index", *_LONG_ARGUMENT_IDS])
 def test_huge_values_end_with_a_short_error_line(workdir, capsys, text):
     assert len(_refusal(workdir, capsys, text)) < 200
 
@@ -478,7 +499,9 @@ def test_huge_values_end_with_a_short_error_line(workdir, capsys, text):
 @pytest.mark.parametrize("text", [
     json.dumps(_aff2_document(bracket=[{"i": 1, "j": _nested(500), "out": ["0", "1"]}])),
     json.dumps({**_aff2_document(), "x" * 5000: 1}),
-], ids=["deep-index", "long-key"])
+    _LONG_INDEX,
+    *_LONG_ARGUMENTS,
+], ids=["deep-index", "long-key", "long-index", *_LONG_ARGUMENT_IDS])
 def test_every_quoted_value_is_clipped(workdir, capsys, text):
     assert not re.search(r"(.)\1{80}", _refusal(workdir, capsys, text))  # no value quoted past 80 characters
 

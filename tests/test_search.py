@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,45 @@ def test_linear_solutions_match_the_naive_systems(instance):
     particular = naive.rref_solve(rows, rhs, nvars)
     assert (None if sol.particular is None else list(sol.particular)) == particular
     assert sol.homogeneous == (not any(rhs))
+
+
+@st.composite
+def _candidate(draw, k):
+    """A k x k candidate map: general, diagonal, c I or zero, the shapes the checkers' contractions tell apart."""
+    shape = draw(st.sampled_from(["general", "diagonal", "scalar", "zero"]))
+    if shape == "general":
+        return Matrix.from_rows(draw(_cells(k, k)))
+    if shape == "diagonal":
+        return Matrix.diagonal(draw(_cells(k)))
+    return Matrix.identity(k).scale(draw(_ENTRY.filter(bool)) if shape == "scalar" else 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_linear_instance(), st.data())
+def test_linear_checkers_match_the_naive_systems(instance, data):
+    # each checker's residual at a candidate x is the naive system's rows . vec(x) - rhs, cell by cell; the Leibniz
+    # rows are the rule at weight zero, and its checker subtracts w [d(e_i), d(e_j)] as well
+    kind, weight, inputs, nvars, rows, rhs = instance
+    k = math.isqrt(nvars)
+    x = data.draw(_candidate(k))
+    flat = [v for row in x.entries for v in row]
+    cols = [[x.entries[r][j] for r in range(k)] for j in range(k)]  # d(e_j), for Leibniz
+    expected = {}
+    for q, (row, b) in enumerate(zip(rows, rhs)):
+        cell = (q // nvars, q // k % k, q % k)
+        value = sum((r * v for r, v in zip(row, flat)), Fraction(0)) - b
+        if kind == "derivation":
+            alg = inputs["algebra"]
+            value -= alg.differential.weight * naive.bracket_eval(naive.as_cells(alg.bracket), cols[cell[0]],
+                                                                  cols[cell[1]])[cell[2]]
+        expected[(cell[0], cell[2], cell[1]) if kind == "pi" else cell] = value
+    report = {
+        "derivation": lambda: checks.check_diff_leibniz(inputs["algebra"], x),
+        "conijenhuis": lambda: checks.check_dual_admissible(inputs["comul"], inputs["nmap"], x),
+        "pi": lambda: checks.check_diff_pi(inputs["algebra"], x, weight),
+        "zeta": lambda: checks.check_diff_zeta(inputs["rep"], x, weight),
+    }[kind]()
+    assert dict(report.entries[0].residual.nonzeros) == {idx: v for idx, v in expected.items() if v}
 
 
 def test_grid_search_includes_printed_operator():
