@@ -4,12 +4,14 @@ Every checker evaluates its identities on all basis tuples (multilinearity
 makes that exhaustive) and returns a Report of exact residuals; pass iff the
 residual is identically zero.  A three-index identity, a signed sum of
 contractions of one tensor, is one ``contract_sum`` call over ``_bracket``,
-``_comul`` or ``_action`` terms; four-index ones are tabulated by rows, no n^4
-array built: per basis tuple, or, for the one cyclic sum of Jacobi and
-co-Jacobi, per orbit under rotation (S3 under antisymmetry).  Twisted
-(co-)antisymmetry is read off the twisted rows once per unordered pair of
-them (``_pair_sum``), and co-Jacobi's rows are those of Delta transposed once,
-so a passing check adds no whole tensor.
+``_comul`` or ``_action`` terms.  A four-index one composes two tensors
+(Jacobi, co-Jacobi, the representation identity, the mixed matched-pair
+identities, the cocycle): it is one list of (sign, q, a, p, b, c) terms, which
+``_composed`` evaluates by rows, no n^4 array built: per free tuple, or, for
+the cyclic sum of Jacobi and co-Jacobi (``_cyclic``), per orbit under rotation
+(S3 under antisymmetry).  Twisted (co-)antisymmetry is read off the twisted
+rows once per unordered pair of them (``_pair_sum``), and co-Jacobi's rows are
+those of Delta transposed once, so a passing check adds no whole tensor.
 Each formula is written once: the second mixed identity is the first read on
 the swapped pair (``MatchedPairBundle.swapped``), and pi-admissibility is
 zeta-admissibility on the adjoint action.  An identity linear in one unknown
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Any, Callable, NamedTuple, Sequence
+from itertools import combinations, permutations, product
+from typing import Any, NamedTuple, Sequence
 
 from .bundles import (
     AlgebraBundle,
@@ -203,26 +205,48 @@ def _pair_sum(p: Sequence[Sequence[Row]], row_first: bool = False) -> Residual:
     return Residual.collect((n,) * 3, cells)
 
 
-def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = False) -> Residual:
-    """The residual of q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j] at (i, j, k, r), or (r, i, j, k) if row_first, x.y
-    being the row sum_b y_b x[b]; evaluated once per orbit under rotation, or under S3 when alternating (meaning that
-    p[i][j] = -p[j][i]: odd permutations negate the row, a repeated index gives zero), and zero where the three rows
-    of p are empty; no orbit is walked when every row of p is."""
-    n, cells = len(p), []
-    if not any(row[1] for plane in p for row in plane):
-        return Residual((n,) * 4, ())
-    reps = combinations(range(n), 3) if alternating else (  # the least rotation
-        (i, j, k) for i in range(n) for j in range(i, n) for k in range(i + (j > i), n))
-    for i, j, k in reps:
-        if not (p[j][k][1] or p[k][i][1] or p[i][j][1]):
+#: (sign, q, a, p, b, c): the row sign q[idx[a]].p[idx[b]][idx[c]] at a free index tuple idx, x.y being the row
+#: sum_b y_b x[b]; a quadratic identity is a list of them
+Composed = tuple[int, Tensor3, int, Tensor3, int, int]
+
+
+def _composed(terms: Sequence[Composed], orbits: str | None = None, row_first: bool = False) -> Residual:
+    """The residual of the sum of the terms at (*idx, r), or (r, *idx) if row_first, over the free tuples idx, whose
+    ranges and row width are read off the tensors.  A tuple combines only the terms whose row of p is nonempty and is
+    skipped when none is, and no tuple is walked when every p is empty.  With orbits "C3" (the sum is invariant under
+    rotating idx) or "S3" (alternating: odd permutations negate the row, a repeated index gives zero) one tuple is
+    evaluated per orbit, and the orbit's members are listed only when its row is nonzero."""
+    ranges, rows, distinct = [0, 0, 0], [], {}  # distinct: each p once, by identity
+    for s, q, a, p, b, c in terms:
+        ranges[a], ranges[b], ranges[c] = q.shape[0], p.shape[0], p.shape[1]
+        rows.append((s, q.nz, a, p.nz, b, c))
+        distinct[id(p)] = p.nz
+    shape = (terms[0][1].shape[2], *ranges) if row_first else (*ranges, terms[0][1].shape[2])
+    if not any(row[1] for p in distinct.values() for plane in p for row in plane):
+        return Residual(shape, ())
+    n, cells = ranges[0], []
+    walk = (product(*map(range, ranges)) if orbits is None else combinations(range(n), 3) if orbits == "S3"
+            else ((i, j, k) for i in range(n) for j in range(i, n) for k in range(i + (j > i), n)))  # least rotation
+    for idx in walk:
+        live = []  # a loop, not a comprehension: no frame per tuple
+        for s, q, a, p, b, c in rows:
+            row = p[idx[b]][idx[c]]
+            if row[1]:
+                live.append((s, q[idx[a]], row))
+        if not live:
             continue
-        den, pairs = _combination(((1, q[i], p[j][k]), (1, q[j], p[k][i]), (1, q[k], p[i][j])))
+        den, pairs = _combination(live)
         if pairs:  # permutations lists (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
-            orbit = (zip(permutations((i, j, k)), (1, -1, -1, 1, 1, -1)) if alternating
-                     else {(i, j, k): 1, (j, k, i): 1, (k, i, j): 1}.items())
-            for idx, sign in orbit:
-                cells += [((r, *idx) if row_first else (*idx, r), Fraction(sign * v, den)) for r, v in pairs]
-    return Residual.collect((n,) * 4, cells)
+            members = (((idx, 1),) if orbits is None else zip(permutations(idx), (1, -1, -1, 1, 1, -1))
+                       if orbits == "S3" else {idx: 1, idx[1:] + idx[:1]: 1, idx[2:] + idx[:2]: 1}.items())
+            for member, sign in members:
+                cells += [((r, *member) if row_first else (*member, r), Fraction(sign * v, den)) for r, v in pairs]
+    return Residual.collect(shape, cells)
+
+
+def _cyclic(q: Tensor3, p: Tensor3) -> list[Composed]:
+    """q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j]: Jacobi and co-Jacobi."""
+    return [(1, q, 0, p, 1, 2), (1, q, 1, p, 2, 0), (1, q, 2, p, 0, 1)]
 
 
 # -- algebra-side checkers -------------------------------------------------------
@@ -236,15 +260,15 @@ def _cyclic_sum(q: Sequence, p: Sequence, alternating: bool, row_first: bool = F
 def check_bihom_lie(a: AlgebraBundle) -> Report:
     """Multiplicativity of alpha and beta, twisted antisymmetry, twisted Jacobi."""
     c, A, B = a.bracket, a.alpha, a.beta
-    twisted = contract_sum(c, [_bracket(1, B, A)]).nz  # [beta(x), alpha(y)]
-    antisymmetry = _pair_sum(twisted)
+    twisted = contract_sum(c, [_bracket(1, B, A)])  # [beta(x), alpha(y)]
+    antisymmetry = _pair_sum(twisted.nz)
     return Report((
         CheckEntry("bihom_multiplicativity", "alpha", _multiplicativity(c, A)),
         CheckEntry("bihom_multiplicativity", "beta", _multiplicativity(c, B)),
         _array_entry("bihom_multiplicativity", "alpha-beta-commute", _commutator(A, B)),
         CheckEntry("bihom_antisymmetry", "", antisymmetry),
-        CheckEntry("bihom_jacobi", "", _cyclic_sum(contract_sum(c, [_bracket(1, B @ B)]).nz, twisted,
-                                                   antisymmetry.is_zero)),
+        CheckEntry("bihom_jacobi", "", _composed(_cyclic(contract_sum(c, [_bracket(1, B @ B)]), twisted),
+                                                 "S3" if antisymmetry.is_zero else "C3")),
     ))
 
 
@@ -294,15 +318,15 @@ def check_bihom_coalgebra(co: CoalgebraBundle) -> Report:
     # (beta x alpha) Delta and (beta^2 x id) Delta on tt[i][j][k] = Delta[k][i][j], by rows (i, j) over k; the
     # transpose of a dualized bracket is that bracket itself
     tt = t.transpose((1, 2, 0))
-    twisted, outer = contract_sum(tt, [(1, (B, A, None))]).nz, contract_sum(tt, [(1, (B @ B, None, None))]).nz
-    antisymmetry = _pair_sum(twisted, True)
+    twisted, outer = contract_sum(tt, [(1, (B, A, None))]), contract_sum(tt, [(1, (B @ B, None, None))])
+    antisymmetry = _pair_sum(twisted.nz, True)
     # (id x beta x alpha)(beta^2 x Delta) Delta(e_k) at e_a (x) e_i (x) e_j is sum_b outer[a][b][k] twisted[i][j][b]
     return Report((
         CheckEntry("co_comultiplicativity", "alpha", _comultiplicativity(t, A)),
         CheckEntry("co_comultiplicativity", "beta", _comultiplicativity(t, B)),
         _array_entry("co_comultiplicativity", "alpha-beta-commute", _commutator(A, B)),
         CheckEntry("co_antisymmetry", "", antisymmetry),
-        CheckEntry("co_jacobi", "", _cyclic_sum(outer, twisted, antisymmetry.is_zero, True)),
+        CheckEntry("co_jacobi", "", _composed(_cyclic(outer, twisted), "S3" if antisymmetry.is_zero else "C3", True)),
     ))
 
 
@@ -335,32 +359,26 @@ def check_bialgebra_cocycle(b: BialgebraBundle) -> Report:
     commute) and both residuals are reported.
     """
     alg, t = b.algebra, b.coalgebra.comul
-    n, c = alg.dim, alg.bracket
-    A, B = alg.alpha, alg.beta
+    c, A, B = alg.bracket, alg.alpha, alg.beta
     Ainv = invert(A)  # SingularMatrix signals the violated hypothesis
     AinvB = Ainv @ B
     B2 = B @ B
-    inner = contract_sum(c, [_bracket(1, AinvB)]).nz       # [i][j]: [alpha^-1 beta(e_i), e_j]
-    delta_rows = t.transpose((1, 0, 2)).nz                 # [a][l]: row a of Delta(e_l)
-    delta_b = contract_sum(t, [_comul(1, None, None, B)]).nz  # [j][r]: row r of (id x beta) Delta(e_j)
-    b_delta = contract_sum(t, [_comul(1, None, B)]).nz        # [j][a]: row a of (beta x id) Delta(e_j)
+    inner = contract_sum(c, [_bracket(1, AinvB)])          # [i][j]: [alpha^-1 beta(e_i), e_j]
+    delta_rows = t.transpose((1, 0, 2))                    # [a][l]: row a of Delta(e_l)
+    delta_b = contract_sum(t, [_comul(1, None, None, B)])  # [j][r]: row r of (id x beta) Delta(e_j)
+    b_delta = contract_sum(t, [_comul(1, None, B)])        # [j][a]: row a of (beta x id) Delta(e_j)
 
     cases = []
     # (ad_{x1(e_i)} (x) beta + beta (x) ad_{x2(e_i)}) Delta(e_j), with x = e_i or, in
-    # the twisted-argument form, x = alpha(e_i), read row a at a time
+    # the twisted-argument form, x = alpha(e_i), read row a at a time at (i, j, a)
     for label, x1, x2 in (("", B, Ainv @ B2), ("twisted-argument-form", AinvB @ A, Ainv @ Ainv @ B2 @ A)):
-        ad1 = contract_sum(c, [_bracket(1, x1)]).transpose((0, 2, 1)).nz  # [i][a]: row a of ad_{x1(e_i)}
-        ad2t = contract_sum(c, [_bracket(1, x2)]).nz                       # [i][r]: row r of ad_{x2(e_i)}^T
-
-        def cocycle(i: int, j: int, a: int) -> Row:
-            return _combination(((1, delta_rows[a], inner[i][j]),
-                                 (-1, delta_b[j], ad1[i][a]), (-1, ad2t[i], b_delta[j][a]),
-                                 (1, delta_b[i], ad1[j][a]), (1, ad2t[j], b_delta[i][a])))
-
-        res = Residual.tabulate((n, n, n), n, cocycle)
+        ad1 = contract_sum(c, [_bracket(1, x1)]).transpose((0, 2, 1))  # [i][a]: row a of ad_{x1(e_i)}
+        ad2t = contract_sum(c, [_bracket(1, x2)])                       # [i][r]: row r of ad_{x2(e_i)}^T
+        cocycle = [(1, delta_rows, 2, inner, 0, 1), (-1, delta_b, 1, ad1, 0, 2), (-1, ad2t, 0, b_delta, 1, 2),
+                   (1, delta_b, 0, ad1, 1, 2), (1, ad2t, 1, b_delta, 0, 2)]
         # the second expansion is reported for comparison, never resolved into
         # the verdict; the two coincide whenever the maps commute
-        cases.append(CheckEntry("bialgebra_cocycle", label, res, advisory=bool(label)))
+        cases.append(CheckEntry("bialgebra_cocycle", label, _composed(cocycle), advisory=bool(label)))
     return Report(tuple(cases))
 
 
@@ -375,23 +393,17 @@ def check_bialgebra_cocycle(b: BialgebraBundle) -> Report:
 def check_representation(r: RepresentationBundle) -> Report:
     """Module compatibility with p, q and the twisted action identity."""
     alg = r.algebra
-    n = alg.dim
     A, B = alg.alpha, alg.beta
     rho = _stack(r.rho)
-    inner = contract_sum(alg.bracket, [_bracket(1, B)]).nz                      # [i][j]: [beta(e_i), e_j]
-    rho_q = contract_sum(rho, [_action(1, right=r.q)]).transpose((1, 0, 2)).nz  # [a][l]: row a of rho(e_l) q
-    r_a, r_b, r_ab = (contract_sum(rho, [_action(1, x)]).nz for x in (A, B, A @ B))  # [i][a]: row a of rho(x(e_i))
-    rho_rows = rho.nz
-
-    def bracket(i: int, j: int, a: int) -> Row:
-        return _combination(((1, rho_q[a], inner[i][j]), (-1, rho_rows[j], r_ab[i][a]),
-                             (1, r_a[i], r_b[j][a])))
-
+    inner = contract_sum(alg.bracket, [_bracket(1, B)])                      # [i][j]: [beta(e_i), e_j]
+    rho_q = contract_sum(rho, [_action(1, right=r.q)]).transpose((1, 0, 2))  # [a][l]: row a of rho(e_l) q
+    r_a, r_b, r_ab = (contract_sum(rho, [_action(1, x)]) for x in (A, B, A @ B))  # [i][a]: row a of rho(x(e_i))
+    bracket = [(1, rho_q, 2, inner, 0, 1), (-1, rho, 1, r_ab, 0, 2), (1, r_a, 0, r_b, 1, 2)]  # at (i, j, a)
     return Report((
         _array_entry("rep_p_compat", "", contract_sum(rho, [_action(1, left=r.p), _action(-1, A, right=r.p)])),
         _array_entry("rep_p_compat", "p-q-commute", _commutator(r.p, r.q)),
         _array_entry("rep_q_compat", "", contract_sum(rho, [_action(1, left=r.q), _action(-1, B, right=r.q)])),
-        CheckEntry("rep_bracket", "", Residual.tabulate((n, n, r.vdim), r.vdim, bracket)),
+        CheckEntry("rep_bracket", "", _composed(bracket)),
     ))
 
 
@@ -554,57 +566,39 @@ def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction 
     diff_mp_left="[y,h(c)x] - [x,h(c)y] - h(rho(y)c)(x) + h(rho(x)c)(y) + h(c)([x,y]) = 0",
     diff_mp_right="[b,rho(z)a]_V - [a,rho(z)b]_V - rho(h(b)z)(a) + rho(h(a)z)(b) + rho(z)([a,b]_V) = 0 (symmetrized); the as-printed variant replaces -rho(h(b)z)(a) + rho(h(a)z)(b) by -rho(h(b)z)(b)",
 )
-def _mp_mixed(mp: MatchedPairBundle, flavor: str) -> tuple[CheckEntry, ...]:
-    """The two mixed identities of a matched pair: the second is the first read
-    on the swapped pair (V, L, h, rho), where alpha, beta and p, q trade places.
-
-    The differential flavour, whose maps are identities, reads the same
-    identities under its own names and adds the as-printed reading of the
-    second one as an advisory entry.
-    """
-    n, m = mp.left.dim, mp.right.dim
-    left, right = _mixed(mp), _mixed(mp.swapped)
-    if flavor != "differential":
-        return (CheckEntry("mp_left", "", Residual.tabulate((n, n, m), n, left)),
-                CheckEntry("mp_right", "", Residual.tabulate((m, m, n), m, right)))
-    printed = Residual.tabulate((m, m, n), m, lambda a, b, k: right(a, b, k, printed=True))
-    return (CheckEntry("diff_mp_left", "", Residual.tabulate((n, n, m), n, left)),
-            CheckEntry("diff_mp_right", "symmetrized", Residual.tabulate((m, m, n), m, right)),
-            CheckEntry("diff_mp_right", "as-printed", printed, advisory=True))
-
-
-def _mixed(mp: MatchedPairBundle) -> Callable[..., Row]:
-    """The row function of the first mixed identity on x = e_i, y = e_j in L and c = f_c in V; with printed
-    set, of the as-printed second identity of the pair mp is the swap of, one middle term in place of two."""
+def _mixed(mp: MatchedPairBundle) -> tuple[list[Composed], list[Composed]]:
+    """The terms of the first mixed identity at x = e_i, y = e_j in L and c = f_c in V, cell (i, j, c), and those of
+    the as-printed reading of the second identity of the pair mp is the swap of: one middle term in place of two."""
     L, Q = mp.left, mp.right.beta
-    A, B, cl = L.alpha, L.beta, L.bracket.nz
+    A, B, cl = L.alpha, L.beta, L.bracket
     rho, h = _stack(mp.rho), _stack(mp.h)
     # rows indexed [first][second]: the value at basis vectors e_* of L, f_* of V
-    h_qa = contract_sum(h, [_action(1, Q, right=A)]).transpose((0, 2, 1)).nz      # [c][i]: h(q(f_c)) alpha(e_i)
-    h_ab = contract_sum(h, [_action(1, right=A @ B)]).transpose((2, 0, 1)).nz     # [i][l]: h(f_l) alpha beta(e_i)
-    rho_aq = contract_sum(rho, [_action(1, A, right=Q)]).transpose((0, 2, 1)).nz  # [j][c]: rho(alpha(e_j)) q(f_c)
-    h_cols = h.transpose((0, 2, 1)).nz                                           # [c][r]: h(f_c) e_r
-    l_twisted = contract_sum(L.bracket, [_bracket(1, B, A)]).nz                  # [i][j]: [beta(e_i), alpha(e_j)]
-
-    def mixed(i: int, j: int, c: int, printed: bool = False) -> Row:
-        middle = (((-1, h_ab[j], rho_aq[j][c]),) if printed
-                  else ((-1, h_ab[i], rho_aq[j][c]), (1, h_ab[j], rho_aq[i][c])))
-        return _combination(((1, cl[j], h_qa[c][i]), (-1, cl[i], h_qa[c][j]), *middle,
-                             (1, h_cols[c], l_twisted[i][j])))
-
-    return mixed
+    h_qa = contract_sum(h, [_action(1, Q, right=A)]).transpose((0, 2, 1))      # [c][i]: h(q(f_c)) alpha(e_i)
+    h_ab = contract_sum(h, [_action(1, right=A @ B)]).transpose((2, 0, 1))     # [i][l]: h(f_l) alpha beta(e_i)
+    rho_aq = contract_sum(rho, [_action(1, A, right=Q)]).transpose((0, 2, 1))  # [j][c]: rho(alpha(e_j)) q(f_c)
+    h_cols = h.transpose((0, 2, 1))                                           # [c][r]: h(f_c) e_r
+    l_twisted = contract_sum(L.bracket, [_bracket(1, B, A)])                  # [i][j]: [beta(e_i), alpha(e_j)]
+    mixed = [(1, cl, 1, h_qa, 2, 0), (-1, cl, 0, h_qa, 2, 1), (-1, h_ab, 0, rho_aq, 1, 2), (1, h_ab, 1, rho_aq, 0, 2),
+             (1, h_cols, 2, l_twisted, 0, 1)]
+    return mixed, [*mixed[:2], (-1, h_ab, 1, rho_aq, 1, 2), mixed[4]]
 
 
 def check_matched_pair(mp: MatchedPairBundle, flavor: str) -> Report:
-    """Constituent axioms, cross representations, and the two mixed identities.
+    """Constituent axioms, cross representations, and the two mixed identities, the second being the first read on
+    the swapped pair (V, L, h, rho), where alpha, beta and p, q trade places.
 
-    flavor is a key of FLAVORS; the checkers besides the mixed identities are
-    the ("matched_pair", flavor) suite.  The differential flavour needs
-    identity structure maps; its report also carries the as-printed reading
-    of the second mixed identity, as an advisory entry.
+    flavor is a key of FLAVORS; the checkers besides the mixed identities are the ("matched_pair", flavor) suite.
+    The differential flavour needs identity structure maps, reads the mixed identities under its own names and adds
+    the as-printed reading of the second one as an advisory entry.
     """
     flavor_operators(flavor, "matched pairs", mp.left, mp.right)
-    return Report(_mp_mixed(mp, flavor)).merged(SUITES["matched_pair", flavor].run(mp))
+    (left, _), (right, printed) = _mixed(mp), _mixed(mp.swapped)
+    mixed = ((CheckEntry("mp_left", "", _composed(left)), CheckEntry("mp_right", "", _composed(right)))
+             if flavor != "differential" else (
+                 CheckEntry("diff_mp_left", "", _composed(left)),
+                 CheckEntry("diff_mp_right", "symmetrized", _composed(right)),
+                 CheckEntry("diff_mp_right", "as-printed", _composed(printed), advisory=True)))
+    return Report(mixed).merged(SUITES["matched_pair", flavor].run(mp))
 
 
 # -- suites ---------------------------------------------------------------------------------

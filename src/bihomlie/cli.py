@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from . import bundles, checks
 from .bundles import (
@@ -38,7 +38,7 @@ from .bundles import (
     to_json,
 )
 from .checks import IDENTITY_FORMULAS
-from .exact import scalar
+from .exact import _quoted, scalar
 
 if TYPE_CHECKING:
     from .search import SolutionSpace
@@ -353,9 +353,15 @@ def cmd_search(args: argparse.Namespace) -> int:
 # -- entry point ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the class of its subparsers, whose errors end as bad input does: one line cut by ``_quoted``."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(f"{self.prog}: {_quoted(ParseError(message))}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bihomlie",
-                                     description="exact checks, constructions and searches for twisted Lie structures")
+    parser = _Parser(prog="bihomlie", description="exact checks, constructions and searches for twisted Lie structures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run identity suites on bundle files")
@@ -398,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _USER_ERRORS as exc:
         message = str(exc)

@@ -3,9 +3,11 @@ and commutator of the diagonal torus maps of gl(4), taken entry by entry),
 of the checkers' signed sums of contractions (``contract_sum``:
 multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
 maps are all diagonal, and the per-call overhead of small instances:
-torus-twisted sl2 and aff2 with N = 2 I) and of the Jacobi and co-Jacobi checkers, on dense
+torus-twisted sl2 and aff2 with N = 2 I), of the Jacobi and co-Jacobi checkers, on dense
 brackets, on a coalgebra read from its document and on the zero bracket of
-abelian(60) (pytest-benchmark; not part of the test suite).
+abelian(60), and of the other identities that compose two tensors: the mixed
+matched-pair identities, the representation identity and the bialgebra
+cocycle, on twisted instances (pytest-benchmark; not part of the test suite).
 
 Run from the repository root with
 
@@ -25,8 +27,16 @@ import naive
 import pytest
 import support
 from bihomlie import bundles
-from bihomlie.checks import _commutator, check_bihom_coalgebra, check_bihom_lie, check_nijenhuis_operator
-from bihomlie.constructions import dualize
+from bihomlie.checks import (
+    _commutator,
+    check_bialgebra_cocycle,
+    check_bihom_coalgebra,
+    check_bihom_lie,
+    check_matched_pair,
+    check_nijenhuis_operator,
+    check_representation,
+)
+from bihomlie.constructions import coadjoint_matched_pair, dualize, yau_twist
 from bihomlie.exact import Matrix, invert
 from support import contract
 
@@ -232,3 +242,39 @@ def test_check_bihom_coalgebra_gl4_perturbed_dual(benchmark):
     cells = naive.co_jacobi(naive.as_cells(co.comul), naive.mat_cells(co.alpha), naive.mat_cells(co.beta))
     want = [(idx, cells[idx[0]][idx[1]][idx[2]][idx[3]]) for idx in itertools.product(range(co.dim), repeat=4)]
     assert list(_entry(benchmark(check_bihom_coalgebra, co), "co_jacobi").nonzeros) == [c for c in want if c[1]] != []
+
+
+def _residuals(report):
+    return [dict(e.residual.nonzeros) for e in report.entries]
+
+
+def test_check_matched_pair_twisted_coadjoint(benchmark):
+    # aff2 on antisym_dual2(0, 2) under the coadjoint actions, twisted by the tori (diag(1, 2), diag(1, 3)) on L and
+    # the contragredient ones on L*: beta is no involution, and both mixed identities have nonzero residuals
+    mp = support.twisted_pair(coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, 2)),
+                              *(Matrix.diagonal([1, x]) for x in (2, 3, Fraction(1, 2), Fraction(1, 3))))
+    L, V = mp.left, mp.right
+    first, second, _ = naive.mixed(naive.as_cells(L.bracket), naive.as_cells(V.bracket),
+                                   [naive.mat_cells(m) for m in mp.rho], [naive.mat_cells(m) for m in mp.h],
+                                   *(naive.mat_cells(m) for m in (L.alpha, L.beta, V.alpha, V.beta)))
+    want = [naive.nonzero_cells(first), naive.nonzero_cells(second)]
+    assert _residuals(benchmark(check_matched_pair, mp, "bihom"))[:2] == want and want[0] and want[1]
+
+
+def test_check_representation_gl4_torus_adjoint(benchmark):
+    rep = support.adjoint_rep(_gl4_torus())  # p = alpha, q = beta
+    a = rep.algebra
+    want = naive.rep_bracket(naive.as_cells(a.bracket), [naive.mat_cells(m) for m in rep.rho],
+                             naive.mat_cells(a.alpha), naive.mat_cells(a.beta), naive.mat_cells(rep.q))
+    report = benchmark(check_representation, rep)
+    assert _residuals(report)[-1] == naive.nonzero_cells(want) == {} and report.ok
+
+
+def test_check_bialgebra_cocycle_sl2_twisted(benchmark):
+    # the standard sl2 bialgebra twisted by the tori (1, 2, 1/2) and (1, 3, 1/3): both expansions vanish
+    b, _ = yau_twist(support.sl2_standard_bialgebra(), Matrix.diagonal([1, 2, Fraction(1, 2)]),
+                     Matrix.diagonal([1, 3, Fraction(1, 3)]))
+    c, t = naive.as_cells(b.algebra.bracket), naive.as_cells(b.coalgebra.comul)
+    maps = naive.mat_cells(b.algebra.alpha), naive.mat_cells(b.algebra.beta)
+    want = [naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps, twisted_argument=x)) for x in (False, True)]
+    assert _residuals(benchmark(check_bialgebra_cocycle, b)) == want

@@ -5,6 +5,7 @@ nested loops over lists of Fractions, deliberately sharing no code with the
 package (tensors arrive as nested lists via ``as_cells``).
 """
 
+import itertools
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -52,7 +53,7 @@ def mat_vec(m, v):
 
 def mat_mul(a, b):
     n, p, q = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(p)), ZERO) for j in range(q)] for i in range(n)]
+    return [[sum((a[i][k] * b[k][j] for k in range(p) if a[i][k]), ZERO) for j in range(q)] for i in range(n)]
 
 
 def commutator(a, b):
@@ -385,4 +386,138 @@ def deformed_bracket(c, nmap):
             second = bracket_eval(c, x, mat_vec(nmap, y))
             third = mat_vec(nmap, bracket_eval(c, x, y))
             out[i][j] = [first[k] + second[k] - third[k] for k in range(n)]
+    return out
+
+
+def nonzero_cells(dense):
+    """{index tuple: value} of the nonzero scalars of a dense nested list."""
+    if not isinstance(dense, list):
+        return {(): dense} if dense else {}
+    return {(i, *idx): v for i, sub in enumerate(dense) for idx, v in nonzero_cells(sub).items()}
+
+
+def act(mats, v):
+    """sum_k v[k] mats[k]: the action of the vector v, given the matrices of the basis vectors."""
+    rows, cols = len(mats[0]), len(mats[0][0])
+    terms = [(x, mats[k]) for k, x in enumerate(v) if x]
+    return [[sum((x * m[a][b] for x, m in terms), ZERO) for b in range(cols)] for a in range(rows)]
+
+
+def inverse(m):
+    """The inverse of an invertible square matrix, read off the reduced form of [m | I]."""
+    n = len(m)
+    r, pivots = rref([list(row) + basis(n, i) for i, row in enumerate(m)], 2 * n)
+    assert pivots == list(range(n)), "singular matrix"
+    return [row[n:] for row in r]
+
+
+def rep_bracket(c, rhos, alpha, beta, q):
+    """rho([beta(x),y]) q - rho(alpha beta(x)) rho(y) + rho(beta(y)) rho(alpha(x)) at x = e_i, y = e_j, as dense
+    cells [i][j][a][b]; rhos[i] is the matrix rho(e_i)."""
+    n = len(c)
+    out = []
+    for i in range(n):
+        x = basis(n, i)
+        plane = []
+        for j in range(n):
+            y = basis(n, j)
+            lhs = mat_mul(act(rhos, bracket_eval(c, mat_vec(beta, x), y)), q)
+            first = mat_mul(act(rhos, mat_vec(alpha, mat_vec(beta, x))), act(rhos, y))
+            second = mat_mul(act(rhos, mat_vec(beta, y)), act(rhos, mat_vec(alpha, x)))
+            plane.append([[lhs[a][b] - first[a][b] + second[a][b] for b in range(len(q))] for a in range(len(q))])
+        out.append(plane)
+    return out
+
+
+def apply(*maps_and_vector):
+    """m1 m2 ... mk v: the vector v under the matrices m1, ..., mk, the last applied first."""
+    *maps, v = maps_and_vector
+    for mat in reversed(maps):
+        v = mat_vec(mat, v)
+    return v
+
+
+def mixed(cl, cv, rhos, hs, alpha, beta, p, q):
+    """The two mixed identities of a matched pair (L, V, rho, h) and the as-printed reading of the second, as dense
+    cells: L carries the bracket cl and the maps alpha, beta, V the bracket cv and the maps p, q; rhos[i] is the
+    matrix of rho(e_i) on V, hs[c] that of h(f_c) on L.
+
+    first [i][j][c][r], at x = e_i, y = e_j, c = f_c:
+        [y,h(q(c))alpha(x)] - [x,h(q(c))alpha(y)] - h(rho(alpha(y))q(c)) alpha beta(x)
+        + h(rho(alpha(x))q(c)) alpha beta(y) + h(c)([beta(x),alpha(y)])
+    second [a][b][k][s], at a = f_a, b = f_b, z = e_k:
+        [b,rho(beta(z))p(a)] - [a,rho(beta(z))p(b)] - rho(h(p(b))beta(z)) pq(a)
+        + rho(h(p(a))beta(z)) pq(b) + rho(z)([q(a),p(b)])
+    printed: the second with its two middle terms replaced by - rho(h(p(b))beta(z)) pq(b).
+    """
+    n, m = len(cl), len(cv)
+
+    def h_of(u):
+        return act(hs, u)
+
+    def rho_of(x):
+        return act(rhos, x)
+
+    first = [[[None] * m for _ in range(n)] for _ in range(n)]
+    for i, j, c in itertools.product(range(n), range(n), range(m)):
+        x, y, u = basis(n, i), basis(n, j), basis(m, c)
+        terms = ((1, bracket_eval(cl, y, apply(h_of(apply(q, u)), alpha, x))),
+                 (-1, bracket_eval(cl, x, apply(h_of(apply(q, u)), alpha, y))),
+                 (-1, apply(h_of(apply(rho_of(apply(alpha, y)), q, u)), alpha, beta, x)),
+                 (1, apply(h_of(apply(rho_of(apply(alpha, x)), q, u)), alpha, beta, y)),
+                 (1, apply(h_of(u), bracket_eval(cl, apply(beta, x), apply(alpha, y)))))
+        first[i][j][c] = [sum(sign * t[r] for sign, t in terms) for r in range(n)]
+    second = [[[None] * n for _ in range(m)] for _ in range(m)]
+    printed = [[[None] * n for _ in range(m)] for _ in range(m)]
+    for a, b, k in itertools.product(range(m), range(m), range(n)):
+        fa, fb, z = basis(m, a), basis(m, b), basis(n, k)
+        outer = ((1, bracket_eval(cv, fb, apply(rho_of(apply(beta, z)), p, fa))),
+                 (-1, bracket_eval(cv, fa, apply(rho_of(apply(beta, z)), p, fb))),
+                 (1, apply(rho_of(z), bracket_eval(cv, apply(q, fa), apply(p, fb)))))
+        middle = ((-1, apply(rho_of(apply(h_of(apply(p, fb)), beta, z)), p, q, fa)),
+                  (1, apply(rho_of(apply(h_of(apply(p, fa)), beta, z)), p, q, fb)))
+        as_printed = ((-1, apply(rho_of(apply(h_of(apply(p, fb)), beta, z)), p, q, fb)),)
+        second[a][b][k] = [sum(sign * t[s] for sign, t in outer + middle) for s in range(m)]
+        printed[a][b][k] = [sum(sign * t[s] for sign, t in outer + as_printed) for s in range(m)]
+    return first, second, printed
+
+
+def ad_vec(c, u):
+    """Matrix of ad_u: column k = [u, e_k]."""
+    n = len(c)
+    cols = [bracket_eval(c, u, basis(n, k)) for k in range(n)]
+    return [[cols[k][r] for k in range(n)] for r in range(n)]
+
+
+def bihom_cocycle(c, t, alpha, beta, twisted_argument=False):
+    """Delta([alpha^-1 beta(x), y]) - (ad_beta(x) x beta + beta x ad_{alpha^-1 beta^2(x)}) Delta(y) + (the same with
+    x and y swapped) at x = e_i, y = e_j, as dense cells [i][j][a][b] of the coefficient of e_a (x) e_b.  With
+    twisted_argument the two ads are taken at alpha^-1 beta alpha(x) and alpha^-2 beta^2 alpha(x) instead.  A
+    two-factor map M (x) M' acts on the coefficient matrix E of Delta(u) as M E M'^T."""
+    n = len(c)
+    ainv = inverse(alpha)
+    betat = [[beta[b][a] for b in range(n)] for a in range(n)]
+
+    def comul_of(v):
+        return [[sum((v[k] * t[k][a][b] for k in range(n)), ZERO) for b in range(n)] for a in range(n)]
+
+    def side(u, v):
+        if twisted_argument:
+            first, second = apply(ainv, beta, alpha, u), apply(ainv, ainv, beta, beta, alpha, u)
+        else:
+            first, second = apply(beta, u), apply(ainv, beta, beta, u)
+        e, ad2 = comul_of(v), ad_vec(c, second)
+        left = mat_mul(mat_mul(ad_vec(c, first), e), betat)
+        right = mat_mul(mat_mul(beta, e), [[ad2[b][a] for b in range(n)] for a in range(n)])
+        return [[left[a][b] + right[a][b] for b in range(n)] for a in range(n)]
+
+    out = []
+    for i in range(n):
+        x = basis(n, i)
+        plane = []
+        for j in range(n):
+            y = basis(n, j)
+            lhs, xy, yx = comul_of(bracket_eval(c, apply(ainv, beta, x), y)), side(x, y), side(y, x)
+            plane.append([[lhs[a][b] - xy[a][b] + yx[a][b] for b in range(n)] for a in range(n)])
+        out.append(plane)
     return out

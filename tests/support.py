@@ -5,12 +5,14 @@ runs exercise identical instances.
 """
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 from bihomlie import bundles
-from bihomlie.bundles import AlgebraBundle, Differential, MatchedPairBundle, RepresentationBundle
+from bihomlie.bundles import (AlgebraBundle, BialgebraBundle, CoalgebraBundle, Differential, MatchedPairBundle,
+                              RepresentationBundle)
 from bihomlie.exact import Matrix, Tensor3, contract_sum, scalar
 
 SCALARS = [scalar(x) for x in ("0", "1", "-1", "2", "1/2", "-3/2", "3", "2/3", "-1/3", "5/2", "-2", "4", "1/4")]
@@ -106,6 +108,32 @@ def gl_torus(n: int, t, s) -> AlgebraBundle:
     t, s = [scalar(x) for x in t], [scalar(x) for x in s]
     ratios = [(t[i] / t[j], s[i] / s[j]) for i in range(n) for j in range(n)]
     return twisted(gl(n), [a for a, _ in ratios], [b for _, b in ratios])
+
+
+def _pre_post(act: tuple[Matrix, ...], pre: Matrix, post: Matrix) -> tuple[Matrix, ...]:
+    """The action e_i -> act(pre e_i) post, summed over the basis."""
+    n = len(act)
+    return tuple(functools.reduce(Matrix.add, [act[k].scale(pre.entries[k][i]) for k in range(n)]) @ post
+                 for i in range(n))
+
+
+def twisted_pair(mp: MatchedPairBundle, a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> MatchedPairBundle:
+    """The pair (L_ab, V_pq, rho(a -) q, h(p -) b): L and V Yau-twisted by commuting automorphisms a, b and p, q."""
+    from bihomlie.constructions import yau_twist
+
+    left, _ = yau_twist(mp.left, a, b)
+    right, _ = yau_twist(mp.right, p, q)
+    return MatchedPairBundle(left, right, _pre_post(mp.rho, a, q), _pre_post(mp.h, p, b))
+
+
+def sl2_standard_bialgebra() -> BialgebraBundle:
+    """The standard Lie bialgebra on sl2 (basis h, e, f): Delta(h) = 0, Delta(e) = e ^ h, Delta(f) = f ^ h, the
+    coboundary of r = e ^ f."""
+    cells = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    cells[1][1][0] = cells[2][2][0] = 1
+    cells[1][0][1] = cells[2][0][2] = -1
+    ident = Matrix.identity(3)
+    return BialgebraBundle(bundles.sl2(), CoalgebraBundle(3, Tensor3.from_entries(cells), ident, ident))
 
 
 def antisym_dual2(u, v) -> AlgebraBundle:

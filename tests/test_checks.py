@@ -325,39 +325,62 @@ def test_an_empty_bracket_walks_no_jacobi_orbit(monkeypatch, kind):
     assert report.ok and report.entries[-1].residual.shape == (60,) * 4
 
 
+def _dense_composed(terms, ranges, row_first):
+    """The nonzero cells of sum sign q[idx[a]].p[idx[b]][idx[c]] over dense (sign, q, a, p, b, c) terms, summed at
+    every tuple idx of the ranges, x.y being the row sum_m y[m] x[m]."""
+    want = {}
+    for idx in itertools.product(*map(range, ranges)):
+        for sign, q, a, p, b, c in terms:
+            for m, y in enumerate(p[idx[b]][idx[c]]):
+                for s, v in enumerate(q[idx[a]][m]):
+                    cell = (s, *idx) if row_first else (*idx, s)
+                    want[cell] = want.get(cell, 0) + sign * y * v
+    return sorted((cell, Fraction(v)) for cell, v in want.items() if v)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cyclic_sum_walk_matches_a_dense_loop(n, monkeypatch):
-    """_cyclic_sum against q[i].p[j][k] + q[j].p[k][i] + q[k].p[i][j] summed at every tuple of range(n)^3, on seeded
-    integer rows, about half of them empty, for both groups (p = -p^T with a zero diagonal when alternating) and
-    both layouts; it combines rows only at the representatives where some row of p is nonempty."""
+    """_composed against its terms summed at every free tuple, on seeded integer rows, about half of them empty: the
+    cyclic sum of Jacobi and co-Jacobi walked per orbit of both groups (p = -p^T with a zero diagonal under S3), and
+    random wirings of one to five terms over ranges of 1..n, walked tuple by tuple, with the row last; both layouts
+    each time.  _combination runs only at the tuples walked where some row of p is nonempty, on those terms only."""
     calls = []
-    monkeypatch.setattr(checks, "_combination", lambda terms: calls.append(1) or exact._combination(terms))
+    monkeypatch.setattr(checks, "_combination", lambda terms: calls.append(terms) or exact._combination(terms))
     r = random.Random(n)
 
-    def row():
-        return [r.randint(-2, 2) if r.random() < 0.5 else 0 for _ in range(n)] if r.random() < 0.5 else [0] * n
+    def tensor(d0, d1, d2):
+        return [[[r.randint(-2, 2) if r.random() < 0.5 else 0 for _ in range(d2)] if r.random() < 0.5 else [0] * d2
+                 for _ in range(d1)] for _ in range(d0)]
 
-    for alternating, row_first in itertools.product((False, True), repeat=2):
-        dense_q = [[row() for _ in range(n)] for _ in range(n)]
-        dense_p = [[row() for _ in range(n)] for _ in range(n)]
-        if alternating:
-            dense_p = [[[0] * n if j == k else dense_p[j][k] if j < k else [-x for x in dense_p[k][j]]
-                        for k in range(n)] for j in range(n)]
-        q, p = ([[exact._row(map(Fraction, v)) for v in plane] for plane in t] for t in (dense_q, dense_p))
-        want = {}
-        for i, j, k in itertools.product(range(n), repeat=3):
-            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                for b, w in enumerate(dense_p[y][z]):
-                    for s, v in enumerate(dense_q[x][b]):
-                        idx = (s, i, j, k) if row_first else (i, j, k, s)
-                        want[idx] = want.get(idx, 0) + w * v
+    cases = []  # (orbits, dense terms, ranges)
+    for group in ("C3", "S3"):
+        q, p = tensor(n, n, n), tensor(n, n, n)
+        if group == "S3":
+            p = [[[0] * n if j == k else p[j][k] if j < k else [-x for x in p[k][j]] for k in range(n)]
+                 for j in range(n)]
+        cases.append((group, [(1, q, 0, p, 1, 2), (1, q, 1, p, 2, 0), (1, q, 2, p, 0, 1)], (n, n, n)))
+    for _ in range(3):
+        ranges, width, terms = [r.randint(1, n) for _ in range(3)], r.randint(1, n), []
+        for t in range(r.randint(1, 5)):
+            a, b, c = r.sample(range(3), 3) if t == 0 else [r.randrange(3) for _ in range(3)]
+            m = r.randint(1, n)
+            terms.append((r.choice((1, -1)), tensor(ranges[a], m, width), a, tensor(ranges[b], ranges[c], m), b, c))
+        cases.append((None, terms, tuple(ranges)))
+    for (orbits, dense, ranges), row_first in itertools.product(cases, (False, True)):
+        terms = [(s, Tensor3.from_entries(q), a, Tensor3.from_entries(p), b, c) for s, q, a, p, b, c in dense]
+        if orbits:
+            terms = checks._cyclic(terms[0][1], terms[0][3])
         calls.clear()
-        got = checks._cyclic_sum(q, p, alternating, row_first)
-        assert got.shape == (n,) * 4
-        assert list(got.nonzeros) == sorted((idx, Fraction(v)) for idx, v in want.items() if v)
-        reps = itertools.combinations(range(n), 3) if alternating else (
-            t for t in itertools.product(range(n), repeat=3) if t == min(t, t[1:] + t[:1], t[2:] + t[:2]))
-        assert len(calls) == sum(any(any(dense_p[y][z]) for y, z in ((j, k), (k, i), (i, j))) for i, j, k in reps)
+        got = checks._composed(terms, orbits, row_first)
+        width = len(dense[0][1][0][0])
+        assert got.shape == ((width, *ranges) if row_first else (*ranges, width))
+        assert list(got.nonzeros) == _dense_composed(dense, ranges, row_first)
+        walked = (itertools.product(*map(range, ranges)) if orbits is None
+                  else itertools.combinations(range(n), 3) if orbits == "S3"
+                  else (t for t in itertools.product(range(n), repeat=3) if t == min(t, t[1:] + t[:1], t[2:] + t[:2])))
+        live = [sum(any(p[idx[b]][idx[c]]) for _, _, _, p, b, c in dense) for idx in walked]
+        assert [len(terms) for terms in calls] == [k for k in live if k]
+        assert all(coeffs[1] for terms in calls for _, _, coeffs in terms)
 
 
 def test_nijenhuis_coalgebra_trivial_operators():

@@ -477,10 +477,16 @@ _LONG_ARGUMENTS = [
     ["search", "fixture:aff2", "--mode", "nijenhuis-grid", "--grid", "0," + "x" * 3000],
     ["check", f"fixture:bihom2({'x' * 3000},3)"],
     ["check", "fixture:" + "x" * 3000],
+    # a bad choice of an option or argument, which the argument parser reports
+    ["check", "fixture:aff2", "--suite", "x" * 3000],
+    ["check", "fixture:aff2", "--flavor", "x" * 3000],
+    ["search", "fixture:aff2", "--mode", "x" * 3000],
+    ["construct", "x" * 3000],
 ]
 #: a bracket entry whose index is out of range by 3000 digits
 _LONG_INDEX = json.dumps(_aff2_document(bracket=[{"i": int("9" * 3000), "j": 2, "out": ["0", "1"]}]))
-_LONG_ARGUMENT_IDS = ["long-weight", "long-zero-denominator", "long-grid", "long-fixture-argument", "long-fixture-name"]
+_LONG_ARGUMENT_IDS = ["long-weight", "long-zero-denominator", "long-grid", "long-fixture-argument", "long-fixture-name",
+                      "long-suite", "long-flavor", "long-mode", "long-construction"]
 
 
 @pytest.mark.parametrize("text", [

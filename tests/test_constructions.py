@@ -1,7 +1,6 @@
 """Constructions: duals, twists, products, doubles, form adjoints."""
 
 import dataclasses
-import functools
 import itertools
 
 import pytest
@@ -429,19 +428,6 @@ def test_bicrossed_broken_pair_fails_suite():
 # of such maps, involutive or not, so it pins both off-diagonal blocks.
 
 
-def _pre_post(act: tuple[Matrix, ...], pre: Matrix, post: Matrix) -> tuple[Matrix, ...]:
-    """The action e_i -> act(pre e_i) post, summed over the basis."""
-    n = len(act)
-    return tuple(functools.reduce(Matrix.add, [act[k].scale(pre.entries[k][i]) for k in range(n)]) @ post
-                 for i in range(n))
-
-
-def _twisted_pair(mp, a, b, p, q):
-    left, _ = yau_twist(mp.left, a, b)
-    right, _ = yau_twist(mp.right, p, q)
-    return bundles.MatchedPairBundle(left, right, _pre_post(mp.rho, a, q), _pre_post(mp.h, p, b))
-
-
 TORI = [(-1, 1), (1, -1), (-1, -1),  # involutive
         (2, 3), (2, 1), (1, 3), ("1/2", -2), (3, 3)]
 
@@ -456,7 +442,7 @@ def test_twisted_bicrossed_product_is_the_twisted_product():
             a, b = _aff2_auto(t), _aff2_auto(s)
             p, q = _aff2_auto(1 / scalar(t)), _aff2_auto(1 / scalar(s))  # the contragredient tori
             want, _ = yau_twist(product, block_diag(a, p), block_diag(b, q))
-            got, _ = bicrossed_product(_twisted_pair(mp, a, b, p, q), "bihom")
+            got, _ = bicrossed_product(support.twisted_pair(mp, a, b, p, q), "bihom")
             if got != want:
                 mismatches.append((v, t, s))
     assert mismatches == []
@@ -467,7 +453,90 @@ def _twisted_coadjoint_pairs():
     for v in ("1", "2", "-1/2"):
         mp = coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, v))
         for t, s in TORI:
-            yield _twisted_pair(mp, _aff2_auto(t), _aff2_auto(s), _aff2_auto(1 / scalar(t)), _aff2_auto(1 / scalar(s)))
+            yield support.twisted_pair(mp, _aff2_auto(t), _aff2_auto(s), _aff2_auto(1 / scalar(t)),
+                                       _aff2_auto(1 / scalar(s)))
+
+
+def _cells(residual):
+    return dict(residual.nonzeros)
+
+
+def _perturbed(items, perturb, seed):
+    """Each item with one field moved by perturb, drawn from one seeded stream."""
+    r = support.rng(seed)
+    return [perturb(item, r) for item in items]
+
+
+def test_mixed_identities_match_the_naive_oracle():
+    # both mixed identities and the as-printed reading of the second, on the twisted coadjoint pairs (half of them
+    # with beta not an involution) and on one-field perturbations of them; the as-printed reading, which only the
+    # differential flavour (identity maps) reports, is read here with the pair's own maps
+    pairs = list(_twisted_coadjoint_pairs())
+    pairs += _perturbed(pairs, lambda mp, r: support._perturb_mp(mp, r, True), 26)
+    failing = 0
+    for mp in pairs:
+        L, V = mp.left, mp.right
+        first, second, printed = naive.mixed(
+            naive.as_cells(L.bracket), naive.as_cells(V.bracket), [naive.mat_cells(m) for m in mp.rho],
+            [naive.mat_cells(m) for m in mp.h], *(naive.mat_cells(m) for m in (L.alpha, L.beta, V.alpha, V.beta)))
+        got = {e.identity: _cells(e.residual) for e in checks.check_matched_pair(mp, "bihom").entries}
+        assert got["mp_left"] == naive.nonzero_cells(first) and got["mp_right"] == naive.nonzero_cells(second)
+        assert _cells(checks._composed(checks._mixed(mp.swapped)[1])) == naive.nonzero_cells(printed)
+        failing += bool(got["mp_left"] or got["mp_right"])
+    assert 24 < failing < 48
+
+
+def test_representation_identity_matches_the_naive_oracle():
+    # rep_bracket on adjoint modules (p = alpha, q = beta, neither an involution) of torus-twisted gl(2) and sl2, and
+    # on modules with one entry of rho or of q moved
+    modules = [support.adjoint_rep(support.gl_torus(2, t, s)) for t, s in (([1, 2], [1, 3]), (["1/2", 3], [5, -1]))]
+    modules.append(support.adjoint_rep(support.twisted(bundles.sl2(), [1, 2, "1/2"], [1, 3, "1/3"])))
+
+    def perturb(rep, r):
+        if r.random() < 0.5:
+            return dataclasses.replace(rep, q=support.perturb_matrix(rep.q, r))
+        rho = list(rep.rho)
+        k = r.randrange(len(rho))
+        rho[k] = support.perturb_matrix(rho[k], r)
+        return dataclasses.replace(rep, rho=tuple(rho))
+
+    modules += _perturbed(modules * 3, perturb, 27)
+    failing = 0
+    for rep in modules:
+        alg = rep.algebra
+        want = naive.rep_bracket(naive.as_cells(alg.bracket), [naive.mat_cells(m) for m in rep.rho],
+                                 naive.mat_cells(alg.alpha), naive.mat_cells(alg.beta), naive.mat_cells(rep.q))
+        got = [e for e in checks.check_representation(rep).entries if e.identity == "rep_bracket"][0].residual
+        assert got.shape == (alg.dim, alg.dim, rep.vdim, rep.vdim) and _cells(got) == naive.nonzero_cells(want)
+        failing += not got.is_zero
+    assert failing >= 6
+
+
+def test_cocycle_matches_the_naive_oracle():
+    # both expansions of the cocycle on yau_twist bialgebras, aff2 over the dual of antisym_dual2(0, v) and the
+    # standard sl2 bialgebra, Delta(e) = e ^ h and Delta(f) = f ^ h, each under every torus of TORI, and on
+    # bialgebras with one entry of the bracket or of Delta moved
+    bases = [(BialgebraBundle(bundles.aff2(), dualize(support.antisym_dual2(0, v))), _aff2_auto) for v in ("1", "-1/2")]
+    bases.append((support.sl2_standard_bialgebra(), _sl2_auto))
+    bialgebras = [yau_twist(b, torus(t), torus(s))[0] for b, torus in bases for t, s in TORI]
+
+    def perturb(b, r):
+        if r.random() < 0.5:
+            return dataclasses.replace(b, algebra=support.perturb_algebra(b.algebra, r))
+        return dataclasses.replace(b, coalgebra=dataclasses.replace(
+            b.coalgebra, comul=support.perturb_tensor3(b.coalgebra.comul, r)))
+
+    bialgebras += _perturbed(bialgebras, perturb, 28)
+    failing = 0
+    for b in bialgebras:
+        c, t = naive.as_cells(b.algebra.bracket), naive.as_cells(b.coalgebra.comul)
+        maps = naive.mat_cells(b.algebra.alpha), naive.mat_cells(b.algebra.beta)
+        report = checks.check_bialgebra_cocycle(b)
+        assert [(e.case, _cells(e.residual)) for e in report.entries] == [
+            ("", naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps))),
+            ("twisted-argument-form", naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps, twisted_argument=True)))]
+        failing += not report.ok
+    assert failing >= 12 and all(checks.check_bialgebra_cocycle(b).ok for b in bialgebras[:24])
 
 
 def _residuals(mp, flavor):
@@ -528,7 +597,7 @@ def test_twisted_semidirect_product_is_the_twisted_product():
         product, _ = bicrossed_product(mp, "nijenhuis")
         for a, b in itertools.product(autos, repeat=2):
             want, _ = yau_twist(product, block_diag(a, a), block_diag(b, b))
-            twisted_mp = _twisted_pair(mp, a, b, a, b)
+            twisted_mp = support.twisted_pair(mp, a, b, a, b)
             bic, _ = bicrossed_product(twisted_mp, "nijenhuis")
             module = bundles.RepresentationBundle(twisted_mp.left, n, twisted_mp.rho, a, b, eta=eta)
             sd, rep_report = semidirect_product(twisted_mp.left, module, "nijenhuis")
