@@ -5,7 +5,9 @@ Each bundle fixes one canonical basis; all structure constants refer to it.
 The dual space always uses the canonical dual basis, so every dual map is a
 transpose.  Optional fields (nijenhuis, differential, ...) absent mean
 "not claimed", never "identity"; ``require`` reads one that a checker needs.
-Bundles are immutable after construction.
+Bundles are immutable after construction.  A Report's residuals have one
+reader, ``Residual.from_rows``: it makes the cells of (index, row) pairs and
+``Residual.collect`` sorts them; no other module builds a cell.
 
 This module alone knows the document format.  ``FIELDS`` declares each
 field of each kind once: the writer writes the set ones in that order, and
@@ -19,7 +21,6 @@ and ``require_kind`` is the one check that a bundle is of a kind an input takes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .exact import (
     Row,
     Tensor3,
     ZERO,
+    _dense,
     _quoted,
     _row,
     scalar,
@@ -238,26 +240,22 @@ class Residual:
         return Residual(shape, nz)
 
     @staticmethod
-    def tabulate(ranges: tuple[int, ...], width: int, value: Callable[..., Row]) -> "Residual":
-        """Residual of the rows value(*idx), each of extent width and given by
-        a ``Row``, over every index tuple idx in the ranges.  Tuples come in
-        index order and a row's columns in increasing order, so the cells of
-        the nonempty rows are appended already sorted."""
-        cells = []
-        for idx in itertools.product(*map(range, ranges)):
-            den, pairs = value(*idx)
-            if pairs:
-                cells.extend([(idx + (k,), Fraction(v, den)) for k, v in pairs])
-        return Residual(ranges + (width,), tuple(cells))
+    def from_rows(shape: tuple[int, ...], rows: Iterable[tuple[tuple[int, ...], Row]],
+                  row_first: bool = False) -> "Residual":
+        """The one reader of rows: the residual with cell (*idx, k), or (k, *idx) if row_first, for each nonzero k
+        of each (idx, row) pair, in any order.  The cells pass ``collect`` (looked up on the class, so a wrapper
+        sees every residual); no cell makes the zero residual without that call."""
+        cells = [((k, *idx) if row_first else (*idx, k), Fraction(v, den)) for idx, (den, pairs) in rows
+                 for k, v in pairs]
+        return Residual.collect(shape, cells) if cells else Residual(shape, ())
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
         """The residual of a whole Matrix or Tensor3, indexed like it: cells are made for the nonempty rows only."""
         if isinstance(m, Matrix):
-            return Residual((m.rows, m.cols), tuple(((i, k), Fraction(v, den)) for i, (den, pairs) in enumerate(m.nz)
-                                                    if pairs for k, v in pairs))
-        return Residual(m.shape, tuple(((i, j, k), Fraction(v, den)) for i, plane in enumerate(m.nz)
-                                       for j, (den, pairs) in enumerate(plane) if pairs for k, v in pairs))
+            return Residual.from_rows((m.rows, m.cols), (((i,), row) for i, row in enumerate(m.nz) if row[1]))
+        return Residual.from_rows(m.shape, (((i, j), row) for i, plane in enumerate(m.nz)
+                                            for j, row in enumerate(plane) if row[1]))
 
     @property
     def is_zero(self) -> bool:
@@ -339,11 +337,10 @@ def to_json(value: Any) -> Any:
 def _values(b: Any) -> dict[str, Any]:
     """The value of each field FIELDS declares for the kind of b; None when unset."""
     if isinstance(b, AlgebraBundle):
-        t = b.bracket
         return {"dim": b.dim, "variant": b.kind, "alpha": b.alpha, "beta": b.beta, "nijenhuis": b.nijenhuis,
                 "differential": b.differential,
-                "bracket": [{"i": i + 1, "j": j + 1, "out": [str(x) for x in t.entries[i][j]]}
-                            for i, plane in enumerate(t.nz) for j, (_, pairs) in enumerate(plane) if pairs]}
+                "bracket": [{"i": i + 1, "j": j + 1, "out": [str(x) for x in _dense(row, b.dim)]}
+                            for i, plane in enumerate(b.bracket.nz) for j, row in enumerate(plane) if row[1]]}
     if isinstance(b, CoalgebraBundle):
         t = b.comul
         return {"dim": b.dim, "alpha": b.alpha, "beta": b.beta, "conijenhuis": b.conijenhuis, "codiff": b.codiff,

@@ -50,6 +50,7 @@ from .exact import (
     Row,
     Term,
     _combination,
+    _row,
     _sum,
     contract_sum,
     invert,
@@ -168,7 +169,7 @@ def _commutator(a: Matrix, b: Matrix) -> Matrix:
 def _kernel_residual(m: Matrix) -> Residual:
     """A kernel basis of m, one column per basis vector: zero iff m is injective."""
     kernel = solve(m)[1]
-    return Residual.collect((m.cols, len(kernel)), (((i, j), x) for j, v in enumerate(kernel) for i, x in enumerate(v)))
+    return Residual.from_rows((m.cols, len(kernel)), (((i,), _row([v[i] for v in kernel])) for i in range(m.cols)))
 
 
 _SQUARES = " (alpha^2 or beta^2 differs from id)"
@@ -191,18 +192,16 @@ def _comultiplicativity(t: Tensor3, m: Matrix) -> Residual:
 
 def _pair_sum(p: Sequence[Sequence[Row]], row_first: bool = False) -> Residual:
     """The residual of p[i][j] + p[j][i] at (i, j, k), or (k, i, j) if row_first: one ``_sum`` per unordered pair
-    {i, j} with a nonempty row, and cells made only for the pairs that do not cancel."""
-    n, failing = len(p), []  # (i, j, p[i][j] + p[j][i]) for each failing pair, i <= j
+    {i, j} with a nonempty row, and rows read only for the pairs that do not cancel."""
+    n, failing = len(p), []  # ((i, j), p[i][j] + p[j][i]), and (j, i) with it, for each failing pair, i <= j
     for i, plane in enumerate(p):
         for j in range(i, n):
             x, y = plane[j], p[j][i]
             if x[1] or y[1]:
                 row = _sum(x, y, 1)
                 if row[1]:
-                    failing.append((i, j, row))
-    cells = [((r, *idx) if row_first else (*idx, r), Fraction(v, den)) for i, j, (den, pairs) in failing
-             for idx in (((i, j), (j, i)) if i != j else ((i, i),)) for r, v in pairs]
-    return Residual.collect((n,) * 3, cells)
+                    failing += [((i, j), row), ((j, i), row)] if i != j else [((i, i), row)]
+    return Residual.from_rows((n,) * 3, failing, row_first)
 
 
 #: (sign, q, a, p, b, c): the row sign q[idx[a]].p[idx[b]][idx[c]] at a free index tuple idx, x.y being the row
@@ -223,8 +222,8 @@ def _composed(terms: Sequence[Composed], orbits: str | None = None, row_first: b
         distinct[id(p)] = p.nz
     shape = (terms[0][1].shape[2], *ranges) if row_first else (*ranges, terms[0][1].shape[2])
     if not any(row[1] for p in distinct.values() for plane in p for row in plane):
-        return Residual(shape, ())
-    n, cells = ranges[0], []
+        return Residual.from_rows(shape, ())
+    n, found = ranges[0], []  # (member, row) for each member of each nonzero orbit
     walk = (product(*map(range, ranges)) if orbits is None else combinations(range(n), 3) if orbits == "S3"
             else ((i, j, k) for i in range(n) for j in range(i, n) for k in range(i + (j > i), n)))  # least rotation
     for idx in walk:
@@ -235,13 +234,12 @@ def _composed(terms: Sequence[Composed], orbits: str | None = None, row_first: b
                 live.append((s, q[idx[a]], row))
         if not live:
             continue
-        den, pairs = _combination(live)
-        if pairs:  # permutations lists (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
-            members = (((idx, 1),) if orbits is None else zip(permutations(idx), (1, -1, -1, 1, 1, -1))
-                       if orbits == "S3" else {idx: 1, idx[1:] + idx[:1]: 1, idx[2:] + idx[:2]: 1}.items())
-            for member, sign in members:
-                cells += [((r, *member) if row_first else (*member, r), Fraction(sign * v, den)) for r, v in pairs]
-    return Residual.collect(shape, cells)
+        row = _combination(live)
+        if row[1]:  # permutations lists (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)
+            neg = (row[0], tuple((r, -v) for r, v in row[1])) if orbits == "S3" else row
+            found += (((idx, row),) if orbits is None else zip(permutations(idx), (row, neg, neg, row, row, neg))
+                      if orbits == "S3" else [(member, row) for member in {idx, idx[1:] + idx[:1], idx[2:] + idx[:2]}])
+    return Residual.from_rows(shape, found, row_first)
 
 
 def _cyclic(q: Tensor3, p: Tensor3) -> list[Composed]:

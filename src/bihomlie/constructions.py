@@ -290,13 +290,10 @@ def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) 
 @declares(subalgebra="the combined bracket and operators restrict to the two factors")
 def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
     """Verify the combined bracket restricts to the two factors (of equal dimension n)."""
-    n = left.dim
-
-    def restriction(side: int, i: int, j: int) -> Row:
-        want = left.bracket.nz[i][j] if side == 0 else _shifted(right.bracket.nz[i][j], n)
-        return _sum(total.bracket.nz[side * n + i][side * n + j], want, -1)
-
-    return Report((CheckEntry("subalgebra", "bracket", Residual.tabulate((2, n, n), 2 * n, restriction)),))
+    n, nz = left.dim, total.bracket.nz
+    rows = (((side, i, j), _sum(nz[side * n + i][side * n + j], _shifted(f.bracket.nz[i][j], side * n), -1))
+            for side, f in enumerate((left, right)) for i in range(n) for j in range(n))
+    return Report((CheckEntry("subalgebra", "bracket", Residual.from_rows((2, n, n, 2 * n), rows)),))
 
 
 # -- adjoint maps of forms ------------------------------------------------------------

@@ -60,7 +60,7 @@ def scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if len(value) > MAX_DIGITS and max(map(len, re.findall(r"\d+", value))) > MAX_DIGITS:
+        if len(value) > MAX_DIGITS and max(map(len, re.findall(r"\d+", value)), default=0) > MAX_DIGITS:
             raise ValueError(f"a scalar may carry at most {MAX_DIGITS} digits in a row")
         if "_" in value:
             raise ValueError(f"a scalar has no underscores, got {_quoted(value)}")

@@ -79,6 +79,19 @@ def test_roundtrip_form():
     assert bundles.load(bundles.dumps(f)) == f
 
 
+def test_writing_a_sparse_algebra_builds_no_dense_bracket():
+    # the writer reads the nonempty rows alone: Tensor3.entries would make all dim^2 dense rows
+    n = 300
+    nz = [[(1, ())] * n for _ in range(n)]
+    nz[0][1], nz[1][0] = (2, ((0, -1), (n - 1, 3))), (2, ((0, 1), (n - 1, -3)))
+    a = AlgebraBundle(n, Tensor3((n, n, n), tuple(map(tuple, nz))), Matrix.identity(n), Matrix.identity(n))
+    doc = json.loads(bundles.dumps(a))
+    assert "entries" not in vars(a.bracket)
+    assert [(e["i"], e["j"]) for e in doc["bracket"]] == [(1, 2), (2, 1)]
+    assert doc["bracket"][0]["out"][:2] == ["-1/2", "0"] and doc["bracket"][0]["out"][-1] == "3/2"
+    assert bundles.load(bundles.dumps(a)).bracket == a.bracket
+
+
 def test_load_golden_document_bracket_entry():
     b = bundles.bihom2(2, 3)
     doc = json.loads(bundles.dumps(b))
@@ -241,7 +254,7 @@ sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, ma
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.tuples(*[st.integers(1, 4)] * 3), st.booleans())
-def test_tabulate_and_from_matrix_equal_collect_over_all_cells(data, shape, empty):
+def test_from_rows_and_from_matrix_equal_collect_over_all_cells(data, shape, empty):
     d0, d1, d2 = shape
     cell = st.just(Fraction(0)) if empty else sparse_rationals
     blank = data.draw(st.sets(st.tuples(st.integers(0, d0 - 1), st.integers(0, d1 - 1))))  # rows left empty
@@ -254,10 +267,14 @@ def test_tabulate_and_from_matrix_equal_collect_over_all_cells(data, shape, empt
 
     expected = every(shape, lambda i, j, k: cells[i][j][k])
     assert Residual.from_matrix(t) == expected
-    assert Residual.tabulate((d0, d1), d2, lambda i, j: t.nz[i][j]) == expected
+    rows = [((i, j), t.nz[i][j]) for i in range(d0) for j in range(d1)]
+    assert Residual.from_rows(shape, data.draw(st.permutations(rows))) == expected  # rows in any order
     assert Residual.from_matrix(m) == every((d1, d2), lambda j, k: cells[0][j][k])
-    assert Residual.tabulate((d1, d0, d0), d2, lambda j, i, l: t.nz[l][j]) == \
+    wide = [((j, i, l), t.nz[l][j]) for j in range(d1) for i in range(d0) for l in range(d0)]
+    assert Residual.from_rows((d1, d0, d0, d2), data.draw(st.permutations(wide))) == \
         every((d1, d0, d0, d2), lambda j, i, l, k: cells[l][j][k])
+    assert Residual.from_rows((d2, d1, d0, d0), data.draw(st.permutations(wide)), row_first=True) == \
+        every((d2, d1, d0, d0), lambda k, j, i, l: cells[l][j][k])
     assert not empty or Residual.from_matrix(t).nonzeros == ()
 
 
@@ -376,21 +393,46 @@ def test_require_names_the_kind_and_the_field(bundle, field, value):
     assert bundles.require(dataclasses.replace(bundle, **{field: value}), field) is value
 
 
+def _package_trees():
+    """(file name, syntax tree) of each module of the package but bundles.py."""
+    import ast
+    from pathlib import Path
+
+    for path in sorted(Path(bundles.__file__).parent.glob("*.py")):
+        if path.name != "bundles.py":
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_module_but_bundles_uses_a_private_bundles_name():
     # the document format is known to bundles.py alone: no other module reads
     # its private helpers, as attributes of the module or by import
     import ast
-    from pathlib import Path
 
-    package = Path(bundles.__file__).parent
     offenders = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "bundles.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "bundles" and node.attr.startswith("_")):
-                offenders.append(f"{path.name}:{node.lineno} bundles.{node.attr}")
+                offenders.append(f"{name}:{node.lineno} bundles.{node.attr}")
             if isinstance(node, ast.ImportFrom) and node.module == "bundles":
-                offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+                offenders += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_but_bundles_builds_a_residual_from_cells():
+    # every residual's cells come from rows through Residual.from_rows (or from_matrix): no other module calls the
+    # constructor or Residual.collect, so the sorted cell order and the dropped zeros are kept in one place
+    import ast
+
+    def residual(node):  # Residual, or an attribute of that name (bundles.Residual)
+        return (isinstance(node, ast.Name) and node.id == "Residual"
+                or isinstance(node, ast.Attribute) and node.attr == "Residual")
+
+    offenders = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and residual(node.func):
+                offenders.append(f"{name}:{node.lineno} Residual(...)")
+            if isinstance(node, ast.Attribute) and node.attr == "collect" and residual(node.value):
+                offenders.append(f"{name}:{node.lineno} Residual.collect")
     assert offenders == []

@@ -281,6 +281,7 @@ def _wrong_kind_inputs(workdir):
     (workdir / "alpha_strings.json").write_text('{"alpha": ["10", "02"]}', encoding="utf-8")
     (workdir / "maps_typo.json").write_text('{"alpha": [["1", "0"], ["0", "2"]], "bata": [["1", "0"], ["0", "1"]]}',
                                             encoding="utf-8")
+    (workdir / "beta_only.json").write_text('{"beta": [["1", "0"], ["0", "1"]]}', encoding="utf-8")
     (workdir / "maps_beta.json").write_text('{"alpha": [["1", "0"], ["0", "2"]], "beta": [["5", "0"], ["0", "7"]]}',
                                             encoding="utf-8")
     (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -349,7 +350,7 @@ def test_auto_suite_reads_the_weight_override(workdir, capsys):
         assert f"FAIL {path}: diff_leibniz" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv,flag", [
+@pytest.mark.parametrize("argv,message", [
     (["check", "fixture:aff2", "--weight", "5"], "--weight"),
     (["check", "fixture:aff2", "--suite", "involution", "--weight", "1"], "--weight"),
     (["check", "rep.json", "--weight", "1"], "--weight"),
@@ -396,13 +397,19 @@ def test_auto_suite_reads_the_weight_override(workdir, capsys):
     (["check", "rep.json", "--flavor", "bihom"], "--flavor"),
     (["check", "mp.json", "--against", "fixture:aff2"], "--against"),
     (["check", "form.json", "--flavor", "nijenhuis"], "--flavor"),
+    # an input a command needs and does not get, with its whole message
+    (["construct", "double", "fixture:aff2"], "error: double takes 2 input bundle(s), got 1\n"),
+    (["construct", "twist", "fixture:aff2"], "error: twist needs --maps pointing to an alpha/beta file\n"),
+    (["search", "fixture:aff2", "--mode", "nijenhuis-grid"], 'error: nijenhuis-grid needs --grid "a,b,c"\n'),
+    (["construct", "twist", "fixture:aff2", "--maps", "beta_only.json"], "error: maps file needs an 'alpha' matrix\n"),
+    (["check", "list.json"], "error: top-level document must be an object\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_flag_nothing_reads_exits_two(workdir, capsys, monkeypatch, argv, flag):
+def test_flag_nothing_reads_exits_two(workdir, capsys, monkeypatch, argv, message):
     _wrong_kind_inputs(workdir)
     monkeypatch.chdir(workdir)
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err
+    assert err.startswith("error: ") and message in err
 
 
 # -- malformed documents and --suite on forms and matched pairs -------------------------
@@ -482,11 +489,12 @@ _LONG_ARGUMENTS = [
     ["check", "fixture:aff2", "--flavor", "x" * 3000],
     ["search", "fixture:aff2", "--mode", "x" * 3000],
     ["construct", "x" * 3000],
+    ["check", "fixture:aff2", "--suite", "differential", "--weight", "x" * 5000],  # no digit to count
 ]
 #: a bracket entry whose index is out of range by 3000 digits
 _LONG_INDEX = json.dumps(_aff2_document(bracket=[{"i": int("9" * 3000), "j": 2, "out": ["0", "1"]}]))
 _LONG_ARGUMENT_IDS = ["long-weight", "long-zero-denominator", "long-grid", "long-fixture-argument", "long-fixture-name",
-                      "long-suite", "long-flavor", "long-mode", "long-construction"]
+                      "long-suite", "long-flavor", "long-mode", "long-construction", "long-digit-free-weight"]
 
 
 @pytest.mark.parametrize("text", [
@@ -568,6 +576,15 @@ def test_scalars_with_exponents_are_refused(workdir, capsys):
         for argv, prefix in _scalar_refusals(workdir, text):
             assert run(argv) == 2
             assert capsys.readouterr().err == f"error: {prefix}a scalar has no exponent, got {text!r}\n"
+
+
+def test_long_scalars_without_a_digit_are_refused(workdir, capsys):
+    # past 4300 characters a scalar's runs of digits are measured; a scalar with none is an invalid literal
+    for argv, prefix in _scalar_refusals(workdir, "x" * 5000):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}Invalid literal for Fraction: 'xxx") and err.endswith("...\n")
+        assert len(err) < 200
 
 
 def test_dimensions_past_the_largest_list_are_refused(workdir, capsys):
