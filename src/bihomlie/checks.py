@@ -581,11 +581,12 @@ def _mixed(mp: MatchedPairBundle) -> tuple[list[Composed], list[Composed]]:
     return mixed, [*mixed[:2], (-1, h_ab, 1, rho_aq, 1, 2), mixed[4]]
 
 
-def check_matched_pair(mp: MatchedPairBundle, flavor: str) -> Report:
+def check_matched_pair(mp: MatchedPairBundle, flavor: str, results: Results | None = None) -> Report:
     """Constituent axioms, cross representations, and the two mixed identities, the second being the first read on
     the swapped pair (V, L, h, rho), where alpha, beta and p, q trade places.
 
-    flavor is a key of FLAVORS; the checkers besides the mixed identities are the ("matched_pair", flavor) suite.
+    flavor is a key of FLAVORS; the checkers besides the mixed identities are the ("matched_pair", flavor) suite,
+    run through results (``Suite.run``).
     The differential flavour needs identity structure maps, reads the mixed identities under its own names and adds
     the as-printed reading of the second one as an advisory entry.
     """
@@ -596,7 +597,7 @@ def check_matched_pair(mp: MatchedPairBundle, flavor: str) -> Report:
                  CheckEntry("diff_mp_left", "", _composed(left)),
                  CheckEntry("diff_mp_right", "symmetrized", _composed(right)),
                  CheckEntry("diff_mp_right", "as-printed", _composed(printed), advisory=True)))
-    return Report(mixed).merged(SUITES["matched_pair", flavor].run(mp))
+    return Report(mixed).merged(SUITES["matched_pair", flavor].run(mp, results=results))
 
 
 # -- suites ---------------------------------------------------------------------------------
@@ -620,6 +621,11 @@ class Step(NamedTuple):
     prefix: str = ""
 
 
+#: checker reports computed once within one call: (checker, weight of a weighted step, id of each argument) ->
+#: (report, the arguments), the arguments kept so that no id is reused while the dict lives
+Results = dict[tuple, tuple[Report, list]]
+
+
 def _field(bundle: Any, path: str) -> Any:
     for name in path.split(".") if path else ():
         bundle = getattr(bundle, name)
@@ -636,12 +642,19 @@ class Suite:
         """The steps that run on the bundle: those whose needed fields are all set."""
         return [s for s in self.steps if all(_field(bundle, f) is not None for f in s.needs)]
 
-    def run(self, bundle: Any, weight: Fraction | None = None) -> Report:
+    def run(self, bundle: Any, weight: Fraction | None = None, results: Results | None = None) -> Report:
+        """The steps' reports, merged in order; a step already in results reuses its report (none passed: a fresh
+        dict, so nothing outlives this call)."""
+        results = {} if results is None else results
         reports = []
         for step in self.steps_on(bundle):
-            report = globals()[step.check](*(_field(bundle, f) for f in step.args),
-                                           **({"weight": weight} if step.weighted else {}))
-            reports.append(report.prefixed(step.prefix) if step.prefix else report)
+            args = [_field(bundle, f) for f in step.args]
+            key = (step.check, weight if step.weighted else None, *map(id, args))
+            done = results.get(key)
+            if done is None:
+                kwargs = {"weight": weight} if step.weighted else {}
+                done = results[key] = globals()[step.check](*args, **kwargs), args
+            reports.append(done[0].prefixed(step.prefix) if step.prefix else done[0])
         return Report(()).merged(*reports)
 
 

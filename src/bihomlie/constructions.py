@@ -60,12 +60,12 @@ from .exact import (
 
 @dataclass(frozen=True)
 class DoubleBundle:
-    """An algebra on L + L* with the canonical pairing form and provenance."""
+    """An algebra on L + L* with the canonical pairing form and provenance: the coadjoint matched pair of L and L*
+    it is the bicrossed product of."""
 
     total: AlgebraBundle
     form: FormBundle
-    left: AlgebraBundle
-    right: AlgebraBundle
+    pair: MatchedPairBundle
 
 
 # -- duals ---------------------------------------------------------------------
@@ -273,7 +273,7 @@ def coadjoint_matched_pair(left: AlgebraBundle, right: AlgebraBundle) -> Matched
 
 def standard_double_form(n: int) -> FormBundle:
     """Canonical pairing on L + L*: the block-antidiagonal identity Gram."""
-    return FormBundle(Matrix.from_rows([[int(j == (i + n) % (2 * n)) for j in range(2 * n)] for i in range(2 * n)]))
+    return FormBundle(Matrix(2 * n, 2 * n, tuple((1, (((i + n) % (2 * n), 1),)) for i in range(2 * n))))
 
 
 def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[DoubleBundle, Report]:
@@ -283,8 +283,9 @@ def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) 
 
     flavor is a key of ``checks.FLAVORS``.
     """
-    total = _bicrossed_algebra(coadjoint_matched_pair(left, right), flavor, "doubles")
-    return DoubleBundle(total, standard_double_form(left.dim), left, right), _restriction_report(total, left, right)
+    pair = coadjoint_matched_pair(left, right)
+    total = _bicrossed_algebra(pair, flavor, "doubles")
+    return DoubleBundle(total, standard_double_form(left.dim), pair), _restriction_report(total, left, right)
 
 
 @declares(subalgebra="the combined bracket and operators restrict to the two factors")

@@ -6,8 +6,11 @@ silently: the reports say which side failed and on which identity.
 
 "Independent" means independent formulas: each side is decided by its own
 identities, read on its own structure.  It does not mean recomputation, so
-two sides that run the same checker on the same bundle could share that one
-result without losing anything the comparison shows.
+the three sides of one triad call share their results: their suites run
+through one ``checks.Results`` dict, keyed by checker, argument identity and
+weight, so each checker runs once per argument object, and the matched-pair
+side reads the coadjoint pair the double was built from.  The dict lives for
+that one call; nothing is cached past it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .bundles import (
 )
 from .checks import (
     SUITES,
+    Results,
     _involution_note,
     check_adjoint_admissible,
     check_matched_pair,
@@ -34,7 +38,6 @@ from .constructions import (
     PreconditionFailed,
     adjoint_map_wrt_form,
     bicrossed_product,
-    coadjoint_matched_pair,
     double_construction,
     dual_representation,
     dualize,
@@ -98,15 +101,16 @@ def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadRepor
     double, restrict = double_construction(left, right, flavor)  # enforces the flavour's preconditions
     # the differential flavour has identity maps, so these notes are empty there
     notes = _involution_note(left, "base algebra") + _involution_note(right, "dual-side algebra")
+    results: Results = {}  # one report per (checker, arguments) across the three sides of this call
     factor = SUITES["algebra", flavor]
     manin = Report(()).merged(
-        factor.run(left).prefixed("left"),
-        factor.run(right).prefixed("right"),
+        factor.run(left, results=results).prefixed("left"),
+        factor.run(right, results=results).prefixed("right"),
         restrict,
-        SUITES["double", flavor].run(double).prefixed("double"),
+        SUITES["double", flavor].run(double, results=results).prefixed("double"),
     )
-    bial = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))
-    mp_report = check_matched_pair(coadjoint_matched_pair(left, right), flavor)
+    bial = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)), results=results)
+    mp_report = check_matched_pair(double.pair, flavor, results)
     return TriadReport(manin, bial, mp_report, notes)
 
 
@@ -123,7 +127,7 @@ def triad_differential(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport
 def double_adjoint_report(double: DoubleBundle) -> Report:
     """Block identity for the form-adjoint of the combined operator, plus the
     two factor admissibility conditions it implies."""
-    left, right = double.left, double.right
+    left, right = double.pair.left, double.pair.right
     N = require(left, "nijenhuis")
     S_star = require(right, "nijenhuis")
     combined = require(double.total, "nijenhuis")

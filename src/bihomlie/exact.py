@@ -258,7 +258,8 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(map(_sum, self.nz, other.nz, repeat(-1))))
 
     def neg(self) -> "Matrix":
-        return self.scale(-1)
+        """-self, row by row: negating the numerators keeps each row in lowest terms."""
+        return Matrix(self.rows, self.cols, tuple((den, tuple((j, -v) for j, v in pairs)) for den, pairs in self.nz))
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
         c = scalar(c)

@@ -7,14 +7,16 @@ torus-twisted sl2 and aff2 with N = 2 I), of the Jacobi and co-Jacobi checkers, 
 brackets, on a coalgebra read from its document and on the zero bracket of
 abelian(60), and of the other identities that compose two tensors: the mixed
 matched-pair identities, the representation identity and the bialgebra
-cocycle, on twisted instances (pytest-benchmark; not part of the test suite).
+cocycle, on twisted instances, and of the two triads over the support
+families (pytest-benchmark; not part of the test suite).
 
 Run from the repository root with
 
     python -m pytest tests/bench_kernel.py --benchmark-only
 
 Each benchmark times one call on operands built beforehand and checks its
-result against tests/naive.py or an exact inverse, so a fast wrong answer
+result against tests/naive.py, an exact inverse or, for a triad, its three
+sides computed unshared (``support.unshared_triad``), so a fast wrong answer
 fails.
 """
 
@@ -37,6 +39,7 @@ from bihomlie.checks import (
     check_representation,
 )
 from bihomlie.constructions import coadjoint_matched_pair, dualize, yau_twist
+from bihomlie.equivalence import triad_differential, triad_nijenhuis_bihom
 from bihomlie.exact import Matrix, invert
 from support import contract
 
@@ -278,3 +281,19 @@ def test_check_bialgebra_cocycle_sl2_twisted(benchmark):
     maps = naive.mat_cells(b.algebra.alpha), naive.mat_cells(b.algebra.beta)
     want = [naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps, twisted_argument=x)) for x in (False, True)]
     assert _residuals(benchmark(check_bialgebra_cocycle, b)) == want
+
+
+def _triads(triad, family):
+    return [(t.manin_report, t.bialgebra_report, t.matched_pair_report) for t in itertools.starmap(triad, family)]
+
+
+def test_triad_nijenhuis_bihom_family(benchmark):
+    family = support.nijenhuis_triad_family()
+    want = [support.unshared_triad(left, right, "nijenhuis") for left, right in family]
+    assert benchmark(_triads, triad_nijenhuis_bihom, family) == want
+
+
+def test_triad_differential_family(benchmark):
+    family = support.differential_triad_family()
+    want = [support.unshared_triad(left, right, "differential") for left, right in family]
+    assert benchmark(_triads, triad_differential, family) == want

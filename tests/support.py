@@ -12,8 +12,16 @@ from fractions import Fraction
 
 from bihomlie import bundles
 from bihomlie.bundles import (AlgebraBundle, BialgebraBundle, CoalgebraBundle, Differential, MatchedPairBundle,
-                              RepresentationBundle)
+                              Report, RepresentationBundle)
+from bihomlie.checks import SUITES, check_matched_pair
+from bihomlie.constructions import coadjoint_matched_pair, double_construction, dualize
 from bihomlie.exact import Matrix, Tensor3, contract_sum, scalar
+
+#: diagonal tori (t, s) of aff2-shaped twists, alpha = diag(1, t) and beta = diag(1, s); the first three are
+#: involutive, each its own transpose and inverse
+TORI = [(-1, 1), (1, -1), (-1, -1),
+        (2, 3), (2, 1), (1, 3), ("1/2", -2), (3, 3)]
+INVOLUTIVE_TORI = TORI[:3]
 
 SCALARS = [scalar(x) for x in ("0", "1", "-1", "2", "1/2", "-3/2", "3", "2/3", "-1/3", "5/2", "-2", "4", "1/4")]
 
@@ -192,6 +200,17 @@ def nijenhuis_triad_family() -> list[tuple[AlgebraBundle, AlgebraBundle]]:
         out.append((scalar_op(aff, "-2"), scalar_op(antisym_dual2(u, v), "1/3")))
     out.append((scalar_op(bundles.abelian(2), "0"), scalar_op(bundles.abelian(2), "0")))
     return out
+
+
+def unshared_triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[Report, Report, Report]:
+    """The (manin, bialgebra, matched pair) reports of a triad, each side computed on its own through the public
+    suites, with a fresh double and a fresh coadjoint pair: the oracle for the triads' shared results."""
+    factor = SUITES["algebra", flavor]
+    double, restrict = double_construction(left, right, flavor)
+    manin = Report(()).merged(factor.run(left).prefixed("left"), factor.run(right).prefixed("right"), restrict,
+                              SUITES["double", flavor].run(double).prefixed("double"))
+    bialgebra = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))
+    return manin, bialgebra, check_matched_pair(coadjoint_matched_pair(left, right), flavor)
 
 
 def differential_triad_family() -> list[tuple[AlgebraBundle, AlgebraBundle]]:

@@ -428,17 +428,13 @@ def test_bicrossed_broken_pair_fails_suite():
 # of such maps, involutive or not, so it pins both off-diagonal blocks.
 
 
-TORI = [(-1, 1), (1, -1), (-1, -1),  # involutive
-        (2, 3), (2, 1), (1, 3), ("1/2", -2), (3, 3)]
-
-
 def test_twisted_bicrossed_product_is_the_twisted_product():
     mismatches = []
     for v in ("1", "2", "-1/2"):
         mp = coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, v))
         assert checks.check_matched_pair(mp, "bihom").ok
         product, _ = bicrossed_product(mp, "bihom")
-        for t, s in TORI:
+        for t, s in support.TORI:
             a, b = _aff2_auto(t), _aff2_auto(s)
             p, q = _aff2_auto(1 / scalar(t)), _aff2_auto(1 / scalar(s))  # the contragredient tori
             want, _ = yau_twist(product, block_diag(a, p), block_diag(b, q))
@@ -449,10 +445,10 @@ def test_twisted_bicrossed_product_is_the_twisted_product():
 
 
 def _twisted_coadjoint_pairs():
-    """The 24 twisted coadjoint pairs above: aff2 on antisym_dual2(0, v) under every torus of TORI."""
+    """The 24 twisted coadjoint pairs above: aff2 on antisym_dual2(0, v) under every torus of support.TORI."""
     for v in ("1", "2", "-1/2"):
         mp = coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, v))
-        for t, s in TORI:
+        for t, s in support.TORI:
             yield support.twisted_pair(mp, _aff2_auto(t), _aff2_auto(s), _aff2_auto(1 / scalar(t)),
                                        _aff2_auto(1 / scalar(s)))
 
@@ -514,11 +510,11 @@ def test_representation_identity_matches_the_naive_oracle():
 
 def test_cocycle_matches_the_naive_oracle():
     # both expansions of the cocycle on yau_twist bialgebras, aff2 over the dual of antisym_dual2(0, v) and the
-    # standard sl2 bialgebra, Delta(e) = e ^ h and Delta(f) = f ^ h, each under every torus of TORI, and on
+    # standard sl2 bialgebra, Delta(e) = e ^ h and Delta(f) = f ^ h, each under every torus of support.TORI, and on
     # bialgebras with one entry of the bracket or of Delta moved
     bases = [(BialgebraBundle(bundles.aff2(), dualize(support.antisym_dual2(0, v))), _aff2_auto) for v in ("1", "-1/2")]
     bases.append((support.sl2_standard_bialgebra(), _sl2_auto))
-    bialgebras = [yau_twist(b, torus(t), torus(s))[0] for b, torus in bases for t, s in TORI]
+    bialgebras = [yau_twist(b, torus(t), torus(s))[0] for b, torus in bases for t, s in support.TORI]
 
     def perturb(b, r):
         if r.random() < 0.5:

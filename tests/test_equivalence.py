@@ -1,11 +1,12 @@
 """Equivalence harnesses: triads and paired-verdict suites."""
 
+import collections
 import dataclasses
 
 import pytest
 
 import support
-from bihomlie import bundles
+from bihomlie import bundles, checks
 from bihomlie.checks import WeightMismatch, check_matched_pair
 from bihomlie.constructions import (
     PreconditionFailed,
@@ -106,6 +107,73 @@ def test_triad_involution_notes_reported():
     )
     t = triad_nijenhuis_bihom(left, right)
     assert any("involutive" in n for n in t.notes)
+
+
+# -- one triad call computes each shared result once -----------------------------------------
+
+
+_TRIADS = {"nijenhuis": triad_nijenhuis_bihom, "differential": triad_differential}
+
+
+def _count_checker_calls(monkeypatch) -> collections.Counter:
+    """Wrap every checker of the checks module (suites look them up there, so the wrappers see every call a
+    suite makes); the counter counts calls by (checker, argument ids, weight), and the arguments are kept
+    alive so that no id is reused among them."""
+    calls, kept = collections.Counter(), []
+    for name in [n for n in dir(checks) if n.startswith("check_")]:
+        def wrapper(*args, _check=getattr(checks, name), _name=name, **kwargs):
+            kept.append(args)
+            calls[_name, tuple(map(id, args)), kwargs.get("weight")] += 1
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(checks, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("flavor", _TRIADS)
+def test_triad_runs_each_checker_once_per_arguments(monkeypatch, flavor):
+    family = support.nijenhuis_triad_family() if flavor == "nijenhuis" else support.differential_triad_family()
+    calls = _count_checker_calls(monkeypatch)
+    _TRIADS[flavor](*family[0])
+    assert set(calls.values()) == {1}
+    # the left and right factors and the double's algebra: once each, where every side reads both factors
+    assert sum(n for (name, _, _), n in calls.items() if name == "check_bihom_lie") == 3
+
+
+@pytest.mark.parametrize("flavor", _TRIADS)
+def test_nothing_is_shared_between_triad_calls(monkeypatch, flavor):
+    family = support.nijenhuis_triad_family() if flavor == "nijenhuis" else support.differential_triad_family()
+    calls = _count_checker_calls(monkeypatch)
+    totals = []
+    for _ in range(2):
+        _TRIADS[flavor](*family[0])
+        totals.append(sum(calls.values()) - sum(totals))
+    assert totals[0] == totals[1] > 0
+
+
+def _oracle_cases():
+    """(flavour, left, right): both triad families, one-field perturbations of either factor of each
+    instance, and the involutive torus twists of the Nijenhuis family's aff2 pairs."""
+    r = support.rng(47)
+    for flavor, family in (("nijenhuis", support.nijenhuis_triad_family()),
+                           ("differential", support.differential_triad_family())):
+        for left, right in family:
+            yield flavor, left, right
+            yield flavor, support.perturb_algebra(left, r), right
+            yield flavor, left, support.perturb_algebra(right, r)
+    for left, right in support.nijenhuis_triad_family():
+        if left.bracket == bundles.aff2().bracket:
+            for t, s in support.INVOLUTIVE_TORI:
+                yield "nijenhuis", support.twisted(left, [1, t], [1, s]), support.twisted(right, [1, t], [1, s])
+
+
+def test_triads_equal_their_sides_computed_unshared():
+    seen_false = 0
+    for flavor, left, right in _oracle_cases():
+        t = _TRIADS[flavor](left, right)
+        assert (t.manin_report, t.bialgebra_report, t.matched_pair_report) == support.unshared_triad(left, right,
+                                                                                                       flavor)
+        seen_false += not t.all_ok
+    assert seen_false >= 10
 
 
 # -- double adjoint property -------------------------------------------------------

@@ -392,6 +392,15 @@ def test_every_result_is_canonical(data, n, p):
     assert t.sub(t) == Tensor3.zeros(t.shape)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data(), dims, dims)
+def test_neg_is_scale_by_minus_one(data, n, p):
+    # neg negates the numerators in place of scaling: the rows stay in lowest terms, so the two agree exactly
+    m = Matrix.from_rows(data.draw(_sparse_cells((n, p))))
+    assert m.neg() == m.scale(-1)
+    _assert_canonical(m.neg())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), dims, dims)
 def test_transpose_is_built_once_per_matrix(data, n, p):
