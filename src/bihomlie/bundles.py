@@ -25,7 +25,6 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
 
 from .exact import (
@@ -39,6 +38,7 @@ from .exact import (
     _dense,
     _quoted,
     _row,
+    cached_property,
     scalar,
 )
 
@@ -251,9 +251,14 @@ class Residual:
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
-        """The residual of a whole Matrix or Tensor3, indexed like it: cells are made for the nonempty rows only."""
+        """The residual of a whole Matrix or Tensor3, indexed like it: cells are made for the nonempty rows only,
+        and with none (the common case, a passing identity) the zero residual is returned at once."""
         if isinstance(m, Matrix):
+            if not any(row[1] for row in m.nz):
+                return Residual((m.rows, m.cols), ())
             return Residual.from_rows((m.rows, m.cols), (((i,), row) for i, row in enumerate(m.nz) if row[1]))
+        if not any(row[1] for plane in m.nz for row in plane):
+            return Residual(m.shape, ())
         return Residual.from_rows(m.shape, (((i, j), row) for i, plane in enumerate(m.nz)
                                             for j, row in enumerate(plane) if row[1]))
 
@@ -262,12 +267,16 @@ class Residual:
         return not self.nonzeros
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckEntry:
     identity: str
     case: str
     residual: Residual
     advisory: bool = False
+
+    def __init__(self, identity: str, case: str, residual: Residual, advisory: bool = False) -> None:
+        d = self.__dict__  # as in exact.Matrix
+        d["identity"], d["case"], d["residual"], d["advisory"] = identity, case, residual, advisory
 
     @property
     def ok(self) -> bool:
@@ -291,14 +300,20 @@ class Report:
         return all(e.ok for e in self.entries if not e.advisory)
 
     def merged(self, *others: "Report") -> "Report":
-        reports = (self, *others)
-        return Report(tuple(e for r in reports for e in r.entries), tuple(n for r in reports for n in r.notes))
+        """This report's entries and notes followed by those of each other report, in order, concatenated into
+        lists and then tuples."""
+        entries, notes = list(self.entries), list(self.notes)
+        for r in others:
+            entries += r.entries
+            notes += r.notes
+        return Report(tuple(entries), tuple(notes))
 
     def prefixed(self, prefix: str) -> "Report":
         """Re-label entry cases with a context prefix (for composite reports)."""
         return Report(
-            tuple(CheckEntry(e.identity, f"{prefix}:{e.case}" if e.case else prefix, e.residual, e.advisory) for e in self.entries),
-            tuple(f"{prefix}: {n}" for n in self.notes),
+            tuple([CheckEntry(e.identity, f"{prefix}:{e.case}" if e.case else prefix, e.residual, e.advisory)
+                   for e in self.entries]),
+            tuple([f"{prefix}: {n}" for n in self.notes]),
         )
 
 
@@ -398,6 +413,19 @@ def _square(obj: Any, n: int, where: str) -> Matrix:
     return m
 
 
+def _object(obj: Any, where: str, keys: tuple[str, ...], what: str) -> dict:
+    """obj if it is a JSON object holding each of keys and no other key; else a ParseError naming the missing or
+    unknown key, or the value that is no object, and the shape expected."""
+    shape = f"{what} must be a JSON object with keys {', '.join(keys)}"
+    if not isinstance(obj, dict):
+        raise ParseError(f"field {where!r}: {shape}, got {_quoted(obj)}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"field {where!r}: {_quoted(obj)} has no key {key!r}; {shape}")
+    _known_keys(obj, keys, what)
+    return obj
+
+
 def _known_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
     for key in obj:
         if key not in keys:
@@ -444,13 +472,9 @@ def _differential(doc: dict[str, Any], key: str, n: int) -> Differential | None:
     """Field key of doc as a {matrix, weight} differential on dim n, or None when it is absent."""
     if key not in doc:
         return None
-    obj = doc[key]
-    try:
-        matrix, weight = obj["matrix"], scalar(obj["weight"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"field {key!r}: {_quoted(exc)}") from exc
-    _known_keys(obj, ("matrix", "weight"), f"a {key}")
-    return Differential(_square(matrix, n, f"{key}.matrix"), weight)
+    obj = _object(doc[key], key, ("matrix", "weight"), f"a {key}")
+    weight = _parsed(key, scalar, obj["weight"])
+    return Differential(_square(obj["matrix"], n, f"{key}.matrix"), weight)
 
 
 def _actions(doc: dict[str, Any], key: str, count: int, n: int) -> tuple[Matrix, ...]:
@@ -468,11 +492,11 @@ def _entries(doc: dict[str, Any], key: str, n: int,
     integers in 1..n, each tuple of indices at most once.  The caller reads out."""
     seen = set()
     for item in _list(doc.get(key, []), key, "entries"):
+        out = _object(item, key, (*index_keys, "out"), f"a {key} entry")["out"]
         try:
-            idx, out = tuple(_integer(item[k]) for k in index_keys), item["out"]
-        except (KeyError, TypeError) as exc:
+            idx = tuple(_integer(item[k]) for k in index_keys)
+        except TypeError as exc:
             raise ParseError(f"field {key!r}: bad entry {_quoted(item)}: {exc}") from exc
-        _known_keys(item, (*index_keys, "out"), f"{key} entries")
         if not all(1 <= i <= n for i in idx):
             raise DimensionMismatch(f"field {key!r}: entry {_quoted(dict(zip(index_keys, idx)))}"
                                     f" out of range for dim {n}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import attrgetter
 from typing import Any, NamedTuple, Sequence
 
 from .bundles import (
@@ -627,9 +628,11 @@ Results = dict[tuple, tuple[Report, list]]
 
 
 def _field(bundle: Any, path: str) -> Any:
-    for name in path.split(".") if path else ():
-        bundle = getattr(bundle, name)
-    return bundle
+    return attrgetter(path)(bundle) if path else bundle
+
+
+def _call(step: Step, args: list, weight: Fraction | None) -> Report:
+    return globals()[step.check](*args, weight=weight) if step.weighted else globals()[step.check](*args)
 
 
 @dataclass(frozen=True)
@@ -640,21 +643,24 @@ class Suite:
 
     def steps_on(self, bundle: Any) -> list[Step]:
         """The steps that run on the bundle: those whose needed fields are all set."""
-        return [s for s in self.steps if all(_field(bundle, f) is not None for f in s.needs)]
+        return [s for s in self.steps if not s.needs or all(_field(bundle, f) is not None for f in s.needs)]
 
     def run(self, bundle: Any, weight: Fraction | None = None, results: Results | None = None) -> Report:
-        """The steps' reports, merged in order; a step already in results reuses its report (none passed: a fresh
-        dict, so nothing outlives this call)."""
-        results = {} if results is None else results
+        """The steps' reports, merged in order.  Each step calls its checker, unless a results dict is passed: then
+        the step is keyed by its checker, weight and argument ids, a key already there reuses its report, and a new
+        report is stored under its key.  With none passed no key is built and nothing outlives this call."""
         reports = []
         for step in self.steps_on(bundle):
             args = [_field(bundle, f) for f in step.args]
-            key = (step.check, weight if step.weighted else None, *map(id, args))
-            done = results.get(key)
-            if done is None:
-                kwargs = {"weight": weight} if step.weighted else {}
-                done = results[key] = globals()[step.check](*args, **kwargs), args
-            reports.append(done[0].prefixed(step.prefix) if step.prefix else done[0])
+            if results is None:
+                report = _call(step, args, weight)
+            else:
+                key = (step.check, weight if step.weighted else None, *map(id, args))
+                done = results.get(key)
+                if done is None:
+                    done = results[key] = _call(step, args, weight), args
+                report = done[0]
+            reports.append(report.prefixed(step.prefix) if step.prefix else report)
         return Report(()).merged(*reports)
 
 

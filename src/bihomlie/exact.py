@@ -24,7 +24,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -35,6 +34,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 #: the most digits a number may carry: Python's own limit on reading an integer, never raised here
 MAX_DIGITS = 4300
+
+
+class cached_property:
+    """A property computed on its first read and stored in the instance's ``__dict__``, where later reads find it
+    before this descriptor, which defines no ``__set__``.  ``functools.cached_property`` does the same, but before
+    Python 3.12 it takes a lock on every first read; the values here are pure functions of immutable objects, so
+    two threads that race on one first read at worst compute it twice."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class SingularMatrix(ValueError):
@@ -165,7 +184,7 @@ def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
     return _sorted_row(den, acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
     """Matrix of exact rationals, stored by the nonzeros of its rows.
 
@@ -180,6 +199,10 @@ class Matrix:
     rows: int
     cols: int
     nz: tuple[Row, ...]
+
+    def __init__(self, rows: int, cols: int, nz: tuple[Row, ...]) -> None:
+        d = self.__dict__  # the fields written in place: a frozen dataclass's own __init__ pays a setattr call each
+        d["rows"], d["cols"], d["nz"] = rows, cols, nz
 
     @cached_property
     def entries(self) -> tuple[Vector, ...]:
@@ -303,7 +326,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows + b.rows, a.cols + b.cols, a.nz + tuple(_shifted(row, a.cols) for row in b.nz))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tensor3:
     """Order-3 tensor of exact rationals, stored by the nonzeros of its rows:
     ``nz[i][j]`` is row t[i][j] as a ``Row``, as in ``Matrix``; ``entries`` is
@@ -318,6 +341,11 @@ class Tensor3:
     #: on a transpose's result only: (its source, the axes that transpose it back to the source); no part of
     #: the value, so it changes no ``==``, hash or repr
     back: tuple["Tensor3", tuple[int, int, int]] | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, shape: tuple[int, int, int], nz: tuple[tuple[Row, ...], ...],
+                 back: tuple["Tensor3", tuple[int, int, int]] | None = None) -> None:
+        d = self.__dict__  # as in Matrix
+        d["shape"], d["nz"], d["back"] = shape, nz, back
 
     @cached_property
     def entries(self) -> tuple[tuple[Vector, ...], ...]:

@@ -7,8 +7,10 @@ torus-twisted sl2 and aff2 with N = 2 I), of the Jacobi and co-Jacobi checkers, 
 brackets, on a coalgebra read from its document and on the zero bracket of
 abelian(60), and of the other identities that compose two tensors: the mixed
 matched-pair identities, the representation identity and the bialgebra
-cocycle, on twisted instances, and of the two triads over the support
-families (pytest-benchmark; not part of the test suite).
+cocycle, on twisted instances, of the two triads over the support
+families, and of the fixed cost a small check pays per report entry:
+``check_bihom_lie`` on aff2 and the (matched_pair, nijenhuis) suite on a dim
+2 + 2 coadjoint pair (pytest-benchmark; not part of the test suite).
 
 Run from the repository root with
 
@@ -28,8 +30,10 @@ from fractions import Fraction
 import naive
 import pytest
 import support
-from bihomlie import bundles
+from bihomlie import bundles, checks
+from bihomlie.bundles import Report
 from bihomlie.checks import (
+    SUITES,
     _commutator,
     check_bialgebra_cocycle,
     check_bihom_coalgebra,
@@ -155,14 +159,34 @@ def _naive_bihom_lie(a):
     return out + [nonzero(jacobi)]
 
 
-def test_check_bihom_lie_gl4_torus_twisted(benchmark):
-    a = _gl4_torus()
-    want = _naive_bihom_lie(a)
-    report = benchmark(check_bihom_lie, a)
+def _agrees_with_naive_bihom_lie(report, a):
     cases = [("bihom_multiplicativity", "alpha"), ("bihom_multiplicativity", "beta"), ("bihom_antisymmetry", ""),
              ("bihom_jacobi", "")]
     got = {(e.identity, e.case): list(e.residual.nonzeros) for e in report.entries}
-    assert [got[case] for case in cases] == want and report.ok
+    return [got[case] for case in cases] == _naive_bihom_lie(a)
+
+
+def test_check_bihom_lie_gl4_torus_twisted(benchmark):
+    a = _gl4_torus()
+    report = benchmark(check_bihom_lie, a)
+    assert _agrees_with_naive_bihom_lie(report, a) and report.ok
+
+
+def test_check_bihom_lie_aff2(benchmark):
+    # identity maps on dim 2: the fixed cost of the checker's five entries (terms, reports, zero residuals) sets it
+    a = bundles.aff2()
+    report = benchmark(check_bihom_lie, a)
+    assert _agrees_with_naive_bihom_lie(report, a) and report.ok
+
+
+def test_suite_matched_pair_nijenhuis_coadjoint_dim2(benchmark):
+    # eight checker steps on the coadjoint pair of aff2 (N = 2 I) and abelian(2) (N = 1/2 I): the suite's own
+    # bookkeeping (fields, prefixed reports, one merge) is a visible share of its time
+    mp = coadjoint_matched_pair(support.scalar_op(bundles.aff2(), 2), support.scalar_op(bundles.abelian(2), "1/2"))
+    suite = SUITES["matched_pair", "nijenhuis"]
+    report = benchmark(suite.run, mp)
+    steps = [getattr(checks, s.check)(getattr(mp, s.args[0])).prefixed(s.prefix) for s in suite.steps]
+    assert report == Report(()).merged(*steps) and report.ok and len(steps) == 8
 
 
 @pytest.mark.parametrize("kind", ["scalar", "diagonal"])

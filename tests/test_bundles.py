@@ -436,3 +436,96 @@ def test_no_module_but_bundles_builds_a_residual_from_cells():
             if isinstance(node, ast.Attribute) and node.attr == "collect" and residual(node.value):
                 offenders.append(f"{name}:{node.lineno} Residual.collect")
     assert offenders == []
+
+
+# -- value types: fields written in place, lazily stored properties ------------------------------
+
+
+def _generated(cls):
+    """A frozen dataclass of cls's name and fields whose methods, __init__ included, are all generated."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default, compare=f.compare, repr=f.repr))
+        for f in dataclasses.fields(cls)], frozen=True)
+
+
+def _value_samples():
+    """(class, instances) of each value type that writes its fields in place; equal and unequal ones among them."""
+    t = Tensor3.from_entries([[[0, 1], [1, 0]], [[2, 0], [0, Fraction(1, 3)]]])
+    res = Residual.from_matrix(Matrix.from_rows([[0, 1], [0, 0]]))
+    entry = bundles.CheckEntry("jacobi", "", res)
+    return [
+        (Matrix, [Matrix.identity(2), Matrix.from_rows([[1, 0], [0, 1]]), Matrix.diagonal([2, 1]), Matrix.zeros(2, 3)]),
+        (Tensor3, [t, t.transpose((1, 0, 2)), t.transpose((1, 0, 2)).transpose((1, 0, 2)), Tensor3.zeros((2, 2, 2))]),
+        (bundles.CheckEntry, [entry, bundles.CheckEntry("jacobi", "", res), bundles.CheckEntry("jacobi", "", res, True),
+                              bundles.CheckEntry("jacobi", "x", Residual.from_matrix(Matrix.zeros(2, 2)))]),
+    ]
+
+
+@pytest.mark.parametrize("cls,values", _value_samples(), ids=lambda v: getattr(v, "__name__", ""))
+def test_value_types_keep_the_generated_dataclass_semantics(cls, values):
+    ref = _generated(cls)
+
+    def as_ref(v):
+        return ref(**{f.name: getattr(v, f.name) for f in dataclasses.fields(cls)})
+
+    for a, b in itertools.product(values, repeat=2):
+        assert (a == b) == (as_ref(a) == as_ref(b))
+    for v in values:
+        assert hash(v) == hash(as_ref(v)) and repr(v) == repr(as_ref(v))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, dataclasses.fields(cls)[0].name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, dataclasses.fields(cls)[0].name)
+        assert dataclasses.replace(v) == v
+        # keyword arguments, as the generated __init__ takes them
+        assert cls(**{f.name: getattr(v, f.name) for f in dataclasses.fields(cls) if f.init}) == v
+
+
+def test_tensor_back_is_no_part_of_the_value():
+    t = Tensor3.from_entries([[[0, 1], [1, 0]], [[2, 0], [0, 3]]])
+    u = t.transpose((0, 2, 1))
+    plain = Tensor3(u.shape, u.nz)
+    assert u.back == (t, (0, 2, 1)) and plain.back is None
+    assert u == plain and hash(u) == hash(plain) and repr(u) == repr(plain) and "back" not in repr(u)
+    assert dataclasses.replace(u, nz=t.nz) == t and dataclasses.replace(u, nz=t.nz).back == u.back
+    assert Tensor3(u.shape, u.nz, back=u.back).transpose((0, 2, 1)) is t
+
+
+def _pair():
+    from bihomlie.constructions import coadjoint_matched_pair
+
+    return coadjoint_matched_pair(bundles.aff2(), bundles.abelian(2))
+
+
+#: (class, property, a fresh instance) of every lazily stored property in exact and bundles
+CACHED = [
+    (Matrix, "entries", lambda: Matrix.from_rows([[1, 2], [0, 1]])),
+    (Matrix, "diag", lambda: Matrix.diagonal([2, 3])),
+    (Matrix, "scalar_multiple", lambda: Matrix.diagonal([2, 2])),
+    (Matrix, "_transposed", lambda: Matrix.from_rows([[1, 2], [0, 1]])),
+    (Tensor3, "entries", lambda: Tensor3.from_entries([[[0, 1]], [[1, 0]]])),
+    (MatchedPairBundle, "swapped", _pair),
+    (MatchedPairBundle, "rho_module", _pair),
+    (MatchedPairBundle, "h_module", _pair),
+]
+
+
+@pytest.mark.parametrize("cls,name,make", CACHED, ids=[f"{c.__name__}.{n}" for c, n, _ in CACHED])
+def test_cached_property_runs_once_per_instance_and_is_stored_on_it(monkeypatch, cls, name, make):
+    prop, calls = vars(cls)[name], []
+    fn = prop.fn
+
+    def counted(obj):
+        calls.append(obj)
+        return fn(obj)
+
+    monkeypatch.setattr(prop, "fn", counted)
+    assert getattr(cls, name) is prop
+    first, second = make(), make()
+    assert name not in vars(first)
+    value = getattr(first, name)
+    assert getattr(first, name) is value and vars(first)[name] is value and value == fn(first)
+    assert calls == [first]
+    getattr(second, name)
+    getattr(second, name)
+    assert calls == [first, second]

@@ -248,6 +248,8 @@ def _algebra_and_coalgebra(cells, alpha, beta):
 _SHEARED = _algebra_and_coalgebra([[[0, 0, 0], [1, 0, 0], [0, 0, 0]], [[-1, 0, 0], [0, 0, 0], [1, 0, 1]],
                                    [[0, 0, 0], [-1, 0, -1], [0, 0, 0]]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
                                   [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+# [e0,e0] = e1 under identity maps: not antisymmetric, so Jacobi runs per rotation orbit whatever the draws hold
+_SQUARING = _algebra_and_coalgebra([[[0, 1], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
 
 def test_orbit_evaluation_matches_the_dense_oracles():
@@ -259,6 +261,7 @@ def test_orbit_evaluation_matches_the_dense_oracles():
     @settings(max_examples=25, deadline=None)
     @given(_jacobi_instance())
     @example(_SHEARED)
+    @example(_SQUARING)
     def check(instance):
         a, co = instance
         n = a.dim
@@ -714,3 +717,45 @@ def test_every_suite_step_that_takes_a_weight_receives_the_override():
         for step in suite.steps:
             takes = "weight" in inspect.signature(getattr(checks, step.check)).parameters
             assert step.weighted == takes, (key, step.check)
+
+
+# -- suites with and without a shared results dict -------------------------------------------------
+
+
+def _suite_fixture(kind: str, name: str):
+    """A bundle of the kind that carries every operator some suite of it reads, so each suite runs every step."""
+    from bihomlie.constructions import double_construction
+
+    zero = Matrix.zeros(2, 2)
+    left = support.with_diff(support.scalar_op(bundles.aff2(), "2"), zero, "1")
+    right = support.with_diff(support.scalar_op(bundles.abelian(2), "1/2"), zero, "1")
+    return {
+        "algebra": lambda: left,
+        "coalgebra": lambda: dualize(right),
+        "representation": lambda: support.adjoint_rep(left, eta=left.nijenhuis, xi=zero),
+        "bialgebra": lambda: BialgebraBundle(left, dualize(right)),
+        "matched_pair": lambda: coadjoint_matched_pair(left, right),
+        "double": lambda: double_construction(left, right, name)[0],
+    }[kind]()
+
+
+@pytest.mark.parametrize("key", sorted(checks.SUITES), ids="-".join)
+def test_suite_runs_alike_with_and_without_a_results_dict(monkeypatch, key):
+    # both paths call each step's checker once and merge the same report; a second run through the same dict calls none
+    bundle, suite = _suite_fixture(*key), checks.SUITES[key]
+    calls = []
+    for name in {s.check for s in suite.steps}:
+        def counted(*args, _check=getattr(checks, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(checks, name, counted)
+    expected = sorted(s.check for s in suite.steps_on(bundle))
+    assert len(expected) == len(suite.steps)
+    unshared = suite.run(bundle)
+    assert sorted(calls) == expected
+    calls.clear()
+    results = {}
+    assert suite.run(bundle, results=results) == unshared
+    assert sorted(calls) == expected and len(results) == len(expected)
+    calls.clear()
+    assert suite.run(bundle, results=results) == unshared and calls == []

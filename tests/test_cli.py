@@ -453,6 +453,37 @@ def test_malformed_structure_fields_exit_two(workdir, capsys, doc):
     assert capsys.readouterr().err.startswith("error: field ")
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "algebra", "dim": 2, "bracket": [{"i": 1, "j": 2}]},
+     "field 'bracket': {'i': 1, 'j': 2} has no key 'out'; a bracket entry must be a JSON object with keys i, j, out"),
+    ({"kind": "coalgebra", "dim": 2, "comul": [3]},
+     "field 'comul': a comul entry must be a JSON object with keys k, out, got 3"),
+    (_aff2_document(differential={"matrix": [[1, 0], [0, 1]]}),
+     "field 'differential': {'matrix': [[1, 0], [0, 1]]} has no key 'weight'; "
+     "a differential must be a JSON object with keys matrix, weight"),
+    (_aff2_document(differential=[1]),
+     "field 'differential': a differential must be a JSON object with keys matrix, weight, got [1]"),
+], ids=["bracket-entry-without-out", "comul-entry-not-object", "differential-without-weight",
+        "differential-not-object"])
+def test_malformed_entry_or_differential_names_the_expected_shape(workdir, capsys, doc, message):
+    # the missing key or the object expected is named, not Python's own exception text ('out', 'weight',
+    # "'int' object is not subscriptable", "list indices must be integers or slices, not str")
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_malformed_entry_message_clips_the_entry(workdir, capsys):
+    path = workdir / "bad.json"
+    path.write_text(json.dumps({"kind": "algebra", "dim": 2, "bracket": [{"i": 1, "j": 2, "x": "9" * 200}]}),
+                    encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'bracket': {'i': 1, 'j': 2, 'x': '999") and "... has no key 'out'" in err
+    assert len(err) < 200
+
+
 def _nested(depth):
     value = "0"
     for _ in range(depth):
