@@ -529,18 +529,19 @@ def _integer_rows(rows: Iterable[tuple[tuple[int, int], ...]]) -> list[dict[int,
     scaled to a primitive row with a positive leading entry; zero rows and
     repeats of an earlier row (up to a scalar) are dropped."""
     out: list[dict[int, int]] = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    seen: set[tuple[tuple[int, int], ...]] = set()
     for row in rows:
         if not row:
             continue
-        cols, ints = zip(*row)
+        _, ints = zip(*row)
         g = math.gcd(*ints)
         if ints[0] < 0:
             g = -g
-        key = (cols, tuple(v // g for v in ints) if g != 1 else ints)
-        if key not in seen:
-            seen.add(key)
-            out.append(dict(zip(*key)))
+        if g != 1:
+            row = tuple([(k, v // g) for k, v in row])
+        if row not in seen:
+            seen.add(row)
+            out.append(dict(row))
     return out
 
 
@@ -601,17 +602,18 @@ def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], 
 
 
 def solve(a: Matrix, b: Vector | None = None) -> tuple[Vector | None, list[Vector]]:
-    """(particular, kernel) of a x = b, b = None meaning zero, both read off one
-    elimination of [a | b]: the solution whose free variables are zero (None when
-    inconsistent) and the kernel basis of a, one vector per free column."""
+    """(particular, kernel) of a x = b, b = None meaning zero and its entries ints or
+    Fractions, both read off one elimination of [a | b]: the solution whose free
+    variables are zero (None when inconsistent) and the kernel basis of a, one
+    vector per free column."""
     n = a.cols
     aug = (pairs for _, pairs in a.nz)
     if b is not None:
         if a.rows != len(b):
             raise DimensionMismatch("right-hand side length does not match row count")
-        # row / den = y is the integer row q * row = p * den for y = p / q
-        aug = (tuple((k, y.denominator * v) for k, v in pairs) + ((n, y.numerator * den),) if y else pairs
-               for (den, pairs), y in zip(a.nz, b))
+        # row / den = y is the integer row q * row = p * den for y = p / q, an int y being y / 1
+        aug = ((pairs if y.denominator == 1 else tuple((k, y.denominator * v) for k, v in pairs))
+               + ((n, y.numerator * den),) if y else pairs for (den, pairs), y in zip(a.nz, b))
     rows, pivots = _bareiss_echelon(_integer_rows(aug))
     particular = [ZERO] * n
     if pivots and pivots[-1] == n:  # a pivot in the right-hand column: its row reads 0 = 1

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import checks
 from .bundles import AlgebraBundle
 from .checks import Unknown, _commutator, _stack, check_nijenhuis_operator
-from .exact import Matrix, Row, Tensor3, Term, Vector, ZERO, _sorted_row, contract_sum, solve
+from .exact import EMPTY, Matrix, Row, Tensor3, Term, Vector, ZERO, contract_sum, solve
 
 
 class NonlinearKind(ValueError):
@@ -75,8 +75,10 @@ class SolutionSpace:
 class _System:
     """The equations of a linear identity in one unknown map x (x[r][s] is unknown r * cols + s), given as the
     ``contract_sum`` terms on t its checker contracts, the marker ``Unknown`` for x: sum_u row[u] x_u + const = 0 at
-    each cell a nonzero of a group's sum reaches (cancelled coefficients keep the constant), on integers over one
-    denominator.  Groups, by where the marker stands, the constant first, are each summed by one ``contract_sum``."""
+    each cell a nonzero of a group's sum reaches (cancelled coefficients keep the constant), in integers over one
+    denominator.  Groups, by where the marker stands, the constant first, are each summed by one ``contract_sum``,
+    and each sum is read once, in its own layout: every nonzero cell goes straight into the n equations and unknowns
+    its index names."""
 
     def __init__(self, t: Tensor3, terms: list[Term]):
         groups: dict[tuple[int, bool] | None, list[Term]] = {None: []}  # the marker's (axis, transposed) -> terms
@@ -98,26 +100,42 @@ class _System:
             if group:  # a lone term of no map is t itself
                 parts.append((sign, t if group == [(1, (None, None, None))] else contract_sum(t, group), at))
         den = math.lcm(*[d for _, u, _ in parts for plane in u.nz for d, pairs in plane if pairs])
-        const, equations = {}, {}  # cell -> the constant there; cell -> {unknown: coefficient}
+        d0, d1, d2 = t.shape
+        equations = [None] * (d0 * d1 * d2)  # cell (i, j, k) at (i d1 + j) d2 + k -> {unknown: coefficient}
+        const = {}  # cell -> the constant there, if nonzero
         for sign, u, at in parts:
-            if at is None:  # the constant
-                const = {(i, j, k): -sign * v * (den // d) for i, plane in enumerate(u.nz)
+            if at is None:
+                const = {(i * d1 + j) * d2 + k: -sign * v * (den // d) for i, plane in enumerate(u.nz)
                          for j, (d, pairs) in enumerate(plane) for k, v in pairs}
-                equations = {cell: {} for cell in const}
                 continue
-            # sum_b x[a][b] u[.. b ..] at a on the axis: u's rows, axis last, spread over x's row (column, transposed) a
+            # a cell (.. b ..), b on the axis, adds its value to the coefficient of x[a][b] (x[b][a] transposed) in
+            # the equation of cell (.. a ..), for each a: from a = 0, the cell moves by the axis' stride and the
+            # unknown by step
             axis, transposed = at
-            stride, step = (n, 1) if transposed else (1, n)
-            for p, plane in enumerate(u.transpose(((1, 2, 0), (0, 2, 1), (0, 1, 2))[axis]).nz):
-                for q, (d, pairs) in enumerate(plane):
-                    f = sign * (den // d)
-                    for a in range(n) if pairs else ():
-                        eq = equations.setdefault((a, p, q) if axis == 0 else (p, a, q) if axis == 1 else (p, q, a), {})
-                        for b, v in pairs:
-                            var = stride * b + step * a
-                            eq[var] = eq.get(var, 0) + f * v
-        self.rows: list[Row] = [_sorted_row(1, eq) for eq in equations.values()]
-        self.rhs = tuple(Fraction(const.get(cell, 0)) for cell in equations) if const else None  # None: homogeneous
+            scale, step = (n, 1) if transposed else (1, n)  # unknown = scale * b + step * a
+            stride = (d1 * d2, d2, 1)[axis]
+            for i, plane in enumerate(u.nz):
+                for j, (d, pairs) in enumerate(plane):
+                    f, base = sign * (den // d), (i * d1 + j) * d2
+                    for k, v in pairs:
+                        b = (i, j, k)[axis]
+                        c, var, w = base + k - b * stride, scale * b, f * v
+                        for a in range(n):
+                            eq = equations[c]
+                            if eq is None:
+                                eq = equations[c] = {}
+                            eq[var] = eq.get(var, 0) + w
+                            c += stride
+                            var += step
+        self.rows: list[Row] = []  # each equation as its sorted nonzero (unknown, numerator) pairs over 1
+        rhs = []
+        for c, eq in enumerate(equations):
+            if eq is not None or c in const:
+                if eq and not all(eq.values()):
+                    eq = {var: v for var, v in eq.items() if v}
+                self.rows.append((1, tuple(sorted(eq.items()))) if eq else EMPTY)
+                rhs.append(const.get(c, 0))
+        self.rhs = tuple(rhs) if const else None  # None: homogeneous; integer constants otherwise
 
     def solve(self) -> SolutionSpace:
         particular, basis = solve(Matrix(len(self.rows), self.nvars, tuple(self.rows)), self.rhs)

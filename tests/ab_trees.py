@@ -7,23 +7,26 @@ Run from anywhere with
 
 where each tree is a checkout of the repository (``git archive`` of a commit, or the
 working tree itself).  Each tree's ``bench/workloads.py`` and ``src/bihomlie`` are
-imported into this one process under their usual names, and the two module sets are
+imported into this one process under their usual names, and the module sets are
 swapped in and out of ``sys.modules`` around every op, so each op runs on its own tree's
-code.  Both trees build the same op list from the seed.  The ops then run alternately:
-for each op of a pass, the op of one tree and then the same op of the other, and which
-tree runs first alternates from op to op and from pass to pass.  A slow or fast stretch
-of the machine therefore falls on both trees alike, which separate benchmark processes,
-minutes apart, cannot promise when the machine's speed moves by more than the effect
-being measured.
+code.  The parent is loaded twice, first and last, with the change in between: a tree
+loaded later reads a little slower, so the change is measured against the mean of the
+two parent copies, and the ratio of the two copies is the run's own A/A spread.  All
+three copies build the same op list from the seed.  The ops then run in turn: for each
+op of a pass, the op of each copy, and which copy runs first rotates from op to op and
+from pass to pass.  A slow or fast stretch of the machine therefore falls on all of them
+alike, which separate benchmark processes, minutes apart, cannot promise when the
+machine's speed moves by more than the effect being measured.
 
-It prints, for each tree, the sum over ops of each op's median time (the rate
+It prints, for each copy, the sum over ops of each op's median time (the rate
 ``bench/run.py`` reports is the op count over that sum), the p50 and p90 of all op
-times, and the change's sums against the parent's.  Each result is checked against its
-oracle once, after the timed passes, so a fast wrong answer fails the run.  No clock
-calibration is applied: both trees see the same machine within microseconds.  What the two
-trees built before the first op is frozen out of garbage collection (``gc.freeze``): a full
-collection would otherwise rescan both trees' modules and inputs in whichever op set it
-off, twice the heap one benchmark process holds, and add that noise to both sides.
+times, then the change's sums against the parents' mean and the parent/parent' ratio.
+Each result is checked against its oracle once, after the timed passes, so a fast wrong
+answer fails the run.  No clock calibration is applied: all copies see the same machine
+within microseconds.  What the copies built before the first op is frozen out of garbage
+collection (``gc.freeze``): a full collection would otherwise rescan every copy's modules
+and inputs in whichever op set it off, three times the heap one benchmark process holds,
+and add that noise to all sides.
 """
 
 from __future__ import annotations
@@ -90,36 +93,37 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=20, help="passes over the op list, each tree once per op")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        trees = [Tree(args.parent, args.workload, args.seed, workdir),
-                 Tree(args.change, args.workload, args.seed, workdir)]
+        trees = [Tree(root, args.workload, args.seed, workdir) for root in (args.parent, args.change, args.parent)]
     n = len(trees[0].ops)
-    if [(op.kind, op.size) for op in trees[0].ops] != [(op.kind, op.size) for op in trees[1].ops]:
+    if any([(op.kind, op.size) for op in tree.ops] != [(op.kind, op.size) for op in trees[0].ops] for tree in trees):
         print("error: the two trees build different op lists for this seed", file=sys.stderr)
         return 2
     gc.collect()
-    gc.freeze()  # the two trees' modules and inputs: no collection rescans them, so neither pays for the other's
+    gc.freeze()  # the copies' modules and inputs: no collection rescans them, so none pays for another's
     times: list[list[list[float]]] = [[[] for _ in range(n)] for _ in trees]
     last: list[list[object]] = [[None] * n for _ in trees]
     for rnd in range(args.rounds):
         for index in range(n):
-            order = (0, 1) if (index + rnd) % 2 == 0 else (1, 0)
-            for side in order:
+            first = (index + rnd) % 3
+            for side in (first, (first + 1) % 3, (first + 2) % 3):
                 wall, last[side][index] = trees[side].run(index)
                 times[side][index].append(wall)
-    bad = [(side, trees[side].ops[i].kind) for side in (0, 1) for i in range(n)
+    bad = [(side, trees[side].ops[i].kind) for side in range(3) for i in range(n)
            if trees[side].wl.verdict(trees[side].ops[i], last[side][i]) == "fail"]
     if bad:
         print(f"error: results failing their oracle (tree, op kind): {bad[:5]}", file=sys.stderr)
         return 1
-    print(f"{args.workload} seed {args.seed}: {n} ops x {args.rounds} rounds per tree, alternating")
+    print(f"{args.workload} seed {args.seed}: {n} ops x {args.rounds} rounds per tree, in turn")
     sums = []
-    for name, tree_times in zip(("parent", "change"), times):
+    for name, tree_times in zip(("parent", "change", "parent'"), times):
         total, p50, p90 = _summary(tree_times)
         sums.append(total)
-        print(f"  {name:6s} sum of per-op medians {total:9.3f} ms   p50 {p50:.4f} ms   p90 {p90:.4f} ms")
-    per_op = [statistics.median(c) / statistics.median(p) for p, c in zip(*times)]
-    print(f"  change / parent: sum {sums[1] / sums[0]:.4f} ({(sums[1] / sums[0] - 1) * 100:+.1f} %), "
+        print(f"  {name:7s} sum of per-op medians {total:9.3f} ms   p50 {p50:.4f} ms   p90 {p90:.4f} ms")
+    parent = (sums[0] + sums[2]) / 2
+    per_op = [2 * statistics.median(c) / (statistics.median(p) + statistics.median(q)) for p, c, q in zip(*times)]
+    print(f"  change / parents' mean: sum {sums[1] / parent:.4f} ({(sums[1] / parent - 1) * 100:+.1f} %), "
           f"median per-op ratio {statistics.median(per_op):.4f}")
+    print(f"  parent / parent' (A/A spread): sum {sums[0] / sums[2]:.4f} ({(sums[0] / sums[2] - 1) * 100:+.1f} %)")
     return 0
 
 

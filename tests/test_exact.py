@@ -680,6 +680,33 @@ def test_nullspace_and_solve_equal_gauss_jordan_oracle(system):
 
 
 @st.composite
+def _rearranged(draw, nrows):
+    """(row index, nonzero integer scale) of each row of a rearranged system: every row at least once, some
+    twice or more, in any order."""
+    repeats = draw(st.lists(st.integers(0, nrows - 1), max_size=nrows))
+    order = draw(st.permutations(list(range(nrows)) + repeats))
+    return [(i, draw(st.integers(-4, 4).filter(bool))) for i in order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_linear_system(), st.sampled_from(["homogeneous", "fractions", "ints"]), st.data())
+def test_solve_is_independent_of_row_order_repeats_and_scales(system, rhs, data):
+    # the reduced row echelon form is unique, so the equations of [a | b] may come in any order, repeated and
+    # scaled, and give one (particular, kernel); right-hand sides given as ints read as the same Fractions
+    rows, b = system
+    if rhs == "ints":  # each equation scaled by its right-hand side's denominator, which makes that side an int
+        rows = [[y.denominator * x for x in row] for row, y in zip(rows, b)]
+        b = [y.numerator for y in b]
+        assert solve(Matrix.from_rows(rows), tuple(b)) == solve(Matrix.from_rows(rows), tuple(map(Fraction, b)))
+    picks = data.draw(_rearranged(len(rows)))
+    moved = Matrix.from_rows([[s * x for x in rows[i]] for i, s in picks])
+    if rhs == "homogeneous":
+        assert solve(moved) == solve(Matrix.from_rows(rows))
+    else:
+        assert solve(moved, tuple(s * b[i] for i, s in picks)) == solve(Matrix.from_rows(rows), tuple(b))
+
+
+@st.composite
 def _square_matrix(draw):
     """A sparse square rational matrix with a shifted diagonal, its rows
     shuffled; in about half the draws one row is a combination of two others."""

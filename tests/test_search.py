@@ -204,6 +204,54 @@ def test_linear_solutions_match_the_naive_systems(instance):
     assert sol.homogeneous == (not any(rhs))
 
 
+_SIZED = [Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
+
+
+def _diff_algebra(n: int, abelian_base: bool) -> AlgebraBundle:
+    """A differential algebra of dimension n as the solve benchmark draws them, with fixed scalars: abelian(n) with
+    a general map and weight, or aff2 plus an abelian summand with a derivation of weight zero."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    if abelian_base:
+        return _algebra(c, [[_SIZED[(i + 2 * j) % 4] for j in range(n)] for i in range(n)], _SIZED[n % 4])
+    c[0][1][1], c[1][0][1] = 1, -1
+    d = [[0] * n for _ in range(n)]
+    d[1][0], d[1][1] = _SIZED[n % 4], _SIZED[(n + 1) % 4]
+    for k in range(2, n):
+        d[k][k] = _SIZED[k % 4]
+    return _algebra(c, d, 0)
+
+
+_WORKLOAD_SYSTEMS = [
+    ("derivation", "gl3", lambda: support.gl(3)),
+    ("derivation", "gl2-twisted", lambda: support.gl_torus(2, [1, 3], [1, -5])),
+    ("derivation", "sl2", bundles.sl2),
+    *[(kind, f"{base}{n}", lambda n=n, base=base: _diff_algebra(n, base == "abelian"))
+      for kind in ("pi", "zeta") for base in ("aff2+abelian", "abelian") for n in range(2, 7)],
+]
+
+
+@pytest.mark.parametrize("kind, name, make", _WORKLOAD_SYSTEMS, ids=[f"{k}-{n}" for k, n, _ in _WORKLOAD_SYSTEMS])
+def test_workload_systems_match_the_naive_systems(kind, name, make):
+    # the systems of the solve benchmark at its own sizes (gl(3): 729 equations in 81 unknowns), each solution space
+    # equal to the one read off the reduced row echelon form of the rows tests/naive.py writes from the identity
+    alg = make()
+    c = naive.as_cells(alg.bracket)
+    if kind == "derivation":
+        weight, data, rows = None, {"algebra": alg}, naive.derivation_rows(c)
+        rhs = [Fraction(0)] * len(rows)
+    else:
+        weight, rep = alg.differential.weight, support.adjoint_rep(alg)
+        data = {"algebra": alg} if kind == "pi" else {"rep": rep}
+        rhos = [naive.ad_of(c, i) for i in range(alg.dim)] if kind == "pi" else list(map(naive.mat_cells, rep.rho))
+        rows, rhs = naive.zeta_rows(rhos, naive.mat_cells(alg.differential.matrix), weight)
+    sol = search.solve_linear_identity(kind, weight, **data)
+    nvars = alg.dim ** 2
+    assert [list(v) for v in sol.basis] == naive.rref_nullspace(rows, nvars)
+    particular = naive.rref_solve(rows, rhs, nvars)
+    assert particular is not None and list(sol.particular) == particular
+    assert sol.homogeneous == (not any(rhs))
+
+
 @st.composite
 def _candidate(draw, k):
     """A k x k candidate map: general, diagonal, c I or zero, the shapes the checkers' contractions tell apart."""
