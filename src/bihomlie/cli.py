@@ -303,7 +303,7 @@ def _solution_document(mode: str, sol: SolutionSpace) -> dict[str, Any]:
 
 #: search mode -> (the bundle kind it reads, the flags besides --out it reads)
 _SEARCHES: dict[str, tuple[type, tuple[str, ...]]] = {
-    "derivations": (AlgebraBundle, ("--weight",)),
+    "derivations": (AlgebraBundle, ()),
     "conijenhuis": (BialgebraBundle, ()),
     "pi": (AlgebraBundle, ("--weight",)),
     "zeta": (RepresentationBundle, ("--weight",)),
@@ -337,7 +337,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{len(sols)} solutions")
         return 0
     if mode == "derivations":
-        sol = search.solve_linear_identity("derivation", weight, algebra=bundle)
+        sol = search.solve_linear_identity("derivation", algebra=bundle)
     elif mode == "conijenhuis":
         sol = search.solve_linear_identity("conijenhuis", comul=bundle.coalgebra.comul,
                                            nmap=require(bundle.algebra, "nijenhuis"))
@@ -355,6 +355,15 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser, and the class of its subparsers, whose errors end as bad input does: one line cut by ``_quoted``."""
+
+    def _check_value(self, action: argparse.Action, value: Any) -> None:
+        """A bad choice: its value cut by ``_quoted``, and every choice if the line stays under 200 bytes, else --help."""
+        if action.choices is not None and value not in action.choices:
+            for hint in (f"choose from {', '.join(map(repr, action.choices))}", "see --help"):
+                line = f"{self.prog}: {argparse.ArgumentError(action, f'invalid choice: {_quoted(value)} ({hint})')}"
+                if len(f"error: {line}\n".encode()) < 200:
+                    break
+            raise ParseError(line)
 
     def error(self, message: str) -> NoReturn:
         raise ParseError(f"{self.prog}: {_quoted(ParseError(message))}")

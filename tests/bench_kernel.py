@@ -298,12 +298,12 @@ def test_check_representation_gl4_torus_adjoint(benchmark):
 
 
 def test_check_bialgebra_cocycle_sl2_twisted(benchmark):
-    # the standard sl2 bialgebra twisted by the tori (1, 2, 1/2) and (1, 3, 1/3): both expansions vanish
+    # the standard sl2 bialgebra twisted by the tori (1, 2, 1/2) and (1, 3, 1/3): the cocycle vanishes
     b, _ = yau_twist(support.sl2_standard_bialgebra(), Matrix.diagonal([1, 2, Fraction(1, 2)]),
                      Matrix.diagonal([1, 3, Fraction(1, 3)]))
     c, t = naive.as_cells(b.algebra.bracket), naive.as_cells(b.coalgebra.comul)
     maps = naive.mat_cells(b.algebra.alpha), naive.mat_cells(b.algebra.beta)
-    want = [naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps, twisted_argument=x)) for x in (False, True)]
+    want = [naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps))]
     assert _residuals(benchmark(check_bialgebra_cocycle, b)) == want
 
 

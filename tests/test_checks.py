@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import naive
@@ -142,7 +142,7 @@ def test_involution():
     assert not checks.check_involution(b).ok
 
 
-def test_is_involutive_agrees_with_check_involution():
+def test_involution_note_agrees_with_check_involution():
     # identity maps, a diag(1, -1) twist, a non-involutive torus twist, and a swap that is no diagonal
     swap = Matrix.from_rows([[0, 1], [1, 0]])
     cases = [(bundles.aff2(), True),
@@ -152,7 +152,7 @@ def test_is_involutive_agrees_with_check_involution():
              (dataclasses.replace(bundles.abelian(2), alpha=swap, beta=Matrix.from_rows([[0, 2], [1, 0]]),
                                   kind="bihom-lie"), False)]
     for a, involutive in cases:
-        assert checks.is_involutive(a) == checks.check_involution(a).ok == involutive
+        assert (checks._involution_note(a) == ()) == checks.check_involution(a).ok == involutive
 
 
 # -- coalgebra suite -------------------------------------------------------------------
@@ -452,17 +452,67 @@ def test_cocycle_failure_cases():
     assert not checks.check_bialgebra_cocycle(b3).ok
 
 
-def test_cocycle_two_expansions_agree_on_twisted_fixture():
-    from bihomlie.constructions import yau_twist
+def _commuting_maps(n):
+    """Commuting invertible maps (alpha, beta) on dim n: two diagonal tori, or two polynomials c0 + c1 M + c2 M^2 in
+    one invertible M, which are diagonal only by chance."""
+    nonzero = st.sampled_from([Fraction(v) for v in (1, -1, 2, -3, "1/2", "-2/3")])
+    tori = st.tuples(*[st.lists(nonzero, min_size=n, max_size=n).map(Matrix.diagonal)] * 2)
 
-    alpha = Matrix.diagonal([1, 2, scalar("1/2")])
-    tw, _ = yau_twist(bundles.sl2(), alpha, alpha)
-    co = dualize(dataclasses.replace(tw, nijenhuis=None))
-    bial = BialgebraBundle(tw, dataclasses.replace(co, comul=Tensor3.zeros((3, 3, 3))))
-    rep = checks.check_bialgebra_cocycle(bial)
-    primary = [e for e in rep.entries if not e.advisory][0]
-    advisory = [e for e in rep.entries if e.advisory][0]
-    assert primary.residual == advisory.residual
+    def polynomials(m, c, d):
+        ident, m2 = Matrix.identity(n), m @ m
+        return tuple(ident.scale(x0).add(m.scale(x1)).add(m2.scale(x2)) for x0, x1, x2 in (c, d))
+
+    coefficients = st.tuples(*[st.sampled_from([-1, 0, 1, 2, Fraction(1, 3)])] * 3)
+    matrices = _sparse_tensor(n).map(lambda cells: Matrix.from_rows(cells[0]))
+    return st.one_of(tori, st.builds(polynomials, matrices, coefficients, coefficients))
+
+
+def _sparse_tensor(n):
+    """Dense cells [i][j][k] with a few small nonzero entries."""
+    cells = st.dictionaries(st.tuples(*[st.integers(0, n - 1)] * 3), st.sampled_from([1, -1, 2, Fraction(-1, 2)]),
+                            min_size=1, max_size=2 * n)
+    return cells.map(lambda nz: [[[nz.get((i, j, k), 0) for k in range(n)] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_cocycle_equals_the_twisted_argument_form_when_the_maps_commute(data, n):
+    # the twisted-argument form reads alpha^-1 beta alpha and alpha^-2 beta^2 alpha where the declared form reads
+    # beta and alpha^-1 beta^2: equal maps once alpha beta = beta alpha, so the one entry is both residuals
+    alpha, beta = data.draw(_commuting_maps(n))
+    try:
+        exact.invert(alpha)
+        exact.invert(beta)
+    except SingularMatrix:
+        assume(False)
+    assert alpha @ beta == beta @ alpha
+    c, t = data.draw(_sparse_tensor(n)), data.draw(_sparse_tensor(n))
+    b = BialgebraBundle(AlgebraBundle(n, Tensor3.from_entries(c), alpha, beta),
+                        CoalgebraBundle(n, Tensor3.from_entries(t), alpha, beta))
+    entry, = checks.check_bialgebra_cocycle(b).entries
+    assume(not entry.ok)  # a nonzero residual, compared cell for cell
+    maps = naive.mat_cells(alpha), naive.mat_cells(beta)
+    assert entry.case == "" and not entry.advisory
+    twisted = naive.bihom_cocycle(c, t, *maps, twisted_argument=True)
+    assert dict(entry.residual.nonzeros) == naive.nonzero_cells(twisted)
+
+
+def test_cocycle_expansions_differ_when_the_maps_do_not_commute():
+    # the standard sl2 bialgebra under a torus alpha and a shear beta: the declared form alone is evaluated, and the
+    # suite that runs the cocycle fails the commutation of the maps
+    b = support.sl2_standard_bialgebra()
+    alpha, beta = Matrix.diagonal([1, 2, Fraction(1, 2)]), Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    b = BialgebraBundle(dataclasses.replace(b.algebra, alpha=alpha, beta=beta, kind="bihom-lie"),
+                        dataclasses.replace(b.coalgebra, alpha=alpha, beta=beta))
+    c, t = naive.as_cells(b.algebra.bracket), naive.as_cells(b.coalgebra.comul)
+    maps = naive.mat_cells(alpha), naive.mat_cells(beta)
+    declared, twisted = (naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps, twisted_argument=x))
+                         for x in (False, True))
+    entry, = checks.check_bialgebra_cocycle(b).entries
+    assert dict(entry.residual.nonzeros) == declared != twisted
+    report = checks.SUITES["bialgebra", "auto"].run(b)
+    failing = {(e.identity, e.case) for e in report.entries if not e.ok}
+    assert ("bihom_multiplicativity", "alpha-beta-commute") in failing and not report.ok
 
 
 def test_cocycle_requires_invertible_alpha():
@@ -759,3 +809,35 @@ def test_suite_runs_alike_with_and_without_a_results_dict(monkeypatch, key):
     assert sorted(calls) == expected and len(results) == len(expected)
     calls.clear()
     assert suite.run(bundle, results=results) == unshared and calls == []
+
+
+#: (bundle kind, flavour) -> the operator fields, one stripped at a time, whose absence a flavour row refuses
+_FLAVOUR_FIELDS = {
+    ("algebra", "nijenhuis"): ("nijenhuis",),
+    ("algebra", "differential"): ("differential",),
+    ("coalgebra", "nijenhuis"): ("conijenhuis",),
+    ("coalgebra", "differential"): ("codiff",),
+    ("representation", "nijenhuis"): ("eta", "algebra.nijenhuis"),
+    ("representation", "differential"): ("xi", "algebra.differential"),
+    ("bialgebra", "nijenhuis"): ("algebra.nijenhuis", "coalgebra.conijenhuis"),
+    ("bialgebra", "differential"): ("algebra.differential", "coalgebra.codiff"),
+}
+
+
+def _without(bundle, path: str):
+    """The bundle with the field at a dotted path unset."""
+    head, _, rest = path.partition(".")
+    return dataclasses.replace(bundle, **{head: _without(getattr(bundle, head), rest) if rest else None})
+
+
+@pytest.mark.parametrize("key, field", [(k, f) for k, fields in _FLAVOUR_FIELDS.items() for f in fields],
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+def test_a_flavour_suite_refuses_a_missing_operator_that_auto_skips(key, field):
+    kind, flavor = key
+    bundle = _without(_suite_fixture(kind, flavor), field)
+    with pytest.raises(MissingField):
+        checks.SUITES[key].run(bundle)
+    auto = checks.SUITES[kind, "auto"]
+    reading = [s for s in auto.steps if field in s.needs]
+    assert reading and not set(reading) & set(auto.steps_on(bundle))
+    assert auto.run(bundle).entries

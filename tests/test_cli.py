@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import support
 from bihomlie import bundles
-from bihomlie.cli import main
+from bihomlie.cli import build_parser, main
 from bihomlie.constructions import coadjoint_matched_pair
 from bihomlie.exact import Matrix, Tensor3, scalar
 
@@ -224,7 +224,7 @@ def test_search_cli_modes(workdir):
 
     assert run(["search", spath, "--mode", "nijenhuis-grid", "--grid", "0,1,2,3,4,5,6,7,8,9",
                 "--budget", "10"]) == 2
-    assert run(["search", spath, "--mode", "derivations", "--weight", "2"]) == 2  # nonlinear
+    assert run(["search", spath, "--mode", "derivations", "--weight", "0"]) == 2  # linear at weight 0 alone: no flag
 
 
 def test_search_pattern_file(workdir):
@@ -374,6 +374,7 @@ def test_auto_suite_reads_the_weight_override(workdir, capsys):
     (["construct", "adjoint-form", "fixture:sl2", "form.json", "--flavor", "nijenhuis"], "--flavor"),
     (["construct", "adjoint-form", "fixture:sl2", "form.json", "--maps", "list.json"], "--maps"),
     # each search mode with each of --weight, --grid, --pattern and --budget it does not read
+    (["search", "fixture:aff2", "--mode", "derivations", "--weight", "0"], "--weight"),
     (["search", "fixture:aff2", "--mode", "derivations", "--pattern", "list.json"], "--pattern"),
     (["search", "fixture:aff2", "--mode", "pi", "--grid", "1,2"], "--grid"),
     (["search", "fixture:aff2", "--mode", "pi", "--budget", "10"], "--budget"),
@@ -549,6 +550,34 @@ def test_huge_values_end_with_a_short_error_line(workdir, capsys, text):
 ], ids=["deep-index", "long-key", "long-index", *_LONG_ARGUMENT_IDS])
 def test_every_quoted_value_is_clipped(workdir, capsys, text):
     assert not re.search(r"(.)\1{80}", _refusal(workdir, capsys, text))  # no value quoted past 80 characters
+
+
+def _choices(command, dest):
+    """The choices the parser of a subcommand accepts for one argument."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    return next(a for a in sub._actions if a.dest == dest).choices
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check", "fixture:aff2", "--suite", "foo"], "--suite"),
+    (["search", "fixture:aff2", "--mode", "foo"], "--mode"),
+    (["construct", "foo", "fixture:aff2"], "construction"),
+], ids=["suite", "mode", "construction"])
+def test_a_short_bad_choice_lists_every_choice(capsys, argv, name):
+    # the list is kept whole when the line fits the bound; a long value names --help instead (the long-* cases above)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    choices = _choices(argv[0], name.lstrip("-"))
+    assert err == (f"error: bihomlie {argv[0]}: argument {name}: invalid choice: 'foo' "
+                   f"(choose from {', '.join(map(repr, choices))})\n")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("at", [5, 7, 8], ids=[_LONG_ARGUMENT_IDS[i] for i in (5, 7, 8)])
+def test_a_long_bad_choice_names_help(capsys, at):
+    # the three flavours fit beside a clipped value, so long-flavor keeps its list
+    assert run(_LONG_ARGUMENTS[at]) == 2
+    assert capsys.readouterr().err.endswith("... (see --help)\n")
 
 
 @pytest.mark.parametrize("doc, message", [

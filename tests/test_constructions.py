@@ -509,7 +509,7 @@ def test_representation_identity_matches_the_naive_oracle():
 
 
 def test_cocycle_matches_the_naive_oracle():
-    # both expansions of the cocycle on yau_twist bialgebras, aff2 over the dual of antisym_dual2(0, v) and the
+    # the cocycle on yau_twist bialgebras, aff2 over the dual of antisym_dual2(0, v) and the
     # standard sl2 bialgebra, Delta(e) = e ^ h and Delta(f) = f ^ h, each under every torus of support.TORI, and on
     # bialgebras with one entry of the bracket or of Delta moved
     bases = [(BialgebraBundle(bundles.aff2(), dualize(support.antisym_dual2(0, v))), _aff2_auto) for v in ("1", "-1/2")]
@@ -529,8 +529,7 @@ def test_cocycle_matches_the_naive_oracle():
         maps = naive.mat_cells(b.algebra.alpha), naive.mat_cells(b.algebra.beta)
         report = checks.check_bialgebra_cocycle(b)
         assert [(e.case, _cells(e.residual)) for e in report.entries] == [
-            ("", naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps))),
-            ("twisted-argument-form", naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps, twisted_argument=True)))]
+            ("", naive.nonzero_cells(naive.bihom_cocycle(c, t, *maps)))]
         failing += not report.ok
     assert failing >= 12 and all(checks.check_bialgebra_cocycle(b).ok for b in bialgebras[:24])
 

@@ -1,5 +1,6 @@
-"""Golden bytes: the ``--out`` files of a fixed CLI command set and the
-rendered reports of the equivalence harnesses on fixed-seed instances.
+"""Golden bytes: the ``--out`` files of a fixed CLI command set, the
+rendered reports of the equivalence harnesses on fixed-seed instances, and
+every nonzero cell of every checker's residuals on a fixed input set.
 
 Both are compared byte for byte with files under ``tests/golden/``, so a
 refactor that keeps every verdict, residual, note and report byte passes and
@@ -7,8 +8,8 @@ any other change fails.  Inputs are written straight from the data model
 (twists by the diagonal formula, duals by index transposition, coadjoint
 pairs from the pairing), never by the constructions under test.
 
-To regenerate after a deliberate behaviour change, call ``write_cli_golden``
-and ``write_harness_golden`` and review the diff.
+To regenerate after a deliberate behaviour change, call ``write_cli_golden``,
+``write_harness_golden`` and ``write_residual_golden`` and review the diff.
 """
 
 import dataclasses
