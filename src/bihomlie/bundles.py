@@ -288,7 +288,7 @@ class Report:
     """Per-identity exact residuals with boolean verdicts.
 
     notes carry violated hypotheses the checkers report without gating on
-    (e.g. "alpha is not invertible").  Advisory entries are informational
+    (e.g. "algebra is not involutive").  Advisory entries are informational
     variants that never affect the verdict.
     """
 

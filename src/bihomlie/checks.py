@@ -20,14 +20,14 @@ identity linear in one unknown map (the Leibniz rule at weight zero, dual,
 zeta- and pi-admissibility) is one term list (``_leibniz``,
 ``_dual_admissible``, ``_zeta``): its checker contracts it at the candidate,
 and ``search`` solves it for the marker ``Unknown`` in the candidate's place.
-Hypotheses a result states without the checker being able to gate on
-usefully (involutivity, invertibility) are reported as notes while the
-identity is still evaluated.
+Involutivity, a hypothesis a result states and no checker gates on, is a
+note beside the evaluated identity; a singular map that must be inverted
+raises SingularMatrix naming the map and why (``_inverse``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import attrgetter
@@ -38,6 +38,7 @@ from .bundles import (
     BialgebraBundle,
     CheckEntry,
     CoalgebraBundle,
+    Differential,
     FormBundle,
     MatchedPairBundle,
     Report,
@@ -48,6 +49,7 @@ from .bundles import (
 from .exact import (
     DimensionMismatch,
     Matrix,
+    SingularMatrix,
     Tensor3,
     Row,
     Term,
@@ -70,6 +72,14 @@ class PreconditionFailed(ValueError):
     def __init__(self, message: str, report: Report | None = None):
         super().__init__(message)
         self.report = report
+
+
+def _inverse(m: Matrix, why: str, error: type[ValueError] = SingularMatrix) -> Matrix:
+    """The inverse of m; a singular m raises error, its message why followed by invert's own."""
+    try:
+        return invert(m)
+    except SingularMatrix as exc:
+        raise error(f"{why}: {exc}") from exc
 
 
 def _require_identity_maps(message: str, *maps: Matrix) -> None:
@@ -356,7 +366,7 @@ def check_bialgebra_cocycle(b: BialgebraBundle) -> Report:
     """
     alg, t = b.algebra, b.coalgebra.comul
     c, A, B = alg.bracket, alg.alpha, alg.beta
-    Ainv = invert(A)  # SingularMatrix signals the violated hypothesis
+    Ainv = _inverse(A, "alpha must be invertible to check the bialgebra cocycle")
     inner = contract_sum(c, [_bracket(1, Ainv @ B)])                # [i][j]: [alpha^-1 beta(e_i), e_j]
     delta_rows = t.transpose((1, 0, 2))                             # [a][l]: row a of Delta(e_l)
     delta_b = contract_sum(t, [_comul(1, None, None, B)])           # [j][r]: row r of (id x beta) Delta(e_j)
@@ -491,22 +501,19 @@ def check_diff_leibniz(a: AlgebraBundle, op: Matrix | None = None, weight: Fract
 
 
 @declares(diff_rep="xi rho(x) = rho(d(x)) + rho(x) xi + w rho(d(x)) xi")
-def check_diff_rep(r: RepresentationBundle, weight: Fraction | None = None) -> Report:
+def check_diff_rep(r: RepresentationBundle) -> Report:
     """Module operator compatibility for a differential representation."""
-    xi = require(r, "xi")
-    diff = require(r.algebra, "differential")
-    w = weight if weight is not None else diff.weight
-    rho, d = _stack(r.rho), diff.matrix
+    xi, diff = require(r, "xi"), require(r.algebra, "differential")
+    rho, d, w = _stack(r.rho), diff.matrix, diff.weight
     compat = contract_sum(rho, [_action(1, left=xi), _action(-1, d), _action(-1, right=xi), _action(-w, d, right=xi)])
     return Report((_array_entry("diff_rep", "", compat),))
 
 
 @declares(diff_coalgebra="delta D = (D x id) delta + (id x D) delta + w (D x D) delta")
-def check_diff_coalgebra(co: CoalgebraBundle, weight: Fraction | None = None) -> Report:
+def check_diff_coalgebra(co: CoalgebraBundle) -> Report:
     """Weighted co-Leibniz rule for the codifferential."""
     codiff = require(co, "codiff")
-    op, weight = codiff.matrix, codiff.weight if weight is None else weight
-    t = co.comul
+    op, weight, t = codiff.matrix, codiff.weight, co.comul
     leibniz = contract_sum(t, [_comul(1, op), _comul(-1, None, op), _comul(-1, None, None, op),
                                _comul(-weight, None, op, op)])
     return Report((_array_entry("diff_coalgebra", "", leibniz),))
@@ -535,11 +542,10 @@ def check_diff_pi(a: AlgebraBundle, pi: Matrix, weight: Fraction | None = None) 
 
 
 @declares(diff_dual_admissible="delta d + (D x id - id x d) delta + w (D x id) delta d = 0")
-def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix, weight: Fraction | None = None) -> Report:
+def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix) -> Report:
     """Adjoint admissibility of the dual of d against the codifferential side."""
     codiff = require(co, "codiff")
-    w = weight if weight is not None else codiff.weight
-    D, t = codiff.matrix, co.comul
+    D, w, t = codiff.matrix, codiff.weight, co.comul
     admissible = contract_sum(t, [_comul(1, d), _comul(1, None, D), _comul(-1, None, None, d), _comul(w, d, D)])
     return Report((_array_entry("diff_dual_admissible", "", admissible),))
 
@@ -599,8 +605,8 @@ class Step(NamedTuple):
     runs, so wrappers installed on the module apply.  ``args`` are the bundle
     fields it is called with ("" is the bundle itself, dots reach into
     sub-bundles).  The step is skipped when a field in ``needs`` is unset, a
-    ``weighted`` step receives the caller's weight override, and a ``prefix``
-    labels the cases of its report.
+    ``weighted`` step reads a differential's weight (``check --weight`` is
+    refused unless one runs), and a ``prefix`` labels the cases of its report.
     """
 
     check: str
@@ -610,8 +616,8 @@ class Step(NamedTuple):
     prefix: str = ""
 
 
-#: checker reports computed once within one call: (checker, weight of a weighted step, id of each argument) ->
-#: (report, the arguments), the arguments kept so that no id is reused while the dict lives
+#: checker reports computed once within one call: (checker, id of each argument) -> (report, the arguments), the
+#: arguments kept so that no id is reused while the dict lives
 Results = dict[tuple, tuple[Report, list]]
 
 
@@ -619,8 +625,12 @@ def _field(bundle: Any, path: str) -> Any:
     return attrgetter(path)(bundle) if path else bundle
 
 
-def _call(step: Step, args: list, weight: Fraction | None) -> Report:
-    return globals()[step.check](*args, weight=weight) if step.weighted else globals()[step.check](*args)
+def _at_weight(x: Any, weight: Fraction) -> Any:
+    """x rebuilt with every Differential in it, and in every bundle among its fields, at the weight."""
+    if isinstance(x, Differential):
+        return Differential(x.matrix, weight)
+    bundle = is_dataclass(x) and not isinstance(x, (Matrix, Tensor3))
+    return replace(x, **{f.name: _at_weight(getattr(x, f.name), weight) for f in fields(x)}) if bundle else x
 
 
 @dataclass(frozen=True)
@@ -634,19 +644,20 @@ class Suite:
         return [s for s in self.steps if not s.needs or all(_field(bundle, f) is not None for f in s.needs)]
 
     def run(self, bundle: Any, weight: Fraction | None = None, results: Results | None = None) -> Report:
-        """The steps' reports, merged in order.  Each step calls its checker, unless a results dict is passed: then
-        the step is keyed by its checker, weight and argument ids, a key already there reuses its report, and a new
-        report is stored under its key.  With none passed no key is built and nothing outlives this call."""
+        """The steps' reports, merged in order, on the bundle rebuilt once with every differential at weight if one is
+        given.  Each step calls its checker, unless a results dict is passed: then a key of its checker and argument ids
+        reuses its report or stores a new one, and no key crosses weights, a rebuilt bundle being a new object."""
+        bundle = bundle if weight is None else _at_weight(bundle, weight)
         reports = []
         for step in self.steps_on(bundle):
             args = [_field(bundle, f) for f in step.args]
             if results is None:
-                report = _call(step, args, weight)
+                report = globals()[step.check](*args)
             else:
-                key = (step.check, weight if step.weighted else None, *map(id, args))
+                key = (step.check, *map(id, args))
                 done = results.get(key)
                 if done is None:
-                    done = results[key] = _call(step, args, weight), args
+                    done = results[key] = globals()[step.check](*args), args
                 report = done[0]
             reports.append(report.prefixed(step.prefix) if step.prefix else report)
         return Report(()).merged(*reports)

@@ -35,6 +35,7 @@ from .checks import (
     _comul,
     _comultiplicativity,
     _commutator,
+    _inverse,
     _multiplicativity,
     _require_identity_maps,
     _stack,
@@ -47,14 +48,12 @@ from .exact import (
     DimensionMismatch,
     Matrix,
     Row,
-    SingularMatrix,
     Tensor3,
     Term,
     _shifted,
     _sum,
     block_diag,
     contract_sum,
-    invert,
 )
 
 
@@ -164,17 +163,14 @@ def yau_twist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle,
     structure = {AlgebraBundle: "bracket", CoalgebraBundle: "comultiplication"}.get(type(b), "bialgebra")
     parts, report = _twistable(b, alpha, beta, f"supplied maps are not commuting {structure} endomorphisms")
     if len(parts) == 2:
-        try:
-            invert(alpha)
-        except SingularMatrix as exc:
-            raise PreconditionFailed(f"alpha must be invertible to twist a bialgebra: {exc}") from exc
+        _inverse(alpha, "alpha must be invertible to twist a bialgebra", PreconditionFailed)
     return _rebuilt(parts, _bracket(1, alpha, beta), _comul(1, None, alpha, beta), alpha, beta), report
 
 
 def untwist(b: AlgebraBundle | CoalgebraBundle | BialgebraBundle) -> AlgebraBundle | CoalgebraBundle | BialgebraBundle:
     """Undo a twist: compose with the inverses and reset the maps to identity."""
     parts = _parts(b)
-    ainv, binv = invert(parts[0].alpha), invert(parts[0].beta)
+    ainv, binv = (_inverse(getattr(parts[0], m), f"{m} must be invertible to untwist") for m in ("alpha", "beta"))
     ident = Matrix.identity(b.dim)
     return _rebuilt(parts, _bracket(1, ainv, binv), _comul(1, None, ainv, binv), ident, ident, "lie")
 
@@ -232,12 +228,15 @@ def _bicrossed_algebra(mp: MatchedPairBundle, flavor: str, what: str) -> Algebra
     rho, h = _stack(mp.rho), _stack(mp.h)
     # the L and V parts of [e_i, f_b] (rows [i][b]) and of [f_a, e_j] (rows [a][j])
     rho_xu, h_ux = rho.transpose((0, 2, 1)).nz, h.transpose((0, 2, 1)).nz  # rho(e_i) f_b, h(f_a) e_j
-    ainv_b, pq_inv = invert(L.alpha) @ L.beta, V.alpha @ invert(V.beta)
+    why = f"must be invertible to build {what}"
+    ainv_b = _inverse(L.alpha, f"alpha of the left factor {why}") @ L.beta
+    pq_inv = V.alpha @ _inverse(V.beta, f"beta of the right factor (q) {why}")
     # -rho(alpha^-1 beta e_j) p q^-1 f_a, and -h(p^-1 q f_b) alpha beta^-1 e_i
     rho_ux = contract_sum(rho, [_action(-1, ainv_b, right=pq_inv)]).transpose((2, 0, 1)).nz
     h_xu = Tensor3.zeros((n, m, n)).nz
     if not h.is_zero():
-        term = _action(-1, invert(V.alpha) @ V.beta, right=L.alpha @ invert(L.beta))
+        term = _action(-1, _inverse(V.alpha, f"alpha of the right factor (p) {why}") @ V.beta,
+                       right=L.alpha @ _inverse(L.beta, f"beta of the left factor {why}"))
         h_xu = contract_sum(h, [term]).transpose((2, 0, 1)).nz
 
     def cell(left: Row, right: Row) -> Row:  # [g_i, g_j] on the basis (e_1..e_n, f_1..f_m)
@@ -306,4 +305,4 @@ def adjoint_map_wrt_form(n: Matrix, f: FormBundle) -> Matrix:
     if (n.rows, n.cols) != (f.dim, f.dim):
         raise DimensionMismatch("map and form dimensions differ")
     g = f.gram
-    return invert(g) @ n.transpose() @ g
+    return _inverse(g, "gram must be invertible to take the adjoint of a map") @ n.transpose() @ g

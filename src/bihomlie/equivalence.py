@@ -7,8 +7,8 @@ silently: the reports say which side failed and on which identity.
 "Independent" means independent formulas: each side is decided by its own
 identities, read on its own structure.  It does not mean recomputation, so
 the three sides of one triad call share their results: their suites run
-through one ``checks.Results`` dict, keyed by checker, argument identity and
-weight, so each checker runs once per argument object, and the matched-pair
+through one ``checks.Results`` dict, keyed by checker and argument identity,
+so each checker runs once per argument object, and the matched-pair
 side reads the coadjoint pair the double was built from.  The dict lives for
 that one call; nothing is cached past it.
 """

@@ -9,23 +9,25 @@ where each tree is a checkout of the repository (``git archive`` of a commit, or
 working tree itself).  Each tree's ``bench/workloads.py`` and ``src/bihomlie`` are
 imported into this one process under their usual names, and the module sets are
 swapped in and out of ``sys.modules`` around every op, so each op runs on its own tree's
-code.  The parent is loaded twice, first and last, with the change in between: a tree
-loaded later reads a little slower, so the change is measured against the mean of the
-two parent copies, and the ratio of the two copies is the run's own A/A spread.  All
-three copies build the same op list from the seed.  The ops then run in turn: for each
-op of a pass, the op of each copy, and which copy runs first rotates from op to op and
-from pass to pass.  A slow or fast stretch of the machine therefore falls on all of them
-alike, which separate benchmark processes, minutes apart, cannot promise when the
-machine's speed moves by more than the effect being measured.
+code.  Each tree is loaded twice, in the order parent, change, change, parent: a copy's
+speed depends a little on when it was loaded, and in that order both trees sit at mean load
+position 2.5, each as a pair of copies.  The mean of the two change copies is measured
+against the mean of the two parent copies, and the ratio of the two copies of each tree is
+the run's own A/A spread.  All four copies build the same op list from the seed.
+The ops then run in turn: for each op of a pass, the op of each copy, and which copy runs
+first rotates from op to op and from pass to pass.  A slow or fast stretch of the machine
+therefore falls on all of them alike, which separate benchmark processes, minutes apart,
+cannot promise when the machine's speed moves by more than the effect being measured.
 
 It prints, for each copy, the sum over ops of each op's median time (the rate
 ``bench/run.py`` reports is the op count over that sum), the p50 and p90 of all op
-times, then the change's sums against the parents' mean and the parent/parent' ratio.
+times, then the changes' mean against the parents' mean, and the parent/parent' and
+change/change' ratios side by side.
 Each result is checked against its oracle once, after the timed passes, so a fast wrong
 answer fails the run.  No clock calibration is applied: all copies see the same machine
 within microseconds.  What the copies built before the first op is frozen out of garbage
 collection (``gc.freeze``): a full collection would otherwise rescan every copy's modules
-and inputs in whichever op set it off, three times the heap one benchmark process holds,
+and inputs in whichever op set it off, four times the heap one benchmark process holds,
 and add that noise to all sides.
 """
 
@@ -93,7 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=20, help="passes over the op list, each tree once per op")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        trees = [Tree(root, args.workload, args.seed, workdir) for root in (args.parent, args.change, args.parent)]
+        trees = [Tree(root, args.workload, args.seed, workdir)
+                 for root in (args.parent, args.change, args.change, args.parent)]
     n = len(trees[0].ops)
     if any([(op.kind, op.size) for op in tree.ops] != [(op.kind, op.size) for op in trees[0].ops] for tree in trees):
         print("error: the two trees build different op lists for this seed", file=sys.stderr)
@@ -104,26 +107,28 @@ def main(argv: list[str] | None = None) -> int:
     last: list[list[object]] = [[None] * n for _ in trees]
     for rnd in range(args.rounds):
         for index in range(n):
-            first = (index + rnd) % 3
-            for side in (first, (first + 1) % 3, (first + 2) % 3):
+            first = (index + rnd) % 4
+            for side in ((first + k) % 4 for k in range(4)):
                 wall, last[side][index] = trees[side].run(index)
                 times[side][index].append(wall)
-    bad = [(side, trees[side].ops[i].kind) for side in range(3) for i in range(n)
+    bad = [(side, trees[side].ops[i].kind) for side in range(4) for i in range(n)
            if trees[side].wl.verdict(trees[side].ops[i], last[side][i]) == "fail"]
     if bad:
         print(f"error: results failing their oracle (tree, op kind): {bad[:5]}", file=sys.stderr)
         return 1
     print(f"{args.workload} seed {args.seed}: {n} ops x {args.rounds} rounds per tree, in turn")
     sums = []
-    for name, tree_times in zip(("parent", "change", "parent'"), times):
+    for name, tree_times in zip(("parent", "change", "change'", "parent'"), times):
         total, p50, p90 = _summary(tree_times)
         sums.append(total)
         print(f"  {name:7s} sum of per-op medians {total:9.3f} ms   p50 {p50:.4f} ms   p90 {p90:.4f} ms")
-    parent = (sums[0] + sums[2]) / 2
-    per_op = [2 * statistics.median(c) / (statistics.median(p) + statistics.median(q)) for p, c, q in zip(*times)]
-    print(f"  change / parents' mean: sum {sums[1] / parent:.4f} ({(sums[1] / parent - 1) * 100:+.1f} %), "
+    parent, change = (sums[0] + sums[3]) / 2, (sums[1] + sums[2]) / 2
+    per_op = [(statistics.median(c) + statistics.median(d)) / (statistics.median(p) + statistics.median(q))
+              for p, c, d, q in zip(*times)]
+    print(f"  changes' mean / parents' mean: sum {change / parent:.4f} ({(change / parent - 1) * 100:+.1f} %), "
           f"median per-op ratio {statistics.median(per_op):.4f}")
-    print(f"  parent / parent' (A/A spread): sum {sums[0] / sums[2]:.4f} ({(sums[0] / sums[2] - 1) * 100:+.1f} %)")
+    print(f"  A/A spread: parent / parent' sum {sums[0] / sums[3]:.4f} ({(sums[0] / sums[3] - 1) * 100:+.1f} %), "
+          f"change / change' sum {sums[1] / sums[2]:.4f} ({(sums[1] / sums[2] - 1) * 100:+.1f} %)")
     return 0
 
 

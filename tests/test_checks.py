@@ -2,7 +2,6 @@
 against the independent brute-force evaluators."""
 
 import dataclasses
-import inspect
 import itertools
 import json
 import random
@@ -518,7 +517,8 @@ def test_cocycle_expansions_differ_when_the_maps_do_not_commute():
 def test_cocycle_requires_invertible_alpha():
     alg = dataclasses.replace(bundles.abelian(2), alpha=Matrix.zeros(2, 2), kind="bihom-lie")
     co = CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), Matrix.zeros(2, 2), Matrix.identity(2))
-    with pytest.raises(SingularMatrix):
+    message = "^alpha must be invertible to check the bialgebra cocycle: matrix is singular$"
+    with pytest.raises(SingularMatrix, match=message):
         checks.check_bialgebra_cocycle(BialgebraBundle(alg, co))
 
 
@@ -674,21 +674,20 @@ def test_diff_coalgebra_and_dual_admissible_trivial():
 
 def test_a_zero_weight_contracts_no_weight_term(monkeypatch):
     # with maps that are not diagonal, every term is contracted map by map: one contraction for each of the
-    # three unweighted terms, and two for the weight term, which a zero weight drops
+    # three unweighted terms, and two for the weight term, which a zero weight on the bundle drops
     d = Matrix.from_rows([[1, 2], [0, 1]])
-    alg = support.with_diff(bundles.aff2(), d, 0)
-    rep = support.adjoint_rep(alg, xi=d)
-    co = dualize(support.with_diff(bundles.abelian(2), d, 0))
-    made = []
+    made, counts = [], {}
     monkeypatch.setattr(exact, "_contract", lambda *args: made.append(args) or _contract(*args))
-    for run in (lambda w: checks.check_diff_rep(rep, w), lambda w: checks.check_diff_coalgebra(co, w),
-                lambda w: checks.check_diff_dual_admissible(co, d, w), lambda w: checks.check_diff_leibniz(alg, d, w)):
-        counts = []
-        for w in (Fraction(0), Fraction(1)):
+    for w in (0, 1):
+        alg = support.with_diff(bundles.aff2(), d, w)
+        rep, co = support.adjoint_rep(alg, xi=d), dualize(support.with_diff(bundles.abelian(2), d, w))
+        for name, run in (("rep", lambda: checks.check_diff_rep(rep)), ("co", lambda: checks.check_diff_coalgebra(co)),
+                          ("dual", lambda: checks.check_diff_dual_admissible(co, d)),
+                          ("leibniz", lambda: checks.check_diff_leibniz(alg))):
             made.clear()
-            run(w)
-            counts.append(len(made))
-        assert counts == [3, 5]
+            run()
+            counts.setdefault(name, []).append(len(made))
+    assert counts == dict.fromkeys(("rep", "co", "dual", "leibniz"), [3, 5])
 
 
 def test_diff_zeta_and_pi_trivial():
@@ -761,28 +760,20 @@ def test_matched_pair_differential_needs_identity_maps():
     assert checks.check_matched_pair(mp, "bihom").entries[0].identity == "mp_left"
 
 
-def test_every_suite_step_that_takes_a_weight_receives_the_override():
-    # a --weight override reaches every differential check a suite runs, or none
-    for key, suite in checks.SUITES.items():
-        for step in suite.steps:
-            takes = "weight" in inspect.signature(getattr(checks, step.check)).parameters
-            assert step.weighted == takes, (key, step.check)
-
-
 # -- suites with and without a shared results dict -------------------------------------------------
 
 
-def _suite_fixture(kind: str, name: str):
-    """A bundle of the kind that carries every operator some suite of it reads, so each suite runs every step."""
+def _suite_fixture(kind: str, name: str, d: Matrix = Matrix.zeros(2, 2), weight="1"):
+    """A bundle of the kind that carries every operator some suite of it reads, so each suite runs every step; every
+    differential in it is d at the weight."""
     from bihomlie.constructions import double_construction
 
-    zero = Matrix.zeros(2, 2)
-    left = support.with_diff(support.scalar_op(bundles.aff2(), "2"), zero, "1")
-    right = support.with_diff(support.scalar_op(bundles.abelian(2), "1/2"), zero, "1")
+    left = support.with_diff(support.scalar_op(bundles.aff2(), "2"), d, weight)
+    right = support.with_diff(support.scalar_op(bundles.aff2(), "1/2"), d, weight)
     return {
         "algebra": lambda: left,
         "coalgebra": lambda: dualize(right),
-        "representation": lambda: support.adjoint_rep(left, eta=left.nijenhuis, xi=zero),
+        "representation": lambda: support.adjoint_rep(left, eta=left.nijenhuis, xi=d),
         "bialgebra": lambda: BialgebraBundle(left, dualize(right)),
         "matched_pair": lambda: coadjoint_matched_pair(left, right),
         "double": lambda: double_construction(left, right, name)[0],
@@ -809,6 +800,33 @@ def test_suite_runs_alike_with_and_without_a_results_dict(monkeypatch, key):
     assert sorted(calls) == expected and len(results) == len(expected)
     calls.clear()
     assert suite.run(bundle, results=results) == unshared and calls == []
+
+
+#: the suites that hold a step reading a differential's weight
+_WEIGHTED = sorted(key for key, suite in checks.SUITES.items() if any(s.weighted for s in suite.steps))
+
+
+@pytest.mark.parametrize("key", _WEIGHTED, ids="-".join)
+def test_a_weight_runs_the_suite_on_the_bundle_with_every_differential_at_it(key):
+    # the identity is a differential of weight -1 on any bracket, so every weighted identity holds at the bundle's own
+    # weight and fails at 1, where each weighted step's entries change and no other step's do
+    suite, ident, w = checks.SUITES[key], Matrix.identity(2), Fraction(1)
+    bundle = _suite_fixture(*key, ident, -1)
+    assert suite.run(bundle, w) == suite.run(_suite_fixture(*key, ident, w))
+    assert any(s.weighted for s in suite.steps_on(bundle))
+    for step in suite.steps_on(bundle):
+        one = checks.Suite((step,))
+        own, weighted = one.run(bundle), one.run(bundle, w)
+        assert (own != weighted) == step.weighted, step
+        assert own.ok and weighted.ok != step.weighted, step
+
+
+@pytest.mark.parametrize("key", _WEIGHTED, ids="-".join)
+def test_one_results_dict_shares_no_report_across_weights(key):
+    suite, results = checks.SUITES[key], {}
+    bundle = _suite_fixture(*key, Matrix.identity(2), -1)
+    for w in (Fraction(1), Fraction(2), None):
+        assert suite.run(bundle, w, results) == suite.run(bundle, w)
 
 
 #: (bundle kind, flavour) -> the operator fields, one stripped at a time, whose absence a flavour row refuses

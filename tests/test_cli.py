@@ -129,10 +129,29 @@ def test_construct_double_output_passes_check(workdir):
     assert form_doc["kind"] == "form" and form_doc["dim"] == 4
 
 
-def test_construct_untwist_singular_exit_two(workdir):
+def test_construct_untwist_singular_exit_two(workdir, capsys):
     b = dataclasses.replace(bundles.abelian(2), alpha=Matrix.zeros(2, 2), kind="bihom-lie")
     path = _write(workdir / "singular.json", b)
     assert run(["construct", "untwist", path, "--out", str(workdir / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: alpha must be invertible to untwist: matrix is singular\n"
+
+
+def test_a_singular_map_is_named_with_exit_two(workdir, capsys):
+    zero = Matrix.zeros(2, 2)
+    twisted = dataclasses.replace(bundles.aff2(), alpha=zero, kind="bihom-lie")
+    co = bundles.CoalgebraBundle(2, Tensor3.zeros((2, 2, 2)), zero, Matrix.identity(2))
+    bi = bundles.BialgebraBundle(twisted, co)
+    cases = [
+        (["check", _write(workdir / "bi.json", bi)], "alpha must be invertible to check the bialgebra cocycle"),
+        (["construct", "bicrossed", _write(workdir / "mp.json", coadjoint_matched_pair(twisted, bundles.aff2())),
+          "--flavor", "bihom"], "alpha of the left factor must be invertible to build bicrossed products"),
+        (["construct", "adjoint-form", _write(workdir / "a.json", support.scalar_op(bundles.aff2(), 1)),
+          _write(workdir / "f.json", bundles.FormBundle(Matrix.from_rows([[1, 1], [1, 1]])))],
+         "gram must be invertible to take the adjoint of a map"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}: matrix is singular\n"
 
 
 def test_construct_twist_with_maps_file(workdir):

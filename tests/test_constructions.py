@@ -7,7 +7,7 @@ import pytest
 
 import naive
 import support
-from bihomlie import bundles, checks, constructions
+from bihomlie import bundles, checks
 from bihomlie.bundles import BialgebraBundle, CoalgebraBundle, FormBundle
 from bihomlie.constructions import (
     PreconditionFailed,
@@ -182,7 +182,7 @@ def test_yau_twist_of_a_bialgebra_refuses_only_a_singular_alpha(monkeypatch):
     def broken(m):
         raise RuntimeError("fault inside invert")
 
-    monkeypatch.setattr(constructions, "invert", broken)
+    monkeypatch.setattr(checks, "invert", broken)
     with pytest.raises(RuntimeError, match="fault inside invert"):  # a program fault is never a failed hypothesis
         yau_twist(zero, I2, I2)
 
@@ -233,9 +233,10 @@ def test_untwist_golden_fixture_passes_classical_checks():
 
 
 def test_untwist_singular_raises():
-    b = dataclasses.replace(bundles.abelian(2), alpha=Matrix.zeros(2, 2), kind="bihom-lie")
-    with pytest.raises(SingularMatrix):
-        untwist(b)
+    for name in ("alpha", "beta"):
+        b = dataclasses.replace(bundles.abelian(2), **{name: Matrix.zeros(2, 2)}, kind="bihom-lie")
+        with pytest.raises(SingularMatrix, match=f"^{name} must be invertible to untwist: matrix is singular$"):
+            untwist(b)
 
 
 def test_yau_twist_bialgebra_and_roundtrip():
@@ -318,8 +319,24 @@ def test_semidirect_broken_representation_fails_product():
 def test_semidirect_requires_invertible_q():
     alg = dataclasses.replace(bundles.aff2(), nijenhuis=I2)
     rep = support.zero_rep(alg, 2, q=Matrix.zeros(2, 2), eta=Matrix.zeros(2, 2))
-    with pytest.raises(SingularMatrix):
+    message = "^beta of the right factor \\(q\\) must be invertible to build semidirect products: matrix is singular$"
+    with pytest.raises(SingularMatrix, match=message):
         semidirect_product(alg, rep, "nijenhuis")
+
+
+@pytest.mark.parametrize("side, name, label", [
+    ("left", "alpha", "alpha of the left factor"), ("right", "beta", "beta of the right factor (q)"),
+    ("right", "alpha", "alpha of the right factor (p)"), ("left", "beta", "beta of the left factor")])
+def test_a_product_names_the_singular_map_it_inverts(side, name, label):
+    # in the order the bracket inverts them; both coadjoint actions of aff2 are nonzero, so h needs all four maps
+    algebras = {s: dataclasses.replace(bundles.aff2(), kind="bihom-lie") for s in ("left", "right")}
+    algebras[side] = dataclasses.replace(algebras[side], **{name: Matrix.zeros(2, 2)})
+    for build, what in ((lambda: bicrossed_product(coadjoint_matched_pair(*algebras.values()), "bihom"),
+                         "bicrossed products"),
+                        (lambda: double_construction(*algebras.values(), "bihom"), "doubles")):
+        with pytest.raises(SingularMatrix) as raised:
+            build()
+        assert str(raised.value) == f"{label} must be invertible to build {what}: matrix is singular"
 
 
 def test_semidirect_differential():
@@ -642,5 +659,6 @@ def test_adjoint_map_on_double_is_blockwise_swap():
 
 
 def test_adjoint_map_degenerate_gram_raises():
-    with pytest.raises(SingularMatrix):
+    message = "^gram must be invertible to take the adjoint of a map: matrix is singular$"
+    with pytest.raises(SingularMatrix, match=message):
         adjoint_map_wrt_form(I2, FormBundle(Matrix.from_rows([[1, 1], [1, 1]])))
