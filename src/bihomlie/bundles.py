@@ -227,12 +227,16 @@ def require_kind(bundle: Any, what: str, *types: type) -> Any:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Residual:
     """Exact residual array stored sparsely; pass iff no nonzero cells."""
 
     shape: tuple[int, ...]
     nonzeros: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+    def __init__(self, shape: tuple[int, ...], nonzeros: tuple[tuple[tuple[int, ...], Fraction], ...]) -> None:
+        d = self.__dict__  # as in exact.Matrix
+        d["shape"], d["nonzeros"] = shape, nonzeros
 
     @staticmethod
     def collect(shape: tuple[int, ...], cells: Iterable[tuple[tuple[int, ...], Fraction]]) -> "Residual":
@@ -283,7 +287,7 @@ class CheckEntry:
         return self.residual.is_zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Report:
     """Per-identity exact residuals with boolean verdicts.
 
@@ -294,6 +298,10 @@ class Report:
 
     entries: tuple[CheckEntry, ...]
     notes: tuple[str, ...] = ()
+
+    def __init__(self, entries: tuple[CheckEntry, ...], notes: tuple[str, ...] = ()) -> None:
+        d = self.__dict__  # as in exact.Matrix
+        d["entries"], d["notes"] = entries, notes
 
     @property
     def ok(self) -> bool:

@@ -15,6 +15,13 @@ unchanged (any other transpose is built once per matrix), and diagonal terms
 fold into one factor per cell, so such a sum is one pass over its nonzero rows.
 A transposed tensor records its source, so transposing it back returns that
 source and builds nothing.
+
+A stored row has content 1, so a row scaled by one rational (a scalar multiple,
+an entry of a product of diagonals, a row of a folded sum whose factor is the
+same for every cell) reaches lowest terms from two small gcds, of the factor's
+numerator with the row's denominator and of its denominator with the row's
+numerators, with no gcd over the product; a row whose sum cancels is ``EMPTY``
+without a pass that filters its zeros.
 """
 
 from __future__ import annotations
@@ -105,12 +112,14 @@ def _reduced(den: int, pairs: tuple[tuple[int, int], ...]) -> Row:
     if den == 1:
         return 1, pairs
     g = math.gcd(den, *[v for _, v in pairs])
-    return (den, pairs) if g == 1 else (den // g, tuple((k, v // g) for k, v in pairs))
+    return (den, pairs) if g == 1 else (den // g, tuple([(k, v // g) for k, v in pairs]))
 
 
 def _sorted_row(den: int, acc: dict[int, int]) -> Row:
-    """The row of the numerators {column: value} over den, zeros dropped."""
+    """The row of the numerators {column: value} over den, zeros dropped; a row that cancels is ``EMPTY`` at once."""
     if not all(acc.values()):
+        if not any(acc.values()):
+            return EMPTY
         acc = {k: v for k, v in acc.items() if v}
     return _reduced(den, tuple(sorted(acc.items()))) if acc else EMPTY
 
@@ -150,10 +159,18 @@ def _sum(r1: Row, r2: Row, sign: int) -> Row:
     return _sorted_row(den, acc)
 
 
-def _scaled(row: Row, num: int, den: int) -> Row:
-    """row * num / den for integers num != 0 and den > 0."""
-    d, pairs = row
-    return _reduced(d * den, tuple((k, num * v) for k, v in pairs)) if pairs else EMPTY
+def _scaled(row: Row, p: int, q: int) -> Row:
+    """row * p / q for coprime integers p != 0 and q > 0, in lowest terms from two gcds: the row's own content
+    is 1, so (one prime at a time) the product's is gcd(den, p) * gcd(q, numerators), and no gcd is taken over
+    the product.  A factor that reduces to 1 over the row's denominator keeps the row's pairs."""
+    den, pairs = row
+    if not pairs:
+        return EMPTY
+    if (h := math.gcd(den, p)) != 1:
+        den, p = den // h, p // h
+    if q != 1 and (r := math.gcd(q, *[v for _, v in pairs])) != 1:
+        return den * (q // r), tuple([(k, v // r * p) for k, v in pairs])
+    return den * q, pairs if p == 1 else tuple([(k, v * p) for k, v in pairs])
 
 
 def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
@@ -297,10 +314,9 @@ class Matrix:
             return other
         if other.is_identity():
             return self
-        if self.diag is not None and other.diag is not None:  # elementwise, each product in lowest terms
-            return Matrix(self.rows, self.cols, tuple(
-                _reduced(d1 * d2, ((i, p1[0][1] * p2[0][1]),)) if p1 and p2 else EMPTY
-                for i, ((d1, p1), (d2, p2)) in enumerate(zip(self.nz, other.nz))))
+        if self.diag is not None and other.diag is not None:  # elementwise: v1 / d1 scaled by v2 / d2
+            return Matrix(self.rows, self.cols, tuple(_scaled(r1, r2[1][0][1], r2[0]) if r2[1] else EMPTY
+                                                      for r1, r2 in zip(self.nz, other.nz)))
         rows = other.nz
         return Matrix(self.rows, other.cols, tuple(_combination(((1, rows, row),)) if row[1] else EMPTY
                                                    for row in self.nz))
@@ -444,9 +460,10 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
     ``t`` itself, 0 the zero tensor, and any other scales each row.  When every map left is diagonal, each
     nonempty row (i, j) of t takes the factors f0 + sum f * a2[k] over its cells, f0 = x * a0[i] * a1[j] for the
     first term whose axis-2 map is c I and f likewise for each other term, whose axis-2 diagonal is a2 (all ones
-    for c I), x being the term's multiplier; this is integers over one common denominator, one gcd per row, and
-    no table is built.  Otherwise each term applies its maps in turn, a diagonal as its one-term sum and any
-    other by ``_contract``, and the terms are added."""
+    for c I), x being the term's multiplier; this is integers over one common denominator, one gcd per row (two
+    small ones, as in ``_scaled``, for a row on which every factor but f0 vanishes), and no table is built.
+    Otherwise each term applies its maps in turn, a diagonal as its one-term sum and any other by ``_contract``,
+    and the terms are added."""
     kept, ints, common, general, varying = [(s, maps) for s, maps in terms if s], [], 1, False, False
     for s, maps in kept:  # per term: its multiplier, the multiplier's denominator, each axis' diagonal over it
         num, den, axes = s.numerator, s.denominator, []
@@ -482,7 +499,8 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
             return t
         if not f:
             return Tensor3.zeros(t.shape)
-        return Tensor3(t.shape, tuple(tuple(_scaled(row, f, common) for row in plane) for plane in t.nz))
+        g = math.gcd(f, common)
+        return Tensor3(t.shape, tuple(tuple(_scaled(row, f // g, common // g) for row in plane) for plane in t.nz))
     ones, first, rest = (1,) * max(t.shape), None, []  # the first constant term, then every other term
     for num, den, (a0, a1, a2) in ints:
         x = num * (common // den)
@@ -500,16 +518,26 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
             if not pairs:
                 out.append(EMPTY)
                 continue
-            f0, f, d = y0 * b1[j], y * c1[j], common
+            f0, f = y0 * b1[j], y * c1[j]
             fs = [(a2, g) for a2, x, a1 in cs if (g := x * a1[j])] if cs else ()
             if fs:
                 cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * c2[k] + sum([g * a2[k] for a2, g in fs])))]
             elif f:
                 cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * c2[k]))]
-            else:  # one factor for the whole row, in lowest terms
+            else:  # one factor f0 / common for the whole row, as in _scaled
+                if not f0:
+                    out.append(EMPTY)
+                    continue
                 g = math.gcd(f0, common)
-                cells, d = [(k, f0 // g * v) for k, v in pairs] if f0 else (), common // g
-            out.append(_reduced(den * d, tuple(cells)) if cells else EMPTY)
+                p, q = f0 // g, common // g
+                if (h := math.gcd(den, p)) != 1:
+                    den, p = den // h, p // h
+                if q != 1 and (r := math.gcd(q, *[v for _, v in pairs])) != 1:
+                    out.append((den * (q // r), tuple([(k, v // r * p) for k, v in pairs])))
+                else:
+                    out.append((den * q, pairs if p == 1 else tuple([(k, v * p) for k, v in pairs])))
+                continue
+            out.append(_reduced(den * common, tuple(cells)) if cells else EMPTY)
         nz.append(tuple(out))
     return Tensor3(t.shape, tuple(nz))
 

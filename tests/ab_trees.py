@@ -22,7 +22,8 @@ cannot promise when the machine's speed moves by more than the effect being meas
 It prints, for each copy, the sum over ops of each op's median time (the rate
 ``bench/run.py`` reports is the op count over that sum), the p50 and p90 of all op
 times, then the changes' mean against the parents' mean, and the parent/parent' and
-change/change' ratios side by side.
+change/change' ratios side by side, and last one line per op kind (a twisted input apart
+from a plain one): the kind's summed per-op medians, parents' mean against changes' mean.
 Each result is checked against its oracle once, after the timed passes, so a fast wrong
 answer fails the run.  No clock calibration is applied: all copies see the same machine
 within microseconds.  What the copies built before the first op is frozen out of garbage
@@ -79,6 +80,11 @@ class Tree:
                 del sys.modules[name]
 
 
+def _kind(op) -> str:
+    """The op's kind, with a twisted input (a size ending in "-twisted") apart from a plain one."""
+    return f"{op.kind} (twisted)" if op.size.endswith("-twisted") else op.kind
+
+
 def _summary(times: list[list[float]]) -> tuple[float, float, float]:
     """(sum of per-op medians, p50, p90) in milliseconds."""
     flat = [t for per_op in times for t in per_op]
@@ -129,6 +135,15 @@ def main(argv: list[str] | None = None) -> int:
           f"median per-op ratio {statistics.median(per_op):.4f}")
     print(f"  A/A spread: parent / parent' sum {sums[0] / sums[3]:.4f} ({(sums[0] / sums[3] - 1) * 100:+.1f} %), "
           f"change / change' sum {sums[1] / sums[2]:.4f} ({(sums[1] / sums[2] - 1) * 100:+.1f} %)")
+    kinds: dict[str, list[float]] = {}  # kind -> [its ops, the parents' mean, the changes' mean], medians summed
+    for op, p, c, d, q in zip(trees[0].ops, *times):
+        tally = kinds.setdefault(_kind(op), [0, 0.0, 0.0])
+        tally[0] += 1
+        tally[1] += (statistics.median(p) + statistics.median(q)) / 2 * 1e3
+        tally[2] += (statistics.median(c) + statistics.median(d)) / 2 * 1e3
+    for kind, (count, parent, change) in sorted(kinds.items()):
+        print(f"  {kind:28s} {count:3d} ops   parents {parent:8.3f} ms   changes {change:8.3f} ms   "
+              f"change / parent {change / parent:.4f} ({(change / parent - 1) * 100:+.1f} %)")
     return 0
 
 

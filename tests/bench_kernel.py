@@ -1,5 +1,6 @@
 """Timings of the exact kernel (matmul, one-term ``contract_sum``; the product, inverse
-and commutator of the diagonal torus maps of gl(4), taken entry by entry),
+and commutator of the diagonal torus maps of gl(4), taken entry by entry; the
+``yau_twist`` + ``untwist`` roundtrip of gl(4) by them, each row scaled by one factor),
 of the checkers' signed sums of contractions (``contract_sum``:
 multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
 maps are all diagonal, and the per-call overhead of small instances:
@@ -42,7 +43,7 @@ from bihomlie.checks import (
     check_nijenhuis_operator,
     check_representation,
 )
-from bihomlie.constructions import coadjoint_matched_pair, dualize, yau_twist
+from bihomlie.constructions import coadjoint_matched_pair, dualize, untwist, yau_twist
 from bihomlie.equivalence import triad_differential, triad_nijenhuis_bihom
 from bihomlie.exact import Matrix, invert
 from support import contract
@@ -114,6 +115,19 @@ def test_check_bihom_coalgebra_abelian60_dual(benchmark):
 
 def _gl4_torus():
     return support.gl_torus(4, [1, 2, 5, "1/3"], [1, 3, "1/2", 7])  # non-involutive maps, real denominators
+
+
+def _roundtrip(base, alpha, beta):
+    twisted, hypothesis = yau_twist(base, alpha, beta)
+    return twisted, hypothesis, untwist(twisted)
+
+
+def test_yau_twist_roundtrip_gl4_torus(benchmark):
+    # the ladder workload's roundtrip op: both contractions are folded one-term sums, so each nonempty row of the
+    # bracket is scaled by one factor, and the torus maps share their primes with the twisted rows
+    a, base = _gl4_torus(), support.gl(4)
+    twisted, hypothesis, back = benchmark(_roundtrip, base, a.alpha, a.beta)
+    assert hypothesis.ok and twisted == a and back == base
 
 
 def test_commutator_gl4_torus_maps(benchmark):

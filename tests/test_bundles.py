@@ -458,6 +458,10 @@ def _value_samples():
         (Tensor3, [t, t.transpose((1, 0, 2)), t.transpose((1, 0, 2)).transpose((1, 0, 2)), Tensor3.zeros((2, 2, 2))]),
         (bundles.CheckEntry, [entry, bundles.CheckEntry("jacobi", "", res), bundles.CheckEntry("jacobi", "", res, True),
                               bundles.CheckEntry("jacobi", "x", Residual.from_matrix(Matrix.zeros(2, 2)))]),
+        (Residual, [res, Residual.from_matrix(Matrix.from_rows([[0, 1], [0, 0]])), Residual((2, 2), ()),
+                    Residual.from_matrix(Matrix.from_rows([[0, 2], [0, 0]])), Residual((2, 3), ())]),
+        (bundles.Report, [bundles.Report((entry,)), bundles.Report((entry,), ()), bundles.Report((entry,), ("note",)),
+                          bundles.Report(()), bundles.Report((entry, entry))]),
     ]
 
 

@@ -543,6 +543,60 @@ def test_contract_sum_cancels_the_multiplicativity_of_a_torus_automorphism():
         assert got.is_zero() == zero
 
 
+#: a product of at most four of the primes 2, 3 and 5, 1 among them
+_smooth = st.lists(st.sampled_from([2, 3, 5]), max_size=4).map(math.prod)
+
+
+@st.composite
+def _row_and_factor(draw):
+    """A canonical row and a nonzero factor p / q in lowest terms, all built from the primes 2, 3 and 5, so
+    that the row's denominator shares primes with p and its numerators with q: p = +-1, q = 1 and p < 0 among
+    them."""
+    den, cols = draw(_smooth), sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True)))
+    nums = [draw(st.sampled_from([1, -1])) * draw(_smooth) for _ in cols]
+    g = math.gcd(den, *nums)
+    p, q = draw(st.sampled_from([1, -1])) * draw(_smooth), draw(_smooth)
+    h = math.gcd(p, q)
+    return (den // g, tuple((k, v // g) for k, v in zip(cols, nums))), p // h, q // h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_and_factor())
+def test_a_scaled_row_reaches_lowest_terms_from_two_gcds(case):
+    # _scaled (the scalar path, a product of diagonals) and the folded path's one-factor row: both give the
+    # row in lowest terms that reducing the plain product gives, and keep the row's own pairs when the factor
+    # reduces to 1 over its denominator
+    (den, pairs), p, q = case
+    want = exact._reduced(den * q, tuple((k, v * p) for k, v in pairs))
+    kept = p // math.gcd(den, p) == 1 and math.gcd(q, *[v for _, v in pairs]) == 1
+    t = Tensor3((2, 1, 6), (((den, pairs),), ((den, pairs),)))
+    factors = [Fraction(p, q), Fraction(p, q) + 1]  # two entries, so the map is no c I and the folded path runs
+    terms = [(1, (Matrix.diagonal(factors), None, None))]
+    got = contract_sum(t, terms)
+    assert naive.as_cells(got) == _naive_sum(naive.as_cells(t), terms)
+    _assert_canonical(got)
+    for row in (exact._scaled((den, pairs), p, q), got.nz[0][0]):
+        assert row == want and (row[1] is pairs) == kept
+        _assert_canonical(Matrix(1, 6, (row,)))
+    # a product of two diagonals, entry by entry: the first row's first entry times p / q
+    first = Matrix.diagonal([Fraction(pairs[0][1], den), 1])
+    (d, ((_, v),)), _ = first.nz
+    assert (first @ Matrix.diagonal([Fraction(p, q), 1])).nz[0] == exact._reduced(d * q, ((0, v * p),))
+
+
+def test_contract_sum_twists_and_untwists_rows_that_share_the_torus_primes():
+    # the twisted bracket of gl(3) holds numerators and denominators of 2, 3 and 6, as the torus maps do: twisting
+    # it again multiplies its rows by factors whose numerators share a prime with the rows' denominators, and
+    # untwisting divides them by factors whose denominators share a prime with the rows' numerators
+    a = support.gl_torus(3, [1, 2, "1/3"], [1, 3, "1/2"])
+    for maps in ((a.alpha, a.beta, None), (invert(a.alpha), invert(a.beta), None)):
+        terms = [(1, maps)]
+        got = contract_sum(a.bracket, terms)
+        assert naive.as_cells(got) == _naive_sum(naive.as_cells(a.bracket), terms)
+        _assert_canonical(got)
+    assert got == support.gl(3).bracket  # untwisted
+
+
 def test_contract_sum_of_scalar_maps_is_one_multiple():
     # every map c I or None: factors totalling 1 return t itself, totalling 0 the zero tensor, others each row scaled
     t, ident = bundles.bihom2(2, 3).bracket, Matrix.identity(2)
