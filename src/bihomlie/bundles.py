@@ -255,16 +255,13 @@ class Residual:
 
     @staticmethod
     def from_matrix(m: Matrix | Tensor3) -> "Residual":
-        """The residual of a whole Matrix or Tensor3, indexed like it: cells are made for the nonempty rows only,
-        and with none (the common case, a passing identity) the zero residual is returned at once."""
-        if isinstance(m, Matrix):
-            if not any(row[1] for row in m.nz):
-                return Residual((m.rows, m.cols), ())
-            return Residual.from_rows((m.rows, m.cols), (((i,), row) for i, row in enumerate(m.nz) if row[1]))
-        if not any(row[1] for plane in m.nz for row in plane):
-            return Residual(m.shape, ())
-        return Residual.from_rows(m.shape, (((i, j), row) for i, plane in enumerate(m.nz)
-                                            for j, row in enumerate(plane) if row[1]))
+        """The residual of a whole Matrix or Tensor3, indexed like it: with no nonempty row (the common case, a
+        passing identity) the zero residual is returned at once, and otherwise its rows go to ``from_rows``."""
+        shape = (m.rows, m.cols) if isinstance(m, Matrix) else m.shape
+        if m.is_zero():
+            return Residual(shape, ())
+        return Residual.from_rows(shape, (((i,), row) for i, row in enumerate(m.nz)) if len(shape) == 2 else
+                                  (((i, j), row) for i, plane in enumerate(m.nz) for j, row in enumerate(plane)))
 
     @property
     def is_zero(self) -> bool:

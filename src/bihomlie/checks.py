@@ -22,7 +22,8 @@ zeta- and pi-admissibility) is one term list (``_leibniz``,
 and ``search`` solves it for the marker ``Unknown`` in the candidate's place.
 Involutivity, a hypothesis a result states and no checker gates on, is a
 note beside the evaluated identity; a singular map that must be inverted
-raises SingularMatrix naming the map and why (``_inverse``).
+raises SingularMatrix naming the map and why (``_inverse``).  ``SUITES``
+lists each suite's checkers in order; a triad's sides are three of its rows.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .exact import (
     Term,
     _combination,
     _row,
+    _shifted,
     _sum,
     contract_sum,
     invert,
@@ -114,9 +116,8 @@ def flavor_operators(flavor: str, what: str, *algebras: AlgebraBundle) -> tuple[
 
 
 #: identity id -> the identity it checks, embedded in every report document.
-#: Filled by the ``@declares`` decorator next to each evaluator, here and in
-#: ``constructions``; "shared_maps" has no evaluator, BialgebraBundle refuses
-#: unshared maps when it is built.
+#: Filled by the ``@declares`` decorator next to each evaluator; "shared_maps"
+#: has no evaluator, BialgebraBundle refuses unshared maps when it is built.
 IDENTITY_FORMULAS: dict[str, str] = {
     "shared_maps": "algebra and coalgebra carry the same structure maps",
 }
@@ -482,6 +483,15 @@ def check_form(a: AlgebraBundle, f: FormBundle) -> Report:
     )))
 
 
+@declares(subalgebra="the combined bracket and operators restrict to the two factors")
+def check_restriction(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
+    """The bracket of an algebra on L + L' restricted to each factor (both of dim n) minus that factor's bracket."""
+    n, nz = left.dim, total.bracket.nz
+    rows = (((side, i, j), _sum(nz[side * n + i][side * n + j], _shifted(f.bracket.nz[i][j], side * n), -1))
+            for side, f in enumerate((left, right)) for i in range(n) for j in range(n))
+    return Report((CheckEntry("subalgebra", "bracket", Residual.from_rows((2, n, n, 2 * n), rows)),))
+
+
 # -- differential checkers --------------------------------------------------------------
 
 
@@ -576,23 +586,26 @@ def _mixed(mp: MatchedPairBundle) -> tuple[list[Composed], list[Composed]]:
     return mixed, [*mixed[:2], (-1, h_ab, 1, rho_aq, 1, 2), mixed[4]]
 
 
-def check_matched_pair(mp: MatchedPairBundle, flavor: str, results: Results | None = None) -> Report:
-    """Constituent axioms, cross representations, and the two mixed identities, the second being the first read on
-    the swapped pair (V, L, h, rho), where alpha, beta and p, q trade places.
+def check_mixed(mp: MatchedPairBundle) -> Report:
+    """The two mixed identities, the second being the first read on the swapped pair (V, L, h, rho), where alpha,
+    beta and p, q trade places."""
+    return Report((CheckEntry("mp_left", "", _composed(_mixed(mp)[0])),
+                   CheckEntry("mp_right", "", _composed(_mixed(mp.swapped)[0]))))
 
-    flavor is a key of FLAVORS; the checkers besides the mixed identities are the ("matched_pair", flavor) suite,
-    run through results (``Suite.run``).
-    The differential flavour needs identity structure maps, reads the mixed identities under its own names and adds
-    the as-printed reading of the second one as an advisory entry.
-    """
-    flavor_operators(flavor, "matched pairs", mp.left, mp.right)
+
+def check_diff_mixed(mp: MatchedPairBundle) -> Report:
+    """``check_mixed`` under the differential names, with the as-printed reading of the second identity as advisory."""
     (left, _), (right, printed) = _mixed(mp), _mixed(mp.swapped)
-    mixed = ((CheckEntry("mp_left", "", _composed(left)), CheckEntry("mp_right", "", _composed(right)))
-             if flavor != "differential" else (
-                 CheckEntry("diff_mp_left", "", _composed(left)),
-                 CheckEntry("diff_mp_right", "symmetrized", _composed(right)),
-                 CheckEntry("diff_mp_right", "as-printed", _composed(printed), advisory=True)))
-    return Report(mixed).merged(SUITES["matched_pair", flavor].run(mp, results=results))
+    return Report((CheckEntry("diff_mp_left", "", _composed(left)),
+                   CheckEntry("diff_mp_right", "symmetrized", _composed(right)),
+                   CheckEntry("diff_mp_right", "as-printed", _composed(printed), advisory=True)))
+
+
+def check_matched_pair(mp: MatchedPairBundle, flavor: str, results: Results | None = None) -> Report:
+    """The ("matched_pair", flavor) suite (flavor a key of FLAVORS) on a pair ``flavor_operators`` accepts, run through
+    results (``Suite.run``): the mixed identities, the constituent axioms and the cross representations."""
+    flavor_operators(flavor, "matched pairs", mp.left, mp.right)
+    return SUITES["matched_pair", flavor].run(mp, results=results)
 
 
 # -- suites ---------------------------------------------------------------------------------
@@ -663,16 +676,16 @@ class Suite:
         return Report(()).merged(*reports)
 
 
-def _on(field: str, steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """The steps of a sub-bundle's suite, run from the enclosing bundle."""
+def _on(field: str, steps: tuple[Step, ...], prefix: str = "") -> tuple[Step, ...]:
+    """The steps of a sub-bundle's suite, run from the enclosing bundle, their cases labelled by prefix."""
     def at(path: str) -> str:
         return f"{field}.{path}" if path else field
-    return tuple(s._replace(args=tuple(map(at, s.args)), needs=tuple(map(at, s.needs))) for s in steps)
+    return tuple(s._replace(args=tuple(map(at, s.args)), needs=tuple(map(at, s.needs)), prefix=prefix) for s in steps)
 
 
-_LIE, _COALG = Step("check_bihom_lie"), Step("check_bihom_coalgebra")
+_LIE, _COALG, _NIJENHUIS = Step("check_bihom_lie"), Step("check_bihom_coalgebra"), Step("check_nijenhuis_operator")
 _LEIBNIZ, _CO_LEIBNIZ = Step("check_diff_leibniz", weighted=True), Step("check_diff_coalgebra", weighted=True)
-_ALGEBRA_AUTO = (_LIE, Step("check_nijenhuis_operator", needs=("nijenhuis",)), _LEIBNIZ._replace(needs=("differential",)))
+_ALGEBRA_AUTO = (_LIE, _NIJENHUIS._replace(needs=("nijenhuis",)), _LEIBNIZ._replace(needs=("differential",)))
 _COALGEBRA_AUTO = (_COALG, Step("check_nijenhuis_coalgebra", needs=("conijenhuis",)),
                    _CO_LEIBNIZ._replace(needs=("codiff",)))
 _OPERATOR_PAIR = ("algebra.nijenhuis", "coalgebra.conijenhuis")
@@ -686,28 +699,28 @@ _COCYCLE = Step("check_bialgebra_cocycle")
 _REP, _REP_NIJENHUIS = Step("check_representation"), Step("check_nijenhuis_representation")
 _REP_DIFFERENTIAL = Step("check_diff_rep", weighted=True)
 _BIALGEBRA_SIDE = (Step("check_bihom_lie", ("algebra",)), Step("check_bihom_coalgebra", ("coalgebra",)), _COCYCLE)
+#: flavour -> the ("algebra", flavour) steps, which a ("double", flavour) row runs on each factor and on the double
+_FACTOR = {"bihom": (_LIE,), "nijenhuis": (_LIE, _NIJENHUIS), "differential": (_LIE, _LEIBNIZ)}
 
 
 #: (field, case prefix) of the two algebras and of the two modules of a matched pair
 _ALGEBRAS, _MODULES = (("left", "left"), ("right", "right")), (("rho_module", "rho"), ("h_module", "h"))
 
 
-def _each(check: str, factors: tuple[tuple[str, str], ...], weighted: bool = False) -> tuple[Step, ...]:
-    return tuple(Step(check, (field,), weighted=weighted, prefix=prefix) for field, prefix in factors)
+def _each(step: Step, factors: tuple[tuple[str, str], ...]) -> tuple[Step, ...]:
+    return tuple(s for field, prefix in factors for s in _on(field, (step,), prefix))
 
 
-_MATCHED_PAIR = _each("check_bihom_lie", _ALGEBRAS) + _each("check_representation", _MODULES)
+_MATCHED_PAIR = _each(_LIE, _ALGEBRAS) + _each(_REP, _MODULES)
 
 #: (bundle kind, suite name) -> the checkers that suite runs, in report order.
-#: "auto" runs every checker whose operators the bundle carries; the
-#: "bialgebra" nijenhuis/differential suites are the bialgebra side of the
-#: triads, "double" suites run on a DoubleBundle, "matched_pair" suites are
-#: what check_matched_pair runs besides the mixed identities.
+#: "auto" runs every checker whose operators the bundle carries.  The three
+#: sides of a triad are three rows: "double" (the Manin side, run on a
+#: DoubleBundle: each factor, the restriction, the double and its form),
+#: "bialgebra" and "matched_pair" (what check_matched_pair runs).
 SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
     ("algebra", "auto"): _ALGEBRA_AUTO,
-    ("algebra", "bihom"): (_LIE,),
-    ("algebra", "nijenhuis"): (_LIE, Step("check_nijenhuis_operator")),
-    ("algebra", "differential"): (_LIE, _LEIBNIZ),
+    **{("algebra", flavor): steps for flavor, steps in _FACTOR.items()},
     ("algebra", "involution"): (Step("check_involution"),),
     ("coalgebra", "auto"): _COALGEBRA_AUTO,
     ("coalgebra", "bihom"): (_COALG,),
@@ -725,15 +738,15 @@ SUITES: dict[tuple[str, str], Suite] = {key: Suite(steps) for key, steps in {
         _ADJOINT, _DUAL),
     ("bialgebra", "differential"): (_BIALGEBRA_SIDE + _on("algebra", (_LEIBNIZ,)) + _on("coalgebra", (_CO_LEIBNIZ,))
                                     + (_PI, _DIFF_DUAL)),
-    ("matched_pair", "bihom"): _MATCHED_PAIR,
-    ("matched_pair", "nijenhuis"): (_MATCHED_PAIR + _each("check_nijenhuis_operator", _ALGEBRAS)
-                                    + _each("check_nijenhuis_representation", _MODULES)),
-    ("matched_pair", "differential"): (_MATCHED_PAIR + _each("check_diff_leibniz", _ALGEBRAS, True)
-                                       + _each("check_diff_rep", _MODULES, True)),
-    ("double", "nijenhuis"): (Step("check_bihom_lie", ("total",)), Step("check_nijenhuis_operator", ("total",)),
-                              Step("check_form", ("total", "form"))),
-    ("double", "differential"): (Step("check_bihom_lie", ("total",)), *_on("total", (_LEIBNIZ,)),
-                                 Step("check_form", ("total", "form"))),
+    ("matched_pair", "bihom"): (Step("check_mixed"), *_MATCHED_PAIR),
+    ("matched_pair", "nijenhuis"): (Step("check_mixed"), *_MATCHED_PAIR, *_each(_NIJENHUIS, _ALGEBRAS),
+                                    *_each(_REP_NIJENHUIS, _MODULES)),
+    ("matched_pair", "differential"): (Step("check_diff_mixed"), *_MATCHED_PAIR, *_each(_LEIBNIZ, _ALGEBRAS),
+                                       *_each(_REP_DIFFERENTIAL, _MODULES)),
+    **{("double", flavor): (_on("pair.left", steps, "left") + _on("pair.right", steps, "right")
+                            + (Step("check_restriction", ("total", "pair.left", "pair.right")),)
+                            + _on("total", steps, "double") + (Step("check_form", ("total", "form"), prefix="double"),))
+       for flavor, steps in _FACTOR.items() if flavor != "bihom"},
 }.items()}
 
 

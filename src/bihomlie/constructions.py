@@ -6,7 +6,8 @@ their bundle together with the Report of those hypotheses.  Every product is
 built by one bicrossed bracket (``_bicrossed_algebra``): the semidirect
 product is its h = 0 case, and the double is the bicrossed product of the
 coadjoint matched pair, whose two actions both use the representation sign
-< x . w, v > = - < w, [x, v] >.
+< x . w, v > = - < w, [x, v] >.  ``coadjoint_double`` builds the double
+alone, for the triads, whose "double" suite checks the restriction itself.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .checks import (
     _stack,
     _tr,
     check_matched_pair,
-    declares,
+    check_restriction,
     flavor_operators,
 )
 from .exact import (
@@ -275,25 +276,18 @@ def standard_double_form(n: int) -> FormBundle:
     return FormBundle(Matrix(2 * n, 2 * n, tuple((1, (((i + n) % (2 * n), 1),)) for i in range(2 * n))))
 
 
-def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[DoubleBundle, Report]:
-    """Algebra on L + L* from a base algebra and an algebra on its dual: the
-    bicrossed product of their coadjoint matched pair, with the canonical
-    pairing form.
-
-    flavor is a key of ``checks.FLAVORS``.
-    """
+def coadjoint_double(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> DoubleBundle:
+    """Algebra on L + L* from a base algebra and an algebra on its dual, no hypothesis checked: the bicrossed product
+    of their coadjoint matched pair, with the canonical pairing form.  flavor is a key of ``checks.FLAVORS``."""
     pair = coadjoint_matched_pair(left, right)
-    total = _bicrossed_algebra(pair, flavor, "doubles")
-    return DoubleBundle(total, standard_double_form(left.dim), pair), _restriction_report(total, left, right)
+    return DoubleBundle(_bicrossed_algebra(pair, flavor, "doubles"), standard_double_form(left.dim), pair)
 
 
-@declares(subalgebra="the combined bracket and operators restrict to the two factors")
-def _restriction_report(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
-    """Verify the combined bracket restricts to the two factors (of equal dimension n)."""
-    n, nz = left.dim, total.bracket.nz
-    rows = (((side, i, j), _sum(nz[side * n + i][side * n + j], _shifted(f.bracket.nz[i][j], side * n), -1))
-            for side, f in enumerate((left, right)) for i in range(n) for j in range(n))
-    return Report((CheckEntry("subalgebra", "bracket", Residual.from_rows((2, n, n, 2 * n), rows)),))
+def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[DoubleBundle, Report]:
+    """``coadjoint_double``, with the hypothesis report that its bracket
+    restricts to the two factors (``checks.check_restriction``)."""
+    double = coadjoint_double(left, right, flavor)
+    return double, check_restriction(double.total, left, right)
 
 
 # -- adjoint maps of forms ------------------------------------------------------------

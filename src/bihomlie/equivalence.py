@@ -5,8 +5,9 @@ reports whether the verdicts coincide.  A disagreement is never resolved
 silently: the reports say which side failed and on which identity.
 
 "Independent" means independent formulas: each side is decided by its own
-identities, read on its own structure.  It does not mean recomputation, so
-the three sides of one triad call share their results: their suites run
+identities, read on its own structure, one row of ``checks.SUITES`` each
+("double", "bialgebra", "matched_pair").  It does not mean recomputation, so
+the three sides of one triad call share their results: their rows run
 through one ``checks.Results`` dict, keyed by checker and argument identity,
 so each checker runs once per argument object, and the matched-pair
 side reads the coadjoint pair the double was built from.  The dict lives for
@@ -38,7 +39,7 @@ from .constructions import (
     PreconditionFailed,
     adjoint_map_wrt_form,
     bicrossed_product,
-    double_construction,
+    coadjoint_double,
     dual_representation,
     dualize,
     semidirect_product,
@@ -95,23 +96,16 @@ def _require_coherent_dual(left: AlgebraBundle, right: AlgebraBundle) -> None:
 
 
 def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadReport:
-    """(i) the double and its form, (ii) the bialgebra conditions on the base
-    space, (iii) the coadjoint matched pair, each in the flavour's suites."""
+    """The flavour's three rows of ``SUITES``: (i) "double" on the double, (ii) "bialgebra" on the base space and
+    (iii) "matched_pair" on the coadjoint pair the double was built from."""
     _require_coherent_dual(left, right)
-    double, restrict = double_construction(left, right, flavor)  # enforces the flavour's preconditions
+    double = coadjoint_double(left, right, flavor)  # enforces the flavour's preconditions
     # the differential flavour has identity maps, so these notes are empty there
     notes = _involution_note(left, "base algebra") + _involution_note(right, "dual-side algebra")
     results: Results = {}  # one report per (checker, arguments) across the three sides of this call
-    factor = SUITES["algebra", flavor]
-    manin = Report(()).merged(
-        factor.run(left, results=results).prefixed("left"),
-        factor.run(right, results=results).prefixed("right"),
-        restrict,
-        SUITES["double", flavor].run(double, results=results).prefixed("double"),
-    )
-    bial = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)), results=results)
-    mp_report = check_matched_pair(double.pair, flavor, results)
-    return TriadReport(manin, bial, mp_report, notes)
+    return TriadReport(SUITES["double", flavor].run(double, results=results),
+                       SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)), results=results),
+                       check_matched_pair(double.pair, flavor, results), notes)
 
 
 def triad_nijenhuis_bihom(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:

@@ -31,7 +31,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -105,6 +106,7 @@ def scalar(value: int | str | Fraction) -> Fraction:
 #: entries in increasing column order, in lowest terms, so the form is canonical
 Row = tuple[int, tuple[tuple[int, int], ...]]
 EMPTY: Row = (1, ())
+_pairs = itemgetter(1)  # a row's pairs, empty exactly for a zero row
 
 
 def _reduced(den: int, pairs: tuple[tuple[int, int], ...]) -> Row:
@@ -327,7 +329,7 @@ class Matrix:
         return tuple(sum((x * v[j] for j, x in pairs), ZERO) / den for den, pairs in self.nz)
 
     def is_zero(self) -> bool:
-        return not any(pairs for _, pairs in self.nz)
+        return not any(map(_pairs, self.nz))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -382,7 +384,7 @@ class Tensor3:
         return Tensor3(shape, tuple(tuple(map(_row, plane)) for plane in data))
 
     def is_zero(self) -> bool:
-        return not any(pairs for plane in self.nz for _, pairs in plane)
+        return not any(map(_pairs, chain.from_iterable(self.nz)))
 
     def add(self, other: "Tensor3") -> "Tensor3":
         self._same_shape(other)
@@ -633,7 +635,7 @@ def solve(a: Matrix, b: Vector | None = None) -> tuple[Vector | None, list[Vecto
     """(particular, kernel) of a x = b, b = None meaning zero and its entries ints or
     Fractions, both read off one elimination of [a | b]: the solution whose free
     variables are zero (None when inconsistent) and the kernel basis of a, one
-    vector per free column."""
+    vector per free column, equal to those dense Gauss-Jordan elimination gives."""
     n = a.cols
     aug = (pairs for _, pairs in a.nz)
     if b is not None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from bihomlie import bundles
 from bihomlie.bundles import (AlgebraBundle, BialgebraBundle, CoalgebraBundle, Differential, MatchedPairBundle,
                               Report, RepresentationBundle)
-from bihomlie.checks import SUITES, check_matched_pair
+from bihomlie.checks import SUITES, check_form, check_matched_pair
 from bihomlie.constructions import coadjoint_matched_pair, double_construction, dualize
 from bihomlie.exact import Matrix, Tensor3, contract_sum, scalar
 
@@ -203,12 +203,13 @@ def nijenhuis_triad_family() -> list[tuple[AlgebraBundle, AlgebraBundle]]:
 
 
 def unshared_triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[Report, Report, Report]:
-    """The (manin, bialgebra, matched pair) reports of a triad, each side computed on its own through the public
-    suites, with a fresh double and a fresh coadjoint pair: the oracle for the triads' shared results."""
+    """The (manin, bialgebra, matched pair) reports of a triad, each side computed on its own, with a fresh double
+    and a fresh coadjoint pair: the oracle for the triads' shared results.  The Manin side is assembled by hand from
+    the factor suites, the restriction report of ``double_construction`` and ``check_form``, not read off its row."""
     factor = SUITES["algebra", flavor]
     double, restrict = double_construction(left, right, flavor)
     manin = Report(()).merged(factor.run(left).prefixed("left"), factor.run(right).prefixed("right"), restrict,
-                              SUITES["double", flavor].run(double).prefixed("double"))
+                              factor.run(double.total).merged(check_form(double.total, double.form)).prefixed("double"))
     bialgebra = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))
     return manin, bialgebra, check_matched_pair(coadjoint_matched_pair(left, right), flavor)
 

@@ -6,11 +6,12 @@ import dataclasses
 import pytest
 
 import support
-from bihomlie import bundles, checks
+from bihomlie import bundles, checks, constructions, equivalence
 from bihomlie.checks import WeightMismatch, check_matched_pair
 from bihomlie.constructions import (
     PreconditionFailed,
     bicrossed_product,
+    coadjoint_double,
     coadjoint_matched_pair,
     double_construction,
     semidirect_product,
@@ -117,15 +118,20 @@ _TRIADS = {"nijenhuis": triad_nijenhuis_bihom, "differential": triad_differentia
 
 def _count_checker_calls(monkeypatch) -> collections.Counter:
     """Wrap every checker of the checks module (suites look them up there, so the wrappers see every call a
-    suite makes); the counter counts calls by (checker, argument ids, weight), and the arguments are kept
-    alive so that no id is reused among them."""
+    suite makes), and its bindings in the modules that import checkers by name, so a call from a construction
+    counts too; the counter counts calls by (checker, argument ids, weight), and the arguments are kept alive so
+    that no id is reused among them."""
     calls, kept = collections.Counter(), []
     for name in [n for n in dir(checks) if n.startswith("check_")]:
-        def wrapper(*args, _check=getattr(checks, name), _name=name, **kwargs):
+        check = getattr(checks, name)
+
+        def wrapper(*args, _check=check, _name=name, **kwargs):
             kept.append(args)
             calls[_name, tuple(map(id, args)), kwargs.get("weight")] += 1
             return _check(*args, **kwargs)
-        monkeypatch.setattr(checks, name, wrapper)
+        for module in (checks, constructions, equivalence):
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -312,6 +318,7 @@ _FLAVOUR_ENTRY_POINTS = {
     "check_matched_pair": lambda l, r, f: check_matched_pair(coadjoint_matched_pair(l, r), f),
     "bicrossed_product": lambda l, r, f: bicrossed_product(coadjoint_matched_pair(l, r), f),
     "double_construction": double_construction,
+    "coadjoint_double": coadjoint_double,
     "semidirect_product": _semidirect,
     "triad": lambda l, r, f: {"nijenhuis": triad_nijenhuis_bihom, "differential": triad_differential}[f](l, r),
 }

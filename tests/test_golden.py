@@ -474,7 +474,7 @@ def _residual_rendering(report) -> dict:
 def residual_items():
     """(label, thunk) of every checker call the residual golden records."""
     from bihomlie import checks
-    from bihomlie.constructions import _endomorphism_report, _restriction_report
+    from bihomlie.constructions import _endomorphism_report
 
     r = support.rng(4103)
     for label, a in residual_algebras():
@@ -516,9 +516,9 @@ def residual_items():
     for label, (left, right) in (("aff2+dual", (bundles.aff2(), support.antisym_dual2(1, 2))),
                                  ("sl2+sl2", (bundles.sl2(), bundles.sl2()))):
         total = direct_sum(left, right)
-        yield f"restriction/{label}", lambda: _restriction_report(total, left, right)
+        yield f"restriction/{label}", lambda: checks.check_restriction(total, left, right)
         broken = _perturbed_bracket(total, r)
-        yield f"restriction/{label}~", lambda: _restriction_report(broken, left, right)
+        yield f"restriction/{label}~", lambda: checks.check_restriction(broken, left, right)
 
 
 def render_residuals() -> list[str]:
