@@ -354,26 +354,22 @@ def to_json(value: Any) -> Any:
     return value
 
 
-def _values(b: Any) -> dict[str, Any]:
-    """The value of each field FIELDS declares for the kind of b; None when unset."""
-    if isinstance(b, AlgebraBundle):
-        return {"dim": b.dim, "variant": b.kind, "alpha": b.alpha, "beta": b.beta, "nijenhuis": b.nijenhuis,
-                "differential": b.differential,
-                "bracket": [{"i": i + 1, "j": j + 1, "out": [str(x) for x in _dense(row, b.dim)]}
-                            for i, plane in enumerate(b.bracket.nz) for j, row in enumerate(plane) if row[1]]}
-    if isinstance(b, CoalgebraBundle):
-        t = b.comul
-        return {"dim": b.dim, "alpha": b.alpha, "beta": b.beta, "conijenhuis": b.conijenhuis, "codiff": b.codiff,
-                "comul": [{"k": k + 1, "out": to_json(Matrix(b.dim, b.dim, plane))}
-                          for k, plane in enumerate(t.nz) if any(pairs for _, pairs in plane)]}
+def _value(b: Any, key: str) -> Any:
+    """Field key of the document of b: the attribute of that name, save for a bialgebra's two parts, the variant, the
+    dim of a representation or a matched pair and the keyed bracket and comul entries; None when unset."""
     if isinstance(b, BialgebraBundle):
-        return {**_values(b.coalgebra), **_values(b.algebra)}
-    if isinstance(b, RepresentationBundle):
-        return {"dim": b.algebra.dim, "vdim": b.vdim, "algebra": b.algebra, "rho": b.rho, "p": b.p, "q": b.q,
-                "eta": b.eta, "xi": b.xi}
-    if isinstance(b, MatchedPairBundle):
-        return {"dim": b.left.dim, "left": b.left, "right": b.right, "rho": b.rho, "h": b.h}
-    return {"dim": b.dim, "gram": b.gram}
+        return _value(b.algebra if key in FIELDS["algebra"] else b.coalgebra, key)
+    if key == "variant":
+        return b.kind
+    if key == "dim" and isinstance(b, (RepresentationBundle, MatchedPairBundle)):
+        return b.left.dim if isinstance(b, MatchedPairBundle) else b.algebra.dim
+    if key == "bracket":
+        return [{"i": i + 1, "j": j + 1, "out": [str(x) for x in _dense(row, b.dim)]}
+                for i, plane in enumerate(b.bracket.nz) for j, row in enumerate(plane) if row[1]]
+    if key == "comul":
+        return [{"k": k + 1, "out": to_json(Matrix(b.dim, b.dim, plane))}
+                for k, plane in enumerate(b.comul.nz) if any(pairs for _, pairs in plane)]
+    return getattr(b, key)
 
 
 def document(bundle: Any) -> dict[str, Any]:
@@ -382,8 +378,7 @@ def document(bundle: Any) -> dict[str, Any]:
     kind = KINDS.get(type(bundle))
     if kind is None:
         raise TypeError(f"cannot serialize {type(bundle).__name__}")
-    values = _values(bundle)
-    return {"kind": kind, **{key: to_json(values[key]) for key in FIELDS[kind] if values[key] is not None}}
+    return {"kind": kind, **{key: to_json(v) for key in FIELDS[kind] if (v := _value(bundle, key)) is not None}}
 
 
 def dumps(bundle: Any) -> str:

@@ -218,7 +218,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         product, report = constructions.semidirect_product(bundle.algebra, bundle, flavor)
         outputs = [("semidirect", product)]
     elif kind == "double":
-        double, report = constructions.double_construction(*inputs, flavor)
+        double = constructions.coadjoint_double(*inputs, flavor)
+        report = checks.check_restriction(double.total, *inputs)
         outputs = [("double", double.total), ("form", double.form)]
     elif kind == "bicrossed":
         product, report = constructions.bicrossed_product(bundle, flavor)
@@ -249,16 +250,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # -- triad ---------------------------------------------------------------------------
 
 
-#: triad flavour -> the name of its harness in ``equivalence``
-_TRIADS = {"nijenhuis": "triad_nijenhuis_bihom", "differential": "triad_differential"}
-
-
 def cmd_triad(args: argparse.Namespace) -> int:
     from . import equivalence
 
     left = _load_source(args.left, "triad", AlgebraBundle)
     right = _load_source(args.right, "triad", AlgebraBundle)
-    triad = getattr(equivalence, _TRIADS[args.flavor])(left, right)
+    triad = equivalence._triad(left, right, args.flavor)
     sides = {"manin": triad.manin_report, "bialgebra": triad.bialgebra_report,
              "matched_pair": triad.matched_pair_report}
     side_docs = {name: _report_document(name, report) for name, report in sides.items()}
@@ -396,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triad", help="three-way equivalence harness")
     p.add_argument("left", help="base algebra bundle")
     p.add_argument("right", help="algebra bundle on the dual space")
-    p.add_argument("--flavor", choices=list(_TRIADS), default="nijenhuis")
+    p.add_argument("--flavor", choices=[f for kind, f in checks.SUITES if kind == "double"], default="nijenhuis")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_triad)
 

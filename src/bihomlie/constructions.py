@@ -6,8 +6,9 @@ their bundle together with the Report of those hypotheses.  Every product is
 built by one bicrossed bracket (``_bicrossed_algebra``): the semidirect
 product is its h = 0 case, and the double is the bicrossed product of the
 coadjoint matched pair, whose two actions both use the representation sign
-< x . w, v > = - < w, [x, v] >.  ``coadjoint_double`` builds the double
-alone, for the triads, whose "double" suite checks the restriction itself.
+< x . w, v > = - < w, [x, v] >.  ``coadjoint_double`` is the one double
+builder and checks nothing: its hypothesis, that the bracket restricts to the
+two factors, is ``checks.check_restriction``, which the "double" suite runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .checks import (
     _stack,
     _tr,
     check_matched_pair,
-    check_restriction,
     flavor_operators,
 )
 from .exact import (
@@ -281,13 +281,6 @@ def coadjoint_double(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> 
     of their coadjoint matched pair, with the canonical pairing form.  flavor is a key of ``checks.FLAVORS``."""
     pair = coadjoint_matched_pair(left, right)
     return DoubleBundle(_bicrossed_algebra(pair, flavor, "doubles"), standard_double_form(left.dim), pair)
-
-
-def double_construction(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[DoubleBundle, Report]:
-    """``coadjoint_double``, with the hypothesis report that its bracket
-    restricts to the two factors (``checks.check_restriction``)."""
-    double = coadjoint_double(left, right, flavor)
-    return double, check_restriction(double.total, left, right)
 
 
 # -- adjoint maps of forms ------------------------------------------------------------

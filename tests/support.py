@@ -13,8 +13,8 @@ from fractions import Fraction
 from bihomlie import bundles
 from bihomlie.bundles import (AlgebraBundle, BialgebraBundle, CoalgebraBundle, Differential, MatchedPairBundle,
                               Report, RepresentationBundle)
-from bihomlie.checks import SUITES, check_form, check_matched_pair
-from bihomlie.constructions import coadjoint_matched_pair, double_construction, dualize
+from bihomlie.checks import SUITES, check_form, check_matched_pair, check_restriction
+from bihomlie.constructions import coadjoint_double, coadjoint_matched_pair, dualize
 from bihomlie.exact import Matrix, Tensor3, contract_sum, scalar
 
 #: diagonal tori (t, s) of aff2-shaped twists, alpha = diag(1, t) and beta = diag(1, s); the first three are
@@ -205,9 +205,10 @@ def nijenhuis_triad_family() -> list[tuple[AlgebraBundle, AlgebraBundle]]:
 def unshared_triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> tuple[Report, Report, Report]:
     """The (manin, bialgebra, matched pair) reports of a triad, each side computed on its own, with a fresh double
     and a fresh coadjoint pair: the oracle for the triads' shared results.  The Manin side is assembled by hand from
-    the factor suites, the restriction report of ``double_construction`` and ``check_form``, not read off its row."""
+    the factor suites, ``check_restriction`` and ``check_form``, not read off its row."""
     factor = SUITES["algebra", flavor]
-    double, restrict = double_construction(left, right, flavor)
+    double = coadjoint_double(left, right, flavor)
+    restrict = check_restriction(double.total, left, right)
     manin = Report(()).merged(factor.run(left).prefixed("left"), factor.run(right).prefixed("right"), restrict,
                               factor.run(double.total).merged(check_form(double.total, double.form)).prefixed("double"))
     bialgebra = SUITES["bialgebra", flavor].run(BialgebraBundle(left, dualize(right)))

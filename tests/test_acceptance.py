@@ -12,7 +12,7 @@ import support
 from bihomlie import bundles, checks, search
 from bihomlie.bundles import Differential
 from bihomlie.cli import main as cli_main
-from bihomlie.constructions import double_construction, untwist, yau_twist
+from bihomlie.constructions import coadjoint_double, untwist, yau_twist
 from bihomlie.equivalence import double_adjoint_report, iff_harness, triad_differential, triad_nijenhuis_bihom
 from bihomlie.exact import Matrix, scalar
 
@@ -196,7 +196,7 @@ def test_criterion_6_double_adjoint_block_identity():
         t = triad_nijenhuis_bihom(left, right)
         if not t.all_ok:
             continue
-        dbl, _ = double_construction(left, right, "nijenhuis")
+        dbl = coadjoint_double(left, right, "nijenhuis")
         rep = double_adjoint_report(dbl)
         assert rep.ok, "block adjoint identity failed on a valid double"
         valid_doubles += 1

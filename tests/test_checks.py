@@ -608,11 +608,11 @@ def test_admissibility_involution_note():
 
 
 def test_form_standard_double_gram():
-    from bihomlie.constructions import double_construction, standard_double_form
+    from bihomlie.constructions import coadjoint_double, standard_double_form
 
     left = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.identity(2))
     right = dataclasses.replace(bundles.abelian(2), nijenhuis=Matrix.identity(2))
-    dbl, _ = double_construction(left, right, "nijenhuis")
+    dbl = coadjoint_double(left, right, "nijenhuis")
     rep = checks.check_form(dbl.total, dbl.form)
     assert rep.ok
     assert standard_double_form(2).gram == Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
@@ -766,7 +766,7 @@ def test_matched_pair_differential_needs_identity_maps():
 def _suite_fixture(kind: str, name: str, d: Matrix = Matrix.zeros(2, 2), weight="1"):
     """A bundle of the kind that carries every operator some suite of it reads, so each suite runs every step; every
     differential in it is d at the weight."""
-    from bihomlie.constructions import double_construction
+    from bihomlie.constructions import coadjoint_double
 
     left = support.with_diff(support.scalar_op(bundles.aff2(), "2"), d, weight)
     right = support.with_diff(support.scalar_op(bundles.aff2(), "1/2"), d, weight)
@@ -776,7 +776,7 @@ def _suite_fixture(kind: str, name: str, d: Matrix = Matrix.zeros(2, 2), weight=
         "representation": lambda: support.adjoint_rep(left, eta=left.nijenhuis, xi=d),
         "bialgebra": lambda: BialgebraBundle(left, dualize(right)),
         "matched_pair": lambda: coadjoint_matched_pair(left, right),
-        "double": lambda: double_construction(left, right, name)[0],
+        "double": lambda: coadjoint_double(left, right, name),
     }[kind]()
 
 

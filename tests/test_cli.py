@@ -217,7 +217,7 @@ def test_triad_disagreement_exit_code(workdir, monkeypatch):
 
     failing = Report((CheckEntry("bihom_jacobi", "", Residual((1,), (((0,), scalar(1)),))),))
     fake = TriadReport(Report(()), failing, Report(()))
-    monkeypatch.setattr(equivalence, "triad_nijenhuis_bihom", lambda l, r: fake)
+    monkeypatch.setattr(equivalence, "_triad", lambda l, r, f: fake)
     left = _write(workdir / "l.json", support.scalar_op(bundles.aff2(), 1))
     right = _write(workdir / "r.json", support.scalar_op(bundles.abelian(2), 1))
     assert run(["triad", left, right, "--flavor", "nijenhuis"]) == 3

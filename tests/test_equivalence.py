@@ -13,7 +13,6 @@ from bihomlie.constructions import (
     bicrossed_product,
     coadjoint_double,
     coadjoint_matched_pair,
-    double_construction,
     semidirect_product,
 )
 from bihomlie.equivalence import (
@@ -193,7 +192,7 @@ def test_double_adjoint_block_identity_and_admissibility():
     for u, v, n_op, s_op in (("0", "0", "1", "1"), ("0", "1", "2", "1/2"), ("1", "-1", "0", "0")):
         left = support.scalar_op(bundles.aff2(), n_op)
         right = support.scalar_op(support.antisym_dual2(u, v), s_op)
-        dbl, _ = double_construction(left, right, "nijenhuis")
+        dbl = coadjoint_double(left, right, "nijenhuis")
         rep = double_adjoint_report(dbl)
         assert rep.ok
 
@@ -317,7 +316,6 @@ def _semidirect(left, right, flavor):
 _FLAVOUR_ENTRY_POINTS = {
     "check_matched_pair": lambda l, r, f: check_matched_pair(coadjoint_matched_pair(l, r), f),
     "bicrossed_product": lambda l, r, f: bicrossed_product(coadjoint_matched_pair(l, r), f),
-    "double_construction": double_construction,
     "coadjoint_double": coadjoint_double,
     "semidirect_product": _semidirect,
     "triad": lambda l, r, f: {"nijenhuis": triad_nijenhuis_bihom, "differential": triad_differential}[f](l, r),
