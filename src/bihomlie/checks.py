@@ -483,7 +483,7 @@ def check_form(a: AlgebraBundle, f: FormBundle) -> Report:
     )))
 
 
-@declares(subalgebra="the combined bracket and operators restrict to the two factors")
+@declares(subalgebra="the combined bracket restricted to either factor is that factor's bracket")
 def check_restriction(total: AlgebraBundle, left: AlgebraBundle, right: AlgebraBundle) -> Report:
     """The bracket of an algebra on L + L' restricted to each factor (both of dim n) minus that factor's bracket."""
     n, nz = left.dim, total.bracket.nz
@@ -564,25 +564,35 @@ def check_diff_dual_admissible(co: CoalgebraBundle, d: Matrix) -> Report:
 
 
 @declares(
-    mp_left="[y,h(q(c))alpha(x)] - [x,h(q(c))alpha(y)] - h(rho(alpha(y))q(c)) alpha beta(x) + h(rho(alpha(x))q(c)) alpha beta(y) + h(c)([beta(x),alpha(y)]) = 0",
-    mp_right="[b,rho(beta(z))p(a)]_V - [a,rho(beta(z))p(b)]_V - rho(h(p(b))beta(z)) pq(a) + rho(h(p(a))beta(z)) pq(b) + rho(z)([q(a),p(b)]_V) = 0",
+    mp_left="[beta^2(y),h(q(c))alpha(x)] - [beta^2(x),h(q(c))alpha(y)] - h(q^2 rho(alpha^-1(y)) q^-1(c)) alpha beta(x) + h(q^2 rho(alpha^-1(x)) q^-1(c)) alpha beta(y) + h(q^2(c))([beta(x),alpha(y)]) = 0",
+    mp_right="[q^2(b),rho(beta(z))p(a)]_V - [q^2(a),rho(beta(z))p(b)]_V - rho(beta^2 h(p^-1(b)) beta^-1(z)) pq(a) + rho(beta^2 h(p^-1(a)) beta^-1(z)) pq(b) + rho(beta^2(z))([q(a),p(b)]_V) = 0",
     diff_mp_left="[y,h(c)x] - [x,h(c)y] - h(rho(y)c)(x) + h(rho(x)c)(y) + h(c)([x,y]) = 0",
     diff_mp_right="[b,rho(z)a]_V - [a,rho(z)b]_V - rho(h(b)z)(a) + rho(h(a)z)(b) + rho(z)([a,b]_V) = 0 (symmetrized); the as-printed variant replaces -rho(h(b)z)(a) + rho(h(a)z)(b) by -rho(h(b)z)(b)",
 )
-def _mixed(mp: MatchedPairBundle) -> tuple[list[Composed], list[Composed]]:
-    """The terms of the first mixed identity at x = e_i, y = e_j in L and c = f_c in V, cell (i, j, c), and those of
-    the as-printed reading of the second identity of the pair mp is the swap of: one middle term in place of two."""
-    L, Q = mp.left, mp.right.beta
+def _mixed(mp: MatchedPairBundle, swapped: bool = False) -> tuple[list[Composed], list[Composed]]:
+    """The terms of the first mixed identity of mp, or of mp.swapped, at x = e_i, y = e_j in L and c = f_c in V, cell
+    (i, j, c), and those of the as-printed reading of the second identity of the pair it is the swap of: one middle
+    term in place of two.  The first identity is the L-part of the bicrossed product's Jacobi identity at (x, y, c),
+    its rho term moved by the module axioms q rho(x) = rho(beta(x)) q and p rho(x) = rho(alpha(x)) p."""
+    pair = mp.swapped if swapped else mp
+    L, Q = pair.left, pair.right.beta
     A, B, cl = L.alpha, L.beta, L.bracket
-    rho, h = _stack(mp.rho), _stack(mp.h)
+    rho, h = _stack(pair.rho), _stack(pair.h)
+    why = "must be invertible to check the mixed matched-pair identities"
+    a_name, q_name = (("alpha of the right factor (p)", "beta of the left factor") if swapped else
+                      ("alpha of the left factor", "beta of the right factor (q)"))
+    QQ = Q @ Q
     # rows indexed [first][second]: the value at basis vectors e_* of L, f_* of V
     h_qa = contract_sum(h, [_action(1, Q, right=A)]).transpose((0, 2, 1))      # [c][i]: h(q(f_c)) alpha(e_i)
     h_ab = contract_sum(h, [_action(1, right=A @ B)]).transpose((2, 0, 1))     # [i][l]: h(f_l) alpha beta(e_i)
-    rho_aq = contract_sum(rho, [_action(1, A, right=Q)]).transpose((0, 2, 1))  # [j][c]: rho(alpha(e_j)) q(f_c)
-    h_cols = h.transpose((0, 2, 1))                                           # [c][r]: h(f_c) e_r
-    l_twisted = contract_sum(L.bracket, [_bracket(1, B, A)])                  # [i][j]: [beta(e_i), alpha(e_j)]
-    mixed = [(1, cl, 1, h_qa, 2, 0), (-1, cl, 0, h_qa, 2, 1), (-1, h_ab, 0, rho_aq, 1, 2), (1, h_ab, 1, rho_aq, 0, 2),
-             (1, h_cols, 2, l_twisted, 0, 1)]
+    # [j][c]: q^2 rho(alpha^-1(e_j)) q^-1(f_c)
+    rho_aq = contract_sum(rho, [_action(1, _inverse(A, f"{a_name} {why}"), left=QQ,
+                                        right=_inverse(Q, f"{q_name} {why}"))]).transpose((0, 2, 1))
+    h_cols = contract_sum(h, [_action(1, QQ)]).transpose((0, 2, 1))          # [c][r]: h(q^2(f_c)) e_r
+    l_twisted = contract_sum(cl, [_bracket(1, B, A)])                         # [i][j]: [beta(e_i), alpha(e_j)]
+    l_outer = contract_sum(cl, [_bracket(1, B @ B)])                          # [j][r]: [beta^2(e_j), e_r]
+    mixed = [(1, l_outer, 1, h_qa, 2, 0), (-1, l_outer, 0, h_qa, 2, 1), (-1, h_ab, 0, rho_aq, 1, 2),
+             (1, h_ab, 1, rho_aq, 0, 2), (1, h_cols, 2, l_twisted, 0, 1)]
     return mixed, [*mixed[:2], (-1, h_ab, 1, rho_aq, 1, 2), mixed[4]]
 
 
@@ -590,12 +600,12 @@ def check_mixed(mp: MatchedPairBundle) -> Report:
     """The two mixed identities, the second being the first read on the swapped pair (V, L, h, rho), where alpha,
     beta and p, q trade places."""
     return Report((CheckEntry("mp_left", "", _composed(_mixed(mp)[0])),
-                   CheckEntry("mp_right", "", _composed(_mixed(mp.swapped)[0]))))
+                   CheckEntry("mp_right", "", _composed(_mixed(mp, True)[0]))))
 
 
 def check_diff_mixed(mp: MatchedPairBundle) -> Report:
     """``check_mixed`` under the differential names, with the as-printed reading of the second identity as advisory."""
-    (left, _), (right, printed) = _mixed(mp), _mixed(mp.swapped)
+    (left, _), (right, printed) = _mixed(mp), _mixed(mp, True)
     return Report((CheckEntry("diff_mp_left", "", _composed(left)),
                    CheckEntry("diff_mp_right", "symmetrized", _composed(right)),
                    CheckEntry("diff_mp_right", "as-printed", _composed(printed), advisory=True)))

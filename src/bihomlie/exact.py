@@ -661,9 +661,12 @@ def solve(a: Matrix, b: Vector | None = None) -> tuple[Vector | None, list[Vecto
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse, of a diagonal entry by entry, else from one elimination of [m | I]; raises SingularMatrix."""
+    """Exact inverse: the identity itself, a diagonal entry by entry, else from one elimination of [m | I]; raises
+    SingularMatrix."""
     if not m.is_square():
         raise DimensionMismatch(f"cannot invert a {m.rows}x{m.cols} matrix")
+    if m.is_identity():
+        return m
     n = m.rows
     if m.diag is not None:  # entry by entry: v / d inverts to d / v, already in lowest terms
         if not all(pairs for _, pairs in m.nz):

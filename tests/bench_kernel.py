@@ -293,9 +293,11 @@ def _residuals(report):
 
 def test_check_matched_pair_twisted_coadjoint(benchmark):
     # aff2 on antisym_dual2(0, 2) under the coadjoint actions, twisted by the tori (diag(1, 2), diag(1, 3)) on L and
-    # the contragredient ones on L*: beta is no involution, and both mixed identities have nonzero residuals
+    # the contragredient ones on L*, with one entry of rho(e_1) moved: beta is no involution, and both mixed
+    # identities have nonzero residuals
     mp = support.twisted_pair(coadjoint_matched_pair(bundles.aff2(), support.antisym_dual2(0, 2)),
                               *(Matrix.diagonal([1, x]) for x in (2, 3, Fraction(1, 2), Fraction(1, 3))))
+    mp = dataclasses.replace(mp, rho=(mp.rho[0].add(Matrix.from_rows([[1, 0], [0, 0]])), mp.rho[1]))
     L, V = mp.left, mp.right
     first, second, _ = naive.mixed(naive.as_cells(L.bracket), naive.as_cells(V.bracket),
                                    [naive.mat_cells(m) for m in mp.rho], [naive.mat_cells(m) for m in mp.h],

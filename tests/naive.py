@@ -443,14 +443,15 @@ def mixed(cl, cv, rhos, hs, alpha, beta, p, q):
     matrix of rho(e_i) on V, hs[c] that of h(f_c) on L.
 
     first [i][j][c][r], at x = e_i, y = e_j, c = f_c:
-        [y,h(q(c))alpha(x)] - [x,h(q(c))alpha(y)] - h(rho(alpha(y))q(c)) alpha beta(x)
-        + h(rho(alpha(x))q(c)) alpha beta(y) + h(c)([beta(x),alpha(y)])
+        [beta^2(y),h(q(c))alpha(x)] - [beta^2(x),h(q(c))alpha(y)] - h(q^2 rho(alpha^-1(y)) q^-1(c)) alpha beta(x)
+        + h(q^2 rho(alpha^-1(x)) q^-1(c)) alpha beta(y) + h(q^2(c))([beta(x),alpha(y)])
     second [a][b][k][s], at a = f_a, b = f_b, z = e_k:
-        [b,rho(beta(z))p(a)] - [a,rho(beta(z))p(b)] - rho(h(p(b))beta(z)) pq(a)
-        + rho(h(p(a))beta(z)) pq(b) + rho(z)([q(a),p(b)])
-    printed: the second with its two middle terms replaced by - rho(h(p(b))beta(z)) pq(b).
+        [q^2(b),rho(beta(z))p(a)] - [q^2(a),rho(beta(z))p(b)] - rho(beta^2 h(p^-1(b)) beta^-1(z)) pq(a)
+        + rho(beta^2 h(p^-1(a)) beta^-1(z)) pq(b) + rho(beta^2(z))([q(a),p(b)])
+    printed: the second with its two middle terms replaced by - rho(beta^2 h(p^-1(b)) beta^-1(z)) pq(b).
     """
     n, m = len(cl), len(cv)
+    ainv, qinv, pinv, binv = inverse(alpha), inverse(q), inverse(p), inverse(beta)
 
     def h_of(u):
         return act(hs, u)
@@ -461,22 +462,22 @@ def mixed(cl, cv, rhos, hs, alpha, beta, p, q):
     first = [[[None] * m for _ in range(n)] for _ in range(n)]
     for i, j, c in itertools.product(range(n), range(n), range(m)):
         x, y, u = basis(n, i), basis(n, j), basis(m, c)
-        terms = ((1, bracket_eval(cl, y, apply(h_of(apply(q, u)), alpha, x))),
-                 (-1, bracket_eval(cl, x, apply(h_of(apply(q, u)), alpha, y))),
-                 (-1, apply(h_of(apply(rho_of(apply(alpha, y)), q, u)), alpha, beta, x)),
-                 (1, apply(h_of(apply(rho_of(apply(alpha, x)), q, u)), alpha, beta, y)),
-                 (1, apply(h_of(u), bracket_eval(cl, apply(beta, x), apply(alpha, y)))))
+        terms = ((1, bracket_eval(cl, apply(beta, beta, y), apply(h_of(apply(q, u)), alpha, x))),
+                 (-1, bracket_eval(cl, apply(beta, beta, x), apply(h_of(apply(q, u)), alpha, y))),
+                 (-1, apply(h_of(apply(q, q, rho_of(apply(ainv, y)), qinv, u)), alpha, beta, x)),
+                 (1, apply(h_of(apply(q, q, rho_of(apply(ainv, x)), qinv, u)), alpha, beta, y)),
+                 (1, apply(h_of(apply(q, q, u)), bracket_eval(cl, apply(beta, x), apply(alpha, y)))))
         first[i][j][c] = [sum(sign * t[r] for sign, t in terms) for r in range(n)]
     second = [[[None] * n for _ in range(m)] for _ in range(m)]
     printed = [[[None] * n for _ in range(m)] for _ in range(m)]
     for a, b, k in itertools.product(range(m), range(m), range(n)):
         fa, fb, z = basis(m, a), basis(m, b), basis(n, k)
-        outer = ((1, bracket_eval(cv, fb, apply(rho_of(apply(beta, z)), p, fa))),
-                 (-1, bracket_eval(cv, fa, apply(rho_of(apply(beta, z)), p, fb))),
-                 (1, apply(rho_of(z), bracket_eval(cv, apply(q, fa), apply(p, fb)))))
-        middle = ((-1, apply(rho_of(apply(h_of(apply(p, fb)), beta, z)), p, q, fa)),
-                  (1, apply(rho_of(apply(h_of(apply(p, fa)), beta, z)), p, q, fb)))
-        as_printed = ((-1, apply(rho_of(apply(h_of(apply(p, fb)), beta, z)), p, q, fb)),)
+        outer = ((1, bracket_eval(cv, apply(q, q, fb), apply(rho_of(apply(beta, z)), p, fa))),
+                 (-1, bracket_eval(cv, apply(q, q, fa), apply(rho_of(apply(beta, z)), p, fb))),
+                 (1, apply(rho_of(apply(beta, beta, z)), bracket_eval(cv, apply(q, fa), apply(p, fb)))))
+        middle = ((-1, apply(rho_of(apply(beta, beta, h_of(apply(pinv, fb)), binv, z)), p, q, fa)),
+                  (1, apply(rho_of(apply(beta, beta, h_of(apply(pinv, fa)), binv, z)), p, q, fb)))
+        as_printed = ((-1, apply(rho_of(apply(beta, beta, h_of(apply(pinv, fb)), binv, z)), p, q, fb)),)
         second[a][b][k] = [sum(sign * t[s] for sign, t in outer + middle) for s in range(m)]
         printed[a][b][k] = [sum(sign * t[s] for sign, t in outer + as_printed) for s in range(m)]
     return first, second, printed

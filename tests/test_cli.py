@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import support
 from bihomlie import bundles
 from bihomlie.cli import build_parser, main
-from bihomlie.constructions import coadjoint_matched_pair
+from bihomlie.constructions import bicrossed_product, coadjoint_matched_pair, dualize
 from bihomlie.exact import Matrix, Tensor3, scalar
 
 
@@ -145,6 +145,8 @@ def test_a_singular_map_is_named_with_exit_two(workdir, capsys):
         (["check", _write(workdir / "bi.json", bi)], "alpha must be invertible to check the bialgebra cocycle"),
         (["construct", "bicrossed", _write(workdir / "mp.json", coadjoint_matched_pair(twisted, bundles.aff2())),
           "--flavor", "bihom"], "alpha of the left factor must be invertible to build bicrossed products"),
+        (["check", str(workdir / "mp.json"), "--flavor", "bihom"],
+         "alpha of the left factor must be invertible to check the mixed matched-pair identities"),
         (["construct", "adjoint-form", _write(workdir / "a.json", support.scalar_op(bundles.aff2(), 1)),
           _write(workdir / "f.json", bundles.FormBundle(Matrix.from_rows([[1, 1], [1, 1]])))],
          "gram must be invertible to take the adjoint of a map"),
@@ -176,6 +178,33 @@ def test_construct_bicrossed_and_semidirect(workdir):
     out2 = str(workdir / "sd.json")
     assert run(["construct", "semidirect", rpath, "--flavor", "nijenhuis", "--out", out2]) == 0
     assert run(["check", out2, "--suite", "nijenhuis"]) == 0
+
+
+def test_construct_with_failing_hypotheses_writes_its_outputs_and_exits_two(workdir, capsys):
+    # a diagonal shift of rho(e1) breaks the matched-pair axioms; the product is still built and written
+    left = dataclasses.replace(bundles.aff2(), nijenhuis=Matrix.identity(2))
+    right = dataclasses.replace(bundles.abelian(2), nijenhuis=Matrix.identity(2))
+    mp = coadjoint_matched_pair(left, right)
+    mp = dataclasses.replace(mp, rho=(mp.rho[0].add(Matrix.from_rows([[1, 0], [0, 0]])), mp.rho[1]))
+    out = workdir / "bic.json"
+    assert run(["construct", "bicrossed", _write(workdir / "mp.json", mp), "--flavor", "nijenhuis",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().out.endswith("\nPRECONDITION FAILURE\n")
+    report = json.loads((workdir / "bic.json.report.json").read_text(encoding="utf-8"))
+    assert report["ok"] is False and report["report"]["ok"] is False
+    assert bundles.load_path(str(out)) == bicrossed_product(mp, "nijenhuis")[0]
+
+
+def test_check_prints_a_note_line_per_note(workdir, capsys):
+    # check_adjoint_admissible notes that a twisted algebra with beta = diag(1, 3) is not involutive
+    left = support.twisted(support.scalar_op(bundles.aff2(), 1), [1, 2], [1, 3])
+    right = support.twisted(support.scalar_op(bundles.abelian(2), 1), [1, 2], [1, 3])
+    path = _write(workdir / "bi.json", bundles.BialgebraBundle(left, dualize(right)))
+    out = workdir / "report.json"
+    run(["check", path, "--suite", "nijenhuis", "--out", str(out)])
+    note = "hypothesis not met: algebra is not involutive (alpha^2 or beta^2 differs from id)"
+    assert f"NOTE {path}: {note}\n" in capsys.readouterr().out
+    assert json.loads(out.read_text(encoding="utf-8"))["reports"][0]["notes"] == [note]
 
 
 def test_construct_adjoint_form(workdir):
