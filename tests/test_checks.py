@@ -726,19 +726,6 @@ def test_matched_pair_perturbed_action_fails():
     assert not checks.check_matched_pair(dataclasses.replace(mp, rho=tuple(rho)), "nijenhuis").ok
 
 
-@pytest.mark.parametrize("side, name, label", [
-    ("left", "alpha", "alpha of the left factor"), ("right", "beta", "beta of the right factor (q)"),
-    ("right", "alpha", "alpha of the right factor (p)"), ("left", "beta", "beta of the left factor")])
-def test_the_mixed_identities_name_the_singular_map_they_invert(side, name, label):
-    # the first identity inverts alpha and q, the second, read on the swapped pair, p and beta
-    algebras = {s: dataclasses.replace(bundles.aff2(), kind="bihom-lie") for s in ("left", "right")}
-    algebras[side] = dataclasses.replace(algebras[side], **{name: Matrix.zeros(2, 2)})
-    with pytest.raises(SingularMatrix) as raised:
-        checks.check_mixed(coadjoint_matched_pair(*algebras.values()))
-    why = "must be invertible to check the mixed matched-pair identities"
-    assert str(raised.value) == f"{label} {why}: matrix is singular"
-
-
 def test_matched_pair_differential_verbatim_variant_reported():
     left = support.with_diff(bundles.aff2(), Matrix.zeros(2, 2), 0)
     right = support.with_diff(support.antisym_dual2(0, 1), Matrix.zeros(2, 2), 0)

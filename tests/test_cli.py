@@ -258,6 +258,16 @@ def test_triad_differential_via_cli(workdir):
     assert run(["triad", left, right, "--flavor", "differential"]) == 0
 
 
+def test_triad_offers_the_flavours_of_the_double_rows(capsys):
+    # the bihom flavour has no ("double", flavour) row, so triad refuses it and lists the flavours that have one
+    from bihomlie import checks
+
+    flavours = [f for kind, f in checks.SUITES if kind == "double"]
+    assert flavours == ["nijenhuis", "differential"]
+    assert run(["triad", "fixture:aff2", "fixture:aff2", "--flavor", "bihom"]) == 2
+    assert f"(choose from {', '.join(map(repr, flavours))})" in capsys.readouterr().err
+
+
 def test_search_cli_modes(workdir):
     spath = _write(workdir / "sl2.json", bundles.sl2())
     out = str(workdir / "sols.json")

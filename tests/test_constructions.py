@@ -328,15 +328,17 @@ def test_semidirect_requires_invertible_q():
     ("left", "alpha", "alpha of the left factor"), ("right", "beta", "beta of the right factor (q)"),
     ("right", "alpha", "alpha of the right factor (p)"), ("left", "beta", "beta of the left factor")])
 def test_a_product_names_the_singular_map_it_inverts(side, name, label):
-    # in the order the bracket inverts them; both coadjoint actions of aff2 are nonzero, so h needs all four maps
+    # in the order the bracket inverts them; both coadjoint actions of aff2 are nonzero, so h needs all four maps;
+    # the mixed identities invert alpha and q, and p and beta on the swapped pair
     algebras = {s: dataclasses.replace(bundles.aff2(), kind="bihom-lie") for s in ("left", "right")}
     algebras[side] = dataclasses.replace(algebras[side], **{name: Matrix.zeros(2, 2)})
-    for build, what in ((lambda: bicrossed_product(coadjoint_matched_pair(*algebras.values()), "bihom"),
-                         "bicrossed products"),
-                        (lambda: coadjoint_double(*algebras.values(), "bihom"), "doubles")):
+    mp = coadjoint_matched_pair(*algebras.values())
+    for build, what in ((lambda: bicrossed_product(mp, "bihom"), "build bicrossed products"),
+                        (lambda: coadjoint_double(*algebras.values(), "bihom"), "build doubles"),
+                        (lambda: checks.check_mixed(mp), "check the mixed matched-pair identities")):
         with pytest.raises(SingularMatrix) as raised:
             build()
-        assert str(raised.value) == f"{label} must be invertible to build {what}: matrix is singular"
+        assert str(raised.value) == f"{label} must be invertible to {what}: matrix is singular"
 
 
 def test_semidirect_differential():
