@@ -628,11 +628,6 @@ def load_path(path: str) -> Any:
         return load(fh.read())
 
 
-def save_path(bundle: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(bundle))
-
-
 # -- canonical fixtures -----------------------------------------------------------
 
 

@@ -255,7 +255,7 @@ def cmd_triad(args: argparse.Namespace) -> int:
 
     left = _load_source(args.left, "triad", AlgebraBundle)
     right = _load_source(args.right, "triad", AlgebraBundle)
-    triad = equivalence._triad(left, right, args.flavor)
+    triad = equivalence.triad(left, right, args.flavor)
     sides = {"manin": triad.manin_report, "bialgebra": triad.bialgebra_report,
              "matched_pair": triad.matched_pair_report}
     side_docs = {name: _report_document(name, report) for name, report in sides.items()}

@@ -95,7 +95,7 @@ def _require_coherent_dual(left: AlgebraBundle, right: AlgebraBundle) -> None:
         raise PreconditionFailed("the dual-side structure maps must be the transposes of the base maps")
 
 
-def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadReport:
+def triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadReport:
     """The flavour's three rows of ``SUITES``: (i) "double" on the double, (ii) "bialgebra" on the base space and
     (iii) "matched_pair" on the coadjoint pair the double was built from."""
     _require_coherent_dual(left, right)
@@ -109,13 +109,13 @@ def _triad(left: AlgebraBundle, right: AlgebraBundle, flavor: str) -> TriadRepor
 
 
 def triad_nijenhuis_bihom(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:
-    """Double suite vs bialgebra conditions vs coadjoint matched pair."""
-    return _triad(left, right, "nijenhuis")
+    """``triad`` in the Nijenhuis flavour: double suite vs bialgebra conditions vs coadjoint matched pair."""
+    return triad(left, right, "nijenhuis")
 
 
 def triad_differential(left: AlgebraBundle, right: AlgebraBundle) -> TriadReport:
-    """The same three-way comparison in the differential setting."""
-    return _triad(left, right, "differential")
+    """``triad`` in the differential flavour."""
+    return triad(left, right, "differential")
 
 
 def double_adjoint_report(double: DoubleBundle) -> Report:

@@ -546,32 +546,33 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
 
 # -- sparse integer elimination ------------------------------------------------
 #
-# Rows are scaled to primitive integers (zero and repeated rows dropped), held
-# as dicts {column: value} of their nonzeros, and brought to reduced echelon
-# form column by column, left to right, touching nonzeros only; rationals
-# appear only when the results are read off.  The pivot columns are those of
-# the reduced row echelon form, so every kernel basis vector, particular
-# solution and inverse is the one dense Gauss-Jordan elimination gives.
+# Rows arrive as integer dicts {column: value}, the right-hand side in the
+# column after the unknowns; one normalizer (``_primitive_rows``) scales each
+# to a primitive row and drops empty and repeated rows, and they are brought to
+# reduced echelon form column by column, left to right, touching nonzeros
+# only; rationals appear only when the results are read off.  The pivot
+# columns are those of the reduced row echelon form, so every kernel basis
+# vector, particular solution and inverse is the one dense Gauss-Jordan
+# elimination gives.
 
 
-def _integer_rows(rows: Iterable[tuple[tuple[int, int], ...]]) -> list[dict[int, int]]:
-    """Each row of integer (column, value) pairs, in increasing column order,
-    scaled to a primitive row with a positive leading entry; zero rows and
-    repeats of an earlier row (up to a scalar) are dropped."""
+def _primitive_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Each integer row {column: value} of nonzero values, scaled to a primitive row with a positive leading entry;
+    empty rows and repeats of an earlier row (up to a scalar) are dropped.  A row is read, never changed."""
     out: list[dict[int, int]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    seen: set[frozenset[tuple[int, int]]] = set()
     for row in rows:
         if not row:
             continue
-        _, ints = zip(*row)
-        g = math.gcd(*ints)
-        if ints[0] < 0:
+        g = math.gcd(*row.values())
+        if row[min(row)] < 0:
             g = -g
         if g != 1:
-            row = tuple([(k, v // g) for k, v in row])
-        if row not in seen:
-            seen.add(row)
-            out.append(dict(row))
+            row = {k: v // g for k, v in row.items()}
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
     return out
 
 
@@ -631,20 +632,22 @@ def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], 
     return echelon, pivots
 
 
-def solve(a: Matrix, b: Vector | None = None) -> tuple[Vector | None, list[Vector]]:
+def solve(a: Matrix | tuple[int, Iterable[dict[int, int]]],
+          b: Vector | None = None) -> tuple[Vector | None, list[Vector]]:
     """(particular, kernel) of a x = b, b = None meaning zero and its entries ints or
     Fractions, both read off one elimination of [a | b]: the solution whose free
     variables are zero (None when inconsistent) and the kernel basis of a, one
-    vector per free column, equal to those dense Gauss-Jordan elimination gives."""
-    n = a.cols
-    aug = (pairs for _, pairs in a.nz)
+    vector per free column, equal to those dense Gauss-Jordan elimination gives.
+    The system may also come as (n, rows), with no b: n unknowns and the integer
+    rows {column: nonzero value} of [a | b], b's entry in column n."""
+    n, rows = (a.cols, (dict(pairs) for _, pairs in a.nz if pairs)) if isinstance(a, Matrix) else a
     if b is not None:
         if a.rows != len(b):
             raise DimensionMismatch("right-hand side length does not match row count")
         # row / den = y is the integer row q * row = p * den for y = p / q, an int y being y / 1
-        aug = ((pairs if y.denominator == 1 else tuple((k, y.denominator * v) for k, v in pairs))
-               + ((n, y.numerator * den),) if y else pairs for (den, pairs), y in zip(a.nz, b))
-    rows, pivots = _bareiss_echelon(_integer_rows(aug))
+        rows = ({k: y.denominator * v for k, v in pairs} | {n: y.numerator * den} if y else dict(pairs)
+                for (den, pairs), y in zip(a.nz, b))
+    rows, pivots = _bareiss_echelon(_primitive_rows(rows))
     particular = [ZERO] * n
     if pivots and pivots[-1] == n:  # a pivot in the right-hand column: its row reads 0 = 1
         particular = None  # and back-substitution cleared that column from every other row
@@ -672,8 +675,8 @@ def invert(m: Matrix) -> Matrix:
         if not all(pairs for _, pairs in m.nz):
             raise SingularMatrix("matrix is singular")
         return Matrix(n, n, tuple((abs(v), ((i, d if v > 0 else -d),)) for i, (d, ((_, v),)) in enumerate(m.nz)))
-    aug = (pairs + ((n + i, den),) for i, (den, pairs) in enumerate(m.nz))
-    rows, pivots = _bareiss_echelon(_integer_rows(aug))
+    aug = (dict(pairs + ((n + i, den),)) for i, (den, pairs) in enumerate(m.nz))
+    rows, pivots = _bareiss_echelon(_primitive_rows(aug))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     # row i of the inverse is the right half of pivot row i over its pivot entry

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import checks
 from .bundles import AlgebraBundle
 from .checks import Unknown, _commutator, _stack, check_nijenhuis_operator
-from .exact import EMPTY, Matrix, Row, Tensor3, Term, Vector, ZERO, contract_sum, solve
+from .exact import Matrix, Tensor3, Term, Vector, ZERO, contract_sum, solve
 
 
 class NonlinearKind(ValueError):
@@ -74,11 +74,11 @@ class SolutionSpace:
 
 class _System:
     """The equations of a linear identity in one unknown map x (x[r][s] is unknown r * cols + s), given as the
-    ``contract_sum`` terms on t its checker contracts, the marker ``Unknown`` for x: sum_u row[u] x_u + const = 0 at
-    each cell a nonzero of a group's sum reaches (cancelled coefficients keep the constant), in integers over one
+    ``contract_sum`` terms on t its checker contracts, the marker ``Unknown`` for x: sum_u row[u] x_u = row[nvars]
+    at each cell a nonzero of a group's sum reaches (cancelled coefficients keep the constant), in integers over one
     denominator.  Groups, by where the marker stands, the constant first, are each summed by one ``contract_sum``,
-    and each sum is read once, in its own layout: every nonzero cell goes straight into the n equations and unknowns
-    its index names."""
+    and each sum is read once, in its own layout: every nonzero cell goes straight into the integer rows of the n
+    cells its index names, one dict {column: value} per reached cell, the constant negated in column nvars."""
 
     def __init__(self, t: Tensor3, terms: list[Term]):
         groups: dict[tuple[int, bool] | None, list[Term]] = {None: []}  # the marker's (axis, transposed) -> terms
@@ -101,12 +101,16 @@ class _System:
                 parts.append((sign, t if group == [(1, (None, None, None))] else contract_sum(t, group), at))
         den = math.lcm(*[d for _, u, _ in parts for plane in u.nz for d, pairs in plane if pairs])
         d0, d1, d2 = t.shape
-        equations = [None] * (d0 * d1 * d2)  # cell (i, j, k) at (i d1 + j) d2 + k -> {unknown: coefficient}
-        const = {}  # cell -> the constant there, if nonzero
+        rows: dict[int, dict[int, int]] = {}  # cell (i d1 + j) d2 + k -> its row {unknown: coefficient, nvars: -c}
+        self.homogeneous = True
         for sign, u, at in parts:
-            if at is None:
-                const = {(i * d1 + j) * d2 + k: -sign * v * (den // d) for i, plane in enumerate(u.nz)
-                         for j, (d, pairs) in enumerate(plane) for k, v in pairs}
+            if at is None:  # the constant comes first, so it starts the row of each cell it reaches
+                for i, plane in enumerate(u.nz):
+                    for j, (d, pairs) in enumerate(plane):
+                        f, base = -sign * (den // d), (i * d1 + j) * d2
+                        for k, v in pairs:
+                            rows[base + k] = {self.nvars: f * v}
+                self.homogeneous = not rows
                 continue
             # a cell (.. b ..), b on the axis, adds its value to the coefficient of x[a][b] (x[b][a] transposed) in
             # the equation of cell (.. a ..), for each a: from a = 0, the cell moves by the axis' stride and the
@@ -121,25 +125,20 @@ class _System:
                         b = (i, j, k)[axis]
                         c, var, w = base + k - b * stride, scale * b, f * v
                         for a in range(n):
-                            eq = equations[c]
-                            if eq is None:
-                                eq = equations[c] = {}
-                            eq[var] = eq.get(var, 0) + w
+                            row = rows.get(c)
+                            if row is None:
+                                row = rows[c] = {}
+                            if x := row.get(var, 0) + w:
+                                row[var] = x
+                            else:
+                                del row[var]
                             c += stride
                             var += step
-        self.rows: list[Row] = []  # each equation as its sorted nonzero (unknown, numerator) pairs over 1
-        rhs = []
-        for c, eq in enumerate(equations):
-            if eq is not None or c in const:
-                if eq and not all(eq.values()):
-                    eq = {var: v for var, v in eq.items() if v}
-                self.rows.append((1, tuple(sorted(eq.items()))) if eq else EMPTY)
-                rhs.append(const.get(c, 0))
-        self.rhs = tuple(rhs) if const else None  # None: homogeneous; integer constants otherwise
+        self.rows = list(rows.values())  # one per reached cell, empty where every coefficient cancels
 
     def solve(self) -> SolutionSpace:
-        particular, basis = solve(Matrix(len(self.rows), self.nvars, tuple(self.rows)), self.rhs)
-        return SolutionSpace(self.shape, particular, tuple(basis), self.rhs is None)
+        particular, basis = solve((self.nvars, self.rows))
+        return SolutionSpace(self.shape, particular, tuple(basis), self.homogeneous)
 
 
 def solve_linear_identity(kind: str, weight: Fraction | None = None, **data) -> SolutionSpace:

@@ -176,8 +176,8 @@ def test_criterion_5_triad_agreement(tmp_path):
             seen_false += not t.all_ok
             if idx % 10 == 0:
                 lp, rp = tmp_path / f"{flavor}{idx}l.json", tmp_path / f"{flavor}{idx}r.json"
-                bundles.save_path(left, str(lp))
-                bundles.save_path(right, str(rp))
+                lp.write_text(bundles.dumps(left), encoding="utf-8")
+                rp.write_text(bundles.dumps(right), encoding="utf-8")
                 code = cli_main(["triad", str(lp), str(rp), "--flavor", flavor])
                 assert code in (0, 1), f"triad CLI exit {code}"
                 assert code == (0 if t.all_ok else 1)
@@ -229,12 +229,12 @@ def test_criterion_8_cli_determinism(tmp_path):
     """Every CLI command produces byte-identical reports across repeated runs."""
     left = tmp_path / "l.json"
     right = tmp_path / "r.json"
-    bundles.save_path(support.scalar_op(bundles.aff2(), 1), str(left))
-    bundles.save_path(support.scalar_op(bundles.abelian(2), 1), str(right))
+    left.write_text(bundles.dumps(support.scalar_op(bundles.aff2(), 1)), encoding="utf-8")
+    right.write_text(bundles.dumps(support.scalar_op(bundles.abelian(2), 1)), encoding="utf-8")
     maps = tmp_path / "maps.json"
     maps.write_text(json.dumps({"alpha": [["1", "0"], ["0", "2"]]}), encoding="utf-8")
     plain = tmp_path / "plain.json"
-    bundles.save_path(bundles.aff2(), str(plain))
+    plain.write_text(bundles.dumps(bundles.aff2()), encoding="utf-8")
     commands = [
         ["check", str(left), "--suite", "nijenhuis"],
         ["check", "fixture:bihom2(2,3)", "--suite", "auto"],

@@ -33,7 +33,7 @@ def workdir(tmp_path):
 
 
 def _write(path, bundle):
-    bundles.save_path(bundle, str(path))
+    path.write_text(bundles.dumps(bundle), encoding="utf-8")
     return str(path)
 
 
@@ -246,7 +246,7 @@ def test_triad_disagreement_exit_code(workdir, monkeypatch):
 
     failing = Report((CheckEntry("bihom_jacobi", "", Residual((1,), (((0,), scalar(1)),))),))
     fake = TriadReport(Report(()), failing, Report(()))
-    monkeypatch.setattr(equivalence, "_triad", lambda l, r, f: fake)
+    monkeypatch.setattr(equivalence, "triad", lambda l, r, f: fake)
     left = _write(workdir / "l.json", support.scalar_op(bundles.aff2(), 1))
     right = _write(workdir / "r.json", support.scalar_op(bundles.abelian(2), 1))
     assert run(["triad", left, right, "--flavor", "nijenhuis"]) == 3

@@ -204,7 +204,7 @@ def run_cli_commands(workdir: Path) -> dict[str, int]:
     """Write the inputs into workdir, run every command there with --out NAME,
     and return the exit codes; the --out files are left in workdir/out."""
     for name, bundle in cli_inputs().items():
-        bundles.save_path(bundle, str(workdir / name))
+        (workdir / name).write_text(bundles.dumps(bundle), encoding="utf-8")
     for name, doc in CLI_FILES.items():
         (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
     (workdir / "out").mkdir()

@@ -145,7 +145,7 @@ def test_zeta_system_whose_coefficients_cancel_is_inconsistent(tmp_path, capsys)
     sol = search.solve_linear_identity("zeta", rep=rep)
     assert sol.is_empty and not sol.homogeneous
     path, out = tmp_path / "rep.json", tmp_path / "zeta.json"
-    bundles.save_path(rep, str(path))
+    path.write_text(bundles.dumps(rep), encoding="utf-8")
     assert main(["search", str(path), "--mode", "zeta", "--out", str(out)]) == 0
     assert capsys.readouterr().out.endswith("(inconsistent)\n")
     assert json.loads(out.read_text())["empty"] is True
@@ -250,6 +250,71 @@ def test_workload_systems_match_the_naive_systems(kind, name, make):
     particular = naive.rref_solve(rows, rhs, nvars)
     assert particular is not None and list(sol.particular) == particular
     assert sol.homogeneous == (not any(rhs))
+
+
+def _term_equations(t: Tensor3, terms, n: int):
+    """The rows . vec(x) = rhs of sum_terms s * (t with axis i transformed by maps[i]) = 0 at every cell of t,
+    written term by term from ``contract_sum``'s definition: the entry at index a on an axis takes
+    sum_b m[a][b] * (the entry at index b), and the unknown x (x^T for a transposed marker) stands in for m."""
+    cells, rows, rhs = naive.as_cells(t), [], []
+    for a in itertools.product(*map(range, t.shape)):
+        row, const = [Fraction(0)] * (n * n), Fraction(0)
+        for sign, maps in terms:
+            for b in itertools.product(*map(range, t.shape)):
+                value, unknown = sign * cells[b[0]][b[1]][b[2]], None
+                for m, ai, bi in zip(maps, a, b):
+                    if isinstance(m, checks.Unknown):
+                        unknown = bi * n + ai if m.transposed else ai * n + bi
+                    else:
+                        value *= (ai == bi) if m is None else m.entries[ai][bi]
+                if unknown is None:
+                    const += value
+                else:
+                    row[unknown] += value
+        rows.append(row)
+        rhs.append(-const)
+    return rows, rhs
+
+
+_U, _UT = checks.Unknown(), checks.Unknown(True)
+_SYSTEMS = {  # name -> (t's entries, its terms, whether the system is consistent, whether it is homogeneous)
+    # the constant, moved from k = 0 to k = 1, lands on a cell that no unknown reaches: 0 = -1
+    "constant on an unreached cell": (
+        [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+        [(1, (_U, None, None)), (1, (None, None, Matrix.from_rows([[0, 0], [1, 0]])))], False, False),
+    # x[i][j] - x[j][i] + 2 t[i][j]: the coefficients cancel on the diagonal cells, which hold the constant 2
+    "cancelled coefficients on a constant": (
+        [[[1], [0]], [[0], [1]]], [(2, (None, None, None)), (1, (_U, None, None)), (-1, (None, _U, None))],
+        False, False),
+    # the constant group t - t sums to zero: the system stays homogeneous, its particular solution zero
+    "constant group summing to zero": (
+        [[[1, 2], [0, 1]], [[0, 1], [3, 0]]],
+        [(1, (None, None, None)), (1, (_UT, None, None)), (-1, (None, None, None))], True, True),
+    # 2 x = 1: content 2 over the unknown's column, 1 with the constant's
+    "a fractional solution": ([[[1]]], [(2, (_U, None, None)), (-1, (None, None, None))], True, False),
+    # x + 1 = 0 and x + 2 = 0: one row of coefficients, two constants
+    "one row of coefficients, two constants": (
+        [[[1, 1]]], [(1, (_U, None, None)), (1, (None, None, Matrix.diagonal([1, 2])))], False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYSTEMS))
+def test_hand_built_systems_match_the_naive_systems(name):
+    entries, terms, consistent, homogeneous = _SYSTEMS[name]
+    t = Tensor3.from_entries(entries)
+    n = next(t.shape[i] for _, maps in terms for i, m in enumerate(maps) if isinstance(m, checks.Unknown))
+    rows, rhs = _term_equations(t, terms, n)
+    sol = search._System(t, terms).solve()
+    assert [list(v) for v in sol.basis] == naive.rref_nullspace(rows, n * n)
+    particular = naive.rref_solve(rows, rhs, n * n)
+    assert (None if sol.particular is None else list(sol.particular)) == particular
+    assert (particular is not None, sol.homogeneous, not any(rhs)) == (consistent, homogeneous, homogeneous)
+
+
+def test_two_unknowns_in_one_term_are_refused():
+    t = Tensor3.from_entries([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    with pytest.raises(search.NonlinearKind):
+        search._System(t, [(1, (_U, _UT, None)), (1, (None, None, None))])
 
 
 @st.composite
