@@ -22,6 +22,15 @@ same for every cell) reaches lowest terms from two small gcds, of the factor's
 numerator with the row's denominator and of its denominator with the row's
 numerators, with no gcd over the product; a row whose sum cancels is ``EMPTY``
 without a pass that filters its zeros.
+
+Code that runs once per row (``_reduced``, ``_scaled``, ``_sum``, the rows of
+``_regrouped`` and of ``contract_sum``'s diagonal path, elimination's
+``_combine``) is written as plain loops: CPython before 3.12 runs every
+comprehension as a function call of its own (3.12 inlines them, PEP 709), and
+on the rows of one to three cells the twisted checks make, that call costs
+more than the arithmetic.  A row's content comes from ``_content``, which stops
+at the first gcd of 1.  A comprehension that runs once per matrix or tensor
+stays.
 """
 
 from __future__ import annotations
@@ -109,12 +118,24 @@ EMPTY: Row = (1, ())
 _pairs = itemgetter(1)  # a row's pairs, empty exactly for a zero row
 
 
+def _content(g: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """gcd(g, every numerator of the (column, numerator) pairs), stopping at the first gcd of 1: a stored row's
+    content is 1, so the gcd of a row over a new denominator is almost always 1 by its first numerator."""
+    for _, v in pairs:
+        g = math.gcd(g, v)
+        if g == 1:
+            return 1
+    return g
+
+
 def _reduced(den: int, pairs: tuple[tuple[int, int], ...]) -> Row:
     """The row of the nonzero (column, numerator) pairs over den > 0, in lowest terms."""
-    if den == 1:
-        return 1, pairs
-    g = math.gcd(den, *[v for _, v in pairs])
-    return (den, pairs) if g == 1 else (den // g, tuple([(k, v // g) for k, v in pairs]))
+    if den == 1 or (g := _content(den, pairs)) == 1:
+        return den, pairs
+    out = []
+    for k, v in pairs:
+        out.append((k, v // g))
+    return den // g, tuple(out)
 
 
 def _sorted_row(den: int, acc: dict[int, int]) -> Row:
@@ -143,7 +164,10 @@ def _dense(row: Row, width: int) -> Vector:
 
 def _shifted(row: Row, offset: int) -> Row:
     """The row with every column moved up by offset."""
-    return row[0], tuple((k + offset, v) for k, v in row[1])
+    out = []
+    for k, v in row[1]:
+        out.append((k + offset, v))
+    return row[0], tuple(out)
 
 
 def _sum(r1: Row, r2: Row, sign: int) -> Row:
@@ -152,10 +176,20 @@ def _sum(r1: Row, r2: Row, sign: int) -> Row:
     if not p2:
         return r1
     if not p1:
-        return r2 if sign > 0 else (d2, tuple((k, -y) for k, y in p2))
+        if sign > 0:
+            return r2
+        out = []
+        for k, y in p2:
+            out.append((k, -y))
+        return d2, tuple(out)
     den = d1 if d1 == d2 else math.lcm(d1, d2)
     f1, f2 = den // d1, sign * (den // d2)
-    acc = dict(p1) if f1 == 1 else {k: f1 * x for k, x in p1}
+    if f1 == 1:
+        acc = dict(p1)
+    else:
+        acc = {}
+        for k, x in p1:
+            acc[k] = f1 * x
     for k, y in p2:
         acc[k] = acc.get(k, 0) + f2 * y
     return _sorted_row(den, acc)
@@ -170,9 +204,17 @@ def _scaled(row: Row, p: int, q: int) -> Row:
         return EMPTY
     if (h := math.gcd(den, p)) != 1:
         den, p = den // h, p // h
-    if q != 1 and (r := math.gcd(q, *[v for _, v in pairs])) != 1:
-        return den * (q // r), tuple([(k, v // r * p) for k, v in pairs])
-    return den * q, pairs if p == 1 else tuple([(k, v * p) for k, v in pairs])
+    if q != 1 and (r := _content(q, pairs)) != 1:
+        out = []
+        for k, v in pairs:
+            out.append((k, v // r * p))
+        return den * (q // r), tuple(out)
+    if p == 1:
+        return den * q, pairs
+    out = []
+    for k, v in pairs:
+        out.append((k, v * p))
+    return den * q, tuple(out)
 
 
 def _combination(terms: Iterable[tuple[int, Sequence[Row], Row]]) -> Row:
@@ -301,7 +343,13 @@ class Matrix:
 
     def neg(self) -> "Matrix":
         """-self, row by row: negating the numerators keeps each row in lowest terms."""
-        return Matrix(self.rows, self.cols, tuple((den, tuple((j, -v) for j, v in pairs)) for den, pairs in self.nz))
+        nz = []
+        for den, pairs in self.nz:
+            out = []
+            for j, v in pairs:
+                out.append((j, -v))
+            nz.append((den, tuple(out)))
+        return Matrix(self.rows, self.cols, tuple(nz))
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
         c = scalar(c)
@@ -427,7 +475,13 @@ def _regrouped(nz: tuple[tuple[Row, ...], ...], axes: tuple[int, int, int],
             for k, v in pairs:
                 idx = (i, j, k)
                 out[idx[a0]][idx[a1]].append((idx[a2], f * v))
-    return tuple(tuple(_reduced(den, tuple(row)) if row else EMPTY for row in plane) for plane in out)
+    nz = []
+    for plane in out:
+        rows = []
+        for row in plane:
+            rows.append(_reduced(den, tuple(row)) if row else EMPTY)
+        nz.append(tuple(rows))
+    return tuple(nz)
 
 
 def _contract(t: Tensor3, axis: int, m: Matrix) -> Tensor3:
@@ -514,19 +568,32 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
     (c2, z, c0, c1), *rest = rest or [(ones, 0, ones, ones)]  # the second term, read without a list per row
     nz = []  # cell (i, j, k) times f0 + f * c2[k] + sum of g * a2[k], each factor x * a0[i] * a1[j] of one term
     for i, plane in enumerate(t.nz):
-        y0, y, cs = x0 * b0[i], z * c0[i], [(a2, x * a0[i], a1) for a2, x, a0, a1 in rest]
+        y0, y, cs = x0 * b0[i], z * c0[i], []
+        for a2, x, a0, a1 in rest:
+            cs.append((a2, x * a0[i], a1))
         out = []
         for j, (den, pairs) in enumerate(plane):
             if not pairs:
                 out.append(EMPTY)
                 continue
             f0, f = y0 * b1[j], y * c1[j]
-            fs = [(a2, g) for a2, x, a1 in cs if (g := x * a1[j])] if cs else ()
+            fs = []
+            for a2, x, a1 in cs:
+                if g := x * a1[j]:
+                    fs.append((a2, g))
+            cells = []
             if fs:
-                cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * c2[k] + sum([g * a2[k] for a2, g in fs])))]
+                for k, v in pairs:
+                    w = f0 + f * c2[k]
+                    for a2, g in fs:
+                        w += g * a2[k]
+                    if w:
+                        cells.append((k, v * w))
             elif f:
-                cells = [(k, w) for k, v in pairs if (w := v * (f0 + f * c2[k]))]
-            else:  # one factor f0 / common for the whole row, as in _scaled
+                for k, v in pairs:
+                    if w := f0 + f * c2[k]:
+                        cells.append((k, v * w))
+            else:  # one factor f0 / common for the whole row: _scaled, written out (a call per row costs more)
                 if not f0:
                     out.append(EMPTY)
                     continue
@@ -534,10 +601,16 @@ def contract_sum(t: Tensor3, terms: Sequence[Term]) -> Tensor3:
                 p, q = f0 // g, common // g
                 if (h := math.gcd(den, p)) != 1:
                     den, p = den // h, p // h
-                if q != 1 and (r := math.gcd(q, *[v for _, v in pairs])) != 1:
-                    out.append((den * (q // r), tuple([(k, v // r * p) for k, v in pairs])))
+                if q != 1 and (r := _content(q, pairs)) != 1:
+                    for k, v in pairs:
+                        cells.append((k, v // r * p))
+                    out.append((den * (q // r), tuple(cells)))
+                elif p == 1:
+                    out.append((den * q, pairs))
                 else:
-                    out.append((den * q, pairs if p == 1 else tuple([(k, v * p) for k, v in pairs])))
+                    for k, v in pairs:
+                        cells.append((k, v * p))
+                    out.append((den * q, tuple(cells)))
                 continue
             out.append(_reduced(den * common, tuple(cells)) if cells else EMPTY)
         nz.append(tuple(out))
@@ -578,15 +651,22 @@ def _primitive_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
 
 def _combine(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[int, int]:
     """a * row - b * other over the nonzeros, with its content divided out."""
-    new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    if a == 1:
+        new = dict(row)
+    else:
+        new = {}
+        for j, v in row.items():
+            new[j] = a * v
     for j, v in other.items():
         w = new.get(j, 0) - b * v
         if w:
             new[j] = w
         else:
             del new[j]
-    content = math.gcd(*new.values()) if new else 1
-    return {j: v // content for j, v in new.items()} if content != 1 else new
+    if new and (content := math.gcd(*new.values())) > 1:  # one C call: faster than _content on these longer rows
+        for j, v in new.items():
+            new[j] = v // content
+    return new
 
 
 def _bareiss_echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:

@@ -1,19 +1,29 @@
-"""Timings of the elimination kernel and of the linear systems around it (pytest-benchmark; not
-part of the test suite).
+"""Timings of the elimination kernel and of the linear systems around it (pytest-benchmark).
 
 Run from the repository root with
 
-    python -m pytest tests/bench_elimination.py --benchmark-only
+    python -m pytest tests/bench_elimination.py --benchmark-enable --benchmark-only
 
-Each benchmark times one call and checks its result, so a fast wrong answer
-fails.  The elimination timers solve a system built beforehand; on the
-derivation systems of gl(4), gl(5) and a twisted gl(3), one timer takes the
-assembly alone (``search._System``: the contractions and one integer row per
-reached cell) and one the whole ``solve_linear_identity`` call, so the two
-show how a solve splits between assembly and ``exact.solve``, which makes the
-rows primitive, drops zero and repeated rows and eliminates the rest.
+The test suite collects this file with timing off (``addopts = "--benchmark-disable"`` in
+``pyproject.toml``), so each timed call runs once there and its result is checked; ``--benchmark-enable``
+turns timing on.  Each benchmark times one call and checks its result, so a fast wrong answer fails:
+
+- three kernel calls, on systems built beforehand:
+  - ``exact.solve`` of the homogeneous gl(4) derivation system in the form ``search._System`` writes it,
+    ``(nvars, rows)``: 3252 integer rows, one per residual cell the Leibniz terms reach, over 256 unknowns,
+    so the timed call makes them primitive, drops the repeats and eliminates the rest;
+  - ``exact.solve`` of an all-zero 729 x 81 ``Matrix`` (``Matrix.zeros``: the Leibniz terms on abelian(9)
+    reach no cell, so its own system has no equation); these two are each checked by the size of the kernel;
+  - ``invert`` of a dense 16 x 16 matrix, checked by its product with the matrix.
+- on the derivation systems of gl(4), gl(5) and the torus-twisted ``gl_torus(3, ...)``, two timers, each
+  checked by the dimension of the solution space (n^2 for gl(n), the naive elimination's nullity for the
+  twisted gl(3)):
+  - the assembly alone, ``search._System(bracket, terms)``: the contractions and one integer row per
+    reached cell;
+  - the whole ``solve_linear_identity("derivation", ...)`` call.
+
+  The two show how a solve splits between assembly and ``exact.solve``.
 """
-
 import random
 from fractions import Fraction
 

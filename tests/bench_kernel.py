@@ -1,28 +1,55 @@
-"""Timings of the exact kernel (matmul, one-term ``contract_sum``; the product, inverse
-and commutator of the diagonal torus maps of gl(4), taken entry by entry; the
-``yau_twist`` + ``untwist`` roundtrip of gl(4) by them, each row scaled by one factor),
-of the checkers' signed sums of contractions (``contract_sum``:
-multiplicativity and the Nijenhuis identity on torus-twisted gl(4), whose
-maps are all diagonal, and the per-call overhead of small instances:
-torus-twisted sl2 and aff2 with N = 2 I), of the Jacobi and co-Jacobi checkers, on dense
-brackets, on a coalgebra read from its document and on the zero bracket of
-abelian(60), and of the other identities that compose two tensors: the mixed
-matched-pair identities, the representation identity and the bialgebra
-cocycle, on twisted instances, of the two triads over the support
-families, and of the fixed cost a small check pays per report entry:
-``check_bihom_lie`` on aff2 and the (matched_pair, nijenhuis) suite on a dim
-2 + 2 coadjoint pair (pytest-benchmark; not part of the test suite).
+"""Timings of the exact kernel, of the identity checkers and of the triads (pytest-benchmark).
 
 Run from the repository root with
 
-    python -m pytest tests/bench_kernel.py --benchmark-only
+    python -m pytest tests/bench_kernel.py --benchmark-enable --benchmark-only
 
-Each benchmark times one call on operands built beforehand and checks its
-result against tests/naive.py, an exact inverse or, for a triad, its three
-sides computed unshared (``support.unshared_triad``), so a fast wrong answer
-fails.
+The test suite collects this file with timing off (``addopts = "--benchmark-disable"`` in
+``pyproject.toml``), so each timed call runs once there and its result is checked; ``--benchmark-enable``
+turns timing on.  Each benchmark times one call on operands built beforehand and checks its result against
+tests/naive.py, an exact inverse or product or, for a triad, its three sides computed unshared
+(``support.unshared_triad``), so a fast wrong answer fails.  What is timed:
+
+- the kernel:
+  - 16 x 16 matrix products: diagonal by dense, dense by dense, and a torus map of gl(4) squared;
+  - ``invert`` of a torus map of gl(4), and the commutator of its two torus maps (``checks._commutator``,
+    zero without a product): products, inverses and commutators of diagonal maps are taken entry by entry;
+  - the ``yau_twist`` + ``untwist`` roundtrip of gl(4) by the two torus maps (the ``ladder`` workload's
+    ``roundtrip`` op, where every nonempty row is scaled by one factor), checked to give the directly
+    twisted bundle and back gl(4);
+  - the one-term ``contract_sum`` of the gl(4) bracket by a dense map, by a dense map with fractional
+    entries over several denominators, and by the identity and a torus diagonal on each axis.
+- the Jacobi and co-Jacobi checkers:
+  - ``check_bihom_lie`` on gl(4), gl(5), the torus-twisted ``gl_torus(4, ...)`` and abelian(60), and
+    ``check_bihom_coalgebra`` on the duals of the same four algebras; on abelian(60) no Jacobi or co-Jacobi
+    orbit is walked, every row being empty;
+  - ``check_bihom_coalgebra`` on the dual of the torus-twisted gl(4) read back from its document, whose
+    Delta is no transpose of a bracket, so that the check regroups its cells once;
+  - both checkers on gl(4) with one bracket entry moved and on its dual, where twisted antisymmetry fails
+    and Jacobi runs per rotation orbit; these two check every Jacobi and co-Jacobi cell against
+    tests/naive.py.
+- the signed sums of contractions (``contract_sum``) on the torus-twisted gl(4), whose maps are all
+  diagonal, so that each sum is one folded pass: ``check_bihom_lie`` checked against tests/naive.py
+  (multiplicativity, antisymmetry and Jacobi cells), and ``check_nijenhuis_operator`` with N = 3 I and
+  with the non-Nijenhuis diagonal N(E_ij) = (i + 2j) E_ij, its identity residual checked cell by cell
+  against [Nx, Ny] - N([x, y]_N) from ``naive.deformed_bracket``.
+- the per-call overhead of small instances, where the fixed cost of ``contract_sum`` and the checker, not
+  arithmetic, sets the time: ``check_bihom_lie`` on the torus-twisted sl2, and
+  ``check_nijenhuis_operator`` on aff2 with N = 2 I.
+- the other identities that compose two tensors, on twisted instances, each residual checked cell by cell
+  against its dense oracle in tests/naive.py:
+  - ``check_matched_pair`` on aff2 + ``antisym_dual2(0, 2)`` under the coadjoint actions, twisted by
+    non-involutive tori, with one entry of rho(e_1) moved (``naive.mixed``; the unmoved pair passes, and
+    the moved one makes both mixed identities nonzero);
+  - ``check_representation`` on the adjoint module of the torus-twisted gl(4) (``naive.rep_bracket``);
+  - ``check_bialgebra_cocycle`` on the standard sl2 bialgebra twisted by ``yau_twist``
+    (``naive.bihom_cocycle``).
+- the fixed cost a small check pays per report entry: ``check_bihom_lie`` on the identity-map aff2
+  (checked against tests/naive.py), and ``SUITES["matched_pair", "nijenhuis"].run`` on the dim 2 + 2
+  coadjoint pair of aff2 and abelian(2) (checked against its nine checkers run one by one, the mixed
+  identities on the pair itself).
+- the two triads over the support families.
 """
-
 import dataclasses
 import itertools
 import random

@@ -13,9 +13,9 @@ from fractions import Fraction
 from bihomlie import bundles
 from bihomlie.bundles import (AlgebraBundle, BialgebraBundle, CoalgebraBundle, Differential, MatchedPairBundle,
                               Report, RepresentationBundle)
-from bihomlie.checks import SUITES, check_form, check_matched_pair, check_restriction
+from bihomlie.checks import SUITES, _bracket, _comul, check_form, check_matched_pair, check_restriction
 from bihomlie.constructions import coadjoint_double, coadjoint_matched_pair, dualize
-from bihomlie.exact import Matrix, Tensor3, contract_sum, scalar
+from bihomlie.exact import Matrix, SingularMatrix, Tensor3, contract_sum, invert, scalar
 
 #: diagonal tori (t, s) of aff2-shaped twists, alpha = diag(1, t) and beta = diag(1, s); the first three are
 #: involutive, each its own transpose and inverse
@@ -116,6 +116,48 @@ def gl_torus(n: int, t, s) -> AlgebraBundle:
     t, s = [scalar(x) for x in t], [scalar(x) for x in s]
     ratios = [(t[i] / t[j], s[i] / s[j]) for i in range(n) for j in range(n)]
     return twisted(gl(n), [a for a, _ in ratios], [b for _, b in ratios])
+
+
+# -- basis change: an instance carried to an isomorphic one whose maps are dense ---------------
+
+
+def change_of_basis(n: int, r: random.Random) -> Matrix:
+    """A seeded invertible integer matrix with entries in [-2, 2] and more than n + 1 nonzeros, so that it is no
+    permuted diagonal."""
+    while True:
+        p = Matrix.from_rows([[r.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if sum(len(pairs) for _, pairs in p.nz) > n + 1:
+            try:
+                invert(p)
+                return p
+            except SingularMatrix:
+                pass
+
+
+def _conjugated(m: Matrix | None, p: Matrix, p_inv: Matrix) -> Matrix | None:
+    return None if m is None else p_inv @ m @ p
+
+
+def transported(a: AlgebraBundle, p: Matrix) -> AlgebraBundle:
+    """The algebra carried by the change of basis p: [x, y]' = p^-1 [px, py], through ``contract_sum``, and every
+    map m, the differential's included, becomes p^-1 m p."""
+    p_inv = invert(p)
+    d = a.differential
+    return dataclasses.replace(
+        a, bracket=contract_sum(a.bracket, [_bracket(1, p, p, p_inv)]), alpha=_conjugated(a.alpha, p, p_inv),
+        beta=_conjugated(a.beta, p, p_inv), nijenhuis=_conjugated(a.nijenhuis, p, p_inv),
+        differential=d and Differential(_conjugated(d.matrix, p, p_inv), d.weight))
+
+
+def transported_coalgebra(c: CoalgebraBundle, q: Matrix) -> CoalgebraBundle:
+    """The coalgebra carried by the change of basis q: D'(x) = (q^-1 (x) q^-1) D(qx), and every map m becomes
+    q^-1 m q.  The dual of an algebra carried by p is carried by q = p^-T."""
+    q_inv = invert(q)
+    d = c.codiff
+    return dataclasses.replace(
+        c, comul=contract_sum(c.comul, [_comul(1, q, q_inv, q_inv)]), alpha=_conjugated(c.alpha, q, q_inv),
+        beta=_conjugated(c.beta, q, q_inv), conijenhuis=_conjugated(c.conijenhuis, q, q_inv),
+        codiff=d and Differential(_conjugated(d.matrix, q, q_inv), d.weight))
 
 
 def _pre_post(act: tuple[Matrix, ...], pre: Matrix, post: Matrix) -> tuple[Matrix, ...]:

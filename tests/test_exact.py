@@ -20,6 +20,8 @@ from bihomlie.exact import (
     Tensor3,
     _bareiss_echelon,
     _combination,
+    _combine,
+    _content,
     _contract,
     contract_sum,
     invert,
@@ -837,6 +839,49 @@ def test_invert_equals_sympy(rows):
             invert(m)
     else:
         assert [list(r) for r in invert(m).entries] == [_fractions(a.inv().row(i)) for i in range(len(rows))]
+
+
+# -- row content: the walk stops at the first gcd of 1, and no sooner ----------------------
+
+#: _smooth of either sign: numerators whose content is often above 1
+_signed_smooth = st.builds(lambda s, v: s * v, st.sampled_from([1, -1]), _smooth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_smooth, st.lists(_signed_smooth, max_size=6))
+def test_row_content_is_the_gcd_of_every_numerator(g, numerators):
+    assert _content(g, tuple(enumerate(numerators))) == math.gcd(g, *numerators)
+
+
+def test_row_content_reads_past_a_shared_first_factor():
+    assert _content(6, ((0, 2), (4, 3))) == 1  # the first numerator shares 2 with g, the second nothing
+    assert _content(12, ((1, 6), (2, -4), (7, 9))) == 1
+    assert _content(12, ((1, 6), (2, -18))) == 6
+    assert _content(1, ((0, 4), (1, 6))) == 1  # g = 1 on entry
+    assert _content(1, ()) == 1
+    assert _content(7, ()) == 7  # no pairs: g itself
+    assert _content(0, ((3, -4), (5, 6))) == 2  # elimination's start, 0: the gcd of the numerators alone
+
+
+_integer_row = st.dictionaries(st.integers(0, 5), _signed_smooth, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_smooth, _integer_row, _signed_smooth, _integer_row)
+def test_combine_returns_the_primitive_part_of_the_combination(a, row, b, other):
+    new = {j: a * row.get(j, 0) - b * other.get(j, 0) for j in row.keys() | other.keys()}
+    new = {j: v for j, v in new.items() if v}
+    content = math.gcd(*new.values()) if new else 1
+    got = _combine(a, row, b, other)
+    assert got == {j: v // content for j, v in new.items()}
+    assert not got or math.gcd(*got.values()) == 1
+
+
+def test_combine_divides_out_a_content_above_one():
+    # 2 * (3, 5, 6) - 3 * (2, 2, 2) = (0, 4, 6), whose content is 2
+    assert _combine(2, {0: 3, 1: 5, 2: 6}, 3, {0: 2, 1: 2, 2: 2}) == {1: 2, 2: 3}
+    assert _combine(1, {0: 4, 3: 8}, 1, {0: 4}) == {3: 1}
+    assert _combine(1, {0: 1}, 1, {0: 1}) == {}
 
 
 # -- diagonal maps: products, inverses and commutators entry by entry ----------------------
