@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import checks
 from .bundles import AlgebraBundle
 from .checks import Unknown, _commutator, _stack, check_nijenhuis_operator
-from .exact import Matrix, Tensor3, Term, Vector, ZERO, contract_sum, solve
+from .exact import EMPTY, Matrix, Tensor3, Term, Vector, ZERO, contract_sum, solve
 
 
 class NonlinearKind(ValueError):
@@ -72,13 +72,44 @@ class SolutionSpace:
         return self._reshape(tuple(flat))
 
 
+def _swap_symmetric(terms: list[Term]) -> bool:
+    """Whether the terms, as a multiset, are unchanged by swapping the maps of axes 0 and 1."""
+    for s, (m0, m1, m2) in terms:
+        if m0 is not m1 and terms.count((s, (m1, m0, m2))) != terms.count((s, (m0, m1, m2))):
+            return False
+    return True
+
+
+def _antisymmetric(t: Tensor3) -> bool:
+    """Whether t[j][i] = -t[i][j] for all i, j (so t[i][i] = 0); rows are canonical, so a row's negative has its
+    denominator and its columns."""
+    for i, plane in enumerate(t.nz):
+        if plane[i][1]:
+            return False
+        for j in range(i + 1, len(plane)):
+            (d, pairs), (e, mirror) = plane[j], t.nz[j][i]
+            if d != e or len(pairs) != len(mirror):
+                return False
+            for (k, v), (m, w) in zip(pairs, mirror):
+                if k != m or v + w:
+                    return False
+    return True
+
+
 class _System:
     """The equations of a linear identity in one unknown map x (x[r][s] is unknown r * cols + s), given as the
     ``contract_sum`` terms on t its checker contracts, the marker ``Unknown`` for x: sum_u row[u] x_u = row[nvars]
     at each cell a nonzero of a group's sum reaches (cancelled coefficients keep the constant), in integers over one
     denominator.  Groups, by where the marker stands, the constant first, are each summed by one ``contract_sum``,
     and each sum is read once, in its own layout: every nonzero cell goes straight into the integer rows of the n
-    cells its index names, one dict {column: value} per reached cell, the constant negated in column nvars."""
+    cells its index names, one dict {column: value} per reached cell, the constant negated in column nvars.
+
+    The mirror rule: when t is antisymmetric in axes 0 and 1 (t[j][i] = -t[i][j], so t[i][i] = 0) and the terms,
+    as a multiset of (scale, maps), are unchanged by swapping the maps of those two axes (an ``Unknown`` compared
+    with its ``transposed`` flag), the residual is antisymmetric too: the equation of cell (j, i, k) is -1 times
+    that of (i, j, k), which ``exact.solve`` reads as one row, and (i, i, k) has none.  Only the cells i < j are
+    written then.  The Leibniz terms meet the condition on every untwisted Lie bracket.  The tests run cheapest
+    first, and a system with no nonzero to write never scans t."""
 
     def __init__(self, t: Tensor3, terms: list[Term]):
         groups: dict[tuple[int, bool] | None, list[Term]] = {None: []}  # the marker's (axis, transposed) -> terms
@@ -99,13 +130,23 @@ class _System:
             group = group if sign > 0 else [(-s, maps) for s, maps in group]
             if group:  # a lone term of no map is t itself
                 parts.append((sign, t if group == [(1, (None, None, None))] else contract_sum(t, group), at))
-        den = math.lcm(*[d for _, u, _ in parts for plane in u.nz for d, pairs in plane if pairs])
-        d0, d1, d2 = t.shape
+        dens = [d for _, u, _ in parts for plane in u.nz for d, pairs in plane if pairs]
+        den, (d0, d1, d2) = math.lcm(*dens), t.shape
+        if not dens:  # every sum is zero: no cell is reached
+            parts = []
+        # the mirror rule's tests, cheapest first: some nonzero to write, the marker on axis 0 under the same flags
+        # as on axis 1, the terms, then t
+        half = (bool(parts) and d0 == d1 and ((0, False) in groups) == ((1, False) in groups)
+                and ((0, True) in groups) == ((1, True) in groups) and _swap_symmetric(terms) and _antisymmetric(t))
+        every = [[range(n)] * d1] * d0  # each row writes every a
         rows: dict[int, dict[int, int]] = {}  # cell (i d1 + j) d2 + k -> its row {unknown: coefficient, nvars: -c}
         self.homogeneous = True
         for sign, u, at in parts:
+            nz = u.nz
+            if half and (at is None or at[0] == 2):  # a cell (i, j, k) writes cell (i, j, k) alone: keep i < j
+                nz = [(EMPTY,) * (i + 1) + plane[i + 1:] for i, plane in enumerate(nz)]
             if at is None:  # the constant comes first, so it starts the row of each cell it reaches
-                for i, plane in enumerate(u.nz):
+                for i, plane in enumerate(nz):
                     for j, (d, pairs) in enumerate(plane):
                         f, base = -sign * (den // d), (i * d1 + j) * d2
                         for k, v in pairs:
@@ -113,18 +154,28 @@ class _System:
                 self.homogeneous = not rows
                 continue
             # a cell (.. b ..), b on the axis, adds its value to the coefficient of x[a][b] (x[b][a] transposed) in
-            # the equation of cell (.. a ..), for each a: from a = 0, the cell moves by the axis' stride and the
-            # unknown by step
+            # the equation of cell (.. a ..), for each a its row (i, j) writes, spans[i][j] of them: from a = 0, the
+            # cell moves by the axis' stride and the unknown by step.  The spans are chosen once per group: every a,
+            # or on the mirror rule a < j on axis 0 and a > i on axis 1, that one walked down from a = n - 1
             axis, transposed = at
             scale, step = (n, 1) if transposed else (1, n)  # unknown = scale * b + step * a
             stride = (d1 * d2, d2, 1)[axis]
-            for i, plane in enumerate(u.nz):
+            spans, cell, var0, dc, dv = every, 0, 0, stride, step  # the first a's cell and unknown offsets, the steps
+            if half and axis == 0:
+                spans = [list(map(range, range(d1)))] * d0
+            elif half and axis == 1:
+                spans = [[range(n - 1 - i)] * d1 for i in range(d0)]
+                cell, var0, dc, dv = (n - 1) * stride, (n - 1) * step, -stride, -step
+            for i, plane in enumerate(nz):
+                reaches = spans[i]
                 for j, (d, pairs) in enumerate(plane):
-                    f, base = sign * (den // d), (i * d1 + j) * d2
+                    if not pairs:
+                        continue
+                    f, base, reach = sign * (den // d), (i * d1 + j) * d2 + cell, reaches[j]
                     for k, v in pairs:
                         b = (i, j, k)[axis]
-                        c, var, w = base + k - b * stride, scale * b, f * v
-                        for a in range(n):
+                        c, var, w = base + k - b * stride, scale * b + var0, f * v
+                        for _ in reach:
                             row = rows.get(c)
                             if row is None:
                                 row = rows[c] = {}
@@ -132,8 +183,8 @@ class _System:
                                 row[var] = x
                             else:
                                 del row[var]
-                            c += stride
-                            var += step
+                            c += dc
+                            var += dv
         self.rows = list(rows.values())  # one per reached cell, empty where every coefficient cancels
 
     def solve(self) -> SolutionSpace:

@@ -10,8 +10,9 @@ turns timing on.  Each benchmark times one call and checks its result, so a fast
 
 - three kernel calls, on systems built beforehand:
   - ``exact.solve`` of the homogeneous gl(4) derivation system in the form ``search._System`` writes it,
-    ``(nvars, rows)``: 3252 integer rows, one per residual cell the Leibniz terms reach, over 256 unknowns,
-    so the timed call makes them primitive, drops the repeats and eliminates the rest;
+    ``(nvars, rows)``: 1572 integer rows over 256 unknowns, one per residual cell (i, j, k) with i < j that the
+    Leibniz terms reach (the bracket is antisymmetric, so ``search._System`` writes no mirror cell; all cells
+    would give 3252), so the timed call makes them primitive, drops the repeats and eliminates the rest;
   - ``exact.solve`` of an all-zero 729 x 81 ``Matrix`` (``Matrix.zeros``: the Leibniz terms on abelian(9)
     reach no cell, so its own system has no equation); these two are each checked by the size of the kernel;
   - ``invert`` of a dense 16 x 16 matrix, checked by its product with the matrix.
@@ -24,9 +25,6 @@ turns timing on.  Each benchmark times one call and checks its result, so a fast
 
   The two show how a solve splits between assembly and ``exact.solve``.
 """
-import random
-from fractions import Fraction
-
 import pytest
 
 import naive
@@ -36,8 +34,8 @@ from bihomlie.exact import Matrix, invert, solve
 
 
 def test_nullspace_gl4_derivation_system(benchmark):
-    # the Leibniz rule solved for the unknown map: 3252 equations, 256 unknowns, as the integer rows the
-    # assembly writes, each normalized, deduplicated and eliminated inside the timed call
+    # the Leibniz rule solved for the unknown map: 1572 equations (its cells i < j), 256 unknowns, as the integer
+    # rows the assembly writes, each normalized, deduplicated and eliminated inside the timed call
     system = search._System(support.gl(4).bracket, checks._leibniz(checks.Unknown(), 0))
     assert len(benchmark(solve, (system.nvars, system.rows))[1]) == 16
 
@@ -79,6 +77,5 @@ def test_nullspace_abelian9_zero_system(benchmark):
 
 
 def test_invert_dim16(benchmark):
-    r = random.Random(16)
-    m = Matrix.from_rows([[Fraction(r.randint(-3, 3), r.randint(1, 2)) for _ in range(16)] for _ in range(16)])
+    m = support.dense_matrix(16, 16)
     assert benchmark(invert, m) @ m == Matrix.identity(16)

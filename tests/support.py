@@ -111,6 +111,13 @@ def gl(n: int) -> AlgebraBundle:
     return AlgebraBundle(dim, Tensor3.from_entries(cells), ident, ident, kind="lie")
 
 
+def dense_matrix(n: int, seed: int) -> Matrix:
+    """An n x n matrix of entries p / q, -3 <= p <= 3 and q in {1, 2}, drawn from the seed; invertible at n = seed
+    = 16."""
+    r = random.Random(seed)
+    return Matrix.from_rows([[Fraction(r.randint(-3, 3), r.randint(1, 2)) for _ in range(n)] for _ in range(n)])
+
+
 def gl_torus(n: int, t, s) -> AlgebraBundle:
     """gl(n) twisted by the torus automorphisms E_ij -> (t_i/t_j) E_ij and (s_i/s_j) E_ij."""
     t, s = [scalar(x) for x in t], [scalar(x) for x in s]

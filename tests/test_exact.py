@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import naive
 import support
 from support import contract
-from bihomlie import bundles, exact
+from bihomlie import bundles, checks, exact, search
 from bihomlie.checks import _commutator
 from bihomlie.exact import (
     DimensionMismatch,
@@ -882,6 +882,23 @@ def test_combine_divides_out_a_content_above_one():
     assert _combine(2, {0: 3, 1: 5, 2: 6}, 3, {0: 2, 1: 2, 2: 2}) == {1: 2, 2: 3}
     assert _combine(1, {0: 4, 3: 8}, 1, {0: 4}) == {3: 1}
     assert _combine(1, {0: 1}, 1, {0: 1}) == {}
+
+
+@pytest.mark.parametrize("name", ["gl3-derivations", "gl4-derivations", "invert-dim16"])
+def test_elimination_returns_primitive_rows(monkeypatch, name):
+    # every row _bareiss_echelon returns has content 1: each combination divides its content out, so the numbers
+    # do not grow from pivot to pivot (the results alone cannot show it; they are read off as ratios)
+    runs = []
+    monkeypatch.setattr(exact, "_bareiss_echelon", lambda rows: runs.append(_bareiss_echelon(rows)) or runs[-1])
+    if name == "invert-dim16":
+        invert(support.dense_matrix(16, 16))
+    else:
+        n = int(name[2])
+        system = search._System(support.gl(n).bracket, checks._leibniz(checks.Unknown(), 0))
+        assert system.solve().dimension == n * n
+    [(echelon, pivots)] = runs
+    assert len(echelon) == len(pivots) > 0
+    assert all(math.gcd(*row.values()) == 1 for row in echelon)
 
 
 # -- diagonal maps: products, inverses and commutators entry by entry ----------------------

@@ -311,6 +311,68 @@ def test_hand_built_systems_match_the_naive_systems(name):
     assert (particular is not None, sol.homogeneous, not any(rhs)) == (consistent, homogeneous, homogeneous)
 
 
+def _changed(c, cell, value):
+    """A copy of the cells c with one cell set to value."""
+    c = [[list(row) for row in plane] for plane in c]
+    c[cell[0]][cell[1]][cell[2]] = value
+    return c
+
+
+_SL2 = naive.as_cells(bundles.sl2().bracket)
+_LEIBNIZ = checks._leibniz(_U, 0)
+_FULL_PATH = {  # name -> (t's entries, its terms): each misses one condition of the mirror rule, so t is written whole
+    "one mirror cell off by a value": (_changed(_SL2, (2, 1, 0), _SL2[2][1][0] + 1), _LEIBNIZ),
+    "a nonzero c[i][i][k]": (_changed(_SL2, (1, 1, 2), Fraction(1)), _LEIBNIZ),
+    "swap-symmetric terms on a twisted bracket": (naive.as_cells(support.gl_torus(2, [1, 3], [1, -5]).bracket),
+                                                  _LEIBNIZ),
+    "an antisymmetric t under terms that are not swap-symmetric": (
+        _SL2, [(1, (None, None, _U)), (-1, (_UT, None, None)), (-2, (None, _UT, None))]),
+    "terms swap-symmetric but for a transposed flag": (
+        _SL2, [(1, (None, None, _U)), (-1, (_UT, None, None)), (-1, (None, _U, None))]),
+    "both flags on both axes, swap-symmetric but for the flags": (
+        _SL2, [(1, (_U, None, None)), (1, (None, _UT, None)), (2, (_UT, None, None)), (2, (None, _U, None))]),
+}
+
+
+@pytest.mark.parametrize("name", list(_FULL_PATH))
+def test_systems_off_the_mirror_rule_match_the_term_equations(name):
+    # the equation of cell (j, i, k) is -1 times that of (i, j, k) on none of these, so every cell is written
+    entries, terms = _FULL_PATH[name]
+    t = Tensor3.from_entries(entries)
+    n = t.shape[0]
+    rows, rhs = _term_equations(t, terms, n)
+    sol = search._System(t, terms).solve()
+    assert sol.homogeneous and not any(rhs)
+    assert [list(v) for v in sol.basis] == naive.rref_nullspace(rows, n * n)
+
+
+@st.composite
+def _antisymmetric_cells(draw, n):
+    """The cells of a bracket with c[j][i] = -c[i][j] and a zero diagonal, the rest drawn."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        c[i][j] = draw(_cells(n))
+        c[j][i] = [-x for x in c[i][j]]
+    return c
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(_antisymmetric_cells))
+def test_derivations_of_antisymmetric_brackets_match_the_naive_systems(c):
+    # the mirror rule writes the cells i < j alone; the naive rows are every cell's
+    n = len(c)
+    sol = search.solve_linear_identity("derivation", algebra=_algebra(c, [[0] * n] * n, 0))
+    assert [list(v) for v in sol.basis] == naive.rref_nullspace(naive.derivation_rows(c), n * n)
+    assert sol.homogeneous and list(sol.particular) == [0] * (n * n)
+
+
+def test_the_gl3_derivation_system_writes_the_cells_below_the_mirror_alone():
+    # of the 9 x 9 x 9 cells, the 36 pairs i < j times 9 are written: at most 324 rows, where the whole bracket
+    # reaches 624
+    system = search._System(support.gl(3).bracket, _LEIBNIZ)
+    assert len(system.rows) <= 36 * 9
+
+
 def test_two_unknowns_in_one_term_are_refused():
     t = Tensor3.from_entries([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     with pytest.raises(search.NonlinearKind):
